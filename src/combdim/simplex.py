@@ -1,9 +1,22 @@
 """Small dense LP solver: two-phase primal simplex with Bland's rule.
 
 Problems are stated as: minimize c @ x subject to a_ub @ x <= b_ub,
-a_eq @ x = b_eq, x >= 0.  Bland's anti-cycling rule (always the smallest
-eligible index) makes the solver deterministic and finite; sizes here are
-desk scale, so a dense tableau is simplest and fast enough.
+a_eq @ x = b_eq, x >= 0.  Sizes here are desk scale, so a dense tableau
+is simplest; each pivot is one rank-1 update and each pricing step one
+matrix-vector product, so no step of the pivot loop runs over rows in
+Python.
+
+Bland's anti-cycling rule makes the solver deterministic and finite: the
+entering column is the smallest index with a negative reduced cost, and
+the leaving row is, among the rows whose pivot entry exceeds PIVOT_TOL and
+whose ratio is within RATIO_TIE of the minimum ratio, the one whose basic
+variable has the smallest index.  Inequality rows start with their slack
+in the basis; only equality rows and inequality rows negated for a
+negative right-hand side get an artificial column, and phase 2 prices the
+structural and slack columns alone.  Every optimal point is checked
+against the original rows; if pivot roundoff has pushed it out of them,
+the basic values are solved once more from the rows that are tight at the
+final basis, and the check is repeated.
 """
 
 from __future__ import annotations
@@ -55,11 +68,11 @@ class LPResult:
     objective: float | None
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= factors[:, None] * tableau[row]
     basis[row] = col
     # Roundoff can push basic values a hair below zero; clamp the drift so
     # it cannot compound across pivots.
@@ -68,47 +81,31 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
 
 
 def _run_simplex(
-    tableau: np.ndarray,
-    basis: list[int],
-    cost: np.ndarray,
-    allowed: np.ndarray,
-    max_iter: int,
+    tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray, max_iter: int, phase: int
 ) -> str:
-    """Minimize cost over the current tableau in place.  `allowed` masks
-    the columns that may enter the basis.  Returns "optimal"/"unbounded".
+    """Minimize cost over the current tableau in place.  Only the first
+    cost.size columns may enter the basis.  Returns "optimal"/"unbounded".
     """
-    m = tableau.shape[0]
-    ncols = tableau.shape[1] - 1
+    body = tableau[:, : cost.size]
+    rhs = tableau[:, -1]
     for _ in range(max_iter):
-        # Reduced costs from scratch each iteration: O(m * n), numerically
+        # Reduced costs from scratch each iteration: numerically
         # self-correcting and cheap at these sizes.
-        reduced = cost.copy()
-        for r in range(m):
-            cb = cost[basis[r]]
-            if cb != 0.0:
-                reduced -= cb * tableau[r, :ncols]
-        basic = set(basis)
-        entering = -1
-        for j in np.flatnonzero(allowed & (reduced < -FEAS_TOL)):
-            if int(j) not in basic:
-                entering = int(j)  # Bland: smallest eligible index
-                break
-        if entering < 0:
+        eligible = cost - cost[basis] @ body < -FEAS_TOL
+        eligible[basis] = False
+        entering = int(eligible.argmax())  # Bland: smallest eligible index
+        if not eligible[entering]:
             return "optimal"
-        leaving, best_ratio = -1, None
-        for r in range(m):
-            a = tableau[r, entering]
-            if a <= PIVOT_TOL:
-                continue
-            ratio = tableau[r, -1] / a
-            if best_ratio is None or ratio < best_ratio - RATIO_TIE:
-                leaving, best_ratio = r, ratio
-            elif ratio <= best_ratio + RATIO_TIE and basis[r] < basis[leaving]:
-                leaving, best_ratio = r, min(ratio, best_ratio)
-        if leaving < 0:
+        rows = (body[:, entering] > PIVOT_TOL).nonzero()[0]
+        if rows.size == 0:
             return "unbounded"
-        _pivot(tableau, basis, leaving, entering)
-    raise IterationCapError(f"simplex exceeded {max_iter} iterations")
+        ratios = rhs[rows] / body[rows, entering]
+        ties = rows[ratios <= ratios.min() + RATIO_TIE]
+        _pivot(tableau, basis, int(ties[basis[ties].argmin()]), entering)
+    raise IterationCapError(
+        f"simplex phase {phase} ran {max_iter} iterations without reaching an "
+        f"optimum (the cap) on a {tableau.shape[0]}x{tableau.shape[1]} tableau"
+    )
 
 
 def lp_solve(problem: LPProblem, max_iter: int | None = None) -> LPResult:
@@ -121,76 +118,68 @@ def lp_solve(problem: LPProblem, max_iter: int | None = None) -> LPResult:
     m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
     m = m_ub + m_eq
 
-    # Columns: [x (n) | slacks (m_ub) | artificials (m)].
-    n_slack = m_ub
-    n_art = m
-    ncols = n + n_slack + n_art
+    # Columns: [x (n) | slacks (m_ub) | artificials (one per row that lacks
+    # a +1 slack: equality rows and rows negated for a negative rhs)].
+    art_start = n + m_ub
+    flipped = np.concatenate([b_ub, b_eq]) < 0
+    art_rows = np.flatnonzero(flipped | (np.arange(m) >= m_ub))
+    ncols = art_start + art_rows.size
     tableau = np.zeros((m, ncols + 1))
     tableau[:m_ub, :n] = a_ub
-    tableau[:m_ub, n : n + n_slack] = np.eye(m_ub)
+    tableau[:m_ub, n:art_start] = np.eye(m_ub)
     tableau[:m_ub, -1] = b_ub
     tableau[m_ub:, :n] = a_eq
     tableau[m_ub:, -1] = b_eq
-    for r in range(m):
-        if tableau[r, -1] < 0:
-            tableau[r] = -tableau[r]
-    art_start = n + n_slack
-    basis: list[int] = []
-    for r in range(m):
-        slack = n + r if r < m_ub else -1
-        if slack >= 0 and tableau[r, slack] == 1.0:
-            basis.append(slack)
-        else:
-            tableau[r, art_start + r] = 1.0
-            basis.append(art_start + r)
+    tableau[flipped] *= -1.0
+    tableau[art_rows, art_start + np.arange(art_rows.size)] = 1.0
+    basis = n + np.arange(m)
+    basis[art_rows] = art_start + np.arange(art_rows.size)
+    pinned = np.ones(m, dtype=bool)  # original rows not dropped as redundant
 
     if max_iter is None:
-        max_iter = 200 * (m + ncols + 10)
+        max_iter = 200 * (2 * m + art_start + 10)
 
-    has_artificial = any(b >= art_start for b in basis)
-    if has_artificial:
+    if art_rows.size:
         cost1 = np.zeros(ncols)
         cost1[art_start:] = 1.0
-        allowed = np.ones(ncols, dtype=bool)
-        status = _run_simplex(tableau, basis, cost1, allowed, max_iter)
+        status = _run_simplex(tableau, basis, cost1, max_iter, phase=1)
         assert status == "optimal", "phase-1 objective is bounded below by 0"
-        infeas = sum(tableau[r, -1] for r in range(m) if basis[r] >= art_start)
-        if infeas > FEAS_TOL:
+        if tableau[basis >= art_start, -1].sum() > FEAS_TOL:
             return LPResult("infeasible", None, None)
         # Pivot remaining zero-level artificials out, dropping redundant rows.
-        keep = []
-        for r in range(m):
-            if basis[r] < art_start:
-                keep.append(r)
-                continue
-            pivot_col = -1
-            for j in range(art_start):
-                if abs(tableau[r, j]) > PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                _pivot(tableau, basis, r, pivot_col)
-                keep.append(r)
-        if len(keep) < m:
-            tableau = tableau[keep]
-            basis = [basis[r] for r in keep]
-            m = len(keep)
+        keep = basis < art_start
+        for r in np.flatnonzero(~keep):
+            candidates = np.flatnonzero(np.abs(tableau[r, :art_start]) > PIVOT_TOL)
+            if candidates.size:
+                _pivot(tableau, basis, int(r), int(candidates[0]))
+                keep[r] = True
+        if not keep.all():
+            pinned[art_rows[basis[~keep] - art_start]] = False
+            tableau, basis = tableau[keep], basis[keep]
 
-    cost2 = np.zeros(ncols)
+    cost2 = np.zeros(art_start)
     cost2[:n] = problem.c
-    allowed = np.ones(ncols, dtype=bool)
-    allowed[art_start:] = False
-    status = _run_simplex(tableau, basis, cost2, allowed, max_iter)
-    if status == "unbounded":
+    if _run_simplex(tableau, basis, cost2, max_iter, phase=2) == "unbounded":
         return LPResult("unbounded", None, None)
 
+    structural = basis < n
+    cols = basis[structural]
     x = np.zeros(n)
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = tableau[r, -1]
-    objective = float(problem.c @ x)
-    _verify(problem, x)
-    return LPResult("optimal", x, objective)
+    x[cols] = tableau[structural, -1]
+    try:
+        _verify(problem, x)
+    except AssertionError:
+        # Pivot roundoff can leave the tableau's values off the basis's
+        # true vertex.  The rows whose slack is nonbasic hold with equality
+        # there and pin the basic structural values through a square,
+        # nonsingular system; solve it from the original rows and recheck.
+        pinned[basis[~structural] - n] = False
+        x[cols] = np.linalg.solve(
+            np.vstack([a_ub, a_eq])[np.ix_(pinned, cols)],
+            np.concatenate([b_ub, b_eq])[pinned],
+        )
+        _verify(problem, x)
+    return LPResult("optimal", x, float(problem.c @ x))
 
 
 def _verify(problem: LPProblem, x: np.ndarray) -> None:
@@ -204,8 +193,3 @@ def _verify(problem: LPProblem, x: np.ndarray) -> None:
         gap = np.abs(problem.a_eq @ x - problem.b_eq)
         if np.any(gap > FEAS_TOL * (1.0 + np.abs(problem.b_eq))):
             raise AssertionError("simplex returned an infeasible point (eq)")
-
-
-def lp_feasible(a_eq: np.ndarray, b_eq: np.ndarray, n_nonneg: int) -> LPResult:
-    """Feasibility of {x >= 0 : a_eq x = b_eq} via a zero objective."""
-    return lp_solve(LPProblem(np.zeros(n_nonneg), None, None, a_eq, b_eq))

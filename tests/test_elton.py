@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from combdim import PolyhedralNorm, elton_subset
+from combdim import CoordinateSubset, PolyhedralNorm, elton_subset
 from combdim.constants import DEFAULT_CONSTANTS
 from combdim.elton import dual_body, exact_tightness_norm, rudelson_example
+from combdim.geometry import ell1_lower_constant
 
 
 def l1_norm(n):
@@ -102,6 +104,36 @@ def test_rudelson_trade_off_bound():
         st = res.s * res.t
         assert st <= delta + inst.norm_slack + 1e-6
         assert res.delta == pytest.approx(delta, abs=1e-12)
+
+
+def _highs_orthant_minimum(norm, vectors, sigma):
+    # the orthant LPs of ell1_lower_constant, solved by HiGHS
+    w = norm.functionals @ vectors[list(sigma)].T
+    k = w.shape[1]
+    best = math.inf
+    for signs in itertools.product((-1.0, 1.0), repeat=k - 1):
+        a = w * np.array((1.0,) + signs)
+        res = linprog(
+            np.r_[np.zeros(k), 1.0],
+            A_ub=np.hstack([np.vstack([a, -a]), -np.ones((2 * a.shape[0], 1))]),
+            b_ub=np.zeros(2 * a.shape[0]),
+            A_eq=np.r_[np.ones(k), 0.0][None, :],
+            b_eq=[1.0],
+            bounds=[(0, None)] * k + [(None, None)],
+            method="highs",
+        )
+        assert res.status == 0
+        best = min(best, res.fun)
+    return best
+
+
+def test_ell1_constant_on_tall_rudelson_orthant_lps():
+    # Pivot roundoff once left a basic point 1.7e-5 outside a row of one of
+    # these 270 x 8 orthant LPs, and the solver's own check rejected it.
+    inst = rudelson_example(7, 0.6, net_size=64, seed=0)
+    sigma = CoordinateSubset(tuple(range(7)))
+    mine = ell1_lower_constant(inst.norm, inst.vectors, sigma)
+    assert mine == pytest.approx(_highs_orthant_minimum(inst.norm, inst.vectors, sigma), abs=1e-7)
 
 
 def test_rudelson_validation():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from combdim.errors import IterationCapError
 from combdim.simplex import LPProblem, lp_solve
 
 
@@ -96,6 +97,7 @@ def _scipy_check(c, a_ub, b_ub, a_eq, b_eq):
         assert ref.status == 0
         assert mine.status == "optimal"
         assert mine.objective == pytest.approx(ref.fun, abs=1e-7, rel=1e-7)
+    return mine.status
 
 
 def test_random_lps_against_scipy():
@@ -144,3 +146,38 @@ def test_wide_degenerate_hull_systems_against_scipy():
         a_eq = np.vstack([vertices.T, np.ones((1, k))])
         b_eq = np.concatenate([point, [1.0]])
         _scipy_check(np.zeros(k), None, None, a_eq, b_eq)
+
+
+def test_tall_orthant_shaped_lps_against_scipy():
+    # the shape of the ell1 orthant LPs: many inequality rows over a few
+    # variables, one equality row, and here also negative right-hand sides,
+    # whose rows start on an artificial instead of their slack
+    rng = np.random.default_rng(8128)
+    statuses = set()
+    for trial in range(30):
+        k = int(rng.integers(2, 8))
+        m_ub = int(rng.integers(50, 301))
+        a_ub = np.hstack([rng.uniform(-1, 1, (m_ub, k)), -np.ones((m_ub, 1))])
+        b_ub = rng.uniform(-0.3, 1.0, m_ub)
+        c = np.r_[rng.uniform(-0.2, 0.2, k), 1.0]  # bounded: z pays for every row
+        if trial % 3 == 1:
+            a_ub[:, k] = -rng.uniform(0.1, 1, m_ub)  # feasible, maybe unbounded
+            c[k] = rng.uniform(-1, 1)
+        elif trial % 3 == 2:
+            a_ub[:, k] = rng.uniform(-1, 1, m_ub)  # generic rows: mostly infeasible
+        a_eq = np.r_[np.ones(k), 0.0][None, :]
+        statuses.add(_scipy_check(c, a_ub, b_ub, a_eq, [1.0]))
+    assert statuses == {"optimal", "unbounded", "infeasible"}
+
+
+def test_iteration_cap_message_names_phase_count_and_shape():
+    # two inequality rows with negative rhs need artificials and more than
+    # one phase-1 pivot
+    problem = LPProblem([1.0, 1.0], [[-1.0, 0.0], [0.0, -1.0]], [-1.0, -1.0])
+    assert lp_solve(problem).objective == pytest.approx(2.0)
+    with pytest.raises(IterationCapError) as info:
+        lp_solve(problem, max_iter=1)
+    message = str(info.value)
+    assert "phase 1" in message
+    assert "ran 1 iterations" in message
+    assert "2x7 tableau" in message
