@@ -74,6 +74,8 @@ from .shattering import (
     Center,
     ShatterWitness,
     enumerate_shattered_centers,
+    shatter_witnesses,
+    shattered_center_counts,
     shatters,
     vc_curve,
     vc_integer,

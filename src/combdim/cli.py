@@ -97,17 +97,14 @@ def cmd_vc(args) -> int:
 
 def cmd_centers(args) -> int:
     family, _ = _load(args)
-    centers = shattering.enumerate_shattered_centers(family, args.max_dim)
-    doc = []
-    for c in centers:
-        witness = shattering.shatters(family, c)
-        doc.append(
-            {
-                "support": list(c.support),
-                "levels": list(c.levels),
-                "witness": {str(k): v for k, v in witness.assignments.items()},
-            }
-        )
+    doc = [
+        {
+            "support": list(w.center.support),
+            "levels": list(w.center.levels),
+            "witness": {str(k): v for k, v in w.assignments.items()},
+        }
+        for w in shattering.shatter_witnesses(family, args.max_dim)
+    ]
     _write_or_print(args, json.dumps(doc, indent=1) + "\n")
     return 0
 

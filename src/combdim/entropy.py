@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError
-from .family import FunctionFamily, ProbabilityMeasure
+from .family import FunctionFamily, ProbabilityMeasure, row_masks
 
 PACKING_EXACT_LIMIT = 30
 COVERING_EXACT_LIMIT = 25
@@ -39,6 +39,22 @@ def lp_distance(f, g, measure: ProbabilityMeasure, p: float = 2.0) -> float:
     return float(np.dot(measure.weights, diff**p) ** (1.0 / p))
 
 
+def distances_from_gram(vals: np.ndarray, weights: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """L2(weights) distances between the rows of vals from their weighted
+    Gram matrix.  g_ii + g_jj - 2 g_ij is off by a few ulps of g_ii + g_jj,
+    so a value above 1e-4 of the largest g_ii + g_jj keeps about 11 digits;
+    smaller ones (cancellation range) are recomputed from differences."""
+    norms = np.diag(gram)
+    sq = norms[:, None] + norms[None, :] - 2.0 * gram
+    close = sq <= 2e-4 * norms.max()
+    np.fill_diagonal(close, False)
+    if close.any():
+        i, j = np.nonzero(close)
+        sq[i, j] = (vals[i] - vals[j]) ** 2 @ weights
+    np.fill_diagonal(sq, 0.0)
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
 def pairwise_distances(family: FunctionFamily, measure: ProbabilityMeasure, p: float = 2.0) -> np.ndarray:
     """Symmetric m x m matrix of Lp(mu) distances between rows."""
     vals = family.values
@@ -46,10 +62,7 @@ def pairwise_distances(family: FunctionFamily, measure: ProbabilityMeasure, p: f
     if p == 2.0:
         # Weighted Gram trick keeps this O(m^2 n) in vectorized numpy.
         w = measure.weights
-        gram = (vals * w) @ vals.T
-        sq = np.diag(gram)[:, None] + np.diag(gram)[None, :] - 2.0 * gram
-        np.fill_diagonal(sq, 0.0)
-        return np.sqrt(np.maximum(sq, 0.0))
+        return distances_from_gram(vals, w, (vals * w) @ vals.T)
     out = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
@@ -147,12 +160,7 @@ def packing_number(
         raise BudgetError(
             f"exact packing refused for m={m} > limit {size_limit} (pass force=True)"
         )
-    adj = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if i != j and dist[i, j] > t:
-                adj[i] |= 1 << j
-    return _max_clique_size(adj, m), "exact"
+    return _max_clique_size(row_masks(dist > t), m), "exact"  # dist[i, i] = 0 < t
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +228,7 @@ def covering_number(
         raise ValueError(f"covering scale must be positive, got {t!r}")
     dist = pairwise_distances(family, measure, p)
     m = family.size
-    ball = [0] * m
-    for i in range(m):
-        for j in range(m):
-            if dist[i, j] <= t:
-                ball[i] |= 1 << j
+    ball = row_masks(dist <= t)
     if mode == "greedy":
         return len(_greedy_cover(ball, (1 << m) - 1)), "upper-bound"
     if mode != "exact":

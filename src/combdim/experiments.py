@@ -269,16 +269,17 @@ def run_pipeline_trace(seed: int, constants: ConstantsConfig = DEFAULT_CONSTANTS
     itree = septree.build_separating_tree(tilde, sub_measure, 6.0)
     ivalid = septree.validate_tree(itree, tilde, 1.0 - 1e-12)
     ileaves = itree.leaf_count()
-    centers = shattering.enumerate_shattered_centers(tilde, tilde.domain_size)
+    counts = shattering.shattered_center_counts(tilde, tilde.domain_size)
+    centers = sum(counts)
     stage(
         "center-count",
-        bool(ivalid) and len(centers) >= ileaves and len(centers) >= math.sqrt(m) - 1e-12,
-        {"leaves": ileaves, "centers": len(centers), "sqrt_m": math.sqrt(m),
+        bool(ivalid) and centers >= ileaves and centers >= math.sqrt(m) - 1e-12,
+        {"leaves": ileaves, "centers": centers, "sqrt_m": math.sqrt(m),
          "validation": ivalid.failure},
     )
 
     # Dimension chain across representations.
-    d_int = shattering.vc_integer(tilde)
+    d_int = len(counts) - 1
     d_real = shattering.vc_real(sub, (t / 2.0) / 7.0)
     stage("vc-chain", d_int <= d_real, {"vc_integer": d_int, "vc_real_t_over_7": d_real})
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import first_violating_pair, is_separated
+from .entropy import distances_from_gram, first_violating_pair, is_separated
 from .errors import ExtractionError, NotSeparatedError
 from .family import CoordinateSubset, FunctionFamily, ProbabilityMeasure
 
@@ -46,10 +46,9 @@ def _min_subset_distance(family: FunctionFamily, sigma: np.ndarray) -> float:
     m = sub.shape[0]
     if m < 2:
         return math.inf
-    gram = sub @ sub.T / sigma.size
-    sq = np.diag(gram)[:, None] + np.diag(gram)[None, :] - 2.0 * gram
-    iu = np.triu_indices(m, k=1)
-    return float(np.sqrt(max(sq[iu].min(), 0.0)))
+    weights = np.full(sigma.size, 1.0 / sigma.size)
+    dist = distances_from_gram(sub, weights, sub @ sub.T / sigma.size)
+    return float(dist[np.triu_indices(m, k=1)].min())
 
 
 def _check_precondition(family: FunctionFamily, t: float, k: int) -> None:

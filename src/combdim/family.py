@@ -163,6 +163,13 @@ class CoordinateSubset:
         return iter(self.indices)
 
 
+def row_masks(sel: np.ndarray) -> list[int]:
+    """Bitmask of each line of a boolean matrix, bit r set when column r is
+    (the columns are the rows of a family)."""
+    packed = np.packbits(sel, axis=-1, bitorder="little")
+    return [int.from_bytes(line.tobytes(), "little") for line in packed]
+
+
 # ---------------------------------------------------------------------------
 # File I/O.  Numbers are serialized as decimal strings (repr of the float)
 # so that save -> load reproduces the exact same doubles.
@@ -175,6 +182,19 @@ def _parse_number(token, where: str) -> float:
         raise FamilyError(f"cannot parse number {token!r} at {where}") from None
 
 
+def read_json_object(path, kind: str, keys: tuple[str, ...]) -> dict:
+    """The JSON object in a family, polytope or norm file; FamilyError names
+    the file and the first of the keys it lacks."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise FamilyError(f"cannot parse {kind} file {path}: {exc}") from None
+    missing = [key for key in keys if not isinstance(doc, dict) or key not in doc]
+    if missing:
+        raise FamilyError(f"missing key {missing[0]!r} in {kind} file {path}")
+    return doc
+
+
 def load_family(path) -> tuple[FunctionFamily, ProbabilityMeasure]:
     """Load a (family, measure) pair from a JSON file.
 
@@ -182,19 +202,9 @@ def load_family(path) -> tuple[FunctionFamily, ProbabilityMeasure]:
     "values": [[...], ...], "measure": [w_0, ..., w_{n-1}]}.  The measure
     key is optional and defaults to the uniform measure.
     """
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FamilyError(f"cannot parse {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FamilyError("family file must hold a JSON object")
-    try:
-        n = int(doc["domain_size"])
-        kind_spec = doc["value_kind"]
-        raw_values = doc["values"]
-    except KeyError as exc:
-        raise FamilyError(f"missing key {exc.args[0]!r} in family file") from None
+    doc = read_json_object(path, "family", ("domain_size", "value_kind", "values"))
+    n = int(doc["domain_size"])
+    kind_spec, raw_values = doc["value_kind"], doc["values"]
     if kind_spec == "real":
         kind, range_max = "real", None
     elif isinstance(kind_spec, dict) and set(kind_spec) == {"integer"}:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BudgetError
-from .family import CoordinateSubset
+from .family import CoordinateSubset, read_json_object
 from .simplex import LPProblem, lp_solve
 
 HULL_TOL = 1e-9
@@ -274,7 +274,7 @@ def ell1_lower_constant(
 # ---------------------------------------------------------------------------
 
 def load_polytope(path) -> VPolytope:
-    doc = json.loads(Path(path).read_text())
+    doc = read_json_object(path, "polytope", ("dimension", "vertices"))
     return VPolytope(
         int(doc["dimension"]),
         np.array([[float(v) for v in row] for row in doc["vertices"]]),
@@ -292,7 +292,7 @@ def save_polytope(path, poly: VPolytope) -> None:
 
 
 def load_norm(path) -> PolyhedralNorm:
-    doc = json.loads(Path(path).read_text())
+    doc = read_json_object(path, "norm", ("dimension", "functionals"))
     return PolyhedralNorm(
         int(doc["dimension"]),
         np.array([[float(v) for v in row] for row in doc["functionals"]]),

@@ -84,11 +84,6 @@ class SplitCertificate:
     p_upper: float
     p_lower: float
 
-    def heavy_light(self) -> tuple[float, float]:
-        if self.side == "upper-heavy":
-            return self.p_upper, self.p_lower
-        return self.p_lower, self.p_upper
-
     def is_valid_for(self, dist: Distribution) -> bool:
         """Re-derive both tail masses from the distribution and re-check."""
         if not (0.0 < self.beta <= 0.5) or self.gap_halfwidth <= 0:

@@ -7,13 +7,15 @@ the support is realized with strict inequalities; the maximal dimension
 of a shattered center is vc_integer.  For real families, vc_real(A, t) is
 the largest support admitting a level function h such that every pattern
 is realized with f <= h below and f >= h + t above (non-strict).  The two
-notions are implemented exactly as defined and never mixed.
+notions are implemented exactly as defined and never mixed; they differ
+only in the mask predicates of the level table.
 
-Both searches walk supports in lexicographic order, extending a shattered
-center one coordinate at a time; restrictions of shattered centers are
-shattered, so every shattered center is reached through its prefix chain.
-Witness sets per sign pattern are kept as row bitmasks, which makes the
-extension check a handful of integer ANDs.
+One walker serves both.  It extends a shattered center one coordinate at
+a time; restrictions of shattered centers are shattered, so every one is
+reached through its prefix chain.  Witness sets per sign pattern are row
+bitmasks, which makes the extension check a handful of integer ANDs.
+Count mode counts centers per dimension; max mode seeks the largest
+dimension only and prunes what cannot raise it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, FamilyError
-from .family import CoordinateSubset, FunctionFamily
+from .family import CoordinateSubset, FunctionFamily, row_masks
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -43,10 +45,6 @@ class Center:
     @property
     def dimension(self) -> int:
         return len(self.support)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.dimension == 0
 
     @classmethod
     def trivial(cls) -> "Center":
@@ -68,9 +66,7 @@ class ShatterWitness:
         vals = family.int_values()
         coords = self.center.support.indices
         levels = self.center.levels
-        if set(self.assignments) != {
-            theta for theta in _sign_patterns(len(coords))
-        }:
+        if set(self.assignments) != set(_sign_patterns(len(coords))):
             return False
         for theta, row in self.assignments.items():
             for i, h, s in zip(coords, levels, theta):
@@ -93,6 +89,14 @@ def _check_integer(family: FunctionFamily) -> np.ndarray:
     return family.int_values()
 
 
+def _witness(center: Center, lanes: int, m: int) -> ShatterWitness:
+    """Lowest row of each pattern mask, read from the walk's packed masks
+    (lane p holds pattern p; bit j of p is the sign of coordinate j)."""
+    masks = [lanes >> (p * (m + 1)) & ((1 << m) - 1) for p in range(1 << center.dimension)]
+    rows = [(w & -w).bit_length() - 1 for w in masks]
+    return ShatterWitness(center, dict(zip(_sign_patterns(center.dimension), rows)))
+
+
 def shatters(family: FunctionFamily, center: Center) -> ShatterWitness | None:
     """Witness that the family shatters the center, or None.
 
@@ -100,178 +104,161 @@ def shatters(family: FunctionFamily, center: Center) -> ShatterWitness | None:
     """
     vals = _check_integer(family)
     center.support.validate_against(family.domain_size)
-    if center.is_trivial:
-        return ShatterWitness(center, {(): 0})
-    m = family.size
-    full = (1 << m) - 1
-    assignments: dict[tuple[int, ...], int] = {}
-    for theta in _sign_patterns(center.dimension):
-        mask = full
-        for i, h, s in zip(center.support.indices, center.levels, theta):
-            col = vals[:, i]
-            sel = col > h if s == 1 else col < h
-            bits = 0
-            for r in np.flatnonzero(sel):
-                bits |= 1 << int(r)
-            mask &= bits
-            if mask == 0:
-                return None
-        assignments[theta] = (mask & -mask).bit_length() - 1
-    return ShatterWitness(center, assignments)
+    cols = vals[:, list(center.support.indices)]
+    table = _level_table(cols, [[h] for h in center.levels], np.less, np.greater)
+    record: list[tuple] = []
+    _walk(table, family.size, center.dimension, DEFAULT_BUDGET, False, record)
+    full = [lanes for support, _, lanes in record if len(support) == center.dimension]
+    return _witness(center, full[0], family.size) if full else None
 
 
-class _MaskTable:
-    """Per-(coordinate, level) bitmasks of rows strictly above / below."""
-
-    def __init__(self, vals: np.ndarray, levels_per_coord: list[list[int]]):
-        m, n = vals.shape
-        self.above: list[dict[int, int]] = [dict() for _ in range(n)]
-        self.below: list[dict[int, int]] = [dict() for _ in range(n)]
-        for i in range(n):
-            col = vals[:, i]
-            for v in levels_per_coord[i]:
-                a = b = 0
-                for r in range(m):
-                    if col[r] > v:
-                        a |= 1 << r
-                    elif col[r] < v:
-                        b |= 1 << r
-                self.above[i][v] = a
-                self.below[i][v] = b
+def _level_table(vals: np.ndarray, levels: list[list], below, above) -> list[list[tuple]]:
+    """For each coordinate, one (level, below_mask, above_mask) entry per
+    candidate level.  below(column, level) and above(column, level) are the
+    mask predicates, applied to a whole column against a column of levels."""
+    grids = [np.array(cands, dtype=vals.dtype)[:, None] for cands in levels]
+    return [list(zip(cands, row_masks(below(col, grid)), row_masks(above(col, grid))))
+            for cands, col, grid in zip(levels, vals.T, grids)]
 
 
-def _integer_level_candidates(vals: np.ndarray) -> list[list[int]]:
-    """Integers strictly between the attained column min and max; levels
-    outside that open interval can never be shattered."""
+def _integer_table(family: FunctionFamily) -> list[list[tuple]]:
+    """Strict predicates; levels are the integers strictly between the
+    attained column min and max (no other level can be shattered)."""
+    vals = _check_integer(family)
+    levels = [list(range(int(col.min()) + 1, int(col.max()))) for col in vals.T]
+    return _level_table(vals, levels, np.less, np.greater)
+
+
+def _real_table(family: FunctionFamily, t: float) -> list[list[tuple]]:
+    """Predicates f <= h and f >= h + t.  Levels are attained values only:
+    any feasible level function can be lowered coordinatewise to the
+    largest attained value not above it, so searching attained values is
+    complete.  Values v with max(column) < v + t are dropped (no row can
+    sit t above them)."""
+    vals = family.values
+    levels = [[float(v) for v in u[u[-1] >= u + t]] for u in map(np.unique, vals.T)]
+    return _level_table(vals, levels, np.less_equal, lambda col, h: col >= h + t)
+
+
+def _undominated(table: list[list[tuple]]) -> list[list[tuple]]:
+    """Drop levels with an empty mask and levels whose (below, above) pair
+    is contained in another level's pair (of equal pairs the first stays).
+    Such a level can be swapped for the one containing it in any shattered
+    center, so the largest dimension is unchanged.  Levels ascend, so below
+    masks grow and above masks shrink along each list; once equal pairs are
+    merged, a pair is contained in another iff a neighbour shares its below
+    mask or its above mask."""
     out = []
-    for i in range(vals.shape[1]):
-        lo, hi = int(vals[:, i].min()), int(vals[:, i].max())
-        out.append(list(range(lo + 1, hi)))
+    for entries in table:
+        first: dict[tuple, tuple] = {}
+        for e in entries:
+            if e[1] and e[2]:
+                first.setdefault(e[1:], e)
+        live = list(first.values())
+        out.append([e for j, e in enumerate(live) if not (j and live[j - 1][1] == e[1])
+                    and not (j + 1 < len(live) and live[j + 1][2] == e[2])])
     return out
 
 
-def _iter_shattered_integer(family: FunctionFamily, max_dim: int, budget: int):
-    """Yield (support, levels) for every nontrivial shattered center of
-    dimension <= max_dim, in lexicographic order of (support, levels)."""
-    vals = _check_integer(family)
-    m, n = vals.shape
-    cands = _integer_level_candidates(vals)
-    table = _MaskTable(vals, cands)
-    full = (1 << m) - 1
+def _walk(table, m: int, max_dim: int, budget: int, best_only: bool, record=None):
+    """Depth-first walk over shattered centers of dimension k <= max_dim
+    with 2^k <= m.  Coordinates are added in increasing order, each one's
+    levels in table order; a scanned coordinate costs one budget unit per
+    level.  The pattern masks of a center travel as lanes of one integer,
+    each with a guard bit above it: adding 2^m - 1 to every lane sets all
+    guard bits iff no lane is empty.
+
+    Count mode returns counts[k], the number of centers of dimension k,
+    and appends (support, levels, packed masks) of every center, trivial
+    one first, to record if given.  Max mode (best_only) returns
+    (dimension, support, levels) of the first largest center it meets and
+    skips branches whose deepest completion cannot beat the best.
+    """
+    n = len(table)
+    depth = min(max_dim, m.bit_length() - 1)
+    width, full = m + 1, (1 << m) - 1
+    reps = [sum(1 << (p * width) for p in range(1 << k)) for k in range(depth)]
+    tables = [[[(v, b * r, a * r) for v, b, a in entries] for entries in table] for r in reps]
+    counts = [1] + [0] * depth
+    best = (0, (), ())
     checks = 0
+    if record is not None:
+        record.append(((), (), full))
 
-    def extend(support: tuple[int, ...], levels: tuple[int, ...], masks: list[int]):
-        nonlocal checks
-        k = len(support)
-        if k >= max_dim or (1 << (k + 1)) > m:
-            return
-        start = support[-1] + 1 if support else 0
+    def extend(start: int, k: int, support: tuple, levels: tuple, masks: int):
+        nonlocal best, checks
+        lanes, ones, guards, shift = tables[k], full * reps[k], (full + 1) * reps[k], width << k
+        cap = depth
+        if best_only:  # reaching dimension d splits every lane into 2^(d - k) nonempty ones
+            fewest = min((masks >> (p * width) & full).bit_count() for p in range(1 << k))
+            cap = min(depth, k + fewest.bit_length() - 1)
         for i in range(start, n):
-            below_i, above_i = table.below[i], table.above[i]
-            for v in cands[i]:
-                checks += 1
-                if checks > budget:
-                    raise BudgetError(
-                        f"shattered-center enumeration exceeded budget {budget}"
-                    )
-                bmask, amask = below_i[v], above_i[v]
-                new_masks = [w & bmask for w in masks]
-                ok = all(new_masks)
-                if ok:
-                    tops = [w & amask for w in masks]
-                    ok = all(tops)
-                    if ok:
-                        new_masks.extend(tops)
-                if ok:
-                    yield support + (i,), levels + (v,)
-                    yield from extend(support + (i,), levels + (v,), new_masks)
+            reach = min(k + n - i, cap)
+            if best_only and reach <= best[0]:
+                return
+            checks += len(lanes[i])
+            if checks > budget:
+                raise BudgetError(f"shattering walk exceeded budget {budget}")
+            for v, below, above in lanes[i]:
+                low = masks & below
+                if (low + ones) & guards != guards:
+                    continue
+                high = masks & above
+                if (high + ones) & guards != guards:
+                    continue
+                child = low | high << shift
+                grown, at = support + (i,), levels + (v,)
+                if best_only:
+                    if k + 1 > best[0]:
+                        best = (k + 1, grown, at)
+                else:
+                    counts[k + 1] += 1
+                    if record is not None:
+                        record.append((grown, at, child))
+                if k + 1 < depth:
+                    extend(i + 1, k + 1, grown, at, child)
+                if best_only and reach <= best[0]:
+                    return
 
-    yield from extend((), (), [full])
+    if depth > 0:
+        extend(0, 0, (), (), full)
+    return best if best_only else [c for c in counts if c]  # nonzero counts form a prefix
+
+
+def shattered_center_counts(
+    family: FunctionFamily, max_dim: int, budget: int = DEFAULT_BUDGET
+) -> list[int]:
+    """Number of shattered centers of each dimension 0..d (index = dimension,
+    the trivial center included), d being the largest dimension <= max_dim
+    that occurs.  Builds no center objects."""
+    return _walk(_integer_table(family), family.size, max_dim, budget, False)
+
+
+def shatter_witnesses(
+    family: FunctionFamily, max_dim: int, budget: int = DEFAULT_BUDGET
+) -> list[ShatterWitness]:
+    """Every shattered center of dimension <= max_dim (trivial one first,
+    then in lexicographic order of (support, levels) along prefix chains),
+    each with the witness shatters() gives it, read from the walk's masks."""
+    record: list[tuple] = []
+    _walk(_integer_table(family), family.size, max_dim, budget, False, record)
+    return [_witness(Center(CoordinateSubset(s), v), lanes, family.size) for s, v, lanes in record]
 
 
 def enumerate_shattered_centers(
-    family: FunctionFamily,
-    max_dim: int,
-    budget: int = DEFAULT_BUDGET,
+    family: FunctionFamily, max_dim: int, budget: int = DEFAULT_BUDGET
 ) -> list[Center]:
-    """All shattered centers of dimension <= max_dim (trivial one included)."""
-    centers = [Center.trivial()]
-    for support, levels in _iter_shattered_integer(family, max_dim, budget):
-        centers.append(Center(CoordinateSubset(support), levels))
-    return centers
+    """All shattered centers of dimension <= max_dim, in the order of
+    shatter_witnesses."""
+    record: list[tuple] = []
+    _walk(_integer_table(family), family.size, max_dim, budget, False, record)
+    return [Center(CoordinateSubset(s), v) for s, v, _ in record]
 
 
 def vc_integer(family: FunctionFamily, budget: int = DEFAULT_BUDGET) -> int:
     """Maximal dimension of a center shattered by the integer family."""
-    best = 0
-    for support, _ in _iter_shattered_integer(family, family.domain_size, budget):
-        if len(support) > best:
-            best = len(support)
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Real families: scale-sensitive shattering with margin t.
-# ---------------------------------------------------------------------------
-
-def _real_level_candidates(vals: np.ndarray, t: float) -> list[list[float]]:
-    """Attained values only: any feasible level function can be raised
-    coordinatewise to the largest attained value below it, so searching
-    attained values is complete.  Values v with max(column) < v + t are
-    dropped (no row can sit t above them)."""
-    out = []
-    for i in range(vals.shape[1]):
-        col = vals[:, i]
-        hi = col.max()
-        out.append([float(v) for v in np.unique(col) if hi >= v + t])
-    return out
-
-
-def _iter_shattered_real(family: FunctionFamily, t: float, budget: int):
-    vals = family.values
-    m, n = vals.shape
-    cands = _real_level_candidates(vals, t)
-    full = (1 << m) - 1
-    checks = 0
-
-    below_tbl: list[dict[float, int]] = [dict() for _ in range(n)]
-    above_tbl: list[dict[float, int]] = [dict() for _ in range(n)]
-    for i in range(n):
-        col = vals[:, i]
-        for v in cands[i]:
-            b = a = 0
-            for r in range(m):
-                if col[r] <= v:
-                    b |= 1 << r
-                if col[r] >= v + t:
-                    a |= 1 << r
-            below_tbl[i][v] = b
-            above_tbl[i][v] = a
-
-    def extend(support: tuple[int, ...], levels: tuple[float, ...], masks: list[int]):
-        nonlocal checks
-        k = len(support)
-        if (1 << (k + 1)) > m:
-            return
-        start = support[-1] + 1 if support else 0
-        for i in range(start, n):
-            for v in cands[i]:
-                checks += 1
-                if checks > budget:
-                    raise BudgetError(f"vc search exceeded budget {budget}")
-                bmask, amask = below_tbl[i][v], above_tbl[i][v]
-                new_masks = [w & bmask for w in masks]
-                ok = all(new_masks)
-                if ok:
-                    tops = [w & amask for w in masks]
-                    ok = all(tops)
-                    if ok:
-                        new_masks.extend(tops)
-                if ok:
-                    yield support + (i,), levels + (v,)
-                    yield from extend(support + (i,), levels + (v,), new_masks)
-
-    yield from extend((), (), [full])
+    table = _undominated(_integer_table(family))
+    return _walk(table, family.size, family.domain_size, budget, True)[0]
 
 
 def vc_real_witness(
@@ -279,16 +266,15 @@ def vc_real_witness(
 ) -> tuple[int, CoordinateSubset, tuple[float, ...]]:
     """(dimension, support, levels) of a maximum t-shattered set.
 
-    Among maximizers, the lexicographically smallest support is reported
-    (the search runs in lexicographic order, so the first maximum found is
-    the smallest)."""
+    The witness is the first maximum set met by a depth-first walk that
+    adds coordinates in increasing order and tries each coordinate's
+    attained values in increasing order, skipping dominated values.  It
+    need not have the lexicographically smallest maximizing support."""
     if t <= 0:
         raise ValueError("shattering scale must be positive")
-    best = (0, CoordinateSubset(()), ())
-    for support, levels in _iter_shattered_real(family, t, budget):
-        if len(support) > best[0]:
-            best = (len(support), CoordinateSubset(support), levels)
-    return best
+    table = _undominated(_real_table(family, t))
+    dim, support, levels = _walk(table, family.size, family.domain_size, budget, True)
+    return dim, CoordinateSubset(support), levels
 
 
 def vc_real(family: FunctionFamily, t: float, budget: int = DEFAULT_BUDGET) -> int:

@@ -50,6 +50,25 @@ def test_centers_command(tmp_path, capsys):
     assert doc[0]["support"] == []
 
 
+def test_centers_witnesses_match_shatters(tmp_path, capsys):
+    from combdim import enumerate_shattered_centers, gen_random_family, shatters
+
+    fam_path = tmp_path / "grid.json"
+    family = gen_random_family(12, 4, "integer-grid", 17, grid_max=5)
+    save_family(fam_path, family)
+    assert main(["centers", "--family", str(fam_path), "--max-dim", "4"]) == 0
+    expected = [
+        {
+            "support": list(c.support),
+            "levels": list(c.levels),
+            "witness": {str(k): v for k, v in shatters(family, c).assignments.items()},
+        }
+        for c in enumerate_shattered_centers(family, 4)
+    ]
+    assert len(expected) > 10
+    assert capsys.readouterr().out == json.dumps(expected, indent=1) + "\n"
+
+
 def test_tree_emit_and_validate_round_trip(tmp_path, family_file, capsys):
     tree_path = tmp_path / "tree.json"
     assert main(["tree", "--family", str(family_file), "--scale", "1.4",
@@ -108,6 +127,20 @@ def test_budget_exit_code(tmp_path, capsys):
 
 def test_error_exit_code(tmp_path):
     assert main(["vc", "--family", str(tmp_path / "missing.json"), "--scale", "1"]) == 1
+
+
+def test_wrong_kind_of_file_names_key_and_file(tmp_path, family_file, capsys):
+    assert main(["convex-vc", "--polytope", str(family_file), "--scale", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "missing key 'dimension'" in err and str(family_file) in err
+    vec_path = tmp_path / "vecs.json"
+    vec_path.write_text(json.dumps(np.eye(2).tolist()))
+    assert main(["l1-const", "--norm", str(family_file), "--vectors", str(vec_path)]) == 1
+    err = capsys.readouterr().err
+    assert "missing key 'dimension'" in err and "norm file" in err and str(family_file) in err
+    vec_path.write_text("[1, 2")
+    assert main(["cube-test", "--polytope", str(vec_path), "--sigma", "0", "--scale", "1"]) == 1
+    assert f"cannot parse polytope file {vec_path}" in capsys.readouterr().err
 
 
 def test_elton_and_rudelson_commands(tmp_path, capsys):

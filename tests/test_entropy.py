@@ -16,6 +16,7 @@ from combdim import (
     packing_number,
     pairwise_distances,
 )
+from combdim.extraction import _min_subset_distance
 
 UNIFORM2 = ProbabilityMeasure.uniform(2)
 SIGN_CUBE = FunctionFamily([[1, 1], [1, -1], [-1, 1], [-1, -1]])
@@ -70,6 +71,22 @@ def test_is_separated_examples():
     trio = FunctionFamily([[1, 0], [0, 1], [-1, 0]])
     assert not is_separated(trio, UNIFORM2, 1.0)
     assert is_separated(trio, UNIFORM2, 0.99)
+
+
+def test_close_pair_distance_is_exact():
+    # Two rows of 0.9 with one entry shifted by 8e-7: the true distance is
+    # 2.8284e-7, and the plain Gram formula gave 2.8312e-7, so t = 2.83e-7
+    # read as separated.
+    a = np.full(8, 0.9)
+    b = a.copy()
+    b[3] += 8e-7
+    pair = FunctionFamily([a, b])
+    mu = ProbabilityMeasure.uniform(8)
+    direct = math.sqrt(float(np.mean((a - b) ** 2)))
+    assert pairwise_distances(pair, mu)[0, 1] == pytest.approx(direct, rel=1e-12)
+    assert not is_separated(pair, mu, 2.83e-7)
+    assert packing_number(pair, mu, 2.83e-7) == (1, "exact")
+    assert _min_subset_distance(pair, np.arange(8)) == pytest.approx(direct, rel=1e-12)
 
 
 def test_packing_examples():

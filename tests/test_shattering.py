@@ -15,12 +15,15 @@ from combdim import (
     enumerate_shattered_centers,
     gen_random_family,
     is_separated,
+    shattered_center_counts,
+    shatter_witnesses,
     shatters,
     vc_curve,
     vc_integer,
     vc_real,
 )
 from combdim.experiments import gen_separated_family
+from combdim.shattering import _integer_table, _real_table, _undominated, vc_real_witness
 
 SIGN_CUBE = FunctionFamily([[1, 1], [1, -1], [-1, 1], [-1, -1]])
 
@@ -173,6 +176,99 @@ def test_enumeration_budget():
     fam = gen_random_family(10, 4, "integer-grid", 3, grid_max=8)
     with pytest.raises(BudgetError):
         enumerate_shattered_centers(fam, 4, budget=2)
+    with pytest.raises(BudgetError):
+        shattered_center_counts(fam, 4, budget=2)
+    with pytest.raises(BudgetError):
+        shatter_witnesses(fam, 4, budget=2)
+
+
+def test_center_counts_match_oracle_per_dimension():
+    rng = np.random.default_rng(41)
+    for trial in range(40):
+        m = int(rng.integers(2, 17))
+        n = int(rng.integers(1, 5))
+        p = int(rng.integers(2, 7))
+        fam = gen_random_family(m, n, "integer-grid", int(rng.integers(1 << 30)), grid_max=p)
+        max_dim = int(rng.integers(0, n + 1))
+        per_dim = [0] * (max_dim + 1)
+        for support, _ in oracle_centers(fam, max_dim):
+            per_dim[len(support)] += 1
+        while per_dim[-1] == 0:
+            per_dim.pop()
+        counts = shattered_center_counts(fam, max_dim)
+        assert counts == per_dim
+        assert sum(counts) == len(enumerate_shattered_centers(fam, max_dim))
+        if max_dim == n:
+            assert vc_integer(fam) == len(counts) - 1
+
+
+def test_witnesses_from_walk_match_shatters():
+    fam = gen_random_family(14, 4, "integer-grid", 5, grid_max=5)
+    witnesses = shatter_witnesses(fam, 4)
+    assert [w.center for w in witnesses] == enumerate_shattered_centers(fam, 4)
+    for w in witnesses:
+        assert w == shatters(fam, w.center)
+
+
+def test_undominated_levels_match_pairwise_containment():
+    # The level filter reads containment off neighbours, which relies on the
+    # masks being monotone along each table; check it against all pairs.
+    def pairwise(table):
+        out = []
+        for entries in table:
+            live = [e for e in entries if e[1] and e[2]]
+            out.append([e for j, e in enumerate(live) if not any(
+                e[1] | f[1] == f[1] and e[2] | f[2] == f[2] and (k < j or e[1:] != f[1:])
+                for k, f in enumerate(live) if k != j
+            )])
+        return out
+
+    rng = np.random.default_rng(61)
+    for trial in range(60):
+        m = int(rng.integers(2, 25))
+        n = int(rng.integers(1, 4))
+        if trial % 2:
+            grid = int(rng.integers(2, 12))
+            table = _integer_table(gen_random_family(m, n, "integer-grid", trial, grid_max=grid))
+        else:
+            kind = ("uniform-real", "sign-vectors")[trial % 4 // 2]
+            table = _real_table(gen_random_family(m, n, kind, trial), float(rng.uniform(0.01, 1.0)))
+        assert _undominated(table) == pairwise(table)
+
+
+def test_vc_real_on_larger_families_matches_oracle():
+    # Enough rows (up to 16) for the dimension caps and the level pruning
+    # of the maximum search to take effect.
+    rng = np.random.default_rng(29)
+    for trial in range(12):
+        m = int(rng.integers(8, 17))
+        n = int(rng.integers(2, 5))
+        kind = ("uniform-real", "convex-hull-sections", "sign-vectors")[trial % 3]
+        fam = gen_random_family(m, n, kind, int(rng.integers(1 << 30)))
+        t = float(rng.uniform(0.05, 0.8))
+        assert vc_real(fam, t) == oracle_vc_real(fam, t)
+
+
+def test_vc_real_witness_realizes_every_pattern():
+    rng = np.random.default_rng(53)
+    checked = 0
+    for trial in range(30):
+        m = int(rng.integers(4, 24))
+        n = int(rng.integers(2, 8))
+        kind = ("uniform-real", "convex-hull-sections", "sign-vectors")[trial % 3]
+        fam = gen_random_family(m, n, kind, int(rng.integers(1 << 30)))
+        t = float(rng.uniform(0.02, 0.5))
+        dim, support, levels = vc_real_witness(fam, t)
+        assert dim == vc_real(fam, t) == len(support) == len(levels)
+        vals = fam.values
+        for pattern in itertools.product((False, True), repeat=dim):
+            assert any(
+                all(row[i] >= h + t if up else row[i] <= h
+                    for i, h, up in zip(support, levels, pattern))
+                for row in vals
+            ), (trial, support, levels, pattern)
+        checked += dim > 0
+    assert checked >= 10
 
 
 def test_vc_integer_examples():
