@@ -13,8 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import entropy, extraction, septree, shattering
 from .constants import DEFAULT_CONSTANTS, ConstantsConfig
 from .errors import BudgetError, ExtractionError, PipelineError
@@ -32,6 +30,7 @@ from .family import (
     ProbabilityMeasure,
     gen_random_family,
     load_family,
+    read_json,
     save_family,
 )
 from .gaussian import gaussian_sup_mc
@@ -41,6 +40,7 @@ from .geometry import (
     ell1_lower_constant,
     load_norm,
     load_polytope,
+    load_vectors,
 )
 from .elton import elton_subset, rudelson_example
 from .septree import SeparatingTree
@@ -176,7 +176,7 @@ def cmd_dudley(args) -> int:
 
 def cmd_elton(args) -> int:
     norm = load_norm(args.norm)
-    vectors = np.array(json.loads(Path(args.vectors).read_text()), dtype=float)
+    vectors = load_vectors(args.vectors, norm.dimension)
     result = elton_subset(norm, vectors, samples=args.samples, seed=args.seed, kind=args.kind)
     doc = {
         "config": {
@@ -277,7 +277,7 @@ def cmd_convex_vc(args) -> int:
 
 def cmd_l1_const(args) -> int:
     norm = load_norm(args.norm)
-    vectors = np.array(json.loads(Path(args.vectors).read_text()), dtype=float)
+    vectors = load_vectors(args.vectors, norm.dimension)
     if args.sigma:
         sigma = CoordinateSubset(tuple(int(i) for i in args.sigma.split(",")))
     else:
@@ -289,7 +289,7 @@ def cmd_l1_const(args) -> int:
 
 def cmd_validate(args) -> int:
     family, _ = _load(args)
-    tree = SeparatingTree.from_dict(json.loads(Path(args.tree).read_text()))
+    tree = SeparatingTree.from_dict(read_json(args.tree, "tree"))
     gap = args.gap if args.gap is not None else tree.gap
     result = septree.validate_tree(tree, family, gap)
     leaves = tree.leaf_count()

@@ -182,13 +182,16 @@ def _parse_number(token, where: str) -> float:
         raise FamilyError(f"cannot parse number {token!r} at {where}") from None
 
 
-def read_json_object(path, kind: str, keys: tuple[str, ...]) -> dict:
-    """The JSON object in a family, polytope or norm file; FamilyError names
-    the file and the first of the keys it lacks."""
+def read_json(path, kind: str, keys: tuple[str, ...] = ()):
+    """The JSON document in a family, polytope, norm, vectors or tree file.
+    FamilyError names the file when it does not parse, nests too deep, or
+    is not an object holding all of `keys` (the first one missing)."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FamilyError(f"cannot parse {kind} file {path}: {exc}") from None
+    except RecursionError:
+        raise FamilyError(f"{kind} file {path} nests too deep to load") from None
     missing = [key for key in keys if not isinstance(doc, dict) or key not in doc]
     if missing:
         raise FamilyError(f"missing key {missing[0]!r} in {kind} file {path}")
@@ -202,7 +205,7 @@ def load_family(path) -> tuple[FunctionFamily, ProbabilityMeasure]:
     "values": [[...], ...], "measure": [w_0, ..., w_{n-1}]}.  The measure
     key is optional and defaults to the uniform measure.
     """
-    doc = read_json_object(path, "family", ("domain_size", "value_kind", "values"))
+    doc = read_json(path, "family", ("domain_size", "value_kind", "values"))
     n = int(doc["domain_size"])
     kind_spec, raw_values = doc["value_kind"], doc["values"]
     if kind_spec == "real":

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BudgetError
-from .family import CoordinateSubset, read_json_object
+from .errors import BudgetError, FamilyError
+from .family import CoordinateSubset, read_json
 from .simplex import LPProblem, lp_solve
 
 HULL_TOL = 1e-9
@@ -274,7 +274,7 @@ def ell1_lower_constant(
 # ---------------------------------------------------------------------------
 
 def load_polytope(path) -> VPolytope:
-    doc = read_json_object(path, "polytope", ("dimension", "vertices"))
+    doc = read_json(path, "polytope", ("dimension", "vertices"))
     return VPolytope(
         int(doc["dimension"]),
         np.array([[float(v) for v in row] for row in doc["vertices"]]),
@@ -292,11 +292,23 @@ def save_polytope(path, poly: VPolytope) -> None:
 
 
 def load_norm(path) -> PolyhedralNorm:
-    doc = read_json_object(path, "norm", ("dimension", "functionals"))
+    doc = read_json(path, "norm", ("dimension", "functionals"))
     return PolyhedralNorm(
         int(doc["dimension"]),
         np.array([[float(v) for v in row] for row in doc["functionals"]]),
     )
+
+
+def load_vectors(path, dimension: int) -> np.ndarray:
+    """The rows of a vectors file, a nonempty JSON list of `dimension`-number lists."""
+    doc = read_json(path, "vectors")
+    if not isinstance(doc, list) or not doc:
+        raise FamilyError(f"vectors file {path} does not hold a nonempty list of rows")
+    for r, row in enumerate(doc):
+        if not (isinstance(row, list) and len(row) == dimension
+                and all(isinstance(v, (int, float)) for v in row)):
+            raise FamilyError(f"row {r} of vectors file {path} is not a list of {dimension} numbers")
+    return np.array(doc, dtype=float)
 
 
 def save_norm(path, norm: PolyhedralNorm) -> None:

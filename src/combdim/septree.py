@@ -173,6 +173,17 @@ def coordinate_distributions(family: FunctionFamily) -> list[Distribution]:
     return [Distribution.from_sample(family.values[:, i]) for i in range(family.domain_size)]
 
 
+def _require_separated(family: FunctionFamily, measure: ProbabilityMeasure, t: float) -> None:
+    bad = first_violating_pair(family, measure, t)
+    if bad is not None:
+        i, j, d = bad
+        raise NotSeparatedError(
+            f"family is not {t}-separated: rows {i} and {j} at distance {d}",
+            pair=(i, j),
+            distance=d,
+        )
+
+
 def find_separating_coordinate(
     family: FunctionFamily,
     measure: ProbabilityMeasure,
@@ -188,14 +199,12 @@ def find_separating_coordinate(
     """
     if family.size < 2:
         raise NotSeparatedError("need at least two rows to separate", pair=None)
-    bad = first_violating_pair(family, measure, t)
-    if bad is not None:
-        i, j, d = bad
-        raise NotSeparatedError(
-            f"family is not {t}-separated: rows {i} and {j} at distance {d}",
-            pair=(i, j),
-            distance=d,
-        )
+    _require_separated(family, measure, t)
+    return _split_coordinate(family, t)
+
+
+def _split_coordinate(family: FunctionFamily, t: float) -> tuple[int, SplitCertificate]:
+    """find_separating_coordinate on a family already known to be t-separated."""
     dists = coordinate_distributions(family)
     variances = [variance(d)[0] for d in dists]
     order = sorted(range(family.domain_size), key=lambda i: (-variances[i], i))
@@ -267,19 +276,6 @@ class SeparatingTree:
 
         return count(self.root)
 
-    def leaves(self) -> list[tuple[int, ...]]:
-        out: list[tuple[int, ...]] = []
-
-        def walk(node: TreeNode):
-            if node.is_leaf:
-                out.append(node.indices)
-            else:
-                walk(node.plus_son)
-                walk(node.minus_son)
-
-        walk(self.root)
-        return out
-
     def to_dict(self) -> dict:
         return {"scale": self.scale, "gap": self.gap, "root": self.root.to_dict()}
 
@@ -303,14 +299,15 @@ def build_separating_tree(
     """
     if t <= 0:
         raise ValueError("tree scale must be positive")
+    # Row subsets of a t-separated family are t-separated: one check covers all nodes.
+    _require_separated(family, measure, t)
 
     values = family.values
 
     def build(indices: tuple[int, ...]) -> TreeNode:
         if len(indices) == 1:
             return TreeNode(indices)
-        sub = family.subfamily(indices)
-        coord, cert = find_separating_coordinate(sub, measure, t)
+        coord, cert = _split_coordinate(family.subfamily(indices), t)
         col = values[list(indices), coord]
         hi = cert.threshold + cert.gap_halfwidth
         lo = cert.threshold - cert.gap_halfwidth

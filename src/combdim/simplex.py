@@ -8,15 +8,15 @@ Python.
 
 Bland's anti-cycling rule makes the solver deterministic and finite: the
 entering column is the smallest index with a negative reduced cost, and
-the leaving row is, among the rows whose pivot entry exceeds PIVOT_TOL and
-whose ratio is within RATIO_TIE of the minimum ratio, the one whose basic
-variable has the smallest index.  Inequality rows start with their slack
-in the basis; only equality rows and inequality rows negated for a
-negative right-hand side get an artificial column, and phase 2 prices the
-structural and slack columns alone.  Every optimal point is checked
-against the original rows; if pivot roundoff has pushed it out of them,
-the basic values are solved once more from the rows that are tight at the
-final basis, and the check is repeated.
+the leaving row is, among the rows whose pivot entry exceeds PIVOT_TOL
+times the column's largest magnitude and whose ratio is within RATIO_TIE
+of the minimum ratio, the one whose basic variable has the smallest index.
+Leftover artificials leave after phase 1 by the same entry rule.  A row
+skipped for a small positive entry can fall below zero by at most that
+entry times the step.  Only equality rows and inequality rows negated for
+a negative right-hand side get an artificial column; phase 2 prices the
+structural and slack columns alone.  The optimal point is read from the
+final tableau and checked against the original rows.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import IterationCapError
 
 FEAS_TOL = 1e-9
-PIVOT_TOL = 1e-9
+PIVOT_TOL = 1e-8  # of the column's largest magnitude; caps growth per pivot at 1/PIVOT_TOL
 RATIO_TIE = 1e-12
 
 
@@ -96,10 +96,11 @@ def _run_simplex(
         entering = int(eligible.argmax())  # Bland: smallest eligible index
         if not eligible[entering]:
             return "optimal"
-        rows = (body[:, entering] > PIVOT_TOL).nonzero()[0]
+        column = body[:, entering]
+        rows = (column > PIVOT_TOL * np.abs(column).max(initial=0.0)).nonzero()[0]
         if rows.size == 0:
             return "unbounded"
-        ratios = rhs[rows] / body[rows, entering]
+        ratios = rhs[rows] / column[rows]
         ties = rows[ratios <= ratios.min() + RATIO_TIE]
         _pivot(tableau, basis, int(ties[basis[ties].argmin()]), entering)
     raise IterationCapError(
@@ -134,7 +135,6 @@ def lp_solve(problem: LPProblem, max_iter: int | None = None) -> LPResult:
     tableau[art_rows, art_start + np.arange(art_rows.size)] = 1.0
     basis = n + np.arange(m)
     basis[art_rows] = art_start + np.arange(art_rows.size)
-    pinned = np.ones(m, dtype=bool)  # original rows not dropped as redundant
 
     if max_iter is None:
         max_iter = 200 * (2 * m + art_start + 10)
@@ -149,12 +149,12 @@ def lp_solve(problem: LPProblem, max_iter: int | None = None) -> LPResult:
         # Pivot remaining zero-level artificials out, dropping redundant rows.
         keep = basis < art_start
         for r in np.flatnonzero(~keep):
-            candidates = np.flatnonzero(np.abs(tableau[r, :art_start]) > PIVOT_TOL)
+            magnitude = np.abs(tableau[:, :art_start])
+            candidates = np.flatnonzero(magnitude[r] > PIVOT_TOL * magnitude.max(axis=0))
             if candidates.size:
                 _pivot(tableau, basis, int(r), int(candidates[0]))
                 keep[r] = True
         if not keep.all():
-            pinned[art_rows[basis[~keep] - art_start]] = False
             tableau, basis = tableau[keep], basis[keep]
 
     cost2 = np.zeros(art_start)
@@ -163,22 +163,9 @@ def lp_solve(problem: LPProblem, max_iter: int | None = None) -> LPResult:
         return LPResult("unbounded", None, None)
 
     structural = basis < n
-    cols = basis[structural]
     x = np.zeros(n)
-    x[cols] = tableau[structural, -1]
-    try:
-        _verify(problem, x)
-    except AssertionError:
-        # Pivot roundoff can leave the tableau's values off the basis's
-        # true vertex.  The rows whose slack is nonbasic hold with equality
-        # there and pin the basic structural values through a square,
-        # nonsingular system; solve it from the original rows and recheck.
-        pinned[basis[~structural] - n] = False
-        x[cols] = np.linalg.solve(
-            np.vstack([a_ub, a_eq])[np.ix_(pinned, cols)],
-            np.concatenate([b_ub, b_eq])[pinned],
-        )
-        _verify(problem, x)
+    x[basis[structural]] = tableau[structural, -1]
+    _verify(problem, x)
     return LPResult("optimal", x, float(problem.c @ x))
 
 

@@ -90,6 +90,28 @@ def test_validate_detects_corruption(tmp_path, family_file, capsys):
                  "--tree", str(tree_path)]) == 2
 
 
+def _chain_tree_text(depth):
+    # every node holds rows (0, 1), so validation stops at the root, where
+    # the sons overlap; the file only has to load
+    text = '{"indices": [0]}'
+    for _ in range(depth):
+        text = (
+            '{"indices": [0, 1], "coordinate": 0, "threshold": 0.0, "gap": 0.1, '
+            f'"plus": {text}, "minus": {{"indices": [1]}}}}'
+        )
+    return f'{{"scale": 0.6, "gap": 0.1, "root": {text}}}'
+
+
+def test_validate_deep_tree_files(tmp_path, family_file, capsys):
+    tree_path = tmp_path / "deep.json"
+    tree_path.write_text(_chain_tree_text(900))
+    assert main(["validate", "--family", str(family_file), "--tree", str(tree_path)]) == 2
+    assert "sons overlap at node (0, 1)" in capsys.readouterr().out
+    tree_path.write_text(_chain_tree_text(3000))
+    assert main(["validate", "--family", str(family_file), "--tree", str(tree_path)]) == 1
+    assert f"tree file {tree_path} nests too deep to load" in capsys.readouterr().err
+
+
 def test_extract_command(tmp_path, capsys):
     fam = tmp_path / "pair.json"
     save_family(fam, FunctionFamily([[1.0] * 8, [-1.0] * 8]))
@@ -141,6 +163,28 @@ def test_wrong_kind_of_file_names_key_and_file(tmp_path, family_file, capsys):
     vec_path.write_text("[1, 2")
     assert main(["cube-test", "--polytope", str(vec_path), "--sigma", "0", "--scale", "1"]) == 1
     assert f"cannot parse polytope file {vec_path}" in capsys.readouterr().err
+
+
+def test_vectors_file_is_checked(tmp_path, family_file, capsys):
+    import itertools
+
+    from combdim.geometry import PolyhedralNorm, save_norm
+
+    norm_path = tmp_path / "norm.json"
+    save_norm(norm_path, PolyhedralNorm(2, np.array(list(itertools.product((-1.0, 1.0), repeat=2)))))
+    vec_path = tmp_path / "vecs.json"
+    cases = (
+        (family_file.read_text(), "does not hold a nonempty list of rows"),
+        (json.dumps([[1.0, 0.0], [0.0]]), "row 1 of vectors file"),  # ragged
+        (json.dumps([[1.0, 0.0, 0.0]]), "is not a list of 2 numbers"),  # wrong dimension
+        (json.dumps([[1.0, "a"]]), "row 0 of vectors file"),  # not a number
+    )
+    for text, message in cases:
+        vec_path.write_text(text)
+        for command in ("l1-const", "elton"):
+            assert main([command, "--norm", str(norm_path), "--vectors", str(vec_path)]) == 1
+            err = capsys.readouterr().err
+            assert message in err and f"vectors file {vec_path}" in err
 
 
 def test_elton_and_rudelson_commands(tmp_path, capsys):

@@ -136,6 +136,25 @@ def test_ell1_constant_on_tall_rudelson_orthant_lps():
     assert mine == pytest.approx(_highs_orthant_minimum(inst.norm, inst.vectors, sigma), abs=1e-7)
 
 
+def test_ell1_constant_is_independent_of_functional_order():
+    # Bland's ratio test once pivoted on entries of about 1.5e-9 in the
+    # lexicographic order of the (7, 0.8) functionals, leaving a basic value
+    # of -1.02 that the solver's own check rejected.
+    sigma = CoordinateSubset(tuple(range(7)))
+    for delta in (0.8, 0.6):
+        inst = rudelson_example(7, delta, net_size=64, seed=0)
+        f = inst.norm.functionals
+        highs = _highs_orthant_minimum(inst.norm, inst.vectors, sigma)
+        assert highs == pytest.approx(delta, abs=1e-7)
+        orders = [np.arange(len(f)), np.lexsort(f.T[::-1])]
+        orders += [np.random.default_rng(seed).permutation(len(f)) for seed in range(6)]
+        for order in orders:
+            norm = PolyhedralNorm(7, f[order])
+            mine = ell1_lower_constant(norm, inst.vectors, sigma)
+            assert mine == pytest.approx(delta, abs=1e-9)
+            assert mine == pytest.approx(highs, abs=1e-7)
+
+
 def test_rudelson_validation():
     with pytest.raises(ValueError):
         rudelson_example(20, 0.5)

@@ -239,3 +239,30 @@ def test_leaf_count_guarantee_randomized():
             check_nesting(node.minus_son)
 
         check_nesting(tree.root)
+
+
+def test_separation_is_checked_once_per_tree(monkeypatch):
+    from combdim import septree
+
+    calls = []
+    real = septree.first_violating_pair
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(septree, "first_violating_pair", counting)
+    family = gen_separated_family(5, 1.0, 44, m_target=12, kind="noisy-signs")
+    measure = ProbabilityMeasure.uniform(5)
+    tree = build_separating_tree(family, measure, 1.0)
+    assert len(calls) == 1
+    assert tree.leaf_count() > 2  # the root check covered several splits
+    assert validate_tree(tree, family, 1.0 / 6.0)
+
+    calls.clear()
+    dup = FunctionFamily([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(NotSeparatedError) as err:
+        build_separating_tree(dup, UNIFORM2, 0.5)
+    assert err.value.pair == (0, 2)
+    assert str(err.value) == "family is not 0.5-separated: rows 0 and 2 at distance 0.0"
+    assert len(calls) == 1
