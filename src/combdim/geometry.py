@@ -275,11 +275,8 @@ def ell1_lower_constant(
 
 def load_polytope(path) -> VPolytope:
     doc = read_json(path, "polytope", ("dimension", "vertices"))
-    return VPolytope(
-        int(doc["dimension"]),
-        np.array([[float(v) for v in row] for row in doc["vertices"]]),
-        bool(doc.get("symmetric", False)),
-    )
+    vertices = np.array(doc["vertices"], dtype=float)
+    return VPolytope(int(doc["dimension"]), vertices, bool(doc.get("symmetric", False)))
 
 
 def save_polytope(path, poly: VPolytope) -> None:
@@ -293,10 +290,7 @@ def save_polytope(path, poly: VPolytope) -> None:
 
 def load_norm(path) -> PolyhedralNorm:
     doc = read_json(path, "norm", ("dimension", "functionals"))
-    return PolyhedralNorm(
-        int(doc["dimension"]),
-        np.array([[float(v) for v in row] for row in doc["functionals"]]),
-    )
+    return PolyhedralNorm(int(doc["dimension"]), np.array(doc["functionals"], dtype=float))
 
 
 def load_vectors(path, dimension: int) -> np.ndarray:
@@ -306,7 +300,7 @@ def load_vectors(path, dimension: int) -> np.ndarray:
         raise FamilyError(f"vectors file {path} does not hold a nonempty list of rows")
     for r, row in enumerate(doc):
         if not (isinstance(row, list) and len(row) == dimension
-                and all(isinstance(v, (int, float)) for v in row)):
+                and all(type(v) in (int, float) and math.isfinite(v) for v in row)):
             raise FamilyError(f"row {r} of vectors file {path} is not a list of {dimension} numbers")
     return np.array(doc, dtype=float)
 

@@ -9,14 +9,14 @@ Python.
 Bland's anti-cycling rule makes the solver deterministic and finite: the
 entering column is the smallest index with a negative reduced cost, and
 the leaving row is, among the rows whose pivot entry exceeds PIVOT_TOL
-times the column's largest magnitude and whose ratio is within RATIO_TIE
-of the minimum ratio, the one whose basic variable has the smallest index.
-Leftover artificials leave after phase 1 by the same entry rule.  A row
-skipped for a small positive entry can fall below zero by at most that
-entry times the step.  Only equality rows and inequality rows negated for
-a negative right-hand side get an artificial column; phase 2 prices the
-structural and slack columns alone.  The optimal point is read from the
-final tableau and checked against the original rows.
+(none: unbounded) and whose ratio is within RATIO_TIE of the minimum, the
+one whose basic variable has the smallest index.  If its entry is under
+PIVOT_REL of the column's largest, the rows with such entries are passed
+over unless one would then fall more than DROP_TOL below zero.  A
+leftover artificial leaves after phase 1 on the entry of its row that is
+largest against its column's largest magnitude; a row with no entry over
+PIVOT_TOL is dropped.  The optimal point is read from the final tableau
+and checked against the original rows.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ import numpy as np
 from .errors import IterationCapError
 
 FEAS_TOL = 1e-9
-PIVOT_TOL = 1e-8  # of the column's largest magnitude; caps growth per pivot at 1/PIVOT_TOL
+PIVOT_TOL = 1e-9
+PIVOT_REL = 1e-8  # of the column's largest entry: smaller pivots are passed over when safe
+DROP_TOL = 1e-8  # the most a row skipped for a small entry may fall below zero
 RATIO_TIE = 1e-12
 
 
@@ -50,7 +52,7 @@ class LPProblem:
             if mat is None:
                 if vec is not None:
                     raise ValueError(f"{name} is None but its rhs is not")
-                continue
+                mat, vec = np.zeros((0, n)), np.zeros(0)
             mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
             vec = np.atleast_1d(np.asarray(vec, dtype=np.float64))
             if mat.shape[1] != n:
@@ -96,13 +98,20 @@ def _run_simplex(
         entering = int(eligible.argmax())  # Bland: smallest eligible index
         if not eligible[entering]:
             return "optimal"
-        column = body[:, entering]
-        rows = (column > PIVOT_TOL * np.abs(column).max(initial=0.0)).nonzero()[0]
+        rows = (body[:, entering] > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return "unbounded"
-        ratios = rhs[rows] / column[rows]
+        entries = body[rows, entering]
+        ratios = rhs[rows] / entries
         ties = rows[ratios <= ratios.min() + RATIO_TIE]
-        _pivot(tableau, basis, int(ties[basis[ties].argmin()]), entering)
+        row = ties[basis[ties].argmin()]
+        if body[row, entering] < PIVOT_REL * entries.max():
+            small = entries < PIVOT_REL * entries.max()
+            if ratios[~small].min() <= ((rhs[rows] + DROP_TOL) / entries)[small].min():
+                ratios[small] = np.inf
+                ties = rows[ratios <= ratios.min() + RATIO_TIE]
+                row = ties[basis[ties].argmin()]
+        _pivot(tableau, basis, int(row), entering)
     raise IterationCapError(
         f"simplex phase {phase} ran {max_iter} iterations without reaching an "
         f"optimum (the cap) on a {tableau.shape[0]}x{tableau.shape[1]} tableau"
@@ -112,10 +121,7 @@ def _run_simplex(
 def lp_solve(problem: LPProblem, max_iter: int | None = None) -> LPResult:
     """Solve the LP; optimal points satisfy all constraints within 1e-9."""
     n = problem.c.size
-    a_ub = problem.a_ub if problem.a_ub is not None else np.zeros((0, n))
-    b_ub = problem.b_ub if problem.b_ub is not None else np.zeros(0)
-    a_eq = problem.a_eq if problem.a_eq is not None else np.zeros((0, n))
-    b_eq = problem.b_eq if problem.b_eq is not None else np.zeros(0)
+    a_ub, b_ub, a_eq, b_eq = problem.a_ub, problem.b_ub, problem.a_eq, problem.b_eq
     m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
     m = m_ub + m_eq
 
@@ -150,9 +156,10 @@ def lp_solve(problem: LPProblem, max_iter: int | None = None) -> LPResult:
         keep = basis < art_start
         for r in np.flatnonzero(~keep):
             magnitude = np.abs(tableau[:, :art_start])
-            candidates = np.flatnonzero(magnitude[r] > PIVOT_TOL * magnitude.max(axis=0))
+            candidates = np.flatnonzero(magnitude[r] > PIVOT_TOL)
             if candidates.size:
-                _pivot(tableau, basis, int(r), int(candidates[0]))
+                share = magnitude[r, candidates] / magnitude[:, candidates].max(axis=0)
+                _pivot(tableau, basis, int(r), int(candidates[share.argmax()]))
                 keep[r] = True
         if not keep.all():
             tableau, basis = tableau[keep], basis[keep]

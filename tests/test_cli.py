@@ -178,6 +178,9 @@ def test_vectors_file_is_checked(tmp_path, family_file, capsys):
         (json.dumps([[1.0, 0.0], [0.0]]), "row 1 of vectors file"),  # ragged
         (json.dumps([[1.0, 0.0, 0.0]]), "is not a list of 2 numbers"),  # wrong dimension
         (json.dumps([[1.0, "a"]]), "row 0 of vectors file"),  # not a number
+        ("[[1.0, 0.0], [true, 0.0]]", "row 1 of vectors file"),  # a JSON boolean
+        ("[[NaN, 0.0]]", "row 0 of vectors file"),  # not finite
+        ("[[1.0, Infinity]]", "row 0 of vectors file"),
     )
     for text, message in cases:
         vec_path.write_text(text)

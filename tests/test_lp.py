@@ -170,6 +170,37 @@ def test_tall_orthant_shaped_lps_against_scipy():
     assert statuses == {"optimal", "unbounded", "infeasible"}
 
 
+def test_large_negative_entry_does_not_hide_a_positive_pivot():
+    # the column of x is [1, -big]: only its positive entry can bound the
+    # step, in phase 2 (min -x) and in phase 1 (x = 1 on an equality row)
+    for big in (1e8, 1e9):
+        assert _scipy_check([-1.0], [[1.0], [-big]], [1.0, 5.0], None, None) == "optimal"
+        assert _scipy_check([0.0], [[-big]], [5.0], [[1.0]], [1.0]) == "optimal"
+
+
+def test_small_pivot_entry_still_bounds_the_step():
+    # 5e-9 is under PIVOT_REL of the column's largest entry, but its row
+    # allows the smaller step (200 < 1000); skipping it would end 4e-6
+    # outside that row
+    result = lp_solve(LPProblem([-1.0], [[1.0], [5e-9]], [1e3, 1e-6]))
+    assert result.status == "optimal" and result.x[0] == pytest.approx(200.0)
+    _scipy_check([-1.0], [[1.0], [5e-9]], [1e3, 1e-6], None, None)
+
+
+def test_leftover_artificial_leaves_on_a_stable_entry(monkeypatch):
+    # phase 1 starts optimal with both artificials at level 0; row 0's
+    # first entry, 5e-9, is tiny against its column's 1, so its
+    # artificial leaves on x1 instead, and row 1's then on x0
+    from combdim import simplex
+
+    pivots = []
+    real_pivot = simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot", lambda t, b, r, c: pivots.append((r, c)) or real_pivot(t, b, r, c))
+    result = lp_solve(LPProblem([1.0, 1.0], a_eq=[[5e-9, 1.0], [-1.0, -1.0]], b_eq=[0.0, 0.0]))
+    assert pivots == [(0, 1), (1, 0)]
+    assert result.status == "optimal" and result.objective == 0.0
+
+
 def test_iteration_cap_message_names_phase_count_and_shape():
     # two inequality rows with negative rhs need artificials and more than
     # one phase-1 pivot
