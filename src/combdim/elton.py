@@ -2,12 +2,12 @@
 
 Given x_1, ..., x_n with E || sum eps_i x_i || >= delta * n, a coordinate
 subset sigma of size s^2 n exists on which the vectors are t-equivalent
-to the l1 basis with s, t comparable to delta.  The driver realizes the
-chain: estimate delta by Monte Carlo, build the symmetric body
-B = conv{+-(f_j(x_i))_i} (the dual unit ball expressed in the coordinates
-of the vectors), sweep a scale grid for the largest coordinate projection
-of B containing a cube, and certify the achieved l1 constant on the
-winning subset with an independent LP run.
+to the l1 basis with s, t comparable to delta.  The driver estimates delta
+by Monte Carlo and walks the coordinate lattice once, solving the orthant
+LPs for the l1 constant r(sigma) of each visited subset.  By duality r is
+the half-side of the largest centred cube in the projection on sigma of
+B = conv{+-(f_j(x_i))_i}, so the scale sweep and the certified constant of
+the winning subset are both read off that one table.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 
 from .family import CoordinateSubset
 from .gaussian import SupEstimate, gaussian_sup_mc, weight_h
-from .geometry import PolyhedralNorm, VPolytope, convex_vc, ell1_lower_constant
+from .geometry import HULL_TOL, PolyhedralNorm, VPolytope, ell1_lower_constant, passing_supports
+from .geometry import convex_vc  # noqa: F401  perfbench/spans.py wraps convex_vc at this name
 
 DEFAULT_T_GRID = tuple(2.0 ** -j for j in range(1, 9))
 NORM_SLACK_PROBES = 256
@@ -29,8 +30,8 @@ NORM_SLACK_PROBES = 256
 class EltonResult:
     """Certified l1 subset: sigma with |sigma| = s^2 n and l1 constant t.
 
-    `t` is the LP-certified constant on sigma (not the geometric half-side
-    t_grid/2 it came from); `grid_t` records the winning sweep scale.
+    `t` is r(sigma), the orthant-LP constant the walk solved for sigma, so
+    at least grid_t/2 - HULL_TOL; `grid_t` records the winning sweep scale.
     `tradeoff` is s * t * ln(2/t)^exponent.
     """
 
@@ -46,7 +47,7 @@ class EltonResult:
     favored_grid_t: float | None = None
 
     def recheck_t(self, norm: PolyhedralNorm, vectors) -> float:
-        """Recompute the certified constant with a fresh solver run."""
+        """Recompute the certified constant: a fresh run of the same orthant LPs."""
         return ell1_lower_constant(norm, vectors, self.sigma)
 
 
@@ -75,49 +76,52 @@ def elton_subset(
 ) -> EltonResult:
     """Extract a coordinate subset l1-equivalent to its span.
 
-    The sweep maximizes s * t over the grid (ties toward larger t); the
-    reported t is then re-derived on the winning subset by the orthant
-    LPs.  The `favored_grid_t` diagnostic reports the grid point the
-    averaging weight would single out.
+    One lattice walk fills a table of l1 constants r(support).  The sweep
+    entry at t is the largest size of a support with r >= t/2 - HULL_TOL,
+    the pick maximizes s * t over the grid (ties toward larger t), and the
+    reported t is r(sigma) read from the table.  The `favored_grid_t`
+    diagnostic reports the grid point the averaging weight would single out.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     n = vectors.shape[0]
-    norms = [norm.norm(x) for x in vectors]
-    worst = max(norms)
+    worst = max(norm.norm(x) for x in vectors)
     if worst > 1.0 + 1e-9:
         raise ValueError(f"vector norm {worst} exceeds the unit ball")
-
     w = norm.functionals @ vectors.T
-    process_rows = np.vstack([w, -w])
-    estimate = gaussian_sup_mc(process_rows, samples, seed, kind)
+    estimate = gaussian_sup_mc(np.vstack([w, -w]), samples, seed, kind)
     delta = estimate.mean / n
 
-    body = dual_body(norm, vectors)
-    sweep: list[tuple[float, int]] = []
-    supports: dict[float, CoordinateSubset] = {}
-    prev: tuple[int, CoordinateSubset] | None = None
-    for t in sorted(set(float(v) for v in t_grid), reverse=True):
-        if prev is not None and prev[0] == n:
-            # cube containment is monotone in t, so a full-dimensional hit
-            # at a coarser scale settles every finer one
-            d, sigma = prev
-        else:
-            d, sigma = convex_vc(body, t, translated=False, budget=cube_budget)
-            prev = (d, sigma)
-        sweep.append((t, d))
-        supports[t] = sigma
+    radius: dict[tuple[int, ...], float] = {}
 
+    def passes(support: tuple[int, ...], t: float) -> bool:
+        if support not in radius:
+            sigma = CoordinateSubset(support)
+            radius[support] = ell1_lower_constant(norm, vectors, sigma, budget=cube_budget)
+        return radius[support] >= t / 2.0 - HULL_TOL
+
+    # As in convex_vc, a probe of the full support settles every scale it
+    # passes.  r only shrinks as a support grows, so one walk at the finest
+    # unsettled scale visits every support that passes at a coarser one.
+    grid = sorted(set(float(v) for v in t_grid), reverse=True)
+    table = [tuple(range(n))] if n <= cube_budget else []
+    unsettled = [t for t in grid if not (table and passes(table[0], t))]
+    if unsettled:
+        table += passing_supports(n, lambda support: passes(support, unsettled[-1]))
+
+    def best_at(t: float) -> tuple[int, ...]:  # max keeps the lexicographically first
+        return max((sup for sup in table if passes(sup, t)), key=len, default=())
+
+    sweep = [(t, len(best_at(t))) for t in grid]
     best_t, best_score = None, -1.0
     for t, d in sweep:
         score = math.sqrt(d / n) * t
         if score > best_score + 1e-15:
             best_t, best_score = t, score
-    if best_t is None or len(supports[best_t]) == 0:
+    support = best_at(best_t) if best_t is not None else ()
+    if not support:
         raise ValueError("no grid scale produced a nonempty cube projection")
-
-    sigma = supports[best_t]
-    s = math.sqrt(len(sigma) / n)
-    certified = ell1_lower_constant(norm, vectors, sigma, budget=cube_budget)
+    s = math.sqrt(len(support) / n)
+    certified = radius[support]
     tradeoff = s * certified * math.log(2.0 / certified) ** tradeoff_exponent if certified > 0 else 0.0
 
     favored, favored_score = None, -math.inf
@@ -128,7 +132,7 @@ def elton_subset(
                 favored, favored_score = t, score
 
     return EltonResult(
-        sigma=sigma,
+        sigma=CoordinateSubset(support),
         t=certified,
         s=s,
         delta=delta,

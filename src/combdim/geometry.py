@@ -179,6 +179,20 @@ def cube_in_projection(
     return CubeWitness(sigma, t, tuple(float(v) for v in h))
 
 
+def passing_supports(n: int, passes) -> list[tuple[int, ...]]:
+    """The nonempty supports in range(n) that pass a downward-closed
+    predicate, by size and then lexicographically.  A support is tested
+    only when all its one-smaller subsets passed."""
+    level = [(i,) for i in range(n) if passes((i,))]
+    found = []
+    while level:
+        found += level
+        prev = set(level)
+        level = [c for c in (sup + (j,) for sup in level for j in range(sup[-1] + 1, n))
+                 if all(c[:i] + c[i + 1 :] in prev for i in range(len(c))) and passes(c)]
+    return found
+
+
 def convex_vc(
     poly: VPolytope,
     t: float,
@@ -188,43 +202,25 @@ def convex_vc(
     """Largest |sigma| whose projection contains a side-t cube.
 
     Cube containment is downward monotone in sigma (sub-projections of a
-    contained cube are contained), so the search grows supports level by
-    level, only joining supports whose subsets all passed.  Returns the
-    lexicographically smallest maximizer.
+    contained cube are contained), so `passing_supports` finds every
+    passing support.  Returns the lexicographically smallest maximizer.
     """
     if translated is None:
         translated = not poly.symmetric
     n = poly.dimension
 
     def passes(support: tuple[int, ...]) -> bool:
-        return (
-            cube_in_projection(poly, CoordinateSubset(support), t, translated, budget)
-            is not None
-        )
+        sigma = CoordinateSubset(support)
+        return cube_in_projection(poly, sigma, t, translated, budget) is not None
 
     # Bodies like scaled cubes pass on every support; probing the full one
     # first skips the whole lattice walk in that case.
     full = tuple(range(n))
     if n <= budget and passes(full):
         return n, CoordinateSubset(full)
-
-    level = [(i,) for i in range(n) if passes((i,))]
-    if not level:
-        return 0, CoordinateSubset(())
-    best = level[0]
-    while True:
-        prev = set(level)
-        nxt = []
-        for support in level:
-            for j in range(support[-1] + 1, n):
-                cand = support + (j,)
-                if all(cand[:idx] + cand[idx + 1 :] in prev for idx in range(len(cand))):
-                    if passes(cand):
-                        nxt.append(cand)
-        if not nxt:
-            return len(best), CoordinateSubset(best)
-        level = nxt
-        best = level[0]
+    # max keeps the first of the largest, the lexicographically smallest
+    best = max(passing_supports(n, passes), key=len, default=())
+    return len(best), CoordinateSubset(best)
 
 
 def ell1_lower_constant(

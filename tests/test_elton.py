@@ -8,7 +8,9 @@ from scipy.optimize import linprog
 from combdim import CoordinateSubset, PolyhedralNorm, elton_subset
 from combdim.constants import DEFAULT_CONSTANTS
 from combdim.elton import dual_body, exact_tightness_norm, rudelson_example
-from combdim.geometry import ell1_lower_constant
+from combdim.errors import BudgetError
+from combdim.experiments import random_norm_instances
+from combdim.geometry import convex_vc, ell1_lower_constant
 
 
 def l1_norm(n):
@@ -41,6 +43,38 @@ def test_elton_identical_vectors():
     assert len(res.sigma) == 1
     assert res.t == pytest.approx(1.0, abs=1e-9)
     assert res.s * res.t == pytest.approx(1.0 / math.sqrt(n), abs=1e-9)
+
+
+def test_elton_cube_budget_below_n():
+    # with n above the budget the full support is not probed, so the walk
+    # decides; it stops at pairs here and never reaches the budget
+    norm = PolyhedralNorm(2, [[1.0, 0.0], [0.0, 1.0]])
+    vectors = np.array([[1.0, 0.0]] * 3)
+    capped = elton_subset(norm, vectors, samples=500, seed=5, cube_budget=2)
+    assert capped == elton_subset(norm, vectors, samples=500, seed=5)
+    # here every support passes, so the walk reaches |sigma| = 4 > 3
+    with pytest.raises(BudgetError):
+        elton_subset(l1_norm(4), np.eye(4), samples=100, seed=1, cube_budget=3)
+
+
+def test_sweep_and_certificate_match_the_hull_lp_walk():
+    # elton_subset reads the sweep, the winning subset and its constant off
+    # one walk over l1 constants; convex_vc's hull LPs on the dual body are
+    # the reference for the first two, the orthant LPs for the third.  The
+    # full support settles every scale on the tightness bodies, and several
+    # seed-2 norms leave more than one scale to the walk.
+    cases = [(norm, vectors) for seed in (1, 2)
+             for norm, vectors, _ in random_norm_instances(seed)]
+    for n, delta in ((5, 0.6), (6, 0.6)):
+        inst = rudelson_example(n, delta)
+        cases.append((inst.norm, inst.vectors))
+    for norm, vectors in cases:
+        res = elton_subset(norm, vectors, samples=200, seed=0)
+        body = dual_body(norm, vectors)
+        for t, d in res.sweep:
+            assert d == convex_vc(body, t)[0]
+        assert res.sigma == convex_vc(body, res.grid_t)[1]
+        assert res.t == ell1_lower_constant(norm, vectors, res.sigma)
 
 
 def test_elton_rejects_big_vectors():
@@ -165,8 +199,6 @@ def test_rudelson_validation():
 def test_random_norm_suite_pins():
     # random polyhedral norms with unit-ball vectors: s and t stay above
     # the pinned multiple of delta
-    from combdim.experiments import random_norm_instances
-
     c_pin = DEFAULT_CONSTANTS.elton_c_pin
     tradeoff_pin = DEFAULT_CONSTANTS.elton_tradeoff_c_pin
     for norm, vectors, seed in random_norm_instances():
