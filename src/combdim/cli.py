@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import entropy, extraction, septree, shattering
 from .constants import DEFAULT_CONSTANTS, ConstantsConfig
-from .errors import BudgetError, ExtractionError, PipelineError
+from .errors import BudgetError, ExtractionError, FamilyError, PipelineError
 from .experiments import (
     ExperimentConfig,
     emit_report,
@@ -24,15 +24,7 @@ from .experiments import (
     run_main_theorem_experiment,
     run_pipeline_trace,
 )
-from .family import (
-    CoordinateSubset,
-    FunctionFamily,
-    ProbabilityMeasure,
-    gen_random_family,
-    load_family,
-    read_json,
-    save_family,
-)
+from .family import CoordinateSubset, gen_random_family, load_family, read_json, save_family
 from .gaussian import gaussian_sup_mc
 from .geometry import (
     convex_vc,
@@ -46,20 +38,20 @@ from .elton import elton_subset, rudelson_example
 from .septree import SeparatingTree
 
 
-def _load(args) -> tuple[FunctionFamily, ProbabilityMeasure]:
-    return load_family(args.family)
-
-
 def _constants(args) -> ConstantsConfig:
-    if getattr(args, "config", None):
-        doc = json.loads(Path(args.config).read_text())
-        return ConstantsConfig(**{**DEFAULT_CONSTANTS.to_dict(), **doc})
-    return DEFAULT_CONSTANTS
+    if not args.config:
+        return DEFAULT_CONSTANTS
+    doc = read_json(args.config, "config")
+    fields = DEFAULT_CONSTANTS.to_dict()
+    unknown = [key for key in doc if key not in fields]
+    if unknown:
+        raise FamilyError(f"unknown key {unknown[0]!r} in config file {args.config}")
+    return ConstantsConfig(**{**fields, **doc})
 
 
-def _write_or_print(args, text: str) -> None:
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+def _write_or_print(path, text: str) -> None:
+    if path:
+        Path(path).write_text(text)
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
@@ -72,7 +64,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    family, measure = _load(args)
+    family, measure = load_family(args.family)
     lines = ["t,packing,packing_flag,covering,covering_flag"]
     for t in args.scale:
         rep = entropy.entropy_report(family, measure, t, p=args.p, mode=args.mode)
@@ -80,12 +72,12 @@ def cmd_entropy(args) -> int:
             f"{t!r},{rep.packing_count},{rep.packing_flag},"
             f"{rep.covering_count},{rep.covering_flag}"
         )
-    _write_or_print(args, "\n".join(lines) + "\n")
+    _write_or_print(args.out, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_vc(args) -> int:
-    family, _ = _load(args)
+    family, _ = load_family(args.family)
     if family.is_integer and args.scale is None:
         print(shattering.vc_integer(family))
     else:
@@ -96,7 +88,7 @@ def cmd_vc(args) -> int:
 
 
 def cmd_centers(args) -> int:
-    family, _ = _load(args)
+    family, _ = load_family(args.family)
     doc = [
         {
             "support": list(w.center.support),
@@ -105,12 +97,12 @@ def cmd_centers(args) -> int:
         }
         for w in shattering.shatter_witnesses(family, args.max_dim)
     ]
-    _write_or_print(args, json.dumps(doc, indent=1) + "\n")
+    _write_or_print(args.out, json.dumps(doc, indent=1) + "\n")
     return 0
 
 
 def cmd_tree(args) -> int:
-    family, measure = _load(args)
+    family, measure = load_family(args.family)
     tree = septree.build_separating_tree(family, measure, args.scale)
     if args.emit:
         Path(args.emit).write_text(json.dumps(tree.to_dict(), indent=1))
@@ -125,7 +117,7 @@ def cmd_tree(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    family, _ = _load(args)
+    family, _ = load_family(args.family)
     outcome = extraction.extract_coordinates(
         family, args.scale, args.target_size, args.seed, args.max_attempts
     )
@@ -135,12 +127,12 @@ def cmd_extract(args) -> int:
         "achieved_separation": outcome.achieved_separation,
         "target_separation": outcome.target_separation,
     }
-    _write_or_print(args, json.dumps(doc, indent=1) + "\n")
+    _write_or_print(args.out, json.dumps(doc, indent=1) + "\n")
     return 0
 
 
 def cmd_extract_curve(args) -> int:
-    family, _ = _load(args)
+    family, _ = load_family(args.family)
     ks = [int(k) for k in args.k_grid.split(",")]
     lines = ["k,success_rate,stderr"]
     for k in ks:
@@ -151,12 +143,12 @@ def cmd_extract_curve(args) -> int:
         lines.append(f"{k},{rate!r},{stderr!r}")
     fit = estimate_extraction_constant(family, args.scale, args.seed, args.trials)
     lines.append(f"# k_half={fit['k_half']} c_emp={fit['c_emp']}")
-    _write_or_print(args, "\n".join(lines) + "\n")
+    _write_or_print(args.out, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_gsup(args) -> int:
-    family, _ = _load(args)
+    family, _ = load_family(args.family)
     est = gaussian_sup_mc(family, args.samples, args.seed, args.kind)
     print(json.dumps({"mean": est.mean, "stderr": est.stderr, "samples": est.samples,
                       "kind": est.process_kind}))
@@ -196,11 +188,7 @@ def cmd_elton(args) -> int:
         "favored_grid_t": result.favored_grid_t,
         "delta_stderr": result.estimate.stderr,
     }
-    text = json.dumps(doc, indent=1) + "\n"
-    if args.report:
-        Path(args.report).write_text(text)
-    else:
-        print(text, end="")
+    _write_or_print(args.report, json.dumps(doc, indent=1) + "\n")
     return 0
 
 
@@ -220,11 +208,7 @@ def cmd_rudelson(args) -> int:
         "bound_holds": st <= args.delta + inst.norm_slack + 1e-6,
         "delta_measured": result.delta,
     }
-    text = json.dumps(doc, indent=1) + "\n"
-    if args.report:
-        Path(args.report).write_text(text)
-    else:
-        print(text, end="")
+    _write_or_print(args.report, json.dumps(doc, indent=1) + "\n")
     return 0 if doc["bound_holds"] else 2
 
 
@@ -288,8 +272,14 @@ def cmd_l1_const(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    family, _ = _load(args)
-    tree = SeparatingTree.from_dict(read_json(args.tree, "tree"))
+    family, _ = load_family(args.family)
+    doc = read_json(args.tree, "tree", ("scale", "gap", "root"))
+    try:
+        tree = SeparatingTree.from_dict(doc)
+    except KeyError as exc:
+        raise FamilyError(f"missing key {exc} in a node of tree file {args.tree}") from None
+    except (TypeError, ValueError) as exc:
+        raise FamilyError(f"bad node in tree file {args.tree}: {exc}") from None
     gap = args.gap if args.gap is not None else tree.gap
     result = septree.validate_tree(tree, family, gap)
     leaves = tree.leaf_count()

@@ -75,12 +75,11 @@ def first_violating_pair(
 ):
     """First pair (i, j, distance) with distance <= t, or None."""
     dist = pairwise_distances(family, measure, p)
-    m = family.size
-    for i in range(m):
-        for j in range(i + 1, m):
-            if dist[i, j] <= t:
-                return i, j, float(dist[i, j])
-    return None
+    hits = np.argwhere(np.triu(dist <= t, 1))  # row-major, so the first pair comes first
+    if not hits.size:
+        return None
+    i, j = hits[0]
+    return int(i), int(j), float(dist[i, j])
 
 
 def is_separated(family: FunctionFamily, measure: ProbabilityMeasure, t: float, p: float = 2.0) -> bool:
@@ -140,7 +139,6 @@ def packing_number(
     t: float,
     p: float = 2.0,
     mode: str = "exact",
-    size_limit: int = PACKING_EXACT_LIMIT,
     force: bool = False,
 ) -> tuple[int, str]:
     """Maximal size of a t-separated subset.
@@ -156,9 +154,9 @@ def packing_number(
         return _greedy_packing(dist, t), "lower-bound"
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    if m > size_limit and not force:
+    if m > PACKING_EXACT_LIMIT and not force:
         raise BudgetError(
-            f"exact packing refused for m={m} > limit {size_limit} (pass force=True)"
+            f"exact packing refused for m={m} > limit {PACKING_EXACT_LIMIT} (pass force=True)"
         )
     return _max_clique_size(row_masks(dist > t), m), "exact"  # dist[i, i] = 0 < t
 
@@ -217,7 +215,6 @@ def covering_number(
     t: float,
     p: float = 2.0,
     mode: str = "exact",
-    size_limit: int = COVERING_EXACT_LIMIT,
     force: bool = False,
 ) -> tuple[int, str]:
     """Minimal number of radius-t balls centered at rows covering the family.
@@ -233,9 +230,9 @@ def covering_number(
         return len(_greedy_cover(ball, (1 << m) - 1)), "upper-bound"
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    if m > size_limit and not force:
+    if m > COVERING_EXACT_LIMIT and not force:
         raise BudgetError(
-            f"exact covering refused for m={m} > limit {size_limit} (pass force=True)"
+            f"exact covering refused for m={m} > limit {COVERING_EXACT_LIMIT} (pass force=True)"
         )
     return _exact_cover_size(ball, m), "exact"
 

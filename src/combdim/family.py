@@ -34,6 +34,8 @@ class ProbabilityMeasure:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise FamilyError("measure weights must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(w)):
+            raise FamilyError(f"non-finite weight at coordinate {int(np.argmin(np.isfinite(w)))}")
         if np.any(w < 0):
             bad = int(np.argmin(w))
             raise FamilyError(f"negative weight at coordinate {bad}: {w[bad]!r}")
@@ -175,27 +177,52 @@ def row_masks(sel: np.ndarray) -> list[int]:
 # so that save -> load reproduces the exact same doubles.
 # ---------------------------------------------------------------------------
 
-def _parse_number(token, where: str) -> float:
-    try:
-        return float(token)
-    except (TypeError, ValueError):
-        raise FamilyError(f"cannot parse number {token!r} at {where}") from None
-
-
-def read_json(path, kind: str, keys: tuple[str, ...] = ()):
-    """The JSON document in a family, polytope, norm, vectors or tree file.
-    FamilyError names the file when it does not parse, nests too deep, or
-    is not an object holding all of `keys` (the first one missing)."""
+def read_json(path, kind: str, keys: tuple[str, ...] | None = ()):
+    """The JSON document in a family, polytope, norm, vectors, config or
+    tree file.  FamilyError names the file when it does not parse, nests
+    too deep, or is not an object holding all of `keys` (the first one
+    missing); keys=None takes any document."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FamilyError(f"cannot parse {kind} file {path}: {exc}") from None
     except RecursionError:
         raise FamilyError(f"{kind} file {path} nests too deep to load") from None
-    missing = [key for key in keys if not isinstance(doc, dict) or key not in doc]
+    if keys is not None and not isinstance(doc, dict):
+        raise FamilyError(f"{kind} file {path} does not hold a JSON object")
+    missing = [key for key in keys or () if key not in doc]
     if missing:
         raise FamilyError(f"missing key {missing[0]!r} in {kind} file {path}")
     return doc
+
+
+def read_size(doc: dict, key: str, where: str) -> int:
+    """The size field doc[key] of an input file: a JSON integer >= 0, not a bool."""
+    value = doc[key]
+    if type(value) is not int or value < 0:
+        raise FamilyError(f"{key!r} in {where} is not a nonnegative integer: {value!r}")
+    return value
+
+
+def read_rows(raw, width: int, where: str) -> np.ndarray:
+    """The rows of numbers in an input file, as a float matrix.
+
+    `raw` must be a nonempty list of `width`-entry lists, each entry a
+    finite JSON number or a decimal string (the form save_* writes).
+    FamilyError names `where` and the first row that is not.
+    """
+    if not isinstance(raw, list) or not raw:
+        raise FamilyError(f"{where} does not hold a nonempty list of rows")
+    rows = []
+    for r, row in enumerate(raw):
+        try:  # a bool becomes NaN, so the finiteness test rejects it too
+            values = [math.nan if isinstance(v, bool) else float(v) for v in row]
+        except (TypeError, ValueError, OverflowError):
+            values = [math.nan]
+        if not (isinstance(row, list) and len(values) == width and all(map(math.isfinite, values))):
+            raise FamilyError(f"row {r} of {where} is not a list of {width} numbers")
+        rows.append(values)
+    return np.array(rows, dtype=np.float64)
 
 
 def load_family(path) -> tuple[FunctionFamily, ProbabilityMeasure]:
@@ -206,29 +233,19 @@ def load_family(path) -> tuple[FunctionFamily, ProbabilityMeasure]:
     key is optional and defaults to the uniform measure.
     """
     doc = read_json(path, "family", ("domain_size", "value_kind", "values"))
-    n = int(doc["domain_size"])
-    kind_spec, raw_values = doc["value_kind"], doc["values"]
+    where = f"family file {path}"
+    n = read_size(doc, "domain_size", where)
+    kind_spec = doc["value_kind"]
     if kind_spec == "real":
         kind, range_max = "real", None
     elif isinstance(kind_spec, dict) and set(kind_spec) == {"integer"}:
-        kind, range_max = "integer", int(kind_spec["integer"])
+        kind, range_max = "integer", read_size(kind_spec, "integer", where)
     else:
-        raise FamilyError(f"bad value_kind {kind_spec!r}")
-    rows = []
-    for r, row in enumerate(raw_values):
-        if len(row) != n:
-            raise FamilyError(f"row {r} has {len(row)} entries, expected {n}")
-        rows.append([_parse_number(v, f"row {r}, column {c}") for c, v in enumerate(row)])
-    family = FunctionFamily(np.array(rows, dtype=np.float64), kind, range_max)
-    if "measure" in doc and doc["measure"] is not None:
-        raw_measure = doc["measure"]
-        if len(raw_measure) != n:
-            raise FamilyError(f"measure has {len(raw_measure)} weights, expected {n}")
-        weights = [_parse_number(w, f"measure weight {i}") for i, w in enumerate(raw_measure)]
-        measure = ProbabilityMeasure(np.array(weights))
-    else:
-        measure = ProbabilityMeasure.uniform(n)
-    return family, measure
+        raise FamilyError(f"bad value_kind {kind_spec!r} in {where}")
+    family = FunctionFamily(read_rows(doc["values"], n, f"'values' in {where}"), kind, range_max)
+    if doc.get("measure") is None:
+        return family, ProbabilityMeasure.uniform(n)
+    return family, ProbabilityMeasure(read_rows([doc["measure"]], n, f"'measure' in {where}")[0])
 
 
 def save_family(path, family: FunctionFamily, measure: ProbabilityMeasure | None = None) -> None:

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BudgetError, FamilyError
-from .family import CoordinateSubset, read_json
+from .errors import BudgetError
+from .family import CoordinateSubset, read_json, read_rows, read_size
 from .simplex import LPProblem, lp_solve
 
 HULL_TOL = 1e-9
@@ -40,6 +40,8 @@ class VPolytope:
             raise ValueError(
                 f"vertices must be nonempty points in dimension {self.dimension}"
             )
+        if not np.all(np.isfinite(verts)):
+            raise ValueError("vertices must have finite coordinates")
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
         if self.symmetric:
@@ -68,6 +70,8 @@ class PolyhedralNorm:
         funcs = np.atleast_2d(np.asarray(self.functionals, dtype=np.float64))
         if funcs.shape[1] != self.dimension:
             raise ValueError(f"functionals must live in dimension {self.dimension}")
+        if not np.all(np.isfinite(funcs)):
+            raise ValueError("functionals must have finite entries")
         if np.linalg.matrix_rank(funcs) < self.dimension:
             raise ValueError("degenerate norm: functionals do not span the space")
         funcs.setflags(write=False)
@@ -148,7 +152,7 @@ def cube_in_projection(
         return CubeWitness(sigma, t, tuple(0.0 for _ in range(k)))
 
     n_pts = pts.shape[0]
-    corners = list(itertools.product((0.0, t), repeat=k))
+    corners = np.array(list(itertools.product((0.0, t), repeat=k)))
     n_c = len(corners)
     # Variables: lambda^{(q)} (n_pts each, >= 0) then h+ and h- (k each).
     n_vars = n_c * n_pts + 2 * k
@@ -158,21 +162,14 @@ def cube_in_projection(
             f"translated cube LP too large: {n_rows} rows x {n_vars} variables "
             f"(shrink |sigma| or deduplicate vertices)"
         )
-    rows = []
-    rhs = []
-    for ci, corner in enumerate(corners):
-        for d in range(k):
-            row = np.zeros(n_vars)
-            row[ci * n_pts : (ci + 1) * n_pts] = pts[:, d]
-            row[n_c * n_pts + d] = -1.0
-            row[n_c * n_pts + k + d] = 1.0
-            rows.append(row)
-            rhs.append(corner[d])
-        row = np.zeros(n_vars)
-        row[ci * n_pts : (ci + 1) * n_pts] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    result = lp_solve(LPProblem(np.zeros(n_vars), None, None, np.array(rows), np.array(rhs)))
+    # Rows of corner q: pts.T @ lambda^{(q)} - h+ + h- = q, then sum lambda^{(q)} = 1.
+    # The block diagonal is assigned, not np.kron-ed, so that no -0.0 enters.
+    lam = np.zeros((n_c, k + 1, n_c, n_pts))
+    lam[range(n_c), :, range(n_c)] = np.vstack([pts.T, np.ones(n_pts)])
+    shift = np.vstack([np.eye(k, 2 * k, k) - np.eye(k, 2 * k), np.zeros(2 * k)])
+    a_eq = np.hstack([lam.reshape(n_rows, n_c * n_pts), np.tile(shift, (n_c, 1))])
+    b_eq = np.hstack([corners, np.ones((n_c, 1))]).ravel()
+    result = lp_solve(LPProblem(np.zeros(n_vars), None, None, a_eq, b_eq))
     if result.status != "optimal":
         return None
     h = result.x[n_c * n_pts : n_c * n_pts + k] - result.x[n_c * n_pts + k :]
@@ -271,8 +268,10 @@ def ell1_lower_constant(
 
 def load_polytope(path) -> VPolytope:
     doc = read_json(path, "polytope", ("dimension", "vertices"))
-    vertices = np.array(doc["vertices"], dtype=float)
-    return VPolytope(int(doc["dimension"]), vertices, bool(doc.get("symmetric", False)))
+    where = f"polytope file {path}"
+    n = read_size(doc, "dimension", where)
+    vertices = read_rows(doc["vertices"], n, f"'vertices' in {where}")
+    return VPolytope(n, vertices, bool(doc.get("symmetric", False)))
 
 
 def save_polytope(path, poly: VPolytope) -> None:
@@ -286,19 +285,14 @@ def save_polytope(path, poly: VPolytope) -> None:
 
 def load_norm(path) -> PolyhedralNorm:
     doc = read_json(path, "norm", ("dimension", "functionals"))
-    return PolyhedralNorm(int(doc["dimension"]), np.array(doc["functionals"], dtype=float))
+    where = f"norm file {path}"
+    n = read_size(doc, "dimension", where)
+    return PolyhedralNorm(n, read_rows(doc["functionals"], n, f"'functionals' in {where}"))
 
 
 def load_vectors(path, dimension: int) -> np.ndarray:
     """The rows of a vectors file, a nonempty JSON list of `dimension`-number lists."""
-    doc = read_json(path, "vectors")
-    if not isinstance(doc, list) or not doc:
-        raise FamilyError(f"vectors file {path} does not hold a nonempty list of rows")
-    for r, row in enumerate(doc):
-        if not (isinstance(row, list) and len(row) == dimension
-                and all(type(v) in (int, float) and math.isfinite(v) for v in row)):
-            raise FamilyError(f"row {r} of vectors file {path} is not a list of {dimension} numbers")
-    return np.array(doc, dtype=float)
+    return read_rows(read_json(path, "vectors", None), dimension, f"vectors file {path}")
 
 
 def save_norm(path, norm: PolyhedralNorm) -> None:

@@ -163,6 +163,28 @@ def test_wrong_kind_of_file_names_key_and_file(tmp_path, family_file, capsys):
     vec_path.write_text("[1, 2")
     assert main(["cube-test", "--polytope", str(vec_path), "--sigma", "0", "--scale", "1"]) == 1
     assert f"cannot parse polytope file {vec_path}" in capsys.readouterr().err
+    cfg_path = tmp_path / "config.json"
+    for text, message in (
+        ('{"dudley_k_pin": 1.0 "x": 2}', "cannot parse config file"),
+        ("[1, 2]", "does not hold a JSON object"),
+        ('{"bogus_pin": 1.0}', "unknown key 'bogus_pin' in config file"),
+    ):
+        cfg_path.write_text(text)
+        assert main(["--config", str(cfg_path), "pipeline", "--instances", "0"]) == 1
+        err = capsys.readouterr().err
+        assert message in err and str(cfg_path) in err
+    tree_path = tmp_path / "tree.json"
+    for doc, message in (
+        ({"scale": 1.4, "gap": 0.2}, "missing key 'root' in tree file"),
+        ({"scale": 1.4, "gap": 0.2, "root": {"indices": [0, 1], "plus": {"indices": [0]},
+                                            "minus": {"indices": [1]}}},
+         "missing key 'coordinate' in a node of tree file"),
+        ({"scale": 1.4, "gap": 0.2, "root": {"indices": ["x"]}}, "bad node in tree file"),
+    ):
+        tree_path.write_text(json.dumps(doc))
+        assert main(["validate", "--family", str(family_file), "--tree", str(tree_path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and str(tree_path) in err
 
 
 def test_vectors_file_is_checked(tmp_path, family_file, capsys):
@@ -181,6 +203,9 @@ def test_vectors_file_is_checked(tmp_path, family_file, capsys):
         ("[[1.0, 0.0], [true, 0.0]]", "row 1 of vectors file"),  # a JSON boolean
         ("[[NaN, 0.0]]", "row 0 of vectors file"),  # not finite
         ("[[1.0, Infinity]]", "row 0 of vectors file"),
+        (json.dumps([["NaN", 0.0]]), "row 0 of vectors file"),
+        ("[]", "does not hold a nonempty list of rows"),
+        ("[[1.0, 0.0], 1.0]", "row 1 of vectors file"),  # not a list
     )
     for text, message in cases:
         vec_path.write_text(text)
@@ -188,6 +213,51 @@ def test_vectors_file_is_checked(tmp_path, family_file, capsys):
             assert main([command, "--norm", str(norm_path), "--vectors", str(vec_path)]) == 1
             err = capsys.readouterr().err
             assert message in err and f"vectors file {vec_path}" in err
+
+
+def test_number_rows_of_every_file_kind_are_checked(tmp_path, capsys):
+    vec_path = tmp_path / "vecs.json"
+    vec_path.write_text("[[1.0, 0.0], [0.0, 1.0]]")
+    kinds = (
+        ("family", "values", "domain_size",
+         {"domain_size": 2, "value_kind": "real", "values": [["0.5", "0.5"], ["-0.5", "0.5"]]},
+         ["entropy", "--scale", "0.1", "--family"]),
+        ("polytope", "vertices", "dimension",
+         {"dimension": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]], "symmetric": True},
+         ["convex-vc", "--scale", "0.5", "--polytope"]),
+        ("norm", "functionals", "dimension",
+         {"dimension": 2, "functionals": [["1.0", "0.0"], ["0.0", "1.0"]]},
+         ["l1-const", "--vectors", str(vec_path), "--norm"]),
+    )
+    bad_rows = (  # rows, the row the message names
+        ([[0.5, 0.5], [0.5]], 1),  # ragged
+        ([[0.5, True]], 0),
+        ([[0.5, math.nan]], 0),
+        ([["NaN", "0.5"]], 0),
+        ([[0.5, math.inf]], 0),
+        ([["-Infinity", "0.5"]], 0),
+        ([["0.5", "half"]], 0),
+        ([[0.5, 0.5], 0.5], 1),  # not a list
+    )
+    for kind, key, size_key, doc, command in kinds:
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(doc))
+        assert main(command + [str(path)]) == 0
+        capsys.readouterr()
+        cases = [({key: rows}, f"row {r} of '{key}' in {kind} file {path}") for rows, r in bad_rows]
+        cases.append(({key: []}, f"'{key}' in {kind} file {path} does not hold a nonempty list"))
+        cases += [({size_key: size}, f"'{size_key}' in {kind} file {path} is not a nonnegative")
+                  for size in (2.7, True, "two", -2)]
+        if kind == "family":
+            cases += [
+                ({"measure": ["NaN", "0.5"]}, f"row 0 of 'measure' in family file {path}"),
+                ({"measure": ["1.0"]}, f"row 0 of 'measure' in family file {path}"),
+                ({"value_kind": {"integer": 2.7}}, f"'integer' in family file {path}"),
+            ]
+        for change, message in cases:
+            path.write_text(json.dumps({**doc, **change}))
+            assert main(command + [str(path)]) == 1, (kind, change)
+            assert message in capsys.readouterr().err, (kind, change)
 
 
 def test_elton_and_rudelson_commands(tmp_path, capsys):

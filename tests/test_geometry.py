@@ -32,6 +32,12 @@ def test_symmetry_validation():
         VPolytope(2, [[1, 0], [0, 1]], symmetric=True)
 
 
+def test_polytope_rejects_non_finite_vertices():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            VPolytope(2, [[bad, 1.0], [1.0, 1.0], [-1.0, -1.0]])
+
+
 def test_cube_in_projection_examples():
     assert cube_in_projection(SQUARE, BOTH, 2.0) is not None
     assert cube_in_projection(CROSS, BOTH, 1.0) is not None  # corner on boundary
@@ -116,6 +122,12 @@ def test_ell1_lower_constant_examples():
 def test_ell1_norm_validation():
     with pytest.raises(ValueError, match="degenerate"):
         PolyhedralNorm(2, [[1.0, 0.0]])
+
+
+def test_norm_rejects_non_finite_functionals():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PolyhedralNorm(2, [[bad, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def test_cube_test_matches_pattern_witness_oracle():

@@ -72,6 +72,12 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert path.read_text() == path2.read_text()
 
 
+def test_measure_rejects_non_finite_weights():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(FamilyError, match="non-finite weight at coordinate 0"):
+            ProbabilityMeasure(np.array([bad, 1.0]))
+
+
 def test_integer_family_invariants():
     FunctionFamily([[0, 3], [2, 1]], "integer", 3)
     with pytest.raises(FamilyError, match="row 0, column 1"):
