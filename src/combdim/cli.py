@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import entropy, extraction, septree, shattering
-from .constants import DEFAULT_CONSTANTS, ConstantsConfig
+from .constants import DEFAULT_CONSTANTS
 from .errors import BudgetError, ExtractionError, FamilyError, PipelineError
 from .experiments import (
     ExperimentConfig,
@@ -36,17 +36,6 @@ from .geometry import (
 )
 from .elton import elton_subset, rudelson_example
 from .septree import SeparatingTree
-
-
-def _constants(args) -> ConstantsConfig:
-    if not args.config:
-        return DEFAULT_CONSTANTS
-    doc = read_json(args.config, "config")
-    fields = DEFAULT_CONSTANTS.to_dict()
-    unknown = [key for key in doc if key not in fields]
-    if unknown:
-        raise FamilyError(f"unknown key {unknown[0]!r} in config file {args.config}")
-    return ConstantsConfig(**{**fields, **doc})
 
 
 def _write_or_print(path, text: str) -> None:
@@ -156,9 +145,9 @@ def cmd_gsup(args) -> int:
 
 
 def cmd_dudley(args) -> int:
-    report = run_dudley_experiment(args.seed, samples=args.samples, constants=_constants(args))
+    report = run_dudley_experiment(args.seed, samples=args.samples)
     if args.out:
-        emit_report(report, args.out, "json")
+        emit_report(report, args.out)
     print(
         f"e_hat={report['e_hat']:.4f} dudley_k={report['dudley_k']:.4f} "
         f"vc_chain_k={report['vc_chain_k']:.4f}"
@@ -213,13 +202,10 @@ def cmd_rudelson(args) -> int:
 
 
 def cmd_main_theorem(args) -> int:
-    config = ExperimentConfig(
-        seed=args.seed, instances=args.instances, jobs=args.jobs,
-        constants=_constants(args),
-    )
+    config = ExperimentConfig(seed=args.seed, instances=args.instances, jobs=args.jobs)
     report = run_main_theorem_experiment(config)
     if args.out:
-        emit_report(report, args.out, "json")
+        emit_report(report, args.out)
     print(
         f"instances={args.instances} k_emp_max={report['k_emp_max']} "
         f"median={report['k_emp_median']} skipped={report['skipped_scales']}"
@@ -228,13 +214,12 @@ def cmd_main_theorem(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    constants = _constants(args)
     for i in range(args.instances):
-        report = run_pipeline_trace(args.seed + i, constants)
+        report = run_pipeline_trace(args.seed + i)
         stages = ", ".join(s["stage"] for s in report["stages"])
         print(f"seed={args.seed + i}: all stages passed ({stages})")
         if args.out:
-            emit_report(report, f"{args.out}.{args.seed + i}.json", "json")
+            emit_report(report, f"{args.out}.{args.seed + i}.json")
     return 0
 
 
@@ -296,11 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Packing/covering numbers, shattering dimension, separating "
         "trees, coordinate extraction and l1-subset certificates for finite "
         "function families.",
-    )
-    parser.add_argument(
-        "--config",
-        default=None,
-        help="JSON file overriding fields of the fitted-constants config",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

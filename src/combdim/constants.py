@@ -1,4 +1,4 @@
-"""Configuration of the otherwise-unspecified absolute constants.
+"""The fitted values of the otherwise-unspecified absolute constants.
 
 The inequalities exercised by the experiment suite hold with *some*
 positive absolute constants; nothing pins their values a priori.  The
@@ -6,12 +6,13 @@ defaults below were fitted on the fixed-seed development suites by
 scripts/derive_constants.py (oracle runs with exact combinatorial
 quantities) and frozen with 10% slack: upper pins are the observed
 maximum times 1.1, lower pins the observed minimum times 0.9.  Rerunning
-the script reproduces them bit for bit.
+the script reproduces them bit for bit.  No flag or config file changes
+them.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -30,13 +31,6 @@ class ConstantsConfig:
     tradeoff_exponent: float = 1.6
     # Extraction defaults.
     extraction_max_attempts: int = 100
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ConstantsConfig":
-        return cls(**doc)
 
 
 DEFAULT_CONSTANTS = ConstantsConfig()

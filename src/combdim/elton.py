@@ -17,13 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import DEFAULT_CONSTANTS
 from .family import CoordinateSubset
 from .gaussian import SupEstimate, gaussian_sup_mc, weight_h
-from .geometry import HULL_TOL, PolyhedralNorm, VPolytope, ell1_lower_constant, passing_supports
+from .geometry import CUBE_DIM_BUDGET, HULL_TOL, PolyhedralNorm, VPolytope, ell1_lower_constant
+from .geometry import passing_supports
 from .geometry import convex_vc  # noqa: F401  perfbench/spans.py wraps convex_vc at this name
 
-DEFAULT_T_GRID = tuple(2.0 ** -j for j in range(1, 9))
+DEFAULT_T_GRID = tuple(2.0 ** -j for j in range(1, 9))  # the sweep scales, descending
 NORM_SLACK_PROBES = 256
+RUDELSON_MAX_DIM = 12
 
 
 @dataclass(frozen=True)
@@ -70,9 +73,7 @@ def elton_subset(
     samples: int = 2000,
     seed=0,
     kind: str = "rademacher",
-    t_grid=DEFAULT_T_GRID,
-    tradeoff_exponent: float = 1.6,
-    cube_budget: int = 15,
+    cube_budget: int = CUBE_DIM_BUDGET,
 ) -> EltonResult:
     """Extract a coordinate subset l1-equivalent to its span.
 
@@ -102,16 +103,15 @@ def elton_subset(
     # As in convex_vc, a probe of the full support settles every scale it
     # passes.  r only shrinks as a support grows, so one walk at the finest
     # unsettled scale visits every support that passes at a coarser one.
-    grid = sorted(set(float(v) for v in t_grid), reverse=True)
     table = [tuple(range(n))] if n <= cube_budget else []
-    unsettled = [t for t in grid if not (table and passes(table[0], t))]
+    unsettled = [t for t in DEFAULT_T_GRID if not (table and passes(table[0], t))]
     if unsettled:
         table += passing_supports(n, lambda support: passes(support, unsettled[-1]))
 
     def best_at(t: float) -> tuple[int, ...]:  # max keeps the lexicographically first
         return max((sup for sup in table if passes(sup, t)), key=len, default=())
 
-    sweep = [(t, len(best_at(t))) for t in grid]
+    sweep = [(t, len(best_at(t))) for t in DEFAULT_T_GRID]
     best_t, best_score = None, -1.0
     for t, d in sweep:
         score = math.sqrt(d / n) * t
@@ -122,7 +122,8 @@ def elton_subset(
         raise ValueError("no grid scale produced a nonempty cube projection")
     s = math.sqrt(len(support) / n)
     certified = radius[support]
-    tradeoff = s * certified * math.log(2.0 / certified) ** tradeoff_exponent if certified > 0 else 0.0
+    exponent = DEFAULT_CONSTANTS.tradeoff_exponent
+    tradeoff = s * certified * math.log(2.0 / certified) ** exponent if certified > 0 else 0.0
 
     favored, favored_score = None, -math.inf
     for t, d in sweep:
@@ -138,7 +139,7 @@ def elton_subset(
         delta=delta,
         tradeoff=tradeoff,
         grid_t=best_t,
-        tradeoff_exponent=tradeoff_exponent,
+        tradeoff_exponent=exponent,
         estimate=estimate,
         sweep=tuple(sweep),
         favored_grid_t=favored,
@@ -198,15 +199,9 @@ class RudelsonInstance:
     norm_slack: float
 
 
-def rudelson_example(
-    n: int,
-    delta: float,
-    net_size: int = 64,
-    seed: int = 0,
-    max_dim: int = 12,
-) -> RudelsonInstance:
-    if n < 1 or n > max_dim:
-        raise ValueError(f"n must lie in [1, {max_dim}]")
+def rudelson_example(n: int, delta: float, net_size: int = 64, seed: int = 0) -> RudelsonInstance:
+    if n < 1 or n > RUDELSON_MAX_DIM:
+        raise ValueError(f"n must lie in [1, {RUDELSON_MAX_DIM}]")
     if not (1.0 / math.sqrt(n) - 1e-12 <= delta <= 1.0):
         raise ValueError(f"delta must lie in [1/sqrt(n), 1], got {delta}")
     cap = delta * math.sqrt(n)

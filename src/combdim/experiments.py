@@ -3,18 +3,16 @@ constant sweep, the end-to-end pipeline trace, and report emission."""
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import entropy, extraction, septree, shattering
-from .constants import DEFAULT_CONSTANTS, ConstantsConfig
+from .constants import DEFAULT_CONSTANTS
 from .errors import BudgetError, ExtractionError, PipelineError
 from .family import FunctionFamily, ProbabilityMeasure, discretize, gen_random_family
 from .gaussian import entropy_integral, gaussian_sup_mc, vc_integral
@@ -27,13 +25,7 @@ class ExperimentConfig:
     instances: int = 200
     max_rows: int = 14
     max_coords: int = 5
-    scales_per_instance: int = 3
     jobs: int = 1
-    constants: ConstantsConfig = field(default_factory=lambda: DEFAULT_CONSTANTS)
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -42,13 +34,15 @@ class ExperimentConfig:
 # avoids adversarial distance ties.
 # ---------------------------------------------------------------------------
 
+POOL_ROWS = 300  # random rows the greedy filter draws from
+
+
 def gen_separated_family(
     n: int,
     t: float,
     seed,
     m_target: int,
     kind: str = "uniform-real",
-    candidates: int = 300,
     grid_max: int | None = None,
 ) -> FunctionFamily:
     """Random family, strictly t-separated under the uniform measure.
@@ -60,10 +54,10 @@ def gen_separated_family(
     """
     if kind == "noisy-signs":
         rng = np.random.default_rng(seed)
-        signs = rng.integers(0, 2, size=(candidates, n)) * 2.0 - 1.0
-        pool = FunctionFamily(signs * rng.uniform(0.8, 1.0, size=(candidates, n)))
+        signs = rng.integers(0, 2, size=(POOL_ROWS, n)) * 2.0 - 1.0
+        pool = FunctionFamily(signs * rng.uniform(0.8, 1.0, size=(POOL_ROWS, n)))
     else:
-        pool = gen_random_family(candidates, n, kind, seed, grid_max=grid_max)
+        pool = gen_random_family(POOL_ROWS, n, kind, seed, grid_max=grid_max)
     measure = ProbabilityMeasure.uniform(n)
     dist = entropy.pairwise_distances(pool, measure)
     # Seed with the farthest pool pair, then fill greedily: anchoring on an
@@ -72,7 +66,7 @@ def gen_separated_family(
     if dist[i0, j0] <= t:
         raise ValueError(f"could not find 2 rows {t}-separated in dimension {n}")
     rows = [int(min(i0, j0)), int(max(i0, j0))]
-    for i in range(candidates):
+    for i in range(POOL_ROWS):
         if len(rows) >= m_target:
             break
         if i in rows:
@@ -86,10 +80,7 @@ def mid_gap_scales(family: FunctionFamily, measure: ProbabilityMeasure, count: i
     """Scales placed at midpoints between distinct pairwise distances, so
     exact packing/covering never sees a tie at the scale itself."""
     dist = entropy.pairwise_distances(family, measure)
-    m = dist.shape[0]
-    vals = sorted(
-        {float(dist[i, j]) for i in range(m) for j in range(i + 1, m)} - {0.0}
-    )
+    vals = np.unique(dist[np.triu_indices(dist.shape[0], 1)]).tolist()
     vals = [v for v in vals if v > 1e-12]
     gaps = [0.5 * (a + b) for a, b in zip(vals, vals[1:]) if b - a > 1e-9]
     inner = [0.5 * vals[0]] + gaps if vals else []
@@ -113,15 +104,14 @@ def main_theorem_constant(packing: int, dim: int, t: float) -> float:
 
 
 def _main_theorem_instance(args) -> dict:
-    index, config_doc = args
-    config = ExperimentConfig(**{**config_doc, "constants": ConstantsConfig(**config_doc["constants"])})
+    index, config = args
     rng = np.random.default_rng([config.seed, index])
     m = int(rng.integers(4, config.max_rows + 1))
     n = int(rng.integers(2, config.max_coords + 1))
     kind = ("uniform-real", "convex-hull-sections", "sign-vectors")[index % 3]
     family = gen_random_family(m, n, kind, [config.seed, index, 1])
     measure = ProbabilityMeasure.uniform(n)
-    scales = [t for t in mid_gap_scales(family, measure, config.scales_per_instance) if 0 < t < 1]
+    scales = [t for t in mid_gap_scales(family, measure, 3) if 0 < t < 1]
     rows = []
     for t in scales:
         try:
@@ -145,7 +135,7 @@ def _main_theorem_instance(args) -> dict:
 def run_main_theorem_experiment(config: ExperimentConfig) -> dict:
     """Empirical main-theorem constants over the seeded suite; skipped
     instances (budget errors) are logged and excluded from the fit."""
-    tasks = [(i, config.to_dict()) for i in range(config.instances)]
+    tasks = [(i, config) for i in range(config.instances)]
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             per_instance = list(pool.map(_main_theorem_instance, tasks))
@@ -166,7 +156,7 @@ def run_main_theorem_experiment(config: ExperimentConfig) -> dict:
         return k_sorted[min(len(k_sorted) - 1, int(q * len(k_sorted)))]
 
     return {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "instances": per_instance,
         "k_emp_count": len(k_values),
         "k_emp_max": max(k_values) if k_values else None,
@@ -181,7 +171,7 @@ def run_main_theorem_experiment(config: ExperimentConfig) -> dict:
 # discretization -> tree -> center-count chain, with assertions.
 # ---------------------------------------------------------------------------
 
-def run_pipeline_trace(seed: int, constants: ConstantsConfig = DEFAULT_CONSTANTS) -> dict:
+def run_pipeline_trace(seed: int) -> dict:
     """Run the whole constructive chain on one seeded instance and assert
     every stage's conclusion.  Raises PipelineError on the first failure;
     returns the stage-by-stage certificate report."""
@@ -241,7 +231,7 @@ def run_pipeline_trace(seed: int, constants: ConstantsConfig = DEFAULT_CONSTANTS
     k = max(2, min(n, int(math.ceil(math.log(2.0 * m) / t**4 / 4.0)) + n // 2))
     try:
         outcome = extraction.extract_coordinates(
-            family, t, k, [seed, 13], max_attempts=constants.extraction_max_attempts
+            family, t, k, [seed, 13], max_attempts=DEFAULT_CONSTANTS.extraction_max_attempts
         )
     except ExtractionError as exc:
         stage("extraction", False, {"error": str(exc), "k": k})
@@ -299,16 +289,10 @@ def run_pipeline_trace(seed: int, constants: ConstantsConfig = DEFAULT_CONSTANTS
 # Euclidean scales above c * E / sqrt(n).
 # ---------------------------------------------------------------------------
 
-def run_dudley_experiment(
-    seed: int,
-    samples: int = 20000,
-    constants: ConstantsConfig = DEFAULT_CONSTANTS,
-    kind: str = "uniform-real",
-    m: int = 12,
-    n: int = 6,
-) -> dict:
+def run_dudley_experiment(seed: int, samples: int = 20000) -> dict:
     """One instance: MC supremum, exact packing curve, both integral forms."""
-    family = gen_random_family(m, n, kind, [seed, 3])
+    m, n = 12, 6
+    family = gen_random_family(m, n, "uniform-real", [seed, 3])
     measure = ProbabilityMeasure.uniform(n)
     est = gaussian_sup_mc(family, samples, [seed, 4], "gaussian")
     e_hat = est.mean
@@ -320,13 +304,13 @@ def run_dudley_experiment(
     for s in scales:
         count, _ = entropy.packing_number(family, measure, s, mode="exact")
         curve.append((s * math.sqrt(n), math.log(count)))  # Euclidean scale
-    lower = constants.dudley_lower_c * e_hat / math.sqrt(n)
+    lower = DEFAULT_CONSTANTS.dudley_lower_c * e_hat / math.sqrt(n)
     upper = diam_l2mu * math.sqrt(n)
     integral = entropy_integral(curve, lower, max(upper, lower)) if curve else 0.0
     k_dudley = e_hat / integral if integral > 0 else math.inf
 
     vc_pts = shattering.vc_curve(family, [s for s in scales if s < 1] or [0.5])
-    vlower = constants.vc_integral_lower_c * e_hat / n
+    vlower = DEFAULT_CONSTANTS.vc_integral_lower_c * e_hat / n
     vintegral = vc_integral(vc_pts, min(vlower, 1.0), 1.0)
     k_vc_chain = e_hat / (math.sqrt(n) * vintegral) if vintegral > 0 else math.inf
 
@@ -350,11 +334,11 @@ def run_dudley_experiment(
 # regression tests.
 # ---------------------------------------------------------------------------
 
-def random_norm_instances(seed: int = 31415, trials: int = 6):
-    """Random polyhedral norms with the renormalized basis as vectors."""
+def random_norm_instances(seed: int = 31415):
+    """Six random polyhedral norms with the renormalized basis as vectors."""
     rng = np.random.default_rng(seed)
     out = []
-    for _ in range(trials):
+    for _ in range(6):
         n = int(rng.integers(3, 6))
         k = int(rng.integers(n, 2 * n + 2))
         funcs = rng.uniform(-1.0, 1.0, (k, n))
@@ -401,26 +385,10 @@ def estimate_extraction_constant(
 # Report emission.
 # ---------------------------------------------------------------------------
 
-def emit_report(report: dict, path, fmt: str = "json") -> None:
-    """Write a report with stable field ordering (byte-identical for
-    identical content)."""
-    path = Path(path)
-    if fmt == "json":
-        path.write_text(json.dumps(report, indent=1, default=_json_default))
-    elif fmt == "csv":
-        rows = report.get("rows")
-        if rows is None:
-            raise ValueError("csv emission needs a 'rows' list in the report")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        header = report.get("header")
-        if header:
-            writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-        path.write_text(buf.getvalue())
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+def emit_report(report: dict, path) -> None:
+    """Write a report as JSON with stable field ordering (byte-identical
+    for identical content)."""
+    Path(path).write_text(json.dumps(report, indent=1, default=_json_default))
 
 
 def _json_default(obj):

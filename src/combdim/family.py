@@ -177,9 +177,9 @@ def row_masks(sel: np.ndarray) -> list[int]:
 # so that save -> load reproduces the exact same doubles.
 # ---------------------------------------------------------------------------
 
-def read_json(path, kind: str, keys: tuple[str, ...] | None = ()):
-    """The JSON document in a family, polytope, norm, vectors, config or
-    tree file.  FamilyError names the file when it does not parse, nests
+def read_json(path, kind: str, keys: tuple[str, ...] | None):
+    """The JSON document in a family, polytope, norm, vectors or tree
+    file.  FamilyError names the file when it does not parse, nests
     too deep, or is not an object holding all of `keys` (the first one
     missing); keys=None takes any document."""
     try:

@@ -135,13 +135,9 @@ def vc_integral(curve, lower: float, upper: float = 1.0) -> float:
 
 
 def sudakov_ratio(
-    family: FunctionFamily,
-    measure: ProbabilityMeasure,
-    t_grid,
-    sup_estimate: SupEstimate,
-    mode: str = "exact",
+    family: FunctionFamily, measure: ProbabilityMeasure, t_grid, sup_estimate: SupEstimate
 ) -> float:
-    """max over the grid of t * sqrt(ln packing(t)) / E-hat.
+    """max over the grid of t * sqrt(ln packing(t)) / E-hat, with exact packing.
 
     A diagnostic for the constant in the lower bound relating packing
     numbers to the process supremum; no pass/fail judgement here.
@@ -150,14 +146,14 @@ def sudakov_ratio(
         raise ValueError("sup estimate must be positive")
     best = 0.0
     for t in t_grid:
-        count, _ = packing_number(family, measure, float(t), mode=mode)
+        count, _ = packing_number(family, measure, float(t), mode="exact")
         if count > 1:
             best = max(best, float(t) * math.sqrt(math.log(count)) / sup_estimate.mean)
     return best
 
 
-def weight_h(t: float, normalizer: float = WEIGHT_NORMALIZER) -> float:
+def weight_h(t: float) -> float:
     """Averaging weight c0 / (t ln^{1.1}(2/t)) with unit integral on (0, 1)."""
     if not (0.0 < t < 1.0):
         raise ValueError(f"t must lie in (0, 1), got {t!r}")
-    return normalizer / (t * math.log(2.0 / t) ** 1.1)
+    return WEIGHT_NORMALIZER / (t * math.log(2.0 / t) ** 1.1)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, FamilyError
 from .family import CoordinateSubset, read_json, read_rows, read_size
 from .simplex import LPProblem, lp_solve
 
@@ -82,15 +82,15 @@ class PolyhedralNorm:
         return float(np.abs(self.functionals @ x).max())
 
 
-def point_in_hull(poly: VPolytope, point, tol: float = HULL_TOL) -> bool:
+def point_in_hull(poly: VPolytope, point) -> bool:
     """Is the point a convex combination of the vertices?  (LP feasibility.)"""
     point = np.asarray(point, dtype=np.float64)
     if point.shape != (poly.dimension,):
         raise ValueError(f"point must have dimension {poly.dimension}")
-    return _in_hull_of(poly.vertices, point, tol)
+    return _in_hull_of(poly.vertices, point)
 
 
-def _in_hull_of(vertices: np.ndarray, point: np.ndarray, tol: float = HULL_TOL) -> bool:
+def _in_hull_of(vertices: np.ndarray, point: np.ndarray) -> bool:
     k = vertices.shape[0]
     a_eq = np.vstack([vertices.T, np.ones((1, k))])
     b_eq = np.concatenate([point, [1.0]])
@@ -114,7 +114,6 @@ def cube_in_projection(
     sigma: CoordinateSubset,
     t: float,
     translated: bool = False,
-    budget: int = CUBE_DIM_BUDGET,
 ) -> CubeWitness | None:
     """Does the coordinate projection contain a cube of side t?
 
@@ -127,8 +126,8 @@ def cube_in_projection(
     if t <= 0:
         raise ValueError("cube side must be positive")
     k = len(sigma)
-    if k > budget:
-        raise BudgetError(f"|sigma| = {k} exceeds the exponent budget {budget}")
+    if k > CUBE_DIM_BUDGET:
+        raise BudgetError(f"|sigma| = {k} exceeds the exponent budget {CUBE_DIM_BUDGET}")
     if k == 0:
         return CubeWitness(sigma, t, ())
     pts = poly.project(sigma)
@@ -190,30 +189,24 @@ def passing_supports(n: int, passes) -> list[tuple[int, ...]]:
     return found
 
 
-def convex_vc(
-    poly: VPolytope,
-    t: float,
-    translated: bool | None = None,
-    budget: int = CUBE_DIM_BUDGET,
-) -> tuple[int, CoordinateSubset]:
+def convex_vc(poly: VPolytope, t: float) -> tuple[int, CoordinateSubset]:
     """Largest |sigma| whose projection contains a side-t cube.
 
     Cube containment is downward monotone in sigma (sub-projections of a
     contained cube are contained), so `passing_supports` finds every
-    passing support.  Returns the lexicographically smallest maximizer.
+    passing support.  Symmetric bodies take the centred cube test, others
+    the translated one.  Returns the lexicographically smallest maximizer.
     """
-    if translated is None:
-        translated = not poly.symmetric
     n = poly.dimension
 
     def passes(support: tuple[int, ...]) -> bool:
         sigma = CoordinateSubset(support)
-        return cube_in_projection(poly, sigma, t, translated, budget) is not None
+        return cube_in_projection(poly, sigma, t, not poly.symmetric) is not None
 
     # Bodies like scaled cubes pass on every support; probing the full one
     # first skips the whole lattice walk in that case.
     full = tuple(range(n))
-    if n <= budget and passes(full):
+    if n <= CUBE_DIM_BUDGET and passes(full):
         return n, CoordinateSubset(full)
     # max keeps the first of the largest, the lexicographically smallest
     best = max(passing_supports(n, passes), key=len, default=())
@@ -271,7 +264,10 @@ def load_polytope(path) -> VPolytope:
     where = f"polytope file {path}"
     n = read_size(doc, "dimension", where)
     vertices = read_rows(doc["vertices"], n, f"'vertices' in {where}")
-    return VPolytope(n, vertices, bool(doc.get("symmetric", False)))
+    symmetric = doc.get("symmetric", False)
+    if type(symmetric) is not bool:
+        raise FamilyError(f"'symmetric' in {where} is not true or false")
+    return VPolytope(n, vertices, symmetric)
 
 
 def save_polytope(path, poly: VPolytope) -> None:

@@ -179,11 +179,9 @@ def lp_solve(problem: LPProblem, max_iter: int | None = None) -> LPResult:
 def _verify(problem: LPProblem, x: np.ndarray) -> None:
     if np.any(x < -FEAS_TOL):
         raise AssertionError("simplex returned a negative component")
-    if problem.a_ub is not None:
-        slack = problem.a_ub @ x - problem.b_ub
-        if np.any(slack > FEAS_TOL * (1.0 + np.abs(problem.b_ub))):
-            raise AssertionError("simplex returned an infeasible point (ub)")
-    if problem.a_eq is not None:
-        gap = np.abs(problem.a_eq @ x - problem.b_eq)
-        if np.any(gap > FEAS_TOL * (1.0 + np.abs(problem.b_eq))):
-            raise AssertionError("simplex returned an infeasible point (eq)")
+    slack = problem.a_ub @ x - problem.b_ub
+    if np.any(slack > FEAS_TOL * (1.0 + np.abs(problem.b_ub))):
+        raise AssertionError("simplex returned an infeasible point (ub)")
+    gap = np.abs(problem.a_eq @ x - problem.b_eq)
+    if np.any(gap > FEAS_TOL * (1.0 + np.abs(problem.b_eq))):
+        raise AssertionError("simplex returned an infeasible point (eq)")

@@ -163,16 +163,6 @@ def test_wrong_kind_of_file_names_key_and_file(tmp_path, family_file, capsys):
     vec_path.write_text("[1, 2")
     assert main(["cube-test", "--polytope", str(vec_path), "--sigma", "0", "--scale", "1"]) == 1
     assert f"cannot parse polytope file {vec_path}" in capsys.readouterr().err
-    cfg_path = tmp_path / "config.json"
-    for text, message in (
-        ('{"dudley_k_pin": 1.0 "x": 2}', "cannot parse config file"),
-        ("[1, 2]", "does not hold a JSON object"),
-        ('{"bogus_pin": 1.0}', "unknown key 'bogus_pin' in config file"),
-    ):
-        cfg_path.write_text(text)
-        assert main(["--config", str(cfg_path), "pipeline", "--instances", "0"]) == 1
-        err = capsys.readouterr().err
-        assert message in err and str(cfg_path) in err
     tree_path = tmp_path / "tree.json"
     for doc, message in (
         ({"scale": 1.4, "gap": 0.2}, "missing key 'root' in tree file"),
@@ -254,6 +244,9 @@ def test_number_rows_of_every_file_kind_are_checked(tmp_path, capsys):
                 ({"measure": ["1.0"]}, f"row 0 of 'measure' in family file {path}"),
                 ({"value_kind": {"integer": 2.7}}, f"'integer' in family file {path}"),
             ]
+        if kind == "polytope":
+            cases += [({"symmetric": flag}, f"'symmetric' in polytope file {path}")
+                      for flag in ("false", "no", 1)]
         for change, message in cases:
             path.write_text(json.dumps({**doc, **change}))
             assert main(command + [str(path)]) == 1, (kind, change)

@@ -135,21 +135,8 @@ def test_estimate_extraction_constant():
 def test_emit_report_json_round_trip_and_determinism(tmp_path):
     report = {"config": {"seed": 1}, "value": 0.123456789012345, "rows": [[1, 2.5]]}
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    emit_report(report, p1, "json")
-    emit_report(report, p2, "json")
+    emit_report(report, p1)
+    emit_report(report, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert json.loads(p1.read_text()) == report
 
-
-def test_emit_report_csv_schema(tmp_path):
-    report = {
-        "header": ["k", "success_rate", "stderr"],
-        "rows": [[1, 0.5, 0.01], [2, 0.75, 0.009]],
-    }
-    path = tmp_path / "curve.csv"
-    emit_report(report, path, "csv")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,success_rate,stderr"
-    assert len(lines) == 3
-    with pytest.raises(ValueError):
-        emit_report({"no_rows": 1}, tmp_path / "x.csv", "csv")

@@ -52,7 +52,7 @@ def test_cube_in_projection_translated():
     assert w is not None
     for off in itertools.product((0.0, 2.0), repeat=2):
         corner = np.array(w.translation) + off
-        assert point_in_hull(body, corner, tol=1e-6)
+        assert point_in_hull(body, corner)
     assert cube_in_projection(body, BOTH, 3.5, translated=True) is None
 
 
