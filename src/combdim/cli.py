@@ -226,7 +226,7 @@ def cmd_pipeline(args) -> int:
 def cmd_cube_test(args) -> int:
     poly = load_polytope(args.polytope)
     sigma = CoordinateSubset(tuple(int(i) for i in args.sigma.split(",")))
-    witness = cube_in_projection(poly, sigma, args.scale, translated=args.translated)
+    witness = cube_in_projection(poly, sigma, args.scale)
     doc = {
         "sigma": list(sigma),
         "side": args.scale,
@@ -377,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polytope", required=True)
     p.add_argument("--sigma", required=True, help="comma-separated coordinates")
     p.add_argument("--scale", type=float, required=True)
-    p.add_argument("--translated", action="store_true")
 
     p = add("convex-vc", cmd_convex_vc, help="largest cube-admitting projection")
     p.add_argument("--polytope", required=True)

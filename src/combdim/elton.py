@@ -64,7 +64,7 @@ def dual_body(norm: PolyhedralNorm, vectors) -> VPolytope:
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     w = norm.functionals @ vectors.T  # (n_func, n)
     verts = np.unique(np.vstack([w, -w]), axis=0)
-    return VPolytope(vectors.shape[0], verts, symmetric=True)
+    return VPolytope(vectors.shape[0], verts)
 
 
 def elton_subset(

@@ -43,7 +43,8 @@ def distances_from_gram(vals: np.ndarray, weights: np.ndarray, gram: np.ndarray)
     """L2(weights) distances between the rows of vals from their weighted
     Gram matrix.  g_ii + g_jj - 2 g_ij is off by a few ulps of g_ii + g_jj,
     so a value above 1e-4 of the largest g_ii + g_jj keeps about 11 digits;
-    smaller ones (cancellation range) are recomputed from differences."""
+    smaller ones (cancellation range) are recomputed from differences.
+    The upper triangle is mirrored, so the matrix is exactly symmetric."""
     norms = np.diag(gram)
     sq = norms[:, None] + norms[None, :] - 2.0 * gram
     close = sq <= 2e-4 * norms.max()
@@ -52,6 +53,7 @@ def distances_from_gram(vals: np.ndarray, weights: np.ndarray, gram: np.ndarray)
         i, j = np.nonzero(close)
         sq[i, j] = (vals[i] - vals[j]) ** 2 @ weights
     np.fill_diagonal(sq, 0.0)
+    sq = np.where(np.tri(len(sq), k=-1, dtype=bool), sq.T, sq)
     return np.sqrt(np.maximum(sq, 0.0))
 
 
@@ -70,11 +72,9 @@ def pairwise_distances(family: FunctionFamily, measure: ProbabilityMeasure, p: f
     return out
 
 
-def first_violating_pair(
-    family: FunctionFamily, measure: ProbabilityMeasure, t: float, p: float = 2.0
-):
-    """First pair (i, j, distance) with distance <= t, or None."""
-    dist = pairwise_distances(family, measure, p)
+def first_violating_pair(family: FunctionFamily, measure: ProbabilityMeasure, t: float):
+    """First pair (i, j, L2 distance) with distance <= t, or None."""
+    dist = pairwise_distances(family, measure)
     hits = np.argwhere(np.triu(dist <= t, 1))  # row-major, so the first pair comes first
     if not hits.size:
         return None
@@ -82,11 +82,11 @@ def first_violating_pair(
     return int(i), int(j), float(dist[i, j])
 
 
-def is_separated(family: FunctionFamily, measure: ProbabilityMeasure, t: float, p: float = 2.0) -> bool:
-    """True iff every pair of distinct rows is at distance strictly > t."""
+def is_separated(family: FunctionFamily, measure: ProbabilityMeasure, t: float) -> bool:
+    """True iff every pair of distinct rows is at L2 distance strictly > t."""
     if t <= 0:
         raise ValueError(f"separation scale must be positive, got {t!r}")
-    return first_violating_pair(family, measure, t, p) is None
+    return first_violating_pair(family, measure, t) is None
 
 
 # ---------------------------------------------------------------------------
@@ -94,18 +94,11 @@ def is_separated(family: FunctionFamily, measure: ProbabilityMeasure, t: float, 
 # maximum-clique branch and bound on the "distance > t" graph.
 # ---------------------------------------------------------------------------
 
-def _max_clique_size(adj: list[int], n: int) -> int:
-    order = sorted(range(n), key=lambda v: (-bin(adj[v]).count("1"), v))
-    pos = {v: k for k, v in enumerate(order)}
-    radj = [0] * n
-    for v in range(n):
-        mask = adj[v]
-        new = 0
-        while mask:
-            low = mask & -mask
-            new |= 1 << pos[low.bit_length() - 1]
-            mask ^= low
-        radj[pos[v]] = new
+def _max_clique_size(sel: np.ndarray) -> int:
+    """Clique number of the graph with boolean adjacency matrix sel."""
+    n = len(sel)
+    order = np.argsort(-sel.sum(axis=1), kind="stable")  # degree descending, then index
+    radj = row_masks(sel[np.ix_(order, order)])
     best = 1 if n else 0
 
     def expand(cand: int, size: int):
@@ -158,7 +151,7 @@ def packing_number(
         raise BudgetError(
             f"exact packing refused for m={m} > limit {PACKING_EXACT_LIMIT} (pass force=True)"
         )
-    return _max_clique_size(row_masks(dist > t), m), "exact"  # dist[i, i] = 0 < t
+    return _max_clique_size(dist > t), "exact"  # dist[i, i] = 0 < t
 
 
 # ---------------------------------------------------------------------------
@@ -184,25 +177,18 @@ def _exact_cover_size(ball: list[int], m: int) -> int:
     universe = (1 << m) - 1
     best = len(_greedy_cover(ball, universe))
     max_ball = max(b.bit_count() for b in ball)
+    covers = [[i for i in range(m) if ball[i] >> e & 1] for e in range(m)]
 
     def bnb(covered: int, used: int):
         nonlocal best
         if covered == universe:
             best = min(best, used)
             return
-        remaining = (universe & ~covered).bit_count()
-        if used + math.ceil(remaining / max_ball) >= best:
-            return
-        # Branch on the uncovered element with the fewest covering balls.
-        elt, options = -1, None
         todo = universe & ~covered
-        while todo:
-            e = (todo & -todo).bit_length() - 1
-            todo &= todo - 1
-            opts = [i for i in range(m) if ball[i] >> e & 1]
-            if options is None or len(opts) < len(options):
-                elt, options = e, opts
-        for i in options:
+        if used + math.ceil(todo.bit_count() / max_ball) >= best:
+            return
+        # Branch on the first uncovered element with the fewest covering balls.
+        for i in min((covers[e] for e in range(m) if todo >> e & 1), key=len):
             bnb(covered | ball[i], used + 1)
 
     bnb(0, 0)
@@ -254,8 +240,7 @@ def entropy_report(
     t: float,
     p: float = 2.0,
     mode: str = "exact",
-    force: bool = False,
 ) -> EntropyReport:
-    pack, pack_flag = packing_number(family, measure, t, p, mode, force=force)
-    cover, cover_flag = covering_number(family, measure, t, p, mode, force=force)
+    pack, pack_flag = packing_number(family, measure, t, p, mode)
+    cover, cover_flag = covering_number(family, measure, t, p, mode)
     return EntropyReport(t, pack, pack_flag, cover, cover_flag)

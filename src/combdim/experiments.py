@@ -35,6 +35,7 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 POOL_ROWS = 300  # random rows the greedy filter draws from
+POOL_GRID_MAX = 12  # entries of "integer-grid" pool rows lie in {0, ..., 12}
 
 
 def gen_separated_family(
@@ -43,7 +44,6 @@ def gen_separated_family(
     seed,
     m_target: int,
     kind: str = "uniform-real",
-    grid_max: int | None = None,
 ) -> FunctionFamily:
     """Random family, strictly t-separated under the uniform measure.
 
@@ -57,7 +57,7 @@ def gen_separated_family(
         signs = rng.integers(0, 2, size=(POOL_ROWS, n)) * 2.0 - 1.0
         pool = FunctionFamily(signs * rng.uniform(0.8, 1.0, size=(POOL_ROWS, n)))
     else:
-        pool = gen_random_family(POOL_ROWS, n, kind, seed, grid_max=grid_max)
+        pool = gen_random_family(POOL_ROWS, n, kind, seed, grid_max=POOL_GRID_MAX)
     measure = ProbabilityMeasure.uniform(n)
     dist = entropy.pairwise_distances(pool, measure)
     # Seed with the farthest pool pair, then fill greedily: anchoring on an

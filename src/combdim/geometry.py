@@ -3,9 +3,11 @@ projection certificates that tie shattering of convex bodies to
 l1-equivalence constants.
 
 All predicates reduce to small dense LPs: hull membership is feasibility
-of a convex combination, a translated cube is one joint LP over all cube
-vertices sharing the translation variable, and the l1 constant is one
-min-max LP per sign orthant (exact for polyhedral norms).
+of a convex combination, a cube in a symmetric body is centred and
+tested corner by corner, a cube in any other body is one joint LP over
+all cube vertices sharing the translation variable, and the l1 constant
+is one min-max LP per sign orthant (exact for polyhedral norms).
+Symmetry is read from the vertices, never declared.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import BudgetError, FamilyError
+from .errors import BudgetError
 from .family import CoordinateSubset, read_json, read_rows, read_size
 from .simplex import LPProblem, lp_solve
 
@@ -28,11 +30,12 @@ CUBE_DIM_BUDGET = 15
 
 @dataclass(frozen=True, eq=False)
 class VPolytope:
-    """Convex body given as the hull of finitely many vertices."""
+    """Convex body given as the hull of finitely many vertices.  It is
+    `symmetric` when every -v lies within 1e-12 of a vertex."""
 
     dimension: int
     vertices: np.ndarray
-    symmetric: bool = False
+    symmetric: bool = field(init=False)
 
     def __post_init__(self):
         verts = np.atleast_2d(np.asarray(self.vertices, dtype=np.float64))
@@ -44,13 +47,8 @@ class VPolytope:
             raise ValueError("vertices must have finite coordinates")
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
-        if self.symmetric:
-            for v in verts:
-                gaps = np.abs(verts + v).max(axis=1)
-                if gaps.min() > 1e-12:
-                    raise ValueError(
-                        f"polytope declared symmetric but -{v.tolist()} is missing"
-                    )
+        symmetric = all(np.abs(verts + v).max(axis=1).min() <= 1e-12 for v in verts)
+        object.__setattr__(self, "symmetric", symmetric)
 
     def project(self, sigma: CoordinateSubset) -> np.ndarray:
         """Deduplicated projected vertices (rows), shape (k', |sigma|)."""
@@ -102,7 +100,7 @@ def _in_hull_of(vertices: np.ndarray, point: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class CubeWitness:
-    """Translation vector h placing the cube inside the projection."""
+    """Corner h of the cube h + [0, side]^sigma inside the projection."""
 
     sigma: CoordinateSubset
     side: float
@@ -113,15 +111,14 @@ def cube_in_projection(
     poly: VPolytope,
     sigma: CoordinateSubset,
     t: float,
-    translated: bool = False,
 ) -> CubeWitness | None:
     """Does the coordinate projection contain a cube of side t?
 
-    Untranslated mode (symmetric bodies) checks the centered cube
-    [-t/2, t/2]^sigma vertex by vertex.  Translated mode searches a
-    translation h for the cube h + [0, t]^sigma with a single LP in which
-    all 2^|sigma| cube vertices share the translation variable.  Boundary
-    membership counts (closed bodies).
+    A symmetric body contains a side-t cube iff it contains the centred
+    one (average the cube with its reflection), so its test checks the
+    corners of [-t/2, t/2]^sigma one by one.  Any other body gets one LP
+    for a corner h of h + [0, t]^sigma in which all 2^|sigma| cube
+    vertices share h.  Boundary membership counts (closed bodies).
     """
     if t <= 0:
         raise ValueError("cube side must be positive")
@@ -133,22 +130,17 @@ def cube_in_projection(
     pts = poly.project(sigma)
 
     # Cheap bounding-box rejection before any LP.
-    width_hi, width_lo = pts.max(axis=0), pts.min(axis=0)
-    if np.any(width_hi - width_lo < t - HULL_TOL):
+    if np.any(np.ptp(pts, axis=0) < t - HULL_TOL):
         return None
 
-    if not translated:
-        if not poly.symmetric:
-            raise ValueError("untranslated cube test requires a symmetric polytope")
+    if poly.symmetric:
         half = t / 2.0
-        if np.any(width_hi < half - HULL_TOL) or np.any(width_lo > -half + HULL_TOL):
-            return None
         # By symmetry q passes iff -q does; fix the last sign positive.
         for signs in itertools.product((-1.0, 1.0), repeat=k - 1):
             q = np.array(signs + (1.0,)) * half
             if not _in_hull_of(pts, q):
                 return None
-        return CubeWitness(sigma, t, tuple(0.0 for _ in range(k)))
+        return CubeWitness(sigma, t, (-half,) * k)
 
     n_pts = pts.shape[0]
     corners = np.array(list(itertools.product((0.0, t), repeat=k)))
@@ -194,14 +186,13 @@ def convex_vc(poly: VPolytope, t: float) -> tuple[int, CoordinateSubset]:
 
     Cube containment is downward monotone in sigma (sub-projections of a
     contained cube are contained), so `passing_supports` finds every
-    passing support.  Symmetric bodies take the centred cube test, others
-    the translated one.  Returns the lexicographically smallest maximizer.
+    passing support.  Returns the lexicographically smallest maximizer.
     """
     n = poly.dimension
 
     def passes(support: tuple[int, ...]) -> bool:
         sigma = CoordinateSubset(support)
-        return cube_in_projection(poly, sigma, t, not poly.symmetric) is not None
+        return cube_in_projection(poly, sigma, t) is not None
 
     # Bodies like scaled cubes pass on every support; probing the full one
     # first skips the whole lattice walk in that case.
@@ -263,18 +254,13 @@ def load_polytope(path) -> VPolytope:
     doc = read_json(path, "polytope", ("dimension", "vertices"))
     where = f"polytope file {path}"
     n = read_size(doc, "dimension", where)
-    vertices = read_rows(doc["vertices"], n, f"'vertices' in {where}")
-    symmetric = doc.get("symmetric", False)
-    if type(symmetric) is not bool:
-        raise FamilyError(f"'symmetric' in {where} is not true or false")
-    return VPolytope(n, vertices, symmetric)
+    return VPolytope(n, read_rows(doc["vertices"], n, f"'vertices' in {where}"))
 
 
 def save_polytope(path, poly: VPolytope) -> None:
     doc = {
         "dimension": poly.dimension,
         "vertices": [[repr(float(v)) for v in row] for row in poly.vertices],
-        "symmetric": poly.symmetric,
     }
     Path(path).write_text(json.dumps(doc, indent=1))
 

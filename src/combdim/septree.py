@@ -109,8 +109,8 @@ def _beta_grid(dist: Distribution) -> list[float]:
     return sorted(grid)
 
 
-def small_dev_split(dist: Distribution, gap_halfwidth: float | None = None) -> SplitCertificate:
-    """Find a split certificate with gap sigma(X)/6 (or a given gap).
+def small_dev_split(dist: Distribution) -> SplitCertificate:
+    """Find a split certificate with gap sigma(X)/6.
 
     For every nonzero-variance distribution such a certificate exists, so
     failure of the direct search is a software defect.  Candidate
@@ -122,9 +122,7 @@ def small_dev_split(dist: Distribution, gap_halfwidth: float | None = None) -> S
     var, _ = variance(dist)
     if var <= 0.0:
         raise ValueError("small-deviation split needs nonzero variance")
-    gap = float(gap_halfwidth) if gap_halfwidth is not None else math.sqrt(var) / 6.0
-    if gap <= 0:
-        raise ValueError("gap halfwidth must be positive")
+    gap = math.sqrt(var) / 6.0
     values = sorted({v for v, _ in dist.atoms})
     candidates = set(values)
     candidates.update((a + b) / 2.0 for a, b in zip(values, values[1:]))

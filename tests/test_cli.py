@@ -1,10 +1,12 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from combdim.cli import main
+from combdim.cli import build_parser, main
 from combdim.family import FunctionFamily, save_family
 
 
@@ -213,7 +215,7 @@ def test_number_rows_of_every_file_kind_are_checked(tmp_path, capsys):
          {"domain_size": 2, "value_kind": "real", "values": [["0.5", "0.5"], ["-0.5", "0.5"]]},
          ["entropy", "--scale", "0.1", "--family"]),
         ("polytope", "vertices", "dimension",
-         {"dimension": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]], "symmetric": True},
+         {"dimension": 2, "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]]},
          ["convex-vc", "--scale", "0.5", "--polytope"]),
         ("norm", "functionals", "dimension",
          {"dimension": 2, "functionals": [["1.0", "0.0"], ["0.0", "1.0"]]},
@@ -244,9 +246,6 @@ def test_number_rows_of_every_file_kind_are_checked(tmp_path, capsys):
                 ({"measure": ["1.0"]}, f"row 0 of 'measure' in family file {path}"),
                 ({"value_kind": {"integer": 2.7}}, f"'integer' in family file {path}"),
             ]
-        if kind == "polytope":
-            cases += [({"symmetric": flag}, f"'symmetric' in polytope file {path}")
-                      for flag in ("false", "no", 1)]
         for change, message in cases:
             path.write_text(json.dumps({**doc, **change}))
             assert main(command + [str(path)]) == 1, (kind, change)
@@ -280,11 +279,11 @@ def test_geometry_commands(tmp_path, capsys):
     from combdim.geometry import VPolytope, save_polytope
 
     poly_path = tmp_path / "cross.json"
-    save_polytope(poly_path, VPolytope(2, [[1, 0], [-1, 0], [0, 1], [0, -1]], symmetric=True))
+    save_polytope(poly_path, VPolytope(2, [[1, 0], [-1, 0], [0, 1], [0, -1]]))
     assert main(["cube-test", "--polytope", str(poly_path), "--sigma", "0,1",
                  "--scale", "1.0"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["contained"] is True
+    assert doc["contained"] is True and doc["translation"] == [-0.5, -0.5]
 
     assert main(["convex-vc", "--polytope", str(poly_path), "--scale", "1.5"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -316,3 +315,22 @@ def test_main_theorem_command(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["k_emp_count"] >= 1
     assert doc["config"]["seed"] == 2026
+
+
+def test_old_symmetric_key_is_ignored(tmp_path, capsys):
+    path = tmp_path / "cross.json"
+    path.write_text(json.dumps({"dimension": 2, "vertices": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                                "symmetric": "no"}))
+    assert main(["convex-vc", "--polytope", str(path), "--scale", "1.5"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"dimension": 1, "sigma": [0]}
+
+
+def test_readme_cli_synopsis_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("combdim ")]
+    assert len(lines) >= 17
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line.replace("[", "").replace("]", ""))[1:]
+        parser.parse_args(argv)  # a stale flag exits 2

@@ -89,6 +89,26 @@ def test_close_pair_distance_is_exact():
     assert _min_subset_distance(pair, np.arange(8)) == pytest.approx(direct, rel=1e-12)
 
 
+def test_distance_matrix_is_exactly_symmetric():
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        m, n = int(rng.integers(2, 12)), int(rng.integers(1, 8))
+        family = gen_random_family(m, n, "uniform-real", int(rng.integers(1 << 30)))
+        measure = ProbabilityMeasure(rng.dirichlet(np.ones(n)))
+        dist = pairwise_distances(family, measure)
+        assert np.array_equal(dist, dist.T), trial
+
+
+def test_packing_and_covering_read_one_distance_at_a_tie():
+    # At t = min(d_ij, d_ji) an asymmetric matrix gave packing 7 but
+    # covering 6, which fits neither reading of d_ij.
+    family = gen_random_family(7, 3, "uniform-real", 8)
+    mu = ProbabilityMeasure.uniform(3)
+    t = 0.23526014253510166
+    assert packing_number(family, mu, t) == (7, "exact")
+    assert covering_number(family, mu, t) == (7, "exact")
+
+
 def test_packing_examples():
     consts = FunctionFamily([[0, 0], [1, 1]])
     assert packing_number(consts, UNIFORM2, 0.5) == (2, "exact")

@@ -15,8 +15,8 @@ from combdim import (
 )
 from combdim.geometry import load_norm, load_polytope, save_norm, save_polytope
 
-SQUARE = VPolytope(2, [[1, 1], [1, -1], [-1, 1], [-1, -1]], symmetric=True)
-CROSS = VPolytope(2, [[1, 0], [-1, 0], [0, 1], [0, -1]], symmetric=True)
+SQUARE = VPolytope(2, [[1, 1], [1, -1], [-1, 1], [-1, -1]])
+CROSS = VPolytope(2, [[1, 0], [-1, 0], [0, 1], [0, -1]])
 BOTH = CoordinateSubset((0, 1))
 
 
@@ -27,9 +27,12 @@ def test_point_in_hull_examples():
     assert not point_in_hull(CROSS, [0.51, 0.51])
 
 
-def test_symmetry_validation():
-    with pytest.raises(ValueError, match="symmetric"):
-        VPolytope(2, [[1, 0], [0, 1]], symmetric=True)
+def test_symmetry_is_read_from_the_vertices():
+    pts = np.array([[1.0, 0.2], [0.3, -1.0], [-0.5, 0.5]])
+    assert VPolytope(2, np.vstack([pts, -pts])).symmetric
+    assert VPolytope(2, np.vstack([pts, -pts + 1e-13])).symmetric
+    assert not VPolytope(2, [[0, 0], [1, 0], [0, 1]]).symmetric
+    assert not VPolytope(2, np.vstack([pts, -pts + 1e-11])).symmetric
 
 
 def test_polytope_rejects_non_finite_vertices():
@@ -43,27 +46,37 @@ def test_cube_in_projection_examples():
     assert cube_in_projection(CROSS, BOTH, 1.0) is not None  # corner on boundary
     assert cube_in_projection(CROSS, BOTH, 1.05) is None
     w = cube_in_projection(CROSS, CoordinateSubset((0,)), 2.0)
-    assert w is not None and w.translation == (0.0,)
+    assert w is not None and w.translation == (-1.0,)
+
+
+def test_centred_witness_is_the_cube_corner():
+    w = cube_in_projection(CROSS, BOTH, 1.0)
+    assert w.translation == (-0.5, -0.5)
+    for off in itertools.product((0.0, 1.0), repeat=2):
+        assert point_in_hull(CROSS, np.array(w.translation) + off)
 
 
 def test_cube_in_projection_translated():
     body = VPolytope(2, [[0, 0], [3, 0], [0, 3], [3, 3]])
-    w = cube_in_projection(body, BOTH, 2.0, translated=True)
+    w = cube_in_projection(body, BOTH, 2.0)
     assert w is not None
     for off in itertools.product((0.0, 2.0), repeat=2):
         corner = np.array(w.translation) + off
         assert point_in_hull(body, corner)
-    assert cube_in_projection(body, BOTH, 3.5, translated=True) is None
+    assert cube_in_projection(body, BOTH, 3.5) is None
 
 
-def test_cube_requires_symmetry_or_translation():
+def test_asymmetric_body_takes_the_translated_lp():
     body = VPolytope(2, [[0, 0], [1, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        cube_in_projection(body, BOTH, 0.5, translated=False)
+    w = cube_in_projection(body, BOTH, 0.5)
+    assert w is not None
+    for off in itertools.product((0.0, 0.5), repeat=2):
+        assert point_in_hull(body, np.array(w.translation) + off)
+    assert cube_in_projection(body, BOTH, 0.6) is None
 
 
 def test_cube_budget():
-    big = VPolytope(16, np.vstack([np.eye(16), -np.eye(16)]), symmetric=True)
+    big = VPolytope(16, np.vstack([np.eye(16), -np.eye(16)]))
     with pytest.raises(BudgetError):
         cube_in_projection(big, CoordinateSubset(tuple(range(16))), 0.1)
 
@@ -78,7 +91,7 @@ def test_convex_vc_examples():
 def test_convex_vc_lex_smallest():
     # a box that is wide on coordinates 0 and 2 only
     verts = list(itertools.product((-1.0, 1.0), (-0.1, 0.1), (-1.0, 1.0)))
-    body = VPolytope(3, verts, symmetric=True)
+    body = VPolytope(3, verts)
     dim, sigma = convex_vc(body, 1.0)
     assert dim == 2 and tuple(sigma) == (0, 2)
 
@@ -88,7 +101,7 @@ def test_cube_monotone_in_sigma_and_t():
     for trial in range(10):
         k = int(rng.integers(4, 9))
         pts = rng.uniform(-1, 1, (k, 3))
-        body = VPolytope(3, np.vstack([pts, -pts]), symmetric=True)
+        body = VPolytope(3, np.vstack([pts, -pts]))
         for t in (0.2, 0.5, 0.9):
             hits = {
                 sigma: cube_in_projection(body, CoordinateSubset(sigma), t) is not None
@@ -170,7 +183,7 @@ def test_cube_test_matches_pattern_witness_oracle():
     for trial in range(10):
         k = int(rng.integers(3, 7))
         pts = np.round(rng.uniform(-1, 1, (k, 3)), 2)  # rational data
-        body = VPolytope(3, np.vstack([pts, -pts]), symmetric=True)
+        body = VPolytope(3, np.vstack([pts, -pts]))
         for t in (0.15, 0.4, 0.8):
             for r in (1, 2, 3):
                 for sigma in itertools.combinations(range(3), r):
@@ -187,7 +200,7 @@ def test_duality_link_randomized():
         n = 3
         k = int(rng.integers(3, 7))
         pts = rng.uniform(-1, 1, (k, n))
-        body = VPolytope(n, np.vstack([pts, -pts]), symmetric=True)
+        body = VPolytope(n, np.vstack([pts, -pts]))
         norm = PolyhedralNorm(n, body.vertices)
         basis = np.eye(n)
         for t in (0.1, 0.3, 0.6):
@@ -208,7 +221,7 @@ def test_cube_body_agrees_with_function_family_shattering():
 
     a = 0.7
     verts = np.array(list(itertools.product((-a, a), repeat=3)))
-    body = VPolytope(3, verts, symmetric=True)
+    body = VPolytope(3, verts)
     family = FunctionFamily(verts)
     for t in (0.3, 1.0, 1.39, 1.41, 2.0):
         expected = 3 if t <= 2 * a else 0

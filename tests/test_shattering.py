@@ -353,7 +353,7 @@ def test_center_count_vs_leaves_and_sqrt_m():
         n = int(rng.integers(2, 5))
         fam = gen_separated_family(
             n, 6.0, int(rng.integers(1 << 30)), m_target=10,
-            kind="integer-grid", grid_max=12,
+            kind="integer-grid",
         )
         measure = ProbabilityMeasure.uniform(n)
         if fam.size < 2:
