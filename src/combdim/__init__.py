@@ -26,6 +26,7 @@ from .errors import (
     NotSeparatedError,
     PipelineError,
     RationalizationError,
+    SolverError,
 )
 from .extraction import (
     ExtractionOutcome,

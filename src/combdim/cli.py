@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 assertion/validation failure, 3 enumeration
-budget exceeded, 1 other errors.
+budget exceeded, 4 solver failure, 1 other errors.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import entropy, extraction, septree, shattering
 from .constants import DEFAULT_CONSTANTS
-from .errors import BudgetError, ExtractionError, FamilyError, PipelineError
+from .errors import BudgetError, ExtractionError, FamilyError, PipelineError, SolverError
 from .experiments import (
     ExperimentConfig,
     emit_report,
@@ -408,6 +408,9 @@ def main(argv=None) -> int:
     except ExtractionError as exc:
         print(f"extraction failed: {exc}", file=sys.stderr)
         return 2
+    except SolverError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 4
     except Exception as exc:  # argparse handles usage errors before this
         print(f"error: {exc}", file=sys.stderr)
         return 1

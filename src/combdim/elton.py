@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .constants import DEFAULT_CONSTANTS
 from .family import CoordinateSubset
 from .gaussian import SupEstimate, gaussian_sup_mc, weight_h
-from .geometry import CUBE_DIM_BUDGET, HULL_TOL, PolyhedralNorm, VPolytope, ell1_lower_constant
+from .geometry import HULL_TOL, PolyhedralNorm, VPolytope, ell1_lower_constant
 from .geometry import passing_supports
 from .geometry import convex_vc  # noqa: F401  perfbench/spans.py wraps convex_vc at this name
 
@@ -73,7 +74,6 @@ def elton_subset(
     samples: int = 2000,
     seed=0,
     kind: str = "rademacher",
-    cube_budget: int = CUBE_DIM_BUDGET,
 ) -> EltonResult:
     """Extract a coordinate subset l1-equivalent to its span.
 
@@ -97,13 +97,13 @@ def elton_subset(
     def passes(support: tuple[int, ...], t: float) -> bool:
         if support not in radius:
             sigma = CoordinateSubset(support)
-            radius[support] = ell1_lower_constant(norm, vectors, sigma, budget=cube_budget)
+            radius[support] = ell1_lower_constant(norm, vectors, sigma)
         return radius[support] >= t / 2.0 - HULL_TOL
 
     # As in convex_vc, a probe of the full support settles every scale it
     # passes.  r only shrinks as a support grows, so one walk at the finest
     # unsettled scale visits every support that passes at a coarser one.
-    table = [tuple(range(n))] if n <= cube_budget else []
+    table = [tuple(range(n))] if n <= geometry.CUBE_DIM_BUDGET else []
     unsettled = [t for t in DEFAULT_T_GRID if not (table and passes(table[0], t))]
     if unsettled:
         table += passing_supports(n, lambda support: passes(support, unsettled[-1]))

@@ -132,7 +132,6 @@ def packing_number(
     t: float,
     p: float = 2.0,
     mode: str = "exact",
-    force: bool = False,
 ) -> tuple[int, str]:
     """Maximal size of a t-separated subset.
 
@@ -147,10 +146,8 @@ def packing_number(
         return _greedy_packing(dist, t), "lower-bound"
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    if m > PACKING_EXACT_LIMIT and not force:
-        raise BudgetError(
-            f"exact packing refused for m={m} > limit {PACKING_EXACT_LIMIT} (pass force=True)"
-        )
+    if m > PACKING_EXACT_LIMIT:
+        raise BudgetError(f"exact packing refused for m={m} > limit {PACKING_EXACT_LIMIT}")
     return _max_clique_size(dist > t), "exact"  # dist[i, i] = 0 < t
 
 
@@ -201,7 +198,6 @@ def covering_number(
     t: float,
     p: float = 2.0,
     mode: str = "exact",
-    force: bool = False,
 ) -> tuple[int, str]:
     """Minimal number of radius-t balls centered at rows covering the family.
 
@@ -216,10 +212,8 @@ def covering_number(
         return len(_greedy_cover(ball, (1 << m) - 1)), "upper-bound"
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    if m > COVERING_EXACT_LIMIT and not force:
-        raise BudgetError(
-            f"exact covering refused for m={m} > limit {COVERING_EXACT_LIMIT} (pass force=True)"
-        )
+    if m > COVERING_EXACT_LIMIT:
+        raise BudgetError(f"exact covering refused for m={m} > limit {COVERING_EXACT_LIMIT}")
     return _exact_cover_size(ball, m), "exact"
 
 

@@ -35,7 +35,12 @@ class ExtractionError(RuntimeError):
         self.best_separation = best_separation
 
 
-class IterationCapError(RuntimeError):
+class SolverError(RuntimeError):
+    """The simplex solver failed: its point broke a constraint it was
+    checked against, or it hit its iteration cap."""
+
+
+class IterationCapError(SolverError):
     """The simplex solver hit its iteration cap."""
 
 

@@ -201,14 +201,14 @@ def run_pipeline_trace(seed: int) -> dict:
 
     # Variance identity on every coordinate's empirical distribution.
     worst = 0.0
-    for dist in septree.coordinate_distributions(family):
+    for dist in septree.coordinate_distributions(family.values):
         var, pair = septree.variance(dist)
         worst = max(worst, abs(pair - 2.0 * var))
     stage("variance-identity", worst <= 1e-12, {"max_gap": worst})
 
     # A coordinate with sigma >= t/2 admitting a gap t/12 split.
     coord, cert = septree.find_separating_coordinate(family, measure, t)
-    dists = septree.coordinate_distributions(family)
+    dists = septree.coordinate_distributions(family.values)
     stage(
         "separating-coordinate",
         cert.is_valid_for(dists[coord]) and cert.gap_halfwidth >= t / 12.0 - 1e-12,
@@ -388,16 +388,4 @@ def estimate_extraction_constant(
 def emit_report(report: dict, path) -> None:
     """Write a report as JSON with stable field ordering (byte-identical
     for identical content)."""
-    Path(path).write_text(json.dumps(report, indent=1, default=_json_default))
-
-
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if hasattr(obj, "to_dict"):
-        return obj.to_dict()
-    if hasattr(obj, "__dict__"):
-        return obj.__dict__
-    return str(obj)
+    Path(path).write_text(json.dumps(report, indent=1))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +28,7 @@ class ProbabilityMeasure:
     """Atomic probability measure on {0, ..., n-1}."""
 
     weights: np.ndarray
-    is_uniform: bool = False
+    is_uniform: bool = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)

@@ -204,12 +204,7 @@ def convex_vc(poly: VPolytope, t: float) -> tuple[int, CoordinateSubset]:
     return len(best), CoordinateSubset(best)
 
 
-def ell1_lower_constant(
-    norm: PolyhedralNorm,
-    vectors,
-    sigma: CoordinateSubset,
-    budget: int = CUBE_DIM_BUDGET,
-) -> float:
+def ell1_lower_constant(norm: PolyhedralNorm, vectors, sigma: CoordinateSubset) -> float:
     """min over the l1 sphere {sum_{i in sigma} |a_i| = 1} of
     ||sum a_i x_i|| — the l1-equivalence constant of the subset.
 
@@ -221,8 +216,8 @@ def ell1_lower_constant(
     k = len(sigma)
     if k == 0:
         raise ValueError("sigma must be nonempty")
-    if k > budget:
-        raise BudgetError(f"|sigma| = {k} exceeds the exponent budget {budget}")
+    if k > CUBE_DIM_BUDGET:
+        raise BudgetError(f"|sigma| = {k} exceeds the exponent budget {CUBE_DIM_BUDGET}")
     sigma.validate_against(vectors.shape[0])
     w = norm.functionals @ vectors[list(sigma)].T  # (n_func, k)
     n_func = w.shape[0]

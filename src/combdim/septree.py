@@ -166,9 +166,10 @@ def _reinterpret_gap(cert: SplitCertificate, dist: Distribution, gap: float) -> 
     return out
 
 
-def coordinate_distributions(family: FunctionFamily) -> list[Distribution]:
-    """Per-coordinate empirical distribution over the rows (weight 1/m)."""
-    return [Distribution.from_sample(family.values[:, i]) for i in range(family.domain_size)]
+def coordinate_distributions(values: np.ndarray) -> list[Distribution]:
+    """Per-coordinate empirical distribution over the rows of a value
+    matrix (weight 1/m)."""
+    return [Distribution.from_sample(col) for col in values.T]
 
 
 def _require_separated(family: FunctionFamily, measure: ProbabilityMeasure, t: float) -> None:
@@ -192,29 +193,26 @@ def find_separating_coordinate(
     Requires the family to be t-separated in L2(measure) with m >= 2; the
     argument via the pair-difference variance identity guarantees a
     coordinate with sigma(values) >= t/2, whose sigma/6 split certificate
-    remains valid at gap t/12.  Coordinates are scanned in order of
-    decreasing variance (ties toward smaller index).
+    remains valid at gap t/12.  The coordinate of largest variance (ties
+    toward the smaller index) is taken: if it fails, every other one does.
     """
     if family.size < 2:
         raise NotSeparatedError("need at least two rows to separate", pair=None)
     _require_separated(family, measure, t)
-    return _split_coordinate(family, t)
+    return _split_coordinate(family.values, t)
 
 
-def _split_coordinate(family: FunctionFamily, t: float) -> tuple[int, SplitCertificate]:
-    """find_separating_coordinate on a family already known to be t-separated."""
-    dists = coordinate_distributions(family)
+def _split_coordinate(values: np.ndarray, t: float) -> tuple[int, SplitCertificate]:
+    """find_separating_coordinate on the value rows of a family already
+    known to be t-separated."""
+    dists = coordinate_distributions(values)
     variances = [variance(d)[0] for d in dists]
-    order = sorted(range(family.domain_size), key=lambda i: (-variances[i], i))
-    for i in order:
-        # Exact comparison: sigma/6 >= t/12 makes the gap reinterpretation
-        # below a shrink, under which tail masses can only grow.
-        if math.sqrt(variances[i]) / 6.0 >= t / 12.0:
-            cert = small_dev_split(dists[i])
-            return i, _reinterpret_gap(cert, dists[i], t / 12.0)
-    raise AssertionError(
-        f"no coordinate with sigma >= {t / 2} found on a {t}-separated family"
-    )
+    i = variances.index(max(variances))
+    # Exact comparison: sigma/6 >= t/12 makes the gap reinterpretation
+    # below a shrink, under which tail masses can only grow.
+    if not math.sqrt(variances[i]) / 6.0 >= t / 12.0:
+        raise AssertionError(f"no coordinate with sigma >= {t / 2} found on a {t}-separated family")
+    return i, _reinterpret_gap(small_dev_split(dists[i]), dists[i], t / 12.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,8 +303,9 @@ def build_separating_tree(
     def build(indices: tuple[int, ...]) -> TreeNode:
         if len(indices) == 1:
             return TreeNode(indices)
-        coord, cert = _split_coordinate(family.subfamily(indices), t)
-        col = values[list(indices), coord]
+        rows = values[list(indices)]
+        coord, cert = _split_coordinate(rows, t)
+        col = rows[:, coord]
         hi = cert.threshold + cert.gap_halfwidth
         lo = cert.threshold - cert.gap_halfwidth
         plus = tuple(r for r, v in zip(indices, col) if v > hi)

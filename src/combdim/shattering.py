@@ -107,7 +107,7 @@ def shatters(family: FunctionFamily, center: Center) -> ShatterWitness | None:
     cols = vals[:, list(center.support.indices)]
     table = _level_table(cols, [[h] for h in center.levels], np.less, np.greater)
     record: list[tuple] = []
-    _walk(table, family.size, center.dimension, DEFAULT_BUDGET, False, record)
+    _walk(table, family.size, center.dimension, False, record)
     full = [lanes for support, _, lanes in record if len(support) == center.dimension]
     return _witness(center, full[0], family.size) if full else None
 
@@ -160,13 +160,13 @@ def _undominated(table: list[list[tuple]]) -> list[list[tuple]]:
     return out
 
 
-def _walk(table, m: int, max_dim: int, budget: int, best_only: bool, record=None):
+def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
     """Depth-first walk over shattered centers of dimension k <= max_dim
     with 2^k <= m.  Coordinates are added in increasing order, each one's
-    levels in table order; a scanned coordinate costs one budget unit per
-    level.  The pattern masks of a center travel as lanes of one integer,
-    each with a guard bit above it: adding 2^m - 1 to every lane sets all
-    guard bits iff no lane is empty.
+    levels in table order; a scanned coordinate costs one check per level,
+    and a walk may spend DEFAULT_BUDGET checks.  The pattern masks of a
+    center travel as lanes of one integer, each with a guard bit above it:
+    adding 2^m - 1 to every lane sets all guard bits iff no lane is empty.
 
     Count mode returns counts[k], the number of centers of dimension k,
     and appends (support, levels, packed masks) of every center, trivial
@@ -181,7 +181,7 @@ def _walk(table, m: int, max_dim: int, budget: int, best_only: bool, record=None
     tables = [[[(v, b * r, a * r) for v, b, a in entries] for entries in table] for r in reps]
     counts = [1] + [0] * depth
     best = (0, (), ())
-    checks = 0
+    checks, budget = 0, DEFAULT_BUDGET
     if record is not None:
         record.append(((), (), full))
 
@@ -198,7 +198,9 @@ def _walk(table, m: int, max_dim: int, budget: int, best_only: bool, record=None
                 return
             checks += len(lanes[i])
             if checks > budget:
-                raise BudgetError(f"shattering walk exceeded budget {budget}")
+                got = (f"best dimension found: {best[0]}" if best_only
+                       else f"centers counted: {sum(counts)}")
+                raise BudgetError(f"shattering walk exceeded budget {budget} level checks ({got})")
             for v, below, above in lanes[i]:
                 low = masks & below
                 if (low + ones) & guards != guards:
@@ -225,44 +227,38 @@ def _walk(table, m: int, max_dim: int, budget: int, best_only: bool, record=None
     return best if best_only else [c for c in counts if c]  # nonzero counts form a prefix
 
 
-def shattered_center_counts(
-    family: FunctionFamily, max_dim: int, budget: int = DEFAULT_BUDGET
-) -> list[int]:
+def shattered_center_counts(family: FunctionFamily, max_dim: int) -> list[int]:
     """Number of shattered centers of each dimension 0..d (index = dimension,
     the trivial center included), d being the largest dimension <= max_dim
     that occurs.  Builds no center objects."""
-    return _walk(_integer_table(family), family.size, max_dim, budget, False)
+    return _walk(_integer_table(family), family.size, max_dim, False)
 
 
-def shatter_witnesses(
-    family: FunctionFamily, max_dim: int, budget: int = DEFAULT_BUDGET
-) -> list[ShatterWitness]:
+def shatter_witnesses(family: FunctionFamily, max_dim: int) -> list[ShatterWitness]:
     """Every shattered center of dimension <= max_dim (trivial one first,
     then in lexicographic order of (support, levels) along prefix chains),
     each with the witness shatters() gives it, read from the walk's masks."""
     record: list[tuple] = []
-    _walk(_integer_table(family), family.size, max_dim, budget, False, record)
+    _walk(_integer_table(family), family.size, max_dim, False, record)
     return [_witness(Center(CoordinateSubset(s), v), lanes, family.size) for s, v, lanes in record]
 
 
-def enumerate_shattered_centers(
-    family: FunctionFamily, max_dim: int, budget: int = DEFAULT_BUDGET
-) -> list[Center]:
+def enumerate_shattered_centers(family: FunctionFamily, max_dim: int) -> list[Center]:
     """All shattered centers of dimension <= max_dim, in the order of
     shatter_witnesses."""
     record: list[tuple] = []
-    _walk(_integer_table(family), family.size, max_dim, budget, False, record)
+    _walk(_integer_table(family), family.size, max_dim, False, record)
     return [Center(CoordinateSubset(s), v) for s, v, _ in record]
 
 
-def vc_integer(family: FunctionFamily, budget: int = DEFAULT_BUDGET) -> int:
+def vc_integer(family: FunctionFamily) -> int:
     """Maximal dimension of a center shattered by the integer family."""
     table = _undominated(_integer_table(family))
-    return _walk(table, family.size, family.domain_size, budget, True)[0]
+    return _walk(table, family.size, family.domain_size, True)[0]
 
 
 def vc_real_witness(
-    family: FunctionFamily, t: float, budget: int = DEFAULT_BUDGET
+    family: FunctionFamily, t: float
 ) -> tuple[int, CoordinateSubset, tuple[float, ...]]:
     """(dimension, support, levels) of a maximum t-shattered set.
 
@@ -273,21 +269,19 @@ def vc_real_witness(
     if t <= 0:
         raise ValueError("shattering scale must be positive")
     table = _undominated(_real_table(family, t))
-    dim, support, levels = _walk(table, family.size, family.domain_size, budget, True)
+    dim, support, levels = _walk(table, family.size, family.domain_size, True)
     return dim, CoordinateSubset(support), levels
 
 
-def vc_real(family: FunctionFamily, t: float, budget: int = DEFAULT_BUDGET) -> int:
+def vc_real(family: FunctionFamily, t: float) -> int:
     """Maximal cardinality of a set t-shattered by the real family."""
-    return vc_real_witness(family, t, budget)[0]
+    return vc_real_witness(family, t)[0]
 
 
-def vc_curve(
-    family: FunctionFamily, t_grid, budget: int = DEFAULT_BUDGET
-) -> list[tuple[float, int]]:
+def vc_curve(family: FunctionFamily, t_grid) -> list[tuple[float, int]]:
     """vc_real sampled over a grid of scales (returned sorted ascending)."""
     grid = sorted(float(t) for t in t_grid)
-    curve = [(t, vc_real(family, t, budget)) for t in grid]
+    curve = [(t, vc_real(family, t)) for t in grid]
     dims = [d for _, d in curve]
     assert all(a >= b for a, b in zip(dims, dims[1:])), "vc curve must be non-increasing"
     return curve

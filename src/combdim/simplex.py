@@ -25,13 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IterationCapError
+from .errors import IterationCapError, SolverError
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-9
 PIVOT_REL = 1e-8  # of the column's largest entry: smaller pivots are passed over when safe
 DROP_TOL = 1e-8  # the most a row skipped for a small entry may fall below zero
 RATIO_TIE = 1e-12
+ITER_FACTOR = 200  # each phase may pivot ITER_FACTOR * (2 rows + x and slack columns + 10) times
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ def _run_simplex(
     )
 
 
-def lp_solve(problem: LPProblem, max_iter: int | None = None) -> LPResult:
+def lp_solve(problem: LPProblem) -> LPResult:
     """Solve the LP; optimal points satisfy all constraints within 1e-9."""
     n = problem.c.size
     a_ub, b_ub, a_eq, b_eq = problem.a_ub, problem.b_ub, problem.a_eq, problem.b_eq
@@ -142,8 +143,7 @@ def lp_solve(problem: LPProblem, max_iter: int | None = None) -> LPResult:
     basis = n + np.arange(m)
     basis[art_rows] = art_start + np.arange(art_rows.size)
 
-    if max_iter is None:
-        max_iter = 200 * (2 * m + art_start + 10)
+    max_iter = ITER_FACTOR * (2 * m + art_start + 10)
 
     if art_rows.size:
         cost1 = np.zeros(ncols)
@@ -178,10 +178,10 @@ def lp_solve(problem: LPProblem, max_iter: int | None = None) -> LPResult:
 
 def _verify(problem: LPProblem, x: np.ndarray) -> None:
     if np.any(x < -FEAS_TOL):
-        raise AssertionError("simplex returned a negative component")
+        raise SolverError("simplex returned a negative component")
     slack = problem.a_ub @ x - problem.b_ub
     if np.any(slack > FEAS_TOL * (1.0 + np.abs(problem.b_ub))):
-        raise AssertionError("simplex returned an infeasible point (ub)")
+        raise SolverError("simplex returned an infeasible point (ub)")
     gap = np.abs(problem.a_eq @ x - problem.b_eq)
     if np.any(gap > FEAS_TOL * (1.0 + np.abs(problem.b_eq))):
-        raise AssertionError("simplex returned an infeasible point (eq)")
+        raise SolverError("simplex returned an infeasible point (eq)")

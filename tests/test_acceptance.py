@@ -76,9 +76,9 @@ def test_c01_sandwich():
             family = gen_random_family(m, n, kind, [2026, 1, i, 1])
             measure = ProbabilityMeasure.uniform(n)
             for t in mid_gap_scales(family, measure, 5):
-                pack, pf = packing_number(family, measure, t, force=True)
-                cover, cf = covering_number(family, measure, t, force=True)
-                cover_half, _ = covering_number(family, measure, t / 2, force=True)
+                pack, pf = packing_number(family, measure, t)
+                cover, cf = covering_number(family, measure, t)
+                cover_half, _ = covering_number(family, measure, t / 2)
                 assert pf == "exact" and cf == "exact"
                 assert cover <= pack <= cover_half, (i, t, cover, pack, cover_half)
                 checked += 1

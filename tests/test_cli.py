@@ -149,6 +149,20 @@ def test_budget_exit_code(tmp_path, capsys):
     assert main(["entropy", "--family", str(fam), "--scale", "0.4"]) == 3
 
 
+def test_solver_failure_exit_code(tmp_path, capsys):
+    # vectors scaled to 1e-7 leave the orthant LPs badly scaled against the
+    # solver's absolute tolerances, and the returned point fails its check
+    from combdim.experiments import random_norm_instances
+    from combdim.geometry import save_norm
+
+    norm, vectors, _ = random_norm_instances(1)[1]
+    save_norm(tmp_path / "norm.json", norm)
+    vec_path = tmp_path / "vecs.json"
+    vec_path.write_text(json.dumps((vectors * 1e-7).tolist()))
+    assert main(["l1-const", "--norm", str(tmp_path / "norm.json"), "--vectors", str(vec_path)]) == 4
+    assert "solver failure: simplex returned an infeasible point (ub)" in capsys.readouterr().err
+
+
 def test_error_exit_code(tmp_path):
     assert main(["vc", "--family", str(tmp_path / "missing.json"), "--scale", "1"]) == 1
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from combdim import CoordinateSubset, PolyhedralNorm, elton_subset
+from combdim import CoordinateSubset, PolyhedralNorm, elton_subset, geometry
 from combdim.constants import DEFAULT_CONSTANTS
 from combdim.elton import dual_body, exact_tightness_norm, rudelson_example
 from combdim.errors import BudgetError
@@ -45,16 +45,18 @@ def test_elton_identical_vectors():
     assert res.s * res.t == pytest.approx(1.0 / math.sqrt(n), abs=1e-9)
 
 
-def test_elton_cube_budget_below_n():
+def test_elton_cube_budget_below_n(monkeypatch):
     # with n above the budget the full support is not probed, so the walk
     # decides; it stops at pairs here and never reaches the budget
     norm = PolyhedralNorm(2, [[1.0, 0.0], [0.0, 1.0]])
     vectors = np.array([[1.0, 0.0]] * 3)
-    capped = elton_subset(norm, vectors, samples=500, seed=5, cube_budget=2)
-    assert capped == elton_subset(norm, vectors, samples=500, seed=5)
+    uncapped = elton_subset(norm, vectors, samples=500, seed=5)
+    monkeypatch.setattr(geometry, "CUBE_DIM_BUDGET", 2)
+    assert elton_subset(norm, vectors, samples=500, seed=5) == uncapped
     # here every support passes, so the walk reaches |sigma| = 4 > 3
+    monkeypatch.setattr(geometry, "CUBE_DIM_BUDGET", 3)
     with pytest.raises(BudgetError):
-        elton_subset(l1_norm(4), np.eye(4), samples=100, seed=1, cube_budget=3)
+        elton_subset(l1_norm(4), np.eye(4), samples=100, seed=1)
 
 
 def test_sweep_and_certificate_match_the_hull_lp_walk():

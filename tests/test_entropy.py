@@ -16,6 +16,7 @@ from combdim import (
     packing_number,
     pairwise_distances,
 )
+from combdim import entropy
 from combdim.extraction import _min_subset_distance
 
 UNIFORM2 = ProbabilityMeasure.uniform(2)
@@ -229,12 +230,13 @@ def test_scale_equivariance():
         assert covering_number(family, measure, t)[0] == covering_number(scaled, measure, t * lam)[0]
 
 
-def test_exact_mode_size_limit():
+def test_exact_mode_size_limit(monkeypatch):
     family = gen_random_family(31, 2, "uniform-real", 5)
     measure = ProbabilityMeasure.uniform(2)
     with pytest.raises(BudgetError):
         packing_number(family, measure, 0.5)
-    count, flag = packing_number(family, measure, 0.5, force=True)
+    monkeypatch.setattr(entropy, "PACKING_EXACT_LIMIT", 31)
+    count, flag = packing_number(family, measure, 0.5)
     assert flag == "exact" and count >= 1
 
 

@@ -78,6 +78,12 @@ def test_measure_rejects_non_finite_weights():
             ProbabilityMeasure(np.array([bad, 1.0]))
 
 
+def test_measure_takes_no_is_uniform_argument():
+    # is_uniform is worked out from the weights; a passed value was overwritten
+    with pytest.raises(TypeError):
+        ProbabilityMeasure(np.array([0.25, 0.75]), True)
+
+
 def test_integer_family_invariants():
     FunctionFamily([[0, 3], [2, 1]], "integer", 3)
     with pytest.raises(FamilyError, match="row 0, column 1"):

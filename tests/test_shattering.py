@@ -22,6 +22,7 @@ from combdim import (
     vc_integer,
     vc_real,
 )
+from combdim import shattering
 from combdim.experiments import gen_separated_family
 from combdim.shattering import _integer_table, _real_table, _undominated, vc_real_witness
 
@@ -172,14 +173,26 @@ def test_enumerate_matches_oracle_randomized():
         assert {(tuple(c.support), c.levels) for c in centers} == set(oracle)
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
     fam = gen_random_family(10, 4, "integer-grid", 3, grid_max=8)
-    with pytest.raises(BudgetError):
-        enumerate_shattered_centers(fam, 4, budget=2)
-    with pytest.raises(BudgetError):
-        shattered_center_counts(fam, 4, budget=2)
-    with pytest.raises(BudgetError):
-        shatter_witnesses(fam, 4, budget=2)
+    monkeypatch.setattr(shattering, "DEFAULT_BUDGET", 2)
+    # the first coordinate's levels alone exceed the budget: only the
+    # trivial center is counted, and max mode has found dimension 0
+    counted = r"exceeded budget 2 level checks \(centers counted: 1\)"
+    with pytest.raises(BudgetError, match=counted):
+        enumerate_shattered_centers(fam, 4)
+    with pytest.raises(BudgetError, match=counted):
+        shattered_center_counts(fam, 4)
+    with pytest.raises(BudgetError, match=counted):
+        shatter_witnesses(fam, 4)
+    with pytest.raises(BudgetError, match=r"exceeded budget 2 level checks \(best dimension found: 0\)"):
+        vc_integer(fam)
+    # with room for a few coordinates, the message shows the walk's progress
+    monkeypatch.setattr(shattering, "DEFAULT_BUDGET", 10)
+    with pytest.raises(BudgetError, match=r"\(centers counted: 2\)"):
+        shattered_center_counts(fam, 4)
+    with pytest.raises(BudgetError, match=r"\(best dimension found: 2\)"):
+        vc_integer(fam)
 
 
 def test_center_counts_match_oracle_per_dimension():
