@@ -46,6 +46,8 @@ def _write_or_print(path, text: str) -> None:
 
 
 def cmd_gen(args) -> int:
+    if args.kind == "integer-grid" and (args.grid_max is None or args.grid_max < 0):
+        raise ValueError("--kind integer-grid needs --grid-max N (N >= 0)")
     family = gen_random_family(args.m, args.n, args.kind, args.seed, grid_max=args.grid_max)
     save_family(args.out, family)
     print(f"wrote {args.out}: m={family.size} n={family.domain_size} kind={family.kind}")

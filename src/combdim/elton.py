@@ -3,9 +3,11 @@
 Given x_1, ..., x_n with E || sum eps_i x_i || >= delta * n, a coordinate
 subset sigma of size s^2 n exists on which the vectors are t-equivalent
 to the l1 basis with s, t comparable to delta.  The driver estimates delta
-by Monte Carlo and walks the coordinate lattice once, solving the orthant
-LPs for the l1 constant r(sigma) of each visited subset.  By duality r is
-the half-side of the largest centred cube in the projection on sigma of
+by Monte Carlo and walks the coordinate lattice once, solving one LP per
+sign orthant for the l1 constant r(sigma) of each visited subset.  Each
+LP is posed over weights on the functionals, so it has |sigma| + 1 rows
+however many functionals the norm has.  By duality r is the half-side of
+the largest centred cube in the projection on sigma of
 B = conv{+-(f_j(x_i))_i}, so the scale sweep and the certified constant of
 the winning subset are both read off that one table.
 """

@@ -200,15 +200,15 @@ def run_pipeline_trace(seed: int) -> dict:
         return report
 
     # Variance identity on every coordinate's empirical distribution.
+    dists = septree.coordinate_distributions(family.values)
     worst = 0.0
-    for dist in septree.coordinate_distributions(family.values):
+    for dist in dists:
         var, pair = septree.variance(dist)
         worst = max(worst, abs(pair - 2.0 * var))
     stage("variance-identity", worst <= 1e-12, {"max_gap": worst})
 
     # A coordinate with sigma >= t/2 admitting a gap t/12 split.
     coord, cert = septree.find_separating_coordinate(family, measure, t)
-    dists = septree.coordinate_distributions(family.values)
     stage(
         "separating-coordinate",
         cert.is_valid_for(dists[coord]) and cert.gap_halfwidth >= t / 12.0 - 1e-12,

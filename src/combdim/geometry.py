@@ -6,8 +6,11 @@ All predicates reduce to small dense LPs: hull membership is feasibility
 of a convex combination, a cube in a symmetric body is centred and
 tested corner by corner, a cube in any other body is one joint LP over
 all cube vertices sharing the translation variable, and the l1 constant
-is one min-max LP per sign orthant (exact for polyhedral norms).
-Symmetry is read from the vertices, never declared.
+is one LP per sign orthant (exact for polyhedral norms), solved in its
+dual form over weights y on the functionals: |sigma| + 1 rows however
+many functionals the norm has, and an optimal y that certifies the
+lower bound by weak duality.  Symmetry is read from the vertices, never
+declared.
 """
 
 from __future__ import annotations
@@ -208,9 +211,17 @@ def ell1_lower_constant(norm: PolyhedralNorm, vectors, sigma: CoordinateSubset) 
     """min over the l1 sphere {sum_{i in sigma} |a_i| = 1} of
     ||sum a_i x_i|| — the l1-equivalence constant of the subset.
 
-    For each sign orthant the inner problem "minimize the max of finitely
-    many |linear forms| over the simplex" is one LP; the global value is
-    the minimum over orthants (halved by the a -> -a symmetry).
+    With w = (f_j(x_i)) the functionals on the subset, the value on the
+    orthant of signs theta is min over the simplex of max_j |(w theta u)_j|.
+    By the minimax theorem it equals max over ||y||_1 <= 1 of
+    min_i theta_i (w^T y)_i, which is one LP in y = y+ - y- and mu:
+    maximize mu subject to mu <= theta_i (w^T (y+ - y-))_i for i in sigma
+    and sum(y+ + y-) <= 1.  It has |sigma| + 1 rows whatever the number of
+    functionals, and its right-hand sides are >= 0, so the slack basis is
+    feasible and no phase 1 runs.  Its optimal y is a lower-bound
+    certificate by weak duality: any y gives r >= min_i theta_i (w^T y)_i
+    / ||y||_1.  The global value is the minimum over orthants (halved by
+    the a -> -a symmetry).
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     k = len(sigma)
@@ -221,24 +232,18 @@ def ell1_lower_constant(norm: PolyhedralNorm, vectors, sigma: CoordinateSubset) 
     sigma.validate_against(vectors.shape[0])
     w = norm.functionals @ vectors[list(sigma)].T  # (n_func, k)
     n_func = w.shape[0]
+    # Variables: y+ and y- (n_func each) and mu, all >= 0; minimize -mu.
+    l1_row = np.r_[np.ones(2 * n_func), 0.0]
+    b_ub = np.r_[np.zeros(k), 1.0]
+    c = np.r_[np.zeros(2 * n_func), -1.0]
     best = math.inf
     for signs in itertools.product((-1.0, 1.0), repeat=k - 1):
-        theta = np.array((1.0,) + signs)
-        a = w * theta  # columns scaled by the orthant signs
-        # Variables: u (k, >= 0, sum 1) and z; minimize z with |a @ u| <= z.
-        n_vars = k + 1
-        a_ub = np.zeros((2 * n_func, n_vars))
-        a_ub[:n_func, :k] = a
-        a_ub[n_func:, :k] = -a
-        a_ub[:, k] = -1.0
-        a_eq = np.zeros((1, n_vars))
-        a_eq[0, :k] = 1.0
-        c = np.zeros(n_vars)
-        c[k] = 1.0
-        result = lp_solve(LPProblem(c, a_ub, np.zeros(2 * n_func), a_eq, np.ones(1)))
+        at = (w * np.array((1.0,) + signs)).T  # rows scaled by the orthant signs
+        a_ub = np.vstack([np.hstack([-at, at, np.ones((k, 1))]), l1_row])
+        result = lp_solve(LPProblem(c, a_ub, b_ub))
         assert result.status == "optimal", "orthant LP is always feasible and bounded"
-        best = min(best, result.objective)
-    return float(max(best, 0.0))
+        best = min(best, -result.objective)
+    return float(max(0.0, best))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,17 @@ def family_file(tmp_path):
     return path
 
 
+def test_gen_integer_grid_names_the_grid_max_flag(tmp_path, capsys):
+    fam = tmp_path / "f.json"
+    base = ["gen", "--m", "10", "--n", "4", "--kind", "integer-grid", "--seed", "3", "--out", str(fam)]
+    for extra in ([], ["--grid-max", "-1"]):
+        assert main(base + extra) == 1
+        assert "error: --kind integer-grid needs --grid-max N" in capsys.readouterr().err
+        assert not fam.exists()
+    assert main(base + ["--grid-max", "5"]) == 0
+    assert "kind=integer" in capsys.readouterr().out
+
+
 def test_gen_then_entropy(tmp_path, capsys):
     fam = tmp_path / "f.json"
     assert main(["gen", "--m", "6", "--n", "3", "--kind", "uniform-real",
@@ -149,18 +160,33 @@ def test_budget_exit_code(tmp_path, capsys):
     assert main(["entropy", "--family", str(fam), "--scale", "0.4"]) == 3
 
 
-def test_solver_failure_exit_code(tmp_path, capsys):
-    # vectors scaled to 1e-7 leave the orthant LPs badly scaled against the
-    # solver's absolute tolerances, and the returned point fails its check
+def _scaled_l1_const_repro(tmp_path, scale):
+    # norm 1 of random_norm_instances(1) with its vectors scaled
     from combdim.experiments import random_norm_instances
     from combdim.geometry import save_norm
 
     norm, vectors, _ = random_norm_instances(1)[1]
     save_norm(tmp_path / "norm.json", norm)
     vec_path = tmp_path / "vecs.json"
-    vec_path.write_text(json.dumps((vectors * 1e-7).tolist()))
-    assert main(["l1-const", "--norm", str(tmp_path / "norm.json"), "--vectors", str(vec_path)]) == 4
-    assert "solver failure: simplex returned an infeasible point (ub)" in capsys.readouterr().err
+    vec_path.write_text(json.dumps((vectors * scale).tolist()))
+    return main(["l1-const", "--norm", str(tmp_path / "norm.json"), "--vectors", str(vec_path)])
+
+
+def test_solver_failure_exit_code(tmp_path, capsys):
+    # vectors scaled to 1e-8 leave the orthant LPs badly scaled against the
+    # solver's absolute tolerances, and the returned point fails its check
+    assert _scaled_l1_const_repro(tmp_path, 1e-8) == 4
+    assert "solver failure: simplex returned" in capsys.readouterr().err
+
+
+def test_l1_constant_at_scale_1e_minus_7(tmp_path, capsys):
+    # the l1 constant is homogeneous in the vectors; at 1e-7 the dual
+    # orthant LPs still solve
+    assert _scaled_l1_const_repro(tmp_path, 1.0) == 0
+    unscaled = json.loads(capsys.readouterr().out)["l1_constant"]
+    assert _scaled_l1_const_repro(tmp_path, 1e-7) == 0
+    scaled = json.loads(capsys.readouterr().out)["l1_constant"]
+    assert scaled == pytest.approx(1e-7 * unscaled, rel=1e-12, abs=0.0)
 
 
 def test_error_exit_code(tmp_path):

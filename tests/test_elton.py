@@ -143,7 +143,8 @@ def test_rudelson_trade_off_bound():
 
 
 def _highs_orthant_minimum(norm, vectors, sigma):
-    # the orthant LPs of ell1_lower_constant, solved by HiGHS
+    # the orthant LPs of ell1_lower_constant in primal form, solved by HiGHS:
+    # min z subject to |(w theta) u| <= z, u in the simplex
     w = norm.functionals @ vectors[list(sigma)].T
     k = w.shape[1]
     best = math.inf
@@ -189,6 +190,37 @@ def test_ell1_constant_is_independent_of_functional_order():
             mine = ell1_lower_constant(norm, inst.vectors, sigma)
             assert mine == pytest.approx(delta, abs=1e-9)
             assert mine == pytest.approx(highs, abs=1e-7)
+
+
+def test_dual_orthant_lps_match_the_primal_on_every_visited_support(monkeypatch):
+    # ell1_lower_constant solves each orthant LP in dual form; HiGHS on the
+    # primal form is the reference on every support the walk visits
+    from combdim import elton
+
+    visited = []
+
+    def recording(norm, vectors, sigma):
+        visited.append((norm, vectors, sigma, ell1_lower_constant(norm, vectors, sigma)))
+        return visited[-1][-1]
+
+    monkeypatch.setattr(elton, "ell1_lower_constant", recording)
+    cases = [(norm, vectors) for seed in (1, 2)
+             for norm, vectors, _ in random_norm_instances(seed)]
+    for n, delta in ((5, 0.6), (6, 0.6), (8, 0.5)):
+        inst = rudelson_example(n, delta)
+        cases.append((inst.norm, inst.vectors))
+    for norm, vectors in cases:
+        elton_subset(norm, vectors, samples=200, seed=0)
+    assert len(visited) > len(cases)
+    for norm, vectors, sigma, mine in visited:
+        assert mine == pytest.approx(_highs_orthant_minimum(norm, vectors, sigma), abs=1e-9)
+
+
+def test_elton_on_rudelson_nine():
+    inst = rudelson_example(9, 0.5)
+    res = elton_subset(inst.norm, inst.vectors, samples=200, seed=0)
+    assert tuple(res.sigma) == tuple(range(9))
+    assert res.t == pytest.approx(0.5, abs=1e-9)
 
 
 def test_rudelson_validation():

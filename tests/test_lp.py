@@ -170,6 +170,26 @@ def test_tall_orthant_shaped_lps_against_scipy():
     assert statuses == {"optimal", "unbounded", "infeasible"}
 
 
+def test_wide_dual_orthant_shaped_lps_against_scipy():
+    # the shape of the ell1 orthant LPs in dual form: k + 1 rows with zero
+    # right-hand sides but the last, 2 * n_func + 1 columns, rounded and
+    # duplicated functionals so that ties and degenerate pivots abound
+    rng = np.random.default_rng(1729)
+    for trial in range(30):
+        k = int(rng.integers(2, 9))
+        n_func = int(rng.integers(10, 151))
+        at = np.round(rng.uniform(-1, 1, (k, n_func)), 1)
+        at[:, rng.integers(0, n_func, n_func // 4)] = at[:, :1]  # duplicates
+        at[:, -1] = 0.0  # a functional that vanishes on the subset
+        a_ub = np.vstack([np.hstack([-at, at, np.ones((k, 1))]),
+                          np.r_[np.ones(2 * n_func), 0.0]])
+        b_ub = np.r_[np.zeros(k), 1.0]
+        c = np.r_[np.zeros(2 * n_func), -1.0]
+        if trial % 3 == 2:
+            c[:-1] = np.round(rng.uniform(-0.5, 0.5, 2 * n_func), 1)
+        assert _scipy_check(c, a_ub, b_ub, None, None) == "optimal"
+
+
 def test_large_negative_entry_does_not_hide_a_positive_pivot():
     # the column of x is [1, -big]: only its positive entry can bound the
     # step, in phase 2 (min -x) and in phase 1 (x = 1 on an equality row)
