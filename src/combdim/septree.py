@@ -53,6 +53,12 @@ class Distribution:
         return sum(p for v, p in self.atoms if v < x)
 
 
+def _moment_variance(dist: Distribution) -> float:
+    """Variance E(X - EX)^2 in moment form, linear in the atoms."""
+    mean = sum(p * v for v, p in dist.atoms)
+    return sum(p * (v - mean) ** 2 for v, p in dist.atoms)
+
+
 def variance(dist: Distribution) -> tuple[float, float]:
     """(variance, pair expectation E|X - X'|^2) of the distribution.
 
@@ -60,12 +66,10 @@ def variance(dist: Distribution) -> tuple[float, float]:
     atom pairs) so that the identity pair = 2 * variance is a genuine
     cross-check rather than an algebraic tautology.
     """
-    mean = sum(p * v for v, p in dist.atoms)
-    var = sum(p * (v - mean) ** 2 for v, p in dist.atoms)
     pair = sum(
         pi * pj * (vi - vj) ** 2 for vi, pi in dist.atoms for vj, pj in dist.atoms
     )
-    return var, pair
+    return _moment_variance(dist), pair
 
 
 @dataclass(frozen=True)
@@ -119,7 +123,7 @@ def small_dev_split(dist: Distribution) -> SplitCertificate:
     one maximizing min(p_heavy - (1 - beta), p_light - beta/2) wins, ties
     broken toward larger beta, then toward the upper-heavy side.
     """
-    var, _ = variance(dist)
+    var = _moment_variance(dist)
     if var <= 0.0:
         raise ValueError("small-deviation split needs nonzero variance")
     gap = math.sqrt(var) / 6.0
@@ -206,7 +210,7 @@ def _split_coordinate(values: np.ndarray, t: float) -> tuple[int, SplitCertifica
     """find_separating_coordinate on the value rows of a family already
     known to be t-separated."""
     dists = coordinate_distributions(values)
-    variances = [variance(d)[0] for d in dists]
+    variances = [_moment_variance(d) for d in dists]
     i = variances.index(max(variances))
     # Exact comparison: sigma/6 >= t/12 makes the gap reinterpretation
     # below a shrink, under which tail masses can only grow.

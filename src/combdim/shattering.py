@@ -14,12 +14,16 @@ One walker serves both.  It extends a shattered center one coordinate at
 a time; restrictions of shattered centers are shattered, so every one is
 reached through its prefix chain.  Witness sets per sign pattern are row
 bitmasks, which makes the extension check a handful of integer ANDs.
-Count mode counts centers per dimension; max mode seeks the largest
-dimension only and prunes what cannot raise it.
+Along a coordinate's ascending levels the masks are nested, so the levels
+that extend a center form one run, found by two bisections; the budget
+still charges one check per level of each coordinate scanned.  Count mode
+counts centers per dimension; max mode seeks the largest dimension only
+and prunes what cannot raise it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,16 +167,22 @@ def _undominated(table: list[list[tuple]]) -> list[list[tuple]]:
 def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
     """Depth-first walk over shattered centers of dimension k <= max_dim
     with 2^k <= m.  Coordinates are added in increasing order, each one's
-    levels in table order; a scanned coordinate costs one check per level,
-    and a walk may spend DEFAULT_BUDGET checks.  The pattern masks of a
-    center travel as lanes of one integer, each with a guard bit above it:
-    adding 2^m - 1 to every lane sets all guard bits iff no lane is empty.
+    levels in table order.  The pattern masks of a center travel as lanes
+    of one integer, each with a guard bit above it: adding 2^m - 1 to
+    every lane sets all guard bits iff no lane is empty.  Levels ascend,
+    so a coordinate's below masks grow and its above masks shrink: "every
+    lane meets below" turns on once and "every lane meets above" turns off
+    once, and the levels that extend a center form one run of entries,
+    found by two bisections.  The budget still charges a scanned
+    coordinate one check per level, up to DEFAULT_BUDGET checks a walk.
 
     Count mode returns counts[k], the number of centers of dimension k,
     and appends (support, levels, packed masks) of every center, trivial
-    one first, to record if given.  Max mode (best_only) returns
-    (dimension, support, levels) of the first largest center it meets and
-    skips branches whose deepest completion cannot beat the best.
+    one first, to record if given; without record it builds no supports
+    and only counts the centers of the deepest dimension.  Max mode
+    (best_only) returns (dimension, support, levels) of the first largest
+    center it meets and skips branches whose deepest completion cannot
+    beat the best.
     """
     n = len(table)
     depth = min(max_dim, m.bit_length() - 1)
@@ -182,12 +192,14 @@ def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
     counts = [1] + [0] * depth
     best = (0, (), ())
     checks, budget = 0, DEFAULT_BUDGET
+    named = best_only or record is not None
     if record is not None:
         record.append(((), (), full))
 
     def extend(start: int, k: int, support: tuple, levels: tuple, masks: int):
         nonlocal best, checks
         lanes, ones, guards, shift = tables[k], full * reps[k], (full + 1) * reps[k], width << k
+        leaves = k + 1 == depth and not named
         cap = depth
         if best_only:  # reaching dimension d splits every lane into 2^(d - k) nonempty ones
             fewest = min((masks >> (p * width) & full).bit_count() for p in range(1 << k))
@@ -196,20 +208,20 @@ def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
             reach = min(k + n - i, cap)
             if best_only and reach <= best[0]:
                 return
-            checks += len(lanes[i])
+            entries = lanes[i]
+            checks += len(entries)
             if checks > budget:
                 got = (f"best dimension found: {best[0]}" if best_only
                        else f"centers counted: {sum(counts)}")
                 raise BudgetError(f"shattering walk exceeded budget {budget} level checks ({got})")
-            for v, below, above in lanes[i]:
-                low = masks & below
-                if (low + ones) & guards != guards:
-                    continue
-                high = masks & above
-                if (high + ones) & guards != guards:
-                    continue
-                child = low | high << shift
-                grown, at = support + (i,), levels + (v,)
+            a = bisect_left(entries, True, key=lambda e: ((masks & e[1]) + ones) & guards == guards)
+            b = bisect_left(entries, True, a, key=lambda e: ((masks & e[2]) + ones) & guards != guards)
+            if leaves:
+                counts[k + 1] += b - a
+                continue
+            for v, below, above in entries[a:b]:
+                child = masks & below | (masks & above) << shift
+                grown, at = (support + (i,), levels + (v,)) if named else ((), ())
                 if best_only:
                     if k + 1 > best[0]:
                         best = (k + 1, grown, at)
@@ -217,7 +229,7 @@ def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
                     counts[k + 1] += 1
                     if record is not None:
                         record.append((grown, at, child))
-                if k + 1 < depth:
+                if k + 1 < depth and i + 1 < n:
                     extend(i + 1, k + 1, grown, at, child)
                 if best_only and reach <= best[0]:
                     return

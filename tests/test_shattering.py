@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -10,6 +11,7 @@ from combdim import (
     CoordinateSubset,
     FunctionFamily,
     ProbabilityMeasure,
+    ShatterWitness,
     build_separating_tree,
     discretize,
     enumerate_shattered_centers,
@@ -247,6 +249,117 @@ def test_undominated_levels_match_pairwise_containment():
             kind = ("uniform-real", "sign-vectors")[trial % 4 // 2]
             table = _real_table(gen_random_family(m, n, kind, trial), float(rng.uniform(0.01, 1.0)))
         assert _undominated(table) == pairwise(table)
+
+
+def scan_walk(table, m, max_dim):
+    """Every center the table's levels shatter, of dimension <= max_dim with
+    2^dimension <= m, in depth-first preorder, each with one row mask per
+    sign pattern (pattern p: bit j set = above on the j-th coordinate).
+    Unlike the walk, it tries every level of every coordinate."""
+    depth = min(max_dim, m.bit_length() - 1)
+    found = [((), (), [(1 << m) - 1])]
+
+    def extend(start, support, levels, masks):
+        for i in range(start, len(table)):
+            for v, below, above in table[i]:
+                child = [w & below for w in masks] + [w & above for w in masks]
+                if all(child):
+                    found.append((support + (i,), levels + (v,), child))
+                    if len(support) + 1 < depth:
+                        extend(i + 1, support + (i,), levels + (v,), child)
+
+    if depth > 0:
+        extend(0, (), (), [(1 << m) - 1])
+    return found
+
+
+def scan_witness(support, levels, masks):
+    patterns = [tuple(1 if p >> j & 1 else -1 for j in range(len(support)))
+                for p in range(len(masks))]
+    rows = [(w & -w).bit_length() - 1 for w in masks]
+    return ShatterWitness(Center(CoordinateSubset(support), levels), dict(zip(patterns, rows)))
+
+
+def cube_family(rng, extra):
+    """The 16 rows of {0, 2}^4 plus `extra` random columns over {0, ..., 3},
+    rows and columns shuffled: it shatters a 4-dimensional center."""
+    cube = 2 * np.array(list(itertools.product((0, 1), repeat=4)))
+    vals = np.hstack([cube, rng.integers(0, 4, size=(16, extra))])
+    return FunctionFamily(vals[rng.permutation(16)][:, rng.permutation(4 + extra)], "integer", 3)
+
+
+def test_bisected_walk_matches_a_plain_level_scan():
+    rng = np.random.default_rng(71)
+    deepest = 0
+    for trial in range(150):
+        m = int(rng.integers(2, 17))
+        n = int(rng.integers(1, 6))
+        seed = int(rng.integers(1 << 30))
+        if trial % 3 == 0:
+            t = float(rng.uniform(0.02, 0.6))
+            fam = gen_random_family(m, n, "uniform-real", seed)
+            found = scan_walk(_undominated(_real_table(fam, t)), m, n)
+            dim = max(len(s) for s, _, _ in found)
+            support, levels, _ = next(f for f in found if len(f[0]) == dim)
+            assert vc_real_witness(fam, t) == (dim, CoordinateSubset(support), levels)
+            continue
+        if trial % 3 == 1:  # integer grid with many ties
+            fam = gen_random_family(m, n, "integer-grid", seed, grid_max=int(rng.integers(1, 5)))
+        else:
+            fam = cube_family(rng, int(rng.integers(0, 3)))
+        m, n = fam.size, fam.domain_size
+        max_dim = int(rng.integers(0, n + 1))
+        found = scan_walk(_integer_table(fam), m, max_dim)
+        per_dim = collections.Counter(len(s) for s, _, _ in found)
+        assert shattered_center_counts(fam, max_dim) == [per_dim[k] for k in range(len(per_dim))]
+        expected = [scan_witness(*f) for f in found]
+        assert shatter_witnesses(fam, max_dim) == expected
+        for w in expected:
+            assert shatters(fam, w.center) == w
+        everything = scan_walk(_integer_table(fam), m, n)
+        shattered = {(s, v) for s, v, _ in everything}
+        vals = fam.int_values()
+        for _ in range(20):
+            support = tuple(sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)))
+            levels = tuple(int(rng.integers(vals[:, i].min(), vals[:, i].max() + 1)) for i in support)
+            got = shatters(fam, Center(CoordinateSubset(support), levels))
+            assert (got is not None) == ((support, levels) in shattered)
+        top = max(len(s) for s, _, _ in everything)
+        assert vc_integer(fam) == top
+        assert top == max(len(s) for s, _, _ in scan_walk(_undominated(_integer_table(fam)), m, n))
+        deepest = max(deepest, len(per_dim) - 1)
+    assert deepest == 4
+
+
+def test_level_masks_are_nested_along_each_coordinate():
+    # The walk bisects each coordinate's levels for the run that splits every
+    # pattern, which needs the below masks to grow and the above masks to
+    # shrink as the level ascends, in every table it walks.
+    def nested(table):
+        return all(b | b2 == b2 and a | a2 == a and v < v2
+                   for entries in table
+                   for (v, b, a), (v2, b2, a2) in zip(entries, entries[1:]))
+
+    rng = np.random.default_rng(67)
+    tables = []
+    for trial in range(30):
+        m = int(rng.integers(2, 25))
+        n = int(rng.integers(1, 5))
+        grid = int(rng.integers(1, 10))
+        tables.append(_integer_table(gen_random_family(m, n, "integer-grid", trial, grid_max=grid)))
+        kind = ("uniform-real", "sign-vectors", "convex-hull-sections")[trial % 3]
+        fam = gen_random_family(m, n, kind, trial)
+        tables.append(_real_table(fam, float(rng.uniform(0.01, 1.0))))
+        # quarter steps: repeated values, and t equal to a within-column difference
+        quarters = FunctionFamily(np.round(fam.values * 4) / 4)
+        tables.append(_real_table(quarters, 0.25 * int(rng.integers(1, 5))))
+    ties = FunctionFamily([[0.0, 0.5], [0.25, 0.5], [0.25, 1.0], [0.75, 0.0], [0.0, 1.0]])
+    for t in (0.25, 0.5, 0.75):
+        tables.append(_real_table(ties, t))
+    assert _real_table(ties, 0.5)[0][:2] == [(0.0, 0b10001, 0b01000), (0.25, 0b10111, 0b01000)]
+    for table in tables:
+        assert nested(table)
+        assert nested(_undominated(table))
 
 
 def test_vc_real_on_larger_families_matches_oracle():
