@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Print one sha256 per fixed-seed suite, over the repr of every output.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 scripts/output_digest.py
+
+A change that must keep outputs identical leaves all four lines as they
+were.  The suites:
+
+- pipeline: `run_pipeline_trace` for seeds 0-299; a failing seed (98
+  fails its extraction stage) is digested as its error message;
+- main-theorem: `run_main_theorem_experiment` at caps 23/7, seeds 0-39;
+- elton: `elton_subset` (sigma, t, s, delta, sweep, grid_t) on the 56
+  instances below;
+- convex-vc: `convex_vc` on the dual bodies of the same 56 instances at
+  every scale of `DEFAULT_T_GRID`.
+
+The 56 instances are the six norms of each `random_norm_instances(1..8)`
+and eight tightness bodies, net size 64, net seed 0.
+"""
+
+import hashlib
+
+from combdim.elton import DEFAULT_T_GRID, dual_body, elton_subset, rudelson_example
+from combdim.errors import PipelineError
+from combdim.experiments import (
+    ExperimentConfig,
+    random_norm_instances,
+    run_main_theorem_experiment,
+    run_pipeline_trace,
+)
+from combdim.geometry import convex_vc
+
+RUDELSON_BODIES = ((5, 1.0), (5, 0.9), (5, 0.6), (6, 1.0), (6, 0.6), (7, 1.0), (7, 0.8), (7, 0.6))
+
+
+def digest(outputs) -> str:
+    h = hashlib.sha256()
+    for out in outputs:
+        h.update(repr(out).encode() + b"\n")
+    return h.hexdigest()
+
+
+def pipeline(seed: int):
+    try:
+        return run_pipeline_trace(seed)
+    except PipelineError as exc:
+        return str(exc)
+
+
+def l1_instances():
+    for seed in range(1, 9):
+        for norm, vectors, _ in random_norm_instances(seed):
+            yield norm, vectors
+    for n, delta in RUDELSON_BODIES:
+        body = rudelson_example(n, delta, net_size=64, seed=0)
+        yield body.norm, body.vectors
+
+
+def elton(norm, vectors):
+    res = elton_subset(norm, vectors, samples=2000, seed=0)
+    return tuple(res.sigma), res.t, res.s, res.delta, res.sweep, res.grid_t
+
+
+def main() -> None:
+    print("pipeline", digest(pipeline(seed) for seed in range(300)))
+    print("main-theorem", digest(
+        run_main_theorem_experiment(
+            ExperimentConfig(seed=seed, instances=1, max_rows=23, max_coords=7, jobs=1))
+        for seed in range(40)))
+    instances = list(l1_instances())
+    print("elton", digest(elton(norm, vectors) for norm, vectors in instances))
+    bodies = [dual_body(norm, vectors) for norm, vectors in instances]
+    print("convex-vc", digest(
+        (dim, tuple(sigma)) for body in bodies for dim, sigma in
+        (convex_vc(body, t) for t in DEFAULT_T_GRID)))
+
+
+if __name__ == "__main__":
+    main()

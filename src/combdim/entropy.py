@@ -84,7 +84,7 @@ def first_violating_pair(family: FunctionFamily, measure: ProbabilityMeasure, t:
 
 def is_separated(family: FunctionFamily, measure: ProbabilityMeasure, t: float) -> bool:
     """True iff every pair of distinct rows is at L2 distance strictly > t."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"separation scale must be positive, got {t!r}")
     return first_violating_pair(family, measure, t) is None
 
@@ -138,7 +138,7 @@ def packing_number(
     Returns (count, flag) with flag "exact" or "lower-bound" (greedy mode
     reports a maximal-by-inclusion subset, which is a lower bound).
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"packing scale must be positive, got {t!r}")
     dist = pairwise_distances(family, measure, p)
     m = family.size
@@ -203,7 +203,7 @@ def covering_number(
 
     Returns (count, flag) with flag "exact" or "upper-bound" (greedy).
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError(f"covering scale must be positive, got {t!r}")
     dist = pairwise_distances(family, measure, p)
     m = family.size

@@ -54,6 +54,8 @@ def _min_subset_distance(family: FunctionFamily, sigma: np.ndarray) -> float:
 def _check_precondition(family: FunctionFamily, t: float, k: int) -> None:
     if k < 1:
         raise ValueError(f"target size k must be >= 1, got {k}")
+    if not t > 0:
+        raise ValueError(f"separation scale must be positive, got {t!r}")
     uniform = ProbabilityMeasure.uniform(family.domain_size)
     bad = first_violating_pair(family, uniform, t)
     if bad is not None:

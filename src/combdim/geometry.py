@@ -3,14 +3,14 @@ projection certificates that tie shattering of convex bodies to
 l1-equivalence constants.
 
 All predicates reduce to small dense LPs: hull membership is feasibility
-of a convex combination, a cube in a symmetric body is centred and
-tested corner by corner, a cube in any other body is one joint LP over
-all cube vertices sharing the translation variable, and the l1 constant
-is one LP per sign orthant (exact for polyhedral norms), solved in its
-dual form over weights y on the functionals: |sigma| + 1 rows however
-many functionals the norm has, and an optimal y that certifies the
-lower bound by weak duality.  Symmetry is read from the vertices, never
-declared.
+of a convex combination, and the inscribed radius r of a symmetric body
+(the half-side of its largest centred cube) is one LP per sign orthant
+over weights on the vertices, |sigma| + 1 rows however many vertices.
+A symmetric body holds a side-t cube iff r >= t/2 - HULL_TOL, the rule
+the elton sweep applies; a cube in any other body is one joint LP over
+all cube vertices sharing the translation variable.  The l1 constant is
+r of conv{+-(f_j(x_i))} (exact for polyhedral norms).  Symmetry is read
+from the vertices, never declared.
 """
 
 from __future__ import annotations
@@ -88,12 +88,8 @@ def point_in_hull(poly: VPolytope, point) -> bool:
     point = np.asarray(point, dtype=np.float64)
     if point.shape != (poly.dimension,):
         raise ValueError(f"point must have dimension {poly.dimension}")
-    return _in_hull_of(poly.vertices, point)
-
-
-def _in_hull_of(vertices: np.ndarray, point: np.ndarray) -> bool:
-    k = vertices.shape[0]
-    a_eq = np.vstack([vertices.T, np.ones((1, k))])
+    k = poly.vertices.shape[0]
+    a_eq = np.vstack([poly.vertices.T, np.ones((1, k))])
     b_eq = np.concatenate([point, [1.0]])
     # Scale rows to keep the feasibility tolerance meaningful.
     scale = np.maximum(np.abs(b_eq), 1.0)
@@ -118,12 +114,12 @@ def cube_in_projection(
     """Does the coordinate projection contain a cube of side t?
 
     A symmetric body contains a side-t cube iff it contains the centred
-    one (average the cube with its reflection), so its test checks the
-    corners of [-t/2, t/2]^sigma one by one.  Any other body gets one LP
-    for a corner h of h + [0, t]^sigma in which all 2^|sigma| cube
-    vertices share h.  Boundary membership counts (closed bodies).
+    one (average the cube with its reflection), iff its inscribed radius
+    on sigma is at least t/2 - HULL_TOL.  Any other body gets one LP for a
+    corner h of h + [0, t]^sigma in which all 2^|sigma| cube vertices
+    share h.  Boundary membership counts (closed bodies).
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("cube side must be positive")
     k = len(sigma)
     if k > CUBE_DIM_BUDGET:
@@ -137,13 +133,10 @@ def cube_in_projection(
         return None
 
     if poly.symmetric:
-        half = t / 2.0
-        # By symmetry q passes iff -q does; fix the last sign positive.
-        for signs in itertools.product((-1.0, 1.0), repeat=k - 1):
-            q = np.array(signs + (1.0,)) * half
-            if not _in_hull_of(pts, q):
-                return None
-        return CubeWitness(sigma, t, (-half,) * k)
+        floor = t / 2.0 - HULL_TOL
+        if _inscribed_radius(pts, floor) < floor:
+            return None
+        return CubeWitness(sigma, t, (-t / 2.0,) * k)
 
     n_pts = pts.shape[0]
     corners = np.array(list(itertools.product((0.0, t), repeat=k)))
@@ -207,6 +200,35 @@ def convex_vc(poly: VPolytope, t: float) -> tuple[int, CoordinateSubset]:
     return len(best), CoordinateSubset(best)
 
 
+def _inscribed_radius(points: np.ndarray, floor: float = -math.inf) -> float:
+    """Half-side r of the largest centred cube in the hull of a symmetric
+    point set (rows): the minimum over sign orthants theta (theta ~ -theta)
+    of one LP in weights y >= 0 on the points and mu: maximize mu subject to
+    mu <= theta_i (points^T y)_i and sum(y) <= 1.  It has k + 1 rows and
+    right-hand sides >= 0, so no phase 1 runs, and its optimal y certifies
+    the lower bound by weak duality.  The loop stops once the minimum falls
+    below `floor`.  r is homogeneous in the points, so a power-of-two scale
+    brings their largest entry near 1 for the solver's absolute tolerances.
+    """
+    peak = float(np.abs(points).max())
+    scale = 2.0 ** round(math.log2(peak)) if peak > 0 else 1.0
+    n_pts, k = points.shape
+    # Variables: y (n_pts) and mu, all >= 0; minimize -mu.
+    l1_row = np.r_[np.ones(n_pts), 0.0]
+    b_ub = np.r_[np.zeros(k), 1.0]
+    c = np.r_[np.zeros(n_pts), -1.0]
+    best = math.inf
+    for signs in itertools.product((-1.0, 1.0), repeat=k - 1):
+        at = (points * (np.array((1.0,) + signs) / scale)).T  # rows scaled by the orthant signs
+        a_ub = np.vstack([np.hstack([-at, np.ones((k, 1))]), l1_row])
+        result = lp_solve(LPProblem(c, a_ub, b_ub))
+        assert result.status == "optimal", "orthant LP is always feasible and bounded"
+        best = min(best, -result.objective)
+        if best * scale < floor:
+            break
+    return float(max(0.0, best)) * scale
+
+
 def ell1_lower_constant(norm: PolyhedralNorm, vectors, sigma: CoordinateSubset) -> float:
     """min over the l1 sphere {sum_{i in sigma} |a_i| = 1} of
     ||sum a_i x_i|| — the l1-equivalence constant of the subset.
@@ -214,14 +236,7 @@ def ell1_lower_constant(norm: PolyhedralNorm, vectors, sigma: CoordinateSubset) 
     With w = (f_j(x_i)) the functionals on the subset, the value on the
     orthant of signs theta is min over the simplex of max_j |(w theta u)_j|.
     By the minimax theorem it equals max over ||y||_1 <= 1 of
-    min_i theta_i (w^T y)_i, which is one LP in y = y+ - y- and mu:
-    maximize mu subject to mu <= theta_i (w^T (y+ - y-))_i for i in sigma
-    and sum(y+ + y-) <= 1.  It has |sigma| + 1 rows whatever the number of
-    functionals, and its right-hand sides are >= 0, so the slack basis is
-    feasible and no phase 1 runs.  Its optimal y is a lower-bound
-    certificate by weak duality: any y gives r >= min_i theta_i (w^T y)_i
-    / ||y||_1.  The global value is the minimum over orthants (halved by
-    the a -> -a symmetry).
+    min_i theta_i (w^T y)_i, the inscribed radius of conv{+-rows of w}.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     k = len(sigma)
@@ -231,19 +246,7 @@ def ell1_lower_constant(norm: PolyhedralNorm, vectors, sigma: CoordinateSubset) 
         raise BudgetError(f"|sigma| = {k} exceeds the exponent budget {CUBE_DIM_BUDGET}")
     sigma.validate_against(vectors.shape[0])
     w = norm.functionals @ vectors[list(sigma)].T  # (n_func, k)
-    n_func = w.shape[0]
-    # Variables: y+ and y- (n_func each) and mu, all >= 0; minimize -mu.
-    l1_row = np.r_[np.ones(2 * n_func), 0.0]
-    b_ub = np.r_[np.zeros(k), 1.0]
-    c = np.r_[np.zeros(2 * n_func), -1.0]
-    best = math.inf
-    for signs in itertools.product((-1.0, 1.0), repeat=k - 1):
-        at = (w * np.array((1.0,) + signs)).T  # rows scaled by the orthant signs
-        a_ub = np.vstack([np.hstack([-at, at, np.ones((k, 1))]), l1_row])
-        result = lp_solve(LPProblem(c, a_ub, b_ub))
-        assert result.status == "optimal", "orthant LP is always feasible and bounded"
-        best = min(best, -result.objective)
-    return float(max(0.0, best))
+    return _inscribed_radius(np.vstack([w, -w]))
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,8 @@ def find_separating_coordinate(
     remains valid at gap t/12.  The coordinate of largest variance (ties
     toward the smaller index) is taken: if it fails, every other one does.
     """
+    if not t > 0:
+        raise ValueError("split scale must be positive")
     if family.size < 2:
         raise NotSeparatedError("need at least two rows to separate", pair=None)
     _require_separated(family, measure, t)
@@ -297,7 +299,7 @@ def build_separating_tree(
     sons are nonempty and together hold at least (1 - beta/2) of the rows,
     which drives the leaf-count bound leaf_count^2 >= m.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("tree scale must be positive")
     # Row subsets of a t-separated family are t-separated: one check covers all nodes.
     _require_separated(family, measure, t)

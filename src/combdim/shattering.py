@@ -278,7 +278,7 @@ def vc_real_witness(
     adds coordinates in increasing order and tries each coordinate's
     attained values in increasing order, skipping dominated values.  It
     need not have the lexicographically smallest maximizing support."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("shattering scale must be positive")
     table = _undominated(_real_table(family, t))
     dim, support, levels = _walk(table, family.size, family.domain_size, True)

@@ -172,21 +172,41 @@ def _scaled_l1_const_repro(tmp_path, scale):
     return main(["l1-const", "--norm", str(tmp_path / "norm.json"), "--vectors", str(vec_path)])
 
 
-def test_solver_failure_exit_code(tmp_path, capsys):
-    # vectors scaled to 1e-8 leave the orthant LPs badly scaled against the
-    # solver's absolute tolerances, and the returned point fails its check
-    assert _scaled_l1_const_repro(tmp_path, 1e-8) == 4
-    assert "solver failure: simplex returned" in capsys.readouterr().err
+def test_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # an iteration cap of zero stops the first orthant LP before its first pivot
+    from combdim import simplex
+
+    monkeypatch.setattr(simplex, "ITER_FACTOR", 0)
+    assert _scaled_l1_const_repro(tmp_path, 1.0) == 4
+    assert "solver failure:" in capsys.readouterr().err
 
 
-def test_l1_constant_at_scale_1e_minus_7(tmp_path, capsys):
-    # the l1 constant is homogeneous in the vectors; at 1e-7 the dual
-    # orthant LPs still solve
+def test_l1_constant_is_homogeneous_down_to_1e_minus_12(tmp_path, capsys):
+    # the l1 constant is homogeneous in the vectors, and the orthant LPs
+    # are solved on points rescaled by a power of two, so tiny vectors
+    # neither raise against the solver's absolute tolerances nor read 0
     assert _scaled_l1_const_repro(tmp_path, 1.0) == 0
     unscaled = json.loads(capsys.readouterr().out)["l1_constant"]
-    assert _scaled_l1_const_repro(tmp_path, 1e-7) == 0
-    scaled = json.loads(capsys.readouterr().out)["l1_constant"]
-    assert scaled == pytest.approx(1e-7 * unscaled, rel=1e-12, abs=0.0)
+    for scale in (1e-7, 1e-8, 1e-9, 1e-12):
+        assert _scaled_l1_const_repro(tmp_path, scale) == 0
+        scaled = json.loads(capsys.readouterr().out)["l1_constant"]
+        assert scaled == pytest.approx(scale * unscaled, rel=1e-12, abs=0.0), scale
+
+
+def test_nan_scale_exits_1(tmp_path, family_file, capsys):
+    # NaN fails every comparison, so a guard written t <= 0 lets it through:
+    # entropy's greedy cover then never ends and cube-test answers "contained"
+    from combdim.geometry import VPolytope, save_polytope
+
+    poly = tmp_path / "poly.json"
+    save_polytope(poly, VPolytope(2, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
+    fam = ["--family", str(family_file)]
+    for argv in (["entropy", *fam], ["vc", *fam], ["tree", *fam],
+                 ["extract", *fam, "--target-size", "2"],
+                 ["cube-test", "--polytope", str(poly), "--sigma", "0,1"],
+                 ["convex-vc", "--polytope", str(poly)]):
+        assert main(argv + ["--scale", "nan"]) == 1, argv
+        assert "must be positive" in capsys.readouterr().err, argv
 
 
 def test_error_exit_code(tmp_path):

@@ -59,10 +59,11 @@ def test_elton_cube_budget_below_n(monkeypatch):
         elton_subset(l1_norm(4), np.eye(4), samples=100, seed=1)
 
 
-def test_sweep_and_certificate_match_the_hull_lp_walk():
+def test_sweep_and_certificate_match_the_convex_vc_walk():
     # elton_subset reads the sweep, the winning subset and its constant off
-    # one walk over l1 constants; convex_vc's hull LPs on the dual body are
-    # the reference for the first two, the orthant LPs for the third.  The
+    # one walk over l1 constants; convex_vc's own walk over cube tests on
+    # the deduplicated vertices of the dual body is the reference for the
+    # first two, a fresh run of the orthant LPs for the third.  The
     # full support settles every scale on the tightness bodies, and several
     # seed-2 norms leave more than one scale to the walk.
     cases = [(norm, vectors) for seed in (1, 2)

@@ -189,12 +189,24 @@ def test_cube_test_matches_pattern_witness_oracle():
                 for sigma in itertools.combinations(range(3), r):
                     mine = cube_in_projection(body, CoordinateSubset(sigma), t) is not None
                     assert mine == oracle(body, sigma, t), (trial, sigma, t)
+    # The dual bodies of the elton norms at the grid scale where their
+    # supports split between passing and failing (119 of 130 pass).
+    from combdim.elton import dual_body
+    from combdim.experiments import random_norm_instances
+
+    for index, (norm, vectors, _) in enumerate(random_norm_instances(1)):
+        body = dual_body(norm, vectors)
+        for r in range(1, body.dimension + 1):
+            for sigma in itertools.combinations(range(body.dimension), r):
+                mine = cube_in_projection(body, CoordinateSubset(sigma), 0.5) is not None
+                assert mine == oracle(body, sigma, 0.5), (index, sigma)
 
 
 def test_duality_link_randomized():
     # For the norm whose unit ball is the polar of B (functionals = the
-    # vertices of B), a centered side-t cube inside P_sigma(B) forces the
-    # l1 constant of the standard basis on sigma to be at least t/2.
+    # vertices of B), the l1 constant r of the standard basis on sigma is
+    # the half-side of the largest centred cube inside P_sigma(B): the
+    # cube of side 2r fits and a slightly larger one does not.
     rng = np.random.default_rng(99)
     for trial in range(12):
         n = 3
@@ -203,13 +215,12 @@ def test_duality_link_randomized():
         body = VPolytope(n, np.vstack([pts, -pts]))
         norm = PolyhedralNorm(n, body.vertices)
         basis = np.eye(n)
-        for t in (0.1, 0.3, 0.6):
-            for r in (1, 2, 3):
-                for sigma in itertools.combinations(range(n), r):
-                    subset = CoordinateSubset(sigma)
-                    if cube_in_projection(body, subset, t) is not None:
-                        const = ell1_lower_constant(norm, basis, subset)
-                        assert const >= t / 2 - 1e-6
+        for r in (1, 2, 3):
+            for sigma in itertools.combinations(range(n), r):
+                subset = CoordinateSubset(sigma)
+                const = ell1_lower_constant(norm, basis, subset)
+                assert cube_in_projection(body, subset, 2 * const) is not None, (trial, sigma)
+                assert cube_in_projection(body, subset, 2 * const * (1 + 1e-6)) is None, (trial, sigma)
 
 
 def test_cube_body_agrees_with_function_family_shattering():
