@@ -5,11 +5,13 @@ Run from the repository root:
 
     PYTHONPATH=src python3 scripts/output_digest.py
 
-A change that must keep outputs identical leaves all four lines as they
+A change that must keep outputs identical leaves all five lines as they
 were.  The suites:
 
 - pipeline: `run_pipeline_trace` for seeds 0-299; a failing seed (98
   fails its extraction stage) is digested as its error message;
+- extraction: `extraction_success_probability` at k = 1..n on the family
+  and scale of each pipeline seed 0-299;
 - main-theorem: `run_main_theorem_experiment` at caps 23/7, seeds 0-39;
 - elton: `elton_subset` (sigma, t, s, delta, sweep, grid_t) on the 56
   instances below;
@@ -22,10 +24,14 @@ and eight tightness bodies, net size 64, net seed 0.
 
 import hashlib
 
+import numpy as np
+
 from combdim.elton import DEFAULT_T_GRID, dual_body, elton_subset, rudelson_example
 from combdim.errors import PipelineError
+from combdim.extraction import extraction_success_probability
 from combdim.experiments import (
     ExperimentConfig,
+    gen_separated_family,
     random_norm_instances,
     run_main_theorem_experiment,
     run_pipeline_trace,
@@ -49,6 +55,16 @@ def pipeline(seed: int):
         return str(exc)
 
 
+def acceptance_curve(seed: int):
+    # the family and scale run_pipeline_trace draws for this seed
+    rng = np.random.default_rng([seed, 99])
+    n = int(rng.integers(6, 10))
+    m_target = int(rng.integers(6, 12))
+    t = float(rng.uniform(0.95, 1.2))
+    family = gen_separated_family(n, t, [seed, 7], m_target, kind="noisy-signs")
+    return [extraction_success_probability(family, t, k) for k in range(1, n + 1)]
+
+
 def l1_instances():
     for seed in range(1, 9):
         for norm, vectors, _ in random_norm_instances(seed):
@@ -65,6 +81,7 @@ def elton(norm, vectors):
 
 def main() -> None:
     print("pipeline", digest(pipeline(seed) for seed in range(300)))
+    print("extraction", digest(acceptance_curve(seed) for seed in range(300)))
     print("main-theorem", digest(
         run_main_theorem_experiment(
             ExperimentConfig(seed=seed, instances=1, max_rows=23, max_coords=7, jobs=1))

@@ -125,14 +125,11 @@ def cmd_extract(args) -> int:
 def cmd_extract_curve(args) -> int:
     family, _ = load_family(args.family)
     ks = [int(k) for k in args.k_grid.split(",")]
-    lines = ["k,success_rate,stderr"]
+    lines = ["k,success_rate"]
     for k in ks:
-        rate = extraction.extraction_success_probability(
-            family, args.scale, k, args.trials, args.seed
-        )
-        stderr = math.sqrt(max(rate * (1 - rate), 1e-12) / args.trials)
-        lines.append(f"{k},{rate!r},{stderr!r}")
-    fit = estimate_extraction_constant(family, args.scale, args.seed, args.trials)
+        rate = extraction.extraction_success_probability(family, args.scale, k)
+        lines.append(f"{k},{rate!r}")
+    fit = estimate_extraction_constant(family, args.scale)
     lines.append(f"# k_half={fit['k_half']} c_emp={fit['c_emp']}")
     _write_or_print(args.out, "\n".join(lines) + "\n")
     return 0
@@ -329,12 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-attempts", type=int, default=DEFAULT_CONSTANTS.extraction_max_attempts)
     p.add_argument("--out")
 
-    p = add("extract-curve", cmd_extract_curve, help="acceptance rate vs subset size (CSV)")
+    p = add("extract-curve", cmd_extract_curve, help="acceptance probability vs subset size (CSV)")
     p.add_argument("--family", required=True)
     p.add_argument("--scale", type=float, required=True)
     p.add_argument("--k-grid", required=True)
-    p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 
     p = add("gsup", cmd_gsup, help="Monte-Carlo process supremum")

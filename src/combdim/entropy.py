@@ -34,7 +34,7 @@ def lp_distance(f, g, measure: ProbabilityMeasure, p: float = 2.0) -> float:
     if p == math.inf:
         support = measure.weights > 0
         return float(diff[support].max()) if support.any() else 0.0
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p must be >= 1 or inf, got {p!r}")
     return float(np.dot(measure.weights, diff**p) ** (1.0 / p))
 
@@ -59,6 +59,8 @@ def distances_from_gram(vals: np.ndarray, weights: np.ndarray, gram: np.ndarray)
 
 def pairwise_distances(family: FunctionFamily, measure: ProbabilityMeasure, p: float = 2.0) -> np.ndarray:
     """Symmetric m x m matrix of Lp(mu) distances between rows."""
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1 or inf, got {p!r}")
     vals = family.values
     m = family.size
     if p == 2.0:

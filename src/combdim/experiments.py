@@ -234,7 +234,8 @@ def run_pipeline_trace(seed: int) -> dict:
             family, t, k, [seed, 13], max_attempts=DEFAULT_CONSTANTS.extraction_max_attempts
         )
     except ExtractionError as exc:
-        stage("extraction", False, {"error": str(exc), "k": k})
+        p_accept = extraction.extraction_success_probability(family, t, k)
+        stage("extraction", False, {"error": str(exc), "k": k, "p_accept": p_accept})
         raise AssertionError("unreachable")  # pragma: no cover
     recheck = extraction.verify_outcome(family, t, outcome)
     stage(
@@ -354,31 +355,16 @@ def random_norm_instances(seed: int = 31415):
 
 
 # ---------------------------------------------------------------------------
-# Extraction-constant estimation: bisect k at success level 1/2.
+# Extraction-constant estimation: smallest k at success level 1/2.
 # ---------------------------------------------------------------------------
 
-def estimate_extraction_constant(
-    family: FunctionFamily, t: float, seed, trials: int = 2000
-) -> dict:
-    """Smallest k with acceptance rate >= 1/2 (by bisection over k) and
-    the implied constant ln(2m) / (t^4 k)."""
-    n = family.domain_size
-    lo, hi = 1, n
-
-    def rate(k: int) -> float:
-        return extraction.extraction_success_probability(family, t, k, trials, [seed, k])
-
-    if rate(hi) < 0.5:
-        return {"k_half": None, "c_emp": None, "note": "never reaches 1/2 on this domain"}
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if rate(mid) >= 0.5:
-            hi = mid
-        else:
-            lo = mid + 1
-    k_half = lo
-    c_emp = math.log(2.0 * family.size) / (t**4 * k_half)
-    return {"k_half": k_half, "c_emp": c_emp}
+def estimate_extraction_constant(family: FunctionFamily, t: float) -> dict:
+    """Smallest k <= n with exact acceptance probability >= 1/2, by a scan that
+    assumes no monotonicity in k, and the implied constant ln(2m) / (t^4 k)."""
+    for k in range(1, family.domain_size + 1):
+        if extraction.extraction_success_probability(family, t, k) >= 0.5:
+            return {"k_half": k, "c_emp": math.log(2.0 * family.size) / (t**4 * k)}
+    return {"k_half": None, "c_emp": None, "note": "never reaches 1/2 on this domain"}
 
 
 # ---------------------------------------------------------------------------

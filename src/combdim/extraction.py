@@ -1,10 +1,10 @@
 """Randomized coordinate-subset extraction preserving pairwise separation.
 
-Coordinates are kept independently with probability k/(2n); a draw is
-accepted when the subset is nonempty, has at most k coordinates, and the
-family stays (t/2)-separated in L2 of the uniform measure on the subset.
-The per-draw failure probability is controlled by a Bernstein tail bound,
-which is exposed as a first-class evaluator.
+Coordinates are kept independently with probability min(1, k/(2n)); a
+draw is accepted when the subset is nonempty, has at most k coordinates,
+and the family stays (t/2)-separated in L2 of the uniform measure on the
+subset.  That probability is an exact sum over supports; the Bernstein
+tail bound on the failure probability is a first-class evaluator.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import distances_from_gram, first_violating_pair, is_separated
-from .errors import ExtractionError, NotSeparatedError
+from .errors import BudgetError, ExtractionError, NotSeparatedError
 from .family import CoordinateSubset, FunctionFamily, ProbabilityMeasure
+
+ACCEPTANCE_TABLE_LIMIT = 1 << 24  # pairs x 2^n subset sums for exact acceptance
 
 
 def bernstein_bound(u: float, sup_bound: float, variance_sum: float) -> float:
@@ -68,17 +70,6 @@ def _check_precondition(family: FunctionFamily, t: float, k: int) -> None:
         )
 
 
-def _single_draw(family: FunctionFamily, t: float, k: int, seed, index: int):
-    """One Bernoulli(k/2n) draw; returns (accepted, sigma, min_distance)."""
-    n = family.domain_size
-    rng = np.random.default_rng([seed, index])
-    sigma = np.flatnonzero(rng.random(n) < k / (2.0 * n))
-    if sigma.size == 0 or sigma.size > k:
-        return False, sigma, None
-    d = _min_subset_distance(family, sigma)
-    return d > t / 2.0, sigma, d
-
-
 def extract_coordinates(
     family: FunctionFamily,
     t: float,
@@ -92,12 +83,17 @@ def extract_coordinates(
     best separation seen among draws of admissible size.
     """
     _check_precondition(family, t, k)
+    n = family.domain_size
     best = None
     for attempt in range(max_attempts):
-        accepted, sigma, d = _single_draw(family, t, k, seed, attempt)
-        if d is not None and (best is None or d > best):
+        rng = np.random.default_rng([seed, attempt])
+        sigma = np.flatnonzero(rng.random(n) < k / (2.0 * n))
+        if sigma.size == 0 or sigma.size > k:
+            continue
+        d = _min_subset_distance(family, sigma)
+        if best is None or d > best:
             best = d
-        if accepted:
+        if d > t / 2.0:
             return ExtractionOutcome(
                 subset=CoordinateSubset(tuple(int(i) for i in sigma)),
                 attempts=attempt + 1,
@@ -112,26 +108,39 @@ def extract_coordinates(
     )
 
 
-def extraction_success_probability(
-    family: FunctionFamily,
-    t: float,
-    k: int,
-    trials: int,
-    seed,
-) -> float:
-    """Monte-Carlo frequency of single-draw acceptance.
+def _accepted_support_counts(family: FunctionFamily, t: float) -> np.ndarray:
+    """A[j] = number of size-j supports on which every pair keeps
+    sum_{i in sigma} (f_i - g_i)^2 > j t^2 / 4, i.e. stays (t/2)-separated.
+    Bit i of a support's index is coordinate i; one pair's sums at a time."""
+    n = family.domain_size
+    size = np.zeros(1 << n, dtype=np.uint8)
+    sums = np.zeros(1 << n)
+    for i in range(n):
+        np.add(size[: 1 << i], 1, out=size[1 << i : 2 << i])
+    threshold = size * (t * t / 4.0)
+    ok = size > 0
+    vals = family.values
+    for a in range(family.size):
+        for b in range(a + 1, family.size):
+            for i, sq in enumerate((vals[a] - vals[b]) ** 2):
+                np.add(sums[: 1 << i], sq, out=sums[1 << i : 2 << i])
+            ok &= sums > threshold
+    return np.bincount(size[ok], minlength=n + 1)
 
-    Trials use derived seeds (seed, trial index), so the estimate is
-    deterministic and independent of evaluation order.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+
+def extraction_success_probability(family: FunctionFamily, t: float, k: int) -> float:
+    """Exact probability that one draw of extract_coordinates is accepted:
+    sum over j = 1..min(k, n) of A_j p^j (1 - p)^(n - j), p = min(1, k/2n).
+    BudgetError above ACCEPTANCE_TABLE_LIMIT entries (pairs x 2^n)."""
     _check_precondition(family, t, k)
-    hits = 0
-    for i in range(trials):
-        accepted, _, _ = _single_draw(family, t, k, seed, i)
-        hits += accepted
-    return hits / trials
+    m, n = family.size, family.domain_size
+    entries = max(1, m * (m - 1) // 2) << n
+    if entries > ACCEPTANCE_TABLE_LIMIT:
+        raise BudgetError(f"exact acceptance probability refused for {entries} "
+                          f"table entries > limit {ACCEPTANCE_TABLE_LIMIT}")
+    counts = _accepted_support_counts(family, t)
+    p = min(1.0, k / (2.0 * n))
+    return sum(float(counts[j]) * p**j * (1.0 - p) ** (n - j) for j in range(1, min(k, n) + 1))
 
 
 def verify_outcome(family: FunctionFamily, t: float, outcome: ExtractionOutcome) -> bool:

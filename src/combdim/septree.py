@@ -340,6 +340,8 @@ def validate_tree(tree: SeparatingTree, family: FunctionFamily, gap: float) -> T
     parent and that every plus-row beats every minus-row by more than
     `gap` on the stored coordinate.
     """
+    if not gap > 0:
+        raise ValueError(f"tree gap must be positive, got {gap!r}")
     values = family.values
     m, n = values.shape
 
@@ -365,10 +367,11 @@ def validate_tree(tree: SeparatingTree, family: FunctionFamily, gap: float) -> T
         for f in node.plus_son.indices:
             for g in node.minus_son.indices:
                 if not values[f, i] > values[g, i] + gap:
+                    diff = float(values[f, i] - values[g, i])
                     return TreeValidation(
                         False,
                         f"gap violated at node {node.indices}: rows {f},{g} on "
-                        f"coordinate {i} differ by {values[f, i] - values[g, i]!r} <= {gap!r}",
+                        f"coordinate {i} differ by {diff!r} <= {float(gap)!r}",
                     )
         for son in (node.plus_son, node.minus_son):
             res = check(son)

@@ -195,12 +195,11 @@ def test_c06_discretization_chain():
 def test_c07_extraction():
     with _Timer("7 extraction", 60):
         pair = FunctionFamily([[1.0] * 20, [-1.0] * 20])
-        n, k, trials = 20, 5, 10000
-        est = extraction_success_probability(pair, 1.9, k, trials, seed=[2026, 7])
+        n, k = 20, 5
+        prob = extraction_success_probability(pair, 1.9, k)
         p = k / (2 * n)
         exact = float(binom.cdf(k, n, p) - binom.pmf(0, n, p))
-        stderr = math.sqrt(exact * (1 - exact) / trials)
-        assert abs(est - exact) <= 3 * stderr, (est, exact)
+        assert abs(prob - exact) <= 1e-12, (prob, exact)
         # accepted subsets always re-verify the half-scale separation
         for i in range(40):
             rng = np.random.default_rng([2026, 7, i])

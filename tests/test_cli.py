@@ -138,11 +138,14 @@ def test_extract_command(tmp_path, capsys):
 def test_extract_curve_command(tmp_path, capsys):
     fam = tmp_path / "pair.json"
     save_family(fam, FunctionFamily([[1.0] * 8, [-1.0] * 8]))
-    assert main(["extract-curve", "--family", str(fam), "--scale", "1.9",
-                 "--k-grid", "1,2,4", "--trials", "400", "--seed", "1"]) == 0
+    argv = ["extract-curve", "--family", str(fam), "--scale", "1.9", "--k-grid", "1,2,4"]
+    assert main(argv) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "k,success_rate,stderr"
+    assert lines[0] == "k,success_rate"
     assert len(lines) == 5 and lines[-1].startswith("#")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--trials", "400"])
+    assert exc.value.code == 2
 
 
 def test_gsup_command(tmp_path, capsys):
@@ -207,6 +210,32 @@ def test_nan_scale_exits_1(tmp_path, family_file, capsys):
                  ["convex-vc", "--polytope", str(poly)]):
         assert main(argv + ["--scale", "nan"]) == 1, argv
         assert "must be positive" in capsys.readouterr().err, argv
+
+
+def test_nan_p_exits_1(family_file, capsys):
+    # p = nan passed the old p < 1 guard and gave "exact" counts from NaN distances
+    assert main(["entropy", "--family", str(family_file), "--p", "nan", "--scale", "1.0"]) == 1
+    assert "p must be >= 1 or inf, got nan" in capsys.readouterr().err
+
+
+def test_validate_rejects_gaps_that_check_nothing(tmp_path, family_file, capsys):
+    tree_path = tmp_path / "tree.json"
+    assert main(["tree", "--family", str(family_file), "--scale", "1.0",
+                 "--emit", str(tree_path)]) == 0
+    capsys.readouterr()
+    validate = ["validate", "--family", str(family_file), "--tree", str(tree_path)]
+    for gap in ("-1", "0", "nan"):
+        assert main(validate + ["--gap", gap]) == 1, gap
+        assert "tree gap must be positive" in capsys.readouterr().err, gap
+    doc = json.loads(tree_path.read_text())
+    doc["gap"] = math.nan
+    nan_path = tmp_path / "nan_gap.json"
+    nan_path.write_text(json.dumps(doc))
+    assert main(["validate", "--family", str(family_file), "--tree", str(nan_path)]) == 1
+    assert "tree gap must be positive, got nan" in capsys.readouterr().err
+    assert main(validate + ["--gap", "3"]) == 2  # the sign vectors differ by 2
+    out = capsys.readouterr().out
+    assert "differ by 2.0 <= 3.0" in out and "np.float64" not in out
 
 
 def test_error_exit_code(tmp_path):

@@ -64,6 +64,14 @@ def test_lp_distance_length_mismatch():
         lp_distance([1, 2], [1], UNIFORM2, 2)
 
 
+def test_nan_p_is_rejected():
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        lp_distance([1, 1], [-1, -1], UNIFORM2, math.nan)
+    # a one-row family has no pair, so only the up-front check sees p
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        packing_number(FunctionFamily([[1.0, -1.0]]), UNIFORM2, 0.5, p=math.nan)
+
+
 def test_is_separated_examples():
     assert is_separated(FunctionFamily([[1, 1], [-1, -1]]), UNIFORM2, 1.9)
     dup = FunctionFamily([[0.5, 0.5], [0.5, 0.5]])

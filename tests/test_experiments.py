@@ -127,7 +127,7 @@ def test_pipeline_trace_fault_injection(monkeypatch):
 
 def test_estimate_extraction_constant():
     pair = FunctionFamily([[1.0] * 16, [-1.0] * 16])
-    fit = estimate_extraction_constant(pair, 1.9, seed=5, trials=800)
+    fit = estimate_extraction_constant(pair, 1.9)
     assert fit["k_half"] is not None and 1 <= fit["k_half"] <= 16
     assert fit["c_emp"] > 0
 

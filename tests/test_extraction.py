@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from combdim import (
+    BudgetError,
     ExtractionError,
     FunctionFamily,
     NotSeparatedError,
@@ -12,7 +13,9 @@ from combdim import (
     extract_coordinates,
     extraction_success_probability,
 )
-from combdim.extraction import verify_outcome
+from combdim import extraction
+from combdim.experiments import gen_separated_family
+from combdim.extraction import _min_subset_distance, verify_outcome
 
 CONSTANT_PAIR_20 = FunctionFamily([[1.0] * 20, [-1.0] * 20])
 
@@ -92,11 +95,8 @@ def test_success_probability_single_coordinate_exact():
     vals[0, 2], vals[1, 2] = 0.9, -0.9
     fam = FunctionFamily(vals)
     t = 0.85  # full distance 1.8 / 2 = 0.9; restricted distance on {2} is 1.8
-    trials = 20000
-    est = extraction_success_probability(fam, t, k, trials, seed=11)
     exact = exact_acceptance_probability_single_coord(n, k / (2 * n), 2)
-    stderr = math.sqrt(exact * (1 - exact) / trials)
-    assert abs(est - exact) <= 3 * stderr
+    assert abs(extraction_success_probability(fam, t, k) - exact) <= 1e-12
 
 
 def test_success_probability_binomial_exact():
@@ -104,36 +104,55 @@ def test_success_probability_binomial_exact():
     from scipy.stats import binom
 
     n, k = 20, 5
-    trials = 10000
-    est = extraction_success_probability(CONSTANT_PAIR_20, 1.9, k, trials, seed=3)
     exact = float(binom.cdf(k, n, k / (2 * n)) - binom.pmf(0, n, k / (2 * n)))
-    stderr = math.sqrt(exact * (1 - exact) / trials)
-    assert abs(est - exact) <= 3 * stderr
+    assert abs(extraction_success_probability(CONSTANT_PAIR_20, 1.9, k) - exact) <= 1e-12
 
 
 def test_success_probability_monotone_in_k():
-    trials = 10000
-    rates = [
-        extraction_success_probability(CONSTANT_PAIR_20, 1.9, k, trials, seed=19)
-        for k in (1, 3, 6, 10)
-    ]
-    sigma = 3 * math.sqrt(0.25 / trials)
+    rates = [extraction_success_probability(CONSTANT_PAIR_20, 1.9, k) for k in (1, 3, 6, 10)]
     for lo, hi in zip(rates, rates[1:]):
-        assert hi >= lo - sigma
+        assert hi >= lo
 
 
-def test_success_probability_validation():
+def test_success_probability_validation(monkeypatch):
+    monkeypatch.setattr(extraction, "ACCEPTANCE_TABLE_LIMIT", (1 << 20) - 1)
+    with pytest.raises(BudgetError):
+        extraction_success_probability(CONSTANT_PAIR_20, 1.9, 2)
     with pytest.raises(ValueError):
-        extraction_success_probability(CONSTANT_PAIR_20, 1.9, 2, 0, seed=1)
+        extraction_success_probability(CONSTANT_PAIR_20, 1.9, 0)
     # scale above the diameter: the separation precondition fails upstream
     with pytest.raises(NotSeparatedError):
-        extraction_success_probability(CONSTANT_PAIR_20, 2.5, 2, 100, seed=1)
+        extraction_success_probability(CONSTANT_PAIR_20, 2.5, 2)
+
+
+def _pipeline_family(seed):
+    # the family and scale run_pipeline_trace draws for this seed
+    rng = np.random.default_rng([seed, 99])
+    n = int(rng.integers(6, 10))
+    m_target = int(rng.integers(6, 12))
+    t = float(rng.uniform(0.95, 1.2))
+    return gen_separated_family(n, t, [seed, 7], m_target, kind="noisy-signs"), t
+
+
+def test_success_probability_matches_support_enumeration():
+    # the exact sum against the draw's own acceptance test on every support
+    for seed in range(40):
+        fam, t = _pipeline_family(seed)
+        n = fam.domain_size
+        accepted = [
+            len(sigma)
+            for j in range(1, n + 1)
+            for sigma in itertools.combinations(range(n), j)
+            if _min_subset_distance(fam, np.array(sigma)) > t / 2.0
+        ]
+        for k in [*range(1, n + 1), 2 * n + 1]:
+            p = min(1.0, k / (2 * n))
+            brute = sum(p**j * (1 - p) ** (n - j) for j in accepted if j <= k)
+            assert abs(extraction_success_probability(fam, t, k) - brute) <= 1e-12, (seed, k)
 
 
 def test_accepted_subsets_reverify():
     rng = np.random.default_rng(67)
-    from combdim.experiments import gen_separated_family
-
     for trial in range(15):
         n = int(rng.integers(8, 16))
         t = float(rng.uniform(0.8, 1.1))
