@@ -5,7 +5,7 @@ Run from the repository root:
 
     PYTHONPATH=src python3 scripts/output_digest.py
 
-A change that must keep outputs identical leaves all five lines as they
+A change that must keep outputs identical leaves all six lines as they
 were.  The suites:
 
 - pipeline: `run_pipeline_trace` for seeds 0-299; a failing seed (98
@@ -15,6 +15,8 @@ were.  The suites:
 - main-theorem: `run_main_theorem_experiment` at caps 23/7, seeds 0-39;
 - elton: `elton_subset` (sigma, t, s, delta, sweep, grid_t) on the 56
   instances below;
+- l1-table: `ell1_lower_constant` on every nonempty support of the same
+  56 instances;
 - convex-vc: `convex_vc` on the dual bodies of the same 56 instances at
   every scale of `DEFAULT_T_GRID`.
 
@@ -23,6 +25,7 @@ and eight tightness bodies, net size 64, net seed 0.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 
@@ -36,7 +39,8 @@ from combdim.experiments import (
     run_main_theorem_experiment,
     run_pipeline_trace,
 )
-from combdim.geometry import convex_vc
+from combdim.family import CoordinateSubset
+from combdim.geometry import convex_vc, ell1_lower_constant
 
 RUDELSON_BODIES = ((5, 1.0), (5, 0.9), (5, 0.6), (6, 1.0), (6, 0.6), (7, 1.0), (7, 0.8), (7, 0.6))
 
@@ -79,6 +83,12 @@ def elton(norm, vectors):
     return tuple(res.sigma), res.t, res.s, res.delta, res.sweep, res.grid_t
 
 
+def l1_table(norm, vectors):
+    n = vectors.shape[0]
+    return [ell1_lower_constant(norm, vectors, CoordinateSubset(support))
+            for size in range(1, n + 1) for support in itertools.combinations(range(n), size)]
+
+
 def main() -> None:
     print("pipeline", digest(pipeline(seed) for seed in range(300)))
     print("extraction", digest(acceptance_curve(seed) for seed in range(300)))
@@ -88,6 +98,7 @@ def main() -> None:
         for seed in range(40)))
     instances = list(l1_instances())
     print("elton", digest(elton(norm, vectors) for norm, vectors in instances))
+    print("l1-table", digest(l1_table(norm, vectors) for norm, vectors in instances))
     bodies = [dual_body(norm, vectors) for norm, vectors in instances]
     print("convex-vc", digest(
         (dim, tuple(sigma)) for body in bodies for dim, sigma in

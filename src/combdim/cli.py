@@ -19,7 +19,7 @@ from .errors import BudgetError, ExtractionError, FamilyError, PipelineError, So
 from .experiments import (
     ExperimentConfig,
     emit_report,
-    estimate_extraction_constant,
+    extraction_constant_fit,
     run_dudley_experiment,
     run_main_theorem_experiment,
     run_pipeline_trace,
@@ -125,11 +125,11 @@ def cmd_extract(args) -> int:
 def cmd_extract_curve(args) -> int:
     family, _ = load_family(args.family)
     ks = [int(k) for k in args.k_grid.split(",")]
-    lines = ["k,success_rate"]
-    for k in ks:
-        rate = extraction.extraction_success_probability(family, args.scale, k)
-        lines.append(f"{k},{rate!r}")
-    fit = estimate_extraction_constant(family, args.scale)
+    # one acceptance table for the grid and for the fit's scan over k = 1..n
+    curve = extraction.acceptance_curve(
+        family, args.scale, ks + list(range(1, family.domain_size + 1)))
+    lines = ["k,success_rate"] + [f"{k},{rate!r}" for k, rate in zip(ks, curve)]
+    fit = extraction_constant_fit(family, args.scale, curve[len(ks):])
     lines.append(f"# k_half={fit['k_half']} c_emp={fit['c_emp']}")
     _write_or_print(args.out, "\n".join(lines) + "\n")
     return 0

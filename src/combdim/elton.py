@@ -3,13 +3,15 @@
 Given x_1, ..., x_n with E || sum eps_i x_i || >= delta * n, a coordinate
 subset sigma of size s^2 n exists on which the vectors are t-equivalent
 to the l1 basis with s, t comparable to delta.  The driver estimates delta
-by Monte Carlo and walks the coordinate lattice once, solving one LP per
-sign orthant for the l1 constant r(sigma) of each visited subset.  Each
-LP is posed over weights on the functionals, so it has |sigma| + 1 rows
-however many functionals the norm has.  By duality r is the half-side of
-the largest centred cube in the projection on sigma of
-B = conv{+-(f_j(x_i))_i}, so the scale sweep and the certified constant of
-the winning subset are both read off that one table.
+by Monte Carlo and walks the coordinate lattice once, level by level.
+The l1 constant r(sigma) of a subset is the least of one LP per sign
+orthant, posed over weights on the functionals, so it has |sigma| + 1
+rows however many functionals the norm has; the orthant LPs of every
+candidate subset in a level run as one stack through the simplex loop.
+By duality r is the half-side of the largest centred cube in the
+projection on sigma of B = conv{+-(f_j(x_i))_i}, so the scale sweep and
+the certified constant of the winning subset are both read off that one
+table.
 """
 
 from __future__ import annotations
@@ -96,22 +98,23 @@ def elton_subset(
 
     radius: dict[tuple[int, ...], float] = {}
 
-    def passes(support: tuple[int, ...], t: float) -> bool:
-        if support not in radius:
-            sigma = CoordinateSubset(support)
-            radius[support] = ell1_lower_constant(norm, vectors, sigma)
-        return radius[support] >= t / 2.0 - HULL_TOL
+    def passes(supports: list[tuple[int, ...]], t: float) -> list[bool]:
+        todo = [sup for sup in supports if sup not in radius]
+        if todo:  # one stacked solve for the whole level
+            point_sets = [geometry._l1_points(norm, vectors, sup) for sup in todo]
+            radius.update(zip(todo, geometry._inscribed_radius(point_sets)))
+        return [radius[sup] >= t / 2.0 - HULL_TOL for sup in supports]
 
     # As in convex_vc, a probe of the full support settles every scale it
     # passes.  r only shrinks as a support grows, so one walk at the finest
     # unsettled scale visits every support that passes at a coarser one.
     table = [tuple(range(n))] if n <= geometry.CUBE_DIM_BUDGET else []
-    unsettled = [t for t in DEFAULT_T_GRID if not (table and passes(table[0], t))]
+    unsettled = [t for t in DEFAULT_T_GRID if not (table and passes(table, t)[0])]
     if unsettled:
-        table += passing_supports(n, lambda support: passes(support, unsettled[-1]))
+        table += passing_supports(n, lambda supports: passes(supports, unsettled[-1]))
 
     def best_at(t: float) -> tuple[int, ...]:  # max keeps the lexicographically first
-        return max((sup for sup in table if passes(sup, t)), key=len, default=())
+        return max((sup for sup, ok in zip(table, passes(table, t)) if ok), key=len, default=())
 
     sweep = [(t, len(best_at(t))) for t in DEFAULT_T_GRID]
     best_t, best_score = None, -1.0

@@ -359,10 +359,17 @@ def random_norm_instances(seed: int = 31415):
 # ---------------------------------------------------------------------------
 
 def estimate_extraction_constant(family: FunctionFamily, t: float) -> dict:
-    """Smallest k <= n with exact acceptance probability >= 1/2, by a scan that
-    assumes no monotonicity in k, and the implied constant ln(2m) / (t^4 k)."""
-    for k in range(1, family.domain_size + 1):
-        if extraction.extraction_success_probability(family, t, k) >= 0.5:
+    """Smallest k <= n with exact acceptance probability >= 1/2 and the
+    implied constant ln(2m) / (t^4 k), from one acceptance table."""
+    curve = extraction.acceptance_curve(family, t, range(1, family.domain_size + 1))
+    return extraction_constant_fit(family, t, curve)
+
+
+def extraction_constant_fit(family: FunctionFamily, t: float, curve) -> dict:
+    """estimate_extraction_constant read off curve[k - 1], the acceptance
+    probability at k = 1..n, by a scan that assumes no monotonicity in k."""
+    for k, probability in enumerate(curve, start=1):
+        if probability >= 0.5:
             return {"k_half": k, "c_emp": math.log(2.0 * family.size) / (t**4 * k)}
     return {"k_half": None, "c_emp": None, "note": "never reaches 1/2 on this domain"}
 

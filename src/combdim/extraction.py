@@ -128,19 +128,31 @@ def _accepted_support_counts(family: FunctionFamily, t: float) -> np.ndarray:
     return np.bincount(size[ok], minlength=n + 1)
 
 
-def extraction_success_probability(family: FunctionFamily, t: float, k: int) -> float:
-    """Exact probability that one draw of extract_coordinates is accepted:
-    sum over j = 1..min(k, n) of A_j p^j (1 - p)^(n - j), p = min(1, k/2n).
-    BudgetError above ACCEPTANCE_TABLE_LIMIT entries (pairs x 2^n)."""
-    _check_precondition(family, t, k)
+def acceptance_curve(family: FunctionFamily, t: float, ks) -> list[float]:
+    """Exact probability that one draw of extract_coordinates is accepted,
+    at each k of ks: sum over j = 1..min(k, n) of A_j p^j (1 - p)^(n - j),
+    p = min(1, k/2n).  The counts A_j do not depend on k, so one table
+    serves every k.  BudgetError above ACCEPTANCE_TABLE_LIMIT entries
+    (pairs x 2^n)."""
+    ks = list(ks)
+    _check_precondition(family, t, min(ks, default=1))
     m, n = family.size, family.domain_size
     entries = max(1, m * (m - 1) // 2) << n
     if entries > ACCEPTANCE_TABLE_LIMIT:
         raise BudgetError(f"exact acceptance probability refused for {entries} "
                           f"table entries > limit {ACCEPTANCE_TABLE_LIMIT}")
     counts = _accepted_support_counts(family, t)
-    p = min(1.0, k / (2.0 * n))
-    return sum(float(counts[j]) * p**j * (1.0 - p) ** (n - j) for j in range(1, min(k, n) + 1))
+    curve = []
+    for k in ks:
+        p = min(1.0, k / (2.0 * n))
+        curve.append(sum(float(counts[j]) * p**j * (1.0 - p) ** (n - j)
+                         for j in range(1, min(k, n) + 1)))
+    return curve
+
+
+def extraction_success_probability(family: FunctionFamily, t: float, k: int) -> float:
+    """Exact acceptance probability of one draw at k (see acceptance_curve)."""
+    return acceptance_curve(family, t, [k])[0]
 
 
 def verify_outcome(family: FunctionFamily, t: float, outcome: ExtractionOutcome) -> bool:

@@ -6,11 +6,14 @@ All predicates reduce to small dense LPs: hull membership is feasibility
 of a convex combination, and the inscribed radius r of a symmetric body
 (the half-side of its largest centred cube) is one LP per sign orthant
 over weights on the vertices, |sigma| + 1 rows however many vertices.
-A symmetric body holds a side-t cube iff r >= t/2 - HULL_TOL, the rule
-the elton sweep applies; a cube in any other body is one joint LP over
-all cube vertices sharing the translation variable.  The l1 constant is
-r of conv{+-(f_j(x_i))} (exact for polyhedral norms).  Symmetry is read
-from the vertices, never declared.
+These LPs share their costs and right-hand sides, so the orthants of
+every same-shape point set in a call run as one stack through the
+simplex loop.  A symmetric body holds a side-t cube iff
+r >= t/2 - HULL_TOL, the rule the elton sweep applies; a cube in any
+other body is one joint LP over all cube vertices sharing the
+translation variable.  The l1 constant is r of conv{+-(f_j(x_i))}
+(exact for polyhedral norms).  Symmetry is read from the vertices, never
+declared.
 """
 
 from __future__ import annotations
@@ -25,10 +28,14 @@ import numpy as np
 
 from .errors import BudgetError
 from .family import CoordinateSubset, read_json, read_rows, read_size
-from .simplex import LPProblem, lp_solve
+from .simplex import LPProblem, _solve_stack, lp_solve
 
 HULL_TOL = 1e-9
 CUBE_DIM_BUDGET = 15
+# Tableau entries of one stacked orthant solve (8 bytes each): a memory bound.
+# The full support of rudelson_example(12, .) alone has 2,048 orthant LPs of
+# 13 x 4,263 entries, about 0.9 GB as one stack.
+STACK_ENTRY_LIMIT = 150_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +140,7 @@ def cube_in_projection(
         return None
 
     if poly.symmetric:
-        floor = t / 2.0 - HULL_TOL
-        if _inscribed_radius(pts, floor) < floor:
+        if _inscribed_radius([pts])[0] < t / 2.0 - HULL_TOL:
             return None
         return CubeWitness(sigma, t, (-t / 2.0,) * k)
 
@@ -165,15 +171,17 @@ def cube_in_projection(
 
 def passing_supports(n: int, passes) -> list[tuple[int, ...]]:
     """The nonempty supports in range(n) that pass a downward-closed
-    predicate, by size and then lexicographically.  A support is tested
-    only when all its one-smaller subsets passed."""
-    level = [(i,) for i in range(n) if passes((i,))]
+    predicate, by size and then lexicographically.  A support is a
+    candidate only when all its one-smaller subsets passed; `passes` takes
+    the candidate list of one size and returns one bool per candidate."""
+    level = [(i,) for i in range(n)]
     found = []
     while level:
+        level = [sup for sup, ok in zip(level, passes(level)) if ok]
         found += level
         prev = set(level)
         level = [c for c in (sup + (j,) for sup in level for j in range(sup[-1] + 1, n))
-                 if all(c[:i] + c[i + 1 :] in prev for i in range(len(c))) and passes(c)]
+                 if all(c[:i] + c[i + 1 :] in prev for i in range(len(c)))]
     return found
 
 
@@ -186,47 +194,73 @@ def convex_vc(poly: VPolytope, t: float) -> tuple[int, CoordinateSubset]:
     """
     n = poly.dimension
 
-    def passes(support: tuple[int, ...]) -> bool:
-        sigma = CoordinateSubset(support)
-        return cube_in_projection(poly, sigma, t) is not None
+    def passes(supports: list[tuple[int, ...]]) -> list[bool]:
+        return [cube_in_projection(poly, CoordinateSubset(sup), t) is not None
+                for sup in supports]
 
     # Bodies like scaled cubes pass on every support; probing the full one
     # first skips the whole lattice walk in that case.
     full = tuple(range(n))
-    if n <= CUBE_DIM_BUDGET and passes(full):
+    if n <= CUBE_DIM_BUDGET and passes([full])[0]:
         return n, CoordinateSubset(full)
     # max keeps the first of the largest, the lexicographically smallest
     best = max(passing_supports(n, passes), key=len, default=())
     return len(best), CoordinateSubset(best)
 
 
-def _inscribed_radius(points: np.ndarray, floor: float = -math.inf) -> float:
-    """Half-side r of the largest centred cube in the hull of a symmetric
-    point set (rows): the minimum over sign orthants theta (theta ~ -theta)
-    of one LP in weights y >= 0 on the points and mu: maximize mu subject to
-    mu <= theta_i (points^T y)_i and sum(y) <= 1.  It has k + 1 rows and
-    right-hand sides >= 0, so no phase 1 runs, and its optimal y certifies
-    the lower bound by weak duality.  The loop stops once the minimum falls
-    below `floor`.  r is homogeneous in the points, so a power-of-two scale
-    brings their largest entry near 1 for the solver's absolute tolerances.
+def _orthant_optima(point_sets) -> tuple[np.ndarray, np.ndarray]:
+    """Orthant-LP optima (sets, orthants) of same-shape symmetric point sets
+    (rows), each divided by its power-of-two scale (also returned).  For a
+    sign orthant theta (first sign +, since theta ~ -theta) the LP in
+    weights y >= 0 on the points and mu maximizes mu subject to
+    mu <= theta_i (points^T y)_i and sum(y) <= 1: k + 1 rows with
+    right-hand sides >= 0, so no phase 1 runs.  The (set, orthant) LPs run
+    in stacks of at most STACK_ENTRY_LIMIT tableau entries (one LP if it
+    alone is larger).
     """
-    peak = float(np.abs(points).max())
-    scale = 2.0 ** round(math.log2(peak)) if peak > 0 else 1.0
-    n_pts, k = points.shape
+    sets = np.asarray(point_sets, dtype=np.float64)
+    n_sets, n_pts, k = sets.shape
+    if k > CUBE_DIM_BUDGET:
+        raise BudgetError(f"|sigma| = {k} exceeds the exponent budget {CUBE_DIM_BUDGET}")
+    # r is homogeneous in the points, so a power-of-two scale brings their
+    # largest entry near 1 for the solver's absolute tolerances, exactly.
+    peaks = np.abs(sets).max(axis=(1, 2)).tolist()
+    scales = np.array([2.0 ** round(math.log2(p)) if p > 0 else 1.0 for p in peaks])
+    sets = sets / scales[:, None, None]
+    theta = np.array([(1.0,) + signs for signs in itertools.product((-1.0, 1.0), repeat=k - 1)])
     # Variables: y (n_pts) and mu, all >= 0; minimize -mu.
-    l1_row = np.r_[np.ones(n_pts), 0.0]
-    b_ub = np.r_[np.zeros(k), 1.0]
     c = np.r_[np.zeros(n_pts), -1.0]
-    best = math.inf
-    for signs in itertools.product((-1.0, 1.0), repeat=k - 1):
-        at = (points * (np.array((1.0,) + signs) / scale)).T  # rows scaled by the orthant signs
-        a_ub = np.vstack([np.hstack([-at, np.ones((k, 1))]), l1_row])
-        result = lp_solve(LPProblem(c, a_ub, b_ub))
-        assert result.status == "optimal", "orthant LP is always feasible and bounded"
-        best = min(best, -result.objective)
-        if best * scale < floor:
-            break
-    return float(max(0.0, best)) * scale
+    b_ub = np.r_[np.zeros(k), 1.0]
+    tableau_entries = (k + 1) * (n_pts + k + 3)  # y, mu, k + 1 slacks and the rhs
+    per_stack = max(1, STACK_ENTRY_LIMIT // tableau_entries)
+    optima = np.empty(n_sets * len(theta))
+    for start in range(0, optima.size, per_stack):
+        lps = np.arange(start, min(start + per_stack, optima.size))
+        a_ub = np.zeros((lps.size, k + 1, n_pts + 1))
+        at = (sets[lps // len(theta)] * theta[lps % len(theta), None, :]).transpose(0, 2, 1)
+        a_ub[:, :k, :n_pts] = -at
+        a_ub[:, :k, n_pts] = 1.0
+        a_ub[:, k, :n_pts] = 1.0
+        status, x = _solve_stack(c, a_ub, b_ub, np.zeros((lps.size, 0, n_pts + 1)), np.zeros(0))
+        assert status == "optimal", "orthant LPs are always feasible and bounded"
+        optima[lps] = x[:, n_pts]
+    return optima.reshape(n_sets, len(theta)), scales
+
+
+def _inscribed_radius(point_sets) -> list[float]:
+    """Half-side r of the largest centred cube in the hull of each of
+    same-shape symmetric point sets: the least of its orthant optima, times
+    its scale.  By weak duality an optimal y certifies the lower bound."""
+    optima, scales = _orthant_optima(point_sets)
+    return [float(max(0.0, best)) * scale
+            for best, scale in zip(optima.min(axis=1).tolist(), scales.tolist())]
+
+
+def _l1_points(norm: PolyhedralNorm, vectors: np.ndarray, support) -> np.ndarray:
+    """+-w for w = (f_j(x_i)), i in support: the points whose inscribed
+    radius is the l1 constant of the support."""
+    w = norm.functionals @ vectors[list(support)].T  # (n_func, k)
+    return np.vstack([w, -w])
 
 
 def ell1_lower_constant(norm: PolyhedralNorm, vectors, sigma: CoordinateSubset) -> float:
@@ -239,14 +273,10 @@ def ell1_lower_constant(norm: PolyhedralNorm, vectors, sigma: CoordinateSubset) 
     min_i theta_i (w^T y)_i, the inscribed radius of conv{+-rows of w}.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    k = len(sigma)
-    if k == 0:
+    if len(sigma) == 0:
         raise ValueError("sigma must be nonempty")
-    if k > CUBE_DIM_BUDGET:
-        raise BudgetError(f"|sigma| = {k} exceeds the exponent budget {CUBE_DIM_BUDGET}")
     sigma.validate_against(vectors.shape[0])
-    w = norm.functionals @ vectors[list(sigma)].T  # (n_func, k)
-    return _inscribed_radius(np.vstack([w, -w]))
+    return _inscribed_radius([_l1_points(norm, vectors, sigma)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 Problems are stated as: minimize c @ x subject to a_ub @ x <= b_ub,
 a_eq @ x = b_eq, x >= 0.  Sizes here are desk scale, so a dense tableau
-is simplest; each pivot is one rank-1 update and each pricing step one
-matrix-vector product, so no step of the pivot loop runs over rows in
-Python.
+is simplest.  The pivot loop runs on a stack of same-shape tableaux: each
+iteration prices every unfinished LP with one batched matrix product and
+pivots each with one batched rank-1 update, so Python iterates once per
+pivot of the slowest LP, not once per pivot of every LP.  An LP leaves
+the stack once it is optimal, an unbounded one ends the run, and the cap
+counts pivots per LP.  `lp_solve` is a stack of one; the l1-constant orthant LPs, which
+share their costs and right-hand sides, run as stacks of many.
 
 Bland's anti-cycling rule makes the solver deterministic and finite: the
 entering column is the smallest index with a negative reduced cost, and
@@ -15,8 +19,9 @@ PIVOT_REL of the column's largest, the rows with such entries are passed
 over unless one would then fall more than DROP_TOL below zero.  A
 leftover artificial leaves after phase 1 on the entry of its row that is
 largest against its column's largest magnitude; a row with no entry over
-PIVOT_TOL is dropped.  The optimal point is read from the final tableau
-and checked against the original rows.
+PIVOT_TOL is dropped.  Every choice is made per LP, so an LP pivots
+exactly as it would alone.  The optimal point is read from the final
+tableau and checked against the original rows.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ PIVOT_REL = 1e-8  # of the column's largest entry: smaller pivots are passed ove
 DROP_TOL = 1e-8  # the most a row skipped for a small entry may fall below zero
 RATIO_TIE = 1e-12
 ITER_FACTOR = 200  # each phase may pivot ITER_FACTOR * (2 rows + x and slack columns + 10) times
+_NO_BASIS = np.iinfo(np.intp).max  # above every column index
 
 
 @dataclass(frozen=True)
@@ -71,117 +77,158 @@ class LPResult:
     objective: float | None
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= factors[:, None] * tableau[row]
-    basis[row] = col
+def _pivot(tableau: np.ndarray, basis: np.ndarray, rows, cols) -> None:
+    """Pivot each tableau of the stack on its (rows[l], cols[l]) entry; a
+    scalar row or column is shared by the whole stack."""
+    lps = np.arange(tableau.shape[0])
+    pivot_rows = tableau[lps, rows] / tableau[lps, rows, cols][:, None]
+    tableau[lps, rows] = pivot_rows
+    factors = tableau[lps, :, cols]
+    factors[lps, rows] = 0.0
+    tableau -= factors[:, :, None] * pivot_rows[:, None, :]
+    basis[lps, rows] = cols
     # Roundoff can push basic values a hair below zero; clamp the drift so
     # it cannot compound across pivots.
-    rhs = tableau[:, -1]
+    rhs = tableau[:, :, -1]
     np.copyto(rhs, 0.0, where=(rhs < 0.0) & (rhs > -1e-9))
+
+
+def _leaving_rows(ratios: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Per LP, among the rows within RATIO_TIE of the least ratio, the one
+    whose basic variable has the smallest index (Bland)."""
+    ties = ratios <= ratios.min(axis=1, keepdims=True) + RATIO_TIE
+    return np.where(ties, basis, _NO_BASIS).argmin(axis=1)
 
 
 def _run_simplex(
     tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray, max_iter: int, phase: int
-) -> str:
-    """Minimize cost over the current tableau in place.  Only the first
-    cost.size columns may enter the basis.  Returns "optimal"/"unbounded".
+) -> bool:
+    """Minimize cost over each tableau of a stack (lps, rows, cols + 1) in
+    place, one pivot of every unfinished LP per iteration; an LP leaves the
+    stack once it is optimal.  Only the first cost.size columns may enter
+    the basis.  Returns True as soon as some LP is unbounded.
     """
-    body = tableau[:, : cost.size]
-    rhs = tableau[:, -1]
-    for _ in range(max_iter):
+    live = lps = np.arange(tableau.shape[0])
+    tab, bas = tableau, basis
+    for iteration in range(max_iter + 1):
+        body = tab[:, :, : cost.size]
         # Reduced costs from scratch each iteration: numerically
         # self-correcting and cheap at these sizes.
-        eligible = cost - cost[basis] @ body < -FEAS_TOL
-        eligible[basis] = False
-        entering = int(eligible.argmax())  # Bland: smallest eligible index
-        if not eligible[entering]:
-            return "optimal"
-        rows = (body[:, entering] > PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
-            return "unbounded"
-        entries = body[rows, entering]
-        ratios = rhs[rows] / entries
-        ties = rows[ratios <= ratios.min() + RATIO_TIE]
-        row = ties[basis[ties].argmin()]
-        if body[row, entering] < PIVOT_REL * entries.max():
-            small = entries < PIVOT_REL * entries.max()
-            if ratios[~small].min() <= ((rhs[rows] + DROP_TOL) / entries)[small].min():
-                ratios[small] = np.inf
-                ties = rows[ratios <= ratios.min() + RATIO_TIE]
-                row = ties[basis[ties].argmin()]
-        _pivot(tableau, basis, int(row), entering)
+        eligible = cost - (cost[bas][:, None, :] @ body)[:, 0] < -FEAS_TOL
+        eligible[lps[:, None], bas] = False
+        entering = eligible.argmax(axis=1)  # Bland: smallest eligible index
+        improving = eligible[lps, entering]
+        if not improving.all():  # optimal LPs leave the stack
+            optimal = live[~improving]
+            tableau[optimal], basis[optimal] = tab[~improving], bas[~improving]
+            if optimal.size == live.size:
+                return False
+            tab, bas, live, entering = (
+                a[improving] for a in (tab, bas, live, entering))
+            lps = np.arange(live.size)
+            body = tab[:, :, : cost.size]
+        if iteration == max_iter:
+            break
+        column = body[lps, :, entering]
+        positive = column > PIVOT_TOL
+        if not positive.any(axis=1).all():
+            return True
+        rhs = tab[:, :, -1]
+        ratios = np.divide(rhs, column, out=np.full(column.shape, np.inf), where=positive)
+        rows = _leaving_rows(ratios, bas)
+        largest = column.max(axis=1, keepdims=True)
+        tiny_pivot = column[lps, rows] < PIVOT_REL * largest[:, 0]
+        if tiny_pivot.any():
+            small = positive & (column < PIVOT_REL * largest)
+            passed_over = np.divide(rhs + DROP_TOL, column, out=np.full(column.shape, np.inf),
+                                    where=small).min(axis=1)
+            safe = tiny_pivot & (np.where(small, np.inf, ratios).min(axis=1) <= passed_over)
+            ratios[safe[:, None] & small] = np.inf
+            rows = _leaving_rows(ratios, bas)
+        _pivot(tab, bas, rows, entering)
     raise IterationCapError(
         f"simplex phase {phase} ran {max_iter} iterations without reaching an "
-        f"optimum (the cap) on a {tableau.shape[0]}x{tableau.shape[1]} tableau"
+        f"optimum (the cap) on a {tab.shape[1]}x{tab.shape[2]} tableau; "
+        f"{live.size} of {tableau.shape[0]} LPs in the stack were still running"
     )
 
 
-def lp_solve(problem: LPProblem) -> LPResult:
-    """Solve the LP; optimal points satisfy all constraints within 1e-9."""
-    n = problem.c.size
-    a_ub, b_ub, a_eq, b_eq = problem.a_ub, problem.b_ub, problem.a_eq, problem.b_eq
-    m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
-    m = m_ub + m_eq
-
+def _solve_stack(c, a_ub, b_ub, a_eq, b_eq) -> tuple[str, np.ndarray | None]:
+    """Solve a stack of LPs that share c and the right-hand sides: minimize
+    c @ x subject to a_ub[l] @ x <= b_ub, a_eq[l] @ x = b_eq, x >= 0.
+    Returns "optimal" and the points (lps, n), or "infeasible" or
+    "unbounded" if some LP is.  Only a stack of one may need phase 1.
+    """
+    lps, m_ub, n = a_ub.shape
+    m = m_ub + a_eq.shape[1]
     # Columns: [x (n) | slacks (m_ub) | artificials (one per row that lacks
     # a +1 slack: equality rows and rows negated for a negative rhs)].
     art_start = n + m_ub
     flipped = np.concatenate([b_ub, b_eq]) < 0
     art_rows = np.flatnonzero(flipped | (np.arange(m) >= m_ub))
     ncols = art_start + art_rows.size
-    tableau = np.zeros((m, ncols + 1))
-    tableau[:m_ub, :n] = a_ub
-    tableau[:m_ub, n:art_start] = np.eye(m_ub)
-    tableau[:m_ub, -1] = b_ub
-    tableau[m_ub:, :n] = a_eq
-    tableau[m_ub:, -1] = b_eq
-    tableau[flipped] *= -1.0
-    tableau[art_rows, art_start + np.arange(art_rows.size)] = 1.0
-    basis = n + np.arange(m)
-    basis[art_rows] = art_start + np.arange(art_rows.size)
+    tableau = np.zeros((lps, m, ncols + 1))
+    tableau[:, :m_ub, :n] = a_ub
+    tableau[:, :m_ub, n:art_start] = np.eye(m_ub)
+    tableau[:, :m_ub, -1] = b_ub
+    tableau[:, m_ub:, :n] = a_eq
+    tableau[:, m_ub:, -1] = b_eq
+    tableau[:, flipped] *= -1.0
+    tableau[:, art_rows, art_start + np.arange(art_rows.size)] = 1.0
+    basis = np.tile(n + np.arange(m), (lps, 1))
+    basis[:, art_rows] = art_start + np.arange(art_rows.size)
 
     max_iter = ITER_FACTOR * (2 * m + art_start + 10)
 
     if art_rows.size:
+        assert lps == 1, "only a stack of one may need phase 1"
         cost1 = np.zeros(ncols)
         cost1[art_start:] = 1.0
-        status = _run_simplex(tableau, basis, cost1, max_iter, phase=1)
-        assert status == "optimal", "phase-1 objective is bounded below by 0"
-        if tableau[basis >= art_start, -1].sum() > FEAS_TOL:
-            return LPResult("infeasible", None, None)
+        unbounded = _run_simplex(tableau, basis, cost1, max_iter, phase=1)
+        assert not unbounded, "phase-1 objective is bounded below by 0"
+        if tableau[0, basis[0] >= art_start, -1].sum() > FEAS_TOL:
+            return "infeasible", None
         # Pivot remaining zero-level artificials out, dropping redundant rows.
-        keep = basis < art_start
+        keep = basis[0] < art_start
         for r in np.flatnonzero(~keep):
-            magnitude = np.abs(tableau[:, :art_start])
+            magnitude = np.abs(tableau[0, :, :art_start])
             candidates = np.flatnonzero(magnitude[r] > PIVOT_TOL)
             if candidates.size:
                 share = magnitude[r, candidates] / magnitude[:, candidates].max(axis=0)
                 _pivot(tableau, basis, int(r), int(candidates[share.argmax()]))
                 keep[r] = True
         if not keep.all():
-            tableau, basis = tableau[keep], basis[keep]
+            tableau, basis = tableau[:, keep], basis[:, keep]
 
     cost2 = np.zeros(art_start)
-    cost2[:n] = problem.c
-    if _run_simplex(tableau, basis, cost2, max_iter, phase=2) == "unbounded":
-        return LPResult("unbounded", None, None)
+    cost2[:n] = c
+    if _run_simplex(tableau, basis, cost2, max_iter, phase=2):
+        return "unbounded", None
 
-    structural = basis < n
-    x = np.zeros(n)
-    x[basis[structural]] = tableau[structural, -1]
-    _verify(problem, x)
-    return LPResult("optimal", x, float(problem.c @ x))
+    x = np.zeros((lps, n))
+    stack, rows = np.nonzero(basis < n)
+    x[stack, basis[stack, rows]] = tableau[stack, rows, -1]
+    _verify(a_ub, b_ub, a_eq, b_eq, x)
+    return "optimal", x
 
 
-def _verify(problem: LPProblem, x: np.ndarray) -> None:
+def lp_solve(problem: LPProblem) -> LPResult:
+    """Solve the LP, as a stack of one; optimal points satisfy all
+    constraints within 1e-9."""
+    status, x = _solve_stack(
+        problem.c, problem.a_ub[None], problem.b_ub, problem.a_eq[None], problem.b_eq)
+    if x is None:
+        return LPResult(status, None, None)
+    return LPResult(status, x[0], float(problem.c @ x[0]))
+
+
+def _verify(a_ub, b_ub, a_eq, b_eq, x: np.ndarray) -> None:
+    """Check each point x[l] of a stack against the rows of its LP."""
     if np.any(x < -FEAS_TOL):
         raise SolverError("simplex returned a negative component")
-    slack = problem.a_ub @ x - problem.b_ub
-    if np.any(slack > FEAS_TOL * (1.0 + np.abs(problem.b_ub))):
+    slack = (a_ub @ x[:, :, None])[:, :, 0] - b_ub
+    if np.any(slack > FEAS_TOL * (1.0 + np.abs(b_ub))):
         raise SolverError("simplex returned an infeasible point (ub)")
-    gap = np.abs(problem.a_eq @ x - problem.b_eq)
-    if np.any(gap > FEAS_TOL * (1.0 + np.abs(problem.b_eq))):
+    gap = np.abs((a_eq @ x[:, :, None])[:, :, 0] - b_eq)
+    if np.any(gap > FEAS_TOL * (1.0 + np.abs(b_eq))):
         raise SolverError("simplex returned an infeasible point (eq)")

@@ -11,6 +11,7 @@ from combdim.elton import dual_body, exact_tightness_norm, rudelson_example
 from combdim.errors import BudgetError
 from combdim.experiments import random_norm_instances
 from combdim.geometry import convex_vc, ell1_lower_constant
+from combdim.simplex import LPProblem, lp_solve
 
 
 def l1_norm(n):
@@ -143,18 +144,19 @@ def test_rudelson_trade_off_bound():
         assert res.delta == pytest.approx(delta, abs=1e-12)
 
 
-def _highs_orthant_minimum(norm, vectors, sigma):
-    # the orthant LPs of ell1_lower_constant in primal form, solved by HiGHS:
-    # min z subject to |(w theta) u| <= z, u in the simplex
-    w = norm.functionals @ vectors[list(sigma)].T
-    k = w.shape[1]
+def _highs_orthant_minimum(points):
+    # the orthant LPs of the inscribed radius of the hull of a symmetric
+    # point set in primal form, solved by HiGHS: min z subject to
+    # (points theta) u <= z, u in the simplex.  With points = +-(f_j(x_i))
+    # it is the l1 constant.
+    k = points.shape[1]
     best = math.inf
     for signs in itertools.product((-1.0, 1.0), repeat=k - 1):
-        a = w * np.array((1.0,) + signs)
+        a = points * np.array((1.0,) + signs)
         res = linprog(
             np.r_[np.zeros(k), 1.0],
-            A_ub=np.hstack([np.vstack([a, -a]), -np.ones((2 * a.shape[0], 1))]),
-            b_ub=np.zeros(2 * a.shape[0]),
+            A_ub=np.hstack([a, -np.ones((a.shape[0], 1))]),
+            b_ub=np.zeros(a.shape[0]),
             A_eq=np.r_[np.ones(k), 0.0][None, :],
             b_eq=[1.0],
             bounds=[(0, None)] * k + [(None, None)],
@@ -165,13 +167,19 @@ def _highs_orthant_minimum(norm, vectors, sigma):
     return best
 
 
+def _l1_points(norm, vectors):
+    w = norm.functionals @ vectors.T
+    return np.vstack([w, -w])
+
+
 def test_ell1_constant_on_tall_rudelson_orthant_lps():
     # Pivot roundoff once left a basic point 1.7e-5 outside a row of one of
     # these 270 x 8 orthant LPs, and the solver's own check rejected it.
     inst = rudelson_example(7, 0.6, net_size=64, seed=0)
     sigma = CoordinateSubset(tuple(range(7)))
     mine = ell1_lower_constant(inst.norm, inst.vectors, sigma)
-    assert mine == pytest.approx(_highs_orthant_minimum(inst.norm, inst.vectors, sigma), abs=1e-7)
+    highs = _highs_orthant_minimum(_l1_points(inst.norm, inst.vectors))
+    assert mine == pytest.approx(highs, abs=1e-7)
 
 
 def test_ell1_constant_is_independent_of_functional_order():
@@ -182,7 +190,7 @@ def test_ell1_constant_is_independent_of_functional_order():
     for delta in (0.8, 0.6):
         inst = rudelson_example(7, delta, net_size=64, seed=0)
         f = inst.norm.functionals
-        highs = _highs_orthant_minimum(inst.norm, inst.vectors, sigma)
+        highs = _highs_orthant_minimum(_l1_points(inst.norm, inst.vectors))
         assert highs == pytest.approx(delta, abs=1e-7)
         orders = [np.arange(len(f)), np.lexsort(f.T[::-1])]
         orders += [np.random.default_rng(seed).permutation(len(f)) for seed in range(6)]
@@ -193,28 +201,68 @@ def test_ell1_constant_is_independent_of_functional_order():
             assert mine == pytest.approx(highs, abs=1e-7)
 
 
-def test_dual_orthant_lps_match_the_primal_on_every_visited_support(monkeypatch):
-    # ell1_lower_constant solves each orthant LP in dual form; HiGHS on the
-    # primal form is the reference on every support the walk visits
-    from combdim import elton
+def _walk_radius_calls(monkeypatch, bodies):
+    # every stacked radius solve of the elton walk on random_norm_instances(1)
+    # and (2) and on the given rudelson bodies: (point sets of a level, radii)
+    calls = []
+    real = geometry._inscribed_radius
 
-    visited = []
+    def recording(point_sets):
+        calls.append((point_sets, real(point_sets)))
+        return calls[-1][1]
 
-    def recording(norm, vectors, sigma):
-        visited.append((norm, vectors, sigma, ell1_lower_constant(norm, vectors, sigma)))
-        return visited[-1][-1]
-
-    monkeypatch.setattr(elton, "ell1_lower_constant", recording)
+    monkeypatch.setattr(geometry, "_inscribed_radius", recording)
     cases = [(norm, vectors) for seed in (1, 2)
              for norm, vectors, _ in random_norm_instances(seed)]
-    for n, delta in ((5, 0.6), (6, 0.6), (8, 0.5)):
+    for n, delta in bodies:
         inst = rudelson_example(n, delta)
         cases.append((inst.norm, inst.vectors))
     for norm, vectors in cases:
         elton_subset(norm, vectors, samples=200, seed=0)
-    assert len(visited) > len(cases)
-    for norm, vectors, sigma, mine in visited:
-        assert mine == pytest.approx(_highs_orthant_minimum(norm, vectors, sigma), abs=1e-9)
+    assert len(calls) > len(cases)
+    return calls, real
+
+
+def test_dual_orthant_lps_match_the_primal_on_every_visited_support(monkeypatch):
+    # the walk solves each level's orthant LPs in dual form as one stack;
+    # HiGHS on the primal form is the reference on every support it solves
+    calls, _ = _walk_radius_calls(monkeypatch, ((5, 0.6), (6, 0.6), (8, 0.5)))
+    for point_sets, radii in calls:
+        for points, mine in zip(point_sets, radii):
+            assert mine == pytest.approx(_highs_orthant_minimum(points), abs=1e-9)
+
+
+def _orthant_optima_alone(points):
+    # each orthant LP of one point set as its own LPProblem, solved by lp_solve
+    peak = float(np.abs(points).max())
+    scale = 2.0 ** round(math.log2(peak)) if peak > 0 else 1.0
+    n_pts, k = points.shape
+    c = np.r_[np.zeros(n_pts), -1.0]
+    b_ub = np.r_[np.zeros(k), 1.0]
+    optima = []
+    for signs in itertools.product((-1.0, 1.0), repeat=k - 1):
+        at = (points * (np.array((1.0,) + signs) / scale)).T
+        a_ub = np.vstack([np.hstack([-at, np.ones((k, 1))]), np.r_[np.ones(n_pts), 0.0]])
+        optima.append(-lp_solve(LPProblem(c, a_ub, b_ub)).objective)
+    return optima
+
+
+def test_stacked_orthant_optima_equal_each_lp_solved_alone(monkeypatch):
+    # a stack pivots each LP exactly as lp_solve does alone, so every
+    # optimum is the same float
+    calls, _ = _walk_radius_calls(monkeypatch, ((5, 0.6), (7, 0.8)))
+    for point_sets, _ in calls:
+        optima, _ = geometry._orthant_optima(point_sets)
+        for points, stacked in zip(point_sets, optima):
+            assert stacked.tolist() == _orthant_optima_alone(points)
+
+
+def test_stack_entry_cap_does_not_change_the_radii(monkeypatch):
+    calls, real = _walk_radius_calls(monkeypatch, ((5, 0.6),))
+    for limit in (1, 2_000):  # one LP per stack, then a few
+        monkeypatch.setattr(geometry, "STACK_ENTRY_LIMIT", limit)
+        for point_sets, radii in calls:
+            assert real(point_sets) == radii
 
 
 def test_elton_on_rudelson_nine():

@@ -218,6 +218,7 @@ def test_leftover_artificial_leaves_on_a_stable_entry(monkeypatch):
     monkeypatch.setattr(simplex, "_pivot", lambda t, b, r, c: pivots.append((r, c)) or real_pivot(t, b, r, c))
     result = lp_solve(LPProblem([1.0, 1.0], a_eq=[[5e-9, 1.0], [-1.0, -1.0]], b_eq=[0.0, 0.0]))
     assert pivots == [(0, 1), (1, 0)]
+    assert all(type(index) is int for pivot in pivots for index in pivot)
     assert result.status == "optimal" and result.objective == 0.0
 
 
@@ -235,3 +236,21 @@ def test_iteration_cap_message_names_phase_count_and_shape(monkeypatch):
     assert "phase 1" in message
     assert "ran 0 iterations" in message
     assert "2x7 tableau" in message
+
+
+def test_iteration_cap_on_a_stack_names_the_lps_still_running(monkeypatch):
+    # two point sets of 12 points in 3 coordinates: 2 x 4 orthant LPs of
+    # 4 rows over 12 weights, mu, 4 slacks and the rhs, stacked in one run
+    from combdim import geometry, simplex
+
+    w = np.random.default_rng(0).uniform(-1.0, 1.0, (6, 3))
+    points = np.vstack([w, -w])
+    assert geometry._inscribed_radius([points, 2 * points])[1] > 0
+    monkeypatch.setattr(simplex, "ITER_FACTOR", 0)
+    with pytest.raises(IterationCapError) as info:
+        geometry._inscribed_radius([points, 2 * points])
+    message = str(info.value)
+    assert "phase 2" in message
+    assert "ran 0 iterations" in message
+    assert "4x18 tableau" in message
+    assert "8 of 8 LPs" in message
