@@ -157,14 +157,13 @@ def cmd_dudley(args) -> int:
 def cmd_elton(args) -> int:
     norm = load_norm(args.norm)
     vectors = load_vectors(args.vectors, norm.dimension)
-    result = elton_subset(norm, vectors, samples=args.samples, seed=args.seed, kind=args.kind)
+    result = elton_subset(norm, vectors, samples=args.samples, seed=args.seed)
     doc = {
         "config": {
             "norm": str(args.norm),
             "vectors": str(args.vectors),
             "samples": args.samples,
             "seed": args.seed,
-            "kind": args.kind,
         },
         "sigma": list(result.sigma),
         "t_certified": result.t,
@@ -348,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", required=True)
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kind", choices=("rademacher", "gaussian"), default="rademacher")
     p.add_argument("--report")
 
     p = add("rudelson", cmd_rudelson, help="tightness example for the s*t trade-off")

@@ -3,15 +3,12 @@
 Given x_1, ..., x_n with E || sum eps_i x_i || >= delta * n, a coordinate
 subset sigma of size s^2 n exists on which the vectors are t-equivalent
 to the l1 basis with s, t comparable to delta.  The driver estimates delta
-by Monte Carlo and walks the coordinate lattice once, level by level.
-The l1 constant r(sigma) of a subset is the least of one LP per sign
-orthant, posed over weights on the functionals, so it has |sigma| + 1
-rows however many functionals the norm has; the orthant LPs of every
-candidate subset in a level run as one stack through the simplex loop.
+by Monte Carlo (Rademacher signs) and reads everything else off one
+`geometry.radius_table` of l1 constants r(sigma) over the scale grid.
 By duality r is the half-side of the largest centred cube in the
-projection on sigma of B = conv{+-(f_j(x_i))_i}, so the scale sweep and
-the certified constant of the winning subset are both read off that one
-table.
+projection on sigma of B = conv{+-(f_j(x_i))_i}, so the sweep is
+`convex_vc` of that body at each grid scale, and the certified constant
+of the winning subset is its table entry.
 """
 
 from __future__ import annotations
@@ -21,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
 from .constants import DEFAULT_CONSTANTS
 from .family import CoordinateSubset
 from .gaussian import SupEstimate, gaussian_sup_mc, weight_h
-from .geometry import HULL_TOL, PolyhedralNorm, VPolytope, ell1_lower_constant
-from .geometry import passing_supports
+from .geometry import PolyhedralNorm, VPolytope, _l1_points, ell1_lower_constant
+from .geometry import radius_table, widest_fit
 from .geometry import convex_vc  # noqa: F401  perfbench/spans.py wraps convex_vc at this name
 
 DEFAULT_T_GRID = tuple(2.0 ** -j for j in range(1, 9))  # the sweep scales, descending
@@ -77,56 +73,35 @@ def elton_subset(
     vectors,
     samples: int = 2000,
     seed=0,
-    kind: str = "rademacher",
 ) -> EltonResult:
     """Extract a coordinate subset l1-equivalent to its span.
 
-    One lattice walk fills a table of l1 constants r(support).  The sweep
-    entry at t is the largest size of a support with r >= t/2 - HULL_TOL,
-    the pick maximizes s * t over the grid (ties toward larger t), and the
-    reported t is r(sigma) read from the table.  The `favored_grid_t`
-    diagnostic reports the grid point the averaging weight would single out.
+    One `radius_table` over the grid holds the l1 constants r(support).
+    The sweep entry at t is the size of its `widest_fit`, the pick
+    maximizes s * t over the grid (ties toward larger t), and the reported
+    t is r(sigma) read from the table.  The `favored_grid_t` diagnostic
+    reports the grid point the averaging weight would single out.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     n = vectors.shape[0]
     worst = max(norm.norm(x) for x in vectors)
     if worst > 1.0 + 1e-9:
         raise ValueError(f"vector norm {worst} exceeds the unit ball")
-    w = norm.functionals @ vectors.T
-    estimate = gaussian_sup_mc(np.vstack([w, -w]), samples, seed, kind)
+    estimate = gaussian_sup_mc(_l1_points(norm, vectors, range(n)), samples, seed, "rademacher")
     delta = estimate.mean / n
 
-    radius: dict[tuple[int, ...], float] = {}
-
-    def passes(supports: list[tuple[int, ...]], t: float) -> list[bool]:
-        todo = [sup for sup in supports if sup not in radius]
-        if todo:  # one stacked solve for the whole level
-            point_sets = [geometry._l1_points(norm, vectors, sup) for sup in todo]
-            radius.update(zip(todo, geometry._inscribed_radius(point_sets)))
-        return [radius[sup] >= t / 2.0 - HULL_TOL for sup in supports]
-
-    # As in convex_vc, a probe of the full support settles every scale it
-    # passes.  r only shrinks as a support grows, so one walk at the finest
-    # unsettled scale visits every support that passes at a coarser one.
-    table = [tuple(range(n))] if n <= geometry.CUBE_DIM_BUDGET else []
-    unsettled = [t for t in DEFAULT_T_GRID if not (table and passes(table, t)[0])]
-    if unsettled:
-        table += passing_supports(n, lambda supports: passes(supports, unsettled[-1]))
-
-    def best_at(t: float) -> tuple[int, ...]:  # max keeps the lexicographically first
-        return max((sup for sup, ok in zip(table, passes(table, t)) if ok), key=len, default=())
-
-    sweep = [(t, len(best_at(t))) for t in DEFAULT_T_GRID]
+    table = radius_table(lambda sup: _l1_points(norm, vectors, sup), n, DEFAULT_T_GRID)
+    sweep = [(t, len(widest_fit(table, t))) for t in DEFAULT_T_GRID]
     best_t, best_score = None, -1.0
     for t, d in sweep:
         score = math.sqrt(d / n) * t
         if score > best_score + 1e-15:
             best_t, best_score = t, score
-    support = best_at(best_t) if best_t is not None else ()
+    support = widest_fit(table, best_t)
     if not support:
         raise ValueError("no grid scale produced a nonempty cube projection")
     s = math.sqrt(len(support) / n)
-    certified = radius[support]
+    certified = table[support]
     exponent = DEFAULT_CONSTANTS.tradeoff_exponent
     tradeoff = s * certified * math.log(2.0 / certified) ** exponent if certified > 0 else 0.0
 

@@ -7,11 +7,12 @@ of a convex combination, and the inscribed radius r of a symmetric body
 (the half-side of its largest centred cube) is one LP per sign orthant
 over weights on the vertices, |sigma| + 1 rows however many vertices.
 These LPs share their costs and right-hand sides, so the orthants of
-every same-shape point set in a call run as one stack through the
-simplex loop.  A symmetric body holds a side-t cube iff
-r >= t/2 - HULL_TOL, the rule the elton sweep applies; a cube in any
-other body is one joint LP over all cube vertices sharing the
-translation variable.  The l1 constant is r of conv{+-(f_j(x_i))}
+every point set in a call run as one stack through the simplex loop.  A
+symmetric body holds a side-t cube iff r >= t/2 - HULL_TOL, and
+`radius_table` walks the coordinate lattice once for all scales of a
+question; `convex_vc` and the elton sweep read it.  A cube in any other
+body is one joint LP over all cube vertices sharing the translation
+variable.  The l1 constant is r of conv{+-(f_j(x_i))}
 (exact for polyhedral norms).  Symmetry is read from the vertices, never
 declared.
 """
@@ -135,12 +136,11 @@ def cube_in_projection(
         return CubeWitness(sigma, t, ())
     pts = poly.project(sigma)
 
-    # Cheap bounding-box rejection before any LP.
-    if np.any(np.ptp(pts, axis=0) < t - HULL_TOL):
+    if _box_cut(pts[None], t)[0]:
         return None
 
     if poly.symmetric:
-        if _inscribed_radius([pts])[0] < t / 2.0 - HULL_TOL:
+        if not _fits(_inscribed_radius([pts])[0], t):
             return None
         return CubeWitness(sigma, t, (-t / 2.0,) * k)
 
@@ -185,26 +185,69 @@ def passing_supports(n: int, passes) -> list[tuple[int, ...]]:
     return found
 
 
-def convex_vc(poly: VPolytope, t: float) -> tuple[int, CoordinateSubset]:
-    """Largest |sigma| whose projection contains a side-t cube.
+def _box_cut(point_sets, t: float) -> np.ndarray:
+    """Per point set (rows): is some width below t - 2 HULL_TOL?  Then no
+    side-t cube fits, and a symmetric set has r <= width/2, failing `_fits`."""
+    return np.ptp(point_sets, axis=1).min(axis=1) < t - 2.0 * HULL_TOL
 
-    Cube containment is downward monotone in sigma (sub-projections of a
-    contained cube are contained), so `passing_supports` finds every
-    passing support.  Returns the lexicographically smallest maximizer.
+
+def _fits(radius: float, t: float) -> bool:
+    """The cube rule: a symmetric body of inscribed radius r holds a side-t cube."""
+    return radius >= t / 2.0 - HULL_TOL
+
+
+def radius_table(points_of, n: int, scales) -> dict[tuple[int, ...], float]:
+    """Inscribed radius of the symmetric point set `points_of(support)`
+    (rows) on each support in range(n) the walk solves, so that
+    `widest_fit` answers at every one of the scales.  A probe of the full
+    support (within CUBE_DIM_BUDGET) settles each scale it passes; r only
+    shrinks as a support grows, so one walk at the finest scale it fails
+    visits every support passing at a coarser one.  A level is one stacked
+    solve over its point sets zero-padded to the widest (the origin lies in
+    every symmetric hull); a set `_box_cut` rejects gets no LP, no entry.
     """
-    n = poly.dimension
+    table: dict[tuple[int, ...], float] = {}
 
-    def passes(supports: list[tuple[int, ...]]) -> list[bool]:
-        return [cube_in_projection(poly, CoordinateSubset(sup), t) is not None
-                for sup in supports]
+    def passes(level: list[tuple[int, ...]], t: float) -> list[bool]:
+        todo = [sup for sup in level if sup not in table]
+        if todo:
+            sets = [points_of(sup) for sup in todo]
+            padded = np.zeros((len(sets), max(len(pts) for pts in sets), len(todo[0])))
+            for block, pts in zip(padded, sets):
+                block[: len(pts)] = pts
+            keep = ~_box_cut(padded, t)
+            if keep.any():
+                table.update(zip(itertools.compress(todo, keep), _inscribed_radius(padded[keep])))
+        return [sup in table and _fits(table[sup], t) for sup in level]
 
-    # Bodies like scaled cubes pass on every support; probing the full one
-    # first skips the whole lattice walk in that case.
     full = tuple(range(n))
-    if n <= CUBE_DIM_BUDGET and passes([full])[0]:
-        return n, CoordinateSubset(full)
-    # max keeps the first of the largest, the lexicographically smallest
-    best = max(passing_supports(n, passes), key=len, default=())
+    unsettled = [t for t in scales if not (n <= CUBE_DIM_BUDGET and passes([full], t)[0])]
+    if unsettled:
+        passing_supports(n, lambda level: passes(level, min(unsettled)))
+    return table
+
+
+def widest_fit(table: dict[tuple[int, ...], float], t: float) -> tuple[int, ...]:
+    """The widest support of a `radius_table` holding a side-t cube; max keeps
+    the first of equals, and the walk solves them in lexicographic order."""
+    return max((sup for sup, radius in table.items() if _fits(radius, t)), key=len, default=())
+
+
+def convex_vc(poly: VPolytope, t: float) -> tuple[int, CoordinateSubset]:
+    """Largest |sigma| whose projection contains a side-t cube, and the
+    lexicographically smallest such sigma.  A symmetric body reads it off
+    the `radius_table` of its deduplicated projections; any other body
+    walks `passing_supports` with the joint LP of `cube_in_projection`
+    (sub-projections of a contained cube are contained).
+    """
+    if not t > 0:
+        raise ValueError("cube side must be positive")
+    n = poly.dimension
+    if poly.symmetric:
+        best = widest_fit(radius_table(lambda sup: poly.project(CoordinateSubset(sup)), n, (t,)), t)
+    else:
+        best = max(passing_supports(n, lambda level: [cube_in_projection(
+            poly, CoordinateSubset(sup), t) is not None for sup in level]), key=len, default=())
     return len(best), CoordinateSubset(best)
 
 

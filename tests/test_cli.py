@@ -356,7 +356,7 @@ def test_elton_and_rudelson_commands(tmp_path, capsys):
                  "--samples", "200", "--seed", "3", "--report", str(report)]) == 0
     doc = json.loads(report.read_text())
     assert doc["sigma"] == [0, 1, 2] and abs(doc["t_certified"] - 1.0) < 1e-9
-    assert doc["config"]["samples"] == 200
+    assert doc["config"]["samples"] == 200 and "kind" not in doc["config"]
 
     assert main(["rudelson", "--n", "4", "--delta", "0.6", "--net-size", "16",
                  "--samples", "200", "--seed", "1"]) == 0

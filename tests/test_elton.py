@@ -7,10 +7,10 @@ from scipy.optimize import linprog
 
 from combdim import CoordinateSubset, PolyhedralNorm, elton_subset, geometry
 from combdim.constants import DEFAULT_CONSTANTS
-from combdim.elton import dual_body, exact_tightness_norm, rudelson_example
+from combdim.elton import DEFAULT_T_GRID, dual_body, exact_tightness_norm, rudelson_example
 from combdim.errors import BudgetError
 from combdim.experiments import random_norm_instances
-from combdim.geometry import convex_vc, ell1_lower_constant
+from combdim.geometry import HULL_TOL, convex_vc, cube_in_projection, ell1_lower_constant
 from combdim.simplex import LPProblem, lp_solve
 
 
@@ -48,25 +48,47 @@ def test_elton_identical_vectors():
 
 def test_elton_cube_budget_below_n(monkeypatch):
     # with n above the budget the full support is not probed, so the walk
-    # decides; it stops at pairs here and never reaches the budget
+    # decides; it stops at pairs here and never reaches the budget.  convex_vc
+    # on the dual body reads the same walk.
     norm = PolyhedralNorm(2, [[1.0, 0.0], [0.0, 1.0]])
     vectors = np.array([[1.0, 0.0]] * 3)
+    body = dual_body(norm, vectors)
     uncapped = elton_subset(norm, vectors, samples=500, seed=5)
+    uncapped_vc = [convex_vc(body, t) for t in DEFAULT_T_GRID]
+    assert uncapped_vc[0] == (1, CoordinateSubset((0,)))
     monkeypatch.setattr(geometry, "CUBE_DIM_BUDGET", 2)
     assert elton_subset(norm, vectors, samples=500, seed=5) == uncapped
+    assert [convex_vc(body, t) for t in DEFAULT_T_GRID] == uncapped_vc
     # here every support passes, so the walk reaches |sigma| = 4 > 3
     monkeypatch.setattr(geometry, "CUBE_DIM_BUDGET", 3)
     with pytest.raises(BudgetError):
         elton_subset(l1_norm(4), np.eye(4), samples=100, seed=1)
+    with pytest.raises(BudgetError):
+        convex_vc(dual_body(l1_norm(4), np.eye(4)), 0.5)
 
 
-def test_sweep_and_certificate_match_the_convex_vc_walk():
+def test_cube_rule_agrees_at_the_tolerance_edge():
+    # the dual body of a * e_i under the l1 norm is the cube a[-1, 1]^3, with
+    # inscribed radius a and width 2a; at side 0.5 the rule r >= t/2 - HULL_TOL
+    # passes it down to a = 0.25 - HULL_TOL, so a box cut must not reject it first
+    full = CoordinateSubset((0, 1, 2))
+    for a, holds in ((0.25 - 0.75 * HULL_TOL, True), (0.25 - 1.5 * HULL_TOL, False)):
+        vectors = a * np.eye(3)
+        body = dual_body(l1_norm(3), vectors)
+        assert (cube_in_projection(body, full, 0.5) is not None) == holds, a
+        assert convex_vc(body, 0.5) == ((3, full) if holds else (0, CoordinateSubset(()))), a
+        sweep = dict(elton_subset(l1_norm(3), vectors, samples=100, seed=0).sweep)
+        assert sweep[0.5] == (3 if holds else 0), a
+
+
+def test_sweep_and_certificate_match_an_exhaustive_scan():
     # elton_subset reads the sweep, the winning subset and its constant off
-    # one walk over l1 constants; convex_vc's own walk over cube tests on
-    # the deduplicated vertices of the dual body is the reference for the
-    # first two, a fresh run of the orthant LPs for the third.  The
-    # full support settles every scale on the tightness bodies, and several
-    # seed-2 norms leave more than one scale to the walk.
+    # one probe and one lattice walk over l1 constants.  The reference
+    # solves ell1_lower_constant on every support, with no lattice and no
+    # probe, and takes at each scale the first of the widest supports with
+    # r >= t/2 - HULL_TOL.  The full support settles every scale on the
+    # tightness bodies, and several seed-2 norms leave more than one scale
+    # to the walk.
     cases = [(norm, vectors) for seed in (1, 2)
              for norm, vectors, _ in random_norm_instances(seed)]
     for n, delta in ((5, 0.6), (6, 0.6)):
@@ -74,11 +96,16 @@ def test_sweep_and_certificate_match_the_convex_vc_walk():
         cases.append((inst.norm, inst.vectors))
     for norm, vectors in cases:
         res = elton_subset(norm, vectors, samples=200, seed=0)
-        body = dual_body(norm, vectors)
-        for t, d in res.sweep:
-            assert d == convex_vc(body, t)[0]
-        assert res.sigma == convex_vc(body, res.grid_t)[1]
-        assert res.t == ell1_lower_constant(norm, vectors, res.sigma)
+        n = vectors.shape[0]
+        radius = {sup: ell1_lower_constant(norm, vectors, CoordinateSubset(sup))
+                  for size in range(1, n + 1) for sup in itertools.combinations(range(n), size)}
+
+        def widest(t):
+            return max((sup for sup, r in radius.items() if r >= t / 2 - HULL_TOL), key=len, default=())
+
+        assert res.sweep == tuple((t, len(widest(t))) for t in DEFAULT_T_GRID)
+        assert tuple(res.sigma) == widest(res.grid_t)
+        assert res.t == radius[tuple(res.sigma)]
 
 
 def test_elton_rejects_big_vectors():

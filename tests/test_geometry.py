@@ -13,10 +13,12 @@ from combdim import (
     ell1_lower_constant,
     point_in_hull,
 )
-from combdim.geometry import load_norm, load_polytope, save_norm, save_polytope
+from combdim.geometry import _inscribed_radius, load_norm, load_polytope, radius_table
+from combdim.geometry import save_norm, save_polytope
 
 SQUARE = VPolytope(2, [[1, 1], [1, -1], [-1, 1], [-1, -1]])
 CROSS = VPolytope(2, [[1, 0], [-1, 0], [0, 1], [0, -1]])
+TRIANGLE = VPolytope(2, [[0, 0], [1, 0], [0, 1]])
 BOTH = CoordinateSubset((0, 1))
 
 
@@ -86,14 +88,30 @@ def test_convex_vc_examples():
     dim, sigma = convex_vc(CROSS, 1.5)
     assert (dim, tuple(sigma)) == (1, (0,))
     assert convex_vc(SQUARE, 5.0)[0] == 0
+    # bodies that are not symmetric walk the joint translated LP
+    assert convex_vc(VPolytope(2, [[0, 0], [3, 0], [0, 3], [3, 3]]), 2.0) == (2, BOTH)
+    assert convex_vc(TRIANGLE, 0.5) == (2, BOTH)
+    assert convex_vc(TRIANGLE, 0.6) == (1, CoordinateSubset((0,)))
+    assert convex_vc(TRIANGLE, 1.1)[0] == 0
+    # under the radius rule t <= 0 would pass every support and NaN none
+    for body in (SQUARE, TRIANGLE):
+        for t in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="cube side must be positive"):
+                convex_vc(body, t)
 
 
 def test_convex_vc_lex_smallest():
-    # a box that is wide on coordinates 0 and 2 only
+    # a box that is wide on coordinates 0 and 2 only, then the same box with
+    # inner vertices +-(1, 0.1, 0.5) that coincide with box vertices in some
+    # projections only: level sets of 2 and 4 points are padded to one shape
     verts = list(itertools.product((-1.0, 1.0), (-0.1, 0.1), (-1.0, 1.0)))
-    body = VPolytope(3, verts)
-    dim, sigma = convex_vc(body, 1.0)
-    assert dim == 2 and tuple(sigma) == (0, 2)
+    for body in (VPolytope(3, verts), VPolytope(3, verts + [(1.0, 0.1, 0.5), (-1.0, -0.1, -0.5)])):
+        dim, sigma = convex_vc(body, 1.0)
+        assert dim == 2 and tuple(sigma) == (0, 2)
+        for t in (0.15, 1.0, 1.5):
+            table = radius_table(lambda sup: body.project(CoordinateSubset(sup)), 3, (t,))
+            for sup, r in table.items():
+                assert r == _inscribed_radius([body.project(CoordinateSubset(sup))])[0]
 
 
 def test_cube_monotone_in_sigma_and_t():
@@ -117,6 +135,9 @@ def test_cube_monotone_in_sigma_and_t():
             for sigma, ok in hits.items():
                 if ok:
                     assert cube_in_projection(body, CoordinateSubset(sigma), t / 2) is not None
+            # convex_vc's walk finds the first of the widest passing supports
+            widest = max((sigma for sigma, ok in hits.items() if ok), key=len, default=())
+            assert convex_vc(body, t) == (len(widest), CoordinateSubset(widest)), (trial, t)
 
 
 def test_ell1_lower_constant_examples():
