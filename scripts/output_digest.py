@@ -5,8 +5,8 @@ Run from the repository root:
 
     PYTHONPATH=src python3 scripts/output_digest.py
 
-A change that must keep outputs identical leaves all six lines as they
-were.  The suites:
+A change that must keep outputs identical leaves all seven lines as
+they were.  The suites:
 
 - pipeline: `run_pipeline_trace` for seeds 0-299; a failing seed (98
   fails its extraction stage) is digested as its error message;
@@ -18,7 +18,9 @@ were.  The suites:
 - l1-table: `ell1_lower_constant` on every nonempty support of the same
   56 instances;
 - convex-vc: `convex_vc` on the dual bodies of the same 56 instances at
-  every scale of `DEFAULT_T_GRID`.
+  every scale of `DEFAULT_T_GRID`;
+- tightness: the functionals and `norm_slack` of the eight tightness
+  bodies below.
 
 The 56 instances are the six norms of each `random_norm_instances(1..8)`
 and eight tightness bodies, net size 64, net seed 0.
@@ -103,6 +105,9 @@ def main() -> None:
     print("convex-vc", digest(
         (dim, tuple(sigma)) for body in bodies for dim, sigma in
         (convex_vc(body, t) for t in DEFAULT_T_GRID)))
+    print("tightness", digest(
+        (body.norm.functionals.tolist(), body.norm_slack) for body in
+        (rudelson_example(n, delta, net_size=64, seed=0) for n, delta in RUDELSON_BODIES)))
 
 
 if __name__ == "__main__":

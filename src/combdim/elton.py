@@ -132,32 +132,25 @@ def elton_subset(
 # ---------------------------------------------------------------------------
 
 def exact_tightness_norm(x, delta: float) -> float:
-    """Exact norm of the tightness body: max of <x, u> over the polar
-    region {||u||_inf <= 1, ||u||_2 <= delta sqrt(n)}, computed by
-    water-filling u_i = sign(x_i) min(1, nu |x_i|) with a bisection on nu."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
+    """Exact norm of the tightness body: max of <x, u> over its polar
+    {||u||_inf <= 1, ||u||_2 <= cap}, cap = delta sqrt(n), i.e. the l1-l2
+    K-functional (Holmstedt 1970; Montgomery-Smith 1990) in closed form.
+    With a = |x| sorted descending and S_j = sum_{i>=j} a_i^2, the maximizer
+    saturates a's first j entries, j the first with (cap^2 - j) a_j^2 <= S_j
+    (true once cap^2 - j <= 1), and scales the rest to the l2 budget left:
+    the norm is sum_{i<j} a_i + sqrt((cap^2 - j) S_j).  a is first scaled by
+    a power of two, which is exact, so that its squares do not overflow."""
+    absx = np.abs(np.asarray(x, dtype=np.float64))
+    n = absx.size
     cap = delta * math.sqrt(n)
-    absx = np.abs(x)
-    if math.sqrt(n) <= cap:
-        return float(absx.sum())
-
-    def l2_at(nu: float) -> float:
-        return float(np.sqrt((np.minimum(1.0, nu * absx) ** 2).sum()))
-
-    lo, hi = 0.0, 1.0
-    while l2_at(hi) < cap:
-        hi *= 2.0
-        if hi > 1e18:
-            break
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if l2_at(mid) < cap:
-            lo = mid
-        else:
-            hi = mid
-    nu = (lo + hi) / 2.0
-    return float((absx * np.minimum(1.0, nu * absx)).sum())
+    if math.sqrt(n) <= cap or np.count_nonzero(absx) <= cap * cap:
+        return float(absx.sum())  # u = sign(x) is feasible
+    exp = math.frexp(absx.max())[1]
+    a = np.ldexp(np.sort(absx)[::-1], -exp)
+    tail = np.cumsum((a * a)[::-1])[::-1]
+    room = cap * cap - np.arange(n)
+    j = int(np.argmax(room * (a * a) <= tail))
+    return math.ldexp(float(a[:j].sum() + math.sqrt(room[j] * tail[j])), exp)
 
 
 @dataclass(frozen=True)
@@ -184,6 +177,8 @@ def rudelson_example(n: int, delta: float, net_size: int = 64, seed: int = 0) ->
         raise ValueError(f"n must lie in [1, {RUDELSON_MAX_DIM}]")
     if not (1.0 / math.sqrt(n) - 1e-12 <= delta <= 1.0):
         raise ValueError(f"delta must lie in [1/sqrt(n), 1], got {delta}")
+    if net_size < 0:
+        raise ValueError(f"net_size must be >= 0, got {net_size}")
     cap = delta * math.sqrt(n)
 
     def clip_into_polar(u: np.ndarray) -> np.ndarray:

@@ -83,6 +83,8 @@ def extract_coordinates(
     best separation seen among draws of admissible size.
     """
     _check_precondition(family, t, k)
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     n = family.domain_size
     best = None
     for attempt in range(max_attempts):

@@ -184,6 +184,8 @@ def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
     center it meets and skips branches whose deepest completion cannot
     beat the best.
     """
+    if max_dim < 0:
+        raise ValueError(f"max_dim must be >= 0, got {max_dim}")
     n = len(table)
     depth = min(max_dim, m.bit_length() - 1)
     width, full = m + 1, (1 << m) - 1

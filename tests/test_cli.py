@@ -212,6 +212,22 @@ def test_nan_scale_exits_1(tmp_path, family_file, capsys):
         assert "must be positive" in capsys.readouterr().err, argv
 
 
+def test_negative_counts_exit_1(tmp_path, family_file, capsys):
+    # each used to be read as an empty range: rudelson and centers exited 0,
+    # extract exited 2 with "no accepted subset in -5 attempts"
+    ints = tmp_path / "int.json"
+    save_family(ints, FunctionFamily([[0, 0], [0, 2], [2, 0], [2, 2]], "integer", 2))
+    extract = ["extract", "--family", str(family_file), "--scale", "1.0", "--target-size", "2"]
+    for argv, message in (
+        (["rudelson", "--n", "3", "--delta", "0.7", "--net-size", "-3"], "net_size must be >= 0"),
+        (extract + ["--max-attempts", "-5"], "max_attempts must be >= 1, got -5"),
+        (extract + ["--max-attempts", "0"], "max_attempts must be >= 1, got 0"),
+        (["centers", "--family", str(ints), "--max-dim", "-1"], "max_dim must be >= 0"),
+    ):
+        assert main(argv) == 1, argv
+        assert message in capsys.readouterr().err, argv
+
+
 def test_nan_p_exits_1(family_file, capsys):
     # p = nan passed the old p < 1 guard and gave "exact" counts from NaN distances
     assert main(["entropy", "--family", str(family_file), "--p", "nan", "--scale", "1.0"]) == 1

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize_scalar
 
 from combdim import CoordinateSubset, PolyhedralNorm, elton_subset, geometry
 from combdim.constants import DEFAULT_CONSTANTS
@@ -139,6 +139,56 @@ def test_exact_tightness_norm_values():
     # delta = 1 collapses to the l1 norm
     x = np.array([0.3, -1.2, 0.5, 2.0])
     assert exact_tightness_norm(x, 1.0) == pytest.approx(float(np.abs(x).sum()))
+    # delta = 1/sqrt(n) makes the polar the Euclidean ball
+    for x in (np.array([0.3, -1.2, 0.5, 2.0]), np.array([0.0, 3.0, 0.0, -4.0]), np.ones(7)):
+        got = exact_tightness_norm(x, 1.0 / math.sqrt(x.size))
+        assert got == pytest.approx(float(np.linalg.norm(x)), rel=1e-14)
+    assert exact_tightness_norm(np.zeros(n), delta) == 0.0
+    # at most delta^2 n nonzeros: u = sign(x) is feasible, so the l1 norm
+    for x, d in (([0.0, -2.5, 0.0, 0.7], 0.71), ([0.0, 0.0, 0.0, 1e-3], 0.5),
+                 ([1.0, 0.0, -1.0, 0.0, 3.0, 0.0], 0.71)):
+        assert exact_tightness_norm(np.array(x), d) == float(np.abs(x).sum())
+    # tied |x_i|: m equal entries share the budget, c * cap * sqrt(m)
+    x = np.array([2.0, -2.0, 2.0, -2.0, 0.0, 0.0])
+    assert exact_tightness_norm(x, 0.5) == pytest.approx(2.0 * math.sqrt(1.5) * 2.0, rel=1e-14)
+    # a tie after a saturated entry: j = 1 with budget cap^2 - 1 = 1 left
+    x = np.array([1.0, -3.0, 1.0, 1.0])
+    assert exact_tightness_norm(x, math.sqrt(0.5)) == pytest.approx(3.0 + math.sqrt(3.0), rel=1e-14)
+    # positively homogeneous, exactly under powers of two, with no overflow
+    x = np.array([0.3, -1.2, 0.5, 2.0, 0.0])
+    for scale in (2.0 ** 600, 2.0 ** -600):
+        assert exact_tightness_norm(scale * x, 0.6) == scale * exact_tightness_norm(x, 0.6)
+    assert exact_tightness_norm(1e200 * x, 0.6) == pytest.approx(1e200 * exact_tightness_norm(x, 0.6))
+
+
+def _split_bound(a, cap, lam):
+    return float(np.maximum(a - lam, 0.0).sum() + cap * np.linalg.norm(np.minimum(a, lam)))
+
+
+def test_exact_tightness_norm_meets_its_dual_bound():
+    # splitting x at level lam >= 0 into an l1 part with sum (|x_i| - lam)_+
+    # and an l2 part min(|x|, lam) bounds the norm above; the best split
+    # attains it.  The bound is convex between consecutive |x_i|, so one
+    # bounded search per gap, plus the knots themselves, finds its minimum.
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        n = int(rng.integers(1, 13))
+        x = rng.standard_normal(n)
+        if trial % 3 == 1:
+            x[rng.random(n) < 0.4] = 0.0
+        elif trial % 3 == 2:
+            x = rng.choice([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0], n)  # zeros and ties
+        delta = float(rng.uniform(1.0 / math.sqrt(n), 1.0))
+        a, cap = np.abs(x), delta * math.sqrt(n)
+        value = exact_tightness_norm(x, delta)
+        knots = np.unique(np.concatenate(([0.0], a)))
+        bounds = [_split_bound(a, cap, lam) for lam in knots]
+        for lo, hi in zip(knots, knots[1:]):
+            res = minimize_scalar(lambda lam: _split_bound(a, cap, lam), bounds=(lo, hi),
+                                  method="bounded", options={"xatol": 1e-12})
+            bounds.append(res.fun)
+        best = min(bounds)
+        assert best * (1 - 1e-12) <= value <= best * (1 + 1e-12)
 
 
 def test_rudelson_instance_symmetry_and_units():
@@ -304,6 +354,8 @@ def test_rudelson_validation():
         rudelson_example(20, 0.5)
     with pytest.raises(ValueError):
         rudelson_example(4, 0.1)  # below 1/sqrt(n)
+    with pytest.raises(ValueError, match="net_size"):
+        rudelson_example(3, 0.7, net_size=-3)
 
 
 def test_random_norm_suite_pins():
