@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: parses flags and prints.  Family, polytope,
+norm, tree and report files are read and written by the library modules.
 
 Exit codes: 0 success, 2 assertion/validation failure, 3 enumeration
 budget exceeded, 4 solver failure, 1 other errors.
@@ -15,16 +16,15 @@ from pathlib import Path
 
 from . import entropy, extraction, septree, shattering
 from .constants import DEFAULT_CONSTANTS
-from .errors import BudgetError, ExtractionError, FamilyError, PipelineError, SolverError
+from .errors import BudgetError, ExtractionError, PipelineError, SolverError
 from .experiments import (
     ExperimentConfig,
-    emit_report,
     extraction_constant_fit,
     run_dudley_experiment,
     run_main_theorem_experiment,
     run_pipeline_trace,
 )
-from .family import CoordinateSubset, gen_random_family, load_family, read_json, save_family
+from .family import CoordinateSubset, gen_random_family, load_family, save_family, write_json
 from .gaussian import gaussian_sup_mc
 from .geometry import (
     convex_vc,
@@ -35,7 +35,6 @@ from .geometry import (
     load_vectors,
 )
 from .elton import elton_subset, rudelson_example
-from .septree import SeparatingTree
 
 
 def _write_or_print(path, text: str) -> None:
@@ -96,7 +95,7 @@ def cmd_tree(args) -> int:
     family, measure = load_family(args.family)
     tree = septree.build_separating_tree(family, measure, args.scale)
     if args.emit:
-        Path(args.emit).write_text(json.dumps(tree.to_dict(), indent=1))
+        septree.save_tree(args.emit, tree)
     leaves = tree.leaf_count()
     print(f"leaves={leaves} sqrt_m={math.sqrt(family.size):.4f}")
     if args.validate:
@@ -146,7 +145,7 @@ def cmd_gsup(args) -> int:
 def cmd_dudley(args) -> int:
     report = run_dudley_experiment(args.seed, samples=args.samples)
     if args.out:
-        emit_report(report, args.out)
+        write_json(args.out, report)
     print(
         f"e_hat={report['e_hat']:.4f} dudley_k={report['dudley_k']:.4f} "
         f"vc_chain_k={report['vc_chain_k']:.4f}"
@@ -203,7 +202,7 @@ def cmd_main_theorem(args) -> int:
     config = ExperimentConfig(seed=args.seed, instances=args.instances, jobs=args.jobs)
     report = run_main_theorem_experiment(config)
     if args.out:
-        emit_report(report, args.out)
+        write_json(args.out, report)
     print(
         f"instances={args.instances} k_emp_max={report['k_emp_max']} "
         f"median={report['k_emp_median']} skipped={report['skipped_scales']}"
@@ -217,7 +216,7 @@ def cmd_pipeline(args) -> int:
         stages = ", ".join(s["stage"] for s in report["stages"])
         print(f"seed={args.seed + i}: all stages passed ({stages})")
         if args.out:
-            emit_report(report, f"{args.out}.{args.seed + i}.json")
+            write_json(f"{args.out}.{args.seed + i}.json", report)
     return 0
 
 
@@ -256,13 +255,7 @@ def cmd_l1_const(args) -> int:
 
 def cmd_validate(args) -> int:
     family, _ = load_family(args.family)
-    doc = read_json(args.tree, "tree", ("scale", "gap", "root"))
-    try:
-        tree = SeparatingTree.from_dict(doc)
-    except KeyError as exc:
-        raise FamilyError(f"missing key {exc} in a node of tree file {args.tree}") from None
-    except (TypeError, ValueError) as exc:
-        raise FamilyError(f"bad node in tree file {args.tree}: {exc}") from None
+    tree = septree.load_tree(args.tree)
     gap = args.gap if args.gap is not None else tree.gap
     result = septree.validate_tree(tree, family, gap)
     leaves = tree.leaf_count()

@@ -1,5 +1,5 @@
 """Experiment orchestration: seeded instance suites, the main-theorem
-constant sweep, the end-to-end pipeline trace, and report emission."""
+constant sweep and the end-to-end pipeline trace."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -372,13 +371,3 @@ def extraction_constant_fit(family: FunctionFamily, t: float, curve) -> dict:
         if probability >= 0.5:
             return {"k_half": k, "c_emp": math.log(2.0 * family.size) / (t**4 * k)}
     return {"k_half": None, "c_emp": None, "note": "never reaches 1/2 on this domain"}
-
-
-# ---------------------------------------------------------------------------
-# Report emission.
-# ---------------------------------------------------------------------------
-
-def emit_report(report: dict, path) -> None:
-    """Write a report as JSON with stable field ordering (byte-identical
-    for identical content)."""
-    Path(path).write_text(json.dumps(report, indent=1))

@@ -173,9 +173,20 @@ def row_masks(sel: np.ndarray) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# File I/O.  Numbers are serialized as decimal strings (repr of the float)
-# so that save -> load reproduces the exact same doubles.
+# File I/O.  write_json writes every file; decimal_rows writes numbers as
+# decimal strings (repr of the float) so that save -> load reproduces the
+# exact same doubles.
 # ---------------------------------------------------------------------------
+
+def write_json(path, doc) -> None:
+    """Write a file as JSON with a one-space indent, no trailing newline."""
+    Path(path).write_text(json.dumps(doc, indent=1))
+
+
+def decimal_rows(rows) -> list[list[str]]:
+    """Rows of numbers as repr strings, which read_rows reads back bit-exact."""
+    return [[repr(float(v)) for v in row] for row in rows]
+
 
 def read_json(path, kind: str, keys: tuple[str, ...] | None):
     """The JSON document in a family, polytope, norm, vectors or tree
@@ -253,11 +264,11 @@ def save_family(path, family: FunctionFamily, measure: ProbabilityMeasure | None
     doc = {
         "domain_size": family.domain_size,
         "value_kind": kind_spec,
-        "values": [[repr(float(v)) for v in row] for row in family.values],
+        "values": decimal_rows(family.values),
     }
     if measure is not None:
-        doc["measure"] = [repr(float(w)) for w in measure.weights]
-    Path(path).write_text(json.dumps(doc, indent=1))
+        doc["measure"] = decimal_rows([measure.weights])[0]
+    write_json(path, doc)
 
 
 # ---------------------------------------------------------------------------

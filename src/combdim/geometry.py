@@ -20,15 +20,13 @@ declared.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import BudgetError
-from .family import CoordinateSubset, read_json, read_rows, read_size
+from .family import CoordinateSubset, decimal_rows, read_json, read_rows, read_size, write_json
 from .simplex import LPProblem, _solve_stack, lp_solve
 
 HULL_TOL = 1e-9
@@ -49,6 +47,8 @@ class VPolytope:
     symmetric: bool = field(init=False)
 
     def __post_init__(self):
+        if self.dimension < 1:
+            raise ValueError(f"polytope dimension must be at least 1, got {self.dimension}")
         verts = np.atleast_2d(np.asarray(self.vertices, dtype=np.float64))
         if verts.shape[0] < 1 or verts.shape[1] != self.dimension:
             raise ValueError(
@@ -76,6 +76,8 @@ class PolyhedralNorm:
     functionals: np.ndarray
 
     def __post_init__(self):
+        if self.dimension < 1:
+            raise ValueError(f"norm dimension must be at least 1, got {self.dimension}")
         funcs = np.atleast_2d(np.asarray(self.functionals, dtype=np.float64))
         if funcs.shape[1] != self.dimension:
             raise ValueError(f"functionals must live in dimension {self.dimension}")
@@ -323,29 +325,27 @@ def ell1_lower_constant(norm: PolyhedralNorm, vectors, sigma: CoordinateSubset) 
 
 
 # ---------------------------------------------------------------------------
-# JSON I/O for polytopes and norms.
+# JSON I/O for polytopes and norms: {"dimension": n, <rows_key>: rows}.
 # ---------------------------------------------------------------------------
 
-def load_polytope(path) -> VPolytope:
-    doc = read_json(path, "polytope", ("dimension", "vertices"))
-    where = f"polytope file {path}"
+def _read_body(path, kind: str, rows_key: str) -> tuple[int, np.ndarray]:
+    """(dimension, rows) of a polytope or norm file."""
+    doc = read_json(path, kind, ("dimension", rows_key))
+    where = f"{kind} file {path}"
     n = read_size(doc, "dimension", where)
-    return VPolytope(n, read_rows(doc["vertices"], n, f"'vertices' in {where}"))
+    return n, read_rows(doc[rows_key], n, f"'{rows_key}' in {where}")
+
+
+def load_polytope(path) -> VPolytope:
+    return VPolytope(*_read_body(path, "polytope", "vertices"))
 
 
 def save_polytope(path, poly: VPolytope) -> None:
-    doc = {
-        "dimension": poly.dimension,
-        "vertices": [[repr(float(v)) for v in row] for row in poly.vertices],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1))
+    write_json(path, {"dimension": poly.dimension, "vertices": decimal_rows(poly.vertices)})
 
 
 def load_norm(path) -> PolyhedralNorm:
-    doc = read_json(path, "norm", ("dimension", "functionals"))
-    where = f"norm file {path}"
-    n = read_size(doc, "dimension", where)
-    return PolyhedralNorm(n, read_rows(doc["functionals"], n, f"'functionals' in {where}"))
+    return PolyhedralNorm(*_read_body(path, "norm", "functionals"))
 
 
 def load_vectors(path, dimension: int) -> np.ndarray:
@@ -354,8 +354,4 @@ def load_vectors(path, dimension: int) -> np.ndarray:
 
 
 def save_norm(path, norm: PolyhedralNorm) -> None:
-    doc = {
-        "dimension": norm.dimension,
-        "functionals": [[repr(float(v)) for v in row] for row in norm.functionals],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1))
+    write_json(path, {"dimension": norm.dimension, "functionals": decimal_rows(norm.functionals)})

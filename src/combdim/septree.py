@@ -5,7 +5,8 @@ which the empirical value distribution (uniform over the rows) has
 standard deviation >= t/2; a small-deviation split of that distribution
 yields two sub-families separated by a gap t/6 on that coordinate, with
 certified mass lower bounds (1 - beta) and beta/2.  Recursing produces a
-binary tree whose leaf count is at least sqrt(m).
+binary tree whose leaf count is at least sqrt(m).  A tree file, written
+by `save_tree` and read by `load_tree`, holds scale, gap and nested nodes.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import first_violating_pair
-from .errors import NotSeparatedError
-from .family import FunctionFamily, ProbabilityMeasure
+from .errors import FamilyError, NotSeparatedError
+from .family import FunctionFamily, ProbabilityMeasure, read_json, write_json
 
 _CERT_SLACK = 1e-12  # comparison slack for certificate inequalities
 
@@ -124,7 +125,7 @@ def small_dev_split(dist: Distribution) -> SplitCertificate:
     broken toward larger beta, then toward the upper-heavy side.
     """
     var = _moment_variance(dist)
-    if var <= 0.0:
+    if var <= 0.0 or len({v for v, p in dist.atoms if p > 0}) < 2:
         raise ValueError("small-deviation split needs nonzero variance")
     gap = math.sqrt(var) / 6.0
     values = sorted({v for v, _ in dist.atoms})
@@ -278,12 +279,22 @@ class SeparatingTree:
 
         return count(self.root)
 
-    def to_dict(self) -> dict:
-        return {"scale": self.scale, "gap": self.gap, "root": self.root.to_dict()}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SeparatingTree":
-        return cls(TreeNode.from_dict(doc["root"]), float(doc["scale"]), float(doc["gap"]))
+def save_tree(path, tree: SeparatingTree) -> None:
+    write_json(path, {"scale": tree.scale, "gap": tree.gap, "root": tree.root.to_dict()})
+
+
+def load_tree(path) -> SeparatingTree:
+    """The tree in a file written by save_tree.  FamilyError names the
+    file when it or one of its nodes misses a key or holds a bad value."""
+    doc = read_json(path, "tree", ("scale", "gap", "root"))
+    try:
+        return SeparatingTree(TreeNode.from_dict(doc["root"]), float(doc["scale"]),
+                              float(doc["gap"]))
+    except KeyError as exc:
+        raise FamilyError(f"missing key {exc} in a node of tree file {path}") from None
+    except (TypeError, ValueError) as exc:
+        raise FamilyError(f"bad node in tree file {path}: {exc}") from None
 
 
 def build_separating_tree(
@@ -363,16 +374,13 @@ def validate_tree(tree: SeparatingTree, family: FunctionFamily, gap: float) -> T
             return TreeValidation(False, f"sons escape their parent at node {node.indices}")
         if not pset or not mset:
             return TreeValidation(False, f"empty son at node {node.indices}")
-        i = node.coordinate
-        for f in node.plus_son.indices:
-            for g in node.minus_son.indices:
-                if not values[f, i] > values[g, i] + gap:
-                    diff = float(values[f, i] - values[g, i])
-                    return TreeValidation(
-                        False,
-                        f"gap violated at node {node.indices}: rows {f},{g} on "
-                        f"coordinate {i} differ by {diff!r} <= {float(gap)!r}",
-                    )
+        i, plus, minus = node.coordinate, node.plus_son.indices, node.minus_son.indices
+        # rounding is monotone, so the extremes decide every plus-minus pair
+        if not values[list(plus), i].min() > values[list(minus), i].max() + gap:
+            f, g = next((f, g) for f in plus for g in minus if not values[f, i] > values[g, i] + gap)
+            diff = float(values[f, i] - values[g, i])
+            return TreeValidation(False, f"gap violated at node {node.indices}: rows {f},{g} on "
+                                  f"coordinate {i} differ by {diff!r} <= {float(gap)!r}")
         for son in (node.plus_son, node.minus_son):
             res = check(son)
             if not res:

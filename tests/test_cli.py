@@ -284,6 +284,17 @@ def test_wrong_kind_of_file_names_key_and_file(tmp_path, family_file, capsys):
         assert message in err and str(tree_path) in err
 
 
+def test_zero_dimensional_bodies_exit_1(tmp_path, capsys):
+    poly, norm, vecs = (tmp_path / f"{name}.json" for name in ("poly", "norm", "vecs"))
+    poly.write_text(json.dumps({"dimension": 0, "vertices": [[]]}))
+    norm.write_text(json.dumps({"dimension": 0, "functionals": [[]]}))
+    vecs.write_text("[[]]")
+    assert main(["convex-vc", "--polytope", str(poly), "--scale", "1"]) == 1
+    assert "polytope dimension must be at least 1, got 0" in capsys.readouterr().err
+    assert main(["l1-const", "--norm", str(norm), "--vectors", str(vecs)]) == 1
+    assert "norm dimension must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_vectors_file_is_checked(tmp_path, family_file, capsys):
     import itertools
 

@@ -14,7 +14,6 @@ from combdim import (
 )
 from combdim.experiments import (
     ExperimentConfig,
-    emit_report,
     estimate_extraction_constant,
     gen_separated_family,
     main_theorem_constant,
@@ -22,6 +21,7 @@ from combdim.experiments import (
     run_main_theorem_experiment,
     run_pipeline_trace,
 )
+from combdim.family import write_json
 from combdim.shattering import vc_real
 
 
@@ -135,8 +135,8 @@ def test_estimate_extraction_constant():
 def test_emit_report_json_round_trip_and_determinism(tmp_path):
     report = {"config": {"seed": 1}, "value": 0.123456789012345, "rows": [[1, 2.5]]}
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    emit_report(report, p1)
-    emit_report(report, p2)
+    write_json(p1, report)
+    write_json(p2, report)
     assert p1.read_bytes() == p2.read_bytes()
     assert json.loads(p1.read_text()) == report
 

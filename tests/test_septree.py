@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from combdim import (
     validate_tree,
     variance,
 )
-from combdim.septree import SeparatingTree, TreeNode, small_dev_split
+from combdim.errors import FamilyError
+from combdim.septree import SeparatingTree, TreeNode, load_tree, small_dev_split
 from combdim.experiments import gen_separated_family
 
 UNIFORM2 = ProbabilityMeasure.uniform(2)
@@ -103,6 +105,11 @@ def test_small_dev_split_skewed():
 def test_small_dev_split_rejects_point_mass():
     with pytest.raises(ValueError):
         small_dev_split(Distribution(((3.0, 1.0),)))
+    # one value in two atoms: the moment variance rounds to 7.7e-34, not 0
+    atoms = ((0.2, 0.6863314709696108), (0.2, 0.31366852903038933))
+    for dist in (Distribution(atoms), Distribution(atoms + ((5.0, 0.0),))):
+        with pytest.raises(ValueError, match="needs nonzero variance"):
+            small_dev_split(dist)
 
 
 def test_small_dev_split_exists_randomized():
@@ -180,10 +187,61 @@ def test_validate_rejects_foreign_rows():
     assert not result and "escape" in result.failure
 
 
+def test_validate_names_the_first_violating_pair():
+    # plus rows 0, 1 and minus rows 2, 3 on coordinate 0: pairs (0, 2) and
+    # (1, 2) break the gap 0.5; the first in plus-then-minus order is named,
+    # not the pair of extremes (1, 2)
+    fam = FunctionFamily([[0.4, 0], [0.2, 0], [0.0, 0], [-0.5, 0]])
+    tree = SeparatingTree(
+        TreeNode((0, 1, 2, 3), 0, 0.0, 0.5, TreeNode((0, 1)), TreeNode((2, 3))), 3.0, 0.5,
+    )
+    result = validate_tree(tree, fam, 0.5)
+    assert result.failure == (
+        "gap violated at node (0, 1, 2, 3): rows 0,2 on coordinate 0 differ by 0.4 <= 0.5"
+    )
+
+
+def _pairwise_gap_failure(node, values, gap):
+    """The gap check of validate_tree as the per-pair loop it replaces."""
+    if node.is_leaf:
+        return None
+    i = node.coordinate
+    for f in node.plus_son.indices:
+        for g in node.minus_son.indices:
+            if not values[f, i] > values[g, i] + gap:
+                return (f"gap violated at node {node.indices}: rows {f},{g} on coordinate {i} "
+                        f"differ by {float(values[f, i] - values[g, i])!r} <= {float(gap)!r}")
+    return (_pairwise_gap_failure(node.plus_son, values, gap)
+            or _pairwise_gap_failure(node.minus_son, values, gap))
+
+
+def test_validate_gap_check_matches_the_pairwise_loop():
+    rng = np.random.default_rng(404)
+    for trial in range(20):
+        signs = np.unique(rng.integers(0, 2, size=(12, 4)) * 2.0 - 1.0, axis=0)
+        fam = FunctionFamily(signs * rng.uniform(0.8, 1.0, size=signs.shape))
+        tree = build_separating_tree(fam, ProbabilityMeasure.uniform(4), 0.7)
+        root = tree.root
+        diffs = np.subtract.outer(fam.values[list(root.plus_son.indices), root.coordinate],
+                                  fam.values[list(root.minus_son.indices), root.coordinate])
+        # every gap at which some root pair ties, plus gaps between and beyond
+        for gap in sorted(set(diffs.ravel())) + [0.05, 1.0, 1.7]:
+            expected = _pairwise_gap_failure(root, fam.values, gap)
+            assert validate_tree(tree, fam, gap).failure == expected, (trial, gap)
+
+
+def test_load_tree_names_the_file_of_a_node_without_minus(tmp_path):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"scale": 1.4, "gap": 0.2, "root": {
+        "indices": [0, 1], "coordinate": 0, "threshold": 0.0, "gap": 0.2,
+        "plus": {"indices": [0]}}}))
+    with pytest.raises(FamilyError, match=f"missing key 'minus' in a node of tree file {path}"):
+        load_tree(path)
+
+
 def test_tree_round_trip_dict():
     tree = build_separating_tree(SIGN_CUBE, UNIFORM2, 1.4)
-    doc = tree.to_dict()
-    again = SeparatingTree.from_dict(doc)
+    again = SeparatingTree(TreeNode.from_dict(tree.root.to_dict()), tree.scale, tree.gap)
     assert again.leaf_count() == tree.leaf_count()
     assert validate_tree(again, SIGN_CUBE, tree.gap)
 
