@@ -5,7 +5,7 @@ Run from the repository root:
 
     PYTHONPATH=src python3 scripts/output_digest.py
 
-A change that must keep outputs identical leaves all seven lines as
+A change that must keep outputs identical leaves all eight lines as
 they were.  The suites:
 
 - pipeline: `run_pipeline_trace` for seeds 0-299; a failing seed (98
@@ -20,7 +20,11 @@ they were.  The suites:
 - convex-vc: `convex_vc` on the dual bodies of the same 56 instances at
   every scale of `DEFAULT_T_GRID`;
 - tightness: the functionals and `norm_slack` of the eight tightness
-  bodies below.
+  bodies below;
+- orders: `ell1_lower_constant` on all coordinates of the eleven
+  tightness bodies in ORDER_BODIES, net size 64, net seed 0, with each
+  body's functionals in seven row orders: as built, lexicographic, and
+  permuted by `default_rng(seed)` for seeds 0-4.
 
 The 56 instances are the six norms of each `random_norm_instances(1..8)`
 and eight tightness bodies, net size 64, net seed 0.
@@ -42,9 +46,11 @@ from combdim.experiments import (
     run_pipeline_trace,
 )
 from combdim.family import CoordinateSubset
-from combdim.geometry import convex_vc, ell1_lower_constant
+from combdim.geometry import PolyhedralNorm, convex_vc, ell1_lower_constant
 
 RUDELSON_BODIES = ((5, 1.0), (5, 0.9), (5, 0.6), (6, 1.0), (6, 0.6), (7, 1.0), (7, 0.8), (7, 0.6))
+ORDER_BODIES = ((6, 1.0), (6, 0.8), (6, 0.6), (6, 0.5), (7, 1.0), (7, 0.8), (7, 0.6), (7, 0.5),
+                (8, 0.8), (8, 0.6), (8, 0.5))
 
 
 def digest(outputs) -> str:
@@ -91,6 +97,16 @@ def l1_table(norm, vectors):
             for size in range(1, n + 1) for support in itertools.combinations(range(n), size)]
 
 
+def row_orders(n: int, delta: float):
+    body = rudelson_example(n, delta, net_size=64, seed=0)
+    funcs = body.norm.functionals
+    orders = [funcs, np.array(sorted(funcs.tolist()))]
+    orders += [funcs[np.random.default_rng(seed).permutation(len(funcs))] for seed in range(5)]
+    sigma = CoordinateSubset(tuple(range(body.vectors.shape[0])))
+    return [ell1_lower_constant(PolyhedralNorm(body.norm.dimension, f), body.vectors, sigma)
+            for f in orders]
+
+
 def main() -> None:
     print("pipeline", digest(pipeline(seed) for seed in range(300)))
     print("extraction", digest(acceptance_curve(seed) for seed in range(300)))
@@ -108,6 +124,7 @@ def main() -> None:
     print("tightness", digest(
         (body.norm.functionals.tolist(), body.norm_slack) for body in
         (rudelson_example(n, delta, net_size=64, seed=0) for n, delta in RUDELSON_BODIES)))
+    print("orders", digest(row_orders(n, delta) for n, delta in ORDER_BODIES))
 
 
 if __name__ == "__main__":

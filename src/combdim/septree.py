@@ -250,16 +250,24 @@ class TreeNode:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TreeNode":
+        indices = tuple(map(_json_integer, doc["indices"]))
         if "plus" in doc:
             return cls(
-                tuple(int(i) for i in doc["indices"]),
-                int(doc["coordinate"]),
+                indices,
+                _json_integer(doc["coordinate"]),
                 float(doc["threshold"]),
                 float(doc["gap"]),
                 cls.from_dict(doc["plus"]),
                 cls.from_dict(doc["minus"]),
             )
-        return cls(tuple(int(i) for i in doc["indices"]))
+        return cls(indices)
+
+
+def _json_integer(value) -> int:
+    """A row index or split coordinate of a tree file: a JSON integer, not a bool."""
+    if type(value) is not int:
+        raise ValueError(f"row index or coordinate {value!r} is not an integer")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,6 +367,8 @@ def validate_tree(tree: SeparatingTree, family: FunctionFamily, gap: float) -> T
     def check(node: TreeNode) -> TreeValidation:
         if not node.indices:
             return TreeValidation(False, "empty node")
+        if len(set(node.indices)) < len(node.indices):
+            return TreeValidation(False, f"row listed twice in node {node.indices}")
         if any(r < 0 or r >= m for r in node.indices):
             return TreeValidation(False, f"row index out of range in node {node.indices}")
         if node.is_leaf:

@@ -14,14 +14,12 @@ Bland's anti-cycling rule makes the solver deterministic and finite: the
 entering column is the smallest index with a negative reduced cost, and
 the leaving row is, among the rows whose pivot entry exceeds PIVOT_TOL
 (none: unbounded) and whose ratio is within RATIO_TIE of the minimum, the
-one whose basic variable has the smallest index.  If its entry is under
-PIVOT_REL of the column's largest, the rows with such entries are passed
-over unless one would then fall more than DROP_TOL below zero.  A
-leftover artificial leaves after phase 1 on the entry of its row that is
-largest against its column's largest magnitude; a row with no entry over
-PIVOT_TOL is dropped.  Every choice is made per LP, so an LP pivots
-exactly as it would alone.  The optimal point is read from the final
-tableau and checked against the original rows.
+one whose basic variable has the smallest index.  A leftover artificial
+leaves after phase 1 on the entry of its row that is largest against its
+column's largest magnitude; a row with no entry over PIVOT_TOL is
+dropped.  Every choice is made per LP, so an LP pivots exactly as it
+would alone.  The optimal point is read from the final tableau and
+checked against the original rows.
 """
 
 from __future__ import annotations
@@ -34,8 +32,6 @@ from .errors import IterationCapError, SolverError
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-9
-PIVOT_REL = 1e-8  # of the column's largest entry: smaller pivots are passed over when safe
-DROP_TOL = 1e-8  # the most a row skipped for a small entry may fall below zero
 RATIO_TIE = 1e-12
 ITER_FACTOR = 200  # each phase may pivot ITER_FACTOR * (2 rows + x and slack columns + 10) times
 _NO_BASIS = np.iinfo(np.intp).max  # above every column index
@@ -93,13 +89,6 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, rows, cols) -> None:
     np.copyto(rhs, 0.0, where=(rhs < 0.0) & (rhs > -1e-9))
 
 
-def _leaving_rows(ratios: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Per LP, among the rows within RATIO_TIE of the least ratio, the one
-    whose basic variable has the smallest index (Bland)."""
-    ties = ratios <= ratios.min(axis=1, keepdims=True) + RATIO_TIE
-    return np.where(ties, basis, _NO_BASIS).argmin(axis=1)
-
-
 def _run_simplex(
     tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray, max_iter: int, phase: int
 ) -> bool:
@@ -133,19 +122,11 @@ def _run_simplex(
         positive = column > PIVOT_TOL
         if not positive.any(axis=1).all():
             return True
-        rhs = tab[:, :, -1]
-        ratios = np.divide(rhs, column, out=np.full(column.shape, np.inf), where=positive)
-        rows = _leaving_rows(ratios, bas)
-        largest = column.max(axis=1, keepdims=True)
-        tiny_pivot = column[lps, rows] < PIVOT_REL * largest[:, 0]
-        if tiny_pivot.any():
-            small = positive & (column < PIVOT_REL * largest)
-            passed_over = np.divide(rhs + DROP_TOL, column, out=np.full(column.shape, np.inf),
-                                    where=small).min(axis=1)
-            safe = tiny_pivot & (np.where(small, np.inf, ratios).min(axis=1) <= passed_over)
-            ratios[safe[:, None] & small] = np.inf
-            rows = _leaving_rows(ratios, bas)
-        _pivot(tab, bas, rows, entering)
+        ratios = np.divide(tab[:, :, -1], column, out=np.full(column.shape, np.inf), where=positive)
+        # Bland: among the rows within RATIO_TIE of the least ratio, the one
+        # whose basic variable has the smallest index.
+        ties = ratios <= ratios.min(axis=1, keepdims=True) + RATIO_TIE
+        _pivot(tab, bas, np.where(ties, bas, _NO_BASIS).argmin(axis=1), entering)
     raise IterationCapError(
         f"simplex phase {phase} ran {max_iter} iterations without reaching an "
         f"optimum (the cap) on a {tab.shape[1]}x{tab.shape[2]} tableau; "

@@ -54,6 +54,17 @@ def test_vc_command(family_file, capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_vc_on_an_integer_family_without_scale_is_vc_integer(tmp_path, capsys):
+    # integer shattering needs values on both sides of a level, so steps
+    # of 2 shatter both coordinates and steps of 1 shatter none
+    fam = tmp_path / "int.json"
+    for step, dim in ((2, "2"), (1, "0")):
+        save_family(fam, FunctionFamily([[0, 0], [0, step], [step, 0], [step, step]],
+                                        "integer", step))
+        assert main(["vc", "--family", str(fam)]) == 0
+        assert capsys.readouterr().out.strip() == dim
+
+
 def test_centers_command(tmp_path, capsys):
     fam = tmp_path / "int.json"
     save_family(fam, FunctionFamily([[0, 0], [0, 2], [2, 0], [2, 2]], "integer", 2))
@@ -125,6 +136,53 @@ def test_validate_deep_tree_files(tmp_path, family_file, capsys):
     assert f"tree file {tree_path} nests too deep to load" in capsys.readouterr().err
 
 
+def _sign_square_tree(**root):
+    doc = {"indices": [0, 1, 2, 3], "coordinate": 0, "threshold": 0.0, "gap": 0.1,
+           "plus": {"indices": [0, 1]}, "minus": {"indices": [2, 3]}}
+    doc.update(root)
+    return {"scale": 0.6, "gap": 0.1, "root": doc}
+
+
+def test_validate_names_each_broken_node(tmp_path, family_file, capsys):
+    tree_path = tmp_path / "tree.json"
+    validate = ["validate", "--family", str(family_file), "--tree", str(tree_path)]
+    tree_path.write_text(json.dumps(_sign_square_tree()))
+    assert main(validate) == 0
+    assert "valid=ok" in capsys.readouterr().out
+    cases = [
+        ({"indices": [], "plus": {"indices": []}, "minus": {"indices": [1]}}, "empty node"),
+        ({"indices": [0, 1, 2, 4]}, "row index out of range in node (0, 1, 2, 4)"),
+        ({"coordinate": 2}, "bad split coordinate at node (0, 1, 2, 3)"),
+        ({"plus": {"indices": []}}, "empty son at node (0, 1, 2, 3)"),
+        ({"indices": [0, 2, 2], "plus": {"indices": [0]}, "minus": {"indices": [2]}},
+         "row listed twice in node (0, 2, 2)"),
+    ]
+    for root, failure in cases:
+        tree_path.write_text(json.dumps(_sign_square_tree(**root)))
+        assert main(validate) == 2, failure
+        assert f"valid={failure}" in capsys.readouterr().out
+
+
+def test_tree_file_rows_and_coordinates_are_json_integers(tmp_path, family_file, capsys):
+    # each of these once loaded, by int(), as a tree that validated
+    tree_path = tmp_path / "tree.json"
+    validate = ["validate", "--family", str(family_file), "--tree", str(tree_path)]
+    cases = [
+        ({"coordinate": 0.9}, "0.9"),
+        ({"indices": [0, 1], "coordinate": True, "plus": {"indices": [0]},
+          "minus": {"indices": [1]}}, "True"),
+        ({"indices": [0.7, 1.2], "coordinate": 1, "plus": {"indices": [0.3]},
+          "minus": {"indices": [1.9]}}, "0.7"),
+        ({"indices": ["0", "1"], "coordinate": 1, "plus": {"indices": [0]},
+          "minus": {"indices": [1]}}, "'0'"),
+    ]
+    for root, value in cases:
+        tree_path.write_text(json.dumps(_sign_square_tree(**root)))
+        assert main(validate) == 1, value
+        assert (f"error: bad node in tree file {tree_path}: "
+                f"row index or coordinate {value} is not an integer") in capsys.readouterr().err
+
+
 def test_extract_command(tmp_path, capsys):
     fam = tmp_path / "pair.json"
     save_family(fam, FunctionFamily([[1.0] * 8, [-1.0] * 8]))
@@ -133,6 +191,17 @@ def test_extract_command(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert 1 <= len(doc["subset"]) <= 3
     assert doc["achieved_separation"] > doc["target_separation"]
+
+
+def test_extract_out_of_attempts_exits_2(tmp_path, capsys):
+    # the pair differs on one coordinate of eight; seed 2's one draw misses it
+    fam = tmp_path / "pair.json"
+    save_family(fam, FunctionFamily([[1.0] + [0.0] * 7, [-1.0] + [0.0] * 7]))
+    assert main(["extract", "--family", str(fam), "--scale", "0.5", "--target-size", "1",
+                 "--seed", "2", "--max-attempts", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "extraction failed: no accepted subset in 1 attempts "
+        "(best separation seen: 0.0, target 0.25)\n")
 
 
 def test_extract_curve_command(tmp_path, capsys):
@@ -422,6 +491,16 @@ def test_pipeline_command(capsys):
     assert main(["pipeline", "--instances", "2", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert out.count("all stages passed") == 2
+
+
+def test_pipeline_stage_failure_exits_2(capsys):
+    # seed 98's extraction draws none of its accepted subsets in 100 attempts
+    assert main(["pipeline", "--instances", "1", "--seed", "98"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("assertion failure: [extraction] ")
+    doc = json.loads(err.split("[extraction] ", 1)[1])
+    assert doc["k"] == 5 and doc["p_accept"] == pytest.approx(0.0348, abs=1e-4)
+    assert doc["error"].startswith("no accepted subset in 100 attempts")
 
 
 def test_main_theorem_command(tmp_path, capsys):

@@ -199,12 +199,25 @@ def test_large_negative_entry_does_not_hide_a_positive_pivot():
 
 
 def test_small_pivot_entry_still_bounds_the_step():
-    # 5e-9 is under PIVOT_REL of the column's largest entry, but its row
-    # allows the smaller step (200 < 1000); skipping it would end 4e-6
-    # outside that row
+    # 5e-9 is tiny against the column's other entry, 1, but its row allows
+    # the smaller step (200 < 1000); skipping it would end 4e-6 outside
+    # that row
     result = lp_solve(LPProblem([-1.0], [[1.0], [5e-9]], [1e3, 1e-6]))
     assert result.status == "optimal" and result.x[0] == pytest.approx(200.0)
     _scipy_check([-1.0], [[1.0], [5e-9]], [1e3, 1e-6], None, None)
+
+
+def test_badly_scaled_rows_keep_blands_leaving_row():
+    # entries span eight decades; passing over the rows with small pivot
+    # entries, as the solver once did, ended 3.4e-9 off the equality row and
+    # raised, though Bland's choice reaches the optimum (0, 10, 0)
+    c = [-0.5, -0.11, -0.79]
+    a_ub = [[220000.0, 0.0, 0.0], [0.57, 0.0, 9.5e7], [0.0, 0.0, -2.0], [1.0, 1.0, 1.0]]
+    b_ub = [0.74, 0.42, 0.65, 10.0]
+    assert _scipy_check(c, a_ub, b_ub, [[18.0, 0.0, 0.76]], [0.0]) == "optimal"
+    result = lp_solve(LPProblem(c, a_ub, b_ub, [[18.0, 0.0, 0.76]], [0.0]))
+    assert result.x == pytest.approx([0.0, 10.0, 0.0], abs=1e-12)
+    assert result.objective == pytest.approx(-1.1)
 
 
 def test_leftover_artificial_leaves_on_a_stable_entry(monkeypatch):
