@@ -5,7 +5,7 @@ Run from the repository root:
 
     PYTHONPATH=src python3 scripts/output_digest.py
 
-A change that must keep outputs identical leaves all eight lines as
+A change that must keep outputs identical leaves all nine lines as
 they were.  The suites:
 
 - pipeline: `run_pipeline_trace` for seeds 0-299; a failing seed (98
@@ -24,7 +24,11 @@ they were.  The suites:
 - orders: `ell1_lower_constant` on all coordinates of the eleven
   tightness bodies in ORDER_BODIES, net size 64, net seed 0, with each
   body's functionals in seven row orders: as built, lexicographic, and
-  permuted by `default_rng(seed)` for seeds 0-4.
+  permuted by `default_rng(seed)` for seeds 0-4;
+- entropy: `packing_number` and `covering_number` (count and flag) at
+  every scale of `mid_gap_scales(family, measure, 12)` on the families
+  the main-theorem experiment draws for seed 2026, instances 0-59, at
+  caps 23/7 (all three generator kinds, m <= 23).
 
 The 56 instances are the six norms of each `random_norm_instances(1..8)`
 and eight tightness bodies, net size 64, net seed 0.
@@ -36,16 +40,18 @@ import itertools
 import numpy as np
 
 from combdim.elton import DEFAULT_T_GRID, dual_body, elton_subset, rudelson_example
+from combdim.entropy import covering_number, packing_number
 from combdim.errors import PipelineError
 from combdim.extraction import extraction_success_probability
 from combdim.experiments import (
     ExperimentConfig,
     gen_separated_family,
+    mid_gap_scales,
     random_norm_instances,
     run_main_theorem_experiment,
     run_pipeline_trace,
 )
-from combdim.family import CoordinateSubset
+from combdim.family import CoordinateSubset, ProbabilityMeasure, gen_random_family
 from combdim.geometry import PolyhedralNorm, convex_vc, ell1_lower_constant
 
 RUDELSON_BODIES = ((5, 1.0), (5, 0.9), (5, 0.6), (6, 1.0), (6, 0.6), (7, 1.0), (7, 0.8), (7, 0.6))
@@ -107,6 +113,18 @@ def row_orders(n: int, delta: float):
             for f in orders]
 
 
+def entropy_counts(index: int):
+    # the family run_main_theorem_experiment draws for seed 2026, caps 23/7
+    rng = np.random.default_rng([2026, index])
+    m = int(rng.integers(4, 24))
+    n = int(rng.integers(2, 8))
+    kind = ("uniform-real", "convex-hull-sections", "sign-vectors")[index % 3]
+    family = gen_random_family(m, n, kind, [2026, index, 1])
+    measure = ProbabilityMeasure.uniform(n)
+    return [(t, packing_number(family, measure, t), covering_number(family, measure, t))
+            for t in mid_gap_scales(family, measure, 12)]
+
+
 def main() -> None:
     print("pipeline", digest(pipeline(seed) for seed in range(300)))
     print("extraction", digest(acceptance_curve(seed) for seed in range(300)))
@@ -125,6 +143,7 @@ def main() -> None:
         (body.norm.functionals.tolist(), body.norm_slack) for body in
         (rudelson_example(n, delta, net_size=64, seed=0) for n, delta in RUDELSON_BODIES)))
     print("orders", digest(row_orders(n, delta) for n, delta in ORDER_BODIES))
+    print("entropy", digest(entropy_counts(index) for index in range(60)))
 
 
 if __name__ == "__main__":

@@ -10,9 +10,7 @@ entropy integrals, and l1-subset extraction for polyhedral norms.
 from .constants import DEFAULT_CONSTANTS, ConstantsConfig
 from .elton import EltonResult, RudelsonInstance, dual_body, elton_subset, rudelson_example
 from .entropy import (
-    EntropyReport,
     covering_number,
-    entropy_report,
     is_separated,
     lp_distance,
     packing_number,

@@ -1,4 +1,8 @@
-"""Lp(mu) distances, separation tests, exact and greedy packing/covering.
+"""Lp(mu) distances, separation tests, packing and covering numbers.
+
+Packing and covering are exact up to PACKING_EXACT_LIMIT and
+COVERING_EXACT_LIMIT rows; past them the greedy count is returned,
+flagged as a one-sided bound.
 
 Conventions: a pair is t-separated when its distance is strictly greater
 than t; a ball of radius t uses non-strict membership (distance <= t).
@@ -10,11 +14,8 @@ holds exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import BudgetError
 from .family import FunctionFamily, ProbabilityMeasure, row_masks
 
 PACKING_EXACT_LIMIT = 30
@@ -92,8 +93,8 @@ def is_separated(family: FunctionFamily, measure: ProbabilityMeasure, t: float) 
 
 
 # ---------------------------------------------------------------------------
-# Packing: maximum subset with all pairwise distances > t.  Exact mode is a
-# maximum-clique branch and bound on the "distance > t" graph.
+# Packing: maximum subset with all pairwise distances > t.  The exact count
+# is a maximum-clique branch and bound on the "distance > t" graph.
 # ---------------------------------------------------------------------------
 
 def _max_clique_size(sel: np.ndarray) -> int:
@@ -133,29 +134,24 @@ def packing_number(
     measure: ProbabilityMeasure,
     t: float,
     p: float = 2.0,
-    mode: str = "exact",
 ) -> tuple[int, str]:
     """Maximal size of a t-separated subset.
 
-    Returns (count, flag) with flag "exact" or "lower-bound" (greedy mode
-    reports a maximal-by-inclusion subset, which is a lower bound).
+    Returns (count, flag): flag "exact" up to PACKING_EXACT_LIMIT rows,
+    past it "lower-bound" with the size of a greedy maximal-by-inclusion
+    subset.
     """
     if not t > 0:
         raise ValueError(f"packing scale must be positive, got {t!r}")
     dist = pairwise_distances(family, measure, p)
-    m = family.size
-    if mode == "greedy":
+    if family.size > PACKING_EXACT_LIMIT:
         return _greedy_packing(dist, t), "lower-bound"
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
-    if m > PACKING_EXACT_LIMIT:
-        raise BudgetError(f"exact packing refused for m={m} > limit {PACKING_EXACT_LIMIT}")
     return _max_clique_size(dist > t), "exact"  # dist[i, i] = 0 < t
 
 
 # ---------------------------------------------------------------------------
 # Covering: minimum number of balls of radius t centered at family rows.
-# Exact mode is a set-cover branch and bound.
+# The exact count is a set-cover branch and bound.
 # ---------------------------------------------------------------------------
 
 def _greedy_cover(ball: list[int], universe: int) -> list[int]:
@@ -199,44 +195,17 @@ def covering_number(
     measure: ProbabilityMeasure,
     t: float,
     p: float = 2.0,
-    mode: str = "exact",
 ) -> tuple[int, str]:
     """Minimal number of radius-t balls centered at rows covering the family.
 
-    Returns (count, flag) with flag "exact" or "upper-bound" (greedy).
+    Returns (count, flag): flag "exact" up to COVERING_EXACT_LIMIT rows,
+    past it "upper-bound" with the size of the greedy cover.
     """
     if not t > 0:
         raise ValueError(f"covering scale must be positive, got {t!r}")
     dist = pairwise_distances(family, measure, p)
     m = family.size
     ball = row_masks(dist <= t)
-    if mode == "greedy":
-        return len(_greedy_cover(ball, (1 << m) - 1)), "upper-bound"
-    if mode != "exact":
-        raise ValueError(f"unknown mode {mode!r}")
     if m > COVERING_EXACT_LIMIT:
-        raise BudgetError(f"exact covering refused for m={m} > limit {COVERING_EXACT_LIMIT}")
+        return len(_greedy_cover(ball, (1 << m) - 1)), "upper-bound"
     return _exact_cover_size(ball, m), "exact"
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    """Packing and covering numbers at one scale, with exactness flags."""
-
-    scale: float
-    packing_count: int
-    packing_flag: str
-    covering_count: int
-    covering_flag: str
-
-
-def entropy_report(
-    family: FunctionFamily,
-    measure: ProbabilityMeasure,
-    t: float,
-    p: float = 2.0,
-    mode: str = "exact",
-) -> EntropyReport:
-    pack, pack_flag = packing_number(family, measure, t, p, mode)
-    cover, cover_flag = covering_number(family, measure, t, p, mode)
-    return EntropyReport(t, pack, pack_flag, cover, cover_flag)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import DEFAULT_CONSTANTS
 from .entropy import distances_from_gram, first_violating_pair, is_separated
 from .errors import BudgetError, ExtractionError, NotSeparatedError
 from .family import CoordinateSubset, FunctionFamily, ProbabilityMeasure
@@ -75,7 +76,7 @@ def extract_coordinates(
     t: float,
     k: int,
     seed,
-    max_attempts: int = 100,
+    max_attempts: int = DEFAULT_CONSTANTS.extraction_max_attempts,
 ) -> ExtractionOutcome:
     """First accepted coordinate subset, deterministic for a fixed seed.
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc, ndtri
 
-from .entropy import packing_number
+from .entropy import PACKING_EXACT_LIMIT, packing_number
+from .errors import BudgetError
 from .family import FunctionFamily, ProbabilityMeasure
 
 # Normalizer for the averaging weight t -> c0 / (t ln^{1.1}(2/t)): the
@@ -141,12 +142,16 @@ def sudakov_ratio(
 
     A diagnostic for the constant in the lower bound relating packing
     numbers to the process supremum; no pass/fail judgement here.
+    BudgetError when the family is too large for an exact packing.
     """
     if sup_estimate.mean <= 0:
         raise ValueError("sup estimate must be positive")
     best = 0.0
     for t in t_grid:
-        count, _ = packing_number(family, measure, float(t), mode="exact")
+        count, flag = packing_number(family, measure, float(t))
+        if flag != "exact":
+            raise BudgetError(f"exact packing refused for m={family.size} > limit "
+                              f"{PACKING_EXACT_LIMIT}")
         if count > 1:
             best = max(best, float(t) * math.sqrt(math.log(count)) / sup_estimate.mean)
     return best

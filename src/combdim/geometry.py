@@ -35,6 +35,8 @@ CUBE_DIM_BUDGET = 15
 # The full support of rudelson_example(12, .) alone has 2,048 orthant LPs of
 # 13 x 4,263 entries, about 0.9 GB as one stack.
 STACK_ENTRY_LIMIT = 150_000
+# Tableau entries, rows x (variables + rows), of one translated cube LP.
+TRANSLATED_CUBE_LP_LIMIT = 20_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +154,7 @@ def cube_in_projection(
     # Variables: lambda^{(q)} (n_pts each, >= 0) then h+ and h- (k each).
     n_vars = n_c * n_pts + 2 * k
     n_rows = n_c * (k + 1)
-    if n_rows * (n_vars + n_rows) > 20_000_000:
+    if n_rows * (n_vars + n_rows) > TRANSLATED_CUBE_LP_LIMIT:
         raise BudgetError(
             f"translated cube LP too large: {n_rows} rows x {n_vars} variables "
             f"(shrink |sigma| or deduplicate vertices)"

@@ -280,25 +280,38 @@ class SeparatingTree:
     gap: float
 
     def leaf_count(self) -> int:
-        def count(node: TreeNode) -> int:
-            if node.is_leaf:
-                return 1
-            return count(node.plus_son) + count(node.minus_son)
+        return sum(node.is_leaf for node in _preorder(self.root))
 
-        return count(self.root)
+
+def _preorder(root: TreeNode):
+    """The nodes under root, parents first, plus son before minus son.  An
+    explicit stack, so a chain of any depth needs no recursion."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += [son for son in (node.minus_son, node.plus_son) if son is not None]
 
 
 def save_tree(path, tree: SeparatingTree) -> None:
-    write_json(path, {"scale": tree.scale, "gap": tree.gap, "root": tree.root.to_dict()})
+    """Write a tree file.  FamilyError names the file when the tree nests
+    too deep for JSON."""
+    try:
+        write_json(path, {"scale": tree.scale, "gap": tree.gap, "root": tree.root.to_dict()})
+    except RecursionError:
+        raise FamilyError(f"tree file {path} nests too deep to save") from None
 
 
 def load_tree(path) -> SeparatingTree:
     """The tree in a file written by save_tree.  FamilyError names the
-    file when it or one of its nodes misses a key or holds a bad value."""
+    file when it or one of its nodes misses a key or holds a bad value,
+    or when it nests too deep to load."""
     doc = read_json(path, "tree", ("scale", "gap", "root"))
     try:
         return SeparatingTree(TreeNode.from_dict(doc["root"]), float(doc["scale"]),
                               float(doc["gap"]))
+    except RecursionError:
+        raise FamilyError(f"tree file {path} nests too deep to load") from None
     except KeyError as exc:
         raise FamilyError(f"missing key {exc} in a node of tree file {path}") from None
     except (TypeError, ValueError) as exc:
@@ -310,7 +323,7 @@ def build_separating_tree(
     measure: ProbabilityMeasure,
     t: float,
 ) -> SeparatingTree:
-    """Recursive (t/6)-separating tree with at least sqrt(m) leaves.
+    """(t/6)-separating tree with at least sqrt(m) leaves.
 
     Each non-leaf splits on a certified coordinate: the plus son keeps the
     rows with value > a + t/12, the minus son those with value < a - t/12;
@@ -324,10 +337,16 @@ def build_separating_tree(
     _require_separated(family, measure, t)
 
     values = family.values
-
-    def build(indices: tuple[int, ...]) -> TreeNode:
+    root = tuple(range(family.size))
+    # Nodes are keyed by their row sets, which are distinct within a tree.
+    nodes: dict[tuple[int, ...], TreeNode] = {}
+    splits = {}
+    todo = [root]
+    while todo:  # splits in preorder, plus son first
+        indices = todo.pop()
         if len(indices) == 1:
-            return TreeNode(indices)
+            nodes[indices] = TreeNode(indices)
+            continue
         rows = values[list(indices)]
         coord, cert = _split_coordinate(rows, t)
         col = rows[:, coord]
@@ -336,10 +355,11 @@ def build_separating_tree(
         plus = tuple(r for r, v in zip(indices, col) if v > hi)
         minus = tuple(r for r, v in zip(indices, col) if v < lo)
         assert plus and minus, "split certificate produced an empty son"
-        return TreeNode(indices, coord, cert.threshold, t / 6.0, build(plus), build(minus))
-
-    root = build(tuple(range(family.size)))
-    return SeparatingTree(root, t, t / 6.0)
+        splits[indices] = (coord, cert.threshold, plus, minus)
+        todo += [minus, plus]
+    for indices, (coord, threshold, plus, minus) in reversed(splits.items()):  # sons first
+        nodes[indices] = TreeNode(indices, coord, threshold, t / 6.0, nodes[plus], nodes[minus])
+    return SeparatingTree(nodes[root], t, t / 6.0)
 
 
 @dataclass(frozen=True)
@@ -364,37 +384,35 @@ def validate_tree(tree: SeparatingTree, family: FunctionFamily, gap: float) -> T
     values = family.values
     m, n = values.shape
 
-    def check(node: TreeNode) -> TreeValidation:
+    def failure(node: TreeNode) -> str | None:
         if not node.indices:
-            return TreeValidation(False, "empty node")
+            return "empty node"
         if len(set(node.indices)) < len(node.indices):
-            return TreeValidation(False, f"row listed twice in node {node.indices}")
+            return f"row listed twice in node {node.indices}"
         if any(r < 0 or r >= m for r in node.indices):
-            return TreeValidation(False, f"row index out of range in node {node.indices}")
+            return f"row index out of range in node {node.indices}"
         if node.is_leaf:
-            return TreeValidation(True)
+            return None
         if node.plus_son is None or node.minus_son is None:
-            return TreeValidation(False, f"non-leaf {node.indices} lacks two sons")
+            return f"non-leaf {node.indices} lacks two sons"
         if node.coordinate is None or not (0 <= node.coordinate < n):
-            return TreeValidation(False, f"bad split coordinate at node {node.indices}")
+            return f"bad split coordinate at node {node.indices}"
         pset, mset = set(node.plus_son.indices), set(node.minus_son.indices)
         if pset & mset:
-            return TreeValidation(False, f"sons overlap at node {node.indices}: {sorted(pset & mset)}")
+            return f"sons overlap at node {node.indices}: {sorted(pset & mset)}"
         if not (pset <= set(node.indices) and mset <= set(node.indices)):
-            return TreeValidation(False, f"sons escape their parent at node {node.indices}")
+            return f"sons escape their parent at node {node.indices}"
         if not pset or not mset:
-            return TreeValidation(False, f"empty son at node {node.indices}")
+            return f"empty son at node {node.indices}"
         i, plus, minus = node.coordinate, node.plus_son.indices, node.minus_son.indices
         # rounding is monotone, so the extremes decide every plus-minus pair
         if not values[list(plus), i].min() > values[list(minus), i].max() + gap:
             f, g = next((f, g) for f in plus for g in minus if not values[f, i] > values[g, i] + gap)
             diff = float(values[f, i] - values[g, i])
-            return TreeValidation(False, f"gap violated at node {node.indices}: rows {f},{g} on "
-                                  f"coordinate {i} differ by {diff!r} <= {float(gap)!r}")
-        for son in (node.plus_son, node.minus_son):
-            res = check(son)
-            if not res:
-                return res
-        return TreeValidation(True)
+            return (f"gap violated at node {node.indices}: rows {f},{g} on "
+                    f"coordinate {i} differ by {diff!r} <= {float(gap)!r}")
+        return None
 
-    return check(tree.root)
+    # the first failing node in preorder, plus son before minus son
+    reason = next(filter(None, map(failure, _preorder(tree.root))), None)
+    return TreeValidation(reason is None, reason)

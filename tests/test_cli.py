@@ -226,10 +226,26 @@ def test_gsup_command(tmp_path, capsys):
 
 
 def test_budget_exit_code(tmp_path, capsys):
+    from combdim.geometry import CUBE_DIM_BUDGET, VPolytope, save_polytope
+
+    n = CUBE_DIM_BUDGET + 1
+    poly = tmp_path / "cross.json"
+    save_polytope(poly, VPolytope(n, np.vstack([np.eye(n), -np.eye(n)])))
+    sigma = ",".join(map(str, range(n)))
+    assert main(["cube-test", "--polytope", str(poly), "--sigma", sigma, "--scale", "0.5"]) == 3
+    assert f"exceeds the exponent budget {CUBE_DIM_BUDGET}" in capsys.readouterr().err
+
+
+def test_entropy_past_the_exact_limits_prints_bounds(tmp_path, capsys):
     fam = tmp_path / "big.json"
     rng = np.random.default_rng(0)
     save_family(fam, FunctionFamily(rng.uniform(-1, 1, (31, 2))))
-    assert main(["entropy", "--family", str(fam), "--scale", "0.4"]) == 3
+    assert main(["entropy", "--family", str(fam), "--scale", "0.4"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[2] == "lower-bound" and row[4] == "upper-bound"
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy", "--family", str(fam), "--scale", "0.4", "--mode", "exact"])
+    assert exc.value.code == 2
 
 
 def _scaled_l1_const_repro(tmp_path, scale):

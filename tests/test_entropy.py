@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from combdim import (
-    BudgetError,
     FunctionFamily,
     ProbabilityMeasure,
     covering_number,
-    entropy_report,
     gen_random_family,
     is_separated,
     lp_distance,
@@ -18,6 +16,7 @@ from combdim import (
 )
 from combdim import entropy
 from combdim.extraction import _min_subset_distance
+from combdim.family import row_masks
 
 UNIFORM2 = ProbabilityMeasure.uniform(2)
 SIGN_CUBE = FunctionFamily([[1, 1], [1, -1], [-1, 1], [-1, -1]])
@@ -166,19 +165,37 @@ def test_sandwich_and_monotone_randomized():
             assert p0 >= p1 and c0 >= c1  # non-increasing in t
 
 
-def test_greedy_brackets_exact():
+def test_greedy_brackets_exact(monkeypatch):
     rng = np.random.default_rng(23)
+    cases = []
     for trial in range(20):
         m, n = int(rng.integers(3, 14)), int(rng.integers(1, 5))
         family = gen_random_family(m, n, "uniform-real", int(rng.integers(1 << 30)))
         measure = ProbabilityMeasure.uniform(n)
         t = float(rng.uniform(0.1, 1.2))
-        gp, gp_flag = packing_number(family, measure, t, mode="greedy")
-        ep, _ = packing_number(family, measure, t)
-        gc, gc_flag = covering_number(family, measure, t, mode="greedy")
-        ec, _ = covering_number(family, measure, t)
+        exact = packing_number(family, measure, t), covering_number(family, measure, t)
+        cases.append((family, measure, t, exact))
+    # with both limits at 0 every family is past them, so the counts are greedy
+    monkeypatch.setattr(entropy, "PACKING_EXACT_LIMIT", 0)
+    monkeypatch.setattr(entropy, "COVERING_EXACT_LIMIT", 0)
+    for family, measure, t, ((ep, ep_flag), (ec, ec_flag)) in cases:
+        gp, gp_flag = packing_number(family, measure, t)
+        gc, gc_flag = covering_number(family, measure, t)
+        assert ep_flag == ec_flag == "exact"
         assert gp_flag == "lower-bound" and gc_flag == "upper-bound"
         assert gp <= ep and ec <= gc
+
+
+def test_past_the_exact_limits_the_counts_are_greedy():
+    m = entropy.PACKING_EXACT_LIMIT + 1  # past both limits
+    family = gen_random_family(m, 2, "uniform-real", 5)
+    measure = ProbabilityMeasure.uniform(2)
+    dist = pairwise_distances(family, measure)
+    for t in (0.1, 0.3, 0.5, 0.9):
+        greedy_cover = entropy._greedy_cover(row_masks(dist <= t), (1 << m) - 1)
+        assert packing_number(family, measure, t) == (entropy._greedy_packing(dist, t),
+                                                      "lower-bound")
+        assert covering_number(family, measure, t) == (len(greedy_cover), "upper-bound")
 
 
 def test_lp_distance_general_p_properties():
@@ -238,18 +255,16 @@ def test_scale_equivariance():
         assert covering_number(family, measure, t)[0] == covering_number(scaled, measure, t * lam)[0]
 
 
-def test_exact_mode_size_limit(monkeypatch):
+def test_exact_size_limit(monkeypatch):
     family = gen_random_family(31, 2, "uniform-real", 5)
     measure = ProbabilityMeasure.uniform(2)
-    with pytest.raises(BudgetError):
-        packing_number(family, measure, 0.5)
+    assert packing_number(family, measure, 0.5)[1] == "lower-bound"
     monkeypatch.setattr(entropy, "PACKING_EXACT_LIMIT", 31)
     count, flag = packing_number(family, measure, 0.5)
     assert flag == "exact" and count >= 1
 
 
-def test_entropy_report_fields():
-    rep = entropy_report(SIGN_CUBE, UNIFORM2, 1.2)
-    assert rep.scale == 1.2
-    assert rep.packing_count == 4 and rep.packing_flag == "exact"
-    assert rep.covering_count >= 1 and rep.covering_flag == "exact"
+def test_sign_cube_counts_are_exact():
+    assert packing_number(SIGN_CUBE, UNIFORM2, 1.2) == (4, "exact")
+    count, flag = covering_number(SIGN_CUBE, UNIFORM2, 1.2)
+    assert count >= 1 and flag == "exact"

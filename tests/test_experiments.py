@@ -55,6 +55,15 @@ def test_main_theorem_report_reproducible():
     assert parallel["instances"] == a["instances"]  # ordered reduction
 
 
+def test_main_theorem_skips_scales_without_exact_packing():
+    report = run_main_theorem_experiment(
+        ExperimentConfig(seed=0, instances=1, max_rows=35, max_coords=3, jobs=1))
+    (instance,) = report["instances"]
+    assert instance["m"] == 31  # past PACKING_EXACT_LIMIT
+    assert [row["skipped"] for row in instance["scales"]] == [True, True]
+    assert report["k_emp_count"] == 0 and report["skipped_scales"] == 2
+
+
 def test_mid_gap_scales_avoid_ties():
     fam = gen_random_family(8, 3, "sign-vectors", 3)
     measure = ProbabilityMeasure.uniform(3)

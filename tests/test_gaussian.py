@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from combdim import (
+    BudgetError,
     FunctionFamily,
     ProbabilityMeasure,
     entropy_integral,
@@ -140,6 +141,13 @@ def test_sudakov_ratio_examples():
     assert sudakov_ratio(fam, m3, [0.3, 0.6], est) == pytest.approx(
         sudakov_ratio(swapped, m3, [0.3, 0.6], est)
     )
+
+
+def test_sudakov_ratio_refuses_an_inexact_packing():
+    fam = gen_random_family(31, 2, "uniform-real", 5)  # past PACKING_EXACT_LIMIT
+    est = gaussian_sup_mc(fam.values, 1000, seed=1)
+    with pytest.raises(BudgetError, match="exact packing refused for m=31 > limit 30"):
+        sudakov_ratio(fam, ProbabilityMeasure.uniform(2), [0.5], est)
 
 
 def test_dudley_and_vc_chain_pinned():

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from combdim import (
     variance,
 )
 from combdim.errors import FamilyError
-from combdim.septree import SeparatingTree, TreeNode, load_tree, small_dev_split
+from combdim.septree import SeparatingTree, TreeNode, load_tree, save_tree, small_dev_split
 from combdim.experiments import gen_separated_family
 
 UNIFORM2 = ProbabilityMeasure.uniform(2)
@@ -244,6 +245,45 @@ def test_tree_round_trip_dict():
     again = SeparatingTree(TreeNode.from_dict(tree.root.to_dict()), tree.scale, tree.gap)
     assert again.leaf_count() == tree.leaf_count()
     assert validate_tree(again, SIGN_CUBE, tree.gap)
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_deep_chain_tree_needs_no_recursion(tmp_path):
+    # eye(m) at scale 1/sqrt(m) splits one row off per level: a chain of
+    # m - 1 levels, built, counted and validated in 60 frames of stack
+    m = 120
+    family = FunctionFamily(np.eye(m))
+    path = tmp_path / "chain.json"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        tree = build_separating_tree(family, ProbabilityMeasure.uniform(m), 1 / math.sqrt(m))
+        leaves = tree.leaf_count()
+        valid = validate_tree(tree, family, tree.gap)
+        with pytest.raises(FamilyError, match=f"tree file {path} nests too deep to save"):
+            save_tree(path, tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert leaves == m and valid
+    node, levels = tree.root, 0
+    while not node.is_leaf:
+        node, levels = max(node.plus_son, node.minus_son, key=lambda s: len(s.indices)), levels + 1
+    assert levels == m - 1
+    save_tree(path, tree)
+    again = load_tree(path)
+    assert again.leaf_count() == m and validate_tree(again, family, tree.gap)
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        with pytest.raises(FamilyError, match=f"tree file {path} nests too deep to load"):
+            load_tree(path)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_tree_with_nonuniform_measure():
