@@ -92,16 +92,15 @@ def cmd_centers(args) -> int:
 def cmd_tree(args) -> int:
     family, measure = load_family(args.family)
     tree = septree.build_separating_tree(family, measure, args.scale)
-    if args.emit:
-        septree.save_tree(args.emit, tree)
-    leaves = tree.leaf_count()
-    print(f"leaves={leaves} sqrt_m={math.sqrt(family.size):.4f}")
+    print(f"leaves={tree.leaf_count()} sqrt_m={math.sqrt(family.size):.4f}")
+    ok = True
     if args.validate:
         result = septree.validate_tree(tree, family, args.scale / 6.0)
         print(f"validate(gap={args.scale / 6.0!r}): {'ok' if result else result.failure}")
-        if not result:
-            return 2
-    return 0
+        ok = result.ok
+    if args.emit:  # after the report, so a tree too deep to save still shows it
+        septree.save_tree(args.emit, tree)
+    return 0 if ok else 2
 
 
 def cmd_extract(args) -> int:

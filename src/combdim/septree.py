@@ -198,8 +198,11 @@ def find_separating_coordinate(
     Requires the family to be t-separated in L2(measure) with m >= 2; the
     argument via the pair-difference variance identity guarantees a
     coordinate with sigma(values) >= t/2, whose sigma/6 split certificate
-    remains valid at gap t/12.  The coordinate of largest variance (ties
-    toward the smaller index) is taken: if it fails, every other one does.
+    remains valid at gap t/12.  The coordinate of largest variance is
+    taken: if it fails, every other one does.  Variances are computed in
+    one pass over the value matrix with each column sorted first, so equal
+    value multisets get equal variances and ties go to the smaller index;
+    only the chosen column gets a Distribution.
     """
     if not t > 0:
         raise ValueError("split scale must be positive")
@@ -212,14 +215,13 @@ def find_separating_coordinate(
 def _split_coordinate(values: np.ndarray, t: float) -> tuple[int, SplitCertificate]:
     """find_separating_coordinate on the value rows of a family already
     known to be t-separated."""
-    dists = coordinate_distributions(values)
-    variances = [_moment_variance(d) for d in dists]
-    i = variances.index(max(variances))
+    i = int(np.argmax(np.sort(values, axis=0).var(axis=0)))
+    dist = Distribution.from_sample(values[:, i])
     # Exact comparison: sigma/6 >= t/12 makes the gap reinterpretation
     # below a shrink, under which tail masses can only grow.
-    if not math.sqrt(variances[i]) / 6.0 >= t / 12.0:
+    if not math.sqrt(_moment_variance(dist)) / 6.0 >= t / 12.0:
         raise AssertionError(f"no coordinate with sigma >= {t / 2} found on a {t}-separated family")
-    return i, _reinterpret_gap(small_dev_split(dists[i]), dists[i], t / 12.0)
+    return i, _reinterpret_gap(small_dev_split(dist), dist, t / 12.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,15 +16,17 @@ reached through its prefix chain.  Witness sets per sign pattern are row
 bitmasks, which makes the extension check a handful of integer ANDs.
 Along a coordinate's ascending levels the masks are nested, so the levels
 that extend a center form one run, found by two bisections; the budget
-still charges one check per level of each coordinate scanned.  Count mode
-counts centers per dimension; max mode seeks the largest dimension only
-and prunes what cannot raise it.
+charges one check per table entry scanned.  Count mode counts centers per
+dimension and walks runs of consecutive levels with equal masks, one entry
+each: a level of a run extends a center exactly when all of them do.  Max
+mode seeks the largest dimension only and prunes what cannot raise it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -164,22 +166,32 @@ def _undominated(table: list[list[tuple]]) -> list[list[tuple]]:
     return out
 
 
+def _runs(table: list[list[tuple]]) -> list[list[tuple]]:
+    """Each coordinate's consecutive entries with equal (below, above) masks
+    merged into one (run length, below, above) entry."""
+    return [[(sum(1 for _ in run), *masks) for masks, run in groupby(entries, lambda e: e[1:])]
+            for entries in table]
+
+
 def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
     """Depth-first walk over shattered centers of dimension k <= max_dim
     with 2^k <= m.  Coordinates are added in increasing order, each one's
-    levels in table order.  The pattern masks of a center travel as lanes
+    entries in table order.  The pattern masks of a center travel as lanes
     of one integer, each with a guard bit above it: adding 2^m - 1 to
     every lane sets all guard bits iff no lane is empty.  Levels ascend,
     so a coordinate's below masks grow and its above masks shrink: "every
     lane meets below" turns on once and "every lane meets above" turns off
-    once, and the levels that extend a center form one run of entries,
-    found by two bisections.  The budget still charges a scanned
-    coordinate one check per level, up to DEFAULT_BUDGET checks a walk.
+    once, and the entries that extend a center form one run, found by two
+    bisections.  The budget charges a scanned coordinate one check per
+    entry, up to DEFAULT_BUDGET checks a walk.
 
     Count mode returns counts[k], the number of centers of dimension k,
     and appends (support, levels, packed masks) of every center, trivial
-    one first, to record if given; without record it builds no supports
-    and only counts the centers of the deepest dimension.  Max mode
+    one first, to record if given.  Without record it builds no supports,
+    reads each entry's first field as the number of levels it stands for
+    (a table of _runs), and adds weight x run length per center, weight
+    being the number of centers its prefix stands for (the other modes
+    pass a level there and never read it).  Max mode
     (best_only) returns (dimension, support, levels) of the first largest
     center it meets and skips branches whose deepest completion cannot
     beat the best.
@@ -197,8 +209,10 @@ def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
     named = best_only or record is not None
     if record is not None:
         record.append(((), (), full))
+    if not named:  # levels of the entries before each one, for counting the deepest dimension
+        prefix = [list(accumulate((e[0] for e in entries), initial=0)) for entries in table]
 
-    def extend(start: int, k: int, support: tuple, levels: tuple, masks: int):
+    def extend(start: int, k: int, support: tuple, levels: tuple, masks: int, weight: int):
         nonlocal best, checks
         lanes, ones, guards, shift = tables[k], full * reps[k], (full + 1) * reps[k], width << k
         leaves = k + 1 == depth and not named
@@ -219,33 +233,36 @@ def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
             a = bisect_left(entries, True, key=lambda e: ((masks & e[1]) + ones) & guards == guards)
             b = bisect_left(entries, True, a, key=lambda e: ((masks & e[2]) + ones) & guards != guards)
             if leaves:
-                counts[k + 1] += b - a
+                counts[k + 1] += weight * (prefix[i][b] - prefix[i][a])
                 continue
             for v, below, above in entries[a:b]:
                 child = masks & below | (masks & above) << shift
-                grown, at = (support + (i,), levels + (v,)) if named else ((), ())
-                if best_only:
-                    if k + 1 > best[0]:
-                        best = (k + 1, grown, at)
+                if not named:
+                    grown, at, v = (), (), weight * v
+                    counts[k + 1] += v
                 else:
-                    counts[k + 1] += 1
-                    if record is not None:
+                    grown, at = support + (i,), levels + (v,)
+                    if best_only:
+                        if k + 1 > best[0]:
+                            best = (k + 1, grown, at)
+                    else:
+                        counts[k + 1] += 1
                         record.append((grown, at, child))
                 if k + 1 < depth and i + 1 < n:
-                    extend(i + 1, k + 1, grown, at, child)
+                    extend(i + 1, k + 1, grown, at, child, v)
                 if best_only and reach <= best[0]:
                     return
 
     if depth > 0:
-        extend(0, 0, (), (), full)
+        extend(0, 0, (), (), full, 1)
     return best if best_only else [c for c in counts if c]  # nonzero counts form a prefix
 
 
 def shattered_center_counts(family: FunctionFamily, max_dim: int) -> list[int]:
     """Number of shattered centers of each dimension 0..d (index = dimension,
     the trivial center included), d being the largest dimension <= max_dim
-    that occurs.  Builds no center objects."""
-    return _walk(_integer_table(family), family.size, max_dim, False)
+    that occurs.  Builds no center objects and walks runs of levels."""
+    return _walk(_runs(_integer_table(family)), family.size, max_dim, False)
 
 
 def shatter_witnesses(family: FunctionFamily, max_dim: int) -> list[ShatterWitness]:

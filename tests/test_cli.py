@@ -103,6 +103,32 @@ def test_tree_emit_and_validate_round_trip(tmp_path, family_file, capsys):
                  "--tree", str(tree_path)]) == 0
 
 
+def test_tree_reports_before_it_saves(tmp_path, family_file, capsys, monkeypatch):
+    from combdim import septree
+    from combdim.errors import FamilyError
+
+    tree_path = tmp_path / "tree.json"
+    argv = ["tree", "--family", str(family_file), "--scale", "1.4",
+            "--emit", str(tree_path), "--validate"]
+
+    def refuse(path, tree):
+        raise FamilyError(f"tree file {path} nests too deep to save")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(septree, "save_tree", refuse)
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "leaves=4 sqrt_m=2.0000\nvalidate(gap=0.2333333333333333): ok\n"
+    assert f"tree file {tree_path} nests too deep to save" in captured.err
+    assert not tree_path.exists()
+    # a tree that fails validation is still written, and the exit code stays 2
+    monkeypatch.setattr(septree, "validate_tree",
+                        lambda tree, family, gap: septree.TreeValidation(False, "broken"))
+    assert main(argv) == 2
+    assert capsys.readouterr().out.endswith("): broken\n")
+    assert json.loads(tree_path.read_text())["gap"] == 1.4 / 6.0
+
+
 def test_validate_detects_corruption(tmp_path, family_file, capsys):
     tree_path = tmp_path / "tree.json"
     assert main(["tree", "--family", str(family_file), "--scale", "1.4",

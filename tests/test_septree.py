@@ -17,7 +17,15 @@ from combdim import (
     variance,
 )
 from combdim.errors import FamilyError
-from combdim.septree import SeparatingTree, TreeNode, load_tree, save_tree, small_dev_split
+from combdim.septree import (
+    SeparatingTree,
+    TreeNode,
+    _moment_variance,
+    _split_coordinate,
+    load_tree,
+    save_tree,
+    small_dev_split,
+)
 from combdim.experiments import gen_separated_family
 
 UNIFORM2 = ProbabilityMeasure.uniform(2)
@@ -140,6 +148,54 @@ def test_find_separating_coordinate_examples():
     with pytest.raises(NotSeparatedError) as err:
         find_separating_coordinate(dup, UNIFORM2, 0.5)
     assert err.value.pair == (0, 1)
+
+
+def test_split_picks_the_first_of_columns_with_equal_values():
+    # a column's variance is taken over its sorted values, so permuted
+    # columns tie exactly and the smaller index wins
+    rng = np.random.default_rng(17)
+    for trial in range(300):
+        m, n = int(rng.integers(2, 13)), int(rng.integers(2, 8))
+        col = (rng.integers(0, int(rng.integers(2, 6)), size=m).astype(float) if trial % 2
+               else np.round(rng.uniform(-1, 1, size=m), 1))
+        if col.min() == col.max():
+            continue
+        values = np.column_stack([col] + [rng.permutation(col) for _ in range(n - 1)])
+        i, cert = _split_coordinate(values, float(np.std(col)))
+        assert i == 0
+        assert cert.is_valid_for(Distribution.from_sample(col))
+
+
+def test_split_column_has_the_largest_variance():
+    rng = np.random.default_rng(19)
+    for trial in range(200):
+        m, n = int(rng.integers(2, 13)), int(rng.integers(1, 8))
+        values = (rng.integers(0, int(rng.integers(2, 9)), size=(m, n)).astype(float) if trial % 2
+                  else rng.uniform(-1, 1, size=(m, n)))
+        variances = [_moment_variance(Distribution.from_sample(col)) for col in values.T]
+        top = max(variances)
+        if top == 0.0:
+            continue
+        i, _ = _split_coordinate(values, math.sqrt(top))
+        assert variances[i] >= top * (1.0 - 1e-12)
+
+
+def test_tree_builds_one_distribution_per_split(monkeypatch):
+    from combdim import septree
+
+    calls = []
+    real = Distribution.from_sample
+
+    def counting(values):
+        calls.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(Distribution, "from_sample", staticmethod(counting))
+    family = gen_separated_family(7, 1.0, 45, m_target=12, kind="noisy-signs")
+    tree = build_separating_tree(family, ProbabilityMeasure.uniform(7), 1.0)
+    splits = [node for node in septree._preorder(tree.root) if not node.is_leaf]
+    assert len(splits) >= 3
+    assert calls == [len(node.indices) for node in splits]
 
 
 def test_build_tree_sign_cube():

@@ -331,6 +331,52 @@ def test_bisected_walk_matches_a_plain_level_scan():
     assert deepest == 4
 
 
+def long_run_families(rng, count):
+    """Integer grids with 20-30 levels per coordinate, alternating with
+    discretized pipeline families (a coordinate subset of a noisy-signs
+    family at scale t, discretized at t/2): few distinct masks per
+    coordinate, so long runs of equal-mask levels."""
+    for trial in range(count):
+        if trial % 2 == 0:
+            m, n = int(rng.integers(2, 13)), int(rng.integers(1, 6))
+            yield gen_random_family(m, n, "integer-grid", int(rng.integers(1 << 30)),
+                                    grid_max=int(rng.integers(20, 31)))
+        else:
+            n, t = int(rng.integers(6, 10)), float(rng.uniform(0.95, 1.2))
+            fam = gen_separated_family(n, t, int(rng.integers(1 << 30)),
+                                       int(rng.integers(6, 12)), kind="noisy-signs")
+            coords = sorted(rng.choice(n, size=int(rng.integers(2, 6)), replace=False).tolist())
+            yield discretize(fam.restrict(coords), t / 2.0)
+
+
+def test_counts_over_runs_match_the_per_level_walks():
+    rng = np.random.default_rng(73)
+    deepest = 0
+    for fam in long_run_families(rng, 30):
+        m, n = fam.size, fam.domain_size
+        counts = shattered_center_counts(fam, n)
+        listed = collections.Counter(c.dimension for c in enumerate_shattered_centers(fam, n))
+        scanned = collections.Counter(len(s) for s, _, _ in scan_walk(_integer_table(fam), m, n))
+        assert counts == [listed[k] for k in range(len(listed))]
+        assert counts == [scanned[k] for k in range(len(scanned))]
+        assert vc_integer(fam) == len(counts) - 1
+        deepest = max(deepest, len(counts) - 1)
+    assert deepest == 3
+
+
+def test_count_mode_charges_one_check_per_run(monkeypatch):
+    # a discretized pipeline family: about 28 levels per coordinate, but
+    # few distinct masks, so counting scans far fewer entries than listing
+    fam = gen_separated_family(8, 1.0, [3, 7], 10, kind="noisy-signs")
+    tilde = discretize(fam.restrict([0, 1, 2, 3, 4]), 0.5)
+    counts = shattered_center_counts(tilde, 5)
+    assert counts == [1, 130, 5374]
+    monkeypatch.setattr(shattering, "DEFAULT_BUDGET", 1000)
+    assert shattered_center_counts(tilde, 5) == counts
+    with pytest.raises(BudgetError, match=r"exceeded budget 1000 level checks"):
+        enumerate_shattered_centers(tilde, 5)
+
+
 def test_level_masks_are_nested_along_each_coordinate():
     # The walk bisects each coordinate's levels for the run that splits every
     # pattern, which needs the below masks to grow and the above masks to
