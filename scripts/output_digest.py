@@ -5,7 +5,7 @@ Run from the repository root:
 
     PYTHONPATH=src python3 scripts/output_digest.py
 
-A change that must keep outputs identical leaves all nine lines as
+A change that must keep outputs identical leaves all ten lines as
 they were.  The suites:
 
 - pipeline: `run_pipeline_trace` for seeds 0-299; a failing seed (98
@@ -28,7 +28,10 @@ they were.  The suites:
 - entropy: `packing_number` and `covering_number` (count and flag) at
   every scale of `mid_gap_scales(family, measure, 12)` on the families
   the main-theorem experiment draws for seed 2026, instances 0-59, at
-  caps 23/7 (all three generator kinds, m <= 23).
+  caps 23/7 (all three generator kinds, m <= 23);
+- dudley: `run_dudley_experiment(seed, samples=4000)` for seeds 0-7,
+  then `gaussian_sup_mc` of kind "gaussian" and "rademacher" on three
+  seeded `gen_random_family` families: the paths that call scipy.
 
 The 56 instances are the six norms of each `random_norm_instances(1..8)`
 and eight tightness bodies, net size 64, net seed 0.
@@ -48,10 +51,12 @@ from combdim.experiments import (
     gen_separated_family,
     mid_gap_scales,
     random_norm_instances,
+    run_dudley_experiment,
     run_main_theorem_experiment,
     run_pipeline_trace,
 )
 from combdim.family import CoordinateSubset, ProbabilityMeasure, gen_random_family
+from combdim.gaussian import gaussian_sup_mc
 from combdim.geometry import PolyhedralNorm, convex_vc, ell1_lower_constant
 
 RUDELSON_BODIES = ((5, 1.0), (5, 0.9), (5, 0.6), (6, 1.0), (6, 0.6), (7, 1.0), (7, 0.8), (7, 0.6))
@@ -144,6 +149,12 @@ def main() -> None:
         (rudelson_example(n, delta, net_size=64, seed=0) for n, delta in RUDELSON_BODIES)))
     print("orders", digest(row_orders(n, delta) for n, delta in ORDER_BODIES))
     print("entropy", digest(entropy_counts(index) for index in range(60)))
+    families = [gen_random_family(9, 5, kind, [seed, 5]) for seed, kind in
+                enumerate(("uniform-real", "convex-hull-sections", "sign-vectors"))]
+    print("dudley", digest(itertools.chain(
+        (run_dudley_experiment(seed, samples=4000) for seed in range(8)),
+        (gaussian_sup_mc(family, 4000, [seed, 6], kind) for seed, family in enumerate(families)
+         for kind in ("gaussian", "rademacher")))))
 
 
 if __name__ == "__main__":

@@ -208,6 +208,8 @@ def cmd_main_theorem(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    if args.instances < 0:
+        raise ValueError(f"instances must be >= 0, got {args.instances}")
     for i in range(args.instances):
         report = run_pipeline_trace(args.seed + i)
         stages = ", ".join(s["stage"] for s in report["stages"])

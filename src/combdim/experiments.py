@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -25,6 +24,12 @@ class ExperimentConfig:
     max_rows: int = 14
     max_coords: int = 5
     jobs: int = 1
+
+    def __post_init__(self):
+        if self.instances < 0:
+            raise ValueError(f"instances must be >= 0, got {self.instances}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +144,7 @@ def run_main_theorem_experiment(config: ExperimentConfig) -> dict:
     from the fit."""
     tasks = [(i, config) for i in range(config.instances)]
     if config.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays its import
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             per_instance = list(pool.map(_main_theorem_instance, tasks))
     else:

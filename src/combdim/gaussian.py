@@ -3,7 +3,8 @@ sets, entropy-integral evaluators, and the Sudakov-ratio diagnostic.
 
 The process indexed by a point set A in R^n is X_a = sum_i g_i a(i); the
 supremum over a finite A is an exact maximum per sample.  All logarithms
-are natural.
+are natural.  scipy.special is imported only where it runs (Gaussian
+variates and `vc_integral`), so `import combdim` loads numpy alone.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, ndtri
 
 from .entropy import PACKING_EXACT_LIMIT, packing_number
 from .errors import BudgetError
@@ -61,6 +61,7 @@ def gaussian_sup_mc(family_or_points, samples: int, seed, kind: str = "gaussian"
         b = min(block, samples - done)
         u = rng.random((b, n))
         if kind == "gaussian":
+            from scipy.special import ndtri  # deferred: scipy adds 0.2 s to every command
             g = ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
         else:
             g = np.where(u < 0.5, -1.0, 1.0)
@@ -116,6 +117,7 @@ def _sqrt_log_primitive(a: float, b: float) -> float:
     the upper incomplete gamma function."""
     if b <= a:
         return 0.0
+    from scipy.special import gammaincc  # deferred: scipy adds 0.2 s to every command
     ua, ub = math.log(2.0 / a), math.log(2.0 / b)
     coeff = 2.0 * math.gamma(1.5)
     return coeff * (gammaincc(1.5, ub) - gammaincc(1.5, ua))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from combdim.cli import build_parser, main
-from combdim.family import FunctionFamily, save_family
+from combdim.experiments import run_dudley_experiment
+from combdim.family import FunctionFamily, save_family, write_json
 
 
 @pytest.fixture()
@@ -251,6 +252,18 @@ def test_gsup_command(tmp_path, capsys):
     assert abs(doc["mean"] - math.sqrt(2 / math.pi)) <= 4 * doc["stderr"]
 
 
+def test_dudley_command(tmp_path, capsys):
+    # runs both scipy.special calls (ndtri, gammaincc) through the CLI
+    out, expected = tmp_path / "dudley.json", tmp_path / "expected.json"
+    assert main(["dudley", "--seed", "0", "--samples", "2000", "--out", str(out)]) == 0
+    report = run_dudley_experiment(0, samples=2000)
+    write_json(expected, report)
+    assert out.read_bytes() == expected.read_bytes()
+    assert capsys.readouterr().out == (
+        f"e_hat={report['e_hat']:.4f} dudley_k={report['dudley_k']:.4f} "
+        f"vc_chain_k={report['vc_chain_k']:.4f}\n")
+
+
 def test_budget_exit_code(tmp_path, capsys):
     from combdim.geometry import CUBE_DIM_BUDGET, VPolytope, save_polytope
 
@@ -334,6 +347,11 @@ def test_negative_counts_exit_1(tmp_path, family_file, capsys):
         (extract + ["--max-attempts", "-5"], "max_attempts must be >= 1, got -5"),
         (extract + ["--max-attempts", "0"], "max_attempts must be >= 1, got 0"),
         (["centers", "--family", str(ints), "--max-dim", "-1"], "max_dim must be >= 0"),
+        # main-theorem printed instances=-1 and exited 0; jobs < 1 ran sequentially
+        (["main-theorem", "--instances", "-1", "--jobs", "1"], "instances must be >= 0, got -1"),
+        (["main-theorem", "--instances", "1", "--jobs", "-2"], "jobs must be >= 1, got -2"),
+        (["main-theorem", "--instances", "1", "--jobs", "0"], "jobs must be >= 1, got 0"),
+        (["pipeline", "--instances", "-3"], "instances must be >= 0, got -3"),
     ):
         assert main(argv) == 1, argv
         assert message in capsys.readouterr().err, argv
