@@ -5,13 +5,17 @@ Run from the repository root:
 
     PYTHONPATH=src python3 scripts/output_digest.py
 
-A change that must keep outputs identical leaves all ten lines as
+A change that must keep outputs identical leaves all eleven lines as
 they were.  The suites:
 
 - pipeline: `run_pipeline_trace` for seeds 0-299; a failing seed (98
   fails its extraction stage) is digested as its error message;
 - extraction: `extraction_success_probability` at k = 1..n on the family
   and scale of each pipeline seed 0-299;
+- tree: the separating tree `build_separating_tree` builds on the family
+  and at the scale of each pipeline seed 0-299, as its nodes (rows,
+  coordinate, threshold, plus rows, minus rows) sorted by rows, so the
+  line does not depend on the order in which the tree lists its nodes;
 - main-theorem: `run_main_theorem_experiment` at caps 23/7, seeds 0-39;
 - elton: `elton_subset` (sigma, t, s, delta, sweep, grid_t) on the 56
   instances below;
@@ -58,6 +62,7 @@ from combdim.experiments import (
 from combdim.family import CoordinateSubset, ProbabilityMeasure, gen_random_family
 from combdim.gaussian import gaussian_sup_mc
 from combdim.geometry import PolyhedralNorm, convex_vc, ell1_lower_constant
+from combdim.septree import build_separating_tree
 
 RUDELSON_BODIES = ((5, 1.0), (5, 0.9), (5, 0.6), (6, 1.0), (6, 0.6), (7, 1.0), (7, 0.8), (7, 0.6))
 ORDER_BODIES = ((6, 1.0), (6, 0.8), (6, 0.6), (6, 0.5), (7, 1.0), (7, 0.8), (7, 0.6), (7, 0.5),
@@ -78,14 +83,26 @@ def pipeline(seed: int):
         return str(exc)
 
 
-def acceptance_curve(seed: int):
+def pipeline_family(seed: int):
     # the family and scale run_pipeline_trace draws for this seed
     rng = np.random.default_rng([seed, 99])
     n = int(rng.integers(6, 10))
     m_target = int(rng.integers(6, 12))
     t = float(rng.uniform(0.95, 1.2))
-    family = gen_separated_family(n, t, [seed, 7], m_target, kind="noisy-signs")
-    return [extraction_success_probability(family, t, k) for k in range(1, n + 1)]
+    return gen_separated_family(n, t, [seed, 7], m_target, kind="noisy-signs"), t
+
+
+def acceptance_curve(seed: int):
+    family, t = pipeline_family(seed)
+    return [extraction_success_probability(family, t, k) for k in range(1, family.domain_size + 1)]
+
+
+def tree_nodes(seed: int):
+    family, t = pipeline_family(seed)
+    tree = build_separating_tree(family, ProbabilityMeasure.uniform(family.domain_size), t)
+    rows = {None: None} | {k: node.indices for k, node in enumerate(tree.nodes)}  # leaf sons: None
+    return sorted((node.indices, node.coordinate, node.threshold, rows[node.plus], rows[node.minus])
+                  for node in tree.nodes)
 
 
 def l1_instances():
@@ -133,6 +150,7 @@ def entropy_counts(index: int):
 def main() -> None:
     print("pipeline", digest(pipeline(seed) for seed in range(300)))
     print("extraction", digest(acceptance_curve(seed) for seed in range(300)))
+    print("tree", digest(tree_nodes(seed) for seed in range(300)))
     print("main-theorem", digest(
         run_main_theorem_experiment(
             ExperimentConfig(seed=seed, instances=1, max_rows=23, max_coords=7, jobs=1))

@@ -98,7 +98,7 @@ def cmd_tree(args) -> int:
         result = septree.validate_tree(tree, family, args.scale / 6.0)
         print(f"validate(gap={args.scale / 6.0!r}): {'ok' if result else result.failure}")
         ok = result.ok
-    if args.emit:  # after the report, so a tree too deep to save still shows it
+    if args.emit:  # after the report, so a failed write still shows it
         septree.save_tree(args.emit, tree)
     return 0 if ok else 2
 

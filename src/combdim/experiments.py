@@ -208,7 +208,7 @@ def run_pipeline_trace(seed: int) -> dict:
         return report
 
     # Variance identity on every coordinate's empirical distribution.
-    dists = septree.coordinate_distributions(family.values)
+    dists = [septree.Distribution.from_sample(col) for col in family.values.T]
     worst = 0.0
     for dist in dists:
         var, pair = septree.variance(dist)

@@ -226,14 +226,28 @@ def read_rows(raw, width: int, where: str) -> np.ndarray:
         raise FamilyError(f"{where} does not hold a nonempty list of rows")
     rows = []
     for r, row in enumerate(raw):
-        try:  # a bool becomes NaN, so the finiteness test rejects it too
-            values = [math.nan if isinstance(v, bool) else float(v) for v in row]
-        except (TypeError, ValueError, OverflowError):
-            values = [math.nan]
-        if not (isinstance(row, list) and len(values) == width and all(map(math.isfinite, values))):
+        values = list(map(_entry, row)) if isinstance(row, list) else [math.nan]
+        if len(values) != width or not all(map(math.isfinite, values)):
             raise FamilyError(f"row {r} of {where} is not a list of {width} numbers")
         rows.append(values)
     return np.array(rows, dtype=np.float64)
+
+
+def read_number(value, where: str) -> float:
+    """One number of an input file, held to the rules of a row entry.
+    FamilyError names `where` when it is not a finite number."""
+    if not math.isfinite(number := _entry(value)):
+        raise FamilyError(f"{where} is not a finite number: {value!r}")
+    return number
+
+
+def _entry(value) -> float:
+    """A number of an input file as a float; NaN, which every reader
+    rejects, for a bool or for anything float() refuses."""
+    try:
+        return math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
 
 
 def load_family(path) -> tuple[FunctionFamily, ProbabilityMeasure]:

@@ -4,9 +4,11 @@ The pipeline: a family that is t-separated in L2(mu) has a coordinate on
 which the empirical value distribution (uniform over the rows) has
 standard deviation >= t/2; a small-deviation split of that distribution
 yields two sub-families separated by a gap t/6 on that coordinate, with
-certified mass lower bounds (1 - beta) and beta/2.  Recursing produces a
-binary tree whose leaf count is at least sqrt(m).  A tree file, written
-by `save_tree` and read by `load_tree`, holds scale, gap and nested nodes.
+certified mass lower bounds (1 - beta) and beta/2.  Splitting the sons
+again yields a binary tree whose leaf count is at least sqrt(m), held as
+a flat node list, breadth first from the root, each split naming the list
+positions of its sons, so no step recurses.  `save_tree` and `load_tree`
+write and read that list, with scale and gap, as a tree file.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .entropy import first_violating_pair
 from .errors import FamilyError, NotSeparatedError
-from .family import FunctionFamily, ProbabilityMeasure, read_json, write_json
+from .family import FunctionFamily, ProbabilityMeasure, read_json, read_number, write_json
 
 _CERT_SLACK = 1e-12  # comparison slack for certificate inequalities
 
@@ -35,7 +37,7 @@ class Distribution:
             raise ValueError("distribution needs at least one atom")
         if any(p < 0 for _, p in atoms):
             raise ValueError("negative atom probability")
-        total = sum(p for _, p in atoms)
+        total = math.fsum(p for _, p in atoms)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"atom probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "atoms", atoms)
@@ -171,12 +173,6 @@ def _reinterpret_gap(cert: SplitCertificate, dist: Distribution, gap: float) -> 
     return out
 
 
-def coordinate_distributions(values: np.ndarray) -> list[Distribution]:
-    """Per-coordinate empirical distribution over the rows of a value
-    matrix (weight 1/m)."""
-    return [Distribution.from_sample(col) for col in values.T]
-
-
 def _require_separated(family: FunctionFamily, measure: ProbabilityMeasure, t: float) -> None:
     bad = first_violating_pair(family, measure, t)
     if bad is not None:
@@ -224,100 +220,75 @@ def _split_coordinate(values: np.ndarray, t: float) -> tuple[int, SplitCertifica
     return i, _reinterpret_gap(small_dev_split(dist), dist, t / 12.0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TreeNode:
-    """Node of a separating tree: a subset of row indices, and for
-    non-leaves the split coordinate, threshold and gap between sons."""
+    """A node of SeparatingTree.nodes: its rows and, for a split, the
+    coordinate, the threshold and the list positions of its two sons."""
 
     indices: tuple[int, ...]
     coordinate: int | None = None
     threshold: float | None = None
-    gap: float | None = None
-    plus_son: "TreeNode | None" = None
-    minus_son: "TreeNode | None" = None
+    plus: int | None = None
+    minus: int | None = None
 
     @property
     def is_leaf(self) -> bool:
-        return self.plus_son is None and self.minus_son is None
-
-    def to_dict(self) -> dict:
-        doc = {"indices": list(self.indices)}
-        if not self.is_leaf:
-            doc["coordinate"] = self.coordinate
-            doc["threshold"] = self.threshold
-            doc["gap"] = self.gap
-            doc["plus"] = self.plus_son.to_dict()
-            doc["minus"] = self.minus_son.to_dict()
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TreeNode":
-        indices = tuple(map(_json_integer, doc["indices"]))
-        if "plus" in doc:
-            return cls(
-                indices,
-                _json_integer(doc["coordinate"]),
-                float(doc["threshold"]),
-                float(doc["gap"]),
-                cls.from_dict(doc["plus"]),
-                cls.from_dict(doc["minus"]),
-            )
-        return cls(indices)
+        return self.plus is None and self.minus is None
 
 
-def _json_integer(value) -> int:
-    """A row index or split coordinate of a tree file: a JSON integer, not a bool."""
-    if type(value) is not int:
-        raise ValueError(f"row index or coordinate {value!r} is not an integer")
-    return value
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SeparatingTree:
-    """Binary tree of sub-families; the two sons of every non-leaf are
-    separated by a fixed gap on a single coordinate."""
+    """Binary tree of sub-families, listed breadth first from the root
+    nodes[0]; the sons of every split are `gap` apart on its coordinate."""
 
-    root: TreeNode
+    nodes: tuple[TreeNode, ...]
     scale: float
     gap: float
 
     def leaf_count(self) -> int:
-        return sum(node.is_leaf for node in _preorder(self.root))
-
-
-def _preorder(root: TreeNode):
-    """The nodes under root, parents first, plus son before minus son.  An
-    explicit stack, so a chain of any depth needs no recursion."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack += [son for son in (node.minus_son, node.plus_son) if son is not None]
+        return sum(node.is_leaf for node in self.nodes)
 
 
 def save_tree(path, tree: SeparatingTree) -> None:
-    """Write a tree file.  FamilyError names the file when the tree nests
-    too deep for JSON."""
-    try:
-        write_json(path, {"scale": tree.scale, "gap": tree.gap, "root": tree.root.to_dict()})
-    except RecursionError:
-        raise FamilyError(f"tree file {path} nests too deep to save") from None
+    """Write a tree file: scale, gap and one object per node, its unset fields left out."""
+    nodes = [{key: value for key, value in vars(node).items() if value is not None}
+             for node in tree.nodes]
+    write_json(path, {"scale": tree.scale, "gap": tree.gap, "nodes": nodes})
 
 
 def load_tree(path) -> SeparatingTree:
     """The tree in a file written by save_tree.  FamilyError names the
-    file when it or one of its nodes misses a key or holds a bad value,
-    or when it nests too deep to load."""
-    doc = read_json(path, "tree", ("scale", "gap", "root"))
+    file when it or one of its nodes misses a key or holds a bad value;
+    whether the node list forms a tree is left to validate_tree."""
+    doc = read_json(path, "tree", ("scale", "gap", "nodes"))
+    where = f"tree file {path}"
+    scale, gap = (read_number(doc[key], f"{key!r} in {where}") for key in ("scale", "gap"))
     try:
-        return SeparatingTree(TreeNode.from_dict(doc["root"]), float(doc["scale"]),
-                              float(doc["gap"]))
-    except RecursionError:
-        raise FamilyError(f"tree file {path} nests too deep to load") from None
+        nodes = tuple(_read_node(node, f"node {k} of {where}")
+                      for k, node in enumerate(doc["nodes"]))
     except KeyError as exc:
-        raise FamilyError(f"missing key {exc} in a node of tree file {path}") from None
-    except (TypeError, ValueError) as exc:
-        raise FamilyError(f"bad node in tree file {path}: {exc}") from None
+        raise FamilyError(f"missing key {exc} in a node of {where}") from None
+    except TypeError as exc:
+        raise FamilyError(f"bad node in {where}: {exc}") from None
+    return SeparatingTree(nodes, scale, gap)
+
+
+def _read_node(doc: dict, where: str) -> TreeNode:
+    """One node of a tree file; `where` names it in a bad threshold's message."""
+    indices = tuple(map(_json_integer, doc["indices"]))
+    if "plus" not in doc:
+        return TreeNode(indices)
+    return TreeNode(indices, _json_integer(doc["coordinate"]),
+                    read_number(doc["threshold"], f"'threshold' in {where}"),
+                    _json_integer(doc["plus"], "son position"),
+                    _json_integer(doc["minus"], "son position"))
+
+
+def _json_integer(value, what: str = "row index or coordinate") -> int:
+    """A row index, coordinate or son position of a tree file: a JSON integer, not a bool."""
+    if type(value) is not int:
+        raise TypeError(f"{what} {value!r} is not an integer")
+    return value
 
 
 def build_separating_tree(
@@ -339,15 +310,11 @@ def build_separating_tree(
     _require_separated(family, measure, t)
 
     values = family.values
-    root = tuple(range(family.size))
-    # Nodes are keyed by their row sets, which are distinct within a tree.
-    nodes: dict[tuple[int, ...], TreeNode] = {}
-    splits = {}
-    todo = [root]
-    while todo:  # splits in preorder, plus son first
-        indices = todo.pop()
+    queue = [tuple(range(family.size))]
+    nodes = []
+    for indices in queue:  # breadth first: each split appends its sons to the queue
         if len(indices) == 1:
-            nodes[indices] = TreeNode(indices)
+            nodes.append(TreeNode(indices))
             continue
         rows = values[list(indices)]
         coord, cert = _split_coordinate(rows, t)
@@ -357,11 +324,9 @@ def build_separating_tree(
         plus = tuple(r for r, v in zip(indices, col) if v > hi)
         minus = tuple(r for r, v in zip(indices, col) if v < lo)
         assert plus and minus, "split certificate produced an empty son"
-        splits[indices] = (coord, cert.threshold, plus, minus)
-        todo += [minus, plus]
-    for indices, (coord, threshold, plus, minus) in reversed(splits.items()):  # sons first
-        nodes[indices] = TreeNode(indices, coord, threshold, t / 6.0, nodes[plus], nodes[minus])
-    return SeparatingTree(nodes[root], t, t / 6.0)
+        nodes.append(TreeNode(indices, coord, cert.threshold, len(queue), len(queue) + 1))
+        queue += [plus, minus]
+    return SeparatingTree(tuple(nodes), t, t / 6.0)
 
 
 @dataclass(frozen=True)
@@ -373,13 +338,36 @@ class TreeValidation:
         return self.ok
 
 
+def _structure_failure(nodes: tuple[TreeNode, ...]) -> str | None:
+    """Why the node list is not a tree rooted at nodes[0] with every son
+    listed after its parent, or None."""
+    if not nodes:
+        return "tree has no nodes"
+    parent = {}
+    for k, node in enumerate(nodes):
+        if (node.plus is None) != (node.minus is None):
+            return f"non-leaf {node.indices} lacks two sons"
+        for son in () if node.is_leaf else (node.plus, node.minus):
+            if not 0 <= son < len(nodes):
+                return f"son position {son} out of range at node {node.indices}"
+            if son <= k:
+                return f"son at position {son} is not listed after its parent at position {k}"
+            if son in parent:
+                return f"node at position {son} is a son of positions {parent[son]} and {k}"
+            parent[son] = k
+    orphan = min(set(range(1, len(nodes))) - parent.keys(), default=None)
+    return None if orphan is None else f"node at position {orphan} is the son of no node"
+
+
 def validate_tree(tree: SeparatingTree, family: FunctionFamily, gap: float) -> TreeValidation:
     """Exhaustively re-check the separating-tree conditions at a given gap.
 
-    Independent of the construction path: reads the raw values and checks,
-    for every non-leaf, that the sons are disjoint nonempty subsets of the
-    parent and that every plus-row beats every minus-row by more than
-    `gap` on the stored coordinate.
+    Independent of the construction path: checks that the node list is a
+    tree, then reads the raw values and checks, for every non-leaf, that
+    the sons are disjoint nonempty subsets of the parent and that every
+    plus-row beats every minus-row by more than `gap` on the stored
+    coordinate.  The failure named is the structural one, else that of
+    the first failing node in list order.
     """
     if not gap > 0:
         raise ValueError(f"tree gap must be positive, got {gap!r}")
@@ -395,18 +383,16 @@ def validate_tree(tree: SeparatingTree, family: FunctionFamily, gap: float) -> T
             return f"row index out of range in node {node.indices}"
         if node.is_leaf:
             return None
-        if node.plus_son is None or node.minus_son is None:
-            return f"non-leaf {node.indices} lacks two sons"
         if node.coordinate is None or not (0 <= node.coordinate < n):
             return f"bad split coordinate at node {node.indices}"
-        pset, mset = set(node.plus_son.indices), set(node.minus_son.indices)
+        i, plus, minus = node.coordinate, tree.nodes[node.plus].indices, tree.nodes[node.minus].indices
+        pset, mset = set(plus), set(minus)
         if pset & mset:
             return f"sons overlap at node {node.indices}: {sorted(pset & mset)}"
         if not (pset <= set(node.indices) and mset <= set(node.indices)):
             return f"sons escape their parent at node {node.indices}"
         if not pset or not mset:
             return f"empty son at node {node.indices}"
-        i, plus, minus = node.coordinate, node.plus_son.indices, node.minus_son.indices
         # rounding is monotone, so the extremes decide every plus-minus pair
         if not values[list(plus), i].min() > values[list(minus), i].max() + gap:
             f, g = next((f, g) for f in plus for g in minus if not values[f, i] > values[g, i] + gap)
@@ -415,6 +401,5 @@ def validate_tree(tree: SeparatingTree, family: FunctionFamily, gap: float) -> T
                     f"coordinate {i} differ by {diff!r} <= {float(gap)!r}")
         return None
 
-    # the first failing node in preorder, plus son before minus son
-    reason = next(filter(None, map(failure, _preorder(tree.root))), None)
+    reason = _structure_failure(tree.nodes) or next(filter(None, map(failure, tree.nodes)), None)
     return TreeValidation(reason is None, reason)

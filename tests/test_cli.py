@@ -113,14 +113,14 @@ def test_tree_reports_before_it_saves(tmp_path, family_file, capsys, monkeypatch
             "--emit", str(tree_path), "--validate"]
 
     def refuse(path, tree):
-        raise FamilyError(f"tree file {path} nests too deep to save")
+        raise FamilyError(f"cannot write tree file {path}")
 
     with monkeypatch.context() as patch:
         patch.setattr(septree, "save_tree", refuse)
         assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "leaves=4 sqrt_m=2.0000\nvalidate(gap=0.2333333333333333): ok\n"
-    assert f"tree file {tree_path} nests too deep to save" in captured.err
+    assert f"cannot write tree file {tree_path}" in captured.err
     assert not tree_path.exists()
     # a tree that fails validation is still written, and the exit code stays 2
     monkeypatch.setattr(septree, "validate_tree",
@@ -135,39 +135,44 @@ def test_validate_detects_corruption(tmp_path, family_file, capsys):
     assert main(["tree", "--family", str(family_file), "--scale", "1.4",
                  "--emit", str(tree_path)]) == 0
     doc = json.loads(tree_path.read_text())
-    doc["root"]["plus"]["indices"] = doc["root"]["minus"]["indices"]  # overlap
+    root = doc["nodes"][0]
+    doc["nodes"][root["plus"]]["indices"] = doc["nodes"][root["minus"]]["indices"]  # overlap
     tree_path.write_text(json.dumps(doc))
     assert main(["validate", "--family", str(family_file),
                  "--tree", str(tree_path)]) == 2
 
 
-def _chain_tree_text(depth):
-    # every node holds rows (0, 1), so validation stops at the root, where
-    # the sons overlap; the file only has to load
-    text = '{"indices": [0]}'
-    for _ in range(depth):
-        text = (
-            '{"indices": [0, 1], "coordinate": 0, "threshold": 0.0, "gap": 0.1, '
-            f'"plus": {text}, "minus": {{"indices": [1]}}}}'
-        )
-    return f'{{"scale": 0.6, "gap": 0.1, "root": {text}}}'
+def _chain_tree(depth):
+    # breadth first, split k sits at position 2k - 1 (the root at 0), its
+    # plus son is the next split and its minus son the leaf after it; every
+    # split holds rows (0, 1), so validation stops at the root, where the
+    # sons overlap: the file only has to load
+    split = {"indices": [0, 1], "coordinate": 0, "threshold": 0.0}
+    nodes = [dict(split, plus=1, minus=2)]
+    for k in range(1, depth):
+        nodes += [dict(split, plus=2 * k + 1, minus=2 * k + 2), {"indices": [1]}]
+    return {"scale": 0.6, "gap": 0.1, "nodes": nodes + [{"indices": [0]}, {"indices": [1]}]}
 
 
 def test_validate_deep_tree_files(tmp_path, family_file, capsys):
     tree_path = tmp_path / "deep.json"
-    tree_path.write_text(_chain_tree_text(900))
-    assert main(["validate", "--family", str(family_file), "--tree", str(tree_path)]) == 2
-    assert "sons overlap at node (0, 1)" in capsys.readouterr().out
-    tree_path.write_text(_chain_tree_text(3000))
-    assert main(["validate", "--family", str(family_file), "--tree", str(tree_path)]) == 1
+    validate = ["validate", "--family", str(family_file), "--tree", str(tree_path)]
+    for depth in (2, 900, 3000):  # a flat file of any depth loads
+        tree_path.write_text(json.dumps(_chain_tree(depth)))
+        assert main(validate) == 2
+        assert "sons overlap at node (0, 1)" in capsys.readouterr().out
+    # a document that itself nests too deep for the JSON parser is refused
+    tree_path.write_text('{"scale": 0.6, "gap": 0.1, "nodes": ' + "[" * 3000 + "]" * 3000 + "}")
+    assert main(validate) == 1
     assert f"tree file {tree_path} nests too deep to load" in capsys.readouterr().err
 
 
-def _sign_square_tree(**root):
-    doc = {"indices": [0, 1, 2, 3], "coordinate": 0, "threshold": 0.0, "gap": 0.1,
-           "plus": {"indices": [0, 1]}, "minus": {"indices": [2, 3]}}
-    doc.update(root)
-    return {"scale": 0.6, "gap": 0.1, "root": doc}
+def _sign_square_tree(root=None, plus=None, minus=None):
+    nodes = [{"indices": [0, 1, 2, 3], "coordinate": 0, "threshold": 0.0, "plus": 1, "minus": 2},
+             {"indices": [0, 1]}, {"indices": [2, 3]}]
+    for node, change in zip(nodes, (root, plus, minus)):
+        node.update(change or {})
+    return {"scale": 0.6, "gap": 0.1, "nodes": nodes}
 
 
 def test_validate_names_each_broken_node(tmp_path, family_file, capsys):
@@ -177,17 +182,22 @@ def test_validate_names_each_broken_node(tmp_path, family_file, capsys):
     assert main(validate) == 0
     assert "valid=ok" in capsys.readouterr().out
     cases = [
-        ({"indices": [], "plus": {"indices": []}, "minus": {"indices": [1]}}, "empty node"),
-        ({"indices": [0, 1, 2, 4]}, "row index out of range in node (0, 1, 2, 4)"),
-        ({"coordinate": 2}, "bad split coordinate at node (0, 1, 2, 3)"),
-        ({"plus": {"indices": []}}, "empty son at node (0, 1, 2, 3)"),
-        ({"indices": [0, 2, 2], "plus": {"indices": [0]}, "minus": {"indices": [2]}},
+        (({"indices": []}, {"indices": []}, {"indices": [1]}), "empty node"),
+        (({"indices": [0, 1, 2, 4]},), "row index out of range in node (0, 1, 2, 4)"),
+        (({"coordinate": 2},), "bad split coordinate at node (0, 1, 2, 3)"),
+        (({}, {"indices": []}), "empty son at node (0, 1, 2, 3)"),
+        (({"indices": [0, 2, 2]}, {"indices": [0]}, {"indices": [2]}),
          "row listed twice in node (0, 2, 2)"),
+        (({"minus": 3},), "son position 3 out of range at node (0, 1, 2, 3)"),
+        (({"plus": 0},), "son at position 0 is not listed after its parent at position 0"),
     ]
-    for root, failure in cases:
-        tree_path.write_text(json.dumps(_sign_square_tree(**root)))
+    for nodes, failure in cases:
+        tree_path.write_text(json.dumps(_sign_square_tree(*nodes)))
         assert main(validate) == 2, failure
         assert f"valid={failure}" in capsys.readouterr().out
+    tree_path.write_text(json.dumps({"scale": 0.6, "gap": 0.1, "nodes": []}))
+    assert main(validate) == 2
+    assert "leaves=0 sqrt_m=2.0000 valid=tree has no nodes" in capsys.readouterr().out
 
 
 def test_tree_file_rows_and_coordinates_are_json_integers(tmp_path, family_file, capsys):
@@ -195,19 +205,36 @@ def test_tree_file_rows_and_coordinates_are_json_integers(tmp_path, family_file,
     tree_path = tmp_path / "tree.json"
     validate = ["validate", "--family", str(family_file), "--tree", str(tree_path)]
     cases = [
-        ({"coordinate": 0.9}, "0.9"),
-        ({"indices": [0, 1], "coordinate": True, "plus": {"indices": [0]},
-          "minus": {"indices": [1]}}, "True"),
-        ({"indices": [0.7, 1.2], "coordinate": 1, "plus": {"indices": [0.3]},
-          "minus": {"indices": [1.9]}}, "0.7"),
-        ({"indices": ["0", "1"], "coordinate": 1, "plus": {"indices": [0]},
-          "minus": {"indices": [1]}}, "'0'"),
+        (({"coordinate": 0.9},), "row index or coordinate 0.9"),
+        (({"indices": [0, 1], "coordinate": True}, {"indices": [0]}, {"indices": [1]}),
+         "row index or coordinate True"),
+        (({"indices": [0.7, 1.2], "coordinate": 1}, {"indices": [0.3]}, {"indices": [1.9]}),
+         "row index or coordinate 0.7"),
+        (({"indices": ["0", "1"], "coordinate": 1}, {"indices": [0]}, {"indices": [1]}),
+         "row index or coordinate '0'"),
+        (({"plus": 1.0},), "son position 1.0"),
+        (({"minus": False},), "son position False"),
     ]
-    for root, value in cases:
-        tree_path.write_text(json.dumps(_sign_square_tree(**root)))
+    for nodes, value in cases:
+        tree_path.write_text(json.dumps(_sign_square_tree(*nodes)))
         assert main(validate) == 1, value
         assert (f"error: bad node in tree file {tree_path}: "
-                f"row index or coordinate {value} is not an integer") in capsys.readouterr().err
+                f"{value} is not an integer") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["scale", "gap", "threshold"])
+def test_tree_file_numbers_are_checked(tmp_path, family_file, capsys, field):
+    # each once loaded by float(): "gap": true as 1.0, and validate printed valid=ok
+    tree_path = tmp_path / "tree.json"
+    validate = ["validate", "--family", str(family_file), "--tree", str(tree_path)]
+    where = "'threshold' in node 0 of" if field == "threshold" else f"{field!r} in"
+    for value in (True, False, math.nan, math.inf, "nan", "-Infinity", "x", None, [1.0], {}):
+        doc = _sign_square_tree()
+        (doc["nodes"][0] if field == "threshold" else doc)[field] = value
+        tree_path.write_text(json.dumps(doc))
+        assert main(validate) == 1, value
+        err = capsys.readouterr().err
+        assert f"error: {where} tree file {tree_path} is not a finite number: {value!r}" in err
 
 
 def test_extract_command(tmp_path, capsys):
@@ -374,10 +401,14 @@ def test_validate_rejects_gaps_that_check_nothing(tmp_path, family_file, capsys)
         assert "tree gap must be positive" in capsys.readouterr().err, gap
     doc = json.loads(tree_path.read_text())
     doc["gap"] = math.nan
-    nan_path = tmp_path / "nan_gap.json"
-    nan_path.write_text(json.dumps(doc))
-    assert main(["validate", "--family", str(family_file), "--tree", str(nan_path)]) == 1
-    assert "tree gap must be positive, got nan" in capsys.readouterr().err
+    bad_path = tmp_path / "bad_gap.json"
+    bad_path.write_text(json.dumps(doc))
+    assert main(["validate", "--family", str(family_file), "--tree", str(bad_path)]) == 1
+    assert f"'gap' in tree file {bad_path} is not a finite number: nan" in capsys.readouterr().err
+    doc["gap"] = 0
+    bad_path.write_text(json.dumps(doc))
+    assert main(["validate", "--family", str(family_file), "--tree", str(bad_path)]) == 1
+    assert "tree gap must be positive, got 0.0" in capsys.readouterr().err
     assert main(validate + ["--gap", "3"]) == 2  # the sign vectors differ by 2
     out = capsys.readouterr().out
     assert "differ by 2.0 <= 3.0" in out and "np.float64" not in out
@@ -401,11 +432,15 @@ def test_wrong_kind_of_file_names_key_and_file(tmp_path, family_file, capsys):
     assert f"cannot parse polytope file {vec_path}" in capsys.readouterr().err
     tree_path = tmp_path / "tree.json"
     for doc, message in (
-        ({"scale": 1.4, "gap": 0.2}, "missing key 'root' in tree file"),
-        ({"scale": 1.4, "gap": 0.2, "root": {"indices": [0, 1], "plus": {"indices": [0]},
-                                            "minus": {"indices": [1]}}},
+        ({"scale": 1.4, "gap": 0.2}, "missing key 'nodes' in tree file"),
+        # a nested tree file from before the flat node list
+        ({"scale": 1.4, "gap": 0.2, "root": {"indices": [0]}}, "missing key 'nodes' in tree file"),
+        ({"scale": 1.4, "gap": 0.2, "nodes": [{"indices": [0, 1], "plus": 1, "minus": 2},
+                                             {"indices": [0]}, {"indices": [1]}]},
          "missing key 'coordinate' in a node of tree file"),
-        ({"scale": 1.4, "gap": 0.2, "root": {"indices": ["x"]}}, "bad node in tree file"),
+        ({"scale": 1.4, "gap": 0.2, "nodes": [{"indices": ["x"]}]}, "bad node in tree file"),
+        ({"scale": 1.4, "gap": 0.2, "nodes": 5}, "bad node in tree file"),
+        ({"scale": 1.4, "gap": 0.2, "nodes": [[0]]}, "bad node in tree file"),
     ):
         tree_path.write_text(json.dumps(doc))
         assert main(["validate", "--family", str(family_file), "--tree", str(tree_path)]) == 1

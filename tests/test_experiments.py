@@ -111,19 +111,15 @@ def test_pipeline_trace_fault_injection(monkeypatch):
 
     def corrupt_build(family, measure, t):
         tree = real_build(family, measure, t)
-        if tree.root.is_leaf:
+        root = tree.nodes[0]
+        if root.is_leaf:
             return tree
-        from combdim.septree import SeparatingTree, TreeNode
+        from dataclasses import replace
 
-        bad_root = TreeNode(
-            tree.root.indices,
-            tree.root.coordinate,
-            tree.root.threshold,
-            tree.root.gap,
-            tree.root.plus_son,
-            tree.root.plus_son,  # duplicated son: sons overlap
-        )
-        return SeparatingTree(bad_root, tree.scale, tree.gap)
+        nodes = list(tree.nodes)
+        # the minus son copies the plus son's rows: sons overlap
+        nodes[root.minus] = replace(nodes[root.minus], indices=nodes[root.plus].indices)
+        return replace(tree, nodes=tuple(nodes))
 
     monkeypatch.setattr(exp.septree, "build_separating_tree", corrupt_build)
     from combdim import PipelineError
@@ -132,6 +128,7 @@ def test_pipeline_trace_fault_injection(monkeypatch):
         run_pipeline_trace(3)
     assert err.value.stage == "separating-tree"
     assert err.value.certificate is not None
+    assert "sons overlap" in err.value.certificate["validation"]
 
 
 def test_estimate_extraction_constant():

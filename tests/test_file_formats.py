@@ -73,25 +73,22 @@ def test_norm_file_bytes_and_round_trip(tmp_path):
 
 def test_tree_file_bytes_and_round_trip(tmp_path):
     path = tmp_path / "tree.json"
-    minus = TreeNode((1, 2), 0, -0.1, 0.2, TreeNode((2,)), TreeNode((1,)))
-    tree = SeparatingTree(TreeNode((0, 1, 2), 1, 1 / 3, 0.2, TreeNode((0,)), minus), 1.2, 0.2)
+    tree = SeparatingTree((TreeNode((0, 1, 2), 1, 1 / 3, 1, 2), TreeNode((0,)),
+                           TreeNode((1, 2), 0, -0.1, 3, 4), TreeNode((2,)), TreeNode((1,))),
+                          1.2, 0.2)
     save_tree(path, tree)
-    expected = {"scale": 1.2, "gap": 0.2, "root": {
-        "indices": [0, 1, 2], "coordinate": 1, "threshold": 0.3333333333333333, "gap": 0.2,
-        "plus": {"indices": [0]},
-        "minus": {"indices": [1, 2], "coordinate": 0, "threshold": -0.1, "gap": 0.2,
-                  "plus": {"indices": [2]}, "minus": {"indices": [1]}},
-    }}
+    expected = {"scale": 1.2, "gap": 0.2, "nodes": [
+        {"indices": [0, 1, 2], "coordinate": 1, "threshold": 0.3333333333333333,
+         "plus": 1, "minus": 2},
+        {"indices": [0]},
+        {"indices": [1, 2], "coordinate": 0, "threshold": -0.1, "plus": 3, "minus": 4},
+        {"indices": [2]},
+        {"indices": [1]},
+    ]}
     assert path.read_text() == json.dumps(expected, indent=1)
     again = load_tree(path)
     assert (again.scale, again.gap) == (tree.scale, tree.gap)
-    nodes = [(again.root, tree.root)]
-    while nodes:
-        a, b = nodes.pop()
-        assert (a.indices, a.coordinate, a.threshold, a.gap) == (
-            b.indices, b.coordinate, b.threshold, b.gap)
-        if not b.is_leaf:
-            nodes += [(a.plus_son, b.plus_son), (a.minus_son, b.minus_son)]
+    assert again.nodes == tree.nodes
 
 
 def test_report_file_bytes(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,6 +57,13 @@ def test_variance_identity_randomized():
         dist = random_distribution(rng)
         var, pair = variance(dist)
         assert abs(pair - 2.0 * var) <= 1e-12
+
+
+def test_large_samples_sum_to_one():
+    # a naive left-to-right sum of 1/m drifts by about 1e-12 at these sizes
+    for m in (10**5, 10**6):
+        dist = Distribution.from_sample(np.arange(float(m)))
+        assert len(dist.atoms) == m and math.fsum(p for _, p in dist.atoms) == 1.0
 
 
 def golden_section_min(fn, lo, hi, iters=200):
@@ -181,8 +189,6 @@ def test_split_column_has_the_largest_variance():
 
 
 def test_tree_builds_one_distribution_per_split(monkeypatch):
-    from combdim import septree
-
     calls = []
     real = Distribution.from_sample
 
@@ -193,7 +199,7 @@ def test_tree_builds_one_distribution_per_split(monkeypatch):
     monkeypatch.setattr(Distribution, "from_sample", staticmethod(counting))
     family = gen_separated_family(7, 1.0, 45, m_target=12, kind="noisy-signs")
     tree = build_separating_tree(family, ProbabilityMeasure.uniform(7), 1.0)
-    splits = [node for node in septree._preorder(tree.root) if not node.is_leaf]
+    splits = [node for node in tree.nodes if not node.is_leaf]
     assert len(splits) >= 3
     assert calls == [len(node.indices) for node in splits]
 
@@ -202,8 +208,9 @@ def test_build_tree_sign_cube():
     t = 1.4
     tree = build_separating_tree(SIGN_CUBE, UNIFORM2, t)
     assert tree.leaf_count() == 4
-    assert tree.root.coordinate == 0
-    assert tree.root.plus_son.coordinate == 1
+    root = tree.nodes[0]
+    assert root.coordinate == 0
+    assert tree.nodes[root.plus].coordinate == 1
     assert validate_tree(tree, SIGN_CUBE, t / 6.0)
     # doubled gap: son values differ by exactly 2 > 2 * (1.4 / 6)
     assert validate_tree(tree, SIGN_CUBE, 2 * t / 6.0)
@@ -217,14 +224,14 @@ def test_build_tree_pair_and_singleton():
     assert tree.leaf_count() == 2
     single = FunctionFamily([[0.5, 0.5]])
     tree = build_separating_tree(single, UNIFORM2, 1.0)
-    assert tree.leaf_count() == 1 and tree.root.is_leaf
+    assert tree.leaf_count() == 1 and tree.nodes == (TreeNode((0,)),)
 
 
 def test_validate_rejects_overlapping_sons():
     fam = FunctionFamily([[1, 0], [-1, 0]])
     bad = SeparatingTree(
-        TreeNode(
-            (0, 1), 0, 0.0, 0.2,
+        (
+            TreeNode((0, 1), 0, 0.0, 1, 2),
             TreeNode((0, 1)),  # overlaps with the minus son
             TreeNode((1,)),
         ),
@@ -236,10 +243,7 @@ def test_validate_rejects_overlapping_sons():
 
 def test_validate_rejects_foreign_rows():
     fam = FunctionFamily([[1, 0], [-1, 0], [0, 0]])
-    bad = SeparatingTree(
-        TreeNode((0, 1), 0, 0.0, 0.2, TreeNode((0,)), TreeNode((2,))),
-        1.2, 0.2,
-    )
+    bad = SeparatingTree((TreeNode((0, 1), 0, 0.0, 1, 2), TreeNode((0,)), TreeNode((2,))), 1.2, 0.2)
     result = validate_tree(bad, fam, 0.2)
     assert not result and "escape" in result.failure
 
@@ -250,7 +254,7 @@ def test_validate_names_the_first_violating_pair():
     # not the pair of extremes (1, 2)
     fam = FunctionFamily([[0.4, 0], [0.2, 0], [0.0, 0], [-0.5, 0]])
     tree = SeparatingTree(
-        TreeNode((0, 1, 2, 3), 0, 0.0, 0.5, TreeNode((0, 1)), TreeNode((2, 3))), 3.0, 0.5,
+        (TreeNode((0, 1, 2, 3), 0, 0.0, 1, 2), TreeNode((0, 1)), TreeNode((2, 3))), 3.0, 0.5,
     )
     result = validate_tree(tree, fam, 0.5)
     assert result.failure == (
@@ -258,18 +262,41 @@ def test_validate_names_the_first_violating_pair():
     )
 
 
-def _pairwise_gap_failure(node, values, gap):
+def test_validate_names_each_broken_list():
+    # on the sign square: root (0, 1, 2, 3) at 0 with sons (0, 1) at 1 and
+    # (2, 3) at 2; (0, 1) splits into (0,) at 3 and (1,) at 4
+    nodes = (TreeNode((0, 1, 2, 3), 0, 0.0, 1, 2), TreeNode((0, 1), 1, 0.0, 3, 4),
+             TreeNode((2, 3)), TreeNode((0,)), TreeNode((1,)))
+    assert validate_tree(SeparatingTree(nodes, 1.4, 0.2), SIGN_CUBE, 0.2)
+    root, split, rest = nodes[0], nodes[1], nodes[2:]
+    cases = [
+        ((root, replace(split, plus=5)) + rest, "son position 5 out of range at node (0, 1)"),
+        ((root, replace(split, minus=-1)) + rest, "son position -1 out of range at node (0, 1)"),
+        # (0, 1) moved to the end, its plus son (0,) now listed before it
+        ((replace(root, plus=4), TreeNode((0,)), nodes[2], TreeNode((1,)),
+          replace(split, plus=1, minus=3)),
+         "son at position 1 is not listed after its parent at position 4"),
+        ((root, replace(split, minus=2)) + rest, "node at position 2 is a son of positions 0 and 1"),
+        (nodes + (TreeNode((3,)),), "node at position 5 is the son of no node"),
+        ((root, replace(split, minus=None)) + rest, "non-leaf (0, 1) lacks two sons"),
+        ((), "tree has no nodes"),
+    ]
+    for bad, failure in cases:
+        assert validate_tree(SeparatingTree(bad, 1.4, 0.2), SIGN_CUBE, 0.2).failure == failure
+
+
+def _pairwise_gap_failure(tree, values, gap):
     """The gap check of validate_tree as the per-pair loop it replaces."""
-    if node.is_leaf:
-        return None
-    i = node.coordinate
-    for f in node.plus_son.indices:
-        for g in node.minus_son.indices:
-            if not values[f, i] > values[g, i] + gap:
-                return (f"gap violated at node {node.indices}: rows {f},{g} on coordinate {i} "
-                        f"differ by {float(values[f, i] - values[g, i])!r} <= {float(gap)!r}")
-    return (_pairwise_gap_failure(node.plus_son, values, gap)
-            or _pairwise_gap_failure(node.minus_son, values, gap))
+    for node in tree.nodes:
+        if node.is_leaf:
+            continue
+        i = node.coordinate
+        for f in tree.nodes[node.plus].indices:
+            for g in tree.nodes[node.minus].indices:
+                if not values[f, i] > values[g, i] + gap:
+                    return (f"gap violated at node {node.indices}: rows {f},{g} on coordinate {i} "
+                            f"differ by {float(values[f, i] - values[g, i])!r} <= {float(gap)!r}")
+    return None
 
 
 def test_validate_gap_check_matches_the_pairwise_loop():
@@ -278,27 +305,36 @@ def test_validate_gap_check_matches_the_pairwise_loop():
         signs = np.unique(rng.integers(0, 2, size=(12, 4)) * 2.0 - 1.0, axis=0)
         fam = FunctionFamily(signs * rng.uniform(0.8, 1.0, size=signs.shape))
         tree = build_separating_tree(fam, ProbabilityMeasure.uniform(4), 0.7)
-        root = tree.root
-        diffs = np.subtract.outer(fam.values[list(root.plus_son.indices), root.coordinate],
-                                  fam.values[list(root.minus_son.indices), root.coordinate])
+        root = tree.nodes[0]
+        diffs = np.subtract.outer(fam.values[list(tree.nodes[root.plus].indices), root.coordinate],
+                                  fam.values[list(tree.nodes[root.minus].indices), root.coordinate])
         # every gap at which some root pair ties, plus gaps between and beyond
         for gap in sorted(set(diffs.ravel())) + [0.05, 1.0, 1.7]:
-            expected = _pairwise_gap_failure(root, fam.values, gap)
+            expected = _pairwise_gap_failure(tree, fam.values, gap)
             assert validate_tree(tree, fam, gap).failure == expected, (trial, gap)
 
 
 def test_load_tree_names_the_file_of_a_node_without_minus(tmp_path):
     path = tmp_path / "tree.json"
-    path.write_text(json.dumps({"scale": 1.4, "gap": 0.2, "root": {
-        "indices": [0, 1], "coordinate": 0, "threshold": 0.0, "gap": 0.2,
-        "plus": {"indices": [0]}}}))
+    path.write_text(json.dumps({"scale": 1.4, "gap": 0.2, "nodes": [
+        {"indices": [0, 1], "coordinate": 0, "threshold": 0.0, "plus": 1}, {"indices": [0]}]}))
     with pytest.raises(FamilyError, match=f"missing key 'minus' in a node of tree file {path}"):
         load_tree(path)
 
 
-def test_tree_round_trip_dict():
+def test_tree_round_trip_dict(tmp_path):
+    # each node is one JSON object in the file and loads back to itself
     tree = build_separating_tree(SIGN_CUBE, UNIFORM2, 1.4)
-    again = SeparatingTree(TreeNode.from_dict(tree.root.to_dict()), tree.scale, tree.gap)
+    path = tmp_path / "tree.json"
+    save_tree(path, tree)
+    docs = json.loads(path.read_text())["nodes"]
+    assert len(docs) == len(tree.nodes) == 7
+    for doc, node in zip(docs, tree.nodes):
+        assert doc == ({"indices": list(node.indices)} if node.is_leaf else
+                       {"indices": list(node.indices), "coordinate": node.coordinate,
+                        "threshold": node.threshold, "plus": node.plus, "minus": node.minus})
+    again = load_tree(path)
+    assert again == tree
     assert again.leaf_count() == tree.leaf_count()
     assert validate_tree(again, SIGN_CUBE, tree.gap)
 
@@ -312,7 +348,8 @@ def _stack_depth():
 
 def test_deep_chain_tree_needs_no_recursion(tmp_path):
     # eye(m) at scale 1/sqrt(m) splits one row off per level: a chain of
-    # m - 1 levels, built, counted and validated in 60 frames of stack
+    # m - 1 levels, built, counted, validated, saved and loaded in 60
+    # frames of stack
     m = 120
     family = FunctionFamily(np.eye(m))
     path = tmp_path / "chain.json"
@@ -322,24 +359,18 @@ def test_deep_chain_tree_needs_no_recursion(tmp_path):
         tree = build_separating_tree(family, ProbabilityMeasure.uniform(m), 1 / math.sqrt(m))
         leaves = tree.leaf_count()
         valid = validate_tree(tree, family, tree.gap)
-        with pytest.raises(FamilyError, match=f"tree file {path} nests too deep to save"):
-            save_tree(path, tree)
+        save_tree(path, tree)
+        again = load_tree(path)
+        valid_again = validate_tree(again, family, tree.gap)
     finally:
         sys.setrecursionlimit(limit)
     assert leaves == m and valid
-    node, levels = tree.root, 0
+    assert again == tree and again.leaf_count() == m and valid_again
+    node, levels = tree.nodes[0], 0
     while not node.is_leaf:
-        node, levels = max(node.plus_son, node.minus_son, key=lambda s: len(s.indices)), levels + 1
+        node = max(tree.nodes[node.plus], tree.nodes[node.minus], key=lambda s: len(s.indices))
+        levels += 1
     assert levels == m - 1
-    save_tree(path, tree)
-    again = load_tree(path)
-    assert again.leaf_count() == m and validate_tree(again, family, tree.gap)
-    sys.setrecursionlimit(_stack_depth() + 60)
-    try:
-        with pytest.raises(FamilyError, match=f"tree file {path} nests too deep to load"):
-            load_tree(path)
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 def test_tree_with_nonuniform_measure():
@@ -385,14 +416,10 @@ def test_leaf_count_guarantee_randomized():
         assert leaves * leaves >= family.size
         assert validate_tree(tree, family, t / 6.0)
         # sons and dropped middle bands partition within the parent
-        def check_nesting(node):
-            if node.is_leaf:
-                return
-            assert set(node.plus_son.indices) | set(node.minus_son.indices) <= set(node.indices)
-            check_nesting(node.plus_son)
-            check_nesting(node.minus_son)
-
-        check_nesting(tree.root)
+        for node in tree.nodes:
+            if not node.is_leaf:
+                sons = set(tree.nodes[node.plus].indices) | set(tree.nodes[node.minus].indices)
+                assert sons <= set(node.indices)
 
 
 def test_separation_is_checked_once_per_tree(monkeypatch):
