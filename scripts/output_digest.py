@@ -5,7 +5,7 @@ Run from the repository root:
 
     PYTHONPATH=src python3 scripts/output_digest.py
 
-A change that must keep outputs identical leaves all eleven lines as
+A change that must keep outputs identical leaves all twelve lines as
 they were.  The suites:
 
 - pipeline: `run_pipeline_trace` for seeds 0-299; a failing seed (98
@@ -16,6 +16,12 @@ they were.  The suites:
   and at the scale of each pipeline seed 0-299, as its nodes (rows,
   coordinate, threshold, plus rows, minus rows) sorted by rows, so the
   line does not depend on the order in which the tree lists its nodes;
+- itree: for each pipeline seed 0-299, the integer tree of its
+  center-count stage: `build_separating_tree` at scale 6 on the family
+  restricted to the extraction stage's `subset` and discretized at t/2,
+  as nodes in the form of the `tree` line; the failing seed is digested
+  as its error message.  Unlike the `tree` line, its families repeat
+  values, so its split distributions have counts above 1;
 - main-theorem: `run_main_theorem_experiment` at caps 23/7, seeds 0-39;
 - elton: `elton_subset` (sigma, t, s, delta, sweep, grid_t) on the 56
   instances below;
@@ -59,7 +65,7 @@ from combdim.experiments import (
     run_main_theorem_experiment,
     run_pipeline_trace,
 )
-from combdim.family import CoordinateSubset, ProbabilityMeasure, gen_random_family
+from combdim.family import CoordinateSubset, ProbabilityMeasure, discretize, gen_random_family
 from combdim.gaussian import gaussian_sup_mc
 from combdim.geometry import PolyhedralNorm, convex_vc, ell1_lower_constant
 from combdim.septree import build_separating_tree
@@ -97,12 +103,20 @@ def acceptance_curve(seed: int):
     return [extraction_success_probability(family, t, k) for k in range(1, family.domain_size + 1)]
 
 
-def tree_nodes(seed: int):
-    family, t = pipeline_family(seed)
+def tree_nodes(family, t: float):
     tree = build_separating_tree(family, ProbabilityMeasure.uniform(family.domain_size), t)
     rows = {None: None} | {k: node.indices for k, node in enumerate(tree.nodes)}  # leaf sons: None
     return sorted((node.indices, node.coordinate, node.threshold, rows[node.plus], rows[node.minus])
                   for node in tree.nodes)
+
+
+def integer_tree_nodes(seed: int, trace):
+    # the integer tree of the pipeline's center-count stage, rebuilt from its extraction subset
+    if isinstance(trace, str):
+        return trace
+    family, t = pipeline_family(seed)
+    subset = next(stage["subset"] for stage in trace["stages"] if stage["stage"] == "extraction")
+    return tree_nodes(discretize(family.restrict(subset), t / 2.0), 6.0)
 
 
 def l1_instances():
@@ -148,9 +162,11 @@ def entropy_counts(index: int):
 
 
 def main() -> None:
-    print("pipeline", digest(pipeline(seed) for seed in range(300)))
+    traces = [pipeline(seed) for seed in range(300)]
+    print("pipeline", digest(traces))
     print("extraction", digest(acceptance_curve(seed) for seed in range(300)))
-    print("tree", digest(tree_nodes(seed) for seed in range(300)))
+    print("tree", digest(tree_nodes(*pipeline_family(seed)) for seed in range(300)))
+    print("itree", digest(integer_tree_nodes(seed, trace) for seed, trace in enumerate(traces)))
     print("main-theorem", digest(
         run_main_theorem_experiment(
             ExperimentConfig(seed=seed, instances=1, max_rows=23, max_coords=7, jobs=1))

@@ -219,7 +219,7 @@ def run_pipeline_trace(seed: int) -> dict:
     coord, cert = septree.find_separating_coordinate(family, measure, t)
     stage(
         "separating-coordinate",
-        cert.is_valid_for(dists[coord]) and cert.gap_halfwidth >= t / 12.0 - 1e-12,
+        cert.is_valid_for(dists[coord]) and cert.gap_halfwidth >= t / 12.0,
         {"coordinate": coord, "threshold": cert.threshold, "beta": cert.beta,
          "side": cert.side, "gap_halfwidth": cert.gap_halfwidth},
     )
@@ -270,7 +270,7 @@ def run_pipeline_trace(seed: int) -> dict:
     centers = sum(counts)
     stage(
         "center-count",
-        bool(ivalid) and centers >= ileaves and centers >= math.sqrt(m) - 1e-12,
+        bool(ivalid) and centers >= ileaves and centers * centers >= m,
         {"leaves": ileaves, "centers": centers, "sqrt_m": math.sqrt(m),
          "validation": ivalid.failure},
     )

@@ -4,17 +4,20 @@ The pipeline: a family that is t-separated in L2(mu) has a coordinate on
 which the empirical value distribution (uniform over the rows) has
 standard deviation >= t/2; a small-deviation split of that distribution
 yields two sub-families separated by a gap t/6 on that coordinate, with
-certified mass lower bounds (1 - beta) and beta/2.  Splitting the sons
-again yields a binary tree whose leaf count is at least sqrt(m), held as
-a flat node list, breadth first from the root, each split naming the list
-positions of its sons, so no step recurses.  `save_tree` and `load_tree`
-write and read that list, with scale and gap, as a tree file.
+certified mass lower bounds (1 - beta) and beta/2.  Masses are row
+counts, so each certificate inequality is decided exactly, in integers,
+with no tolerance.  Splitting the sons again yields a binary tree whose
+leaf count is at least sqrt(m), held as a flat node list, breadth first
+from the root, each split naming the list positions of its sons, so no
+step recurses.  `save_tree` and `load_tree` write and read that list,
+with scale and gap, as a tree file.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,44 +25,45 @@ from .entropy import first_violating_pair
 from .errors import FamilyError, NotSeparatedError
 from .family import FunctionFamily, ProbabilityMeasure, read_json, read_number, write_json
 
-_CERT_SLACK = 1e-12  # comparison slack for certificate inequalities
-
 
 @dataclass(frozen=True)
 class Distribution:
-    """Finite distribution given as (value, probability) atoms."""
+    """Finite distribution given as (value, weight) atoms: the weights are
+    row counts, an atom's probability is weight / total, and the values
+    strictly increase."""
 
-    atoms: tuple[tuple[float, float], ...]
+    atoms: tuple[tuple[float, int], ...]
+    total: int = field(init=False)
 
     def __post_init__(self):
-        atoms = tuple((float(v), float(p)) for v, p in self.atoms)
-        if not atoms:
-            raise ValueError("distribution needs at least one atom")
-        if any(p < 0 for _, p in atoms):
-            raise ValueError("negative atom probability")
-        total = math.fsum(p for _, p in atoms)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"atom probabilities sum to {total!r}, not 1")
+        atoms = tuple((float(v), w) for v, w in self.atoms)
+        if not all(isinstance(w, int) and w >= 0 for _, w in atoms):
+            raise ValueError("atom weights must be integers >= 0")
+        if not all(a < b for (a, _), (b, _) in zip(atoms, atoms[1:])):
+            raise ValueError("atom values must strictly increase")
         object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "total", sum(w for _, w in atoms))
+        if self.total <= 0:
+            raise ValueError("atom weights must have a positive total")
 
     @classmethod
     def from_sample(cls, values) -> "Distribution":
-        """Empirical distribution of a sample, each point weighted 1/len."""
-        values = np.asarray(values, dtype=np.float64)
-        uniq, counts = np.unique(values, return_counts=True)
-        return cls(tuple(zip(uniq.tolist(), (counts / values.size).tolist())))
+        """Empirical distribution of a sample, each value weighted by its count."""
+        uniq, counts = np.unique(np.asarray(values, dtype=np.float64), return_counts=True)
+        return cls(tuple(zip(uniq.tolist(), counts.tolist())))
 
-    def tail_above(self, x: float) -> float:
-        return sum(p for v, p in self.atoms if v > x)
+    def tail_above(self, x: float) -> int:
+        return sum(w for v, w in self.atoms if v > x)
 
-    def tail_below(self, x: float) -> float:
-        return sum(p for v, p in self.atoms if v < x)
+    def tail_below(self, x: float) -> int:
+        return sum(w for v, w in self.atoms if v < x)
 
 
 def _moment_variance(dist: Distribution) -> float:
     """Variance E(X - EX)^2 in moment form, linear in the atoms."""
-    mean = sum(p * v for v, p in dist.atoms)
-    return sum(p * (v - mean) ** 2 for v, p in dist.atoms)
+    n = dist.total
+    mean = sum(w / n * v for v, w in dist.atoms)
+    return sum(w / n * (v - mean) ** 2 for v, w in dist.atoms)
 
 
 def variance(dist: Distribution) -> tuple[float, float]:
@@ -69,51 +73,47 @@ def variance(dist: Distribution) -> tuple[float, float]:
     atom pairs) so that the identity pair = 2 * variance is a genuine
     cross-check rather than an algebraic tautology.
     """
+    n = dist.total
     pair = sum(
-        pi * pj * (vi - vj) ** 2 for vi, pi in dist.atoms for vj, pj in dist.atoms
+        wi / n * (wj / n) * (vi - vj) ** 2 for vi, wi in dist.atoms for vj, wj in dist.atoms
     )
     return _moment_variance(dist), pair
 
 
 @dataclass(frozen=True)
 class SplitCertificate:
-    """Witness that a distribution splits into a heavy and a light tail.
+    """Witness that a distribution of `total` rows splits into a heavy and
+    a light tail.
 
-    With g = gap_halfwidth, p_upper = P{X > a + g} and
-    p_lower = P{X < a - g}; side "upper-heavy" certifies
-    p_upper >= 1 - beta and p_lower >= beta/2, "lower-heavy" the mirror.
+    With g = gap_halfwidth, `upper` rows lie above a + g and `lower` rows
+    below a - g.  beta = share / (2 * total); side "upper-heavy" certifies
+    upper >= (1 - beta) * total and lower >= beta/2 * total, "lower-heavy"
+    the mirror.  Every inequality is checked in integers.
     """
 
     threshold: float
-    beta: float
+    share: int
+    total: int
     gap_halfwidth: float
     side: str
-    p_upper: float
-    p_lower: float
+    upper: int
+    lower: int
+
+    @property
+    def beta(self) -> float:
+        return self.share / (2 * self.total)
 
     def is_valid_for(self, dist: Distribution) -> bool:
-        """Re-derive both tail masses from the distribution and re-check."""
-        if not (0.0 < self.beta <= 0.5) or self.gap_halfwidth <= 0:
+        """Re-count both tails in the distribution's rows and re-check."""
+        sides = {"upper-heavy": (self.upper, self.lower), "lower-heavy": (self.lower, self.upper)}
+        if self.side not in sides or not 0 < self.share <= self.total or not self.gap_halfwidth > 0:
             return False
-        p_up = dist.tail_above(self.threshold + self.gap_halfwidth)
-        p_lo = dist.tail_below(self.threshold - self.gap_halfwidth)
-        if abs(p_up - self.p_upper) > 1e-12 or abs(p_lo - self.p_lower) > 1e-12:
+        recount = (dist.total, dist.tail_above(self.threshold + self.gap_halfwidth),
+                   dist.tail_below(self.threshold - self.gap_halfwidth))
+        if (self.total, self.upper, self.lower) != recount:
             return False
-        heavy, light = (p_up, p_lo) if self.side == "upper-heavy" else (p_lo, p_up)
-        return heavy >= 1.0 - self.beta - _CERT_SLACK and light >= self.beta / 2.0 - _CERT_SLACK
-
-
-def _beta_grid(dist: Distribution) -> list[float]:
-    """Candidate beta values: clipped partial sums of atom probabilities."""
-    probs = [p for _, p in sorted(dist.atoms)]
-    grid = {0.5}
-    acc = 0.0
-    for p in probs:
-        acc += p
-        for s in (acc, 1.0 - acc):
-            if s > _CERT_SLACK:
-                grid.add(min(s, 0.5))
-    return sorted(grid)
+        heavy, light = sides[self.side]
+        return 2 * heavy >= 2 * self.total - self.share and 4 * light >= self.share
 
 
 def small_dev_split(dist: Distribution) -> SplitCertificate:
@@ -122,53 +122,49 @@ def small_dev_split(dist: Distribution) -> SplitCertificate:
     For every nonzero-variance distribution such a certificate exists, so
     failure of the direct search is a software defect.  Candidate
     thresholds cover every regime of the two tail functions; beta runs
-    over partial sums of atom probabilities.  Among valid certificates the
+    over partial counts of atom weights.  Among valid certificates the
     one maximizing min(p_heavy - (1 - beta), p_light - beta/2) wins, ties
-    broken toward larger beta, then toward the upper-heavy side.
+    broken toward larger beta, then toward the upper-heavy side, then
+    toward the smaller threshold.  Scores are compared exactly, as
+    integers 4 * total times that minimum.
     """
     var = _moment_variance(dist)
-    if var <= 0.0 or len({v for v, p in dist.atoms if p > 0}) < 2:
+    if not var > 0.0:
         raise ValueError("small-deviation split needs nonzero variance")
     gap = math.sqrt(var) / 6.0
-    values = sorted({v for v, _ in dist.atoms})
+    values = [v for v, _ in dist.atoms]
     candidates = set(values)
     candidates.update((a + b) / 2.0 for a, b in zip(values, values[1:]))
     breaks = sorted({v - gap for v in values} | {v + gap for v in values})
     candidates.update(breaks)
     candidates.update((a + b) / 2.0 for a, b in zip(breaks, breaks[1:]))
 
-    betas = _beta_grid(dist)
+    # shares 2 * total * beta: doubled partial counts and their complements, clipped at beta = 1/2
+    total = dist.total
+    shares = {total} | {min(2 * c, total) for acc in itertools.accumulate(w for _, w in dist.atoms)
+                        for c in (acc, total - acc) if c > 0}
     best = None
     best_key = None
-    for a in sorted(candidates):
-        p_up = dist.tail_above(a + gap)
-        p_lo = dist.tail_below(a - gap)
-        for side, heavy, light in (
-            ("upper-heavy", p_up, p_lo),
-            ("lower-heavy", p_lo, p_up),
-        ):
-            for beta in betas:
-                score = min(heavy - (1.0 - beta), light - beta / 2.0)
-                if score < -_CERT_SLACK:
+    for a in sorted(candidates):  # ascending, and ties keep the first: the smaller threshold
+        up = dist.tail_above(a + gap)
+        lo = dist.tail_below(a - gap)
+        for side, heavy, light in (("upper-heavy", up, lo), ("lower-heavy", lo, up)):
+            for share in shares:
+                score = min(4 * heavy - 4 * total + 2 * share, 4 * light - share)
+                if score < 0:
                     continue
-                key = (score, beta, 1 if side == "upper-heavy" else 0, -a)
+                key = (score, share, side == "upper-heavy")
                 if best_key is None or key > best_key:
                     best_key = key
-                    best = SplitCertificate(a, beta, gap, side, p_up, p_lo)
+                    best = SplitCertificate(a, share, total, gap, side, up, lo)
     assert best is not None, "no split certificate found for a nonzero-variance distribution"
     return best
 
 
 def _reinterpret_gap(cert: SplitCertificate, dist: Distribution, gap: float) -> SplitCertificate:
     """Shrink the certificate gap (tails only grow, so validity persists)."""
-    out = SplitCertificate(
-        cert.threshold,
-        cert.beta,
-        gap,
-        cert.side,
-        dist.tail_above(cert.threshold + gap),
-        dist.tail_below(cert.threshold - gap),
-    )
+    out = replace(cert, gap_halfwidth=gap, upper=dist.tail_above(cert.threshold + gap),
+                  lower=dist.tail_below(cert.threshold - gap))
     assert out.is_valid_for(dist), "certificate lost validity when shrinking the gap"
     return out
 

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from combdim import (
 from combdim.errors import FamilyError
 from combdim.septree import (
     SeparatingTree,
+    SplitCertificate,
     TreeNode,
     _moment_variance,
     _split_coordinate,
@@ -28,6 +30,7 @@ from combdim.septree import (
     small_dev_split,
 )
 from combdim.experiments import gen_separated_family
+from combdim.family import gen_random_family
 
 UNIFORM2 = ProbabilityMeasure.uniform(2)
 SIGN_CUBE = FunctionFamily([[1, 1], [1, -1], [-1, 1], [-1, -1]])
@@ -35,18 +38,18 @@ SIGN_CUBE = FunctionFamily([[1, 1], [1, -1], [-1, 1], [-1, -1]])
 
 def random_distribution(rng, max_atoms=8):
     k = int(rng.integers(2, max_atoms))
-    values = rng.uniform(-3, 3, size=k)
-    probs = rng.dirichlet(np.ones(k))
-    return Distribution(tuple(zip(values.tolist(), probs.tolist())))
+    values = np.sort(rng.uniform(-3, 3, size=k))
+    weights = rng.integers(1, 1000, size=k)
+    return Distribution(tuple(zip(values.tolist(), weights.tolist())))
 
 
 def test_variance_examples():
-    var, pair = variance(Distribution(((0, 0.5), (1, 0.5))))
+    var, pair = variance(Distribution(((0, 1), (1, 1))))
     assert var == pytest.approx(0.25, abs=1e-15)
     assert pair == pytest.approx(0.5, abs=1e-15)
-    var, pair = variance(Distribution(((3.0, 1.0),)))
+    var, pair = variance(Distribution(((3.0, 1),)))
     assert var == 0.0 and pair == 0.0
-    var, pair = variance(Distribution(((0, 0.75), (1, 0.25))))
+    var, pair = variance(Distribution(((0, 3), (1, 1))))
     assert var == pytest.approx(3 / 16, abs=1e-15)
     assert pair == pytest.approx(3 / 8, abs=1e-15)
 
@@ -60,10 +63,28 @@ def test_variance_identity_randomized():
 
 
 def test_large_samples_sum_to_one():
-    # a naive left-to-right sum of 1/m drifts by about 1e-12 at these sizes
+    # weights are row counts, so m distinct values total exactly m rows
     for m in (10**5, 10**6):
         dist = Distribution.from_sample(np.arange(float(m)))
-        assert len(dist.atoms) == m and math.fsum(p for _, p in dist.atoms) == 1.0
+        assert len(dist.atoms) == m and dist.total == m
+        assert all(w == 1 for _, w in dist.atoms)
+
+
+def test_distribution_checks_its_atoms():
+    assert Distribution(((0.0, 2), (1.0, 0))).total == 2
+    for atoms in (
+        ((0.0, 0.5), (1.0, 0.5)),  # float weights
+        ((0.0, 1.0),),
+        ((0.0, 2), (1.0, -1)),  # negative weight
+        ((0.0, 0), (1.0, 0)),  # zero total
+        (),
+        ((0.0, 1), (0.0, 1)),  # repeated value
+        ((1.0, 1), (0.0, 1)),  # descending values
+    ):
+        with pytest.raises(ValueError):
+            Distribution(atoms)
+    dist = Distribution.from_sample([2.0, -1.0, 2.0, 0.5, 2.0])
+    assert dist.atoms == ((-1.0, 1), (0.5, 1), (2.0, 3)) and dist.total == 5
 
 
 def golden_section_min(fn, lo, hi, iters=200):
@@ -90,7 +111,7 @@ def test_variance_is_min_mean_square_deviation():
         var, _ = variance(dist)
 
         def mean_sq(a):
-            return sum(p * (v - a) ** 2 for v, p in dist.atoms)
+            return sum(w / dist.total * (v - a) ** 2 for v, w in dist.atoms)
 
         lo = min(v for v, _ in dist.atoms)
         hi = max(v for v, _ in dist.atoms)
@@ -98,35 +119,32 @@ def test_variance_is_min_mean_square_deviation():
 
 
 def test_small_dev_split_symmetric_two_point():
-    dist = Distribution(((-1, 0.5), (1, 0.5)))
+    dist = Distribution(((-1, 1), (1, 1)))
     cert = small_dev_split(dist)
     assert cert.threshold == pytest.approx(0.0)
-    assert cert.beta == pytest.approx(0.5)
+    assert cert.beta == 0.5 and cert.share == cert.total == 2
     assert cert.side == "upper-heavy"  # tie rule prefers upper-heavy
-    assert cert.p_upper == pytest.approx(0.5) and cert.p_lower == pytest.approx(0.5)
+    assert cert.upper == 1 and cert.lower == 1
     assert cert.gap_halfwidth == pytest.approx(1 / 6)
     assert cert.is_valid_for(dist)
 
 
 def test_small_dev_split_skewed():
-    dist = Distribution(((0, 0.75), (1, 0.25)))
+    dist = Distribution(((0, 3), (1, 1)))
     cert = small_dev_split(dist)
     assert cert.side == "lower-heavy"
     assert cert.threshold == pytest.approx(0.5)
-    assert cert.beta == pytest.approx(0.5)
-    assert cert.p_lower == pytest.approx(0.75) and cert.p_upper == pytest.approx(0.25)
+    assert cert.beta == 0.5
+    assert cert.lower == 3 and cert.upper == 1 and cert.total == 4
     assert cert.gap_halfwidth == pytest.approx(math.sqrt(3 / 16) / 6)
     assert cert.is_valid_for(dist)
 
 
 def test_small_dev_split_rejects_point_mass():
-    with pytest.raises(ValueError):
-        small_dev_split(Distribution(((3.0, 1.0),)))
-    # one value in two atoms: the moment variance rounds to 7.7e-34, not 0
-    atoms = ((0.2, 0.6863314709696108), (0.2, 0.31366852903038933))
-    for dist in (Distribution(atoms), Distribution(atoms + ((5.0, 0.0),))):
+    # one value carries every row, next to atoms of weight 0
+    for atoms in (((3.0, 1),), ((0.2, 7), (5.0, 0)), ((-1.0, 0), (0.2, 7), (5.0, 0))):
         with pytest.raises(ValueError, match="needs nonzero variance"):
-            small_dev_split(dist)
+            small_dev_split(Distribution(atoms))
 
 
 def test_small_dev_split_exists_randomized():
@@ -139,6 +157,80 @@ def test_small_dev_split_exists_randomized():
         assert 0 < cert.beta <= 0.5
         var, _ = variance(dist)
         assert cert.gap_halfwidth == pytest.approx(math.sqrt(var) / 6)
+
+
+def test_certificates_are_checked_in_row_counts():
+    # the upper tail is one row short of half of 2 * 10^12 rows
+    big = 10**12
+    dist = Distribution(((0.0, big + 1), (1.0, big - 1)))
+    cert = SplitCertificate(0.5, 2 * big, 2 * big, 0.1, "upper-heavy", big - 1, big + 1)
+    assert cert.beta == 0.5
+    assert not cert.is_valid_for(dist)
+    assert replace(cert, side="lower-heavy").is_valid_for(dist)
+    for bad in (
+        replace(cert, side="middle"),
+        replace(cert, side="lower-heavy", lower=big),  # tail miscounted
+        replace(cert, side="lower-heavy", total=2 * big + 1),
+        replace(cert, side="lower-heavy", share=0),
+        replace(cert, side="lower-heavy", share=2 * big + 1),  # beta above 1/2
+        replace(cert, side="lower-heavy", gap_halfwidth=0.0),
+    ):
+        assert not bad.is_valid_for(dist), bad
+
+
+def _exact_best_split(values, weights):
+    """small_dev_split by brute force over its own float thresholds, with
+    tails counted in rows and the key (score, beta, upper-heavy, smaller
+    threshold) compared in Fraction."""
+    total = sum(weights)
+    probs = [w / total for w in weights]
+    mean = sum(p * v for v, p in zip(values, probs))
+    gap = math.sqrt(sum(p * (v - mean) ** 2 for v, p in zip(values, probs))) / 6.0
+    thresholds = set(values)
+    thresholds.update((a + b) / 2.0 for a, b in zip(values, values[1:]))
+    breaks = sorted({v - gap for v in values} | {v + gap for v in values})
+    thresholds.update(breaks)
+    thresholds.update((a + b) / 2.0 for a, b in zip(breaks, breaks[1:]))
+    half = Fraction(1, 2)
+    betas, acc = {half}, 0
+    for w in weights:
+        acc += w
+        betas.update(min(Fraction(c, total), half) for c in (acc, total - acc) if c)
+    bounds = [(beta, 1 - beta, beta / 2) for beta in betas]
+    best, seen = None, set()
+    for a in sorted(thresholds):
+        tails = (sum(w for v, w in zip(values, weights) if v > a + gap),
+                 sum(w for v, w in zip(values, weights) if v < a - gap))
+        if tails in seen:
+            continue  # an earlier, smaller threshold with these tails wins every tie
+        seen.add(tails)
+        up, lo = (Fraction(c, total) for c in tails)
+        for side, heavy, light in (("upper-heavy", up, lo), ("lower-heavy", lo, up)):
+            for beta, heavy_min, light_min in bounds:
+                if heavy >= heavy_min and light >= light_min:
+                    key = (min(heavy - heavy_min, light - light_min), beta, side == "upper-heavy")
+                    if best is None or key > best[0]:
+                        best = (key, a, side, beta)
+    return best[1:]
+
+
+def test_small_dev_split_follows_its_tie_order_exactly():
+    # integer columns repeat values, so tail masses like 5/12 tie exactly
+    # between thresholds and shares; a float score rounds such ties apart
+    mismatches = []
+    for seed in range(300):
+        rng = np.random.default_rng([seed, 1])
+        m, n, grid_max = int(rng.integers(2, 40)), int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        family = gen_random_family(m, n, "integer-grid", [seed, 2], grid_max=grid_max)
+        for col in family.values.T:
+            dist = Distribution.from_sample(col)
+            if len(dist.atoms) < 2:
+                continue
+            threshold, side, beta = _exact_best_split(*map(list, zip(*dist.atoms)))
+            cert = small_dev_split(dist)
+            if (cert.threshold, cert.side, cert.beta) != (threshold, side, float(beta)):
+                mismatches.append((seed, cert, threshold, side, beta))
+    assert not mismatches, mismatches[:3]
 
 
 def test_find_separating_coordinate_examples():
