@@ -3,10 +3,12 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 scripts/output_digest.py
+    PYTHONPATH=src python3 scripts/output_digest.py [--dump DIR]
 
 A change that must keep outputs identical leaves all twelve lines as
-they were.  The suites:
+they were.  With `--dump DIR` the script also writes each suite's reprs,
+one output per line, to DIR/<suite>.txt, so that diffing the dumps of two
+runs locates and sizes every value that moved.  The suites:
 
 - pipeline: `run_pipeline_trace` for seeds 0-299; a failing seed (98
   fails its extraction stage) is digested as its error message;
@@ -47,8 +49,10 @@ The 56 instances are the six norms of each `random_norm_instances(1..8)`
 and eight tightness bodies, net size 64, net seed 0.
 """
 
+import argparse
 import hashlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 
@@ -75,11 +79,13 @@ ORDER_BODIES = ((6, 1.0), (6, 0.8), (6, 0.6), (6, 0.5), (7, 1.0), (7, 0.8), (7, 
                 (8, 0.8), (8, 0.6), (8, 0.5))
 
 
-def digest(outputs) -> str:
-    h = hashlib.sha256()
-    for out in outputs:
-        h.update(repr(out).encode() + b"\n")
-    return h.hexdigest()
+def report(suite: str, outputs, dump: Path | None) -> None:
+    """Print the suite's digest line; with a dump directory, also write its
+    reprs there, one output per line."""
+    text = "".join(repr(out) + "\n" for out in outputs)
+    if dump is not None:
+        (dump / f"{suite}.txt").write_text(text)
+    print(suite, hashlib.sha256(text.encode()).hexdigest())
 
 
 def pipeline(seed: int):
@@ -162,34 +168,39 @@ def entropy_counts(index: int):
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description="Digest every fixed-seed suite's outputs.")
+    parser.add_argument("--dump", type=Path, metavar="DIR",
+                        help="also write each suite's reprs to DIR/<suite>.txt")
+    dump = parser.parse_args().dump
+    if dump is not None:
+        dump.mkdir(parents=True, exist_ok=True)
     traces = [pipeline(seed) for seed in range(300)]
-    print("pipeline", digest(traces))
-    print("extraction", digest(acceptance_curve(seed) for seed in range(300)))
-    print("tree", digest(tree_nodes(*pipeline_family(seed)) for seed in range(300)))
-    print("itree", digest(integer_tree_nodes(seed, trace) for seed, trace in enumerate(traces)))
-    print("main-theorem", digest(
+    report("pipeline", traces, dump)
+    report("extraction", (acceptance_curve(seed) for seed in range(300)), dump)
+    report("tree", (tree_nodes(*pipeline_family(seed)) for seed in range(300)), dump)
+    report("itree", (integer_tree_nodes(seed, trace) for seed, trace in enumerate(traces)), dump)
+    report("main-theorem", (
         run_main_theorem_experiment(
             ExperimentConfig(seed=seed, instances=1, max_rows=23, max_coords=7, jobs=1))
-        for seed in range(40)))
+        for seed in range(40)), dump)
     instances = list(l1_instances())
-    print("elton", digest(elton(norm, vectors) for norm, vectors in instances))
-    print("l1-table", digest(l1_table(norm, vectors) for norm, vectors in instances))
+    report("elton", (elton(norm, vectors) for norm, vectors in instances), dump)
+    report("l1-table", (l1_table(norm, vectors) for norm, vectors in instances), dump)
     bodies = [dual_body(norm, vectors) for norm, vectors in instances]
-    print("convex-vc", digest(
+    report("convex-vc", (
         (dim, tuple(sigma)) for body in bodies for dim, sigma in
-        (convex_vc(body, t) for t in DEFAULT_T_GRID)))
-    print("tightness", digest(
+        (convex_vc(body, t) for t in DEFAULT_T_GRID)), dump)
+    report("tightness", (
         (body.norm.functionals.tolist(), body.norm_slack) for body in
-        (rudelson_example(n, delta, net_size=64, seed=0) for n, delta in RUDELSON_BODIES)))
-    print("orders", digest(row_orders(n, delta) for n, delta in ORDER_BODIES))
-    print("entropy", digest(entropy_counts(index) for index in range(60)))
+        (rudelson_example(n, delta, net_size=64, seed=0) for n, delta in RUDELSON_BODIES)), dump)
+    report("orders", (row_orders(n, delta) for n, delta in ORDER_BODIES), dump)
+    report("entropy", (entropy_counts(index) for index in range(60)), dump)
     families = [gen_random_family(9, 5, kind, [seed, 5]) for seed, kind in
                 enumerate(("uniform-real", "convex-hull-sections", "sign-vectors"))]
-    print("dudley", digest(itertools.chain(
+    report("dudley", itertools.chain(
         (run_dudley_experiment(seed, samples=4000) for seed in range(8)),
         (gaussian_sup_mc(family, 4000, [seed, 6], kind) for seed, family in enumerate(families)
-         for kind in ("gaussian", "rademacher")))))
-
+         for kind in ("gaussian", "rademacher"))), dump)
 
 if __name__ == "__main__":
     main()

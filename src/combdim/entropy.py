@@ -42,20 +42,26 @@ def lp_distance(f, g, measure: ProbabilityMeasure, p: float = 2.0) -> float:
 
 def distances_from_gram(vals: np.ndarray, weights: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """L2(weights) distances between the rows of vals from their weighted
-    Gram matrix.  g_ii + g_jj - 2 g_ij is off by a few ulps of g_ii + g_jj,
-    so a value above 1e-4 of the largest g_ii + g_jj keeps about 11 digits;
-    smaller ones (cancellation range) are recomputed from differences.
-    The upper triangle is mirrored, so the matrix is exactly symmetric."""
-    norms = np.diag(gram)
-    sq = norms[:, None] + norms[None, :] - 2.0 * gram
+    Gram matrix, which is consumed: the distances are written over it.
+    g_ii + g_jj - 2 g_ij is off by a few ulps of g_ii + g_jj, so a value
+    above 1e-4 of the largest g_ii + g_jj keeps about 11 digits; smaller
+    ones (cancellation range) are recomputed from differences.  The upper
+    triangle is mirrored, so the matrix is exactly symmetric."""
+    norms = gram.diagonal().copy()
+    sq = np.add.outer(norms, norms)
+    gram *= 2.0
+    sq -= gram
     close = sq <= 2e-4 * norms.max()
     np.fill_diagonal(close, False)
     if close.any():
         i, j = np.nonzero(close)
         sq[i, j] = (vals[i] - vals[j]) ** 2 @ weights
     np.fill_diagonal(sq, 0.0)
-    sq = np.where(np.tri(len(sq), k=-1, dtype=bool), sq.T, sq)
-    return np.sqrt(np.maximum(sq, 0.0))
+    np.maximum(sq, 0.0, out=sq)
+    np.sqrt(sq, out=sq)
+    np.copyto(gram, sq)
+    np.copyto(gram, sq.T, where=np.tri(len(sq), k=-1, dtype=bool))
+    return gram
 
 
 def pairwise_distances(family: FunctionFamily, measure: ProbabilityMeasure, p: float = 2.0) -> np.ndarray:

@@ -7,7 +7,9 @@ of a convex combination, and the inscribed radius r of a symmetric body
 (the half-side of its largest centred cube) is one LP per sign orthant
 over weights on the vertices, |sigma| + 1 rows however many vertices.
 These LPs share their costs and right-hand sides, so the orthants of
-every point set in a call run as one stack through the simplex loop.  A
+the point sets in a call run as stacks through the simplex loop, each LP
+on a working set of its points that pricing with the LP's duals grows
+until no point of the set improves it (column generation).  A
 symmetric body holds a side-t cube iff r >= t/2 - HULL_TOL, and
 `radius_table` walks the coordinate lattice once for all scales of a
 question; `convex_vc` and the elton sweep read it.  A cube in any other
@@ -27,13 +29,15 @@ import numpy as np
 
 from .errors import BudgetError
 from .family import CoordinateSubset, decimal_rows, read_json, read_rows, read_size, write_json
-from .simplex import LPProblem, _solve_stack, lp_solve
+from .simplex import FEAS_TOL, LPProblem, lp_solve
+from .simplex import _append_columns, _duals, _ordered_dot, _phase2, _tableau
 
 HULL_TOL = 1e-9
 CUBE_DIM_BUDGET = 15
-# Tableau entries of one stacked orthant solve (8 bytes each): a memory bound.
-# The full support of rudelson_example(12, .) alone has 2,048 orthant LPs of
-# 13 x 4,263 entries, about 0.9 GB as one stack.
+# Entries of one stacked orthant solve (8 bytes each): its starting restricted
+# tableaux and its pricing products, one reduced cost per point and LP.  A
+# memory bound: the full support of rudelson_example(12, .) has 2,048 orthant
+# LPs over 4,248 points, 8.7 M reduced costs per pricing pass as one stack.
 STACK_ENTRY_LIMIT = 150_000
 # Tableau entries, rows x (variables + rows), of one translated cube LP.
 TRANSLATED_CUBE_LP_LIMIT = 20_000_000
@@ -60,7 +64,11 @@ class VPolytope:
             raise ValueError("vertices must have finite coordinates")
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
-        symmetric = all(np.abs(verts + v).max(axis=1).min() <= 1e-12 for v in verts)
+        # Match each -v exactly first (+ 0.0 turns -0.0 into 0.0), then
+        # search within 1e-12 only for the vertices left unmatched.
+        rows = {row.tobytes() for row in verts + 0.0}
+        symmetric = all(np.abs(verts + v).max(axis=1).min() <= 1e-12
+                        for v in verts if (0.0 - v).tobytes() not in rows)
         object.__setattr__(self, "symmetric", symmetric)
 
     def project(self, sigma: CoordinateSubset) -> np.ndarray:
@@ -261,9 +269,11 @@ def _orthant_optima(point_sets) -> tuple[np.ndarray, np.ndarray]:
     sign orthant theta (first sign +, since theta ~ -theta) the LP in
     weights y >= 0 on the points and mu maximizes mu subject to
     mu <= theta_i (points^T y)_i and sum(y) <= 1: k + 1 rows with
-    right-hand sides >= 0, so no phase 1 runs.  The (set, orthant) LPs run
-    in stacks of at most STACK_ENTRY_LIMIT tableau entries (one LP if it
-    alone is larger).
+    right-hand sides >= 0, so no phase 1 runs.  The LPs run by column
+    generation (`_generate_columns`) in stacks of whole point sets or of
+    a power-of-two share of one set's orthants, each stack within
+    STACK_ENTRY_LIMIT entries of starting tableaux and pricing products
+    (one LP if it alone is larger).
     """
     sets = np.asarray(point_sets, dtype=np.float64)
     n_sets, n_pts, k = sets.shape
@@ -275,23 +285,109 @@ def _orthant_optima(point_sets) -> tuple[np.ndarray, np.ndarray]:
     scales = np.array([2.0 ** round(math.log2(p)) if p > 0 else 1.0 for p in peaks])
     sets = sets / scales[:, None, None]
     theta = np.array([(1.0,) + signs for signs in itertools.product((-1.0, 1.0), repeat=k - 1)])
-    # Variables: y (n_pts) and mu, all >= 0; minimize -mu.
-    c = np.r_[np.zeros(n_pts), -1.0]
-    b_ub = np.r_[np.zeros(k), 1.0]
-    tableau_entries = (k + 1) * (n_pts + k + 3)  # y, mu, k + 1 slacks and the rhs
-    per_stack = max(1, STACK_ENTRY_LIMIT // tableau_entries)
-    optima = np.empty(n_sets * len(theta))
-    for start in range(0, optima.size, per_stack):
-        lps = np.arange(start, min(start + per_stack, optima.size))
-        a_ub = np.zeros((lps.size, k + 1, n_pts + 1))
-        at = (sets[lps // len(theta)] * theta[lps % len(theta), None, :]).transpose(0, 2, 1)
-        a_ub[:, :k, :n_pts] = -at
-        a_ub[:, :k, n_pts] = 1.0
-        a_ub[:, k, :n_pts] = 1.0
-        status, x = _solve_stack(c, a_ub, b_ub, np.zeros((lps.size, 0, n_pts + 1)), np.zeros(0))
+    width = min(n_pts, 2 * k)
+    # Per LP: mu, the working set, k + 1 slacks and the rhs on k + 1 rows,
+    # and one reduced cost per point (the score, then the pricing product).
+    per_stack = max(1, STACK_ENTRY_LIMIT // ((k + 1) * (width + k + 3) + n_pts))
+    part = min(len(theta), 1 << (per_stack.bit_length() - 1))
+    group = max(1, per_stack // len(theta))
+    optima = np.empty((n_sets, len(theta)))
+    for s in range(0, n_sets, group):
+        for o in range(0, len(theta), part):
+            optima[s : s + group, o : o + part] = _generate_columns(
+                sets[s : s + group], theta[o : o + part], width)
+    return optima, scales
+
+
+def _generate_columns(points: np.ndarray, theta: np.ndarray, width: int) -> np.ndarray:
+    """Optima (sets, orthants) of the orthant LPs of the point sets
+    (sets, n_pts, k) in the sign orthants theta (orthants, k), one stack.
+
+    Each LP starts on a working set of its `width` points of largest
+    theta-score sum_i theta_i p_i, best first and ties to the smaller
+    index, its columns after mu.  Once the restricted stack is optimal,
+    the duals c_B B^-1 read off the slack block price every point of each
+    LP's set; an LP appends its (at most k) points of least reduced cost
+    below -FEAS_TOL that are not yet in its working set, least first, as
+    columns B^-1 a, and pivots on from its basis.  An LP that appends
+    fewer points than another is padded with zero columns, which never
+    enter under Bland's rule.  It is done when no point prices below
+    -FEAS_TOL, so its last pricing pass certifies dual feasibility over
+    its whole set (the working set by the restricted optimum).  Every choice is made per LP, the scores, prices
+    and new columns are summed in a fixed order, and the pivot loop's
+    reduced costs and the duals are exact here (-1 on mu is the only
+    cost), so an LP gives the same float in any stack.
+    """
+    sets, n_pts, k = points.shape
+    lps = sets * len(theta)
+    pts = points[:, None]  # (sets, 1, n_pts, k): the orthants of a set share its points
+    every = np.arange(lps)
+    set_of = every // len(theta)
+    signs = theta[every % len(theta)]
+
+    def columns(live: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+        # the columns [-theta * p; 1] (live, k + 1, chosen) of the chosen
+        # points in the original rows; a zero column where chosen is n_pts
+        col = np.empty((live.size, k + 1, chosen.shape[1]))
+        col[:, :k] = points[set_of[live, None], np.minimum(chosen, n_pts - 1)].transpose(0, 2, 1)
+        col[:, :k] *= -signs[live, :, None]
+        col[:, k] = 1.0
+        return col * (chosen < n_pts)[:, None]
+
+    chosen = _least(-_ordered_dot(theta[None, :, None], pts).reshape(lps, n_pts), width)
+    # The working set of each LP, plus a last column that padding marks.
+    in_set = np.zeros((lps, n_pts + 1), dtype=bool)
+    in_set[every[:, None], chosen] = True
+    live = every
+    # Columns: mu, then the working set; minimize -mu.
+    a_ub = np.zeros((lps, k + 1, width + 1))
+    a_ub[:, :k, 0] = 1.0
+    a_ub[:, :, 1:] = columns(live, chosen)
+    b_ub = np.zeros(k + 1)
+    b_ub[k] = 1.0
+    tableau, basis, _ = _tableau(a_ub, b_ub, a_ub[:, :0], b_ub[:0])
+    optima = np.empty(lps)
+    duals = np.zeros((lps, k + 1))  # zero for a finished LP, which then prices nothing
+    while True:
+        c = np.zeros(a_ub.shape[2])
+        c[0] = -1.0
+        status, x = _phase2(c, tableau, basis, a_ub, b_ub, a_ub[:, :0], b_ub[:0])
         assert status == "optimal", "orthant LPs are always feasible and bounded"
-        optima[lps] = x[:, n_pts]
-    return optima.reshape(n_sets, len(theta)), scales
+        optima[live] = x[:, 0]
+        if width == n_pts:
+            break
+        # The reduced cost of point p is -duals . [-theta * p; 1].
+        duals[live] = _duals(c, tableau, basis)
+        weights = (duals[:, :k] * signs).reshape(sets, len(theta), 1, k)
+        reduced = _ordered_dot(weights, pts).reshape(lps, n_pts) - duals[:, k:]
+        duals[live] = 0.0
+        reduced[in_set[:, :n_pts]] = np.inf
+        best = _least(reduced, k, -FEAS_TOL)
+        if not best.size:
+            break
+        in_set[every[:, None], best] = True
+        keep = best[live, 0] < n_pts  # only a live LP prices a point below zero
+        live = live[keep]
+        added = columns(live, best[live])
+        tableau, basis = _append_columns(tableau[keep], basis[keep], a_ub.shape[2], added)
+        a_ub = np.concatenate([a_ub[keep], added], axis=2)
+    return optima.reshape(sets, len(theta))
+
+
+def _least(values: np.ndarray, count: int, below: float = np.inf) -> np.ndarray:
+    """Column indices (rows, up to count) of the least entries of each row
+    of values that lie below `below`, least first and ties to the smaller
+    index, padded with the row length; the picks are set to inf in values."""
+    rows = np.arange(values.shape[0])
+    picks = np.empty((values.shape[0], count), dtype=np.intp)
+    for j in range(count):
+        col = values.argmin(axis=1)
+        ok = values[rows, col] < below
+        if not ok.any():
+            return picks[:, :j]
+        picks[:, j] = np.where(ok, col, values.shape[1])
+        values[rows, col] = np.inf
+    return picks
 
 
 def _inscribed_radius(point_sets) -> list[float]:

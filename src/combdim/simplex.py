@@ -8,7 +8,11 @@ pivots each with one batched rank-1 update, so Python iterates once per
 pivot of the slowest LP, not once per pivot of every LP.  An LP leaves
 the stack once it is optimal, an unbounded one ends the run, and the cap
 counts pivots per LP.  `lp_solve` is a stack of one; the l1-constant orthant LPs, which
-share their costs and right-hand sides, run as stacks of many.
+share their costs and right-hand sides, run as stacks of many, by column
+generation: a stack of restricted LPs is solved, `_duals` reads c_B B^-1
+off the slack block of the final tableaux (rows that start on their
+slacks carry B^-1 there), `_append_columns` adds new columns as B^-1 a,
+and `_phase2` resumes from the same basis.
 
 Bland's anti-cycling rule makes the solver deterministic and finite: the
 entering column is the smallest index with a negative reduced cost, and
@@ -134,41 +138,98 @@ def _run_simplex(
     )
 
 
-def _solve_stack(c, a_ub, b_ub, a_eq, b_eq) -> tuple[str, np.ndarray | None]:
-    """Solve a stack of LPs that share c and the right-hand sides: minimize
-    c @ x subject to a_ub[l] @ x <= b_ub, a_eq[l] @ x = b_eq, x >= 0.
-    Returns "optimal" and the points (lps, n), or "infeasible" or
-    "unbounded" if some LP is.  Only a stack of one may need phase 1.
-    """
+def _tableau(a_ub, b_ub, a_eq, b_eq) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Starting tableaux (lps, rows, cols + 1) of a stack of LPs that share
+    the right-hand sides, their basis and their artificial rows.  Columns:
+    [x (n) | slacks (m_ub) | artificials (one per row that lacks a +1 slack:
+    equality rows and rows negated for a negative rhs)]."""
     lps, m_ub, n = a_ub.shape
     m = m_ub + a_eq.shape[1]
-    # Columns: [x (n) | slacks (m_ub) | artificials (one per row that lacks
-    # a +1 slack: equality rows and rows negated for a negative rhs)].
     art_start = n + m_ub
     flipped = np.concatenate([b_ub, b_eq]) < 0
     art_rows = np.flatnonzero(flipped | (np.arange(m) >= m_ub))
-    ncols = art_start + art_rows.size
-    tableau = np.zeros((lps, m, ncols + 1))
+    tableau = np.zeros((lps, m, art_start + art_rows.size + 1))
     tableau[:, :m_ub, :n] = a_ub
     tableau[:, :m_ub, n:art_start] = np.eye(m_ub)
     tableau[:, :m_ub, -1] = b_ub
     tableau[:, m_ub:, :n] = a_eq
     tableau[:, m_ub:, -1] = b_eq
-    tableau[:, flipped] *= -1.0
-    tableau[:, art_rows, art_start + np.arange(art_rows.size)] = 1.0
-    basis = np.tile(n + np.arange(m), (lps, 1))
-    basis[:, art_rows] = art_start + np.arange(art_rows.size)
-
-    max_iter = ITER_FACTOR * (2 * m + art_start + 10)
-
+    basis = np.repeat(n + np.arange(m)[None], lps, axis=0)
     if art_rows.size:
-        assert lps == 1, "only a stack of one may need phase 1"
-        cost1 = np.zeros(ncols)
+        tableau[:, flipped] *= -1.0
+        tableau[:, art_rows, art_start + np.arange(art_rows.size)] = 1.0
+        basis[:, art_rows] = art_start + np.arange(art_rows.size)
+    return tableau, basis, art_rows
+
+
+def _max_iter(a_ub, a_eq) -> int:
+    """The pivot cap of one phase: ITER_FACTOR * (2 rows + x and slack columns + 10)."""
+    rows, columns = a_ub.shape[1] + a_eq.shape[1], a_ub.shape[2] + a_ub.shape[1]
+    return ITER_FACTOR * (2 * rows + columns + 10)
+
+
+def _phase2(c, tableau, basis, a_ub, b_ub, a_eq, b_eq) -> tuple[str, np.ndarray | None]:
+    """Minimize c over a stack of feasible tableaux from their current basis,
+    in place, then read the optimal points and check them against the rows;
+    a stack may resume here after `_append_columns`."""
+    n = c.size
+    cost = np.zeros(n + a_ub.shape[1])
+    cost[:n] = c
+    if _run_simplex(tableau, basis, cost, _max_iter(a_ub, a_eq), phase=2):
+        return "unbounded", None
+    x = np.zeros((tableau.shape[0], n))
+    stack, rows = np.nonzero(basis < n)
+    x[stack, basis[stack, rows]] = tableau[stack, rows, -1]
+    _verify(a_ub, b_ub, a_eq, b_eq, x)
+    return "optimal", x
+
+
+def _ordered_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a[..., j] * b[..., j], broadcast, one rounding per product and
+    per sum in index order.  Every entry is then the same float however
+    many LPs share the stack and however wide their tableaux are, which a
+    BLAS product, whose summation order follows the operand shapes, does
+    not promise."""
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j] * b[..., j]
+    return out
+
+
+def _duals(c, tableau, basis) -> np.ndarray:
+    """Duals c_B B^-1 (lps, rows) of a stack of final tableaux without
+    artificials whose rows all started on their slacks: B^-1 is then the
+    slack block, read off without a second solve."""
+    n, m = c.size, tableau.shape[1]
+    cost_basic = np.concatenate([c, np.zeros(m)])[basis]
+    return (cost_basic[:, :, None] * tableau[:, :, n : n + m]).sum(axis=1)
+
+
+def _append_columns(tableau, basis, n: int, columns) -> tuple[np.ndarray, np.ndarray]:
+    """The stack with new x columns a (lps, rows, new), stated in the
+    original rows, inserted as B^-1 a after its n x columns, B^-1 read off
+    the slack block as in `_duals`; the basis stays and `_phase2` resumes
+    from it."""
+    m = tableau.shape[1]
+    added = _ordered_dot(tableau[:, :, None, n : n + m], columns.transpose(0, 2, 1)[:, None])
+    basis = np.where(basis >= n, basis + columns.shape[2], basis)
+    return np.concatenate([tableau[:, :, :n], added, tableau[:, :, n:]], axis=2), basis
+
+
+def lp_solve(problem: LPProblem) -> LPResult:
+    """Solve the LP as a stack of one: phase 1 if some row starts on an
+    artificial, then `_phase2`; optimal points satisfy all constraints
+    within 1e-9."""
+    rows = (problem.a_ub[None], problem.b_ub, problem.a_eq[None], problem.b_eq)
+    tableau, basis, art_rows = _tableau(*rows)
+    if art_rows.size:
+        art_start = problem.c.size + problem.b_ub.size
+        cost1 = np.zeros(art_start + art_rows.size)
         cost1[art_start:] = 1.0
-        unbounded = _run_simplex(tableau, basis, cost1, max_iter, phase=1)
+        unbounded = _run_simplex(tableau, basis, cost1, _max_iter(rows[0], rows[2]), phase=1)
         assert not unbounded, "phase-1 objective is bounded below by 0"
         if tableau[0, basis[0] >= art_start, -1].sum() > FEAS_TOL:
-            return "infeasible", None
+            return LPResult("infeasible", None, None)
         # Pivot remaining zero-level artificials out, dropping redundant rows.
         keep = basis[0] < art_start
         for r in np.flatnonzero(~keep):
@@ -180,24 +241,7 @@ def _solve_stack(c, a_ub, b_ub, a_eq, b_eq) -> tuple[str, np.ndarray | None]:
                 keep[r] = True
         if not keep.all():
             tableau, basis = tableau[:, keep], basis[:, keep]
-
-    cost2 = np.zeros(art_start)
-    cost2[:n] = c
-    if _run_simplex(tableau, basis, cost2, max_iter, phase=2):
-        return "unbounded", None
-
-    x = np.zeros((lps, n))
-    stack, rows = np.nonzero(basis < n)
-    x[stack, basis[stack, rows]] = tableau[stack, rows, -1]
-    _verify(a_ub, b_ub, a_eq, b_eq, x)
-    return "optimal", x
-
-
-def lp_solve(problem: LPProblem) -> LPResult:
-    """Solve the LP, as a stack of one; optimal points satisfy all
-    constraints within 1e-9."""
-    status, x = _solve_stack(
-        problem.c, problem.a_ub[None], problem.b_ub, problem.a_eq[None], problem.b_eq)
+    status, x = _phase2(problem.c, tableau, basis, *rows)
     if x is None:
         return LPResult(status, None, None)
     return LPResult(status, x[0], float(problem.c @ x[0]))
@@ -210,6 +254,8 @@ def _verify(a_ub, b_ub, a_eq, b_eq, x: np.ndarray) -> None:
     slack = (a_ub @ x[:, :, None])[:, :, 0] - b_ub
     if np.any(slack > FEAS_TOL * (1.0 + np.abs(b_ub))):
         raise SolverError("simplex returned an infeasible point (ub)")
+    if not b_eq.size:
+        return
     gap = np.abs((a_eq @ x[:, :, None])[:, :, 0] - b_eq)
     if np.any(gap > FEAS_TOL * (1.0 + np.abs(b_eq))):
         raise SolverError("simplex returned an infeasible point (eq)")

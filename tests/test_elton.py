@@ -309,8 +309,9 @@ def test_dual_orthant_lps_match_the_primal_on_every_visited_support(monkeypatch)
             assert mine == pytest.approx(_highs_orthant_minimum(points), abs=1e-9)
 
 
-def _orthant_optima_alone(points):
-    # each orthant LP of one point set as its own LPProblem, solved by lp_solve
+def _orthant_optima_full_width(points):
+    # each orthant LP of one point set over all its points as its own
+    # LPProblem, solved by lp_solve
     peak = float(np.abs(points).max())
     scale = 2.0 ** round(math.log2(peak)) if peak > 0 else 1.0
     n_pts, k = points.shape
@@ -325,13 +326,18 @@ def _orthant_optima_alone(points):
 
 
 def test_stacked_orthant_optima_equal_each_lp_solved_alone(monkeypatch):
-    # a stack pivots each LP exactly as lp_solve does alone, so every
-    # optimum is the same float
+    # every choice of the column-generation loop is made per LP, so an LP
+    # in a stack gives the same float as a stack of one; both stay within
+    # 1e-11 relative of the full-width solve
     calls, _ = _walk_radius_calls(monkeypatch, ((5, 0.6), (7, 0.8)))
     for point_sets, _ in calls:
-        optima, _ = geometry._orthant_optima(point_sets)
-        for points, stacked in zip(point_sets, optima):
-            assert stacked.tolist() == _orthant_optima_alone(points)
+        stacked, _ = geometry._orthant_optima(point_sets)
+        with monkeypatch.context() as alone:
+            alone.setattr(geometry, "STACK_ENTRY_LIMIT", 1)
+            for points, optima in zip(point_sets, stacked):
+                assert optima.tolist() == geometry._orthant_optima([points])[0][0].tolist()
+                assert optima.tolist() == pytest.approx(_orthant_optima_full_width(points),
+                                                        rel=1e-11, abs=0.0)
 
 
 def test_stack_entry_cap_does_not_change_the_radii(monkeypatch):
@@ -346,6 +352,14 @@ def test_elton_on_rudelson_nine():
     inst = rudelson_example(9, 0.5)
     res = elton_subset(inst.norm, inst.vectors, samples=200, seed=0)
     assert tuple(res.sigma) == tuple(range(9))
+    assert res.t == pytest.approx(0.5, abs=1e-9)
+
+
+def test_elton_on_rudelson_ten():
+    # 1,172 points on the full support: each orthant LP prices all of them
+    inst = rudelson_example(10, 0.5)
+    res = elton_subset(inst.norm, inst.vectors, samples=200, seed=0)
+    assert tuple(res.sigma) == tuple(range(10))
     assert res.t == pytest.approx(0.5, abs=1e-9)
 
 

@@ -33,6 +33,7 @@ def test_symmetry_is_read_from_the_vertices():
     pts = np.array([[1.0, 0.2], [0.3, -1.0], [-0.5, 0.5]])
     assert VPolytope(2, np.vstack([pts, -pts])).symmetric
     assert VPolytope(2, np.vstack([pts, -pts + 1e-13])).symmetric
+    assert VPolytope(2, [[0.0, 1.0], [-0.0, -1.0], [1.0, -0.0], [-1.0, 0.0]]).symmetric
     assert not VPolytope(2, [[0, 0], [1, 0], [0, 1]]).symmetric
     assert not VPolytope(2, np.vstack([pts, -pts + 1e-11])).symmetric
 

@@ -253,7 +253,8 @@ def test_iteration_cap_message_names_phase_count_and_shape(monkeypatch):
 
 def test_iteration_cap_on_a_stack_names_the_lps_still_running(monkeypatch):
     # two point sets of 12 points in 3 coordinates: 2 x 4 orthant LPs of
-    # 4 rows over 12 weights, mu, 4 slacks and the rhs, stacked in one run
+    # 4 rows over mu, a working set of 6 weights, 4 slacks and the rhs,
+    # stacked in one run
     from combdim import geometry, simplex
 
     w = np.random.default_rng(0).uniform(-1.0, 1.0, (6, 3))
@@ -265,5 +266,5 @@ def test_iteration_cap_on_a_stack_names_the_lps_still_running(monkeypatch):
     message = str(info.value)
     assert "phase 2" in message
     assert "ran 0 iterations" in message
-    assert "4x18 tableau" in message
+    assert "4x12 tableau" in message
     assert "8 of 8 LPs" in message
