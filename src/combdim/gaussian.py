@@ -2,9 +2,16 @@
 sets, entropy-integral evaluators, and the Sudakov-ratio diagnostic.
 
 The process indexed by a point set A in R^n is X_a = sum_i g_i a(i); the
-supremum over a finite A is an exact maximum per sample.  All logarithms
-are natural.  scipy.special is imported only where it runs (Gaussian
-variates and `vc_integral`), so `import combdim` loads numpy alone.
+supremum over a finite A is an exact maximum per sample.  A block of
+Rademacher draws repeats sign vectors once it holds more than 2^n of
+them, so each distinct sign vector's supremum is computed once, by the
+same BLAS product over fewer rows, and copied to every draw that shares
+it.  The values are those of one product row per draw wherever BLAS
+rounds a row alike in calls of either shape, as on every workload and
+digest instance (CHANGES.md lists the shapes where it does not).  All
+logarithms are natural.  scipy.special is imported only where it runs
+(Gaussian variates and `vc_integral`), so `import combdim` loads numpy
+alone.
 """
 
 from __future__ import annotations
@@ -40,12 +47,30 @@ def _as_points(family_or_points) -> np.ndarray:
     return pts
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, label) for a boolean matrix: the index of the first of each
+    group of equal rows, and each row's group as a position in `first`.
+
+    Rows are packed into bytes and sorted on them, so any row width works.
+    """
+    packed = np.packbits(rows, axis=1)
+    order = np.lexsort(packed.T)
+    ranked = packed[order]
+    starts = np.ones(len(order), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    label = np.empty(len(order), dtype=np.intp)
+    label[order] = np.cumsum(starts) - 1
+    return order[starts], label
+
+
 def gaussian_sup_mc(family_or_points, samples: int, seed, kind: str = "gaussian") -> SupEstimate:
     """Monte-Carlo estimate of E sup_a sum_i g_i a(i).
 
     Gaussian variates come from the inverse normal CDF applied to the
     seeded uniform stream, which pins the exact variates to the seed;
-    "rademacher" uses signs of the same stream.
+    "rademacher" uses signs of the same stream and takes the supremum
+    once per distinct sign vector of each block.  A point set with no
+    coordinates has supremum 0 on every draw.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
@@ -53,19 +78,25 @@ def gaussian_sup_mc(family_or_points, samples: int, seed, kind: str = "gaussian"
         raise ValueError(f"unknown process kind {kind!r}")
     pts = _as_points(family_or_points)
     m, n = pts.shape
+    if m == 0:
+        raise ValueError("need at least one point")
+    if n == 0:  # lexsort needs a key: every draw's sum over no coordinates is 0
+        return SupEstimate(0.0, 0.0, samples, kind)
     rng = np.random.default_rng(seed)
     sups = np.empty(samples)
-    block = max(1, min(samples, (1 << 22) // max(n + m, 1)))
+    block = max(1, min(samples, (1 << 22) // (n + m)))
     done = 0
     while done < samples:
         b = min(block, samples - done)
         u = rng.random((b, n))
         if kind == "gaussian":
             from scipy.special import ndtri  # deferred: scipy adds 0.2 s to every command
-            g = ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
+            g, label = ndtri(np.clip(u, 1e-16, 1.0 - 1e-16)), slice(None)
         else:
-            g = np.where(u < 0.5, -1.0, 1.0)
-        sups[done : done + b] = (g @ pts.T).max(axis=1)
+            neg = u < 0.5
+            first, label = _distinct_rows(neg)
+            g = np.where(neg[first], -1.0, 1.0)
+        sups[done : done + b] = (g @ pts.T).max(axis=1)[label]
         done += b
     mean = float(sups.mean())
     stderr = float(sups.std(ddof=1) / math.sqrt(samples))

@@ -15,6 +15,7 @@ with scale and gap, as a tree file.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -126,7 +127,9 @@ def small_dev_split(dist: Distribution) -> SplitCertificate:
     one maximizing min(p_heavy - (1 - beta), p_light - beta/2) wins, ties
     broken toward larger beta, then toward the upper-heavy side, then
     toward the smaller threshold.  Scores are compared exactly, as
-    integers 4 * total times that minimum.
+    integers 4 * total times that minimum.  Tails are counted by
+    bisection over prefix row counts, and each (threshold, side) scores
+    only the two shares around its best one.
     """
     var = _moment_variance(dist)
     if not var > 0.0:
@@ -141,15 +144,19 @@ def small_dev_split(dist: Distribution) -> SplitCertificate:
 
     # shares 2 * total * beta: doubled partial counts and their complements, clipped at beta = 1/2
     total = dist.total
-    shares = {total} | {min(2 * c, total) for acc in itertools.accumulate(w for _, w in dist.atoms)
-                        for c in (acc, total - acc) if c > 0}
+    below = [0, *itertools.accumulate(w for _, w in dist.atoms)]  # rows in the first k atoms
+    shares = sorted({total} | {min(2 * c, total) for acc in below[1:]
+                               for c in (acc, total - acc) if c > 0})
     best = None
     best_key = None
     for a in sorted(candidates):  # ascending, and ties keep the first: the smaller threshold
-        up = dist.tail_above(a + gap)
-        lo = dist.tail_below(a - gap)
+        up = total - below[bisect.bisect_right(values, a + gap)]
+        lo = below[bisect.bisect_left(values, a - gap)]
         for side, heavy, light in (("upper-heavy", up, lo), ("lower-heavy", lo, up)):
-            for share in shares:
+            # the score rises strictly in the share below s* = 4 (light - heavy + total) / 3
+            # and falls strictly above it, so the best share is one of the two around s*
+            cut = bisect.bisect_right(shares, 4 * (light - heavy + total) // 3)
+            for share in shares[max(cut - 1, 0) : cut + 1]:
                 score = min(4 * heavy - 4 * total + 2 * share, 4 * light - share)
                 if score < 0:
                     continue

@@ -277,6 +277,12 @@ def test_gsup_command(tmp_path, capsys):
     assert main(["gsup", "--family", str(fam), "--samples", "20000", "--seed", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert abs(doc["mean"] - math.sqrt(2 / math.pi)) <= 4 * doc["stderr"]
+    # on {+-e1, +-e2} every Rademacher draw's supremum is exactly 1
+    save_family(fam, FunctionFamily([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
+    assert main(["gsup", "--family", str(fam), "--samples", "500", "--seed", "2",
+                 "--kind", "rademacher"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["mean"], doc["stderr"], doc["samples"], doc["kind"]) == (1.0, 0.0, 500, "rademacher")
 
 
 def test_dudley_command(tmp_path, capsys):

@@ -44,6 +44,38 @@ def test_sup_rademacher_cube_exact():
     assert est.mean == 4.0 and est.stderr == 0.0
 
 
+def _rademacher_per_draw(pts, samples, seed):
+    """The Rademacher estimate with one product row per draw: the seeded
+    uniforms in blocks of (1 << 22) // (n + m) draws, the sign -1 below 1/2,
+    then every draw's supremum over the points."""
+    m, n = pts.shape
+    u = np.random.default_rng(seed).random((samples, n))
+    block = max(1, min(samples, (1 << 22) // (n + m)))
+    sups = np.concatenate([
+        (np.where(u[i : i + block] < 0.5, -1.0, 1.0) @ pts.T).max(axis=1)
+        for i in range(0, samples, block)])
+    return sups.mean(), sups.std(ddof=1) / math.sqrt(samples)
+
+
+@pytest.mark.parametrize("n", [1, 5, 12, 64, 65, 200])
+def test_rademacher_sups_per_sign_vector_equal_the_per_draw_product(n):
+    rng = np.random.default_rng([n, 11])
+    for m, samples in ((3, 4000), (40, 4000), (2500, 3000)):  # 2500 points: two blocks
+        pts = rng.uniform(-1.0, 1.0, (m, n)) + rng.uniform(0.0, 1.0, n)  # not symmetric
+        pts = np.vstack([pts, pts[: min(m, 2)]])  # repeated points
+        est = gaussian_sup_mc(pts, samples, seed=[n, m], kind="rademacher")
+        assert (est.mean, est.stderr) == _rademacher_per_draw(pts, samples, [n, m]), (n, m)
+
+
+def test_sup_of_empty_and_coordinate_free_point_sets():
+    for kind in ("gaussian", "rademacher"):
+        with pytest.raises(ValueError, match="need at least one point"):
+            gaussian_sup_mc(np.zeros((0, 3)), 100, seed=1, kind=kind)
+        for pts in ([], np.zeros((3, 0))):
+            est = gaussian_sup_mc(pts, 100, seed=1, kind=kind)
+            assert (est.mean, est.stderr) == (0.0, 0.0)
+
+
 def test_sup_single_point_centered():
     a = np.array([[0.6, -0.8]])
     est = gaussian_sup_mc(a, 40000, seed=4)

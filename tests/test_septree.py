@@ -233,6 +233,22 @@ def test_small_dev_split_follows_its_tie_order_exactly():
     assert not mismatches, mismatches[:3]
 
 
+def test_small_dev_split_is_the_exact_best_split_at_large_row_counts():
+    # counts up to 10^6 space the shares far apart, so the crossing of the two
+    # score terms falls strictly between shares and only its two neighbours are scored
+    rng = np.random.default_rng(31)
+    for trial in range(200):
+        k = int(rng.integers(2, 9))
+        draw = rng.integers(0, 12, k) / 12.0 if trial % 2 else rng.uniform(-1, 1, k)
+        values = sorted(set(draw.tolist()))
+        weights = rng.integers(0, [1, 10, 1000, 10**6][trial % 4] + 1, len(values)).tolist()
+        if len(values) < 2 or sum(w > 0 for w in weights) < 2:
+            continue
+        cert = small_dev_split(Distribution(tuple(zip(values, weights))))
+        threshold, side, beta = _exact_best_split(values, weights)
+        assert (cert.threshold, cert.side, cert.beta) == (threshold, side, float(beta)), trial
+
+
 def test_find_separating_coordinate_examples():
     fam = FunctionFamily([[1, 0], [-1, 0]])
     i, cert = find_separating_coordinate(fam, UNIFORM2, 1.4)
