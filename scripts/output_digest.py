@@ -5,7 +5,7 @@ Run from the repository root:
 
     PYTHONPATH=src python3 scripts/output_digest.py [--dump DIR]
 
-A change that must keep outputs identical leaves all twelve lines as
+A change that must keep outputs identical leaves all thirteen lines as
 they were.  With `--dump DIR` the script also writes each suite's reprs,
 one output per line, to DIR/<suite>.txt, so that diffing the dumps of two
 runs locates and sizes every value that moved.  The suites:
@@ -41,6 +41,8 @@ runs locates and sizes every value that moved.  The suites:
   every scale of `mid_gap_scales(family, measure, 12)` on the families
   the main-theorem experiment draws for seed 2026, instances 0-59, at
   caps 23/7 (all three generator kinds, m <= 23);
+- shatter: `vc_real_witness` (dimension, support, levels) at t/7 for every
+  scale t of the entropy line, on the same families;
 - dudley: `run_dudley_experiment(seed, samples=4000)` for seeds 0-7,
   then `gaussian_sup_mc` of kind "gaussian" and "rademacher" on three
   seeded `gen_random_family` families: the paths that call scipy.
@@ -73,6 +75,7 @@ from combdim.family import CoordinateSubset, ProbabilityMeasure, discretize, gen
 from combdim.gaussian import gaussian_sup_mc
 from combdim.geometry import PolyhedralNorm, convex_vc, ell1_lower_constant
 from combdim.septree import build_separating_tree
+from combdim.shattering import vc_real_witness
 
 RUDELSON_BODIES = ((5, 1.0), (5, 0.9), (5, 0.6), (6, 1.0), (6, 0.6), (7, 1.0), (7, 0.8), (7, 0.6))
 ORDER_BODIES = ((6, 1.0), (6, 0.8), (6, 0.6), (6, 0.5), (7, 1.0), (7, 0.8), (7, 0.6), (7, 0.5),
@@ -155,16 +158,25 @@ def row_orders(n: int, delta: float):
             for f in orders]
 
 
-def entropy_counts(index: int):
+def entropy_family(index: int):
     # the family run_main_theorem_experiment draws for seed 2026, caps 23/7
     rng = np.random.default_rng([2026, index])
     m = int(rng.integers(4, 24))
     n = int(rng.integers(2, 8))
     kind = ("uniform-real", "convex-hull-sections", "sign-vectors")[index % 3]
-    family = gen_random_family(m, n, kind, [2026, index, 1])
-    measure = ProbabilityMeasure.uniform(n)
+    return gen_random_family(m, n, kind, [2026, index, 1]), ProbabilityMeasure.uniform(n)
+
+
+def entropy_counts(index: int):
+    family, measure = entropy_family(index)
     return [(t, packing_number(family, measure, t), covering_number(family, measure, t))
             for t in mid_gap_scales(family, measure, 12)]
+
+
+def shatter_witnesses(index: int):
+    family, measure = entropy_family(index)
+    return [(dim, tuple(support), levels) for dim, support, levels in
+            (vc_real_witness(family, t / 7.0) for t in mid_gap_scales(family, measure, 12))]
 
 
 def main() -> None:
@@ -195,6 +207,7 @@ def main() -> None:
         (rudelson_example(n, delta, net_size=64, seed=0) for n, delta in RUDELSON_BODIES)), dump)
     report("orders", (row_orders(n, delta) for n, delta in ORDER_BODIES), dump)
     report("entropy", (entropy_counts(index) for index in range(60)), dump)
+    report("shatter", (shatter_witnesses(index) for index in range(60)), dump)
     families = [gen_random_family(9, 5, kind, [seed, 5]) for seed, kind in
                 enumerate(("uniform-real", "convex-hull-sections", "sign-vectors"))]
     report("dudley", itertools.chain(

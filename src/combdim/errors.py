@@ -23,7 +23,13 @@ class NotSeparatedError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """An exact enumeration exceeded its configured budget."""
+    """An exact enumeration exceeded its configured budget.  A shattering
+    walk gives the support it was extending (None when only counting) and
+    its dimension."""
+
+    def __init__(self, message, support=None, dimension=None):
+        super().__init__(message)
+        self.support, self.dimension = support, dimension
 
 
 class ExtractionError(RuntimeError):

@@ -84,16 +84,17 @@ def mid_gap_scales(family: FunctionFamily, measure: ProbabilityMeasure, count: i
     """Scales placed at midpoints between distinct pairwise distances, so
     exact packing/covering never sees a tie at the scale itself."""
     dist = entropy.pairwise_distances(family, measure)
-    vals = np.unique(dist[np.triu_indices(dist.shape[0], 1)]).tolist()
-    vals = [v for v in vals if v > 1e-12]
-    gaps = [0.5 * (a + b) for a, b in zip(vals, vals[1:]) if b - a > 1e-9]
-    inner = [0.5 * vals[0]] + gaps if vals else []
-    if not inner:
+    rows = np.arange(dist.shape[0])
+    vals = np.unique(dist[rows[:, None] < rows])  # the distances above the diagonal
+    vals = vals[vals > 1e-12]
+    if not vals.size:
         return []
+    gaps = (0.5 * (vals[:-1] + vals[1:]))[np.diff(vals) > 1e-9]
+    inner = [0.5 * float(vals[0])] + gaps.tolist()
     if len(inner) <= count:
         return inner
     idx = np.linspace(0, len(inner) - 1, count).round().astype(int)
-    return [inner[i] for i in sorted(set(int(i) for i in idx))]
+    return [inner[i] for i in np.unique(idx).tolist()]
 
 
 # ---------------------------------------------------------------------------

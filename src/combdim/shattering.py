@@ -8,7 +8,7 @@ of a shattered center is vc_integer.  For real families, vc_real(A, t) is
 the largest support admitting a level function h such that every pattern
 is realized with f <= h below and f >= h + t above (non-strict).  The two
 notions are implemented exactly as defined and never mixed; they differ
-only in the mask predicates of the level table.
+only in where the level table cuts each sorted column.
 
 One walker serves both.  It extends a shattered center one coordinate at
 a time; restrictions of shattered centers are shattered, so every one is
@@ -19,7 +19,8 @@ that extend a center form one run, found by two bisections; the budget
 charges one check per table entry scanned.  Count mode counts centers per
 dimension and walks runs of consecutive levels with equal masks, one entry
 each: a level of a run extends a center exactly when all of them do.  Max
-mode seeks the largest dimension only and prunes what cannot raise it.
+mode seeks the largest dimension only and prunes what cannot raise it; it
+tests a child's pattern masks before entering it.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, groupby
+from operator import or_
 
 import numpy as np
 
 from .errors import BudgetError, FamilyError
-from .family import CoordinateSubset, FunctionFamily, row_masks
+from .family import CoordinateSubset, FunctionFamily
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -111,39 +113,50 @@ def shatters(family: FunctionFamily, center: Center) -> ShatterWitness | None:
     vals = _check_integer(family)
     center.support.validate_against(family.domain_size)
     cols = vals[:, list(center.support.indices)]
-    table = _level_table(cols, [[h] for h in center.levels], np.less, np.greater)
+    table = _level_table(cols, levels=[[h] for h in center.levels])
     record: list[tuple] = []
     _walk(table, family.size, center.dimension, False, record)
     full = [lanes for support, _, lanes in record if len(support) == center.dimension]
     return _witness(center, full[0], family.size) if full else None
 
 
-def _level_table(vals: np.ndarray, levels: list[list], below, above) -> list[list[tuple]]:
+def _level_table(vals: np.ndarray, t: float | None = None, levels=None) -> list[list[tuple]]:
     """For each coordinate, one (level, below_mask, above_mask) entry per
-    candidate level.  below(column, level) and above(column, level) are the
-    mask predicates, applied to a whole column against a column of levels."""
-    grids = [np.array(cands, dtype=vals.dtype)[:, None] for cands in levels]
-    return [list(zip(cands, row_masks(below(col, grid)), row_masks(above(col, grid))))
-            for cands, col, grid in zip(levels, vals.T, grids)]
+    candidate level, from one stable sort of its column: a below mask is a
+    prefix of the sorted rows and an above mask a suffix, cut from one
+    running OR of their bits where searchsorted places the level.
+
+    With t None the masks are strict, f < h and f > h; the levels are the
+    given ones (a list per coordinate), by default the integers strictly
+    between the column min and max (no other level can be shattered).
+    With t the masks are f <= h and f >= h + t, and the levels are the
+    attained values v with v + t <= max: a feasible level function can be
+    lowered coordinatewise to attained values, and no row can sit t above
+    a larger one."""
+    order = np.argsort(vals, axis=0, kind="stable")
+    table = []
+    for j, (col, rows) in enumerate(zip(np.take_along_axis(vals, order, axis=0).T, order.T)):
+        if t is None:
+            cands = levels[j] if levels is not None else list(range(int(col[0]) + 1, int(col[-1])))
+            ends, starts = col.searchsorted(cands, "left"), col.searchsorted(cands, "right")
+        else:
+            first = np.ones(len(col), dtype=bool)
+            first[1:] = col[1:] != col[:-1]
+            h = col[first & (col[-1] >= col + t)]
+            cands = h.tolist()
+            ends, starts = col.searchsorted(h, "right"), col.searchsorted(h + t, "left")
+        prefix = list(accumulate((1 << r for r in rows.tolist()), or_, initial=0))
+        table.append(list(zip(cands, [prefix[e] for e in ends.tolist()],
+                              [prefix[-1] ^ prefix[s] for s in starts.tolist()])))
+    return table
 
 
 def _integer_table(family: FunctionFamily) -> list[list[tuple]]:
-    """Strict predicates; levels are the integers strictly between the
-    attained column min and max (no other level can be shattered)."""
-    vals = _check_integer(family)
-    levels = [list(range(int(col.min()) + 1, int(col.max()))) for col in vals.T]
-    return _level_table(vals, levels, np.less, np.greater)
+    return _level_table(_check_integer(family))
 
 
 def _real_table(family: FunctionFamily, t: float) -> list[list[tuple]]:
-    """Predicates f <= h and f >= h + t.  Levels are attained values only:
-    any feasible level function can be lowered coordinatewise to the
-    largest attained value not above it, so searching attained values is
-    complete.  Values v with max(column) < v + t are dropped (no row can
-    sit t above them)."""
-    vals = family.values
-    levels = [[float(v) for v in u[u[-1] >= u + t]] for u in map(np.unique, vals.T)]
-    return _level_table(vals, levels, np.less_equal, lambda col, h: col >= h + t)
+    return _level_table(family.values, t)
 
 
 def _undominated(table: list[list[tuple]]) -> list[list[tuple]]:
@@ -194,7 +207,8 @@ def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
     pass a level there and never read it).  Max mode
     (best_only) returns (dimension, support, levels) of the first largest
     center it meets and skips branches whose deepest completion cannot
-    beat the best.
+    beat the best; it enters a child only if the child's own first test
+    would pass, so skipping changes no scan and no charge.
     """
     if max_dim < 0:
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
@@ -202,6 +216,7 @@ def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
     depth = min(max_dim, m.bit_length() - 1)
     width, full = m + 1, (1 << m) - 1
     reps = [sum(1 << (p * width) for p in range(1 << k)) for k in range(depth)]
+    ones_at, guards_at = [full * r for r in reps], [(full + 1) * r for r in reps]
     tables = [[[(v, b * r, a * r) for v, b, a in entries] for entries in table] for r in reps]
     counts = [1] + [0] * depth
     best = (0, (), ())
@@ -212,9 +227,18 @@ def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
     if not named:  # levels of the entries before each one, for counting the deepest dimension
         prefix = [list(accumulate((e[0] for e in entries), initial=0)) for entries in table]
 
+    def can_beat(masks: int, k: int) -> bool:
+        """Whether a center of dimension k passes the cap test extend()
+        makes first: every lane holds 2^(best + 1 - k) rows (the coordinate
+        and depth parts of that test hold wherever a child is made).  Clears
+        each lane's lowest bit that many times less one (emptied lanes stay 0)."""
+        for _ in range((1 << max(best[0] + 1 - k, 0)) - 1):
+            masks &= masks - reps[k]
+        return (masks + ones_at[k]) & guards_at[k] == guards_at[k]
+
     def extend(start: int, k: int, support: tuple, levels: tuple, masks: int, weight: int):
         nonlocal best, checks
-        lanes, ones, guards, shift = tables[k], full * reps[k], (full + 1) * reps[k], width << k
+        lanes, ones, guards, shift = tables[k], ones_at[k], guards_at[k], width << k
         leaves = k + 1 == depth and not named
         cap = depth
         if best_only:  # reaching dimension d splits every lane into 2^(d - k) nonempty ones
@@ -229,7 +253,9 @@ def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
             if checks > budget:
                 got = (f"best dimension found: {best[0]}" if best_only
                        else f"centers counted: {sum(counts)}")
-                raise BudgetError(f"shattering walk exceeded budget {budget} level checks ({got})")
+                stuck = support if named else None  # counting keeps no supports
+                raise BudgetError(f"shattering walk exceeded budget {budget} level checks ({got}); "
+                                  f"stopped extending support {stuck} of dimension {k}", stuck, k)
             a = bisect_left(entries, True, key=lambda e: ((masks & e[1]) + ones) & guards == guards)
             b = bisect_left(entries, True, a, key=lambda e: ((masks & e[2]) + ones) & guards != guards)
             if leaves:
@@ -248,7 +274,7 @@ def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
                     else:
                         counts[k + 1] += 1
                         record.append((grown, at, child))
-                if k + 1 < depth and i + 1 < n:
+                if k + 1 < depth and i + 1 < n and (not best_only or can_beat(child, k + 1)):
                     extend(i + 1, k + 1, grown, at, child, v)
                 if best_only and reach <= best[0]:
                     return

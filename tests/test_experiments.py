@@ -76,6 +76,49 @@ def test_mid_gap_scales_avoid_ties():
         assert round(t, 12) not in values
 
 
+def mid_gap_list_form(dist, count):
+    # the scales as Python lists: filter, pair up neighbours, thin to count
+    vals = np.unique(dist[np.triu_indices(dist.shape[0], 1)]).tolist()
+    vals = [v for v in vals if v > 1e-12]
+    gaps = [0.5 * (a + b) for a, b in zip(vals, vals[1:]) if b - a > 1e-9]
+    inner = [0.5 * vals[0]] + gaps if vals else []
+    if len(inner) <= count:
+        return inner
+    idx = np.linspace(0, len(inner) - 1, count).round().astype(int)
+    return [inner[i] for i in sorted(set(int(i) for i in idx))]
+
+
+def test_mid_gap_scales_match_the_list_form(monkeypatch):
+    # Distance sets with repeats, zeros and near-zeros, and neighbours exactly
+    # 1e-9 apart (not a gap) or one step further (a gap), fed to
+    # mid_gap_scales as the upper triangle of a symmetric matrix.
+    from combdim import experiments
+
+    rng = np.random.default_rng(83)
+    exact = [a for a in rng.uniform(1e-9, 1e-8, 400) if (a + 1e-9) - a == 1e-9]
+    assert len(exact) >= 5  # a difference of exactly 1e-9 needs a small a
+    for trial in range(60):
+        m = int(rng.integers(2, 24))
+        pairs = m * (m - 1) // 2
+        pool = list(rng.uniform(0.0, 2.0, 4))
+        pool += [0.0, 1e-13, 1e-12, 2e-12][: int(rng.integers(0, 5))]
+        for a in rng.choice(exact, size=int(rng.integers(0, 4))):
+            pool += [a, a + 1e-9]
+        for a in rng.uniform(1e-9, 2.0, size=int(rng.integers(0, 3))):
+            pool += [a, a + 1e-9, np.nextafter(a + 1e-9, 3.0)]
+        if trial % 3 == 0:
+            pool += list(rng.uniform(0.0, 2.0, pairs))
+        vals = rng.choice(pool, size=pairs)  # drawn with repeats
+        dist = np.zeros((m, m))
+        dist[np.triu_indices(m, 1)] = vals
+        dist += dist.T
+        monkeypatch.setattr(experiments.entropy, "pairwise_distances", lambda f, mu: dist)
+        for count in (1, 3, 12):
+            got = mid_gap_scales(None, None, count)
+            assert got == mid_gap_list_form(dist, count)
+            assert all(type(t) is float for t in got)
+
+
 def test_gen_separated_family_is_separated():
     rng = np.random.default_rng(1)
     for trial in range(10):

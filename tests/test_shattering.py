@@ -197,6 +197,20 @@ def test_enumeration_budget(monkeypatch):
         vc_integer(fam)
 
 
+def test_budget_error_says_where_the_walk_stopped(monkeypatch):
+    fam = gen_random_family(10, 4, "integer-grid", 3, grid_max=8)
+    monkeypatch.setattr(shattering, "DEFAULT_BUDGET", 10)
+    with pytest.raises(BudgetError, match=r"stopped extending support \(0, 1\) of dimension 2") as exc:
+        vc_integer(fam)
+    assert (exc.value.support, exc.value.dimension) == ((0, 1), 2)
+    with pytest.raises(BudgetError) as exc:
+        enumerate_shattered_centers(fam, 4)
+    assert (exc.value.support, exc.value.dimension) == ((0,), 1)
+    with pytest.raises(BudgetError, match=r"support None of dimension 1") as exc:
+        shattered_center_counts(fam, 4)  # counting keeps no supports
+    assert (exc.value.support, exc.value.dimension) == (None, 1)
+
+
 def test_center_counts_match_oracle_per_dimension():
     rng = np.random.default_rng(41)
     for trial in range(40):
@@ -408,6 +422,58 @@ def test_level_masks_are_nested_along_each_coordinate():
         assert nested(_undominated(table))
 
 
+def predicate_table(vals, levels, t=None):
+    """The level table from its definition: per coordinate and level, the
+    rows with f < h and f > h (t None) or f <= h and f >= h + t."""
+    def mask(sel):
+        return sum(1 << int(r) for r in np.flatnonzero(sel))
+
+    if t is None:
+        return [[(h, mask(np.less(col, h)), mask(np.greater(col, h))) for h in cands]
+                for col, cands in zip(vals.T, levels)]
+    return [[(h, mask(col <= h), mask(col >= h + t)) for h in cands]
+            for col, cands in zip(vals.T, levels)]
+
+
+def test_sorted_level_tables_match_the_predicate_definition(monkeypatch):
+    def integer_levels(vals):
+        return [list(range(int(col.min()) + 1, int(col.max()))) for col in vals.T]
+
+    def real_levels(vals, t):
+        return [[float(v) for v in np.unique(col) if col.max() >= v + t] for col in vals.T]
+
+    def check_real(fam, t):
+        table = _real_table(fam, t)
+        assert table == predicate_table(fam.values, real_levels(fam.values, t), t)
+        assert all(type(v) is float for entries in table for v, _, _ in entries)
+
+    walked = []
+    walk = shattering._walk
+    monkeypatch.setattr(shattering, "_walk", lambda table, *rest: walked.append(table) or walk(table, *rest))
+    rng = np.random.default_rng(89)
+    for trial in range(40):
+        m = int(rng.integers(1, 25))
+        n = int(rng.integers(1, 5))
+        fam = gen_random_family(m, n, "integer-grid", trial, grid_max=int(rng.integers(0, 10)))
+        vals = fam.int_values()
+        table = _integer_table(fam)
+        assert table == predicate_table(vals, integer_levels(vals))
+        assert all(type(v) is int for entries in table for v, _, _ in entries)
+        # shatters builds a one-level table, its levels possibly outside the attained range
+        support = tuple(sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)))
+        levels = tuple(int(rng.integers(-2, fam.range_max + 3)) for _ in support)
+        shatters(fam, Center(CoordinateSubset(support), levels))
+        cols = vals[:, list(support)]
+        assert walked.pop() == predicate_table(cols, [[h] for h in levels])
+        real = gen_random_family(m, n, ("uniform-real", "convex-hull-sections")[trial % 2], trial)
+        check_real(real, float(rng.uniform(0.01, 1.0)))
+        # quarter steps: repeated values, and t equal to a within-column difference
+        check_real(FunctionFamily(np.round(real.values * 4) / 4), 0.25 * int(rng.integers(1, 5)))
+    ties = FunctionFamily([[0.0, 0.5], [0.25, 0.5], [0.25, 1.0], [0.75, 0.0], [0.0, 1.0]])
+    for t in (0.25, 0.5, 0.75, 1.0, 2.0):
+        check_real(ties, t)
+
+
 def test_vc_real_on_larger_families_matches_oracle():
     # Enough rows (up to 16) for the dimension caps and the level pruning
     # of the maximum search to take effect.
@@ -441,6 +507,79 @@ def test_vc_real_witness_realizes_every_pattern():
             ), (trial, support, levels, pattern)
         checked += dim > 0
     assert checked >= 10
+
+
+def unpruned_max_walk(table, m, max_dim):
+    """The max-mode walk with no test before entering a child: every child
+    is entered, caps itself by its thinnest lane and returns when it cannot
+    beat the best.  Scans each coordinate's entries in full for the ones
+    whose masks split every lane, charging the walk's one check per entry.
+    Returns ((dimension, support, levels), checks)."""
+    n = len(table)
+    depth = min(max_dim, m.bit_length() - 1)
+    best, checks = (0, (), ()), 0
+
+    def extend(start, k, support, levels, masks):
+        nonlocal best, checks
+        cap = min(depth, k + min(w.bit_count() for w in masks).bit_length() - 1)
+        for i in range(start, n):
+            reach = min(k + n - i, cap)
+            if reach <= best[0]:
+                return
+            checks += len(table[i])
+            for v, below, above in table[i]:
+                child = [w & below for w in masks] + [w & above for w in masks]
+                if not all(child):
+                    continue
+                if k + 1 > best[0]:
+                    best = (k + 1, support + (i,), levels + (v,))
+                if k + 1 < depth and i + 1 < n:
+                    extend(i + 1, k + 1, support + (i,), levels + (v,), child)
+                if reach <= best[0]:
+                    return
+
+    if depth > 0:
+        extend(0, 0, (), (), [(1 << m) - 1])
+    return best, checks
+
+
+def test_max_mode_pruning_keeps_answers_and_budget(monkeypatch):
+    # Testing a child's lanes before entering it is the negation of the
+    # child's own first cap test: the same answers, the same level checks,
+    # so a budget of exactly that many checks suffices and one less does not.
+    def budget_holds_at(run, checks):
+        monkeypatch.setattr(shattering, "DEFAULT_BUDGET", checks)
+        run()
+        if checks:
+            monkeypatch.setattr(shattering, "DEFAULT_BUDGET", checks - 1)
+            with pytest.raises(BudgetError):
+                run()
+        monkeypatch.undo()
+
+    rng = np.random.default_rng(97)
+    dims = collections.Counter()
+    for trial in range(90):
+        m = int(rng.integers(2, 25))
+        n = int(rng.integers(1, 8))
+        seed = int(rng.integers(1 << 30))
+        if trial % 3 == 2:
+            fam = gen_random_family(m, n, "integer-grid", seed, grid_max=int(rng.integers(1, 8)))
+            (dim, support, levels), checks = unpruned_max_walk(
+                _undominated(_integer_table(fam)), m, n)
+            assert shattering._walk(_undominated(_integer_table(fam)), m, n, True) == (
+                dim, support, levels)
+            assert vc_integer(fam) == dim
+            budget_holds_at(lambda: vc_integer(fam), checks)
+        else:
+            kind = ("uniform-real", "convex-hull-sections", "sign-vectors")[trial // 3 % 3]
+            fam = gen_random_family(m, n, kind, seed)
+            t = float(rng.uniform(0.02, 0.6))
+            (dim, support, levels), checks = unpruned_max_walk(
+                _undominated(_real_table(fam, t)), m, n)
+            assert vc_real_witness(fam, t) == (dim, CoordinateSubset(support), levels)
+            budget_holds_at(lambda: vc_real(fam, t), checks)
+        dims[dim] += 1
+    assert min(dims) == 0 and max(dims) >= 3
 
 
 def test_vc_integer_examples():
