@@ -5,7 +5,7 @@ Run from the repository root:
 
     PYTHONPATH=src python3 scripts/output_digest.py [--dump DIR]
 
-A change that must keep outputs identical leaves all thirteen lines as
+A change that must keep outputs identical leaves all fourteen lines as
 they were.  With `--dump DIR` the script also writes each suite's reprs,
 one output per line, to DIR/<suite>.txt, so that diffing the dumps of two
 runs locates and sizes every value that moved.  The suites:
@@ -31,6 +31,10 @@ runs locates and sizes every value that moved.  The suites:
   56 instances;
 - convex-vc: `convex_vc` on the dual bodies of the same 56 instances at
   every scale of `DEFAULT_T_GRID`;
+- walk: the `radius_table` items (support, radius), in table order, at
+  every scale of `DEFAULT_T_GRID` alone, on the dual bodies of the same 56
+  instances and on the six seeded n = 8 bodies below, whose probe
+  bounds certify only part of the lattice;
 - tightness: the functionals and `norm_slack` of the eight tightness
   bodies below;
 - orders: `ell1_lower_constant` on all coordinates of the eleven
@@ -48,7 +52,10 @@ runs locates and sizes every value that moved.  The suites:
   seeded `gen_random_family` families: the paths that call scipy.
 
 The 56 instances are the six norms of each `random_norm_instances(1..8)`
-and eight tightness bodies, net size 64, net seed 0.
+and eight tightness bodies, net size 64, net seed 0.  The six n = 8
+bodies are `dual_body` of 30 functionals `standard_normal((30, 8))` and
+vectors `0.3 * standard_normal((8, 8))`, drawn in turn from
+`default_rng(0)`.
 """
 
 import argparse
@@ -73,7 +80,7 @@ from combdim.experiments import (
 )
 from combdim.family import CoordinateSubset, ProbabilityMeasure, discretize, gen_random_family
 from combdim.gaussian import gaussian_sup_mc
-from combdim.geometry import PolyhedralNorm, convex_vc, ell1_lower_constant
+from combdim.geometry import PolyhedralNorm, convex_vc, ell1_lower_constant, radius_table
 from combdim.septree import build_separating_tree
 from combdim.shattering import vc_real_witness
 
@@ -148,6 +155,21 @@ def l1_table(norm, vectors):
             for size in range(1, n + 1) for support in itertools.combinations(range(n), size)]
 
 
+def walk_bodies():
+    rng = np.random.default_rng(0)
+    bodies = []
+    for _ in range(6):
+        funcs = rng.standard_normal((30, 8))
+        bodies.append(dual_body(PolyhedralNorm(8, funcs), 0.3 * rng.standard_normal((8, 8))))
+    return bodies
+
+
+def walk_items(body):
+    def points_of(sup):
+        return body.project(CoordinateSubset(sup))
+    return [list(radius_table(points_of, body.dimension, (t,)).items()) for t in DEFAULT_T_GRID]
+
+
 def row_orders(n: int, delta: float):
     body = rudelson_example(n, delta, net_size=64, seed=0)
     funcs = body.norm.functionals
@@ -202,6 +224,7 @@ def main() -> None:
     report("convex-vc", (
         (dim, tuple(sigma)) for body in bodies for dim, sigma in
         (convex_vc(body, t) for t in DEFAULT_T_GRID)), dump)
+    report("walk", (walk_items(body) for body in bodies + walk_bodies()), dump)
     report("tightness", (
         (body.norm.functionals.tolist(), body.norm_slack) for body in
         (rudelson_example(n, delta, net_size=64, seed=0) for n, delta in RUDELSON_BODIES)), dump)

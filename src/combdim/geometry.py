@@ -7,20 +7,23 @@ of a convex combination, and the inscribed radius r of a symmetric body
 (the half-side of its largest centred cube) is one LP per sign orthant
 over weights on the vertices, |sigma| + 1 rows however many vertices.
 These LPs share their costs and right-hand sides, so the orthants of
-the point sets in a call run as stacks through the simplex loop, each LP
-on a working set of its points that pricing with the LP's duals grows
-until no point of the set improves it (column generation).  A
-symmetric body holds a side-t cube iff r >= t/2 - HULL_TOL, and
-`radius_table` walks the coordinate lattice once for all scales of a
-question; `convex_vc` and the elton sweep read it.  A cube in any other
-body is one joint LP over all cube vertices sharing the translation
-variable.  The l1 constant is r of conv{+-(f_j(x_i))}
+the point sets in a call, of any sizes, run as stacks through the simplex
+loop, smaller LPs padded with inert rows and columns, each LP on a
+working set of its points that pricing with the LP's duals grows until
+no point of the set improves it (column generation).  A symmetric body
+holds a side-t cube iff r >= t/2 - HULL_TOL, and `radius_table` walks
+the coordinate lattice once for all scales of a question, solving with
+each level the levels after it that the full support's orthant optima
+prove the walk will reach; `convex_vc` and the elton sweep read it.  A
+cube in any other body is one joint LP over all cube vertices sharing
+the translation variable.  The l1 constant is r of conv{+-(f_j(x_i))}
 (exact for polyhedral norms).  Symmetry is read from the vertices, never
 declared.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -148,7 +151,7 @@ def cube_in_projection(
         return CubeWitness(sigma, t, ())
     pts = poly.project(sigma)
 
-    if _box_cut(pts[None], t)[0]:
+    if _box_cut(pts, t):
         return None
 
     if poly.symmetric:
@@ -191,16 +194,22 @@ def passing_supports(n: int, passes) -> list[tuple[int, ...]]:
     while level:
         level = [sup for sup, ok in zip(level, passes(level)) if ok]
         found += level
-        prev = set(level)
-        level = [c for c in (sup + (j,) for sup in level for j in range(sup[-1] + 1, n))
-                 if all(c[:i] + c[i + 1 :] in prev for i in range(len(c)))]
+        level = _candidates(level, n)
     return found
 
 
-def _box_cut(point_sets, t: float) -> np.ndarray:
-    """Per point set (rows): is some width below t - 2 HULL_TOL?  Then no
+def _candidates(level: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """The supports in range(n) one larger than those of `level` (one size,
+    lexicographic) all of whose one-smaller subsets are in it, in order."""
+    prev = set(level)
+    return [c for c in (sup + (j,) for sup in level for j in range(sup[-1] + 1, n))
+            if all(c[:i] + c[i + 1 :] in prev for i in range(len(c)))]
+
+
+def _box_cut(points: np.ndarray, t: float) -> bool:
+    """Is some width of the point set (rows) below t - 2 HULL_TOL?  Then no
     side-t cube fits, and a symmetric set has r <= width/2, failing `_fits`."""
-    return np.ptp(point_sets, axis=1).min(axis=1) < t - 2.0 * HULL_TOL
+    return bool((points.max(axis=0) - points.min(axis=0)).min() < t - 2.0 * HULL_TOL)
 
 
 def _fits(radius: float, t: float) -> bool:
@@ -214,29 +223,88 @@ def radius_table(points_of, n: int, scales) -> dict[tuple[int, ...], float]:
     `widest_fit` answers at every one of the scales.  A probe of the full
     support (within CUBE_DIM_BUDGET) settles each scale it passes; r only
     shrinks as a support grows, so one walk at the finest scale it fails
-    visits every support passing at a coarser one.  A level is one stacked
-    solve over its point sets zero-padded to the widest (the origin lies in
-    every symmetric hull); a set `_box_cut` rejects gets no LP, no entry.
+    visits every support passing at a coarser one.  A level that needs
+    radii solves its candidates together with those of the deeper levels
+    the probe's orthant optima prove the walk will reach as they are
+    (`_bound_fits`): while every candidate of a level passes the bound,
+    the next level's candidates are all sure, so they join, up to the
+    first level with a candidate the bound does not pass.  A radius enters
+    the table when the walk reaches its support, so the table's keys and
+    their order do not depend on which supports were solved ahead; a set
+    `_box_cut` rejects gets no LP, no entry.
     """
     table: dict[tuple[int, ...], float] = {}
+    solved: dict[tuple[int, ...], float] = {}
+    bound = None  # the probe's bound test at the walk's scale
+
+    def solve(supports, t: float) -> list[np.ndarray]:
+        # the orthant optima of the supports whose sets _box_cut keeps, radii
+        # into `solved`; the sets are read as their stacks fill
+        kept = []
+
+        def sets():
+            for sup in supports:
+                points = points_of(sup)
+                if not _box_cut(points, t):
+                    kept.append(sup)
+                    yield points
+
+        optima, scales = _orthant_optima(sets())
+        solved.update(zip(kept, map(_radius, optima, scales)))
+        return [values * scale for values, scale in zip(optima, scales)]
 
     def passes(level: list[tuple[int, ...]], t: float) -> list[bool]:
-        todo = [sup for sup in level if sup not in table]
+        todo = [sup for sup in level if sup not in table and sup not in solved]
         if todo:
-            sets = [points_of(sup) for sup in todo]
-            padded = np.zeros((len(sets), max(len(pts) for pts in sets), len(todo[0])))
-            for block, pts in zip(padded, sets):
-                block[: len(pts)] = pts
-            keep = ~_box_cut(padded, t)
-            if keep.any():
-                table.update(zip(itertools.compress(todo, keep), _inscribed_radius(padded[keep])))
+            ahead = level
+            while bound is not None and all(bound(ahead)):
+                ahead = _candidates(ahead, n)
+                if not ahead:
+                    break
+                todo += [sup for sup in ahead if sup not in solved]
+            solve(todo, t)
+        table.update((sup, solved[sup]) for sup in level if sup not in table and sup in solved)
         return [sup in table and _fits(table[sup], t) for sup in level]
 
     full = tuple(range(n))
-    unsettled = [t for t in scales if not (n <= CUBE_DIM_BUDGET and passes([full], t)[0])]
+    probe: list[np.ndarray] = []
+    unsettled = []
+    for t in scales:
+        if n <= CUBE_DIM_BUDGET and not probe:
+            probe = solve([full], t)
+            table.update(solved)
+        if not (full in table and _fits(table[full], t)):
+            unsettled.append(t)
     if unsettled:
-        passing_supports(n, lambda level: passes(level, min(unsettled)))
+        t = min(unsettled)
+        if probe:
+            bound = _bound_fits(probe[0], n, t)
+        passing_supports(n, lambda level: passes(level, t))
     return table
+
+
+def _bound_fits(optima: np.ndarray, n: int, t: float):
+    """The test, on a list of supports of one size, of a lower bound of r
+    read off the orthant optima of the full support (in its units): one
+    bool per support, whether its bound `_fits` t.  A contained cube
+    projects to a contained cube, so r on orthant theta of sigma is at
+    least the largest full-support optimum over the orthants extending
+    +-theta, and r(sigma) at least the least of these; the bound fits t
+    iff the full sign vectors whose optimum fits t restrict to every sign
+    vector of sigma.  It only shrinks as sigma grows."""
+    # sign vectors as n-bit masks, bit n - 1 - i set where coordinate i is +:
+    # orthant o of `_orthant_optima` is (1 << (n - 1)) + o, and -theta's
+    # optimum is theta's
+    fitting = np.flatnonzero(_fits(optima, t)) + (1 << (n - 1))
+    fitting = np.concatenate([fitting, fitting ^ ((1 << n) - 1)])
+
+    def fits(level: list[tuple[int, ...]]) -> list[bool]:
+        masks = np.array([sum(1 << (n - 1 - i) for i in sup) for sup in level])
+        seen = np.sort(fitting & masks[:, None], axis=1)
+        distinct = np.count_nonzero(np.diff(seen, axis=1), axis=1) + 1
+        return (distinct == 1 << len(level[0])).tolist()
+
+    return fits
 
 
 def widest_fit(table: dict[tuple[int, ...], float], t: float) -> tuple[int, ...]:
@@ -263,67 +331,163 @@ def convex_vc(poly: VPolytope, t: float) -> tuple[int, CoordinateSubset]:
     return len(best), CoordinateSubset(best)
 
 
-def _orthant_optima(point_sets) -> tuple[np.ndarray, np.ndarray]:
-    """Orthant-LP optima (sets, orthants) of same-shape symmetric point sets
-    (rows), each divided by its power-of-two scale (also returned).  For a
-    sign orthant theta (first sign +, since theta ~ -theta) the LP in
-    weights y >= 0 on the points and mu maximizes mu subject to
-    mu <= theta_i (points^T y)_i and sum(y) <= 1: k + 1 rows with
-    right-hand sides >= 0, so no phase 1 runs.  The LPs run by column
-    generation (`_generate_columns`) in stacks of whole point sets or of
-    a power-of-two share of one set's orthants, each stack within
-    STACK_ENTRY_LIMIT entries of starting tableaux and pricing products
-    (one LP if it alone is larger).
+def _orthant_optima(point_sets) -> tuple[list[np.ndarray], list[float]]:
+    """Orthant-LP optima of symmetric point sets (rows, any shapes), one
+    array per set over its sign orthants, each divided by the set's
+    power-of-two scale (also returned).  For a sign orthant theta (first
+    sign +, since theta ~ -theta) the LP in weights y >= 0 on the points
+    and mu maximizes mu subject to mu <= theta_i (points^T y)_i and
+    sum(y) <= 1: k + 1 rows with right-hand sides >= 0, so no phase 1
+    runs.  The LPs run by column generation (`_generate_columns`) in
+    stacks taken in order (`_stacks`).  `point_sets` may be an iterator:
+    a set is read when its run of one size is, and let go once solved.
     """
-    sets = np.asarray(point_sets, dtype=np.float64)
-    n_sets, n_pts, k = sets.shape
-    if k > CUBE_DIM_BUDGET:
-        raise BudgetError(f"|sigma| = {k} exceeds the exponent budget {CUBE_DIM_BUDGET}")
-    # r is homogeneous in the points, so a power-of-two scale brings their
-    # largest entry near 1 for the solver's absolute tolerances, exactly.
-    peaks = np.abs(sets).max(axis=(1, 2)).tolist()
-    scales = np.array([2.0 ** round(math.log2(p)) if p > 0 else 1.0 for p in peaks])
-    sets = sets / scales[:, None, None]
-    theta = np.array([(1.0,) + signs for signs in itertools.product((-1.0, 1.0), repeat=k - 1)])
-    width = min(n_pts, 2 * k)
-    # Per LP: mu, the working set, k + 1 slacks and the rhs on k + 1 rows,
-    # and one reduced cost per point (the score, then the pricing product).
-    per_stack = max(1, STACK_ENTRY_LIMIT // ((k + 1) * (width + k + 3) + n_pts))
-    part = min(len(theta), 1 << (per_stack.bit_length() - 1))
-    group = max(1, per_stack // len(theta))
-    optima = np.empty((n_sets, len(theta)))
-    for s in range(0, n_sets, group):
-        for o in range(0, len(theta), part):
-            optima[s : s + group, o : o + part] = _generate_columns(
-                sets[s : s + group], theta[o : o + part], width)
+    sets: list[np.ndarray | None] = []
+    optima: list[np.ndarray] = []
+    scales: list[float] = []
+
+    def shapes():
+        for points in point_sets:
+            points = np.asarray(points, dtype=np.float64)
+            if points.shape[1] > CUBE_DIM_BUDGET:
+                raise BudgetError(f"|sigma| = {points.shape[1]} exceeds the exponent budget "
+                                  f"{CUBE_DIM_BUDGET}")
+            sets.append(points)
+            yield points.shape
+
+    for stack in _stacks(shapes()):
+        members = [sets[s] for s, _, _ in stack]
+        # The stack's sets zero-padded to one shape (`_generate_columns` keeps
+        # the padding out of every LP).  r is homogeneous in the points, so a
+        # power-of-two scale brings their largest entry near 1 for the
+        # solver's absolute tolerances, exactly.
+        points = np.zeros((len(stack), max(map(len, members)), max(p.shape[1] for p in members)))
+        for block, member in zip(points, members):
+            block[: len(member), : member.shape[1]] = member
+        factors = [2.0 ** round(math.log2(p)) if p > 0 else 1.0
+                   for p in np.abs(points).max(axis=(1, 2)).tolist()]
+        points /= np.array(factors)[:, None, None]
+        thetas = [_orthants(m.shape[1])[lo:hi] for m, (_, lo, hi) in zip(members, stack)]
+        found = _generate_columns(points, list(map(len, members)), thetas)
+        for (s, lo, hi), values, factor in zip(stack, found, factors):
+            if lo == 0:  # sets come in order, each whole or in consecutive shares
+                optima.append(values)
+                scales.append(factor)
+            else:
+                optima[s] = np.concatenate([optima[s], values])
+            if hi == len(_orthants(sets[s].shape[1])):
+                sets[s] = None
     return optima, scales
 
 
-def _generate_columns(points: np.ndarray, theta: np.ndarray, width: int) -> np.ndarray:
-    """Optima (sets, orthants) of the orthant LPs of the point sets
-    (sets, n_pts, k) in the sign orthants theta (orthants, k), one stack.
+@functools.cache
+def _orthants(k: int) -> np.ndarray:
+    """The 2^(k-1) sign orthants theta of k coordinates, first sign +, the
+    others in `itertools.product` order (- before +)."""
+    theta = np.array([(1.0,) + signs for signs in itertools.product((-1.0, 1.0), repeat=k - 1)])
+    theta.setflags(write=False)
+    return theta
 
-    Each LP starts on a working set of its `width` points of largest
-    theta-score sum_i theta_i p_i, best first and ties to the smaller
-    index, its columns after mu.  Once the restricted stack is optimal,
-    the duals c_B B^-1 read off the slack block price every point of each
-    LP's set; an LP appends its (at most k) points of least reduced cost
-    below -FEAS_TOL that are not yet in its working set, least first, as
-    columns B^-1 a, and pivots on from its basis.  An LP that appends
-    fewer points than another is padded with zero columns, which never
-    enter under Bland's rule.  It is done when no point prices below
-    -FEAS_TOL, so its last pricing pass certifies dual feasibility over
-    its whole set (the working set by the restricted optimum).  Every choice is made per LP, the scores, prices
-    and new columns are summed in a fixed order, and the pivot loop's
-    reduced costs and the duals are exact here (-1 on mu is the only
-    cost), so an LP gives the same float in any stack.
+
+def _stacks(shapes):
+    """The stacks, as lists of (set, first orthant, end orthant), of the
+    orthant LPs of point sets of the given (points, k) shapes (an
+    iterable, read one run of a size at a time), in order.  A stack's LPs
+    are each as large as its largest (`_generate_columns` pads them) and
+    stay within STACK_ENTRY_LIMIT entries of starting tableaux and pricing
+    products.  A run of sets of one size joins the open stack whole, or
+    else closes it and fills new stacks set by set, so that few LPs are
+    padded to a larger size; a set too large for a stack alone runs in
+    power-of-two shares of its orthants (one LP if it alone is larger)."""
+
+    def per_lp(n_pts: int, k: int, width: int) -> int:
+        # mu, the working set, k + 1 slacks and the rhs on k + 1 rows, and
+        # one reduced cost per point (the score, then the pricing product)
+        return (k + 1) * (width + k + 3) + n_pts
+
+    stack, dims, lps = [], (0, 0, 0), 0
+    for k, run in itertools.groupby(enumerate(shapes), key=lambda item: item[1][1]):
+        run = [(s, (n_pts, k, min(n_pts, 2 * k))) for s, (n_pts, _) in run]
+        count = 1 << (k - 1)
+        grown = tuple(map(max, dims, *(own for _, own in run)))
+        if stack and (lps + len(run) * count) * per_lp(*grown) <= STACK_ENTRY_LIMIT:
+            stack += [(s, 0, count) for s, _ in run]
+            dims, lps = grown, lps + len(run) * count
+            continue
+        if stack:
+            yield stack
+            stack, dims, lps = [], (0, 0, 0), 0
+        for s, own in run:
+            grown = tuple(map(max, dims, own))
+            if stack and (lps + count) * per_lp(*grown) <= STACK_ENTRY_LIMIT:
+                stack.append((s, 0, count))
+                dims, lps = grown, lps + count
+                continue
+            if stack:
+                yield stack
+            per_stack = max(1, STACK_ENTRY_LIMIT // per_lp(*own))
+            part = min(count, 1 << (per_stack.bit_length() - 1))
+            stack, dims, lps = [(s, 0, count)], own, count
+            if part < count:
+                yield from ([(s, o, o + part)] for o in range(0, count, part))
+                stack, dims, lps = [], (0, 0, 0), 0
+    if stack:
+        yield stack
+
+
+def _generate_columns(points: np.ndarray, counts, thetas) -> list[np.ndarray]:
+    """Optima of the orthant LPs of point sets in sign orthants, one stack:
+    set s holds its counts[s] points in points[s] (sets, n_pts, k), padded
+    with zeros, and runs in the orthants thetas[s] (orthants, its k); each
+    gives an array over its orthants.
+
+    Each LP starts on a working set of its min(n_pts, 2k) points of
+    largest theta-score sum_i theta_i p_i, best first and ties to the
+    smaller index, its columns after mu.  Once the restricted stack is
+    optimal, the duals c_B B^-1 read off the slack block price every point
+    of each LP's set; an LP appends its (at most k) points of least
+    reduced cost below -FEAS_TOL that are not yet in its working set,
+    least first, as columns B^-1 a, and pivots on from its basis.  It is
+    done when no point prices below -FEAS_TOL, so its last pricing pass
+    certifies dual feasibility over its whole set (the working set by the
+    restricted optimum).
+
+    LPs are padded to the stack's largest shape: a set of k < K
+    coordinates gets inert rows k..K-1 before its sum row (zero mu
+    coefficient, zero coordinates and sign, rhs 0), a set of fewer points
+    zero points that never enter its working set nor price, and a
+    narrower working set or a shorter append zero columns.  Inert slacks
+    never pass the ratio test, pivots subtract zeros from their rows, and
+    their duals are 0; zero columns never enter under Bland's rule.  Every
+    choice is made per LP, the scores, prices and new columns are summed
+    in a fixed order, and the pivot loop's reduced costs and the duals are
+    exact here (-1 on mu is the only cost), so an LP gives the same float
+    in any stack.  Pricing shares each set's points across its orthants.
     """
-    sets, n_pts, k = points.shape
-    lps = sets * len(theta)
-    pts = points[:, None]  # (sets, 1, n_pts, k): the orthants of a set share its points
+    _, n_pts, k = points.shape
+    n_of = np.array(counts)
+    k_of = np.array([theta.shape[1] for theta in thetas])
+    sizes = [len(theta) for theta in thetas]
+    lps = sum(sizes)
     every = np.arange(lps)
-    set_of = every // len(theta)
-    signs = theta[every % len(theta)]
+    set_of = np.repeat(np.arange(len(thetas)), sizes)
+    signs = np.zeros((lps, k))
+    # runs of sets of one shape (k, orthants), which share their orthants:
+    # (sets, LPs, k, orthants)
+    runs, s0, l0 = [], 0, 0
+    for (kk, size), run in itertools.groupby(zip(k_of.tolist(), sizes)):
+        count = len(list(run))
+        runs.append((slice(s0, s0 + count), slice(l0, l0 + count * size), kk, size))
+        signs[l0 : l0 + count * size, :kk] = np.tile(thetas[s0], (count, 1))
+        s0, l0 = s0 + count, l0 + count * size
+
+    def products(weights: np.ndarray) -> np.ndarray:
+        # sum_i weights_i p_i (lps, n_pts) over each LP's own coordinates
+        out = np.empty((lps, n_pts))
+        for sets, lp, kk, size in runs:
+            _ordered_dot(weights[lp, :kk].reshape(-1, size, 1, kk), points[sets, None, :, :kk],
+                         out=out[lp].reshape(-1, size, n_pts))
+        return out
 
     def columns(live: np.ndarray, chosen: np.ndarray) -> np.ndarray:
         # the columns [-theta * p; 1] (live, k + 1, chosen) of the chosen
@@ -334,14 +498,21 @@ def _generate_columns(points: np.ndarray, theta: np.ndarray, width: int) -> np.n
         col[:, k] = 1.0
         return col * (chosen < n_pts)[:, None]
 
-    chosen = _least(-_ordered_dot(theta[None, :, None], pts).reshape(lps, n_pts), width)
-    # The working set of each LP, plus a last column that padding marks.
+    own_points = n_of[set_of]
+    widths = np.minimum(own_points, 2 * k_of[set_of])
+    # The working set of each LP, plus a last column that padding marks;
+    # padding points count as in it, so they are never priced.
     in_set = np.zeros((lps, n_pts + 1), dtype=bool)
+    np.greater_equal(np.arange(n_pts), own_points[:, None], out=in_set[:, :n_pts])
+    score = -products(signs)
+    np.copyto(score, np.inf, where=in_set[:, :n_pts])
+    chosen = _least(score, widths)
     in_set[every[:, None], chosen] = True
+    whole = (widths == own_points).all()  # every LP starts on all its points
     live = every
     # Columns: mu, then the working set; minimize -mu.
-    a_ub = np.zeros((lps, k + 1, width + 1))
-    a_ub[:, :k, 0] = 1.0
+    a_ub = np.zeros((lps, k + 1, chosen.shape[1] + 1))
+    a_ub[:, :k, 0] = np.arange(k) < k_of[set_of, None]
     a_ub[:, :, 1:] = columns(live, chosen)
     b_ub = np.zeros(k + 1)
     b_ub[k] = 1.0
@@ -354,15 +525,14 @@ def _generate_columns(points: np.ndarray, theta: np.ndarray, width: int) -> np.n
         status, x = _phase2(c, tableau, basis, a_ub, b_ub, a_ub[:, :0], b_ub[:0])
         assert status == "optimal", "orthant LPs are always feasible and bounded"
         optima[live] = x[:, 0]
-        if width == n_pts:
+        if whole:
             break
         # The reduced cost of point p is -duals . [-theta * p; 1].
         duals[live] = _duals(c, tableau, basis)
-        weights = (duals[:, :k] * signs).reshape(sets, len(theta), 1, k)
-        reduced = _ordered_dot(weights, pts).reshape(lps, n_pts) - duals[:, k:]
+        reduced = products(duals[:, :k] * signs) - duals[:, k:]
         duals[live] = 0.0
         reduced[in_set[:, :n_pts]] = np.inf
-        best = _least(reduced, k, -FEAS_TOL)
+        best = _least(reduced, k_of[set_of], -FEAS_TOL)
         if not best.size:
             break
         in_set[every[:, None], best] = True
@@ -371,39 +541,41 @@ def _generate_columns(points: np.ndarray, theta: np.ndarray, width: int) -> np.n
         added = columns(live, best[live])
         tableau, basis = _append_columns(tableau[keep], basis[keep], a_ub.shape[2], added)
         a_ub = np.concatenate([a_ub[keep], added], axis=2)
-    return optima.reshape(sets, len(theta))
+    return [optima[a:b] for a, b in itertools.pairwise(itertools.accumulate(sizes, initial=0))]
 
 
-def _least(values: np.ndarray, count: int, below: float = np.inf) -> np.ndarray:
-    """Column indices (rows, up to count) of the least entries of each row
-    of values that lie below `below`, least first and ties to the smaller
-    index, padded with the row length; the picks are set to inf in values."""
+def _least(values: np.ndarray, counts, below: float = np.inf) -> np.ndarray:
+    """Column indices (rows, up to the largest count) of the least entries
+    of each row of values that lie below `below`, at most counts[r] of row
+    r, least first and ties to the smaller index, padded with the row
+    length; the picks are set to inf in values."""
     rows = np.arange(values.shape[0])
-    picks = np.empty((values.shape[0], count), dtype=np.intp)
-    for j in range(count):
-        col = values.argmin(axis=1)
-        ok = values[rows, col] < below
-        if not ok.any():
-            return picks[:, :j]
-        picks[:, j] = np.where(ok, col, values.shape[1])
-        values[rows, col] = np.inf
+    found = np.minimum(np.count_nonzero(values < below, axis=1), counts)
+    picks = np.empty((values.shape[0], int(found.max(initial=0))), dtype=np.intp)
+    for j in range(picks.shape[1]):
+        picks[:, j] = values.argmin(axis=1)
+        values[rows, picks[:, j]] = np.inf
+    picks[np.arange(picks.shape[1]) >= found[:, None]] = values.shape[1]
     return picks
+
+
+def _radius(optima: np.ndarray, scale: float) -> float:
+    """r of one point set: the least of its orthant optima, times its scale."""
+    return max(0.0, min(optima.tolist())) * scale
 
 
 def _inscribed_radius(point_sets) -> list[float]:
     """Half-side r of the largest centred cube in the hull of each of
-    same-shape symmetric point sets: the least of its orthant optima, times
-    its scale.  By weak duality an optimal y certifies the lower bound."""
-    optima, scales = _orthant_optima(point_sets)
-    return [float(max(0.0, best)) * scale
-            for best, scale in zip(optima.min(axis=1).tolist(), scales.tolist())]
+    symmetric point sets (rows).  By weak duality an optimal y certifies
+    the lower bound."""
+    return list(map(_radius, *_orthant_optima(point_sets)))
 
 
 def _l1_points(norm: PolyhedralNorm, vectors: np.ndarray, support) -> np.ndarray:
     """+-w for w = (f_j(x_i)), i in support: the points whose inscribed
     radius is the l1 constant of the support."""
     w = norm.functionals @ vectors[list(support)].T  # (n_func, k)
-    return np.vstack([w, -w])
+    return np.concatenate([w, -w])
 
 
 def ell1_lower_constant(norm: PolyhedralNorm, vectors, sigma: CoordinateSubset) -> float:

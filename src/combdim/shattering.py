@@ -191,7 +191,9 @@ def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
     with 2^k <= m.  Coordinates are added in increasing order, each one's
     entries in table order.  The pattern masks of a center travel as lanes
     of one integer, each with a guard bit above it: adding 2^m - 1 to
-    every lane sets all guard bits iff no lane is empty.  Levels ascend,
+    every lane sets all guard bits iff no lane is empty.  A coordinate's
+    entries are copied into the lanes of a depth when a center of that
+    depth first scans it.  Levels ascend,
     so a coordinate's below masks grow and its above masks shrink: "every
     lane meets below" turns on once and "every lane meets above" turns off
     once, and the entries that extend a center form one run, found by two
@@ -217,7 +219,7 @@ def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
     width, full = m + 1, (1 << m) - 1
     reps = [sum(1 << (p * width) for p in range(1 << k)) for k in range(depth)]
     ones_at, guards_at = [full * r for r in reps], [(full + 1) * r for r in reps]
-    tables = [[[(v, b * r, a * r) for v, b, a in entries] for entries in table] for r in reps]
+    tables = [[None] * n for _ in reps]  # lane copies per depth and coordinate, built on first use
     counts = [1] + [0] * depth
     best = (0, (), ())
     checks, budget = 0, DEFAULT_BUDGET
@@ -249,6 +251,9 @@ def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
             if best_only and reach <= best[0]:
                 return
             entries = lanes[i]
+            if entries is None:
+                r = reps[k]
+                entries = lanes[i] = [(v, b * r, a * r) for v, b, a in table[i]]
             checks += len(entries)
             if checks > budget:
                 got = (f"best dimension found: {best[0]}" if best_only

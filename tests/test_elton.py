@@ -279,30 +279,35 @@ def test_ell1_constant_is_independent_of_functional_order():
 
 
 def _walk_radius_calls(monkeypatch, bodies):
-    # every stacked radius solve of the elton walk on random_norm_instances(1)
-    # and (2) and on the given rudelson bodies: (point sets of a level, radii)
+    # every orthant-LP solve of the elton walk on random_norm_instances(1)
+    # and (2) and on the given rudelson bodies, the probe's included: (the
+    # point sets of one call, their radii); the hook is removed on return
     calls = []
-    real = geometry._inscribed_radius
+    real = geometry._orthant_optima
 
     def recording(point_sets):
-        calls.append((point_sets, real(point_sets)))
-        return calls[-1][1]
+        point_sets = list(point_sets)
+        optima, scales = real(point_sets)
+        calls.append((point_sets, list(map(geometry._radius, optima, scales))))
+        return optima, scales
 
-    monkeypatch.setattr(geometry, "_inscribed_radius", recording)
     cases = [(norm, vectors) for seed in (1, 2)
              for norm, vectors, _ in random_norm_instances(seed)]
     for n, delta in bodies:
         inst = rudelson_example(n, delta)
         cases.append((inst.norm, inst.vectors))
-    for norm, vectors in cases:
-        elton_subset(norm, vectors, samples=200, seed=0)
+    with monkeypatch.context() as hook:
+        hook.setattr(geometry, "_orthant_optima", recording)
+        for norm, vectors in cases:
+            elton_subset(norm, vectors, samples=200, seed=0)
     assert len(calls) > len(cases)
-    return calls, real
+    return calls, geometry._inscribed_radius
 
 
 def test_dual_orthant_lps_match_the_primal_on_every_visited_support(monkeypatch):
-    # the walk solves each level's orthant LPs in dual form as one stack;
-    # HiGHS on the primal form is the reference on every support it solves
+    # the walk solves its orthant LPs in dual form, supports of several
+    # sizes in one call; HiGHS on the primal form is the reference on every
+    # support solved, the probe's full support included
     calls, _ = _walk_radius_calls(monkeypatch, ((5, 0.6), (6, 0.6), (8, 0.5)))
     for point_sets, radii in calls:
         for points, mine in zip(point_sets, radii):

@@ -13,6 +13,7 @@ from combdim import (
     ell1_lower_constant,
     point_in_hull,
 )
+from combdim import geometry
 from combdim.geometry import _inscribed_radius, load_norm, load_polytope, radius_table
 from combdim.geometry import save_norm, save_polytope
 
@@ -104,7 +105,7 @@ def test_convex_vc_examples():
 def test_convex_vc_lex_smallest():
     # a box that is wide on coordinates 0 and 2 only, then the same box with
     # inner vertices +-(1, 0.1, 0.5) that coincide with box vertices in some
-    # projections only: level sets of 2 and 4 points are padded to one shape
+    # projections only: sets of 2 and 4 points share a stack
     verts = list(itertools.product((-1.0, 1.0), (-0.1, 0.1), (-1.0, 1.0)))
     for body in (VPolytope(3, verts), VPolytope(3, verts + [(1.0, 0.1, 0.5), (-1.0, -0.1, -0.5)])):
         dim, sigma = convex_vc(body, 1.0)
@@ -260,6 +261,106 @@ def test_cube_body_agrees_with_function_family_shattering():
         expected = 3 if t <= 2 * a else 0
         assert convex_vc(body, t)[0] == expected
         assert vc_real(family, t) == expected
+
+
+def _random_symmetric_bodies(seed, count):
+    # symmetric bodies in 3-6 coordinates with 3-12 random vertex pairs,
+    # some scaled down on a coordinate so that the walk stops early
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 7))
+        pts = rng.uniform(-1.0, 1.0, (int(rng.integers(3, 13)), n))
+        pts[:, rng.integers(n)] *= rng.uniform(0.2, 1.0)
+        yield VPolytope(n, np.vstack([pts, -pts]))
+
+
+def _probe_bound(optima, n, sigma):
+    # least over the sign vectors of sigma of the largest full-support
+    # optimum over the orthants whose theta or -theta restricts to it
+    best = {}
+    for value, tail in zip(optima, itertools.product((-1.0, 1.0), repeat=n - 1)):
+        theta = (1.0,) + tail
+        for signs in (theta, tuple(-v for v in theta)):
+            key = tuple(signs[i] for i in sigma)
+            best[key] = max(best.get(key, -np.inf), value)
+    assert len(best) == 1 << len(sigma)
+    return min(best.values())
+
+
+def test_probe_bound_never_exceeds_the_radius():
+    for body in _random_symmetric_bodies(5, 25):
+        n = body.dimension
+        (optima,), (scale,) = geometry._orthant_optima([body.vertices])
+        for size in range(1, n):
+            for sigma in itertools.combinations(range(n), size):
+                bound = _probe_bound(optima * scale, n, sigma)
+                exact = _inscribed_radius([body.project(CoordinateSubset(sigma))])[0]
+                assert bound <= exact + 1e-12 * (1.0 + exact), (n, sigma)
+
+
+def _reference_table(points_of, n, scales):
+    # the walk solving each level's candidates when it reaches them
+    table = {}
+
+    def passes(level, t):
+        for sup in level:
+            points = points_of(sup)
+            if sup not in table and not geometry._box_cut(points, t):
+                table[sup] = _inscribed_radius([points])[0]
+        return [sup in table and geometry._fits(table[sup], t) for sup in level]
+
+    unsettled = [t for t in scales if not passes([tuple(range(n))], t)[0]]
+    if unsettled:
+        geometry.passing_supports(n, lambda level: passes(level, min(unsettled)))
+    return table
+
+
+def test_radius_table_solves_ahead_only_what_the_walk_reaches(monkeypatch):
+    # levels the probe's bound certifies are solved ahead with the level
+    # before them; the table keeps the walk's keys, order and radii, and no
+    # LP is solved for a support the walk does not reach or a set it cuts
+    real = geometry._orthant_optima
+    for body in _random_symmetric_bodies(6, 25):
+        n = body.dimension
+        for scales in ((0.2,), (0.6,), (1.0,), (1.5, 0.9, 0.4)):
+            support_of = {}
+
+            def points_of(sup):
+                points = body.project(CoordinateSubset(sup))
+                support_of[id(points)] = (sup, points)
+                return points
+
+            solved = []
+
+            def recording(point_sets):
+                point_sets = list(point_sets)
+                solved.extend(support_of[id(points)][0] for points in point_sets)
+                return real(point_sets)
+
+            with monkeypatch.context() as hook:
+                hook.setattr(geometry, "_orthant_optima", recording)
+                table = radius_table(points_of, n, scales)
+            reference = _reference_table(points_of, n, scales)
+            assert list(table.items()) == list(reference.items())
+            assert sorted(solved) == sorted(table)
+
+            (optima,), (scale,) = real([body.vertices])
+            t = min(scales)
+            if geometry._fits(optima.min() * scale, t) or geometry._box_cut(body.vertices, t):
+                continue  # the probe settles t, or cuts the full set: no walk, or no bound
+            bound_fits = geometry._bound_fits(optima * scale, n, t)
+            fits = {}
+            for size in range(1, n):
+                level = list(itertools.combinations(range(n), size))
+                fits.update(zip(level, bound_fits(level)))
+                assert [fits[sigma] for sigma in level] == [
+                    geometry._fits(_probe_bound(optima * scale, n, sigma), t) for sigma in level]
+            sure = [sigma for sigma in fits if len(sigma) == 1
+                    or all(fits[sigma[:i] + sigma[i + 1:]] for i in range(len(sigma)))]
+            for sigma in sure:  # every support the bound makes sure of is a candidate of the walk
+                subsets = [sigma[:i] + sigma[i + 1:] for i in range(len(sigma))]
+                assert len(sigma) == 1 or all(
+                    sub in table and geometry._fits(table[sub], t) for sub in subsets)
 
 
 def test_polytope_norm_round_trip(tmp_path):

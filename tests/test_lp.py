@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -268,3 +271,144 @@ def test_iteration_cap_on_a_stack_names_the_lps_still_running(monkeypatch):
     assert "ran 0 iterations" in message
     assert "4x12 tableau" in message
     assert "8 of 8 LPs" in message
+
+
+def test_iteration_cap_counts_only_the_lps_still_running(monkeypatch):
+    # LPs that reach their optimum before the cap stay in the stack but are
+    # not counted as running; the count is the number of LPs that a cap of
+    # `cap` pivots stops when each is solved alone.  Four point pairs in four
+    # coordinates: each LP starts on all its points, so it runs once.
+    from combdim import geometry, simplex
+
+    w = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 4))
+    points = np.vstack([w, -w])
+    scaled = points / 2.0 ** round(math.log2(np.abs(points).max()))  # as _orthant_optima scales
+    for cap in (4, 5, 6, 7):
+        monkeypatch.setattr(simplex, "_max_iter", lambda a_ub, a_eq: cap)
+        stopped = 0
+        for theta in itertools.product((-1.0, 1.0), repeat=3):
+            try:
+                orthant = np.array([(1.0,) + theta])
+                geometry._generate_columns(scaled[None], [len(points)], [orthant])
+            except IterationCapError:
+                stopped += 1
+        assert 0 < stopped < 8
+        with pytest.raises(IterationCapError, match=f"; {stopped} of 8 LPs in the stack"):
+            geometry._inscribed_radius([points])
+
+
+def _symmetric_sets(rng, count):
+    # symmetric point sets of 1-5 coordinates and 1-9 point pairs, some with
+    # zero rows appended (as a caller padding to a common shape would) and
+    # some with a repeated pair
+    sets = []
+    for _ in range(count):
+        k = int(rng.integers(1, 6))
+        w = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 10)), k))
+        if rng.random() < 0.3:
+            w = np.vstack([w, w[:1]])
+        points = np.vstack([w, -w])
+        if rng.random() < 0.4:
+            points = np.vstack([points, np.zeros((int(rng.integers(1, 6)), k))])
+        sets.append(points)
+    return sets
+
+
+def _bits(values):
+    # the exact floats, signed zeros included
+    return [float(v).hex() for v in values]
+
+
+def test_mixed_size_stack_gives_each_lp_its_own_size_float():
+    # orthant LPs of sets of different |sigma| and point counts share one
+    # stack, padded with inert rows, points and columns; each optimum is the
+    # very float of its set solved alone and of a stack of its own size
+    from combdim import geometry
+
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        sets = _symmetric_sets(rng, 8)
+        assert len(list(geometry._stacks([s.shape for s in sets]))) == 1
+        mixed, scales = geometry._orthant_optima(sets)
+        assert scales == [geometry._orthant_optima([s])[1][0] for s in sets]
+        for points, optima in zip(sets, mixed):
+            alone = geometry._orthant_optima([points])[0][0]
+            assert _bits(optima) == _bits(alone)
+            same = [s for s in sets if s.shape == points.shape]
+            own = geometry._orthant_optima(same)[0][next(
+                i for i, s in enumerate(same) if s is points)]
+            assert _bits(optima) == _bits(own)
+
+
+def test_mixed_size_stacks_keep_within_the_entry_limit(monkeypatch):
+    from combdim import geometry
+
+    rng = np.random.default_rng(12)
+    sets = _symmetric_sets(rng, 40)
+    shapes = [s.shape for s in sets]
+
+    def entries(stack):
+        # the padded size of a stack: its LPs at the largest shape of its sets
+        n_pts = max(shapes[s][0] for s, _, _ in stack)
+        k = max(shapes[s][1] for s, _, _ in stack)
+        width = max(min(shapes[s][0], 2 * shapes[s][1]) for s, _, _ in stack)
+        return sum(hi - lo for _, lo, hi in stack) * ((k + 1) * (width + k + 3) + n_pts)
+
+    reference = geometry._inscribed_radius(sets)
+    for limit in (1, 300, 3_000, 150_000):
+        monkeypatch.setattr(geometry, "STACK_ENTRY_LIMIT", limit)
+        stacks = list(geometry._stacks(shapes))
+        covered = [(s, o) for stack in stacks for s, lo, hi in stack for o in range(lo, hi)]
+        assert covered == [(s, o) for s, (_, k) in enumerate(shapes) for o in range(1 << (k - 1))]
+        for stack in stacks:
+            assert entries(stack) <= limit or sum(hi - lo for _, lo, hi in stack) == 1
+        assert geometry._inscribed_radius(sets) == reference
+
+
+def test_optimal_lps_stay_bit_for_bit_while_their_stack_runs():
+    # orthant LPs of one point set (with zero coordinates, so the tableaux
+    # hold signed zeros) finish at different pivots; one that is optimal
+    # early pivots on a basic entry until the stack shrinks, and each final
+    # tableau and basis is the one its LP ends with alone
+    from combdim import simplex
+
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        k, pairs = 5, 12
+        w = rng.uniform(-1.0, 1.0, (pairs, k))
+        w[rng.random(w.shape) < 0.25] = 0.0
+        points = np.vstack([w, -w])
+        theta = np.array([(1.0,) + signs for signs in itertools.product((-1.0, 1.0), repeat=k - 1)])
+        a_ub = np.zeros((len(theta), k + 1, 1 + len(points)))
+        a_ub[:, :k, 0] = 1.0
+        a_ub[:, :k, 1:] = -theta[:, :, None] * points.T[None]
+        a_ub[:, k, 1:] = 1.0
+        b_ub = np.zeros(k + 1)
+        b_ub[k] = 1.0
+        cost = np.zeros(a_ub.shape[2] + k + 1)
+        cost[0] = -1.0
+        tableau, basis, _ = simplex._tableau(a_ub, b_ub, a_ub[:, :0], b_ub[:0])
+        stacked, stacked_basis = tableau.copy(), basis.copy()
+        assert not simplex._run_simplex(stacked, stacked_basis, cost, 1000, phase=2)
+        for lp in range(len(theta)):
+            alone, alone_basis = tableau[lp : lp + 1].copy(), basis[lp : lp + 1].copy()
+            assert not simplex._run_simplex(alone, alone_basis, cost, 1000, phase=2)
+            assert alone.tobytes() == stacked[lp : lp + 1].tobytes()
+            assert alone_basis.tolist() == stacked_basis[lp : lp + 1].tolist()
+
+
+def test_a_pivot_on_a_basic_entry_changes_no_bit():
+    # the optimal LP of a stack of two pivots on its row 0's basic entry
+    # while the other pivots for real: its row 0 has negative entries, its
+    # other row -0.0s (one in the basic column, as a row negated for phase 1
+    # leaves), which a rank-1 term of -0.0 would turn to +0.0
+    from combdim import simplex
+
+    tableau = np.array([[[2.0, 1.0, 0.0, 3.0], [1.0, 0.0, 1.0, 2.0]],
+                        [[-1.5, 1.0, 0.0, 0.5], [-0.0, -0.0, 1.0, -0.0]]])
+    basis = np.array([[1, 2], [1, 2]])
+    optimal = tableau[1].copy()
+    simplex._pivot(tableau, basis, np.array([0, 0]), np.array([0, 1]), np.array([False, True]))
+    assert tableau[1].tobytes() == optimal.tobytes()
+    assert basis[1].tolist() == [1, 2]
+    assert tableau[0].tolist() == [[1.0, 0.5, 0.0, 1.5], [0.0, -0.5, 1.0, 0.5]]
