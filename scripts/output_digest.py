@@ -5,7 +5,7 @@ Run from the repository root:
 
     PYTHONPATH=src python3 scripts/output_digest.py [--dump DIR]
 
-A change that must keep outputs identical leaves all fourteen lines as
+A change that must keep outputs identical leaves all fifteen lines as
 they were.  With `--dump DIR` the script also writes each suite's reprs,
 one output per line, to DIR/<suite>.txt, so that diffing the dumps of two
 runs locates and sizes every value that moved.  The suites:
@@ -49,7 +49,14 @@ runs locates and sizes every value that moved.  The suites:
   scale t of the entropy line, on the same families;
 - dudley: `run_dudley_experiment(seed, samples=4000)` for seeds 0-7,
   then `gaussian_sup_mc` of kind "gaussian" and "rademacher" on three
-  seeded `gen_random_family` families: the paths that call scipy.
+  seeded `gen_random_family` families: the paths that call scipy;
+- extract: `extract_coordinates` (its outcome, or the error's message,
+  best separation and attempts) on the cases of
+  `tests/test_extraction.py`: the family, scale, k and seed of each
+  pipeline seed 0-299, `gen_random_family` families of all four kinds at
+  k = 1, ceil(n/2) and n, and scales at which a draw's distance is
+  exactly t/2, with 100 attempts and with the attempts cut after that
+  draw.
 
 The 56 instances are the six norms of each `random_norm_instances(1..8)`
 and eight tightness bodies, net size 64, net seed 0.  The six n = 8
@@ -60,6 +67,7 @@ vectors `0.3 * standard_normal((8, 8))`, drawn in turn from
 
 import argparse
 import hashlib
+import importlib.util
 import itertools
 from pathlib import Path
 
@@ -67,8 +75,8 @@ import numpy as np
 
 from combdim.elton import DEFAULT_T_GRID, dual_body, elton_subset, rudelson_example
 from combdim.entropy import covering_number, packing_number
-from combdim.errors import PipelineError
-from combdim.extraction import extraction_success_probability
+from combdim.errors import ExtractionError, PipelineError
+from combdim.extraction import extract_coordinates, extraction_success_probability
 from combdim.experiments import (
     ExperimentConfig,
     gen_separated_family,
@@ -112,6 +120,23 @@ def pipeline_family(seed: int):
     m_target = int(rng.integers(6, 12))
     t = float(rng.uniform(0.95, 1.2))
     return gen_separated_family(n, t, [seed, 7], m_target, kind="noisy-signs"), t
+
+
+def extraction_cases():
+    # the cases of the extraction exactness tests, loaded from the test file
+    path = Path(__file__).resolve().parents[1] / "tests" / "test_extraction.py"
+    spec = importlib.util.spec_from_file_location("extraction_tests", path)
+    tests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tests)
+    return itertools.chain((tests._pipeline_case(seed) for seed in range(300)),
+                           tests._random_cases(), tests._tie_cases())
+
+
+def extraction_outcome(family, t, k, seed, max_attempts):
+    try:
+        return extract_coordinates(family, t, k, seed, max_attempts)
+    except ExtractionError as exc:
+        return str(exc), exc.best_separation, exc.attempts
 
 
 def acceptance_curve(seed: int):
@@ -237,6 +262,7 @@ def main() -> None:
         (run_dudley_experiment(seed, samples=4000) for seed in range(8)),
         (gaussian_sup_mc(family, 4000, [seed, 6], kind) for seed, family in enumerate(families)
          for kind in ("gaussian", "rademacher"))), dump)
+    report("extract", (extraction_outcome(*case) for case in extraction_cases()), dump)
 
 if __name__ == "__main__":
     main()

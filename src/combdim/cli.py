@@ -108,13 +108,14 @@ def cmd_extract(args) -> int:
     outcome = extraction.extract_coordinates(
         family, args.scale, args.target_size, args.seed, args.max_attempts
     )
+    achieved = outcome.achieved_separation  # inf when there is no pair to separate
     doc = {
         "subset": list(outcome.subset),
         "attempts": outcome.attempts,
-        "achieved_separation": outcome.achieved_separation,
+        "achieved_separation": achieved if math.isfinite(achieved) else None,
         "target_separation": outcome.target_separation,
     }
-    _write_or_print(args.out, json.dumps(doc, indent=1) + "\n")
+    _write_or_print(args.out, json.dumps(doc, indent=1, allow_nan=False) + "\n")
     return 0
 
 

@@ -149,8 +149,12 @@ def packing_number(
     """
     if not t > 0:
         raise ValueError(f"packing scale must be positive, got {t!r}")
-    dist = pairwise_distances(family, measure, p)
-    if family.size > PACKING_EXACT_LIMIT:
+    return _packing_from_distances(pairwise_distances(family, measure, p), t)
+
+
+def _packing_from_distances(dist: np.ndarray, t: float) -> tuple[int, str]:
+    """packing_number at scale t > 0 from the family's distance matrix."""
+    if len(dist) > PACKING_EXACT_LIMIT:
         return _greedy_packing(dist, t), "lower-bound"
     return _max_clique_size(dist > t), "exact"  # dist[i, i] = 0 < t
 

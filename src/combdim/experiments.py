@@ -83,7 +83,11 @@ def gen_separated_family(
 def mid_gap_scales(family: FunctionFamily, measure: ProbabilityMeasure, count: int) -> list[float]:
     """Scales placed at midpoints between distinct pairwise distances, so
     exact packing/covering never sees a tie at the scale itself."""
-    dist = entropy.pairwise_distances(family, measure)
+    return _mid_gap_scales(entropy.pairwise_distances(family, measure), count)
+
+
+def _mid_gap_scales(dist: np.ndarray, count: int) -> list[float]:
+    """mid_gap_scales from the family's distance matrix."""
     rows = np.arange(dist.shape[0])
     vals = np.unique(dist[rows[:, None] < rows])  # the distances above the diagonal
     vals = vals[vals > 1e-12]
@@ -115,11 +119,11 @@ def _main_theorem_instance(args) -> dict:
     n = int(rng.integers(2, config.max_coords + 1))
     kind = ("uniform-real", "convex-hull-sections", "sign-vectors")[index % 3]
     family = gen_random_family(m, n, kind, [config.seed, index, 1])
-    measure = ProbabilityMeasure.uniform(n)
-    scales = [t for t in mid_gap_scales(family, measure, 3) if 0 < t < 1]
+    dist = entropy.pairwise_distances(family, ProbabilityMeasure.uniform(n))
+    scales = [t for t in _mid_gap_scales(dist, 3) if 0 < t < 1]
     rows = []
     for t in scales:
-        pack, flag = entropy.packing_number(family, measure, t)
+        pack, flag = entropy._packing_from_distances(dist, t)
         try:
             dim = shattering.vc_real(family, t / 7.0) if flag == "exact" else None
         except BudgetError:
@@ -307,10 +311,10 @@ def run_dudley_experiment(seed: int, samples: int = 20000) -> dict:
 
     dist = entropy.pairwise_distances(family, measure)
     diam_l2mu = float(dist.max())
-    scales = [s for s in mid_gap_scales(family, measure, 12) if s > 0]
+    scales = [s for s in _mid_gap_scales(dist, 12) if s > 0]
     curve = []
     for s in scales:
-        count, _ = entropy.packing_number(family, measure, s)
+        count, _ = entropy._packing_from_distances(dist, s)
         curve.append((s * math.sqrt(n), math.log(count)))  # Euclidean scale
     lower = DEFAULT_CONSTANTS.dudley_lower_c * e_hat / math.sqrt(n)
     upper = diam_l2mu * math.sqrt(n)

@@ -3,13 +3,17 @@
 Coordinates are kept independently with probability min(1, k/(2n)); a
 draw is accepted when the subset is nonempty, has at most k coordinates,
 and the family stays (t/2)-separated in L2 of the uniform measure on the
-subset.  That probability is an exact sum over supports; the Bernstein
-tail bound on the failure probability is a first-class evaluator.
+subset.  A draw's least distance is computed exactly only when it could
+be accepted or become the best one seen: a bound read off the draw's
+Gram matrix rules out the rest.  The acceptance probability is an exact
+sum over supports; the Bernstein tail bound on the failure probability
+is a first-class evaluator.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,15 +47,46 @@ class ExtractionOutcome:
     target_separation: float
 
 
-def _min_subset_distance(family: FunctionFamily, sigma: np.ndarray) -> float:
-    """Smallest pairwise L2 distance under the uniform measure on sigma."""
-    sub = family.values[:, sigma]
-    m = sub.shape[0]
+def _min_subset_distance(sub: np.ndarray, gram: np.ndarray | None = None) -> float:
+    """Smallest pairwise L2 distance between the rows of sub, a family's
+    values on a coordinate subset, under the uniform measure on its
+    columns.  gram, when given, is sub @ sub.T / columns, and is consumed."""
+    m, size = sub.shape
     if m < 2:
         return math.inf
-    weights = np.full(sigma.size, 1.0 / sigma.size)
-    dist = distances_from_gram(sub, weights, sub @ sub.T / sigma.size)
-    return float(dist[np.triu_indices(m, k=1)].min())
+    if gram is None:
+        gram = sub @ sub.T / size
+    dist = distances_from_gram(sub, np.full(size, 1.0 / size), gram)
+    rows = np.arange(m)
+    return float(dist[rows[:, None] < rows].min())
+
+
+def _min_distance_bound(gram: np.ndarray, size: int) -> float:
+    """A float no smaller than the distance _min_subset_distance returns
+    from gram = sub @ sub.T / size, on size coordinates, with N its
+    largest diagonal entry.
+
+    The bound is sqrt(min_{i != j} (g_ii + g_jj - 2 g_ij) + margin), margin
+    = 1e-12 (size + 6) N.  Against the exact squared distance D_ij of a
+    pair, with u = 2^-53 and Cauchy-Schwarz on each dot product:
+    - the kernel's own value, Gram form or recomputed from differences,
+      is within 4 (size + 5) u N of D_ij (a few ulps of g_ii + g_jj);
+    - the Gram form here, with its two subtractions, is within
+      4 (size + 6) u N of D_ij;
+    so the kernel's least square exceeds the least one here by at most
+    8 (size + 6) u N, under a thousandth of the margin, and the clamp at
+    0 and the rounding of the sum stay inside the rest.  The correctly
+    rounded sqrt is monotone, so the kernel's distance, the sqrt of its
+    least square, is at most the bound: comparing the bound with t/2
+    needs no slack for the sqrt.  An overflowing Gram matrix gives nan,
+    which rules nothing out.  N is floored at the least normal float, so
+    the margin also covers the absolute error of a product that underflows."""
+    norms = gram.diagonal()
+    sq = np.add.outer(norms, norms)
+    sq -= gram
+    sq -= gram
+    np.fill_diagonal(sq, np.inf)
+    return math.sqrt(sq.min() + 1e-12 * (size + 6) * norms.max(initial=sys.float_info.min))
 
 
 def _check_precondition(family: FunctionFamily, t: float, k: int) -> None:
@@ -82,6 +117,13 @@ def extract_coordinates(
 
     Raises ExtractionError when max_attempts draws all fail, reporting the
     best separation seen among draws of admissible size.
+
+    After the first admissible draw, a draw's exact least distance (the
+    Gram kernel _min_subset_distance) runs only when the draw could be
+    accepted or raise the best: it is skipped when _min_distance_bound,
+    read off the same Gram product, is <= t/2 and < best, which proves
+    the exact distance is too.  The draws, attempts, distances and
+    messages are therefore those of computing every draw exactly.
     """
     _check_precondition(family, t, k)
     if max_attempts < 1:
@@ -93,7 +135,13 @@ def extract_coordinates(
         sigma = np.flatnonzero(rng.random(n) < k / (2.0 * n))
         if sigma.size == 0 or sigma.size > k:
             continue
-        d = _min_subset_distance(family, sigma)
+        sub = family.values[:, sigma]
+        gram = sub @ sub.T / sigma.size
+        if best is not None:
+            bound = _min_distance_bound(gram, sigma.size)
+            if bound <= t / 2.0 and bound < best:
+                continue
+        d = _min_subset_distance(sub, gram)
         if best is None or d > best:
             best = d
         if d > t / 2.0:

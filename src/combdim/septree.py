@@ -129,7 +129,12 @@ def small_dev_split(dist: Distribution) -> SplitCertificate:
     toward the smaller threshold.  Scores are compared exactly, as
     integers 4 * total times that minimum.  Tails are counted by
     bisection over prefix row counts, and each (threshold, side) scores
-    only the two shares around its best one.
+    only the two shares around its best one.  The tail counts are
+    monotone in the threshold, so equal (upper, lower) pairs come in runs
+    of consecutive candidates, and only the first of a run is scored: the
+    others could only tie, and a tie keeps the smaller threshold.  A side
+    whose heavy count is below total/2 scores below 0 at every share and
+    is not scored.
     """
     var = _moment_variance(dist)
     if not var > 0.0:
@@ -147,12 +152,17 @@ def small_dev_split(dist: Distribution) -> SplitCertificate:
     below = [0, *itertools.accumulate(w for _, w in dist.atoms)]  # rows in the first k atoms
     shares = sorted({total} | {min(2 * c, total) for acc in below[1:]
                                for c in (acc, total - acc) if c > 0})
-    best = None
-    best_key = None
+    best = None  # (key, threshold, upper, lower)
+    tails = None
     for a in sorted(candidates):  # ascending, and ties keep the first: the smaller threshold
         up = total - below[bisect.bisect_right(values, a + gap)]
         lo = below[bisect.bisect_left(values, a - gap)]
-        for side, heavy, light in (("upper-heavy", up, lo), ("lower-heavy", lo, up)):
+        if (up, lo) == tails:
+            continue
+        tails = up, lo
+        for upper_heavy, heavy, light in ((True, up, lo), (False, lo, up)):
+            if 2 * heavy < total:
+                continue
             # the score rises strictly in the share below s* = 4 (light - heavy + total) / 3
             # and falls strictly above it, so the best share is one of the two around s*
             cut = bisect.bisect_right(shares, 4 * (light - heavy + total) // 3)
@@ -160,12 +170,13 @@ def small_dev_split(dist: Distribution) -> SplitCertificate:
                 score = min(4 * heavy - 4 * total + 2 * share, 4 * light - share)
                 if score < 0:
                     continue
-                key = (score, share, side == "upper-heavy")
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best = SplitCertificate(a, share, total, gap, side, up, lo)
+                key = (score, share, upper_heavy)
+                if best is None or key > best[0]:
+                    best = key, a, up, lo
     assert best is not None, "no split certificate found for a nonzero-variance distribution"
-    return best
+    (_, share, upper_heavy), a, up, lo = best
+    return SplitCertificate(a, share, total, gap, "upper-heavy" if upper_heavy else "lower-heavy",
+                            up, lo)
 
 
 def _reinterpret_gap(cert: SplitCertificate, dist: Distribution, gap: float) -> SplitCertificate:

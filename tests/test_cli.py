@@ -247,6 +247,21 @@ def test_extract_command(tmp_path, capsys):
     assert doc["achieved_separation"] > doc["target_separation"]
 
 
+def test_extract_of_a_single_row_writes_strict_json(tmp_path, capsys):
+    # one row leaves no pair to separate: the library's inf is written as null
+    fam = tmp_path / "one.json"
+    fam.write_text(json.dumps({"domain_size": 3, "value_kind": "real",
+                               "values": [[0.5, -0.25, 0.75]]}))
+    assert main(["extract", "--family", str(fam), "--scale", "0.5", "--target-size", "2"]) == 0
+
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert doc["achieved_separation"] is None
+    assert doc["target_separation"] == 0.25 and doc["attempts"] >= 1
+
+
 def test_extract_out_of_attempts_exits_2(tmp_path, capsys):
     # the pair differs on one coordinate of eight; seed 2's one draw misses it
     fam = tmp_path / "pair.json"

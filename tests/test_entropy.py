@@ -94,7 +94,7 @@ def test_close_pair_distance_is_exact():
     assert pairwise_distances(pair, mu)[0, 1] == pytest.approx(direct, rel=1e-12)
     assert not is_separated(pair, mu, 2.83e-7)
     assert packing_number(pair, mu, 2.83e-7) == (1, "exact")
-    assert _min_subset_distance(pair, np.arange(8)) == pytest.approx(direct, rel=1e-12)
+    assert _min_subset_distance(pair.values) == pytest.approx(direct, rel=1e-12)
 
 
 def test_distance_matrix_is_exactly_symmetric():

@@ -14,8 +14,10 @@ from combdim import (
     extraction_success_probability,
 )
 from combdim import extraction
+from combdim.entropy import distances_from_gram, pairwise_distances
 from combdim.experiments import gen_separated_family
 from combdim.extraction import _min_subset_distance, verify_outcome
+from combdim.family import CoordinateSubset, ProbabilityMeasure, gen_random_family
 
 CONSTANT_PAIR_20 = FunctionFamily([[1.0] * 20, [-1.0] * 20])
 
@@ -166,7 +168,7 @@ def test_success_probability_matches_support_enumeration():
             len(sigma)
             for j in range(1, n + 1)
             for sigma in itertools.combinations(range(n), j)
-            if _min_subset_distance(fam, np.array(sigma)) > t / 2.0
+            if _min_subset_distance(fam.values[:, list(sigma)]) > t / 2.0
         ]
         for k in [*range(1, n + 1), 2 * n + 1]:
             p = min(1.0, k / (2 * n))
@@ -186,3 +188,166 @@ def test_accepted_subsets_reverify():
             continue
         assert verify_outcome(fam, t, outcome)
         assert len(outcome.subset) <= max(2, n // 2)
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the filtered draw loop: the reference computes every
+# admissible draw's distance with the Gram kernel, as the loop did before
+# the filter.
+# ---------------------------------------------------------------------------
+
+def _reference_min_subset_distance(family, sigma):
+    sub = family.values[:, sigma]
+    m = sub.shape[0]
+    if m < 2:
+        return math.inf
+    weights = np.full(sigma.size, 1.0 / sigma.size)
+    dist = distances_from_gram(sub, weights, sub @ sub.T / sigma.size)
+    return float(dist[np.triu_indices(m, k=1)].min())
+
+
+def _reference_extract(family, t, k, seed, max_attempts=100):
+    """(repr of the outcome, or message, best and attempts of the error;
+    the log of (attempt, sigma, distance) over the admissible draws)."""
+    n = family.domain_size
+    best = None
+    log = []
+    for attempt in range(max_attempts):
+        rng = np.random.default_rng([seed, attempt])
+        sigma = np.flatnonzero(rng.random(n) < k / (2.0 * n))
+        if sigma.size == 0 or sigma.size > k:
+            continue
+        d = _reference_min_subset_distance(family, sigma)
+        log.append((attempt, tuple(sigma.tolist()), d))
+        if best is None or d > best:
+            best = d
+        if d > t / 2.0:
+            outcome = extraction.ExtractionOutcome(
+                subset=CoordinateSubset(tuple(int(i) for i in sigma)),
+                attempts=attempt + 1, achieved_separation=d, target_separation=t / 2.0)
+            return repr(outcome), log
+    message = (f"no accepted subset in {max_attempts} attempts "
+               f"(best separation seen: {best}, target {t / 2.0})")
+    return repr((message, best, max_attempts)), log
+
+
+def _extract(family, t, k, seed, max_attempts=100):
+    try:
+        return repr(extract_coordinates(family, t, k, seed, max_attempts))
+    except ExtractionError as exc:
+        return repr((str(exc), exc.best_separation, exc.attempts))
+
+
+def _pipeline_case(seed):
+    # the family, scale, k and extraction seed of run_pipeline_trace
+    fam, t = _pipeline_family(seed)
+    n, m = fam.domain_size, fam.size
+    k = max(2, min(n, int(math.ceil(math.log(2.0 * m) / t**4 / 4.0)) + n // 2))
+    return fam, t, k, [seed, 13], 100
+
+
+def _random_families():
+    # every generator kind, rows made distinct: (family, seed, least distance)
+    for seed in range(24):
+        kind = ("uniform-real", "convex-hull-sections", "sign-vectors", "integer-grid")[seed % 4]
+        rng = np.random.default_rng([seed, 29])
+        m, n = int(rng.integers(2, 13)), int(rng.integers(1, 11))
+        fam = gen_random_family(m, n, kind, [seed, 31], grid_max=3)
+        fam = fam.subfamily(sorted(np.unique(fam.values, axis=0, return_index=True)[1].tolist()))
+        if fam.size >= 2:
+            dist = pairwise_distances(fam, ProbabilityMeasure.uniform(n))
+            yield fam, [seed, 37], float(dist[~np.eye(fam.size, dtype=bool)].min())
+
+
+def _sizes(n):
+    return sorted({1, math.ceil(n / 2), n})
+
+
+def _random_cases():
+    # two scales below the least distance
+    for fam, seed, least in _random_families():
+        for t in (0.999 * least, 0.5 * least):
+            for k in _sizes(fam.domain_size):
+                yield fam, t, k, seed, 100
+
+
+def _tie_cases():
+    # scales at which some draw's exact distance is t/2 exactly, with all
+    # attempts and with the attempts cut after that draw, so that it may be
+    # the best of a failure; integer and sign families also repeat
+    # distances, so draws tie the best seen
+    for fam, seed, least in _random_families():
+        for k in _sizes(fam.domain_size):
+            _, log = _reference_extract(fam, math.inf, k, seed)  # every draw's distance
+            ties = sorted({(d, attempt) for attempt, _, d in log if 0 < 2 * d < least})
+            for d, attempt in ties[:3] + ties[-2:]:
+                yield fam, 2 * d, k, seed, 100
+                yield fam, 2 * d, k, seed, attempt + 1
+
+
+def test_extraction_matches_every_draw_reference_on_pipeline_families():
+    failures = 0
+    for seed in range(300):
+        case = _pipeline_case(seed)
+        expected, _ = _reference_extract(*case)
+        assert _extract(*case) == expected, seed
+        failures += "no accepted subset" in expected
+    assert failures == 1  # seed 98: its message and best_separation matched
+
+
+def test_extraction_matches_every_draw_reference_on_random_families_and_ties():
+    ties = failures_at_a_tie = 0
+    for case in itertools.chain(_random_cases(), _tie_cases()):
+        expected, log = _reference_extract(*case)
+        assert _extract(*case) == expected, (case[0].values.tolist(), *case[1:])
+        t = case[1]
+        ties += any(d == t / 2.0 for _, _, d in log)
+        failures_at_a_tie += "no accepted subset" in expected and f"seen: {t / 2.0}," in expected
+    assert ties >= 20 and failures_at_a_tie >= 5
+
+
+def test_exact_kernel_runs_only_on_draws_that_can_accept_or_raise_the_best(monkeypatch):
+    calls = []
+    real = extraction._min_subset_distance
+    monkeypatch.setattr(extraction, "_min_subset_distance",
+                        lambda sub, gram=None: calls.append(sub.tolist()) or real(sub, gram))
+    draws = 0
+    for seed in range(40):
+        case = _pipeline_case(seed)
+        t = case[1]
+        _, log = _reference_extract(*case)
+        expected, best = [], None
+        for _, sigma, d in log:
+            # a draw that ties the best (the same subset drawn again) runs it
+            # too: no margin proves its distance below the best
+            if best is None or d >= best or d > t / 2.0:
+                expected.append(case[0].values[:, list(sigma)].tolist())
+            best = d if best is None else max(best, d)
+        calls.clear()
+        _extract(*case)
+        assert calls == expected, seed
+        draws += len(log)
+    assert draws == 435
+
+
+def test_distance_bound_is_never_below_the_kernel():
+    # near-duplicate rows exercise the kernel's recompute from differences;
+    # the real scales reach underflow, the integer ones large magnitudes
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        m, n = int(rng.integers(2, 9)), int(rng.integers(1, 12))
+        scale = (1e-170, 1e-150, 1e-8, 1.0, 1e6, 2.0**40)[trial % 6]
+        vals = rng.integers(0, 4, size=(m, n)) / 4.0
+        vals[1:] = vals[0] + rng.choice([0.0, 1e-9, 1e-15], size=(m - 1, 1)) * vals[1:]
+        if scale < 1:
+            fam = FunctionFamily(np.clip(vals + rng.uniform(-0.5, 0.5, (m, n)), -1, 1) * scale)
+        else:
+            vals = np.rint(vals * scale) + rng.integers(0, 3, size=(m, n))
+            fam = FunctionFamily(vals, "integer", int(vals.max()))
+        for _ in range(5):
+            sigma = np.flatnonzero(rng.random(n) < 0.6)
+            if not sigma.size:
+                continue
+            sub = fam.values[:, sigma]
+            bound = extraction._min_distance_bound(sub @ sub.T / sigma.size, sigma.size)
+            assert bound >= _min_subset_distance(sub), (trial, sigma)

@@ -249,6 +249,61 @@ def test_small_dev_split_is_the_exact_best_split_at_large_row_counts():
         assert (cert.threshold, cert.side, cert.beta) == (threshold, side, float(beta)), trial
 
 
+def _unpruned_split(dist):
+    """small_dev_split scoring every candidate threshold and both sides,
+    building a certificate at each improvement."""
+    import bisect
+    import itertools
+
+    gap = math.sqrt(_moment_variance(dist)) / 6.0
+    values = [v for v, _ in dist.atoms]
+    candidates = set(values)
+    candidates.update((a + b) / 2.0 for a, b in zip(values, values[1:]))
+    breaks = sorted({v - gap for v in values} | {v + gap for v in values})
+    candidates.update(breaks)
+    candidates.update((a + b) / 2.0 for a, b in zip(breaks, breaks[1:]))
+    total = dist.total
+    below = [0, *itertools.accumulate(w for _, w in dist.atoms)]
+    shares = sorted({total} | {min(2 * c, total) for acc in below[1:]
+                               for c in (acc, total - acc) if c > 0})
+    best = None
+    best_key = None
+    for a in sorted(candidates):
+        up = total - below[bisect.bisect_right(values, a + gap)]
+        lo = below[bisect.bisect_left(values, a - gap)]
+        for side, heavy, light in (("upper-heavy", up, lo), ("lower-heavy", lo, up)):
+            cut = bisect.bisect_right(shares, 4 * (light - heavy + total) // 3)
+            for share in shares[max(cut - 1, 0) : cut + 1]:
+                score = min(4 * heavy - 4 * total + 2 * share, 4 * light - share)
+                if score < 0:
+                    continue
+                key = (score, share, side == "upper-heavy")
+                if best_key is None or key > best_key:
+                    best_key = key
+                    best = SplitCertificate(a, share, total, gap, side, up, lo)
+    return best
+
+
+def test_small_dev_split_scores_each_tail_regime_once():
+    # grid values and equal counts make many thresholds tie; the zero atom is
+    # -0.0 in half the trials, and the thresholds must match in sign too
+    rng = np.random.default_rng(53)
+    checked = 0
+    for trial in range(1500):
+        k = int(rng.integers(2, 13))
+        grid = rng.choice(np.arange(-6, 7), size=k, replace=False) / 4.0
+        values = sorted((-0.0 if v == 0 and trial % 2 else float(v)) for v in grid)
+        cap = [1, 3, 100, 10**6][trial % 4]
+        weights = ([int(rng.integers(1, cap + 1))] * k if trial % 3 == 0
+                   else rng.integers(0, cap + 1, k).tolist())
+        if sum(w > 0 for w in weights) < 2:
+            continue
+        dist = Distribution(tuple(zip(values, weights)))
+        assert repr(small_dev_split(dist)) == repr(_unpruned_split(dist)), trial
+        checked += 1
+    assert checked > 1300
+
+
 def test_find_separating_coordinate_examples():
     fam = FunctionFamily([[1, 0], [-1, 0]])
     i, cert = find_separating_coordinate(fam, UNIFORM2, 1.4)
