@@ -340,7 +340,7 @@ def _orthant_optima(point_sets) -> tuple[list[np.ndarray], list[float]]:
     sum(y) <= 1: k + 1 rows with right-hand sides >= 0, so no phase 1
     runs.  The LPs run by column generation (`_generate_columns`) in
     stacks taken in order (`_stacks`).  `point_sets` may be an iterator:
-    a set is read when its run of one size is, and let go once solved.
+    a set is read when the packer reaches it, and let go once solved.
     """
     sets: list[np.ndarray | None] = []
     optima: list[np.ndarray] = []
@@ -392,13 +392,12 @@ def _orthants(k: int) -> np.ndarray:
 def _stacks(shapes):
     """The stacks, as lists of (set, first orthant, end orthant), of the
     orthant LPs of point sets of the given (points, k) shapes (an
-    iterable, read one run of a size at a time), in order.  A stack's LPs
-    are each as large as its largest (`_generate_columns` pads them) and
-    stay within STACK_ENTRY_LIMIT entries of starting tableaux and pricing
-    products.  A run of sets of one size joins the open stack whole, or
-    else closes it and fills new stacks set by set, so that few LPs are
-    padded to a larger size; a set too large for a stack alone runs in
-    power-of-two shares of its orthants (one LP if it alone is larger)."""
+    iterable, read one set at a time), in order, cut by one greedy pass:
+    a stack takes the next LP as long as all its LPs, padded to its grown
+    largest shape (`_generate_columns` pads them), stay within
+    STACK_ENTRY_LIMIT entries of starting tableaux and pricing products;
+    one LP always fits.  A set runs whole or in consecutive shares of its
+    orthants."""
 
     def per_lp(n_pts: int, k: int, width: int) -> int:
         # mu, the working set, k + 1 slacks and the rhs on k + 1 rows, and
@@ -406,31 +405,19 @@ def _stacks(shapes):
         return (k + 1) * (width + k + 3) + n_pts
 
     stack, dims, lps = [], (0, 0, 0), 0
-    for k, run in itertools.groupby(enumerate(shapes), key=lambda item: item[1][1]):
-        run = [(s, (n_pts, k, min(n_pts, 2 * k))) for s, (n_pts, _) in run]
-        count = 1 << (k - 1)
-        grown = tuple(map(max, dims, *(own for _, own in run)))
-        if stack and (lps + len(run) * count) * per_lp(*grown) <= STACK_ENTRY_LIMIT:
-            stack += [(s, 0, count) for s, _ in run]
-            dims, lps = grown, lps + len(run) * count
-            continue
-        if stack:
-            yield stack
-            stack, dims, lps = [], (0, 0, 0), 0
-        for s, own in run:
+    for s, (n_pts, k) in enumerate(shapes):
+        own = (n_pts, k, min(n_pts, 2 * k))
+        lo, count = 0, 1 << (k - 1)
+        while lo < count:
             grown = tuple(map(max, dims, own))
-            if stack and (lps + count) * per_lp(*grown) <= STACK_ENTRY_LIMIT:
-                stack.append((s, 0, count))
-                dims, lps = grown, lps + count
-                continue
-            if stack:
+            room = STACK_ENTRY_LIMIT // per_lp(*grown) - lps
+            if stack and room < 1:
                 yield stack
-            per_stack = max(1, STACK_ENTRY_LIMIT // per_lp(*own))
-            part = min(count, 1 << (per_stack.bit_length() - 1))
-            stack, dims, lps = [(s, 0, count)], own, count
-            if part < count:
-                yield from ([(s, o, o + part)] for o in range(0, count, part))
                 stack, dims, lps = [], (0, 0, 0), 0
+                continue
+            hi = min(count, lo + max(room, 1))
+            stack.append((s, lo, hi))
+            dims, lps, lo = grown, lps + hi - lo, hi
     if stack:
         yield stack
 
@@ -462,7 +449,12 @@ def _generate_columns(points: np.ndarray, counts, thetas) -> list[np.ndarray]:
     choice is made per LP, the scores, prices and new columns are summed
     in a fixed order, and the pivot loop's reduced costs and the duals are
     exact here (-1 on mu is the only cost), so an LP gives the same float
-    in any stack.  Pricing shares each set's points across its orthants.
+    in any stack.  An LP leaves the pivot loop in the iteration it is
+    optimal, and the stack once a pricing pass finds it no point.  Pricing
+    shares each set's points across its orthants, and runs of sets in the
+    same orthants share one product: same k, share size and orthant range,
+    since one set's tail share and the next set's head share can agree in
+    k and size alone.
     """
     _, n_pts, k = points.shape
     n_of = np.array(counts)
@@ -472,11 +464,11 @@ def _generate_columns(points: np.ndarray, counts, thetas) -> list[np.ndarray]:
     every = np.arange(lps)
     set_of = np.repeat(np.arange(len(thetas)), sizes)
     signs = np.zeros((lps, k))
-    # runs of sets of one shape (k, orthants), which share their orthants:
-    # (sets, LPs, k, orthants)
+    # runs of sets in the same orthants: (sets, LPs, k, orthants)
     runs, s0, l0 = [], 0, 0
-    for (kk, size), run in itertools.groupby(zip(k_of.tolist(), sizes)):
+    for _, run in itertools.groupby(thetas, key=lambda theta: (theta.shape, theta.tobytes())):
         count = len(list(run))
+        size, kk = thetas[s0].shape
         runs.append((slice(s0, s0 + count), slice(l0, l0 + count * size), kk, size))
         signs[l0 : l0 + count * size, :kk] = np.tile(thetas[s0], (count, 1))
         s0, l0 = s0 + count, l0 + count * size

@@ -5,16 +5,15 @@ a_eq @ x = b_eq, x >= 0.  Sizes here are desk scale, so a dense tableau
 is simplest.  The pivot loop runs on a stack of same-shape tableaux: each
 iteration prices every unfinished LP with one batched matrix product and
 pivots each with one batched rank-1 update, so Python iterates once per
-pivot of the slowest LP, not once per pivot of every LP.  An optimal LP
-stays in the stack, unchanged, until the work spent on such LPs would pay
-for moving the running ones to a stack of their own; an unbounded one
-ends the run, and the cap counts pivots per LP.  `lp_solve` is a stack of
-one; the l1-constant orthant LPs, which
-share their costs and right-hand sides, run as stacks of many, by column
-generation: a stack of restricted LPs is solved, `_duals` reads c_B B^-1
-off the slack block of the final tableaux (rows that start on their
-slacks carry B^-1 there), `_append_columns` adds new columns as B^-1 a,
-and `_phase2` resumes from the same basis.
+pivot of the slowest LP, not once per pivot of every LP.  An LP leaves
+the stack in the iteration it is optimal, an unbounded one ends the run,
+and the cap counts pivots per LP.  `lp_solve` is a stack of one; the
+l1-constant orthant LPs, which share their costs and right-hand sides,
+run as stacks of many, by column generation: a stack of restricted LPs
+is solved, `_duals` reads c_B B^-1 off the slack block of the final
+tableaux (rows that start on their slacks carry B^-1 there),
+`_append_columns` adds new columns as B^-1 a, and `_phase2` resumes from
+the same basis.
 
 Bland's anti-cycling rule makes the solver deterministic and finite: the
 entering column is the smallest index with a negative reduced cost, and
@@ -79,21 +78,15 @@ class LPResult:
     objective: float | None
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, rows, cols, done=None) -> None:
+def _pivot(tableau: np.ndarray, basis: np.ndarray, rows, cols) -> None:
     """Pivot each tableau of the stack on its (rows[l], cols[l]) entry; a
-    scalar row or column is shared by the whole stack.  An LP flagged in
-    `done` pivots on a basic entry, exactly 1.0, so its row divides by it
-    unchanged; its rank-1 term is made +0.0, and subtracting +0.0 leaves
-    every entry as it is, signed zeros included."""
+    scalar row or column is shared by the whole stack."""
     lps = np.arange(tableau.shape[0])
     pivot_rows = tableau[lps, rows]
     pivot_rows /= pivot_rows[lps, cols][:, None]
     tableau[lps, rows] = pivot_rows
     factors = tableau[lps, :, cols]
     factors[lps, rows] = 0.0
-    if done is not None:
-        factors[done] = 0.0
-        pivot_rows[done] = 0.0
     tableau -= factors[:, :, None] * pivot_rows[:, None, :]
     basis[lps, rows] = cols
     # Roundoff can push basic values a hair below zero; clamp the drift so
@@ -108,68 +101,45 @@ def _run_simplex(
     tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray, max_iter: int, phase: int
 ) -> bool:
     """Minimize cost over each tableau of a stack (lps, rows, cols + 1) in
-    place, one pivot of every unfinished LP per iteration.  An optimal LP
-    stays in the stack and pivots on a basic entry, which changes nothing,
-    until the work spent so on optimal LPs since the stack last shrank
-    reaches the work of moving the running ones to a stack of their own;
-    then they move, and the optimal ones are written back.  Only the first
-    cost.size columns may enter the basis.  Returns True as soon as some
-    LP is unbounded.
+    place, one pivot of every unfinished LP per iteration.  An LP leaves
+    the stack in the iteration it is optimal: its tableau and basis are
+    written back, and the running LPs go on in a compacted copy.  Only the
+    first cost.size columns may enter the basis.  Returns True as soon as
+    some LP is unbounded.
     """
-    tab, bas, moved = tableau, basis, None  # moved: where a copied tab's LPs sit in tableau
-
-    def settle(done) -> None:
-        # write the LPs `done` of a copied stack back into place
-        if moved is not None:
-            tableau[moved[done]], basis[moved[done]] = tab[done], bas[done]
-
-    lps = np.arange(tab.shape[0])
-    body, rhs = tab[:, :, : cost.size], tab[:, :, -1]
-    idle = 0  # pivots spent on optimal LPs since the stack last shrank
+    tab, bas = tableau, basis
+    live = lps = np.arange(tab.shape[0])  # live: where tab's LPs sit in tableau
     for iteration in range(max_iter + 1):
+        body = tab[:, :, : cost.size]
         # Reduced costs from scratch each iteration: numerically
         # self-correcting and cheap at these sizes.
         # A basic column is a unit vector, exactly, so its reduced cost is 0.
         eligible = cost - (cost[bas][:, None, :] @ body)[:, 0] < -FEAS_TOL
         entering = eligible.argmax(axis=1)  # Bland: smallest eligible index
-        live = eligible[lps, entering]
-        running = np.count_nonzero(live)
-        if not running:
-            settle(slice(None))
-            return False
+        improving = eligible[lps, entering]
+        if not improving.all():  # optimal LPs leave the stack
+            optimal = live[~improving]
+            tableau[optimal], basis[optimal] = tab[~improving], bas[~improving]
+            if optimal.size == live.size:
+                return False
+            tab, bas, live, entering = (a[improving] for a in (tab, bas, live, entering))
+            lps = np.arange(live.size)
+            body = tab[:, :, : cost.size]
         if iteration == max_iter:
             break
-        idle += live.size - running
-        # An optimal LP's pivot passes its tableau about five times (reduced
-        # costs, the rank-1 product, the subtraction); moving a running LP
-        # copies it, two passes.
-        if 5 * idle >= 2 * running:
-            settle(~live)
-            kept = np.flatnonzero(live)
-            moved = kept if moved is None else moved[kept]
-            tab, bas, entering, live = tab[kept], bas[kept], entering[kept], live[kept]
-            lps = np.arange(running)
-            body, rhs = tab[:, :, : cost.size], tab[:, :, -1]
-            idle = 0
         column = body[lps, :, entering]
         positive = column > PIVOT_TOL
-        if not positive.any(axis=1)[live].all():
-            settle(slice(None))
+        if not positive.any(axis=1).all():
             return True
-        ratios = np.divide(rhs, column, out=np.full(column.shape, np.inf), where=positive)
+        ratios = np.divide(tab[:, :, -1], column, out=np.full(column.shape, np.inf), where=positive)
         # Bland: among the rows within RATIO_TIE of the least ratio, the one
         # whose basic variable has the smallest index.
         ties = ratios <= ratios.min(axis=1, keepdims=True) + RATIO_TIE
-        rows = np.where(ties, bas, _NO_BASIS).argmin(axis=1)
-        if running < live.size:
-            _pivot(tab, bas, rows, np.where(live, entering, bas[lps, rows]), ~live)
-        else:
-            _pivot(tab, bas, rows, entering)
-    settle(slice(None))
+        _pivot(tab, bas, np.where(ties, bas, _NO_BASIS).argmin(axis=1), entering)
     raise IterationCapError(
         f"simplex phase {phase} ran {max_iter} iterations without reaching an "
         f"optimum (the cap) on a {tableau.shape[1]}x{tableau.shape[2]} tableau; "
-        f"{running} of {tableau.shape[0]} LPs in the stack were still running"
+        f"{live.size} of {tableau.shape[0]} LPs in the stack were still running"
     )
 
 

@@ -362,7 +362,35 @@ def test_mixed_size_stacks_keep_within_the_entry_limit(monkeypatch):
         assert covered == [(s, o) for s, (_, k) in enumerate(shapes) for o in range(1 << (k - 1))]
         for stack in stacks:
             assert entries(stack) <= limit or sum(hi - lo for _, lo, hi in stack) == 1
+        # the greedy cut is maximal: the next LP in order, at the grown
+        # shape, would have taken each stack but the last over the limit
+        for stack, after in itertools.pairwise(stacks):
+            s, lo, _ = after[0]
+            assert entries(stack + [(s, lo, lo + 1)]) > limit
         assert geometry._inscribed_radius(sets) == reference
+
+
+def test_a_stack_of_one_sets_tail_and_the_next_sets_head_gives_each_lp_its_own_float():
+    # a stack holds the last two orthants of one set and the first two of
+    # the next, equal in k and share size but not in orthants; each LP
+    # gives the very float it gives alone
+    from combdim import geometry
+
+    rng = np.random.default_rng(13)
+    theta = geometry._orthants(3)
+    for _ in range(6):
+        sets = [s for s in _symmetric_sets(rng, 40) if s.shape[1] == 3][:2]
+        assert len(sets) == 2
+        points = np.zeros((2, max(map(len, sets)), 3))
+        for block, member in zip(points, sets):
+            block[: len(member)] = member
+        counts = list(map(len, sets))
+        shares = [theta[2:], theta[:2]]
+        stacked = geometry._generate_columns(points, counts, shares)
+        for s, share in enumerate(shares):
+            for o in range(len(share)):
+                alone = geometry._generate_columns(sets[s][None], [counts[s]], [share[o : o + 1]])
+                assert _bits(stacked[s][o : o + 1]) == _bits(alone[0])
 
 
 def test_optimal_lps_stay_bit_for_bit_while_their_stack_runs():
@@ -396,19 +424,3 @@ def test_optimal_lps_stay_bit_for_bit_while_their_stack_runs():
             assert alone.tobytes() == stacked[lp : lp + 1].tobytes()
             assert alone_basis.tolist() == stacked_basis[lp : lp + 1].tolist()
 
-
-def test_a_pivot_on_a_basic_entry_changes_no_bit():
-    # the optimal LP of a stack of two pivots on its row 0's basic entry
-    # while the other pivots for real: its row 0 has negative entries, its
-    # other row -0.0s (one in the basic column, as a row negated for phase 1
-    # leaves), which a rank-1 term of -0.0 would turn to +0.0
-    from combdim import simplex
-
-    tableau = np.array([[[2.0, 1.0, 0.0, 3.0], [1.0, 0.0, 1.0, 2.0]],
-                        [[-1.5, 1.0, 0.0, 0.5], [-0.0, -0.0, 1.0, -0.0]]])
-    basis = np.array([[1, 2], [1, 2]])
-    optimal = tableau[1].copy()
-    simplex._pivot(tableau, basis, np.array([0, 0]), np.array([0, 1]), np.array([False, True]))
-    assert tableau[1].tobytes() == optimal.tobytes()
-    assert basis[1].tolist() == [1, 2]
-    assert tableau[0].tolist() == [[1.0, 0.5, 0.0, 1.5], [0.0, -0.5, 1.0, 0.5]]
