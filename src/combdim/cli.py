@@ -37,6 +37,13 @@ from .geometry import (
 from .elton import elton_subset, rudelson_example
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(item) for item in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
+
+
 def _write_or_print(path, text: str) -> None:
     if path:
         Path(path).write_text(text)
@@ -121,7 +128,7 @@ def cmd_extract(args) -> int:
 
 def cmd_extract_curve(args) -> int:
     family, _ = load_family(args.family)
-    ks = [int(k) for k in args.k_grid.split(",")]
+    ks = _int_list(args.k_grid, "--k-grid")
     # one acceptance table for the grid and for the fit's scan over k = 1..n
     curve = extraction.acceptance_curve(
         family, args.scale, ks + list(range(1, family.domain_size + 1)))
@@ -222,7 +229,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_cube_test(args) -> int:
     poly = load_polytope(args.polytope)
-    sigma = CoordinateSubset(tuple(int(i) for i in args.sigma.split(",")))
+    sigma = CoordinateSubset(_int_list(args.sigma, "--sigma"))
     witness = cube_in_projection(poly, sigma, args.scale)
     doc = {
         "sigma": list(sigma),
@@ -244,10 +251,8 @@ def cmd_convex_vc(args) -> int:
 def cmd_l1_const(args) -> int:
     norm = load_norm(args.norm)
     vectors = load_vectors(args.vectors, norm.dimension)
-    if args.sigma:
-        sigma = CoordinateSubset(tuple(int(i) for i in args.sigma.split(",")))
-    else:
-        sigma = CoordinateSubset(tuple(range(vectors.shape[0])))
+    sigma = CoordinateSubset(range(vectors.shape[0]) if args.sigma is None
+                             else _int_list(args.sigma, "--sigma"))
     const = ell1_lower_constant(norm, vectors, sigma)
     print(json.dumps({"sigma": list(sigma), "l1_constant": const}))
     return 0

@@ -11,10 +11,10 @@ the point sets in a call, of any sizes, run as stacks through the simplex
 loop, smaller LPs padded with inert rows and columns, each LP on a
 working set of its points that pricing with the LP's duals grows until
 no point of the set improves it (column generation).  A symmetric body
-holds a side-t cube iff r >= t/2 - HULL_TOL, and `radius_table` walks
-the coordinate lattice once for all scales of a question, solving with
-each level the levels after it that the full support's orthant optima
-prove the walk will reach; `convex_vc` and the elton sweep read it.  A
+holds a side-t cube iff r >= t/2 - HULL_TOL.  `radius_table` probes the
+full support once, solves in one run every support its orthant optima
+prove the walk will reach, then walks the coordinate lattice once for all
+scales of a question; `convex_vc` and the elton sweep read it.  A
 cube in any other body is one joint LP over all cube vertices sharing
 the translation variable.  The l1 constant is r of conv{+-(f_j(x_i))}
 (exact for polyhedral norms).  Symmetry is read from the vertices, never
@@ -221,64 +221,54 @@ def radius_table(points_of, n: int, scales) -> dict[tuple[int, ...], float]:
     """Inscribed radius of the symmetric point set `points_of(support)`
     (rows) on each support in range(n) the walk solves, so that
     `widest_fit` answers at every one of the scales.  A probe of the full
-    support (within CUBE_DIM_BUDGET) settles each scale it passes; r only
-    shrinks as a support grows, so one walk at the finest scale it fails
-    visits every support passing at a coarser one.  A level that needs
-    radii solves its candidates together with those of the deeper levels
-    the probe's orthant optima prove the walk will reach as they are
-    (`_bound_fits`): while every candidate of a level passes the bound,
-    the next level's candidates are all sure, so they join, up to the
-    first level with a candidate the bound does not pass.  A radius enters
-    the table when the walk reaches its support, so the table's keys and
-    their order do not depend on which supports were solved ahead; a set
-    `_box_cut` rejects gets no LP, no entry.
+    support (within CUBE_DIM_BUDGET) at the finest scale settles each
+    scale it passes; a set `_box_cut` rejects there is rejected at every
+    scale.  r only shrinks as a support grows, so one walk at the finest
+    scale the probe fails visits every support passing at a coarser one.
+    One run first solves every candidate of that walk under the probe's
+    lower bound of r (`_bound_fits`): its one-smaller subsets pass the
+    bound, so they pass the walk, which reaches it.  The walk then solves
+    what is still missing, level by level.  A radius enters the table when
+    the walk reaches its support, so the table's keys and their order do
+    not depend on which supports were solved ahead; a set `_box_cut`
+    rejects gets no LP, no entry.
     """
     table: dict[tuple[int, ...], float] = {}
     solved: dict[tuple[int, ...], float] = {}
-    bound = None  # the probe's bound test at the walk's scale
 
     def solve(supports, t: float) -> list[np.ndarray]:
-        # the orthant optima of the supports whose sets _box_cut keeps, radii
-        # into `solved`; the sets are read as their stacks fill
+        # the orthant optima of the supports not yet solved whose sets
+        # _box_cut keeps, radii into `solved`; sets are read as stacks fill
         kept = []
 
         def sets():
             for sup in supports:
-                points = points_of(sup)
-                if not _box_cut(points, t):
-                    kept.append(sup)
-                    yield points
+                if sup not in solved:
+                    points = points_of(sup)
+                    if not _box_cut(points, t):
+                        kept.append(sup)
+                        yield points
 
-        optima, scales = _orthant_optima(sets())
-        solved.update(zip(kept, map(_radius, optima, scales)))
-        return [values * scale for values, scale in zip(optima, scales)]
+        optima = _orthant_optima(sets())
+        solved.update(zip(kept, map(_radius, optima)))
+        return optima
 
     def passes(level: list[tuple[int, ...]], t: float) -> list[bool]:
-        todo = [sup for sup in level if sup not in table and sup not in solved]
-        if todo:
-            ahead = level
-            while bound is not None and all(bound(ahead)):
-                ahead = _candidates(ahead, n)
-                if not ahead:
-                    break
-                todo += [sup for sup in ahead if sup not in solved]
-            solve(todo, t)
-        table.update((sup, solved[sup]) for sup in level if sup not in table and sup in solved)
+        solve(level, t)
+        table.update((sup, solved[sup]) for sup in level if sup in solved)
         return [sup in table and _fits(table[sup], t) for sup in level]
 
     full = tuple(range(n))
-    probe: list[np.ndarray] = []
-    unsettled = []
-    for t in scales:
-        if n <= CUBE_DIM_BUDGET and not probe:
-            probe = solve([full], t)
-            table.update(solved)
-        if not (full in table and _fits(table[full], t)):
-            unsettled.append(t)
+    probe = solve([full], min(scales)) if n <= CUBE_DIM_BUDGET else []
+    table.update(solved)
+    unsettled = [t for t in scales if not (full in table and _fits(table[full], t))]
     if unsettled:
         t = min(unsettled)
         if probe:
+            met = []  # every candidate of the bound's walk; solve skips the probed one
             bound = _bound_fits(probe[0], n, t)
+            passing_supports(n, lambda level: met.extend(level) or bound(level))
+            solve(met, t)
         passing_supports(n, lambda level: passes(level, t))
     return table
 
@@ -331,20 +321,19 @@ def convex_vc(poly: VPolytope, t: float) -> tuple[int, CoordinateSubset]:
     return len(best), CoordinateSubset(best)
 
 
-def _orthant_optima(point_sets) -> tuple[list[np.ndarray], list[float]]:
+def _orthant_optima(point_sets) -> list[np.ndarray]:
     """Orthant-LP optima of symmetric point sets (rows, any shapes), one
-    array per set over its sign orthants, each divided by the set's
-    power-of-two scale (also returned).  For a sign orthant theta (first
-    sign +, since theta ~ -theta) the LP in weights y >= 0 on the points
-    and mu maximizes mu subject to mu <= theta_i (points^T y)_i and
-    sum(y) <= 1: k + 1 rows with right-hand sides >= 0, so no phase 1
-    runs.  The LPs run by column generation (`_generate_columns`) in
-    stacks taken in order (`_stacks`).  `point_sets` may be an iterator:
-    a set is read when the packer reaches it, and let go once solved.
+    array per set over its sign orthants, in the points' units.  For a
+    sign orthant theta (first sign +, since theta ~ -theta) the LP in
+    weights y >= 0 on the points and mu maximizes mu subject to mu <=
+    theta_i (points^T y)_i and sum(y) <= 1: k + 1 rows with right-hand
+    sides >= 0, so no phase 1 runs.  The LPs run by column generation
+    (`_generate_columns`) in stacks taken in order (`_stacks`).
+    `point_sets` may be an iterator: a set is read when the packer
+    reaches it, and let go once solved.
     """
     sets: list[np.ndarray | None] = []
     optima: list[np.ndarray] = []
-    scales: list[float] = []
 
     def shapes():
         for points in point_sets:
@@ -360,7 +349,7 @@ def _orthant_optima(point_sets) -> tuple[list[np.ndarray], list[float]]:
         # The stack's sets zero-padded to one shape (`_generate_columns` keeps
         # the padding out of every LP).  r is homogeneous in the points, so a
         # power-of-two scale brings their largest entry near 1 for the
-        # solver's absolute tolerances, exactly.
+        # solver's absolute tolerances, exactly; the optima are scaled back.
         points = np.zeros((len(stack), max(map(len, members)), max(p.shape[1] for p in members)))
         for block, member in zip(points, members):
             block[: len(member), : member.shape[1]] = member
@@ -370,14 +359,14 @@ def _orthant_optima(point_sets) -> tuple[list[np.ndarray], list[float]]:
         thetas = [_orthants(m.shape[1])[lo:hi] for m, (_, lo, hi) in zip(members, stack)]
         found = _generate_columns(points, list(map(len, members)), thetas)
         for (s, lo, hi), values, factor in zip(stack, found, factors):
+            values = values * factor
             if lo == 0:  # sets come in order, each whole or in consecutive shares
                 optima.append(values)
-                scales.append(factor)
             else:
                 optima[s] = np.concatenate([optima[s], values])
             if hi == len(_orthants(sets[s].shape[1])):
                 sets[s] = None
-    return optima, scales
+    return optima
 
 
 @functools.cache
@@ -551,16 +540,16 @@ def _least(values: np.ndarray, counts, below: float = np.inf) -> np.ndarray:
     return picks
 
 
-def _radius(optima: np.ndarray, scale: float) -> float:
-    """r of one point set: the least of its orthant optima, times its scale."""
-    return max(0.0, min(optima.tolist())) * scale
+def _radius(optima: np.ndarray) -> float:
+    """r of one point set: the least of its orthant optima."""
+    return max(0.0, min(optima.tolist()))
 
 
 def _inscribed_radius(point_sets) -> list[float]:
     """Half-side r of the largest centred cube in the hull of each of
     symmetric point sets (rows).  By weak duality an optimal y certifies
     the lower bound."""
-    return list(map(_radius, *_orthant_optima(point_sets)))
+    return list(map(_radius, _orthant_optima(point_sets)))
 
 
 def _l1_points(norm: PolyhedralNorm, vectors: np.ndarray, support) -> np.ndarray:

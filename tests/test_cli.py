@@ -405,6 +405,26 @@ def test_negative_counts_exit_1(tmp_path, family_file, capsys):
         assert message in capsys.readouterr().err, argv
 
 
+def test_integer_list_flags_name_the_flag(tmp_path, family_file, capsys):
+    # each exited 1 with int()'s message, which names no flag, except
+    # l1-const --sigma "", which ran on every coordinate
+    from combdim.geometry import PolyhedralNorm, VPolytope, save_norm, save_polytope
+
+    poly, norm, vecs = (tmp_path / f"{name}.json" for name in ("poly", "norm", "vecs"))
+    save_polytope(poly, VPolytope(2, [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
+    save_norm(norm, PolyhedralNorm(2, np.eye(2)))
+    vecs.write_text("[[1.0, 0.0], [0.0, 1.0]]")
+    cube = ["cube-test", "--polytope", str(poly), "--scale", "0.5", "--sigma"]
+    l1 = ["l1-const", "--norm", str(norm), "--vectors", str(vecs), "--sigma"]
+    curve = ["extract-curve", "--family", str(family_file), "--scale", "1.0", "--k-grid"]
+    for argv in (cube + [""], cube + ["0,x"], cube + ["0;1"], l1 + [""], l1 + ["0,,1"],
+                 curve + [""], curve + ["1,2.5"]):
+        flag, value = argv[-2:]
+        assert main(argv) == 1, argv
+        assert (f"error: {flag} must be comma-separated integers, got {value!r}"
+                in capsys.readouterr().err), argv
+
+
 def test_nan_p_exits_1(family_file, capsys):
     # p = nan passed the old p < 1 guard and gave "exact" counts from NaN distances
     assert main(["entropy", "--family", str(family_file), "--p", "nan", "--scale", "1.0"]) == 1

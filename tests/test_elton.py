@@ -287,9 +287,9 @@ def _walk_radius_calls(monkeypatch, bodies):
 
     def recording(point_sets):
         point_sets = list(point_sets)
-        optima, scales = real(point_sets)
-        calls.append((point_sets, list(map(geometry._radius, optima, scales))))
-        return optima, scales
+        optima = real(point_sets)
+        calls.append((point_sets, list(map(geometry._radius, optima))))
+        return optima
 
     cases = [(norm, vectors) for seed in (1, 2)
              for norm, vectors, _ in random_norm_instances(seed)]
@@ -316,7 +316,8 @@ def test_dual_orthant_lps_match_the_primal_on_every_visited_support(monkeypatch)
 
 def _orthant_optima_full_width(points):
     # each orthant LP of one point set over all its points as its own
-    # LPProblem, solved by lp_solve
+    # LPProblem, solved by lp_solve on the points scaled as _orthant_optima
+    # scales them, in the points' units
     peak = float(np.abs(points).max())
     scale = 2.0 ** round(math.log2(peak)) if peak > 0 else 1.0
     n_pts, k = points.shape
@@ -326,7 +327,7 @@ def _orthant_optima_full_width(points):
     for signs in itertools.product((-1.0, 1.0), repeat=k - 1):
         at = (points * (np.array((1.0,) + signs) / scale)).T
         a_ub = np.vstack([np.hstack([-at, np.ones((k, 1))]), np.r_[np.ones(n_pts), 0.0]])
-        optima.append(-lp_solve(LPProblem(c, a_ub, b_ub)).objective)
+        optima.append(-lp_solve(LPProblem(c, a_ub, b_ub)).objective * scale)
     return optima
 
 
@@ -336,11 +337,11 @@ def test_stacked_orthant_optima_equal_each_lp_solved_alone(monkeypatch):
     # 1e-11 relative of the full-width solve
     calls, _ = _walk_radius_calls(monkeypatch, ((5, 0.6), (7, 0.8)))
     for point_sets, _ in calls:
-        stacked, _ = geometry._orthant_optima(point_sets)
+        stacked = geometry._orthant_optima(point_sets)
         with monkeypatch.context() as alone:
             alone.setattr(geometry, "STACK_ENTRY_LIMIT", 1)
             for points, optima in zip(point_sets, stacked):
-                assert optima.tolist() == geometry._orthant_optima([points])[0][0].tolist()
+                assert optima.tolist() == geometry._orthant_optima([points])[0].tolist()
                 assert optima.tolist() == pytest.approx(_orthant_optima_full_width(points),
                                                         rel=1e-11, abs=0.0)
 

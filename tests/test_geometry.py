@@ -290,10 +290,10 @@ def _probe_bound(optima, n, sigma):
 def test_probe_bound_never_exceeds_the_radius():
     for body in _random_symmetric_bodies(5, 25):
         n = body.dimension
-        (optima,), (scale,) = geometry._orthant_optima([body.vertices])
+        (optima,) = geometry._orthant_optima([body.vertices])
         for size in range(1, n):
             for sigma in itertools.combinations(range(n), size):
-                bound = _probe_bound(optima * scale, n, sigma)
+                bound = _probe_bound(optima, n, sigma)
                 exact = _inscribed_radius([body.project(CoordinateSubset(sigma))])[0]
                 assert bound <= exact + 1e-12 * (1.0 + exact), (n, sigma)
 
@@ -316,9 +316,10 @@ def _reference_table(points_of, n, scales):
 
 
 def test_radius_table_solves_ahead_only_what_the_walk_reaches(monkeypatch):
-    # levels the probe's bound certifies are solved ahead with the level
-    # before them; the table keeps the walk's keys, order and radii, and no
-    # LP is solved for a support the walk does not reach or a set it cuts
+    # the first solving run after the probe holds every candidate of the
+    # walk under the probe's bound that the box cut keeps; the table keeps
+    # the walk's keys, order and radii, and no LP is solved for a support
+    # the walk does not reach or a set it cuts
     real = geometry._orthant_optima
     for body in _random_symmetric_bodies(6, 25):
         n = body.dimension
@@ -330,11 +331,12 @@ def test_radius_table_solves_ahead_only_what_the_walk_reaches(monkeypatch):
                 support_of[id(points)] = (sup, points)
                 return points
 
-            solved = []
+            runs = []  # the supports of each solving run, in order
 
             def recording(point_sets):
                 point_sets = list(point_sets)
-                solved.extend(support_of[id(points)][0] for points in point_sets)
+                if point_sets:
+                    runs.append([support_of[id(points)][0] for points in point_sets])
                 return real(point_sets)
 
             with monkeypatch.context() as hook:
@@ -342,25 +344,28 @@ def test_radius_table_solves_ahead_only_what_the_walk_reaches(monkeypatch):
                 table = radius_table(points_of, n, scales)
             reference = _reference_table(points_of, n, scales)
             assert list(table.items()) == list(reference.items())
-            assert sorted(solved) == sorted(table)
+            assert sorted(sup for run in runs for sup in run) == sorted(table)
 
-            (optima,), (scale,) = real([body.vertices])
+            (optima,) = real([body.vertices])
             t = min(scales)
-            if geometry._fits(optima.min() * scale, t) or geometry._box_cut(body.vertices, t):
+            if geometry._fits(optima.min(), t) or geometry._box_cut(body.vertices, t):
                 continue  # the probe settles t, or cuts the full set: no walk, or no bound
-            bound_fits = geometry._bound_fits(optima * scale, n, t)
+            assert runs[0] == [tuple(range(n))]
+            bound_fits = geometry._bound_fits(optima, n, t)
             fits = {}
             for size in range(1, n):
                 level = list(itertools.combinations(range(n), size))
                 fits.update(zip(level, bound_fits(level)))
                 assert [fits[sigma] for sigma in level] == [
-                    geometry._fits(_probe_bound(optima * scale, n, sigma), t) for sigma in level]
+                    geometry._fits(_probe_bound(optima, n, sigma), t) for sigma in level]
             sure = [sigma for sigma in fits if len(sigma) == 1
                     or all(fits[sigma[:i] + sigma[i + 1:]] for i in range(len(sigma)))]
             for sigma in sure:  # every support the bound makes sure of is a candidate of the walk
                 subsets = [sigma[:i] + sigma[i + 1:] for i in range(len(sigma))]
                 assert len(sigma) == 1 or all(
                     sub in table and geometry._fits(table[sub], t) for sub in subsets)
+            kept = [sigma for sigma in sure if not geometry._box_cut(points_of(sigma), t)]
+            assert not kept or set(kept) <= set(runs[1])
 
 
 def test_polytope_norm_round_trip(tmp_path):

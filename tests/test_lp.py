@@ -329,13 +329,12 @@ def test_mixed_size_stack_gives_each_lp_its_own_size_float():
     for _ in range(12):
         sets = _symmetric_sets(rng, 8)
         assert len(list(geometry._stacks([s.shape for s in sets]))) == 1
-        mixed, scales = geometry._orthant_optima(sets)
-        assert scales == [geometry._orthant_optima([s])[1][0] for s in sets]
+        mixed = geometry._orthant_optima(sets)
         for points, optima in zip(sets, mixed):
-            alone = geometry._orthant_optima([points])[0][0]
+            alone = geometry._orthant_optima([points])[0]
             assert _bits(optima) == _bits(alone)
             same = [s for s in sets if s.shape == points.shape]
-            own = geometry._orthant_optima(same)[0][next(
+            own = geometry._orthant_optima(same)[next(
                 i for i, s in enumerate(same) if s is points)]
             assert _bits(optima) == _bits(own)
 
@@ -396,8 +395,8 @@ def test_a_stack_of_one_sets_tail_and_the_next_sets_head_gives_each_lp_its_own_f
 def test_optimal_lps_stay_bit_for_bit_while_their_stack_runs():
     # orthant LPs of one point set (with zero coordinates, so the tableaux
     # hold signed zeros) finish at different pivots; one that is optimal
-    # early pivots on a basic entry until the stack shrinks, and each final
-    # tableau and basis is the one its LP ends with alone
+    # early leaves the stack at once, and each final tableau and basis is
+    # the one its LP ends with alone
     from combdim import simplex
 
     rng = np.random.default_rng(7)
