@@ -5,7 +5,7 @@ Run from the repository root:
 
     PYTHONPATH=src python3 scripts/output_digest.py [--dump DIR]
 
-A change that must keep outputs identical leaves all fifteen lines as
+A change that must keep outputs identical leaves all sixteen lines as
 they were.  With `--dump DIR` the script also writes each suite's reprs,
 one output per line, to DIR/<suite>.txt, so that diffing the dumps of two
 runs locates and sizes every value that moved.  The suites:
@@ -56,13 +56,20 @@ runs locates and sizes every value that moved.  The suites:
   pipeline seed 0-299, `gen_random_family` families of all four kinds at
   k = 1, ceil(n/2) and n, and scales at which a draw's distance is
   exactly t/2, with 100 attempts and with the attempts cut after that
-  draw.
+  draw;
+- translated: on the ten translated bodies below, none symmetric, at the
+  scales 0.25, 0.5 and 1: `convex_vc` (dimension, support), then whether
+  `cube_in_projection` finds a cube on each nonempty support, by size and
+  then lexicographically.  Witness translations are left out: any corner
+  of a contained cube is a witness, so a change of solver may move them.
 
 The 56 instances are the six norms of each `random_norm_instances(1..8)`
 and eight tightness bodies, net size 64, net seed 0.  The six n = 8
 bodies are `dual_body` of 30 functionals `standard_normal((30, 8))` and
 vectors `0.3 * standard_normal((8, 8))`, drawn in turn from
-`default_rng(0)`.
+`default_rng(0)`.  Translated body i (0-9) draws from
+`default_rng([i, 16])` a dimension n in 2-5, then n + 2 to 12 vertices
+uniform in [-1, 1]^n.
 """
 
 import argparse
@@ -88,13 +95,15 @@ from combdim.experiments import (
 )
 from combdim.family import CoordinateSubset, ProbabilityMeasure, discretize, gen_random_family
 from combdim.gaussian import gaussian_sup_mc
-from combdim.geometry import PolyhedralNorm, convex_vc, ell1_lower_constant, radius_table
+from combdim.geometry import PolyhedralNorm, VPolytope, convex_vc, cube_in_projection
+from combdim.geometry import ell1_lower_constant, radius_table
 from combdim.septree import build_separating_tree
 from combdim.shattering import vc_real_witness
 
 RUDELSON_BODIES = ((5, 1.0), (5, 0.9), (5, 0.6), (6, 1.0), (6, 0.6), (7, 1.0), (7, 0.8), (7, 0.6))
 ORDER_BODIES = ((6, 1.0), (6, 0.8), (6, 0.6), (6, 0.5), (7, 1.0), (7, 0.8), (7, 0.6), (7, 0.5),
                 (8, 0.8), (8, 0.6), (8, 0.5))
+TRANSLATED_SCALES = (0.25, 0.5, 1.0)
 
 
 def report(suite: str, outputs, dump: Path | None) -> None:
@@ -195,6 +204,24 @@ def walk_items(body):
     return [list(radius_table(points_of, body.dimension, (t,)).items()) for t in DEFAULT_T_GRID]
 
 
+def translated_body(index: int) -> VPolytope:
+    rng = np.random.default_rng([index, 16])
+    n = int(rng.integers(2, 6))
+    return VPolytope(n, rng.uniform(-1.0, 1.0, (int(rng.integers(n + 2, 13)), n)))
+
+
+def translated_decisions(body: VPolytope):
+    n = body.dimension
+    supports = [CoordinateSubset(support) for size in range(1, n + 1)
+                for support in itertools.combinations(range(n), size)]
+    decisions = []
+    for t in TRANSLATED_SCALES:
+        dim, sigma = convex_vc(body, t)
+        decisions.append((t, dim, tuple(sigma),
+                          [cube_in_projection(body, support, t) is not None for support in supports]))
+    return decisions
+
+
 def row_orders(n: int, delta: float):
     body = rudelson_example(n, delta, net_size=64, seed=0)
     funcs = body.norm.functionals
@@ -263,6 +290,7 @@ def main() -> None:
         (gaussian_sup_mc(family, 4000, [seed, 6], kind) for seed, family in enumerate(families)
          for kind in ("gaussian", "rademacher"))), dump)
     report("extract", (extraction_outcome(*case) for case in extraction_cases()), dump)
+    report("translated", (translated_decisions(translated_body(index)) for index in range(10)), dump)
 
 if __name__ == "__main__":
     main()

@@ -83,6 +83,8 @@ def elton_subset(
     reports the grid point the averaging weight would single out.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    if not np.all(np.isfinite(vectors)):
+        raise ValueError("vectors must have finite entries")
     n = vectors.shape[0]
     worst = max(norm.norm(x) for x in vectors)
     if worst > 1.0 + 1e-9:

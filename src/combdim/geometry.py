@@ -2,8 +2,9 @@
 projection certificates that tie shattering of convex bodies to
 l1-equivalence constants.
 
-All predicates reduce to small dense LPs: hull membership is feasibility
-of a convex combination, and the inscribed radius r of a symmetric body
+All predicates reduce to small dense LPs whose origin is feasible: hull
+membership is an l1 distance of at most HULL_TOL (`_separate`), and the
+inscribed radius r of a symmetric body
 (the half-side of its largest centred cube) is one LP per sign orthant
 over weights on the vertices, |sigma| + 1 rows however many vertices.
 These LPs share their costs and right-hand sides, so the orthants of
@@ -14,11 +15,10 @@ no point of the set improves it (column generation).  A symmetric body
 holds a side-t cube iff r >= t/2 - HULL_TOL.  `radius_table` probes the
 full support once, solves in one run every support its orthant optima
 prove the walk will reach, then walks the coordinate lattice once for all
-scales of a question; `convex_vc` and the elton sweep read it.  A
-cube in any other body is one joint LP over all cube vertices sharing
-the translation variable.  The l1 constant is r of conv{+-(f_j(x_i))}
-(exact for polyhedral norms).  Symmetry is read from the vertices, never
-declared.
+scales of a question; `convex_vc` and the elton sweep read it.  A cube
+in any other body is found by cutting planes (Kelley 1960).  The l1
+constant is r of conv{+-(f_j(x_i))} (exact for polyhedral norms).
+Symmetry is read from the vertices, never declared.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, SolverError
 from .family import CoordinateSubset, decimal_rows, read_json, read_rows, read_size, write_json
 from .simplex import FEAS_TOL, LPProblem, lp_solve
 from .simplex import _append_columns, _duals, _ordered_dot, _phase2, _tableau
@@ -42,8 +42,6 @@ CUBE_DIM_BUDGET = 15
 # memory bound: the full support of rudelson_example(12, .) has 2,048 orthant
 # LPs over 4,248 points, 8.7 M reduced costs per pricing pass as one stack.
 STACK_ENTRY_LIMIT = 150_000
-# Tableau entries, rows x (variables + rows), of one translated cube LP.
-TRANSLATED_CUBE_LP_LIMIT = 20_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,17 +105,47 @@ class PolyhedralNorm:
 
 
 def point_in_hull(poly: VPolytope, point) -> bool:
-    """Is the point a convex combination of the vertices?  (LP feasibility.)"""
+    """Is the point within l1 distance HULL_TOL of the hull (`_normalized` units)?"""
     point = np.asarray(point, dtype=np.float64)
     if point.shape != (poly.dimension,):
         raise ValueError(f"point must have dimension {poly.dimension}")
-    k = poly.vertices.shape[0]
-    a_eq = np.vstack([poly.vertices.T, np.ones((1, k))])
-    b_eq = np.concatenate([point, [1.0]])
-    # Scale rows to keep the feasibility tolerance meaningful.
-    scale = np.maximum(np.abs(b_eq), 1.0)
-    result = lp_solve(LPProblem(np.zeros(k), None, None, a_eq / scale[:, None], b_eq / scale))
-    return result.status == "optimal"
+    if not np.all(np.isfinite(point)):
+        raise ValueError("point must have finite coordinates")
+    pts, mean, factor = _normalized(poly.vertices)
+    return bool(_separate(pts, ((point - mean) / factor)[None])[0][0] <= HULL_TOL)
+
+
+def _normalized(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The points (rows) centred on their mean and divided by the power of
+    two nearest their largest entry if above 1, with the mean and factor:
+    tolerances are absolute within the unit box and relative beyond."""
+    mean = points.mean(axis=0)
+    centred = points - mean
+    factor = 2.0 ** round(math.log2(max(np.abs(centred).max(), 1.0)))
+    return centred / factor, mean, factor
+
+
+def _separate(points: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The l1 distance gap from each x (rows of xs) to the hull of the
+    points (rows), by LP duality max gap subject to a . (p_j - x) + gap <=
+    0 for every point and |a|_inf <= 1, and that a: x violates the cut
+    a . y <= max_j a . p_j by gap.  With a = u - v, u_i + v_i <= 1, all
+    right-hand sides are 0 or 1, so the LPs run as stacks within
+    STACK_ENTRY_LIMIT tableau entries."""
+    n_pts, k = points.shape
+    b_ub = np.r_[np.zeros(n_pts), np.ones(k)]
+    c = np.r_[np.zeros(2 * k), -1.0]
+    size = max(1, STACK_ENTRY_LIMIT // ((n_pts + k) * (n_pts + 3 * k + 2)))
+    gaps, normals = np.empty(len(xs)), np.empty((len(xs), k))
+    for lo in range(0, len(xs), size):
+        diff = points[None] - xs[lo : lo + size, None]
+        a_ub = np.zeros((len(diff), n_pts + k, 2 * k + 1))
+        a_ub[:, :n_pts, :k], a_ub[:, :n_pts, k:-1], a_ub[:, :n_pts, -1] = diff, -diff, 1.0
+        a_ub[:, n_pts:, :k] = a_ub[:, n_pts:, k:-1] = np.eye(k)
+        status, x = _phase2(c, *_tableau(a_ub, b_ub), a_ub, b_ub)
+        assert status == "optimal", "separation LPs are bounded: gap <= |p_j - x|_1"
+        gaps[lo : lo + size], normals[lo : lo + size] = x[:, -1], x[:, :k] - x[:, k:-1]
+    return gaps, normals
 
 
 @dataclass(frozen=True)
@@ -138,9 +166,12 @@ def cube_in_projection(
 
     A symmetric body contains a side-t cube iff it contains the centred
     one (average the cube with its reflection), iff its inscribed radius
-    on sigma is at least t/2 - HULL_TOL.  Any other body gets one LP for a
-    corner h of h + [0, t]^sigma in which all 2^|sigma| cube vertices
-    share h.  Boundary membership counts (closed bodies).
+    on sigma is at least t/2 - HULL_TOL.  Any other body, `_normalized` so
+    that cuts a . y <= b have b >= 0, is cut down from its box: a master
+    LP maximizes s subject to a . h + s * sum_i max(a_i, 0) <= b on every
+    cut.  s < t - 2 HULL_TOL: no cube; every corner of h + min(s, t)
+    [0, 1]^sigma within HULL_TOL of the body: witness h; else the corners
+    outside add cuts.  Boundary membership counts (closed bodies).
     """
     if not t > 0:
         raise ValueError("cube side must be positive")
@@ -159,29 +190,35 @@ def cube_in_projection(
             return None
         return CubeWitness(sigma, t, (-t / 2.0,) * k)
 
-    n_pts = pts.shape[0]
-    corners = np.array(list(itertools.product((0.0, t), repeat=k)))
-    n_c = len(corners)
-    # Variables: lambda^{(q)} (n_pts each, >= 0) then h+ and h- (k each).
-    n_vars = n_c * n_pts + 2 * k
-    n_rows = n_c * (k + 1)
-    if n_rows * (n_vars + n_rows) > TRANSLATED_CUBE_LP_LIMIT:
-        raise BudgetError(
-            f"translated cube LP too large: {n_rows} rows x {n_vars} variables "
-            f"(shrink |sigma| or deduplicate vertices)"
-        )
-    # Rows of corner q: pts.T @ lambda^{(q)} - h+ + h- = q, then sum lambda^{(q)} = 1.
-    # The block diagonal is assigned, not np.kron-ed, so that no -0.0 enters.
-    lam = np.zeros((n_c, k + 1, n_c, n_pts))
-    lam[range(n_c), :, range(n_c)] = np.vstack([pts.T, np.ones(n_pts)])
-    shift = np.vstack([np.eye(k, 2 * k, k) - np.eye(k, 2 * k), np.zeros(2 * k)])
-    a_eq = np.hstack([lam.reshape(n_rows, n_c * n_pts), np.tile(shift, (n_c, 1))])
-    b_eq = np.hstack([corners, np.ones((n_c, 1))]).ravel()
-    result = lp_solve(LPProblem(np.zeros(n_vars), None, None, a_eq, b_eq))
-    if result.status != "optimal":
-        return None
-    h = result.x[n_c * n_pts : n_c * n_pts + k] - result.x[n_c * n_pts + k :]
-    return CubeWitness(sigma, t, tuple(float(v) for v in h))
+    pts, mean, factor = _normalized(pts)
+    side = t / factor
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=k)))
+
+    def cuts_of(normals):  # rows (a, b); b >= 0 but for roundoff: the origin is inside
+        return np.c_[normals, np.maximum((normals @ pts.T).max(axis=1), 0.0)]
+
+    cuts = cuts_of(np.vstack([np.eye(k), -np.eye(k)]))  # the box facets
+    while True:
+        a = cuts[:, :k]  # h = h+ - h-
+        x = lp_solve(LPProblem(np.r_[np.zeros(2 * k), -1.0],
+                               np.c_[a, -a, np.maximum(a, 0.0).sum(axis=1)], cuts[:, k])).x
+        h, s = x[:k] - x[k:-1], x[-1]
+        if s < side - 2.0 * HULL_TOL:
+            return None
+        gaps, normals = _separate(pts, h + min(s, side) * corners)
+        outside = np.argsort(-gaps, kind="stable")[: np.count_nonzero(gaps > HULL_TOL)]
+        if not outside.size:
+            return CubeWitness(sigma, t, tuple((h * factor + mean).tolist()))
+        # at most |sigma| new cuts a round, as the master's tableau is dense; a cut
+        # within HULL_TOL of one held is its roundoff twin, which makes bases singular
+        count = len(cuts)
+        for cut in cuts_of(normals[outside]):
+            if np.abs(cuts - cut).max(axis=1).min() > HULL_TOL:
+                cuts = np.vstack([cuts, cut])
+                if len(cuts) == count + k:
+                    break
+        if len(cuts) == count:
+            raise SolverError(f"cutting planes stalled on |sigma| = {k}: no corner gave a new cut")
 
 
 def passing_supports(n: int, passes) -> list[tuple[int, ...]]:
@@ -307,7 +344,7 @@ def convex_vc(poly: VPolytope, t: float) -> tuple[int, CoordinateSubset]:
     """Largest |sigma| whose projection contains a side-t cube, and the
     lexicographically smallest such sigma.  A symmetric body reads it off
     the `radius_table` of its deduplicated projections; any other body
-    walks `passing_supports` with the joint LP of `cube_in_projection`
+    walks `passing_supports` with the cutting planes of `cube_in_projection`
     (sub-projections of a contained cube are contained).
     """
     if not t > 0:
@@ -327,7 +364,7 @@ def _orthant_optima(point_sets) -> list[np.ndarray]:
     sign orthant theta (first sign +, since theta ~ -theta) the LP in
     weights y >= 0 on the points and mu maximizes mu subject to mu <=
     theta_i (points^T y)_i and sum(y) <= 1: k + 1 rows with right-hand
-    sides >= 0, so no phase 1 runs.  The LPs run by column generation
+    sides 0 and 1.  The LPs run by column generation
     (`_generate_columns`) in stacks taken in order (`_stacks`).
     `point_sets` may be an iterator: a set is read when the packer
     reaches it, and let go once solved.
@@ -497,13 +534,13 @@ def _generate_columns(points: np.ndarray, counts, thetas) -> list[np.ndarray]:
     a_ub[:, :, 1:] = columns(live, chosen)
     b_ub = np.zeros(k + 1)
     b_ub[k] = 1.0
-    tableau, basis, _ = _tableau(a_ub, b_ub, a_ub[:, :0], b_ub[:0])
+    tableau, basis = _tableau(a_ub, b_ub)
     optima = np.empty(lps)
     duals = np.zeros((lps, k + 1))  # zero for a finished LP, which then prices nothing
     while True:
         c = np.zeros(a_ub.shape[2])
         c[0] = -1.0
-        status, x = _phase2(c, tableau, basis, a_ub, b_ub, a_ub[:, :0], b_ub[:0])
+        status, x = _phase2(c, tableau, basis, a_ub, b_ub)
         assert status == "optimal", "orthant LPs are always feasible and bounded"
         optima[live] = x[:, 0]
         if whole:
@@ -569,6 +606,8 @@ def ell1_lower_constant(norm: PolyhedralNorm, vectors, sigma: CoordinateSubset) 
     min_i theta_i (w^T y)_i, the inscribed radius of conv{+-rows of w}.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    if not np.all(np.isfinite(vectors)):
+        raise ValueError("vectors must have finite entries")
     if len(sigma) == 0:
         raise ValueError("sigma must be nonempty")
     sigma.validate_against(vectors.shape[0])

@@ -1,30 +1,26 @@
-"""Small dense LP solver: two-phase primal simplex with Bland's rule.
+"""Small dense LP solver: one-phase primal simplex with Bland's rule.
 
 Problems are stated as: minimize c @ x subject to a_ub @ x <= b_ub,
-a_eq @ x = b_eq, x >= 0.  Sizes here are desk scale, so a dense tableau
-is simplest.  The pivot loop runs on a stack of same-shape tableaux: each
-iteration prices every unfinished LP with one batched matrix product and
-pivots each with one batched rank-1 update, so Python iterates once per
-pivot of the slowest LP, not once per pivot of every LP.  An LP leaves
-the stack in the iteration it is optimal, an unbounded one ends the run,
-and the cap counts pivots per LP.  `lp_solve` is a stack of one; the
-l1-constant orthant LPs, which share their costs and right-hand sides,
-run as stacks of many, by column generation: a stack of restricted LPs
-is solved, `_duals` reads c_B B^-1 off the slack block of the final
-tableaux (rows that start on their slacks carry B^-1 there),
-`_append_columns` adds new columns as B^-1 a, and `_phase2` resumes from
-the same basis.
+x >= 0, with b_ub >= 0, so every LP starts feasible on its slack basis.
+Sizes here are desk scale, so a dense tableau is simplest.  The pivot
+loop runs on a stack of same-shape tableaux: each iteration prices every
+unfinished LP with one batched matrix product and pivots each with one
+batched rank-1 update, so Python iterates once per pivot of the slowest
+LP, not once per pivot of every LP.  An LP leaves the stack in the
+iteration it is optimal, an unbounded one ends the run, and the cap
+counts pivots per LP.  `lp_solve` is a stack of one; LPs that share their
+costs and right-hand sides run as stacks of many, the orthant LPs by
+column generation: `_duals` reads c_B B^-1 off the slack block of the
+final tableaux, `_append_columns` adds new columns as B^-1 a, and
+`_phase2` resumes from the same basis.
 
 Bland's anti-cycling rule makes the solver deterministic and finite: the
 entering column is the smallest index with a negative reduced cost, and
 the leaving row is, among the rows whose pivot entry exceeds PIVOT_TOL
 (none: unbounded) and whose ratio is within RATIO_TIE of the minimum, the
-one whose basic variable has the smallest index.  A leftover artificial
-leaves after phase 1 on the entry of its row that is largest against its
-column's largest magnitude; a row with no entry over PIVOT_TOL is
-dropped.  Every choice is made per LP, so an LP pivots exactly as it
-would alone.  The optimal point is read from the final tableau and
-checked against the original rows.
+one whose basic variable has the smallest index.  Every choice is made
+per LP, so an LP pivots exactly as it would alone.  The optimal point is
+read from the final tableau and checked against the original rows.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from .errors import IterationCapError, SolverError
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-9
 RATIO_TIE = 1e-12
-ITER_FACTOR = 200  # each phase may pivot ITER_FACTOR * (2 rows + x and slack columns + 10) times
+ITER_FACTOR = 200  # each LP may pivot ITER_FACTOR * (2 rows + x and slack columns + 10) times
 _NO_BASIS = np.iinfo(np.intp).max  # above every column index
 
 
@@ -73,7 +69,7 @@ class LPProblem:
 
 @dataclass(frozen=True)
 class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "unbounded"
     x: np.ndarray | None
     objective: float | None
 
@@ -97,15 +93,12 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, rows, cols) -> None:
         np.copyto(rhs, 0.0, where=drift & (rhs > -1e-9))
 
 
-def _run_simplex(
-    tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray, max_iter: int, phase: int
-) -> bool:
+def _run_simplex(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray, max_iter: int) -> bool:
     """Minimize cost over each tableau of a stack (lps, rows, cols + 1) in
     place, one pivot of every unfinished LP per iteration.  An LP leaves
     the stack in the iteration it is optimal: its tableau and basis are
-    written back, and the running LPs go on in a compacted copy.  Only the
-    first cost.size columns may enter the basis.  Returns True as soon as
-    some LP is unbounded.
+    written back, and the running LPs go on in a compacted copy.  Returns
+    True as soon as some LP is unbounded.
     """
     tab, bas = tableau, basis
     live = lps = np.arange(tab.shape[0])  # live: where tab's LPs sit in tableau
@@ -137,55 +130,43 @@ def _run_simplex(
         ties = ratios <= ratios.min(axis=1, keepdims=True) + RATIO_TIE
         _pivot(tab, bas, np.where(ties, bas, _NO_BASIS).argmin(axis=1), entering)
     raise IterationCapError(
-        f"simplex phase {phase} ran {max_iter} iterations without reaching an "
-        f"optimum (the cap) on a {tableau.shape[1]}x{tableau.shape[2]} tableau; "
+        f"simplex ran {max_iter} iterations without reaching an optimum (the cap) "
+        f"on a {tableau.shape[1]}x{tableau.shape[2]} tableau; "
         f"{live.size} of {tableau.shape[0]} LPs in the stack were still running"
     )
 
 
-def _tableau(a_ub, b_ub, a_eq, b_eq) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tableau(a_ub, b_ub) -> tuple[np.ndarray, np.ndarray]:
     """Starting tableaux (lps, rows, cols + 1) of a stack of LPs that share
-    the right-hand sides, their basis and their artificial rows.  Columns:
-    [x (n) | slacks (m_ub) | artificials (one per row that lacks a +1 slack:
-    equality rows and rows negated for a negative rhs)]."""
-    lps, m_ub, n = a_ub.shape
-    m = m_ub + a_eq.shape[1]
-    art_start = n + m_ub
-    flipped = np.concatenate([b_ub, b_eq]) < 0
-    art_rows = np.flatnonzero(flipped | (np.arange(m) >= m_ub))
-    tableau = np.zeros((lps, m, art_start + art_rows.size + 1))
-    tableau[:, :m_ub, :n] = a_ub
-    tableau[:, :m_ub, n:art_start] = np.eye(m_ub)
-    tableau[:, :m_ub, -1] = b_ub
-    tableau[:, m_ub:, :n] = a_eq
-    tableau[:, m_ub:, -1] = b_eq
-    basis = np.repeat(n + np.arange(m)[None], lps, axis=0)
-    if art_rows.size:
-        tableau[:, flipped] *= -1.0
-        tableau[:, art_rows, art_start + np.arange(art_rows.size)] = 1.0
-        basis[:, art_rows] = art_start + np.arange(art_rows.size)
-    return tableau, basis, art_rows
+    their right-hand sides b_ub >= 0, each on its slack basis.  Columns:
+    [x (n) | slacks (rows)]."""
+    lps, m, n = a_ub.shape
+    tableau = np.zeros((lps, m, n + m + 1))
+    tableau[:, :, :n] = a_ub
+    tableau[:, :, n:-1] = np.eye(m)
+    tableau[:, :, -1] = b_ub
+    return tableau, np.repeat(n + np.arange(m)[None], lps, axis=0)
 
 
-def _max_iter(a_ub, a_eq) -> int:
-    """The pivot cap of one phase: ITER_FACTOR * (2 rows + x and slack columns + 10)."""
-    rows, columns = a_ub.shape[1] + a_eq.shape[1], a_ub.shape[2] + a_ub.shape[1]
+def _max_iter(a_ub) -> int:
+    """The pivot cap of one LP: ITER_FACTOR * (2 rows + x and slack columns + 10)."""
+    rows, columns = a_ub.shape[1], a_ub.shape[2] + a_ub.shape[1]
     return ITER_FACTOR * (2 * rows + columns + 10)
 
 
-def _phase2(c, tableau, basis, a_ub, b_ub, a_eq, b_eq) -> tuple[str, np.ndarray | None]:
+def _phase2(c, tableau, basis, a_ub, b_ub) -> tuple[str, np.ndarray | None]:
     """Minimize c over a stack of feasible tableaux from their current basis,
     in place, then read the optimal points and check them against the rows;
     a stack may resume here after `_append_columns`."""
     n = c.size
     cost = np.zeros(n + a_ub.shape[1])
     cost[:n] = c
-    if _run_simplex(tableau, basis, cost, _max_iter(a_ub, a_eq), phase=2):
+    if _run_simplex(tableau, basis, cost, _max_iter(a_ub)):
         return "unbounded", None
     x = np.zeros((tableau.shape[0], n))
     stack, rows = np.nonzero(basis < n)
     x[stack, basis[stack, rows]] = tableau[stack, rows, -1]
-    _verify(a_ub, b_ub, a_eq, b_eq, x)
+    _verify(a_ub, b_ub, x)
     return "optimal", x
 
 
@@ -202,9 +183,9 @@ def _ordered_dot(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
 
 
 def _duals(c, tableau, basis) -> np.ndarray:
-    """Duals c_B B^-1 (lps, rows) of a stack of final tableaux without
-    artificials whose rows all started on their slacks: B^-1 is then the
-    slack block, read off without a second solve."""
+    """Duals c_B B^-1 (lps, rows) of a stack of final tableaux: their rows
+    all started on their slacks, so B^-1 is the slack block, read off
+    without a second solve."""
     n, m = c.size, tableau.shape[1]
     cost_basic = np.concatenate([c, np.zeros(m)])[basis]
     return (cost_basic[:, :, None] * tableau[:, :, n : n + m]).sum(axis=1)
@@ -222,45 +203,22 @@ def _append_columns(tableau, basis, n: int, columns) -> tuple[np.ndarray, np.nda
 
 
 def lp_solve(problem: LPProblem) -> LPResult:
-    """Solve the LP as a stack of one: phase 1 if some row starts on an
-    artificial, then `_phase2`; optimal points satisfy all constraints
-    within 1e-9."""
-    rows = (problem.a_ub[None], problem.b_ub, problem.a_eq[None], problem.b_eq)
-    tableau, basis, art_rows = _tableau(*rows)
-    if art_rows.size:
-        art_start = problem.c.size + problem.b_ub.size
-        cost1 = np.zeros(art_start + art_rows.size)
-        cost1[art_start:] = 1.0
-        unbounded = _run_simplex(tableau, basis, cost1, _max_iter(rows[0], rows[2]), phase=1)
-        assert not unbounded, "phase-1 objective is bounded below by 0"
-        if tableau[0, basis[0] >= art_start, -1].sum() > FEAS_TOL:
-            return LPResult("infeasible", None, None)
-        # Pivot remaining zero-level artificials out, dropping redundant rows.
-        keep = basis[0] < art_start
-        for r in np.flatnonzero(~keep):
-            magnitude = np.abs(tableau[0, :, :art_start])
-            candidates = np.flatnonzero(magnitude[r] > PIVOT_TOL)
-            if candidates.size:
-                share = magnitude[r, candidates] / magnitude[:, candidates].max(axis=0)
-                _pivot(tableau, basis, int(r), int(candidates[share.argmax()]))
-                keep[r] = True
-        if not keep.all():
-            tableau, basis = tableau[:, keep], basis[:, keep]
-    status, x = _phase2(problem.c, tableau, basis, *rows)
+    """Solve the LP as a stack of one from its slack basis; optimal points
+    satisfy all constraints within 1e-9.  Only inequality rows with
+    right-hand sides >= 0 are taken, so the origin is feasible."""
+    if problem.b_eq.size or not np.all(problem.b_ub >= 0):
+        raise ValueError("lp_solve takes only inequality rows with right-hand sides >= 0")
+    rows = (problem.a_ub[None], problem.b_ub)
+    status, x = _phase2(problem.c, *_tableau(*rows), *rows)
     if x is None:
         return LPResult(status, None, None)
     return LPResult(status, x[0], float(problem.c @ x[0]))
 
 
-def _verify(a_ub, b_ub, a_eq, b_eq, x: np.ndarray) -> None:
+def _verify(a_ub, b_ub, x: np.ndarray) -> None:
     """Check each point x[l] of a stack against the rows of its LP."""
     if np.any(x < -FEAS_TOL):
         raise SolverError("simplex returned a negative component")
     slack = (a_ub @ x[:, :, None])[:, :, 0] - b_ub
     if np.any(slack > FEAS_TOL * (1.0 + np.abs(b_ub))):
-        raise SolverError("simplex returned an infeasible point (ub)")
-    if not b_eq.size:
-        return
-    gap = np.abs((a_eq @ x[:, :, None])[:, :, 0] - b_eq)
-    if np.any(gap > FEAS_TOL * (1.0 + np.abs(b_eq))):
-        raise SolverError("simplex returned an infeasible point (eq)")
+        raise SolverError("simplex returned an infeasible point")

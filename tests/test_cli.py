@@ -610,6 +610,23 @@ def test_geometry_commands(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"dimension": 1, "sigma": [0]}
 
+    # a triangle is not symmetric: its cubes come from the translated route
+    triangle_path = tmp_path / "triangle.json"
+    save_polytope(triangle_path, VPolytope(2, [[0, 0], [1, 0], [0, 1]]))
+    cube = ["cube-test", "--polytope", str(triangle_path), "--sigma", "0,1", "--scale"]
+    assert main(cube + ["0.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["contained"] is True and len(doc["translation"]) == 2
+    corner = np.array(doc["translation"])
+    assert corner.min() >= -1e-9 and corner.sum() + 1.0 <= 1.0 + 1e-9
+    assert main(cube + ["0.6"]) == 0
+    assert json.loads(capsys.readouterr().out)["contained"] is False
+    for scale, answer in (("0.5", {"dimension": 2, "sigma": [0, 1]}),
+                          ("0.6", {"dimension": 1, "sigma": [0]}),
+                          ("1.1", {"dimension": 0, "sigma": []})):
+        assert main(["convex-vc", "--polytope", str(triangle_path), "--scale", scale]) == 0
+        assert json.loads(capsys.readouterr().out) == answer, scale
+
     import itertools
 
     from combdim.geometry import PolyhedralNorm, save_norm

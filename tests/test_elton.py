@@ -114,6 +114,19 @@ def test_elton_rejects_big_vectors():
         elton_subset(norm, np.array([[1.5, 0.0]]), samples=100, seed=1)
 
 
+def test_l1_entry_points_reject_non_finite_vectors():
+    # NaN fails the unit-ball check's comparison and the orthant LPs read
+    # it as 0, so both once answered: sigma (1,), t = 1.0, delta = nan, and
+    # an l1 constant of 0.0
+    norm = PolyhedralNorm(2, [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    for bad in (np.nan, np.inf, -np.inf):
+        vectors = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="vectors must have finite entries"):
+            elton_subset(norm, vectors, samples=100, seed=1)
+        with pytest.raises(ValueError, match="vectors must have finite entries"):
+            ell1_lower_constant(norm, vectors, CoordinateSubset((0, 1)))
+
+
 def test_elton_result_invariants():
     n = 4
     res = elton_subset(l1_norm(n), np.eye(n), samples=300, seed=11)

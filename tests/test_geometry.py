@@ -7,6 +7,7 @@ from combdim import (
     BudgetError,
     CoordinateSubset,
     PolyhedralNorm,
+    SolverError,
     VPolytope,
     convex_vc,
     cube_in_projection,
@@ -28,6 +29,24 @@ def test_point_in_hull_examples():
     assert not point_in_hull(SQUARE, [1.001, 0])
     assert point_in_hull(CROSS, [0.5, 0.5])  # boundary accepted
     assert not point_in_hull(CROSS, [0.51, 0.51])
+
+
+def test_point_in_hull_rejects_non_finite_points():
+    # NaN turned the scaled equality rows of the old membership LP to NaN,
+    # and the LP then called the point inside
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            point_in_hull(SQUARE, [bad, 0.0])
+
+
+def test_point_in_hull_at_a_large_scale():
+    # a 1e6-scale body: its boundary points stay inside, a point 0.1
+    # beyond an edge does not (the tolerance is relative beyond the unit box)
+    body = VPolytope(2, 1e6 * TRIANGLE.vertices)
+    for point in ([5e5, 5e5], [1e6, 0.0], [0.0, 3e5], [1e6 / 3, 2e6 / 3]):
+        assert point_in_hull(body, point), point
+    assert not point_in_hull(body, [5e5, 5e5 + 0.1])
+    assert not point_in_hull(body, [-0.1, 5e5])
 
 
 def test_symmetry_is_read_from_the_vertices():
@@ -60,13 +79,46 @@ def test_centred_witness_is_the_cube_corner():
         assert point_in_hull(CROSS, np.array(w.translation) + off)
 
 
+def _highs_inside(points, corner):
+    # HiGHS on the convex-combination system: is corner in conv(points)?
+    from scipy.optimize import linprog
+
+    k = len(points)
+    res = linprog(np.zeros(k), A_eq=np.vstack([points.T, np.ones((1, k))]),
+                  b_eq=np.r_[corner, 1.0], bounds=(0, None), method="highs")
+    assert res.status in (0, 2)
+    return res.status == 0
+
+
+def _assert_witness_corners_inside(body, witness):
+    # every corner of the witness cube, checked by HiGHS, independently of
+    # the separation LPs that cube_in_projection and point_in_hull share
+    points = body.project(witness.sigma)
+    for off in itertools.product((0.0, witness.side), repeat=len(witness.sigma)):
+        assert _highs_inside(points, np.array(witness.translation) + off), off
+
+
+def _largest_side(points):
+    # the facet route: the hull's facets A y <= b by qhull, then one HiGHS
+    # LP for the largest cube h + s [0, 1]^k inside, A h + s sum(max(A, 0)) <= b
+    from scipy.optimize import linprog
+    from scipy.spatial import ConvexHull
+
+    k = points.shape[1]
+    hull = ConvexHull(points)
+    normals, offsets = hull.equations[:, :-1], hull.equations[:, -1]
+    res = linprog(np.r_[np.zeros(k), -1.0],
+                  A_ub=np.c_[normals, np.maximum(normals, 0.0).sum(axis=1)], b_ub=-offsets,
+                  bounds=[(None, None)] * k + [(0, None)], method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
 def test_cube_in_projection_translated():
     body = VPolytope(2, [[0, 0], [3, 0], [0, 3], [3, 3]])
     w = cube_in_projection(body, BOTH, 2.0)
     assert w is not None
-    for off in itertools.product((0.0, 2.0), repeat=2):
-        corner = np.array(w.translation) + off
-        assert point_in_hull(body, corner)
+    _assert_witness_corners_inside(body, w)
     assert cube_in_projection(body, BOTH, 3.5) is None
 
 
@@ -74,9 +126,63 @@ def test_asymmetric_body_takes_the_translated_lp():
     body = VPolytope(2, [[0, 0], [1, 0], [0, 1]])
     w = cube_in_projection(body, BOTH, 0.5)
     assert w is not None
-    for off in itertools.product((0.0, 0.5), repeat=2):
-        assert point_in_hull(body, np.array(w.translation) + off)
+    _assert_witness_corners_inside(body, w)
     assert cube_in_projection(body, BOTH, 0.6) is None
+
+
+def test_translated_cubes_match_the_facet_oracle():
+    # seeded bodies in 2-4 coordinates that are not symmetric: the decision
+    # agrees with the facet route's largest side s* at fixed scales and
+    # 1e-6 either side of s*, and every witness corner is inside by HiGHS
+    rng = np.random.default_rng(31)
+    for trial in range(8):
+        n = int(rng.integers(2, 5))
+        body = VPolytope(n, rng.uniform(-1.0, 1.0, (int(rng.integers(n + 2, 12)), n)))
+        assert not body.symmetric
+        for size in range(2, n + 1):
+            for sigma in itertools.combinations(range(n), size):
+                support = CoordinateSubset(sigma)
+                best = _largest_side(body.project(support))
+                for t in (0.1, 0.3, 0.6, best * (1 - 1e-6), best * (1 + 1e-6)):
+                    if abs(t - best) < 1e-7 * best:
+                        continue  # inside the tolerance band: either answer holds
+                    witness = cube_in_projection(body, support, t)
+                    assert (witness is not None) == (t < best), (trial, sigma, t, best)
+                    if witness is not None:
+                        _assert_witness_corners_inside(body, witness)
+
+
+def test_translated_cube_past_the_old_joint_lp_limit():
+    # the simplex conv{0, e_1, ..., e_9} holds h + s [0, 1]^9 iff h >= 0
+    # and sum(h) + 9 s <= 1: largest side 1/9.  The joint corner LP had
+    # 2^9 * 10 rows here and was refused; scaled by 1e6, the cube whose
+    # corner touches the far facet stays inside.
+    simplex = VPolytope(9, np.vstack([np.zeros(9), np.eye(9)]))
+    full = CoordinateSubset(tuple(range(9)))
+    assert cube_in_projection(simplex, full, (1 + 1e-6) / 9) is None
+    witness = cube_in_projection(simplex, full, (1 - 1e-6) / 9)
+    assert witness is not None
+    _assert_witness_corners_inside(simplex, witness)
+    big = VPolytope(3, 1e6 * np.vstack([np.zeros(3), np.eye(3)]))
+    witness = cube_in_projection(big, CoordinateSubset((0, 1, 2)), 1e6 / 3)
+    assert witness is not None
+    _assert_witness_corners_inside(big, witness)
+    assert cube_in_projection(big, CoordinateSubset((0, 1, 2)), 1e6 / 3 * (1 + 1e-6)) is None
+
+
+def test_cutting_planes_raise_when_a_round_adds_no_cut(monkeypatch):
+    # a separation that keeps finding the corners outside by a cut the
+    # master holds, a box facet exactly or up to roundoff, raises rather
+    # than loops
+    for noise in (0.0, 1e-15):
+        def stuck(points, xs):
+            normals = np.zeros((len(xs), points.shape[1]))
+            normals[:, 0] = 1.0 - noise
+            return np.ones(len(xs)), normals
+
+        monkeypatch.setattr(geometry, "_separate", stuck)
+        with pytest.raises(SolverError, match="stalled"):
+            cube_in_projection(TRIANGLE, BOTH, 0.1)
 
 
 def test_cube_budget():
@@ -90,7 +196,7 @@ def test_convex_vc_examples():
     dim, sigma = convex_vc(CROSS, 1.5)
     assert (dim, tuple(sigma)) == (1, (0,))
     assert convex_vc(SQUARE, 5.0)[0] == 0
-    # bodies that are not symmetric walk the joint translated LP
+    # bodies that are not symmetric walk the translated cutting planes
     assert convex_vc(VPolytope(2, [[0, 0], [3, 0], [0, 3], [3, 3]]), 2.0) == (2, BOTH)
     assert convex_vc(TRIANGLE, 0.5) == (2, BOTH)
     assert convex_vc(TRIANGLE, 0.6) == (1, CoordinateSubset((0,)))

@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 from combdim.errors import IterationCapError
+from combdim.geometry import VPolytope, point_in_hull
 from combdim.simplex import LPProblem, lp_solve
 
 
@@ -17,44 +18,9 @@ def test_maximize_single_variable():
     assert result.objective == pytest.approx(-3.0)
 
 
-def test_infeasible_pair():
-    # x <= 0 and x >= 1
-    result = lp_solve(LPProblem([0.0], [[1.0], [-1.0]], [0.0, -1.0]))
-    assert result.status == "infeasible"
-
-
 def test_unbounded():
     result = lp_solve(LPProblem([-1.0]))
     assert result.status == "unbounded"
-
-
-def test_transportation_toy():
-    # 2 sources (supply 3, 2), 2 sinks (demand 2, 3); costs:
-    #   c = [[1, 4], [2, 1]]; flows x_sd >= 0.
-    # Hand enumeration of basic solutions gives optimum 2*1 + 1*4 + 0 + 2*1?
-    # Optimal plan: x00=2, x01=1, x11=2 -> cost 2 + 4 + 2 = 8; alternative
-    # x00=2, x01=1 forced since source 1 prefers sink 1. Enumerated optimum: 8.
-    c = [1.0, 4.0, 2.0, 1.0]
-    a_eq = [
-        [1, 1, 0, 0],  # supply source 0
-        [0, 0, 1, 1],  # supply source 1
-        [1, 0, 1, 0],  # demand sink 0
-        [0, 1, 0, 1],  # demand sink 1
-    ]
-    b_eq = [3.0, 2.0, 2.0, 3.0]
-    result = lp_solve(LPProblem(c, None, None, a_eq, b_eq))
-    assert result.status == "optimal"
-
-    # independent oracle: scan the vertices of the transportation polytope
-    best = np.inf
-    for x00 in np.linspace(0, 2, 201):
-        x01 = 3 - x00
-        x10 = 2 - x00
-        x11 = 2 - x10
-        if min(x01, x10, x11) < -1e-12:
-            continue
-        best = min(best, x00 * 1 + x01 * 4 + x10 * 2 + x11 * 1)
-    assert result.objective == pytest.approx(best, abs=1e-9)
 
 
 def test_determinism():
@@ -70,31 +36,32 @@ def test_determinism():
 
 
 def test_degenerate_duplicate_constraints():
-    # duplicated rows and a redundant equality; Bland's rule must not cycle
-    c = [1.0, 1.0]
-    a_ub = [[1, 0], [1, 0], [0, 1], [0, 1]]
-    b_ub = [1.0, 1.0, 1.0, 1.0]
-    a_eq = [[1, 1], [2, 2]]
-    b_eq = [1.0, 2.0]
-    result = lp_solve(LPProblem(c, a_ub, b_ub, a_eq, b_eq))
+    # duplicated rows and a redundant multiple of the binding row; Bland's
+    # rule must not cycle
+    c = [-1.0, -1.0]
+    a_ub = [[1, 0], [1, 0], [0, 1], [0, 1], [1, 1], [2, 2]]
+    b_ub = [1.0, 1.0, 1.0, 1.0, 1.0, 2.0]
+    result = lp_solve(LPProblem(c, a_ub, b_ub))
     assert result.status == "optimal"
-    assert result.objective == pytest.approx(1.0)
+    assert result.objective == pytest.approx(-1.0)
 
 
-def _scipy_check(c, a_ub, b_ub, a_eq, b_eq):
-    mine = lp_solve(LPProblem(c, a_ub, b_ub, a_eq, b_eq))
-    ref = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-    )
-    if ref.status == 2:
-        assert mine.status == "infeasible"
-    elif ref.status == 3:
+def test_lp_solve_takes_only_rows_its_slack_basis_satisfies():
+    # every LP starts on its slack basis (x = 0), so equality rows and
+    # negative right-hand sides are refused rather than solved
+    for problem in (LPProblem([1.0], a_eq=[[1.0]], b_eq=[1.0]),
+                    LPProblem([1.0], a_eq=[[1.0]], b_eq=[0.0]),
+                    LPProblem([1.0], [[1.0], [-1.0]], [1.0, -1.0]),
+                    LPProblem([1.0], [[1.0]], [np.nan])):
+        with pytest.raises(ValueError, match="right-hand sides >= 0"):
+            lp_solve(problem)
+    assert lp_solve(LPProblem([1.0], [[-1.0]], [0.0])).objective == 0.0
+
+
+def _scipy_check(c, a_ub, b_ub):
+    mine = lp_solve(LPProblem(c, a_ub, b_ub))
+    ref = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+    if ref.status == 3:
         assert mine.status == "unbounded"
     else:
         assert ref.status == 0
@@ -104,7 +71,9 @@ def _scipy_check(c, a_ub, b_ub, a_eq, b_eq):
 
 
 def test_random_lps_against_scipy():
+    # the draws of the same stream that have no equality rows and b_ub >= 0
     rng = np.random.default_rng(2718)
+    kept = 0
     for trial in range(60):
         n = int(rng.integers(1, 7))
         m_ub = int(rng.integers(0, 5))
@@ -112,22 +81,37 @@ def test_random_lps_against_scipy():
         c = rng.uniform(-1, 1, n)
         a_ub = rng.uniform(-1, 1, (m_ub, n)) if m_ub else None
         b_ub = rng.uniform(-0.2, 1.5, m_ub) if m_ub else None
-        a_eq = rng.uniform(-1, 1, (m_eq, n)) if m_eq else None
-        b_eq = rng.uniform(-0.5, 1.0, m_eq) if m_eq else None
-        _scipy_check(c, a_ub, b_ub, a_eq, b_eq)
+        if m_eq:  # drawn and dropped, so that the stream and the kept draws stay
+            rng.uniform(-1, 1, (m_eq, n)), rng.uniform(-0.5, 1.0, m_eq)
+        if m_eq or (m_ub and b_ub.min() < 0):
+            continue
+        _scipy_check(c, a_ub, b_ub)
+        kept += 1
+    assert kept >= 10
+
+
+def _hull_check(vertices, point):
+    # point_in_hull, whose separation LP starts at its slack basis, against
+    # HiGHS on the convex-combination system
+    k = len(vertices)
+    ref = linprog(np.zeros(k), A_eq=np.vstack([vertices.T, np.ones((1, k))]),
+                  b_eq=np.r_[point, 1.0], bounds=(0, None), method="highs")
+    assert ref.status in (0, 2)
+    assert point_in_hull(VPolytope(vertices.shape[1], vertices), point) == (ref.status == 0)
+    return ref.status == 0
 
 
 def test_random_feasibility_lps_against_scipy():
-    # convex-combination membership systems, the solver's main workload
+    # convex-combination membership, answered by the separation LP
     rng = np.random.default_rng(777)
+    inside = []
     for trial in range(40):
         dim = int(rng.integers(1, 4))
         k = int(rng.integers(2, 8))
         vertices = rng.uniform(-1, 1, (k, dim))
         point = rng.uniform(-1.2, 1.2, dim)
-        a_eq = np.vstack([vertices.T, np.ones((1, k))])
-        b_eq = np.concatenate([point, [1.0]])
-        _scipy_check(np.zeros(k), None, None, a_eq, b_eq)
+        inside.append(_hull_check(vertices, point))
+    assert 0 < sum(inside) < len(inside)
 
 
 def test_wide_degenerate_hull_systems_against_scipy():
@@ -146,31 +130,7 @@ def test_wide_degenerate_hull_systems_against_scipy():
             point = lam @ vertices  # interior by construction
         else:
             point = rng.uniform(-0.8, 0.8, dim)  # usually outside
-        a_eq = np.vstack([vertices.T, np.ones((1, k))])
-        b_eq = np.concatenate([point, [1.0]])
-        _scipy_check(np.zeros(k), None, None, a_eq, b_eq)
-
-
-def test_tall_orthant_shaped_lps_against_scipy():
-    # the shape of the ell1 orthant LPs: many inequality rows over a few
-    # variables, one equality row, and here also negative right-hand sides,
-    # whose rows start on an artificial instead of their slack
-    rng = np.random.default_rng(8128)
-    statuses = set()
-    for trial in range(30):
-        k = int(rng.integers(2, 8))
-        m_ub = int(rng.integers(50, 301))
-        a_ub = np.hstack([rng.uniform(-1, 1, (m_ub, k)), -np.ones((m_ub, 1))])
-        b_ub = rng.uniform(-0.3, 1.0, m_ub)
-        c = np.r_[rng.uniform(-0.2, 0.2, k), 1.0]  # bounded: z pays for every row
-        if trial % 3 == 1:
-            a_ub[:, k] = -rng.uniform(0.1, 1, m_ub)  # feasible, maybe unbounded
-            c[k] = rng.uniform(-1, 1)
-        elif trial % 3 == 2:
-            a_ub[:, k] = rng.uniform(-1, 1, m_ub)  # generic rows: mostly infeasible
-        a_eq = np.r_[np.ones(k), 0.0][None, :]
-        statuses.add(_scipy_check(c, a_ub, b_ub, a_eq, [1.0]))
-    assert statuses == {"optimal", "unbounded", "infeasible"}
+        _hull_check(vertices, point)
 
 
 def test_wide_dual_orthant_shaped_lps_against_scipy():
@@ -190,15 +150,14 @@ def test_wide_dual_orthant_shaped_lps_against_scipy():
         c = np.r_[np.zeros(2 * n_func), -1.0]
         if trial % 3 == 2:
             c[:-1] = np.round(rng.uniform(-0.5, 0.5, 2 * n_func), 1)
-        assert _scipy_check(c, a_ub, b_ub, None, None) == "optimal"
+        assert _scipy_check(c, a_ub, b_ub) == "optimal"
 
 
 def test_large_negative_entry_does_not_hide_a_positive_pivot():
     # the column of x is [1, -big]: only its positive entry can bound the
-    # step, in phase 2 (min -x) and in phase 1 (x = 1 on an equality row)
+    # step of min -x
     for big in (1e8, 1e9):
-        assert _scipy_check([-1.0], [[1.0], [-big]], [1.0, 5.0], None, None) == "optimal"
-        assert _scipy_check([0.0], [[-big]], [5.0], [[1.0]], [1.0]) == "optimal"
+        assert _scipy_check([-1.0], [[1.0], [-big]], [1.0, 5.0]) == "optimal"
 
 
 def test_small_pivot_entry_still_bounds_the_step():
@@ -207,51 +166,38 @@ def test_small_pivot_entry_still_bounds_the_step():
     # that row
     result = lp_solve(LPProblem([-1.0], [[1.0], [5e-9]], [1e3, 1e-6]))
     assert result.status == "optimal" and result.x[0] == pytest.approx(200.0)
-    _scipy_check([-1.0], [[1.0], [5e-9]], [1e3, 1e-6], None, None)
+    _scipy_check([-1.0], [[1.0], [5e-9]], [1e3, 1e-6])
 
 
 def test_badly_scaled_rows_keep_blands_leaving_row():
     # entries span eight decades; passing over the rows with small pivot
-    # entries, as the solver once did, ended 3.4e-9 off the equality row and
+    # entries, as the solver once did, ended 3.4e-9 off the zero-rhs
+    # equality 18 x0 + 0.76 x2 = 0, here its two inequality rows, and
     # raised, though Bland's choice reaches the optimum (0, 10, 0)
     c = [-0.5, -0.11, -0.79]
-    a_ub = [[220000.0, 0.0, 0.0], [0.57, 0.0, 9.5e7], [0.0, 0.0, -2.0], [1.0, 1.0, 1.0]]
-    b_ub = [0.74, 0.42, 0.65, 10.0]
-    assert _scipy_check(c, a_ub, b_ub, [[18.0, 0.0, 0.76]], [0.0]) == "optimal"
-    result = lp_solve(LPProblem(c, a_ub, b_ub, [[18.0, 0.0, 0.76]], [0.0]))
+    a_ub = [[220000.0, 0.0, 0.0], [0.57, 0.0, 9.5e7], [0.0, 0.0, -2.0], [1.0, 1.0, 1.0],
+            [18.0, 0.0, 0.76], [-18.0, 0.0, -0.76]]
+    b_ub = [0.74, 0.42, 0.65, 10.0, 0.0, 0.0]
+    assert _scipy_check(c, a_ub, b_ub) == "optimal"
+    result = lp_solve(LPProblem(c, a_ub, b_ub))
     assert result.x == pytest.approx([0.0, 10.0, 0.0], abs=1e-12)
     assert result.objective == pytest.approx(-1.1)
 
 
-def test_leftover_artificial_leaves_on_a_stable_entry(monkeypatch):
-    # phase 1 starts optimal with both artificials at level 0; row 0's
-    # first entry, 5e-9, is tiny against its column's 1, so its
-    # artificial leaves on x1 instead, and row 1's then on x0
-    from combdim import simplex
-
-    pivots = []
-    real_pivot = simplex._pivot
-    monkeypatch.setattr(simplex, "_pivot", lambda t, b, r, c: pivots.append((r, c)) or real_pivot(t, b, r, c))
-    result = lp_solve(LPProblem([1.0, 1.0], a_eq=[[5e-9, 1.0], [-1.0, -1.0]], b_eq=[0.0, 0.0]))
-    assert pivots == [(0, 1), (1, 0)]
-    assert all(type(index) is int for pivot in pivots for index in pivot)
-    assert result.status == "optimal" and result.objective == 0.0
-
-
-def test_iteration_cap_message_names_phase_count_and_shape(monkeypatch):
-    # two inequality rows with negative rhs need artificials and more than
-    # one phase-1 pivot
-    problem = LPProblem([1.0, 1.0], [[-1.0, 0.0], [0.0, -1.0]], [-1.0, -1.0])
-    assert lp_solve(problem).objective == pytest.approx(2.0)
+def test_iteration_cap_message_names_count_and_shape(monkeypatch):
+    # max x + y over the unit box takes two pivots from the slack basis
+    problem = LPProblem([-1.0, -1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+    assert lp_solve(problem).objective == pytest.approx(-2.0)
     from combdim import simplex
 
     monkeypatch.setattr(simplex, "ITER_FACTOR", 0)
     with pytest.raises(IterationCapError) as info:
         lp_solve(problem)
     message = str(info.value)
-    assert "phase 1" in message
+    assert "phase" not in message
     assert "ran 0 iterations" in message
-    assert "2x7 tableau" in message
+    assert "2x5 tableau" in message
+    assert "1 of 1 LPs" in message
 
 
 def test_iteration_cap_on_a_stack_names_the_lps_still_running(monkeypatch):
@@ -267,7 +213,6 @@ def test_iteration_cap_on_a_stack_names_the_lps_still_running(monkeypatch):
     with pytest.raises(IterationCapError) as info:
         geometry._inscribed_radius([points, 2 * points])
     message = str(info.value)
-    assert "phase 2" in message
     assert "ran 0 iterations" in message
     assert "4x12 tableau" in message
     assert "8 of 8 LPs" in message
@@ -284,7 +229,7 @@ def test_iteration_cap_counts_only_the_lps_still_running(monkeypatch):
     points = np.vstack([w, -w])
     scaled = points / 2.0 ** round(math.log2(np.abs(points).max()))  # as _orthant_optima scales
     for cap in (4, 5, 6, 7):
-        monkeypatch.setattr(simplex, "_max_iter", lambda a_ub, a_eq: cap)
+        monkeypatch.setattr(simplex, "_max_iter", lambda a_ub: cap)
         stopped = 0
         for theta in itertools.product((-1.0, 1.0), repeat=3):
             try:
@@ -414,12 +359,12 @@ def test_optimal_lps_stay_bit_for_bit_while_their_stack_runs():
         b_ub[k] = 1.0
         cost = np.zeros(a_ub.shape[2] + k + 1)
         cost[0] = -1.0
-        tableau, basis, _ = simplex._tableau(a_ub, b_ub, a_ub[:, :0], b_ub[:0])
+        tableau, basis = simplex._tableau(a_ub, b_ub)
         stacked, stacked_basis = tableau.copy(), basis.copy()
-        assert not simplex._run_simplex(stacked, stacked_basis, cost, 1000, phase=2)
+        assert not simplex._run_simplex(stacked, stacked_basis, cost, 1000)
         for lp in range(len(theta)):
             alone, alone_basis = tableau[lp : lp + 1].copy(), basis[lp : lp + 1].copy()
-            assert not simplex._run_simplex(alone, alone_basis, cost, 1000, phase=2)
+            assert not simplex._run_simplex(alone, alone_basis, cost, 1000)
             assert alone.tobytes() == stacked[lp : lp + 1].tobytes()
             assert alone_basis.tolist() == stacked_basis[lp : lp + 1].tolist()
 
