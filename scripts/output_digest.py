@@ -199,9 +199,7 @@ def walk_bodies():
 
 
 def walk_items(body):
-    def points_of(sup):
-        return body.project(CoordinateSubset(sup))
-    return [list(radius_table(points_of, body.dimension, (t,)).items()) for t in DEFAULT_T_GRID]
+    return [list(radius_table(body.vertices, (t,)).items()) for t in DEFAULT_T_GRID]
 
 
 def translated_body(index: int) -> VPolytope:

@@ -63,9 +63,7 @@ def dual_body(norm: PolyhedralNorm, vectors) -> VPolytope:
     containing cubes certify l1 lower bounds for the vector subset.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    w = norm.functionals @ vectors.T  # (n_func, n)
-    verts = np.unique(np.vstack([w, -w]), axis=0)
-    return VPolytope(vectors.shape[0], verts)
+    return VPolytope(vectors.shape[0], np.unique(_l1_points(norm, vectors), axis=0))
 
 
 def elton_subset(
@@ -86,13 +84,14 @@ def elton_subset(
     if not np.all(np.isfinite(vectors)):
         raise ValueError("vectors must have finite entries")
     n = vectors.shape[0]
+    points = _l1_points(norm, vectors)
     worst = max(norm.norm(x) for x in vectors)
     if worst > 1.0 + 1e-9:
         raise ValueError(f"vector norm {worst} exceeds the unit ball")
-    estimate = gaussian_sup_mc(_l1_points(norm, vectors, range(n)), samples, seed, "rademacher")
+    estimate = gaussian_sup_mc(points, samples, seed, "rademacher")
     delta = estimate.mean / n
 
-    table = radius_table(lambda sup: _l1_points(norm, vectors, sup), n, DEFAULT_T_GRID)
+    table = radius_table(points, DEFAULT_T_GRID)
     sweep = [(t, len(widest_fit(table, t))) for t in DEFAULT_T_GRID]
     best_t, best_score = None, -1.0
     for t, d in sweep:

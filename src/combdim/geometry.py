@@ -7,18 +7,20 @@ membership is an l1 distance of at most HULL_TOL (`_separate`), and the
 inscribed radius r of a symmetric body
 (the half-side of its largest centred cube) is one LP per sign orthant
 over weights on the vertices, |sigma| + 1 rows however many vertices.
-These LPs share their costs and right-hand sides, so the orthants of
-the point sets in a call, of any sizes, run as stacks through the simplex
-loop, smaller LPs padded with inert rows and columns, each LP on a
-working set of its points that pricing with the LP's duals grows until
-no point of the set improves it (column generation).  A symmetric body
-holds a side-t cube iff r >= t/2 - HULL_TOL.  `radius_table` probes the
-full support once, solves in one run every support its orthant optima
-prove the walk will reach, then walks the coordinate lattice once for all
-scales of a question; `convex_vc` and the elton sweep read it.  A cube
-in any other body is found by cutting planes (Kelley 1960).  The l1
-constant is r of conv{+-(f_j(x_i))} (exact for polyhedral norms).
-Symmetry is read from the vertices, never declared.
+A body is one point matrix (rows), and its projection on a support
+sigma is the column slice points[:, sigma].  The orthant LPs of the
+supports in a call share their costs, right-hand sides and point count,
+so they run as stacks through the simplex loop, LPs of smaller |sigma|
+padded with inert rows, each LP on a working set of its points that
+pricing with the LP's duals grows until no point of the set improves it
+(column generation).  A symmetric body holds a side-t cube iff r >= t/2
+- HULL_TOL.  `radius_table` probes the full support once, solves in one
+run every support its orthant optima prove the walk will reach, then
+walks the coordinate lattice once for all scales of a question;
+`convex_vc` and the elton sweep read it.  A cube in any other body is
+found by cutting planes (Kelley 1960).  The l1 constant is r of
+conv{+-(f_j(x_i))} (exact for polyhedral norms).  Symmetry is read from
+the vertices, never declared.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ STACK_ENTRY_LIMIT = 150_000
 @dataclass(frozen=True, eq=False)
 class VPolytope:
     """Convex body given as the hull of finitely many vertices.  It is
-    `symmetric` when every -v lies within 1e-12 of a vertex."""
+    `symmetric` when every -v is a vertex, up to 1e-12 times the largest
+    absolute vertex entry."""
 
     dimension: int
     vertices: np.ndarray
@@ -66,9 +69,10 @@ class VPolytope:
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
         # Match each -v exactly first (+ 0.0 turns -0.0 into 0.0), then
-        # search within 1e-12 only for the vertices left unmatched.
+        # search within the tolerance only for the vertices left unmatched.
         rows = {row.tobytes() for row in verts + 0.0}
-        symmetric = all(np.abs(verts + v).max(axis=1).min() <= 1e-12
+        tol = 1e-12 * np.abs(verts).max()
+        symmetric = all(np.abs(verts + v).max(axis=1).min() <= tol
                         for v in verts if (0.0 - v).tobytes() not in rows)
         object.__setattr__(self, "symmetric", symmetric)
 
@@ -117,11 +121,12 @@ def point_in_hull(poly: VPolytope, point) -> bool:
 
 def _normalized(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """The points (rows) centred on their mean and divided by the power of
-    two nearest their largest entry if above 1, with the mean and factor:
-    tolerances are absolute within the unit box and relative beyond."""
+    two nearest their largest entry (1 for a single point), with the mean
+    and factor: tolerances are relative to the body's size."""
     mean = points.mean(axis=0)
     centred = points - mean
-    factor = 2.0 ** round(math.log2(max(np.abs(centred).max(), 1.0)))
+    peak = np.abs(centred).max()
+    factor = 2.0 ** round(math.log2(peak)) if peak > 0 else 1.0
     return centred / factor, mean, factor
 
 
@@ -186,7 +191,7 @@ def cube_in_projection(
         return None
 
     if poly.symmetric:
-        if not _fits(_inscribed_radius([pts])[0], t):
+        if not _fits(_inscribed_radius(pts, range(k)), t):
             return None
         return CubeWitness(sigma, t, (-t / 2.0,) * k)
 
@@ -254,10 +259,11 @@ def _fits(radius: float, t: float) -> bool:
     return radius >= t / 2.0 - HULL_TOL
 
 
-def radius_table(points_of, n: int, scales) -> dict[tuple[int, ...], float]:
-    """Inscribed radius of the symmetric point set `points_of(support)`
-    (rows) on each support in range(n) the walk solves, so that
-    `widest_fit` answers at every one of the scales.  A probe of the full
+def radius_table(points: np.ndarray, scales) -> dict[tuple[int, ...], float]:
+    """Inscribed radius of the symmetric point set `points` (rows, n
+    columns) on each support in range(n) the walk solves, its set the
+    slice points[:, support], so that `widest_fit` answers at every one of
+    the scales.  A probe of the full
     support (within CUBE_DIM_BUDGET) at the finest scale settles each
     scale it passes; a set `_box_cut` rejects there is rejected at every
     scale.  r only shrinks as a support grows, so one walk at the finest
@@ -270,23 +276,15 @@ def radius_table(points_of, n: int, scales) -> dict[tuple[int, ...], float]:
     not depend on which supports were solved ahead; a set `_box_cut`
     rejects gets no LP, no entry.
     """
+    n = points.shape[1]
     table: dict[tuple[int, ...], float] = {}
     solved: dict[tuple[int, ...], float] = {}
 
     def solve(supports, t: float) -> list[np.ndarray]:
         # the orthant optima of the supports not yet solved whose sets
-        # _box_cut keeps, radii into `solved`; sets are read as stacks fill
-        kept = []
-
-        def sets():
-            for sup in supports:
-                if sup not in solved:
-                    points = points_of(sup)
-                    if not _box_cut(points, t):
-                        kept.append(sup)
-                        yield points
-
-        optima = _orthant_optima(sets())
+        # _box_cut keeps, radii into `solved`
+        kept = [sup for sup in supports if sup not in solved and not _box_cut(points[:, sup], t)]
+        optima = _orthant_optima(points, kept)
         solved.update(zip(kept, map(_radius, optima)))
         return optima
 
@@ -343,66 +341,54 @@ def widest_fit(table: dict[tuple[int, ...], float], t: float) -> tuple[int, ...]
 def convex_vc(poly: VPolytope, t: float) -> tuple[int, CoordinateSubset]:
     """Largest |sigma| whose projection contains a side-t cube, and the
     lexicographically smallest such sigma.  A symmetric body reads it off
-    the `radius_table` of its deduplicated projections; any other body
-    walks `passing_supports` with the cutting planes of `cube_in_projection`
+    the `radius_table` of its vertices; any other body walks
+    `passing_supports` with the cutting planes of `cube_in_projection`
     (sub-projections of a contained cube are contained).
     """
     if not t > 0:
         raise ValueError("cube side must be positive")
     n = poly.dimension
     if poly.symmetric:
-        best = widest_fit(radius_table(lambda sup: poly.project(CoordinateSubset(sup)), n, (t,)), t)
+        best = widest_fit(radius_table(poly.vertices, (t,)), t)
     else:
         best = max(passing_supports(n, lambda level: [cube_in_projection(
             poly, CoordinateSubset(sup), t) is not None for sup in level]), key=len, default=())
     return len(best), CoordinateSubset(best)
 
 
-def _orthant_optima(point_sets) -> list[np.ndarray]:
-    """Orthant-LP optima of symmetric point sets (rows, any shapes), one
-    array per set over its sign orthants, in the points' units.  For a
-    sign orthant theta (first sign +, since theta ~ -theta) the LP in
-    weights y >= 0 on the points and mu maximizes mu subject to mu <=
-    theta_i (points^T y)_i and sum(y) <= 1: k + 1 rows with right-hand
-    sides 0 and 1.  The LPs run by column generation
-    (`_generate_columns`) in stacks taken in order (`_stacks`).
-    `point_sets` may be an iterator: a set is read when the packer
-    reaches it, and let go once solved.
+def _orthant_optima(points: np.ndarray, supports) -> list[np.ndarray]:
+    """Orthant-LP optima of the symmetric point set `points` (rows) on
+    each of the nonempty supports, one array per support over its sign
+    orthants, in the points' units.  For a sign orthant theta (first sign
+    +, since theta ~ -theta) of sigma the LP in weights y >= 0 on the
+    points and mu maximizes mu subject to mu <= theta_i (points^T y)_i, i
+    in sigma, and sum(y) <= 1: |sigma| + 1 rows with right-hand sides 0
+    and 1.  The LPs run by column generation (`_generate_columns`) in
+    stacks taken in order (`_stacks`).
     """
-    sets: list[np.ndarray | None] = []
+    ks = [len(sup) for sup in supports]
+    if max(ks, default=0) > CUBE_DIM_BUDGET:
+        raise BudgetError(f"|sigma| = {max(ks)} exceeds the exponent budget {CUBE_DIM_BUDGET}")
     optima: list[np.ndarray] = []
-
-    def shapes():
-        for points in point_sets:
-            points = np.asarray(points, dtype=np.float64)
-            if points.shape[1] > CUBE_DIM_BUDGET:
-                raise BudgetError(f"|sigma| = {points.shape[1]} exceeds the exponent budget "
-                                  f"{CUBE_DIM_BUDGET}")
-            sets.append(points)
-            yield points.shape
-
-    for stack in _stacks(shapes()):
-        members = [sets[s] for s, _, _ in stack]
-        # The stack's sets zero-padded to one shape (`_generate_columns` keeps
-        # the padding out of every LP).  r is homogeneous in the points, so a
-        # power-of-two scale brings their largest entry near 1 for the
-        # solver's absolute tolerances, exactly; the optima are scaled back.
-        points = np.zeros((len(stack), max(map(len, members)), max(p.shape[1] for p in members)))
-        for block, member in zip(points, members):
-            block[: len(member), : member.shape[1]] = member
+    for stack in _stacks(len(points), ks):
+        # The stack's slices zero-padded to its largest |sigma|
+        # (`_generate_columns` keeps the padding out of every LP).  r is
+        # homogeneous in the points, so a power-of-two scale brings their
+        # largest entry near 1 for the solver's absolute tolerances,
+        # exactly; the optima are scaled back.
+        block = np.zeros((len(stack), len(points), max(ks[s] for s, _, _ in stack)))
+        for sliced, (s, _, _) in zip(block, stack):
+            sliced[:, : ks[s]] = points[:, supports[s]]
         factors = [2.0 ** round(math.log2(p)) if p > 0 else 1.0
-                   for p in np.abs(points).max(axis=(1, 2)).tolist()]
-        points /= np.array(factors)[:, None, None]
-        thetas = [_orthants(m.shape[1])[lo:hi] for m, (_, lo, hi) in zip(members, stack)]
-        found = _generate_columns(points, list(map(len, members)), thetas)
-        for (s, lo, hi), values, factor in zip(stack, found, factors):
+                   for p in np.abs(block).max(axis=(1, 2)).tolist()]
+        block /= np.array(factors)[:, None, None]
+        found = _generate_columns(block, [_orthants(ks[s])[lo:hi] for s, lo, hi in stack])
+        for (s, lo, _), values, factor in zip(stack, found, factors):
             values = values * factor
-            if lo == 0:  # sets come in order, each whole or in consecutive shares
+            if lo == 0:  # supports come in order, each whole or in consecutive shares
                 optima.append(values)
             else:
                 optima[s] = np.concatenate([optima[s], values])
-            if hi == len(_orthants(sets[s].shape[1])):
-                sets[s] = None
     return optima
 
 
@@ -415,44 +401,41 @@ def _orthants(k: int) -> np.ndarray:
     return theta
 
 
-def _stacks(shapes):
-    """The stacks, as lists of (set, first orthant, end orthant), of the
-    orthant LPs of point sets of the given (points, k) shapes (an
-    iterable, read one set at a time), in order, cut by one greedy pass:
-    a stack takes the next LP as long as all its LPs, padded to its grown
-    largest shape (`_generate_columns` pads them), stay within
-    STACK_ENTRY_LIMIT entries of starting tableaux and pricing products;
-    one LP always fits.  A set runs whole or in consecutive shares of its
-    orthants."""
+def _stacks(n_pts: int, ks):
+    """The stacks, as lists of (support, first orthant, end orthant), of
+    the orthant LPs of supports of sizes ks on n_pts points, in order, cut
+    by one greedy pass: a stack takes the next LP as long as all its LPs,
+    padded to its grown largest k (`_generate_columns` pads them), stay
+    within STACK_ENTRY_LIMIT entries of starting tableaux and pricing
+    products; one LP always fits.  A support runs whole or in consecutive
+    shares of its orthants."""
 
-    def per_lp(n_pts: int, k: int, width: int) -> int:
+    def per_lp(k: int) -> int:
         # mu, the working set, k + 1 slacks and the rhs on k + 1 rows, and
         # one reduced cost per point (the score, then the pricing product)
-        return (k + 1) * (width + k + 3) + n_pts
+        return (k + 1) * (min(n_pts, 2 * k) + k + 3) + n_pts
 
-    stack, dims, lps = [], (0, 0, 0), 0
-    for s, (n_pts, k) in enumerate(shapes):
-        own = (n_pts, k, min(n_pts, 2 * k))
+    stack, top, lps = [], 0, 0
+    for s, k in enumerate(ks):
         lo, count = 0, 1 << (k - 1)
         while lo < count:
-            grown = tuple(map(max, dims, own))
-            room = STACK_ENTRY_LIMIT // per_lp(*grown) - lps
+            room = STACK_ENTRY_LIMIT // per_lp(max(top, k)) - lps
             if stack and room < 1:
                 yield stack
-                stack, dims, lps = [], (0, 0, 0), 0
+                stack, top, lps = [], 0, 0
                 continue
             hi = min(count, lo + max(room, 1))
             stack.append((s, lo, hi))
-            dims, lps, lo = grown, lps + hi - lo, hi
+            top, lps, lo = max(top, k), lps + hi - lo, hi
     if stack:
         yield stack
 
 
-def _generate_columns(points: np.ndarray, counts, thetas) -> list[np.ndarray]:
+def _generate_columns(points: np.ndarray, thetas) -> list[np.ndarray]:
     """Optima of the orthant LPs of point sets in sign orthants, one stack:
-    set s holds its counts[s] points in points[s] (sets, n_pts, k), padded
-    with zeros, and runs in the orthants thetas[s] (orthants, its k); each
-    gives an array over its orthants.
+    set s is points[s] (sets, n_pts, k), its coordinates past its own k
+    zero, and runs in the orthants thetas[s] (orthants, its k); each gives
+    an array over its orthants.
 
     Each LP starts on a working set of its min(n_pts, 2k) points of
     largest theta-score sum_i theta_i p_i, best first and ties to the
@@ -465,13 +448,12 @@ def _generate_columns(points: np.ndarray, counts, thetas) -> list[np.ndarray]:
     certifies dual feasibility over its whole set (the working set by the
     restricted optimum).
 
-    LPs are padded to the stack's largest shape: a set of k < K
-    coordinates gets inert rows k..K-1 before its sum row (zero mu
-    coefficient, zero coordinates and sign, rhs 0), a set of fewer points
-    zero points that never enter its working set nor price, and a
-    narrower working set or a shorter append zero columns.  Inert slacks
-    never pass the ratio test, pivots subtract zeros from their rows, and
-    their duals are 0; zero columns never enter under Bland's rule.  Every
+    LPs are padded to the stack's largest k: a set of k < K coordinates
+    gets inert rows k..K-1 before its sum row (zero mu coefficient, zero
+    coordinates and sign, rhs 0), and a narrower working set or a shorter
+    append zero columns.  Inert slacks never pass the ratio test, pivots
+    subtract zeros from their rows, and their duals are 0; zero columns
+    never enter under Bland's rule.  Every
     choice is made per LP, the scores, prices and new columns are summed
     in a fixed order, and the pivot loop's reduced costs and the duals are
     exact here (-1 on mu is the only cost), so an LP gives the same float
@@ -483,7 +465,6 @@ def _generate_columns(points: np.ndarray, counts, thetas) -> list[np.ndarray]:
     k and size alone.
     """
     _, n_pts, k = points.shape
-    n_of = np.array(counts)
     k_of = np.array([theta.shape[1] for theta in thetas])
     sizes = [len(theta) for theta in thetas]
     lps = sum(sizes)
@@ -516,17 +497,12 @@ def _generate_columns(points: np.ndarray, counts, thetas) -> list[np.ndarray]:
         col[:, k] = 1.0
         return col * (chosen < n_pts)[:, None]
 
-    own_points = n_of[set_of]
-    widths = np.minimum(own_points, 2 * k_of[set_of])
-    # The working set of each LP, plus a last column that padding marks;
-    # padding points count as in it, so they are never priced.
+    widths = np.minimum(n_pts, 2 * k_of[set_of])
+    # The working set of each LP, plus a last column that `_least`'s padding marks
     in_set = np.zeros((lps, n_pts + 1), dtype=bool)
-    np.greater_equal(np.arange(n_pts), own_points[:, None], out=in_set[:, :n_pts])
-    score = -products(signs)
-    np.copyto(score, np.inf, where=in_set[:, :n_pts])
-    chosen = _least(score, widths)
+    chosen = _least(-products(signs), widths)
     in_set[every[:, None], chosen] = True
-    whole = (widths == own_points).all()  # every LP starts on all its points
+    whole = (widths == n_pts).all()  # every LP starts on all its points
     live = every
     # Columns: mu, then the working set; minimize -mu.
     a_ub = np.zeros((lps, k + 1, chosen.shape[1] + 1))
@@ -582,17 +558,21 @@ def _radius(optima: np.ndarray) -> float:
     return max(0.0, min(optima.tolist()))
 
 
-def _inscribed_radius(point_sets) -> list[float]:
-    """Half-side r of the largest centred cube in the hull of each of
-    symmetric point sets (rows).  By weak duality an optimal y certifies
-    the lower bound."""
-    return list(map(_radius, _orthant_optima(point_sets)))
+def _inscribed_radius(points: np.ndarray, sigma) -> float:
+    """Half-side r of the largest centred cube in the projection on sigma
+    of the hull of a symmetric point set (rows).  By weak duality an
+    optimal y certifies the lower bound."""
+    return _radius(_orthant_optima(points, [tuple(sigma)])[0])
 
 
-def _l1_points(norm: PolyhedralNorm, vectors: np.ndarray, support) -> np.ndarray:
-    """+-w for w = (f_j(x_i)), i in support: the points whose inscribed
-    radius is the l1 constant of the support."""
-    w = norm.functionals @ vectors[list(support)].T  # (n_func, k)
+def _l1_points(norm: PolyhedralNorm, vectors: np.ndarray) -> np.ndarray:
+    """+-w for w = (f_j(x_i)) (rows j, one column per vector x_i): the
+    points whose inscribed radius on a support is the l1 constant of the
+    support."""
+    if vectors.shape[1] != norm.dimension:
+        raise ValueError(f"vectors have {vectors.shape[1]} coordinates, "
+                         f"but the norm has dimension {norm.dimension}")
+    w = norm.functionals @ vectors.T  # (n_func, n)
     return np.concatenate([w, -w])
 
 
@@ -611,7 +591,7 @@ def ell1_lower_constant(norm: PolyhedralNorm, vectors, sigma: CoordinateSubset) 
     if len(sigma) == 0:
         raise ValueError("sigma must be nonempty")
     sigma.validate_against(vectors.shape[0])
-    return _inscribed_radius([_l1_points(norm, vectors, sigma)])[0]
+    return _inscribed_radius(_l1_points(norm, vectors), sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,20 @@ def test_l1_entry_points_reject_non_finite_vectors():
             ell1_lower_constant(norm, vectors, CoordinateSubset((0, 1)))
 
 
+def test_l1_entry_points_reject_vectors_of_another_dimension():
+    # 3-coordinate vectors under a 2-dimensional norm once died inside
+    # numpy's matmul, with a message that named neither
+    norm = PolyhedralNorm(2, [[1.0, 0.0], [0.0, 1.0]])
+    vectors = np.array([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]])
+    message = "vectors have 3 coordinates, but the norm has dimension 2"
+    with pytest.raises(ValueError, match=message):
+        elton_subset(norm, vectors, samples=100, seed=1)
+    with pytest.raises(ValueError, match=message):
+        ell1_lower_constant(norm, vectors, CoordinateSubset((0, 1)))
+    with pytest.raises(ValueError, match=message):
+        dual_body(norm, vectors)
+
+
 def test_elton_result_invariants():
     n = 4
     res = elton_subset(l1_norm(n), np.eye(n), samples=300, seed=11)
@@ -294,14 +308,14 @@ def test_ell1_constant_is_independent_of_functional_order():
 def _walk_radius_calls(monkeypatch, bodies):
     # every orthant-LP solve of the elton walk on random_norm_instances(1)
     # and (2) and on the given rudelson bodies, the probe's included: (the
-    # point sets of one call, their radii); the hook is removed on return
+    # points and supports of one call, their radii); the hook is removed on
+    # return
     calls = []
     real = geometry._orthant_optima
 
-    def recording(point_sets):
-        point_sets = list(point_sets)
-        optima = real(point_sets)
-        calls.append((point_sets, list(map(geometry._radius, optima))))
+    def recording(points, supports):
+        optima = real(points, supports)
+        calls.append((points, supports, list(map(geometry._radius, optima))))
         return optima
 
     cases = [(norm, vectors) for seed in (1, 2)
@@ -314,17 +328,17 @@ def _walk_radius_calls(monkeypatch, bodies):
         for norm, vectors in cases:
             elton_subset(norm, vectors, samples=200, seed=0)
     assert len(calls) > len(cases)
-    return calls, geometry._inscribed_radius
+    return calls
 
 
 def test_dual_orthant_lps_match_the_primal_on_every_visited_support(monkeypatch):
     # the walk solves its orthant LPs in dual form, supports of several
     # sizes in one call; HiGHS on the primal form is the reference on every
     # support solved, the probe's full support included
-    calls, _ = _walk_radius_calls(monkeypatch, ((5, 0.6), (6, 0.6), (8, 0.5)))
-    for point_sets, radii in calls:
-        for points, mine in zip(point_sets, radii):
-            assert mine == pytest.approx(_highs_orthant_minimum(points), abs=1e-9)
+    calls = _walk_radius_calls(monkeypatch, ((5, 0.6), (6, 0.6), (8, 0.5)))
+    for points, supports, radii in calls:
+        for sup, mine in zip(supports, radii):
+            assert mine == pytest.approx(_highs_orthant_minimum(points[:, sup]), abs=1e-9)
 
 
 def _orthant_optima_full_width(points):
@@ -348,23 +362,23 @@ def test_stacked_orthant_optima_equal_each_lp_solved_alone(monkeypatch):
     # every choice of the column-generation loop is made per LP, so an LP
     # in a stack gives the same float as a stack of one; both stay within
     # 1e-11 relative of the full-width solve
-    calls, _ = _walk_radius_calls(monkeypatch, ((5, 0.6), (7, 0.8)))
-    for point_sets, _ in calls:
-        stacked = geometry._orthant_optima(point_sets)
+    calls = _walk_radius_calls(monkeypatch, ((5, 0.6), (7, 0.8)))
+    for points, supports, _ in calls:
+        stacked = geometry._orthant_optima(points, supports)
         with monkeypatch.context() as alone:
             alone.setattr(geometry, "STACK_ENTRY_LIMIT", 1)
-            for points, optima in zip(point_sets, stacked):
-                assert optima.tolist() == geometry._orthant_optima([points])[0].tolist()
-                assert optima.tolist() == pytest.approx(_orthant_optima_full_width(points),
+            for sup, optima in zip(supports, stacked):
+                assert optima.tolist() == geometry._orthant_optima(points, [sup])[0].tolist()
+                assert optima.tolist() == pytest.approx(_orthant_optima_full_width(points[:, sup]),
                                                         rel=1e-11, abs=0.0)
 
 
 def test_stack_entry_cap_does_not_change_the_radii(monkeypatch):
-    calls, real = _walk_radius_calls(monkeypatch, ((5, 0.6),))
+    calls = _walk_radius_calls(monkeypatch, ((5, 0.6),))
     for limit in (1, 2_000):  # one LP per stack, then a few
         monkeypatch.setattr(geometry, "STACK_ENTRY_LIMIT", limit)
-        for point_sets, radii in calls:
-            assert real(point_sets) == radii
+        for points, supports, radii in calls:
+            assert list(map(geometry._radius, geometry._orthant_optima(points, supports))) == radii
 
 
 def test_elton_on_rudelson_nine():

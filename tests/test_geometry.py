@@ -50,12 +50,43 @@ def test_point_in_hull_at_a_large_scale():
 
 
 def test_symmetry_is_read_from_the_vertices():
-    pts = np.array([[1.0, 0.2], [0.3, -1.0], [-0.5, 0.5]])
-    assert VPolytope(2, np.vstack([pts, -pts])).symmetric
-    assert VPolytope(2, np.vstack([pts, -pts + 1e-13])).symmetric
-    assert VPolytope(2, [[0.0, 1.0], [-0.0, -1.0], [1.0, -0.0], [-1.0, 0.0]]).symmetric
-    assert not VPolytope(2, [[0, 0], [1, 0], [0, 1]]).symmetric
-    assert not VPolytope(2, np.vstack([pts, -pts + 1e-11])).symmetric
+    # within 1e-12 of the body's size: the triangle at 2^-40 lies within an
+    # absolute 1e-12 of its reflection, and was once read as symmetric
+    for scale in (1.0, 2.0 ** -40):
+        pts = scale * np.array([[1.0, 0.2], [0.3, -1.0], [-0.5, 0.5]])
+        assert VPolytope(2, np.vstack([pts, -pts])).symmetric
+        assert VPolytope(2, np.vstack([pts, -pts + 1e-13 * scale])).symmetric
+        assert VPolytope(2, scale * np.array([[0.0, 1.0], [-0.0, -1.0], [1.0, -0.0],
+                                              [-1.0, 0.0]])).symmetric
+        assert not VPolytope(2, scale * TRIANGLE.vertices).symmetric
+        assert not VPolytope(2, np.vstack([pts, -pts + 1e-11 * scale])).symmetric
+
+
+def test_translated_decisions_do_not_depend_on_the_scale_of_the_body():
+    # point_in_hull, the translated cube_in_projection (its witness in
+    # units of the scale) and convex_vc decide alike on the triangle and on
+    # its copies scaled by 2^j, the points and sides scaled with it.  The
+    # hull tolerance was once absolute below the unit box, so at scale 1e-9
+    # the triangle held (0.6, 0.6) and a square of side 0.6; and at 2^-40
+    # it was read as symmetric, with the centred witness (-t/2, -t/2)
+    # outside it.
+    points = [(0.25, 0.25), (0.5, 0.5), (0.5 + 2e-10, 0.5), (0.5 + 1e-8, 0.5), (0.6, 0.6),
+              (-1e-8, 0.3)]
+    sides = (0.3, 0.5, 0.5 + 1e-10, 0.5 + 1e-8, 0.6)
+
+    def decisions(scale):
+        body = VPolytope(2, scale * TRIANGLE.vertices)
+        witnesses = [cube_in_projection(body, BOTH, scale * t) for t in sides]
+        return ([point_in_hull(body, scale * np.array(point)) for point in points],
+                [w and tuple(x / scale for x in w.translation) for w in witnesses],
+                [(dim, tuple(sigma)) for dim, sigma in (convex_vc(body, scale * t) for t in sides)])
+
+    reference = decisions(1.0)
+    assert reference[0] == [True, True, True, False, False, False]
+    assert [w is not None for w in reference[1]] == [True, True, True, False, False]
+    assert [dim for dim, _ in reference[2]] == [2, 2, 2, 1, 1]
+    for j in range(-40, 41):
+        assert decisions(2.0 ** j) == reference, j
 
 
 def test_polytope_rejects_non_finite_vertices():
@@ -211,15 +242,18 @@ def test_convex_vc_examples():
 def test_convex_vc_lex_smallest():
     # a box that is wide on coordinates 0 and 2 only, then the same box with
     # inner vertices +-(1, 0.1, 0.5) that coincide with box vertices in some
-    # projections only: sets of 2 and 4 points share a stack
+    # projections only: the slices repeat points, which the deduplicated
+    # projections do not
     verts = list(itertools.product((-1.0, 1.0), (-0.1, 0.1), (-1.0, 1.0)))
     for body in (VPolytope(3, verts), VPolytope(3, verts + [(1.0, 0.1, 0.5), (-1.0, -0.1, -0.5)])):
         dim, sigma = convex_vc(body, 1.0)
         assert dim == 2 and tuple(sigma) == (0, 2)
         for t in (0.15, 1.0, 1.5):
-            table = radius_table(lambda sup: body.project(CoordinateSubset(sup)), 3, (t,))
+            table = radius_table(body.vertices, (t,))
             for sup, r in table.items():
-                assert r == _inscribed_radius([body.project(CoordinateSubset(sup))])[0]
+                assert r == _inscribed_radius(body.vertices, sup)
+                projected = body.project(CoordinateSubset(sup))
+                assert r == pytest.approx(_inscribed_radius(projected, range(len(sup))), abs=1e-12)
 
 
 def test_cube_monotone_in_sigma_and_t():
@@ -396,23 +430,23 @@ def _probe_bound(optima, n, sigma):
 def test_probe_bound_never_exceeds_the_radius():
     for body in _random_symmetric_bodies(5, 25):
         n = body.dimension
-        (optima,) = geometry._orthant_optima([body.vertices])
+        (optima,) = geometry._orthant_optima(body.vertices, [tuple(range(n))])
         for size in range(1, n):
             for sigma in itertools.combinations(range(n), size):
                 bound = _probe_bound(optima, n, sigma)
-                exact = _inscribed_radius([body.project(CoordinateSubset(sigma))])[0]
+                exact = _inscribed_radius(body.vertices, sigma)
                 assert bound <= exact + 1e-12 * (1.0 + exact), (n, sigma)
 
 
-def _reference_table(points_of, n, scales):
+def _reference_table(points, scales):
     # the walk solving each level's candidates when it reaches them
+    n = points.shape[1]
     table = {}
 
     def passes(level, t):
         for sup in level:
-            points = points_of(sup)
-            if sup not in table and not geometry._box_cut(points, t):
-                table[sup] = _inscribed_radius([points])[0]
+            if sup not in table and not geometry._box_cut(points[:, sup], t):
+                table[sup] = _inscribed_radius(points, sup)
         return [sup in table and geometry._fits(table[sup], t) for sup in level]
 
     unsettled = [t for t in scales if not passes([tuple(range(n))], t)[0]]
@@ -430,29 +464,21 @@ def test_radius_table_solves_ahead_only_what_the_walk_reaches(monkeypatch):
     for body in _random_symmetric_bodies(6, 25):
         n = body.dimension
         for scales in ((0.2,), (0.6,), (1.0,), (1.5, 0.9, 0.4)):
-            support_of = {}
-
-            def points_of(sup):
-                points = body.project(CoordinateSubset(sup))
-                support_of[id(points)] = (sup, points)
-                return points
-
             runs = []  # the supports of each solving run, in order
 
-            def recording(point_sets):
-                point_sets = list(point_sets)
-                if point_sets:
-                    runs.append([support_of[id(points)][0] for points in point_sets])
-                return real(point_sets)
+            def recording(points, supports):
+                if supports:
+                    runs.append(list(supports))
+                return real(points, supports)
 
             with monkeypatch.context() as hook:
                 hook.setattr(geometry, "_orthant_optima", recording)
-                table = radius_table(points_of, n, scales)
-            reference = _reference_table(points_of, n, scales)
+                table = radius_table(body.vertices, scales)
+            reference = _reference_table(body.vertices, scales)
             assert list(table.items()) == list(reference.items())
             assert sorted(sup for run in runs for sup in run) == sorted(table)
 
-            (optima,) = real([body.vertices])
+            (optima,) = real(body.vertices, [tuple(range(n))])
             t = min(scales)
             if geometry._fits(optima.min(), t) or geometry._box_cut(body.vertices, t):
                 continue  # the probe settles t, or cuts the full set: no walk, or no bound
@@ -470,7 +496,7 @@ def test_radius_table_solves_ahead_only_what_the_walk_reaches(monkeypatch):
                 subsets = [sigma[:i] + sigma[i + 1:] for i in range(len(sigma))]
                 assert len(sigma) == 1 or all(
                     sub in table and geometry._fits(table[sub], t) for sub in subsets)
-            kept = [sigma for sigma in sure if not geometry._box_cut(points_of(sigma), t)]
+            kept = [sigma for sigma in sure if not geometry._box_cut(body.vertices[:, sigma], t)]
             assert not kept or set(kept) <= set(runs[1])
 
 

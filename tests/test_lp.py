@@ -201,17 +201,19 @@ def test_iteration_cap_message_names_count_and_shape(monkeypatch):
 
 
 def test_iteration_cap_on_a_stack_names_the_lps_still_running(monkeypatch):
-    # two point sets of 12 points in 3 coordinates: 2 x 4 orthant LPs of
+    # two supports of 3 coordinates on 12 points: 2 x 4 orthant LPs of
     # 4 rows over mu, a working set of 6 weights, 4 slacks and the rhs,
     # stacked in one run
     from combdim import geometry, simplex
 
     w = np.random.default_rng(0).uniform(-1.0, 1.0, (6, 3))
     points = np.vstack([w, -w])
-    assert geometry._inscribed_radius([points, 2 * points])[1] > 0
+    points = np.hstack([points, 2 * points])
+    supports = [(0, 1, 2), (3, 4, 5)]
+    assert geometry._radius(geometry._orthant_optima(points, supports)[1]) > 0
     monkeypatch.setattr(simplex, "ITER_FACTOR", 0)
     with pytest.raises(IterationCapError) as info:
-        geometry._inscribed_radius([points, 2 * points])
+        geometry._orthant_optima(points, supports)
     message = str(info.value)
     assert "ran 0 iterations" in message
     assert "4x12 tableau" in message
@@ -234,29 +236,27 @@ def test_iteration_cap_counts_only_the_lps_still_running(monkeypatch):
         for theta in itertools.product((-1.0, 1.0), repeat=3):
             try:
                 orthant = np.array([(1.0,) + theta])
-                geometry._generate_columns(scaled[None], [len(points)], [orthant])
+                geometry._generate_columns(scaled[None], [orthant])
             except IterationCapError:
                 stopped += 1
         assert 0 < stopped < 8
         with pytest.raises(IterationCapError, match=f"; {stopped} of 8 LPs in the stack"):
-            geometry._inscribed_radius([points])
+            geometry._inscribed_radius(points, range(4))
 
 
-def _symmetric_sets(rng, count):
-    # symmetric point sets of 1-5 coordinates and 1-9 point pairs, some with
-    # zero rows appended (as a caller padding to a common shape would) and
-    # some with a repeated pair
-    sets = []
-    for _ in range(count):
-        k = int(rng.integers(1, 6))
-        w = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 10)), k))
-        if rng.random() < 0.3:
-            w = np.vstack([w, w[:1]])
-        points = np.vstack([w, -w])
-        if rng.random() < 0.4:
-            points = np.vstack([points, np.zeros((int(rng.integers(1, 6)), k))])
-        sets.append(points)
-    return sets
+def _symmetric_body(rng, count):
+    # a symmetric point set of 1-9 point pairs in 8 coordinates, some with
+    # zero rows appended and some with a repeated pair, and `count` random
+    # supports of 1-5 coordinates on it
+    w = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 10)), 8))
+    if rng.random() < 0.3:
+        w = np.vstack([w, w[:1]])
+    points = np.vstack([w, -w])
+    if rng.random() < 0.4:
+        points = np.vstack([points, np.zeros((int(rng.integers(1, 6)), 8))])
+    supports = [tuple(sorted(rng.choice(8, int(rng.integers(1, 6)), replace=False).tolist()))
+                for _ in range(count)]
+    return points, supports
 
 
 def _bits(values):
@@ -265,22 +265,21 @@ def _bits(values):
 
 
 def test_mixed_size_stack_gives_each_lp_its_own_size_float():
-    # orthant LPs of sets of different |sigma| and point counts share one
-    # stack, padded with inert rows, points and columns; each optimum is the
-    # very float of its set solved alone and of a stack of its own size
+    # orthant LPs of supports of different |sigma| share one stack, padded
+    # with inert rows and columns; each optimum is the very float of its
+    # support solved alone and of a stack of its own size
     from combdim import geometry
 
     rng = np.random.default_rng(11)
     for _ in range(12):
-        sets = _symmetric_sets(rng, 8)
-        assert len(list(geometry._stacks([s.shape for s in sets]))) == 1
-        mixed = geometry._orthant_optima(sets)
-        for points, optima in zip(sets, mixed):
-            alone = geometry._orthant_optima([points])[0]
+        points, supports = _symmetric_body(rng, 8)
+        assert len(list(geometry._stacks(len(points), list(map(len, supports))))) == 1
+        mixed = geometry._orthant_optima(points, supports)
+        for sup, optima in zip(supports, mixed):
+            alone = geometry._orthant_optima(points, [sup])[0]
             assert _bits(optima) == _bits(alone)
-            same = [s for s in sets if s.shape == points.shape]
-            own = geometry._orthant_optima(same)[next(
-                i for i, s in enumerate(same) if s is points)]
+            same = [s for s in supports if len(s) == len(sup)]
+            own = geometry._orthant_optima(points, same)[same.index(sup)]
             assert _bits(optima) == _bits(own)
 
 
@@ -288,22 +287,23 @@ def test_mixed_size_stacks_keep_within_the_entry_limit(monkeypatch):
     from combdim import geometry
 
     rng = np.random.default_rng(12)
-    sets = _symmetric_sets(rng, 40)
-    shapes = [s.shape for s in sets]
+    points, supports = _symmetric_body(rng, 40)
+    n_pts, ks = len(points), [len(sup) for sup in supports]
 
     def entries(stack):
-        # the padded size of a stack: its LPs at the largest shape of its sets
-        n_pts = max(shapes[s][0] for s, _, _ in stack)
-        k = max(shapes[s][1] for s, _, _ in stack)
-        width = max(min(shapes[s][0], 2 * shapes[s][1]) for s, _, _ in stack)
-        return sum(hi - lo for _, lo, hi in stack) * ((k + 1) * (width + k + 3) + n_pts)
+        # the padded size of a stack: its LPs at the largest k of its supports
+        k = max(ks[s] for s, _, _ in stack)
+        return sum(hi - lo for _, lo, hi in stack) * ((k + 1) * (min(n_pts, 2 * k) + k + 3) + n_pts)
 
-    reference = geometry._inscribed_radius(sets)
+    def optima():
+        return [values.tolist() for values in geometry._orthant_optima(points, supports)]
+
+    reference = optima()
     for limit in (1, 300, 3_000, 150_000):
         monkeypatch.setattr(geometry, "STACK_ENTRY_LIMIT", limit)
-        stacks = list(geometry._stacks(shapes))
+        stacks = list(geometry._stacks(n_pts, ks))
         covered = [(s, o) for stack in stacks for s, lo, hi in stack for o in range(lo, hi)]
-        assert covered == [(s, o) for s, (_, k) in enumerate(shapes) for o in range(1 << (k - 1))]
+        assert covered == [(s, o) for s, k in enumerate(ks) for o in range(1 << (k - 1))]
         for stack in stacks:
             assert entries(stack) <= limit or sum(hi - lo for _, lo, hi in stack) == 1
         # the greedy cut is maximal: the next LP in order, at the grown
@@ -311,29 +311,26 @@ def test_mixed_size_stacks_keep_within_the_entry_limit(monkeypatch):
         for stack, after in itertools.pairwise(stacks):
             s, lo, _ = after[0]
             assert entries(stack + [(s, lo, lo + 1)]) > limit
-        assert geometry._inscribed_radius(sets) == reference
+        assert optima() == reference
 
 
 def test_a_stack_of_one_sets_tail_and_the_next_sets_head_gives_each_lp_its_own_float():
-    # a stack holds the last two orthants of one set and the first two of
-    # the next, equal in k and share size but not in orthants; each LP
+    # a stack holds the last two orthants of one support and the first two
+    # of the next, equal in k and share size but not in orthants; each LP
     # gives the very float it gives alone
     from combdim import geometry
 
     rng = np.random.default_rng(13)
     theta = geometry._orthants(3)
     for _ in range(6):
-        sets = [s for s in _symmetric_sets(rng, 40) if s.shape[1] == 3][:2]
-        assert len(sets) == 2
-        points = np.zeros((2, max(map(len, sets)), 3))
-        for block, member in zip(points, sets):
-            block[: len(member)] = member
-        counts = list(map(len, sets))
+        points, supports = _symmetric_body(rng, 40)
+        block = np.array([points[:, sup] for sup in supports if len(sup) == 3][:2])
+        assert len(block) == 2
         shares = [theta[2:], theta[:2]]
-        stacked = geometry._generate_columns(points, counts, shares)
+        stacked = geometry._generate_columns(block, shares)
         for s, share in enumerate(shares):
             for o in range(len(share)):
-                alone = geometry._generate_columns(sets[s][None], [counts[s]], [share[o : o + 1]])
+                alone = geometry._generate_columns(block[s][None], [share[o : o + 1]])
                 assert _bits(stacked[s][o : o + 1]) == _bits(alone[0])
 
 
