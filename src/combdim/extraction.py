@@ -122,19 +122,22 @@ def extract_coordinates(
     Gram kernel _min_subset_distance) runs only when the draw could be
     accepted or raise the best: it is skipped when _min_distance_bound,
     read off the same Gram product, is <= t/2 and < best, which proves
-    the exact distance is too.  The draws, attempts, distances and
-    messages are therefore those of computing every draw exactly.
+    the exact distance is too.  A draw of a subset drawn before is skipped
+    outright: its first draw had d <= t/2 and best >= d since.  The
+    draws, attempts, distances and messages are therefore those of
+    computing every draw exactly.
     """
     _check_precondition(family, t, k)
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     n = family.domain_size
-    best = None
+    best, seen = None, set()
     for attempt in range(max_attempts):
         rng = np.random.default_rng([seed, attempt])
         sigma = np.flatnonzero(rng.random(n) < k / (2.0 * n))
-        if sigma.size == 0 or sigma.size > k:
+        if sigma.size == 0 or sigma.size > k or sigma.tobytes() in seen:
             continue
+        seen.add(sigma.tobytes())
         sub = family.values[:, sigma]
         gram = sub @ sub.T / sigma.size
         if best is not None:

@@ -180,6 +180,7 @@ def cube_in_projection(
     """
     if not t > 0:
         raise ValueError("cube side must be positive")
+    sigma.validate_against(poly.dimension)
     k = len(sigma)
     if k > CUBE_DIM_BUDGET:
         raise BudgetError(f"|sigma| = {k} exceeds the exponent budget {CUBE_DIM_BUDGET}")
@@ -261,75 +262,70 @@ def _fits(radius: float, t: float) -> bool:
 
 def radius_table(points: np.ndarray, scales) -> dict[tuple[int, ...], float]:
     """Inscribed radius of the symmetric point set `points` (rows, n
-    columns) on each support in range(n) the walk solves, its set the
+    columns) on each support in range(n) the walk reaches, its set the
     slice points[:, support], so that `widest_fit` answers at every one of
-    the scales.  A probe of the full
-    support (within CUBE_DIM_BUDGET) at the finest scale settles each
-    scale it passes; a set `_box_cut` rejects there is rejected at every
-    scale.  r only shrinks as a support grows, so one walk at the finest
-    scale the probe fails visits every support passing at a coarser one.
-    One run first solves every candidate of that walk under the probe's
-    lower bound of r (`_bound_fits`): its one-smaller subsets pass the
-    bound, so they pass the walk, which reaches it.  The walk then solves
-    what is still missing, level by level.  A radius enters the table when
-    the walk reaches its support, so the table's keys and their order do
-    not depend on which supports were solved ahead; a set `_box_cut`
-    rejects gets no LP, no entry.
+    the scales.  A probe of the full support (within CUBE_DIM_BUDGET)
+    settles each scale it passes; it is spared when `_box_cut` rejects the
+    full set at the finest scale, which then rejects it at every scale.  r
+    only shrinks as a support grows, so one walk at the finest scale the
+    probe fails visits every support passing at a coarser one.  One run
+    first solves every candidate of that walk under the probe's lower
+    bound of r (`_probe_bounds`): its one-smaller subsets pass the bound,
+    so they pass the walk, which reaches it.  The walk then solves what is
+    still missing, level by level.  A radius enters the table when the
+    walk reaches its support, so the table's keys and their order do not
+    depend on which supports were solved ahead.
     """
     n = points.shape[1]
     table: dict[tuple[int, ...], float] = {}
     solved: dict[tuple[int, ...], float] = {}
 
-    def solve(supports, t: float) -> list[np.ndarray]:
-        # the orthant optima of the supports not yet solved whose sets
-        # _box_cut keeps, radii into `solved`
-        kept = [sup for sup in supports if sup not in solved and not _box_cut(points[:, sup], t)]
-        optima = _orthant_optima(points, kept)
-        solved.update(zip(kept, map(_radius, optima)))
+    def solve(supports) -> list[np.ndarray]:
+        # the orthant optima of the supports not yet solved, radii into `solved`
+        new = [sup for sup in supports if sup not in solved]
+        optima = _orthant_optima(points, new)
+        solved.update(zip(new, map(_radius, optima)))
         return optima
 
     def passes(level: list[tuple[int, ...]], t: float) -> list[bool]:
-        solve(level, t)
-        table.update((sup, solved[sup]) for sup in level if sup in solved)
-        return [sup in table and _fits(table[sup], t) for sup in level]
+        solve(level)
+        table.update((sup, solved[sup]) for sup in level)
+        return [_fits(solved[sup], t) for sup in level]
 
     full = tuple(range(n))
-    probe = solve([full], min(scales)) if n <= CUBE_DIM_BUDGET else []
+    probe = solve([full]) if n <= CUBE_DIM_BUDGET and not _box_cut(points, min(scales)) else []
     table.update(solved)
     unsettled = [t for t in scales if not (full in table and _fits(table[full], t))]
     if unsettled:
         t = min(unsettled)
         if probe:
             met = []  # every candidate of the bound's walk; solve skips the probed one
-            bound = _bound_fits(probe[0], n, t)
-            passing_supports(n, lambda level: met.extend(level) or bound(level))
-            solve(met, t)
+            bound = _probe_bounds(probe[0], n)
+            passing_supports(n, lambda level: met.extend(level) or [
+                _fits(bound(sup), t) for sup in level])
+            solve(met)
         passing_supports(n, lambda level: passes(level, t))
     return table
 
 
-def _bound_fits(optima: np.ndarray, n: int, t: float):
-    """The test, on a list of supports of one size, of a lower bound of r
-    read off the orthant optima of the full support (in its units): one
-    bool per support, whether its bound `_fits` t.  A contained cube
-    projects to a contained cube, so r on orthant theta of sigma is at
-    least the largest full-support optimum over the orthants extending
-    +-theta, and r(sigma) at least the least of these; the bound fits t
-    iff the full sign vectors whose optimum fits t restrict to every sign
-    vector of sigma.  It only shrinks as sigma grows."""
-    # sign vectors as n-bit masks, bit n - 1 - i set where coordinate i is +:
-    # orthant o of `_orthant_optima` is (1 << (n - 1)) + o, and -theta's
-    # optimum is theta's
-    fitting = np.flatnonzero(_fits(optima, t)) + (1 << (n - 1))
-    fitting = np.concatenate([fitting, fitting ^ ((1 << n) - 1)])
+def _probe_bounds(optima: np.ndarray, n: int):
+    """The lower bound of r on a support sigma read off the orthant optima
+    of the full support (in its units), as a function of sigma.  A
+    contained cube projects to a contained cube, so r on orthant theta of
+    sigma is at least the largest full-support optimum over the orthants
+    extending +-theta: the bound is the max over the sign axes outside
+    sigma, then the min over sigma's sign vectors.  Some extension fits t
+    iff this max does.  It only shrinks as sigma grows."""
+    # the optima over the signs of coordinates 1..n-1 (`_orthants`' order,
+    # - before +), then the first sign in front: -theta has theta's optimum
+    signed = optima.reshape((2,) * (n - 1))
+    signed = np.stack([np.flip(signed), signed])
 
-    def fits(level: list[tuple[int, ...]]) -> list[bool]:
-        masks = np.array([sum(1 << (n - 1 - i) for i in sup) for sup in level])
-        seen = np.sort(fitting & masks[:, None], axis=1)
-        distinct = np.count_nonzero(np.diff(seen, axis=1), axis=1) + 1
-        return (distinct == 1 << len(level[0])).tolist()
+    def bound(sigma: tuple[int, ...]) -> float:
+        by_sign = np.moveaxis(signed, sigma, range(len(sigma))).reshape(1 << len(sigma), -1)
+        return float(by_sign.max(axis=1).min())
 
-    return fits
+    return bound
 
 
 def widest_fit(table: dict[tuple[int, ...], float], t: float) -> tuple[int, ...]:
@@ -502,7 +498,6 @@ def _generate_columns(points: np.ndarray, thetas) -> list[np.ndarray]:
     in_set = np.zeros((lps, n_pts + 1), dtype=bool)
     chosen = _least(-products(signs), widths)
     in_set[every[:, None], chosen] = True
-    whole = (widths == n_pts).all()  # every LP starts on all its points
     live = every
     # Columns: mu, then the working set; minimize -mu.
     a_ub = np.zeros((lps, k + 1, chosen.shape[1] + 1))
@@ -519,8 +514,6 @@ def _generate_columns(points: np.ndarray, thetas) -> list[np.ndarray]:
         status, x = _phase2(c, tableau, basis, a_ub, b_ub)
         assert status == "optimal", "orthant LPs are always feasible and bounded"
         optima[live] = x[:, 0]
-        if whole:
-            break
         # The reduced cost of point p is -duals . [-theta * p; 1].
         duals[live] = _duals(c, tableau, basis)
         reduced = products(duals[:, :k] * signs) - duals[:, k:]

@@ -323,6 +323,18 @@ def test_budget_exit_code(tmp_path, capsys):
     assert f"exceeds the exponent budget {CUBE_DIM_BUDGET}" in capsys.readouterr().err
 
 
+def test_cube_test_checks_sigma_against_the_body_before_the_budget(tmp_path, capsys):
+    from combdim.geometry import CUBE_DIM_BUDGET, VPolytope, save_polytope
+
+    poly = tmp_path / "cross.json"
+    save_polytope(poly, VPolytope(3, np.vstack([np.eye(3), -np.eye(3)])))
+    sigma = ",".join(map(str, range(CUBE_DIM_BUDGET + 1)))
+    assert main(["cube-test", "--polytope", str(poly), "--sigma", sigma, "--scale", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert f"coordinate {CUBE_DIM_BUDGET} out of range for domain size 3" in err
+    assert "budget" not in err
+
+
 def test_entropy_past_the_exact_limits_prints_bounds(tmp_path, capsys):
     fam = tmp_path / "big.json"
     rng = np.random.default_rng(0)

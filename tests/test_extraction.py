@@ -311,23 +311,24 @@ def test_exact_kernel_runs_only_on_draws_that_can_accept_or_raise_the_best(monke
     real = extraction._min_subset_distance
     monkeypatch.setattr(extraction, "_min_subset_distance",
                         lambda sub, gram=None: calls.append(sub.tolist()) or real(sub, gram))
-    draws = 0
+    draws = kernels = 0
     for seed in range(40):
         case = _pipeline_case(seed)
         t = case[1]
         _, log = _reference_extract(*case)
-        expected, best = [], None
+        expected, best, seen = [], None, set()
         for _, sigma, d in log:
-            # a draw that ties the best (the same subset drawn again) runs it
-            # too: no margin proves its distance below the best
-            if best is None or d >= best or d > t / 2.0:
+            # a repeated subset runs nothing; a new one that ties the best
+            # runs it: no margin proves its distance below the best
+            if sigma not in seen and (best is None or d >= best or d > t / 2.0):
                 expected.append(case[0].values[:, list(sigma)].tolist())
+            seen.add(sigma)
             best = d if best is None else max(best, d)
         calls.clear()
         _extract(*case)
         assert calls == expected, seed
-        draws += len(log)
-    assert draws == 435
+        draws, kernels = draws + len(log), kernels + len(calls)
+    assert (draws, kernels) == (435, 123)
 
 
 def test_distance_bound_is_never_below_the_kernel():

@@ -438,18 +438,37 @@ def test_probe_bound_never_exceeds_the_radius():
                 assert bound <= exact + 1e-12 * (1.0 + exact), (n, sigma)
 
 
+def test_probe_bounds_equal_the_reference_bit_for_bit():
+    # a 1- and a 2-coordinate body cover the 0-d and 1-d optima arrays
+    bodies = list(_random_symmetric_bodies(5, 25)) + [
+        VPolytope(1, [[0.7], [-0.7], [0.2], [-0.2]]),
+        VPolytope(2, [[1.0, 0.3], [-1.0, -0.3], [0.2, -0.9], [-0.2, 0.9]]),
+    ]
+    for body in bodies:
+        n = body.dimension
+        (optima,) = geometry._orthant_optima(body.vertices, [tuple(range(n))])
+        bound = geometry._probe_bounds(optima, n)
+        for size in range(1, n + 1):
+            for sigma in itertools.combinations(range(n), size):
+                assert bound(sigma) == _probe_bound(optima, n, sigma), (n, sigma)
+
+
 def _reference_table(points, scales):
-    # the walk solving each level's candidates when it reaches them
+    # the probe of the full set unless the box cut rejects it at the
+    # finest scale, then the walk solving each support when it reaches it
     n = points.shape[1]
+    full = tuple(range(n))
     table = {}
+    if not geometry._box_cut(points, min(scales)):
+        table[full] = _inscribed_radius(points, full)
 
     def passes(level, t):
         for sup in level:
-            if sup not in table and not geometry._box_cut(points[:, sup], t):
+            if sup not in table:
                 table[sup] = _inscribed_radius(points, sup)
-        return [sup in table and geometry._fits(table[sup], t) for sup in level]
+        return [geometry._fits(table[sup], t) for sup in level]
 
-    unsettled = [t for t in scales if not passes([tuple(range(n))], t)[0]]
+    unsettled = [t for t in scales if not (full in table and geometry._fits(table[full], t))]
     if unsettled:
         geometry.passing_supports(n, lambda level: passes(level, min(unsettled)))
     return table
@@ -457,9 +476,8 @@ def _reference_table(points, scales):
 
 def test_radius_table_solves_ahead_only_what_the_walk_reaches(monkeypatch):
     # the first solving run after the probe holds every candidate of the
-    # walk under the probe's bound that the box cut keeps; the table keeps
-    # the walk's keys, order and radii, and no LP is solved for a support
-    # the walk does not reach or a set it cuts
+    # walk under the probe's bound; the table keeps the walk's keys, order
+    # and radii, and no LP is solved for a support the walk does not reach
     real = geometry._orthant_optima
     for body in _random_symmetric_bodies(6, 25):
         n = body.dimension
@@ -481,13 +499,13 @@ def test_radius_table_solves_ahead_only_what_the_walk_reaches(monkeypatch):
             (optima,) = real(body.vertices, [tuple(range(n))])
             t = min(scales)
             if geometry._fits(optima.min(), t) or geometry._box_cut(body.vertices, t):
-                continue  # the probe settles t, or cuts the full set: no walk, or no bound
+                continue  # the probe settles t, or is spared: no walk, or no bound
             assert runs[0] == [tuple(range(n))]
-            bound_fits = geometry._bound_fits(optima, n, t)
+            bound = geometry._probe_bounds(optima, n)
             fits = {}
             for size in range(1, n):
                 level = list(itertools.combinations(range(n), size))
-                fits.update(zip(level, bound_fits(level)))
+                fits.update((sigma, geometry._fits(bound(sigma), t)) for sigma in level)
                 assert [fits[sigma] for sigma in level] == [
                     geometry._fits(_probe_bound(optima, n, sigma), t) for sigma in level]
             sure = [sigma for sigma in fits if len(sigma) == 1
@@ -496,8 +514,28 @@ def test_radius_table_solves_ahead_only_what_the_walk_reaches(monkeypatch):
                 subsets = [sigma[:i] + sigma[i + 1:] for i in range(len(sigma))]
                 assert len(sigma) == 1 or all(
                     sub in table and geometry._fits(table[sub], t) for sub in subsets)
-            kept = [sigma for sigma in sure if not geometry._box_cut(body.vertices[:, sigma], t)]
-            assert not kept or set(kept) <= set(runs[1])
+            assert set(sure) <= set(runs[1])
+
+
+def test_shattered_sets_hold_cubes_in_the_projections_of_the_hull():
+    # if F t-shatters sigma, the projection on sigma of conv F holds a
+    # side-t cube: the lattice walker bounds the orthant-LP walk, and the
+    # two share no code
+    from combdim import FunctionFamily
+    from combdim.shattering import vc_real
+
+    rng = np.random.default_rng(5)
+    strict = 0
+    for _ in range(120):
+        n = int(rng.integers(2, 7))
+        pts = rng.uniform(-1.0, 1.0, (int(rng.integers(2, 9)), n))
+        pts = np.vstack([pts, -pts])
+        family, body = FunctionFamily(pts), VPolytope(n, pts)
+        for t in (0.2, 0.4, 0.6, 0.8, 1.0):
+            shattered, cube = vc_real(family, t), convex_vc(body, t)[0]
+            assert shattered <= cube, (n, t)
+            strict += shattered < cube
+    assert strict == 242  # of 600: the bound is not met with equality alone
 
 
 def test_polytope_norm_round_trip(tmp_path):

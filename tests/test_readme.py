@@ -1,7 +1,9 @@
-"""README's list of the output-digest suites names the lines that
-`scripts/output_digest.py` prints, in the order it prints them, and its
-count words say how many there are."""
+"""README's list of the output-digest suites, and the list in the module
+docstring of `scripts/output_digest.py`, name the lines that the script
+prints, in the order it prints them, and the count words say how many
+there are."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -20,3 +22,9 @@ def test_readme_digest_list_matches_the_script():
     counts = re.findall(r"\b(\w+) lines\b", section) + re.findall(r"\ball (\w+) lines\b", script)
     assert len(counts) == 3
     assert set(counts) == {NUMBERS[len(suites)]}
+
+
+def test_script_docstring_lists_its_suites_in_print_order():
+    script = (ROOT / "scripts" / "output_digest.py").read_text()
+    doc = ast.get_docstring(ast.parse(script))
+    assert re.findall(r"^- ([\w-]+):", doc, re.M) == re.findall(r'report\("([\w-]+)"', script)
