@@ -14,11 +14,13 @@ so they run as stacks through the simplex loop, LPs of smaller |sigma|
 padded with inert rows, each LP on a working set of its points that
 pricing with the LP's duals grows until no point of the set improves it
 (column generation).  A symmetric body holds a side-t cube iff r >= t/2
-- HULL_TOL.  `radius_table` probes the full support once, solves in one
-run every support its orthant optima prove the walk will reach, then
-walks the coordinate lattice once for all scales of a question;
-`convex_vc` and the elton sweep read it.  A cube in any other body is
-found by cutting planes (Kelley 1960).  The l1 constant is r of
+- HULL_TOL.  `radius_table` solves the full support first, with every
+other support in the same run when all their LPs fit one stack and
+single vertices do not already settle the coarsest scale; else it solves
+in a second run every support the probe's optima prove the walk will
+reach.  It then walks the coordinate lattice once for all scales of a
+question; `convex_vc` and the elton sweep read it.  A cube in any other
+body is found by cutting planes (Kelley 1960).  The l1 constant is r of
 conv{+-(f_j(x_i))} (exact for polyhedral norms).  Symmetry is read from
 the vertices, never declared.
 """
@@ -268,13 +270,18 @@ def radius_table(points: np.ndarray, scales) -> dict[tuple[int, ...], float]:
     settles each scale it passes; it is spared when `_box_cut` rejects the
     full set at the finest scale, which then rejects it at every scale.  r
     only shrinks as a support grows, so one walk at the finest scale the
-    probe fails visits every support passing at a coarser one.  One run
-    first solves every candidate of that walk under the probe's lower
-    bound of r (`_probe_bounds`): its one-smaller subsets pass the bound,
-    so they pass the walk, which reaches it.  The walk then solves what is
-    still missing, level by level.  A radius enters the table when the
-    walk reaches its support, so the table's keys and their order do not
-    depend on which supports were solved ahead.
+    probe fails visits every support passing at a coarser one.
+
+    The probe takes every other support along in its run when all
+    (3^n - 1)/2 orthant LPs fit one stack and `_vertex_bound` does not fit
+    the coarsest scale (when it does, the probe settles every scale
+    alone).  Otherwise a second run solves every candidate of the walk
+    under the probe's lower bound of r (`_probe_bounds`): its one-smaller
+    subsets pass the bound, so they pass the walk, which reaches it.  The
+    walk then solves what is still missing, level by level.  A radius
+    enters the table when the walk reaches its support, so the table's
+    keys and their order do not depend on which supports were solved
+    ahead.
     """
     n = points.shape[1]
     table: dict[tuple[int, ...], float] = {}
@@ -293,19 +300,43 @@ def radius_table(points: np.ndarray, scales) -> dict[tuple[int, ...], float]:
         return [_fits(solved[sup], t) for sup in level]
 
     full = tuple(range(n))
-    probe = solve([full]) if n <= CUBE_DIM_BUDGET and not _box_cut(points, min(scales)) else []
-    table.update(solved)
+    probe = None
+    if n <= CUBE_DIM_BUDGET and not _box_cut(points, min(scales)):
+        run = [full]
+        if ((3 ** n - 1) // 2 * _lp_entries(len(points), n) <= STACK_ENTRY_LIMIT
+                and not _fits(_vertex_bound(points), max(scales))):
+            run += [sup for k in range(1, n) for sup in itertools.combinations(range(n), k)]
+        probe = solve(run)[0]
+        table[full] = solved[full]
     unsettled = [t for t in scales if not (full in table and _fits(table[full], t))]
     if unsettled:
         t = min(unsettled)
-        if probe:
+        if probe is not None and len(solved) < (1 << n) - 1:
             met = []  # every candidate of the bound's walk; solve skips the probed one
-            bound = _probe_bounds(probe[0], n)
+            bound = _probe_bounds(probe, n)
             passing_supports(n, lambda level: met.extend(level) or [
                 _fits(bound(sup), t) for sup in level])
             solve(met)
         passing_supports(n, lambda level: passes(level, t))
     return table
+
+
+def _vertex_bound(points: np.ndarray) -> float:
+    """A lower bound of r on the full support of the point set (rows):
+    max(0, min over the sign orthants theta, first sign +, of max_j min_i
+    theta_i p_ji), weak duality with y = e_j.  Only a point of sign vector
+    theta scores above 0 on theta, and it scores min_i |p_ji| there; so
+    each code of n sign bits (coordinate 0 the highest, a zero coordinate
+    counted +, where the point scores 0 anyway) keeps the best score of
+    its points, 0 if it has none, and the bound is the least over the
+    codes of first sign +.  -theta is kept apart from theta, so the bound
+    holds for any point set, symmetric or not."""
+    n = points.shape[1]
+    coords = points.T.copy()  # numpy reduces a short axis of rows slowly
+    codes = (1 << np.arange(n - 1, -1, -1)) @ (coords < 0.0)
+    best = np.zeros(1 << n)
+    np.maximum.at(best, codes, np.abs(coords).min(axis=0))
+    return float(best[: 1 << (n - 1)].min())
 
 
 def _probe_bounds(optima: np.ndarray, n: int):
@@ -406,16 +437,11 @@ def _stacks(n_pts: int, ks):
     products; one LP always fits.  A support runs whole or in consecutive
     shares of its orthants."""
 
-    def per_lp(k: int) -> int:
-        # mu, the working set, k + 1 slacks and the rhs on k + 1 rows, and
-        # one reduced cost per point (the score, then the pricing product)
-        return (k + 1) * (min(n_pts, 2 * k) + k + 3) + n_pts
-
     stack, top, lps = [], 0, 0
     for s, k in enumerate(ks):
         lo, count = 0, 1 << (k - 1)
         while lo < count:
-            room = STACK_ENTRY_LIMIT // per_lp(max(top, k)) - lps
+            room = STACK_ENTRY_LIMIT // _lp_entries(n_pts, max(top, k)) - lps
             if stack and room < 1:
                 yield stack
                 stack, top, lps = [], 0, 0
@@ -425,6 +451,13 @@ def _stacks(n_pts: int, ks):
             top, lps, lo = max(top, k), lps + hi - lo, hi
     if stack:
         yield stack
+
+
+def _lp_entries(n_pts: int, k: int) -> int:
+    """Entries of one orthant LP padded to k coordinates on n_pts points in
+    a stack: mu, the working set, k + 1 slacks and the rhs on k + 1 rows,
+    and one reduced cost per point (the score, then the pricing product)."""
+    return (k + 1) * (min(n_pts, 2 * k) + k + 3) + n_pts
 
 
 def _generate_columns(points: np.ndarray, thetas) -> list[np.ndarray]:

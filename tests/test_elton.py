@@ -363,6 +363,11 @@ def test_stacked_orthant_optima_equal_each_lp_solved_alone(monkeypatch):
     # in a stack gives the same float as a stack of one; both stay within
     # 1e-11 relative of the full-width solve
     calls = _walk_radius_calls(monkeypatch, ((5, 0.6), (7, 0.8)))
+    # radius_table's one-run stack is among them: every size from 1 to n,
+    # the full support first
+    assert any(supports[0] == tuple(range(points.shape[1]))
+               and {len(sup) for sup in supports} == set(range(1, points.shape[1] + 1))
+               for points, supports, _ in calls)
     for points, supports, _ in calls:
         stacked = geometry._orthant_optima(points, supports)
         with monkeypatch.context() as alone:

@@ -474,47 +474,136 @@ def _reference_table(points, scales):
     return table
 
 
+def _one_run_entries(points):
+    # the entries of one stack of every support's orthant LPs at the full size
+    n = points.shape[1]
+    return (3 ** n - 1) // 2 * geometry._lp_entries(len(points), n)
+
+
+def _one_run_fires(points, scales):
+    # radius_table's rule for solving every support in the probe's run
+    return (not geometry._box_cut(points, min(scales))
+            and _one_run_entries(points) <= geometry.STACK_ENTRY_LIMIT
+            and not geometry._fits(geometry._vertex_bound(points), max(scales)))
+
+
 def test_radius_table_solves_ahead_only_what_the_walk_reaches(monkeypatch):
-    # the first solving run after the probe holds every candidate of the
-    # walk under the probe's bound; the table keeps the walk's keys, order
-    # and radii, and no LP is solved for a support the walk does not reach
+    # When the rule fires, the one solving run holds every support, full
+    # first.  Otherwise the probe runs alone, the next run holds every
+    # candidate of the walk under the probe's bound, and no LP is solved
+    # for a support the walk does not reach; the second pass sets the stack
+    # limit one entry below the one-run stack, so the rule never fires.
+    # Either way no support is solved twice, and the table keeps the
+    # walk's keys, order and radii.
     real = geometry._orthant_optima
-    for body in _random_symmetric_bodies(6, 25):
-        n = body.dimension
-        for scales in ((0.2,), (0.6,), (1.0,), (1.5, 0.9, 0.4)):
-            runs = []  # the supports of each solving run, in order
+    paths = {}
+    for low in (False, True):
+        for body in _random_symmetric_bodies(6, 25):
+            n = body.dimension
+            full = tuple(range(n))
+            limit = _one_run_entries(body.vertices) - 1 if low else geometry.STACK_ENTRY_LIMIT
+            for scales in ((0.2,), (0.6,), (1.0,), (1.5, 0.9, 0.4)):
+                runs = []  # the supports of each solving run, in order
 
-            def recording(points, supports):
-                if supports:
-                    runs.append(list(supports))
-                return real(points, supports)
+                def recording(points, supports):
+                    if supports:
+                        runs.append(list(supports))
+                    return real(points, supports)
 
+                with monkeypatch.context() as hook:
+                    hook.setattr(geometry, "_orthant_optima", recording)
+                    hook.setattr(geometry, "STACK_ENTRY_LIMIT", limit)
+                    table = radius_table(body.vertices, scales)
+                    fires = _one_run_fires(body.vertices, scales)
+                reference = _reference_table(body.vertices, scales)
+                assert list(table.items()) == list(reference.items())
+                solved = [sup for run in runs for sup in run]
+                assert len(solved) == len(set(solved))
+
+                t = min(scales)
+                path = ("one run" if fires else "spared" if geometry._box_cut(body.vertices, t)
+                        else "probe")
+                paths[low, path] = paths.get((low, path), 0) + 1
+                if fires:
+                    assert runs == [[full] + [sigma for size in range(1, n)
+                                              for sigma in itertools.combinations(range(n), size)]]
+                    continue
+                assert sorted(solved) == sorted(table)
+                (optima,) = real(body.vertices, [full])
+                if geometry._fits(optima.min(), t) or path == "spared":
+                    continue  # the probe settles t, or is spared: no walk, or no bound
+                assert runs[0] == [full]
+                bound = geometry._probe_bounds(optima, n)
+                fits = {}
+                for size in range(1, n):
+                    level = list(itertools.combinations(range(n), size))
+                    fits.update((sigma, geometry._fits(bound(sigma), t)) for sigma in level)
+                    assert [fits[sigma] for sigma in level] == [
+                        geometry._fits(_probe_bound(optima, n, sigma), t) for sigma in level]
+                sure = [sigma for sigma in fits if len(sigma) == 1
+                        or all(fits[sigma[:i] + sigma[i + 1:]] for i in range(len(sigma)))]
+                for sigma in sure:  # every support the bound makes sure of is a candidate of the walk
+                    subsets = [sigma[:i] + sigma[i + 1:] for i in range(len(sigma))]
+                    assert len(sigma) == 1 or all(
+                        sub in table and geometry._fits(table[sub], t) for sub in subsets)
+                assert set(sure) <= set(runs[1])
+    assert paths == {(False, "one run"): 67, (False, "spared"): 32, (False, "probe"): 1,
+                     (True, "spared"): 32, (True, "probe"): 68}
+
+
+def _vertex_bound_reference(points):
+    # max(0, min over the orthants theta, first sign +, of max_j min_i
+    # theta_i p_ji), as one (orthants, points, n) broadcast
+    n = points.shape[1]
+    theta = np.array([(1.0,) + tail for tail in itertools.product((-1.0, 1.0), repeat=n - 1)])
+    return max(0.0, float((theta[:, None, :] * points[None]).min(axis=2).max(axis=1).min()))
+
+
+def test_vertex_bound_equals_the_broadcast_reference_bit_for_bit():
+    rng = np.random.default_rng(35)
+    positive = 0
+    for case in range(360):
+        n = case % 6 + 1
+        pts = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 10)), n))
+        if case % 3 == 0:  # a point in every orthant
+            signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+            pts = np.vstack([pts, signs * rng.uniform(0.1, 1.0, signs.shape)])
+        pts[rng.random(pts.shape) < 0.1] = 0.0
+        if case % 2 == 0:
+            pts = np.vstack([pts, -pts])
+        bound = geometry._vertex_bound(pts)
+        assert bound.hex() == _vertex_bound_reference(pts).hex(), case
+        positive += bound > 0
+    assert positive >= 100
+    for body in _random_symmetric_bodies(5, 25):
+        full = range(body.dimension)
+        assert geometry._vertex_bound(body.vertices) <= _inscribed_radius(body.vertices, full) + 1e-12
+
+
+def test_both_radius_table_paths_give_the_same_answers(monkeypatch):
+    # the one-run path and the probe path (the stack limit one entry below
+    # the one-run stack) give identical elton results; the walk test's two
+    # passes hold the radius tables of its bodies to one reference
+    from combdim import elton_subset
+    from combdim.elton import DEFAULT_T_GRID, rudelson_example
+    from combdim.experiments import random_norm_instances
+
+    fired = 0
+    for seed in (1, 2, 3):
+        for norm, vectors, _ in random_norm_instances(seed):
+            points = geometry._l1_points(norm, vectors)
+            fired += _one_run_fires(points, DEFAULT_T_GRID)
+            one = elton_subset(norm, vectors, samples=200)
             with monkeypatch.context() as hook:
-                hook.setattr(geometry, "_orthant_optima", recording)
-                table = radius_table(body.vertices, scales)
-            reference = _reference_table(body.vertices, scales)
-            assert list(table.items()) == list(reference.items())
-            assert sorted(sup for run in runs for sup in run) == sorted(table)
-
-            (optima,) = real(body.vertices, [tuple(range(n))])
-            t = min(scales)
-            if geometry._fits(optima.min(), t) or geometry._box_cut(body.vertices, t):
-                continue  # the probe settles t, or is spared: no walk, or no bound
-            assert runs[0] == [tuple(range(n))]
-            bound = geometry._probe_bounds(optima, n)
-            fits = {}
-            for size in range(1, n):
-                level = list(itertools.combinations(range(n), size))
-                fits.update((sigma, geometry._fits(bound(sigma), t)) for sigma in level)
-                assert [fits[sigma] for sigma in level] == [
-                    geometry._fits(_probe_bound(optima, n, sigma), t) for sigma in level]
-            sure = [sigma for sigma in fits if len(sigma) == 1
-                    or all(fits[sigma[:i] + sigma[i + 1:]] for i in range(len(sigma)))]
-            for sigma in sure:  # every support the bound makes sure of is a candidate of the walk
-                subsets = [sigma[:i] + sigma[i + 1:] for i in range(len(sigma))]
-                assert len(sigma) == 1 or all(
-                    sub in table and geometry._fits(table[sub], t) for sub in subsets)
-            assert set(sure) <= set(runs[1])
+                hook.setattr(geometry, "STACK_ENTRY_LIMIT", _one_run_entries(points) - 1)
+                assert elton_subset(norm, vectors, samples=200) == one
+    assert fired > 0
+    # the perfbench rudelson bodies keep the probe path: single vertices
+    # settle the coarsest grid scale (1/2)
+    for n, delta in ((5, 1.0), (5, 0.9), (5, 0.6), (6, 1.0), (6, 0.6), (7, 0.8)):
+        inst = rudelson_example(n, delta, net_size=64, seed=0)
+        points = geometry._l1_points(inst.norm, inst.vectors)
+        assert geometry._fits(geometry._vertex_bound(points), max(DEFAULT_T_GRID))
 
 
 def test_shattered_sets_hold_cubes_in_the_projections_of_the_hull():

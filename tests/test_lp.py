@@ -314,6 +314,22 @@ def test_mixed_size_stacks_keep_within_the_entry_limit(monkeypatch):
         assert optima() == reference
 
 
+def test_every_support_fits_one_stack_exactly_when_its_entries_do(monkeypatch):
+    # radius_table's one-run check: the (3^n - 1)/2 orthant LPs of every
+    # support, full support first, all padded to n, fit the entry limit
+    # iff `_stacks` cuts them into one stack (n >= 2: one LP always fits)
+    from combdim import geometry
+
+    for n in range(2, 7):
+        ks = [n] + [k for k in range(1, n) for _ in itertools.combinations(range(n), k)]
+        assert sum(1 << (k - 1) for k in ks) == (3 ** n - 1) // 2
+        for n_pts in (2, 2 * n, 5 * n + 1):
+            entries = (3 ** n - 1) // 2 * ((n + 1) * (min(n_pts, 2 * n) + n + 3) + n_pts)
+            for limit in (entries - 1, entries):
+                monkeypatch.setattr(geometry, "STACK_ENTRY_LIMIT", limit)
+                assert (len(list(geometry._stacks(n_pts, ks))) == 1) == (limit >= entries)
+
+
 def test_a_stack_of_one_sets_tail_and_the_next_sets_head_gives_each_lp_its_own_float():
     # a stack holds the last two orthants of one support and the first two
     # of the next, equal in k and share size but not in orthants; each LP
