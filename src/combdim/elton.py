@@ -21,7 +21,7 @@ import numpy as np
 from .constants import DEFAULT_CONSTANTS
 from .family import CoordinateSubset
 from .gaussian import SupEstimate, gaussian_sup_mc, weight_h
-from .geometry import PolyhedralNorm, VPolytope, _l1_points, ell1_lower_constant
+from .geometry import PolyhedralNorm, VPolytope, _l1_points, _unit, ell1_lower_constant
 from .geometry import radius_table, widest_fit
 from .geometry import convex_vc  # noqa: F401  perfbench/spans.py wraps convex_vc at this name
 
@@ -34,8 +34,8 @@ RUDELSON_MAX_DIM = 12
 class EltonResult:
     """Certified l1 subset: sigma with |sigma| = s^2 n and l1 constant t.
 
-    `t` is r(sigma), the orthant-LP constant the walk solved for sigma, so
-    at least grid_t/2 - HULL_TOL; `grid_t` records the winning sweep scale.
+    `t` is r(sigma), the orthant-LP constant the walk solved for sigma, so at least
+    grid_t/2 - HULL_TOL in the body's `_unit`; `grid_t` records the winning sweep scale.
     `tradeoff` is s * t * ln(2/t)^exponent.
     """
 
@@ -91,14 +91,14 @@ def elton_subset(
     estimate = gaussian_sup_mc(points, samples, seed, "rademacher")
     delta = estimate.mean / n
 
-    table = radius_table(points, DEFAULT_T_GRID)
-    sweep = [(t, len(widest_fit(table, t))) for t in DEFAULT_T_GRID]
+    table, unit = radius_table(points, DEFAULT_T_GRID), _unit(np.abs(points).max())
+    sweep = [(t, len(widest_fit(table, t, unit))) for t in DEFAULT_T_GRID]
     best_t, best_score = None, -1.0
     for t, d in sweep:
         score = math.sqrt(d / n) * t
         if score > best_score + 1e-15:
             best_t, best_score = t, score
-    support = widest_fit(table, best_t)
+    support = widest_fit(table, best_t, unit)
     if not support:
         raise ValueError("no grid scale produced a nonempty cube projection")
     s = math.sqrt(len(support) / n)

@@ -3,10 +3,10 @@ projection certificates that tie shattering of convex bodies to
 l1-equivalence constants.
 
 All predicates reduce to small dense LPs whose origin is feasible: hull
-membership is an l1 distance of at most HULL_TOL (`_separate`), and the
-inscribed radius r of a symmetric body
-(the half-side of its largest centred cube) is one LP per sign orthant
-over weights on the vertices, |sigma| + 1 rows however many vertices.
+membership is a gauge of at most 1 + HULL_TOL about the vertex mean
+(`_separate`), and the inscribed radius r of a symmetric body (the
+half-side of its largest centred cube) is one LP per sign orthant over
+weights on the vertices, |sigma| + 1 rows however many vertices.
 A body is one point matrix (rows), and its projection on a support
 sigma is the column slice points[:, sigma].  The orthant LPs of the
 supports in a call share their costs, right-hand sides and point count,
@@ -14,15 +14,15 @@ so they run as stacks through the simplex loop, LPs of smaller |sigma|
 padded with inert rows, each LP on a working set of its points that
 pricing with the LP's duals grows until no point of the set improves it
 (column generation).  A symmetric body holds a side-t cube iff r >= t/2
-- HULL_TOL.  `radius_table` solves the full support first, with every
-other support in the same run when all their LPs fit one stack and
-single vertices do not already settle the coarsest scale; else it solves
-in a second run every support the probe's optima prove the walk will
-reach.  It then walks the coordinate lattice once for all scales of a
-question; `convex_vc` and the elton sweep read it.  A cube in any other
-body is found by cutting planes (Kelley 1960).  The l1 constant is r of
-conv{+-(f_j(x_i))} (exact for polyhedral norms).  Symmetry is read from
-the vertices, never declared.
+- HULL_TOL in its `_unit`.  `radius_table` solves the full support first,
+with every other support in the same run when all their LPs fit one
+stack and single vertices do not already settle the coarsest scale; else
+it solves in a second run every support the probe's optima prove the
+walk will reach.  It then walks the coordinate lattice once for all
+scales of a question; `convex_vc` and the elton sweep read it.  A cube in
+any other body is found by cutting planes (Kelley 1960) on gauge LPs.
+The l1 constant is r of conv{+-(f_j(x_i))} (exact for polyhedral norms).
+Symmetry is read from the vertices, never declared.
 """
 
 from __future__ import annotations
@@ -78,12 +78,6 @@ class VPolytope:
                         for v in verts if (0.0 - v).tobytes() not in rows)
         object.__setattr__(self, "symmetric", symmetric)
 
-    def project(self, sigma: CoordinateSubset) -> np.ndarray:
-        """Deduplicated projected vertices (rows), shape (k', |sigma|)."""
-        sigma.validate_against(self.dimension)
-        pts = self.vertices[:, list(sigma)]
-        return np.unique(pts, axis=0)
-
 
 @dataclass(frozen=True, eq=False)
 class PolyhedralNorm:
@@ -111,48 +105,56 @@ class PolyhedralNorm:
 
 
 def point_in_hull(poly: VPolytope, point) -> bool:
-    """Is the point within l1 distance HULL_TOL of the hull (`_normalized` units)?"""
+    """Is the gauge of the hull at the point at most 1 + HULL_TOL (`_normalized` units)?"""
     point = np.asarray(point, dtype=np.float64)
     if point.shape != (poly.dimension,):
         raise ValueError(f"point must have dimension {poly.dimension}")
     if not np.all(np.isfinite(point)):
         raise ValueError("point must have finite coordinates")
     pts, mean, factor = _normalized(poly.vertices)
-    return bool(_separate(pts, ((point - mean) / factor)[None])[0][0] <= HULL_TOL)
+    return bool(_separate(pts, ((point - mean) / factor)[None])[0][0] <= 1.0 + HULL_TOL)
+
+
+def _unit(peak: float) -> float:
+    """The power of two nearest a body's largest absolute entry (1 for 0): its tolerances' unit."""
+    return 2.0 ** round(math.log2(peak)) if peak > 0 else 1.0
 
 
 def _normalized(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """The points (rows) centred on their mean and divided by the power of
-    two nearest their largest entry (1 for a single point), with the mean
-    and factor: tolerances are relative to the body's size."""
+    """The points (rows) centred on their mean and divided by their `_unit`,
+    with the mean and factor: tolerances are relative to the body's size."""
     mean = points.mean(axis=0)
     centred = points - mean
-    peak = np.abs(centred).max()
-    factor = 2.0 ** round(math.log2(peak)) if peak > 0 else 1.0
+    factor = _unit(np.abs(centred).max())
     return centred / factor, mean, factor
 
 
 def _separate(points: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The l1 distance gap from each x (rows of xs) to the hull of the
-    points (rows), by LP duality max gap subject to a . (p_j - x) + gap <=
-    0 for every point and |a|_inf <= 1, and that a: x violates the cut
-    a . y <= max_j a . p_j by gap.  With a = u - v, u_i + v_i <= 1, all
-    right-hand sides are 0 or 1, so the LPs run as stacks within
-    STACK_ENTRY_LIMIT tableau entries."""
+    """The gauge of the hull of the points (rows, their mean the origin)
+    at each x (rows of xs), |x|_inf / mu for the LP max mu subject to mu x^
+    = P^T y (two blocks of rows) and sum(y) <= 1, x^ = x / |x|_inf (inf
+    off the points' span), and a cut normal: the duals u, v, w of the
+    blocks give a = u - v with a . p_j <= w = mu for every point and a . x^
+    >= 1 (Rockafellar 1970, sections 14-15).  Right-hand sides are 0 or 1
+    and mu <= max_j |p_j|_inf, so the LPs (2k + 1 rows) run as stacks
+    within STACK_ENTRY_LIMIT entries."""
     n_pts, k = points.shape
-    b_ub = np.r_[np.zeros(n_pts), np.ones(k)]
-    c = np.r_[np.zeros(2 * k), -1.0]
-    size = max(1, STACK_ENTRY_LIMIT // ((n_pts + k) * (n_pts + 3 * k + 2)))
-    gaps, normals = np.empty(len(xs)), np.empty((len(xs), k))
-    for lo in range(0, len(xs), size):
-        diff = points[None] - xs[lo : lo + size, None]
-        a_ub = np.zeros((len(diff), n_pts + k, 2 * k + 1))
-        a_ub[:, :n_pts, :k], a_ub[:, :n_pts, k:-1], a_ub[:, :n_pts, -1] = diff, -diff, 1.0
-        a_ub[:, n_pts:, :k] = a_ub[:, n_pts:, k:-1] = np.eye(k)
-        status, x = _phase2(c, *_tableau(a_ub, b_ub), a_ub, b_ub)
-        assert status == "optimal", "separation LPs are bounded: gap <= |p_j - x|_1"
-        gaps[lo : lo + size], normals[lo : lo + size] = x[:, -1], x[:, :k] - x[:, k:-1]
-    return gaps, normals
+    norms = np.abs(xs).max(axis=1)
+    b_ub, c = np.r_[np.zeros(2 * k), 1.0], np.r_[-1.0, np.zeros(n_pts)]
+    size = max(1, STACK_ENTRY_LIMIT // ((2 * k + 1) * (n_pts + 2 * k + 3)))
+    gauges, normals = np.where(norms > 0.0, np.inf, 0.0), np.zeros((len(xs), k))
+    away = np.flatnonzero(norms > 0.0)  # x = 0 has gauge 0 and no LP
+    for lps in (away[lo : lo + size] for lo in range(0, away.size, size)):
+        a_ub = np.zeros((lps.size, 2 * k + 1, n_pts + 1))
+        a_ub[:, :-1, 0] = np.c_[xs[lps], -xs[lps]] / norms[lps, None]
+        a_ub[:, :, 1:] = np.r_[-points.T, points.T, np.ones((1, n_pts))]
+        tableau, basis = _tableau(a_ub, b_ub)
+        status, x = _phase2(c, tableau, basis, a_ub, b_ub)
+        assert status == "optimal", "gauge LPs are bounded: mu <= max_j |p_j|_inf"
+        duals = _duals(c, tableau, basis)  # -(u, v, w)
+        gauges[lps] = np.divide(norms[lps], x[:, 0], out=gauges[lps], where=x[:, 0] > 0.0)
+        normals[lps] = duals[:, k:-1] - duals[:, :k]
+    return gauges, normals
 
 
 @dataclass(frozen=True)
@@ -173,12 +175,13 @@ def cube_in_projection(
 
     A symmetric body contains a side-t cube iff it contains the centred
     one (average the cube with its reflection), iff its inscribed radius
-    on sigma is at least t/2 - HULL_TOL.  Any other body, `_normalized` so
-    that cuts a . y <= b have b >= 0, is cut down from its box: a master
-    LP maximizes s subject to a . h + s * sum_i max(a_i, 0) <= b on every
-    cut.  s < t - 2 HULL_TOL: no cube; every corner of h + min(s, t)
-    [0, 1]^sigma within HULL_TOL of the body: witness h; else the corners
-    outside add cuts.  Boundary membership counts (closed bodies).
+    on sigma is at least t/2 - HULL_TOL in the body's `_unit`.  Any other
+    body, `_normalized` on sigma so that cuts a . y <= b have b >= 0, is
+    cut down from its box: a master LP maximizes s subject to a . h + s *
+    sum_i max(a_i, 0) <= b on every cut.  s < t - 2 HULL_TOL: no cube;
+    every corner of h + min(s, t) [0, 1]^sigma of gauge at most 1 +
+    HULL_TOL (`_separate`): witness h; else the corners outside add cuts.
+    Boundary membership counts (closed bodies).
     """
     if not t > 0:
         raise ValueError("cube side must be positive")
@@ -188,13 +191,10 @@ def cube_in_projection(
         raise BudgetError(f"|sigma| = {k} exceeds the exponent budget {CUBE_DIM_BUDGET}")
     if k == 0:
         return CubeWitness(sigma, t, ())
-    pts = poly.project(sigma)
-
-    if _box_cut(pts, t):
-        return None
-
+    pts = poly.vertices[:, list(sigma)]
     if poly.symmetric:
-        if not _fits(_inscribed_radius(pts, range(k)), t):
+        unit = _unit(np.abs(poly.vertices).max())
+        if _box_cut(pts, t, unit) or not _fits(_inscribed_radius(pts, range(k)), t, unit):
             return None
         return CubeWitness(sigma, t, (-t / 2.0,) * k)
 
@@ -213,8 +213,8 @@ def cube_in_projection(
         h, s = x[:k] - x[k:-1], x[-1]
         if s < side - 2.0 * HULL_TOL:
             return None
-        gaps, normals = _separate(pts, h + min(s, side) * corners)
-        outside = np.argsort(-gaps, kind="stable")[: np.count_nonzero(gaps > HULL_TOL)]
+        gauges, normals = _separate(pts, h + min(s, side) * corners)
+        outside = np.argsort(-gauges, kind="stable")[: np.count_nonzero(gauges > 1.0 + HULL_TOL)]
         if not outside.size:
             return CubeWitness(sigma, t, tuple((h * factor + mean).tolist()))
         # at most |sigma| new cuts a round, as the master's tableau is dense; a cut
@@ -251,15 +251,15 @@ def _candidates(level: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
             if all(c[:i] + c[i + 1 :] in prev for i in range(len(c)))]
 
 
-def _box_cut(points: np.ndarray, t: float) -> bool:
-    """Is some width of the point set (rows) below t - 2 HULL_TOL?  Then no
-    side-t cube fits, and a symmetric set has r <= width/2, failing `_fits`."""
-    return bool((points.max(axis=0) - points.min(axis=0)).min() < t - 2.0 * HULL_TOL)
+def _box_cut(points: np.ndarray, t: float, unit: float) -> bool:
+    """Is some width of the point set (rows) below t - 2 HULL_TOL unit?  Then
+    no side-t cube fits, and a symmetric set has r <= width/2, failing `_fits`."""
+    return bool((points.max(axis=0) - points.min(axis=0)).min() < t - 2.0 * HULL_TOL * unit)
 
 
-def _fits(radius: float, t: float) -> bool:
-    """The cube rule: a symmetric body of inscribed radius r holds a side-t cube."""
-    return radius >= t / 2.0 - HULL_TOL
+def _fits(radius: float, t: float, unit: float) -> bool:
+    """The cube rule: a symmetric body of inscribed radius r and `_unit` holds a side-t cube."""
+    return radius >= t / 2.0 - HULL_TOL * unit
 
 
 def radius_table(points: np.ndarray, scales) -> dict[tuple[int, ...], float]:
@@ -284,6 +284,7 @@ def radius_table(points: np.ndarray, scales) -> dict[tuple[int, ...], float]:
     ahead.
     """
     n = points.shape[1]
+    unit = _unit(np.abs(points).max())
     table: dict[tuple[int, ...], float] = {}
     solved: dict[tuple[int, ...], float] = {}
 
@@ -297,25 +298,25 @@ def radius_table(points: np.ndarray, scales) -> dict[tuple[int, ...], float]:
     def passes(level: list[tuple[int, ...]], t: float) -> list[bool]:
         solve(level)
         table.update((sup, solved[sup]) for sup in level)
-        return [_fits(solved[sup], t) for sup in level]
+        return [_fits(solved[sup], t, unit) for sup in level]
 
     full = tuple(range(n))
     probe = None
-    if n <= CUBE_DIM_BUDGET and not _box_cut(points, min(scales)):
+    if n <= CUBE_DIM_BUDGET and not _box_cut(points, min(scales), unit):
         run = [full]
         if ((3 ** n - 1) // 2 * _lp_entries(len(points), n) <= STACK_ENTRY_LIMIT
-                and not _fits(_vertex_bound(points), max(scales))):
+                and not _fits(_vertex_bound(points), max(scales), unit)):
             run += [sup for k in range(1, n) for sup in itertools.combinations(range(n), k)]
         probe = solve(run)[0]
         table[full] = solved[full]
-    unsettled = [t for t in scales if not (full in table and _fits(table[full], t))]
+    unsettled = [t for t in scales if not (full in table and _fits(table[full], t, unit))]
     if unsettled:
         t = min(unsettled)
         if probe is not None and len(solved) < (1 << n) - 1:
             met = []  # every candidate of the bound's walk; solve skips the probed one
             bound = _probe_bounds(probe, n)
             passing_supports(n, lambda level: met.extend(level) or [
-                _fits(bound(sup), t) for sup in level])
+                _fits(bound(sup), t, unit) for sup in level])
             solve(met)
         passing_supports(n, lambda level: passes(level, t))
     return table
@@ -359,10 +360,10 @@ def _probe_bounds(optima: np.ndarray, n: int):
     return bound
 
 
-def widest_fit(table: dict[tuple[int, ...], float], t: float) -> tuple[int, ...]:
-    """The widest support of a `radius_table` holding a side-t cube; max keeps
-    the first of equals, and the walk solves them in lexicographic order."""
-    return max((sup for sup, radius in table.items() if _fits(radius, t)), key=len, default=())
+def widest_fit(table: dict[tuple[int, ...], float], t: float, unit: float) -> tuple[int, ...]:
+    """The widest support of a `radius_table` (its body's `_unit` given) holding a side-t
+    cube; max keeps the first of equals, and the walk solves them in lexicographic order."""
+    return max((sup for sup, r in table.items() if _fits(r, t, unit)), key=len, default=())
 
 
 def convex_vc(poly: VPolytope, t: float) -> tuple[int, CoordinateSubset]:
@@ -376,7 +377,7 @@ def convex_vc(poly: VPolytope, t: float) -> tuple[int, CoordinateSubset]:
         raise ValueError("cube side must be positive")
     n = poly.dimension
     if poly.symmetric:
-        best = widest_fit(radius_table(poly.vertices, (t,)), t)
+        best = widest_fit(radius_table(poly.vertices, (t,)), t, _unit(np.abs(poly.vertices).max()))
     else:
         best = max(passing_supports(n, lambda level: [cube_in_projection(
             poly, CoordinateSubset(sup), t) is not None for sup in level]), key=len, default=())
@@ -399,15 +400,13 @@ def _orthant_optima(points: np.ndarray, supports) -> list[np.ndarray]:
     optima: list[np.ndarray] = []
     for stack in _stacks(len(points), ks):
         # The stack's slices zero-padded to its largest |sigma|
-        # (`_generate_columns` keeps the padding out of every LP).  r is
-        # homogeneous in the points, so a power-of-two scale brings their
-        # largest entry near 1 for the solver's absolute tolerances,
-        # exactly; the optima are scaled back.
+        # (`_generate_columns` keeps the padding out of every LP), each
+        # divided by its `_unit` for the solver's absolute tolerances, exactly
+        # (r is homogeneous in the points), its optima scaled back.
         block = np.zeros((len(stack), len(points), max(ks[s] for s, _, _ in stack)))
         for sliced, (s, _, _) in zip(block, stack):
             sliced[:, : ks[s]] = points[:, supports[s]]
-        factors = [2.0 ** round(math.log2(p)) if p > 0 else 1.0
-                   for p in np.abs(block).max(axis=(1, 2)).tolist()]
+        factors = [_unit(p) for p in np.abs(block).max(axis=(1, 2)).tolist()]
         block /= np.array(factors)[:, None, None]
         found = _generate_columns(block, [_orthants(ks[s])[lo:hi] for s, lo, hi in stack])
         for (s, lo, _), values, factor in zip(stack, found, factors):

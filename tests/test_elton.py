@@ -70,9 +70,11 @@ def test_elton_cube_budget_below_n(monkeypatch):
 def test_cube_rule_agrees_at_the_tolerance_edge():
     # the dual body of a * e_i under the l1 norm is the cube a[-1, 1]^3, with
     # inscribed radius a and width 2a; at side 0.5 the rule r >= t/2 - HULL_TOL
-    # passes it down to a = 0.25 - HULL_TOL, so a box cut must not reject it first
+    # in the body's unit (the power of two nearest a, 1/4) passes it down to
+    # a = 0.25 - HULL_TOL / 4, so a box cut must not reject it first
     full = CoordinateSubset((0, 1, 2))
-    for a, holds in ((0.25 - 0.75 * HULL_TOL, True), (0.25 - 1.5 * HULL_TOL, False)):
+    tol = HULL_TOL / 4
+    for a, holds in ((0.25 - 0.75 * tol, True), (0.25 - 1.5 * tol, False)):
         vectors = a * np.eye(3)
         body = dual_body(l1_norm(3), vectors)
         assert (cube_in_projection(body, full, 0.5) is not None) == holds, a
@@ -86,9 +88,9 @@ def test_sweep_and_certificate_match_an_exhaustive_scan():
     # one probe and one lattice walk over l1 constants.  The reference
     # solves ell1_lower_constant on every support, with no lattice and no
     # probe, and takes at each scale the first of the widest supports with
-    # r >= t/2 - HULL_TOL.  The full support settles every scale on the
-    # tightness bodies, and several seed-2 norms leave more than one scale
-    # to the walk.
+    # r >= t/2 - HULL_TOL in the body's unit.  The full support settles
+    # every scale on the tightness bodies, and several seed-2 norms leave
+    # more than one scale to the walk.
     cases = [(norm, vectors) for seed in (1, 2)
              for norm, vectors, _ in random_norm_instances(seed)]
     for n, delta in ((5, 0.6), (6, 0.6)):
@@ -99,9 +101,10 @@ def test_sweep_and_certificate_match_an_exhaustive_scan():
         n = vectors.shape[0]
         radius = {sup: ell1_lower_constant(norm, vectors, CoordinateSubset(sup))
                   for size in range(1, n + 1) for sup in itertools.combinations(range(n), size)}
+        tol = HULL_TOL * geometry._unit(np.abs(geometry._l1_points(norm, vectors)).max())
 
         def widest(t):
-            return max((sup for sup, r in radius.items() if r >= t / 2 - HULL_TOL), key=len, default=())
+            return max((sup for sup, r in radius.items() if r >= t / 2 - tol), key=len, default=())
 
         assert res.sweep == tuple((t, len(widest(t))) for t in DEFAULT_T_GRID)
         assert tuple(res.sigma) == widest(res.grid_t)

@@ -29,6 +29,32 @@ def test_point_in_hull_examples():
     assert not point_in_hull(SQUARE, [1.001, 0])
     assert point_in_hull(CROSS, [0.5, 0.5])  # boundary accepted
     assert not point_in_hull(CROSS, [0.51, 0.51])
+    assert not point_in_hull(SQUARE, [1e6, -3e5])  # far outside
+    # the vertex mean is the gauge's origin, inside without an LP
+    assert point_in_hull(TRIANGLE, TRIANGLE.vertices.mean(axis=0))
+    # a flat body: a segment in the plane, whose gauge is infinite off its line
+    ends = np.array([[-0.7, 0.4], [0.9, -0.35]])
+    segment = VPolytope(2, ends)
+    for weight in (0.0, 0.3, 0.5, 1.0):
+        assert point_in_hull(segment, weight * ends[0] + (1 - weight) * ends[1]), weight
+    assert not point_in_hull(segment, 0.3 * ends[0] + 0.7 * ends[1] + [0.0, 1e-6])
+    assert not point_in_hull(segment, 1.01 * ends[1])
+    # a body that is not symmetric, whose column slices repeat projected
+    # vertices: its cube decisions on each support are those of the body
+    # of the deduplicated slice
+    body = VPolytope(3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 0, 1],
+                         [0.2, 0.9, 1], [0.5, 0.5, 0.3], [1, 1, 0.3]])
+    assert not body.symmetric
+    for size in (1, 2, 3):
+        for sigma in itertools.combinations(range(3), size):
+            points = body.vertices[:, list(sigma)]
+            unique = np.unique(points, axis=0)
+            assert len(unique) < len(points) or size == 3
+            deduplicated = VPolytope(size, unique)
+            for t in (0.3, 0.6, 0.9, 1.2):
+                assert ((cube_in_projection(body, CoordinateSubset(sigma), t) is None)
+                        == (cube_in_projection(deduplicated, CoordinateSubset(range(size)), t)
+                            is None)), (sigma, t)
 
 
 def test_point_in_hull_rejects_non_finite_points():
@@ -89,6 +115,36 @@ def test_translated_decisions_do_not_depend_on_the_scale_of_the_body():
         assert decisions(2.0 ** j) == reference, j
 
 
+def test_symmetric_decisions_do_not_depend_on_the_scale_of_the_body():
+    # the symmetric twin of the test above: scaling by 2^e is exact in
+    # floats, and the cube rule and the box cut measure HULL_TOL in the
+    # body's unit, so 2^e K at side 2^e t decides as K at t, and its radius
+    # table holds the same supports with the radii scaled exactly.  With an
+    # absolute HULL_TOL the square (+-1, +-1) 2^e held a side-2.2 2^e cube,
+    # wider than the body, for e <= -27.
+    full = CoordinateSubset((0, 1))
+    for e in range(-60, 61):
+        scale = 2.0 ** e
+        square = VPolytope(2, scale * SQUARE.vertices)
+        assert convex_vc(square, 2.2 * scale) == (0, CoordinateSubset(())), e
+        assert cube_in_projection(square, full, 2.2 * scale) is None, e
+        assert convex_vc(square, 2.0 * scale) == (2, full), e
+    bodies = [SQUARE, CROSS] + list(_random_symmetric_bodies(6, 4))
+    for body in bodies:
+        n = body.dimension
+        for t in (0.2, 0.6, 1.0, 2.0):
+            reference = (convex_vc(body, t), radius_table(body.vertices, (t,)),
+                         cube_in_projection(body, CoordinateSubset(range(n)), t) is None)
+            for e in range(-60, 61, 10):
+                scale = 2.0 ** e
+                scaled = VPolytope(n, scale * body.vertices)
+                table = radius_table(scaled.vertices, (scale * t,))
+                assert convex_vc(scaled, scale * t) == reference[0], (e, t)
+                assert list(table.items()) == [(sup, scale * r) for sup, r in reference[1].items()]
+                assert (cube_in_projection(scaled, CoordinateSubset(range(n)), scale * t)
+                        is None) == reference[2], (e, t)
+
+
 def test_polytope_rejects_non_finite_vertices():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
@@ -123,8 +179,8 @@ def _highs_inside(points, corner):
 
 def _assert_witness_corners_inside(body, witness):
     # every corner of the witness cube, checked by HiGHS, independently of
-    # the separation LPs that cube_in_projection and point_in_hull share
-    points = body.project(witness.sigma)
+    # the gauge LPs that cube_in_projection and point_in_hull share
+    points = body.vertices[:, list(witness.sigma)]
     for off in itertools.product((0.0, witness.side), repeat=len(witness.sigma)):
         assert _highs_inside(points, np.array(witness.translation) + off), off
 
@@ -173,7 +229,7 @@ def test_translated_cubes_match_the_facet_oracle():
         for size in range(2, n + 1):
             for sigma in itertools.combinations(range(n), size):
                 support = CoordinateSubset(sigma)
-                best = _largest_side(body.project(support))
+                best = _largest_side(body.vertices[:, list(sigma)])
                 for t in (0.1, 0.3, 0.6, best * (1 - 1e-6), best * (1 + 1e-6)):
                     if abs(t - best) < 1e-7 * best:
                         continue  # inside the tolerance band: either answer holds
@@ -202,18 +258,32 @@ def test_translated_cube_past_the_old_joint_lp_limit():
 
 
 def test_cutting_planes_raise_when_a_round_adds_no_cut(monkeypatch):
-    # a separation that keeps finding the corners outside by a cut the
+    # a gauge LP that keeps finding the corners outside by a cut the
     # master holds, a box facet exactly or up to roundoff, raises rather
     # than loops
     for noise in (0.0, 1e-15):
         def stuck(points, xs):
             normals = np.zeros((len(xs), points.shape[1]))
             normals[:, 0] = 1.0 - noise
-            return np.ones(len(xs)), normals
+            return np.full(len(xs), 2.0), normals
 
         monkeypatch.setattr(geometry, "_separate", stuck)
         with pytest.raises(SolverError, match="stalled"):
             cube_in_projection(TRIANGLE, BOTH, 0.1)
+
+
+def test_cutting_planes_count_their_pivots(monkeypatch):
+    # work, not time: convex_vc on this 20-vertex body at t = 0.5 walks
+    # the cutting planes on 62 supports; with the corners' l1-distance LPs
+    # it took 10,252 stacked pivots, with their gauge LPs 4,582
+    from combdim import simplex
+
+    pivots = []
+    real = simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot", lambda *args: pivots.append(1) or real(*args))
+    body = VPolytope(6, np.random.default_rng(1).uniform(-1.0, 1.0, (20, 6)))
+    assert convex_vc(body, 0.5) == (4, CoordinateSubset((0, 1, 2, 3)))
+    assert len(pivots) < 6000
 
 
 def test_cube_budget():
@@ -252,7 +322,7 @@ def test_convex_vc_lex_smallest():
             table = radius_table(body.vertices, (t,))
             for sup, r in table.items():
                 assert r == _inscribed_radius(body.vertices, sup)
-                projected = body.project(CoordinateSubset(sup))
+                projected = np.unique(body.vertices[:, list(sup)], axis=0)
                 assert r == pytest.approx(_inscribed_radius(projected, range(len(sup))), abs=1e-12)
 
 
@@ -453,22 +523,29 @@ def test_probe_bounds_equal_the_reference_bit_for_bit():
                 assert bound(sigma) == _probe_bound(optima, n, sigma), (n, sigma)
 
 
+def _unit(points):
+    # the body's unit, in which the cube rule and the box cut measure HULL_TOL
+    return geometry._unit(np.abs(points).max())
+
+
 def _reference_table(points, scales):
     # the probe of the full set unless the box cut rejects it at the
     # finest scale, then the walk solving each support when it reaches it
     n = points.shape[1]
     full = tuple(range(n))
+    unit = _unit(points)
     table = {}
-    if not geometry._box_cut(points, min(scales)):
+    if not geometry._box_cut(points, min(scales), unit):
         table[full] = _inscribed_radius(points, full)
 
     def passes(level, t):
         for sup in level:
             if sup not in table:
                 table[sup] = _inscribed_radius(points, sup)
-        return [geometry._fits(table[sup], t) for sup in level]
+        return [geometry._fits(table[sup], t, unit) for sup in level]
 
-    unsettled = [t for t in scales if not (full in table and geometry._fits(table[full], t))]
+    unsettled = [t for t in scales
+                 if not (full in table and geometry._fits(table[full], t, unit))]
     if unsettled:
         geometry.passing_supports(n, lambda level: passes(level, min(unsettled)))
     return table
@@ -482,9 +559,10 @@ def _one_run_entries(points):
 
 def _one_run_fires(points, scales):
     # radius_table's rule for solving every support in the probe's run
-    return (not geometry._box_cut(points, min(scales))
+    unit = _unit(points)
+    return (not geometry._box_cut(points, min(scales), unit)
             and _one_run_entries(points) <= geometry.STACK_ENTRY_LIMIT
-            and not geometry._fits(geometry._vertex_bound(points), max(scales)))
+            and not geometry._fits(geometry._vertex_bound(points), max(scales), unit))
 
 
 def test_radius_table_solves_ahead_only_what_the_walk_reaches(monkeypatch):
@@ -501,6 +579,7 @@ def test_radius_table_solves_ahead_only_what_the_walk_reaches(monkeypatch):
         for body in _random_symmetric_bodies(6, 25):
             n = body.dimension
             full = tuple(range(n))
+            unit = _unit(body.vertices)
             limit = _one_run_entries(body.vertices) - 1 if low else geometry.STACK_ENTRY_LIMIT
             for scales in ((0.2,), (0.6,), (1.0,), (1.5, 0.9, 0.4)):
                 runs = []  # the supports of each solving run, in order
@@ -521,8 +600,8 @@ def test_radius_table_solves_ahead_only_what_the_walk_reaches(monkeypatch):
                 assert len(solved) == len(set(solved))
 
                 t = min(scales)
-                path = ("one run" if fires else "spared" if geometry._box_cut(body.vertices, t)
-                        else "probe")
+                spared = geometry._box_cut(body.vertices, t, unit)
+                path = "one run" if fires else "spared" if spared else "probe"
                 paths[low, path] = paths.get((low, path), 0) + 1
                 if fires:
                     assert runs == [[full] + [sigma for size in range(1, n)
@@ -530,22 +609,22 @@ def test_radius_table_solves_ahead_only_what_the_walk_reaches(monkeypatch):
                     continue
                 assert sorted(solved) == sorted(table)
                 (optima,) = real(body.vertices, [full])
-                if geometry._fits(optima.min(), t) or path == "spared":
+                if geometry._fits(optima.min(), t, unit) or path == "spared":
                     continue  # the probe settles t, or is spared: no walk, or no bound
                 assert runs[0] == [full]
                 bound = geometry._probe_bounds(optima, n)
                 fits = {}
                 for size in range(1, n):
                     level = list(itertools.combinations(range(n), size))
-                    fits.update((sigma, geometry._fits(bound(sigma), t)) for sigma in level)
+                    fits.update((sigma, geometry._fits(bound(sigma), t, unit)) for sigma in level)
                     assert [fits[sigma] for sigma in level] == [
-                        geometry._fits(_probe_bound(optima, n, sigma), t) for sigma in level]
+                        geometry._fits(_probe_bound(optima, n, sigma), t, unit) for sigma in level]
                 sure = [sigma for sigma in fits if len(sigma) == 1
                         or all(fits[sigma[:i] + sigma[i + 1:]] for i in range(len(sigma)))]
                 for sigma in sure:  # every support the bound makes sure of is a candidate of the walk
                     subsets = [sigma[:i] + sigma[i + 1:] for i in range(len(sigma))]
                     assert len(sigma) == 1 or all(
-                        sub in table and geometry._fits(table[sub], t) for sub in subsets)
+                        sub in table and geometry._fits(table[sub], t, unit) for sub in subsets)
                 assert set(sure) <= set(runs[1])
     assert paths == {(False, "one run"): 67, (False, "spared"): 32, (False, "probe"): 1,
                      (True, "spared"): 32, (True, "probe"): 68}
@@ -603,7 +682,7 @@ def test_both_radius_table_paths_give_the_same_answers(monkeypatch):
     for n, delta in ((5, 1.0), (5, 0.9), (5, 0.6), (6, 1.0), (6, 0.6), (7, 0.8)):
         inst = rudelson_example(n, delta, net_size=64, seed=0)
         points = geometry._l1_points(inst.norm, inst.vectors)
-        assert geometry._fits(geometry._vertex_bound(points), max(DEFAULT_T_GRID))
+        assert geometry._fits(geometry._vertex_bound(points), max(DEFAULT_T_GRID), _unit(points))
 
 
 def test_shattered_sets_hold_cubes_in_the_projections_of_the_hull():

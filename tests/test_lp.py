@@ -91,7 +91,7 @@ def test_random_lps_against_scipy():
 
 
 def _hull_check(vertices, point):
-    # point_in_hull, whose separation LP starts at its slack basis, against
+    # point_in_hull, whose gauge LP starts at its slack basis, against
     # HiGHS on the convex-combination system
     k = len(vertices)
     ref = linprog(np.zeros(k), A_eq=np.vstack([vertices.T, np.ones((1, k))]),
@@ -102,7 +102,7 @@ def _hull_check(vertices, point):
 
 
 def test_random_feasibility_lps_against_scipy():
-    # convex-combination membership, answered by the separation LP
+    # convex-combination membership, answered by the gauge LP
     rng = np.random.default_rng(777)
     inside = []
     for trial in range(40):
@@ -112,6 +112,18 @@ def test_random_feasibility_lps_against_scipy():
         point = rng.uniform(-1.2, 1.2, dim)
         inside.append(_hull_check(vertices, point))
     assert 0 < sum(inside) < len(inside)
+    # the gauge's edge cases: the vertex mean (its origin), a segment in
+    # the plane with points on it and just off it, a point far outside,
+    # and a body that repeats vertices
+    body = rng.uniform(-1, 1, (6, 3))
+    ends = np.array([[-0.7, 0.4], [0.9, -0.35]])
+    cases = [(body, body.mean(axis=0), True), (body, 1e6 * body[0], False),
+             (ends, 0.3 * ends[0] + 0.7 * ends[1], True),
+             (ends, 0.3 * ends[0] + 0.7 * ends[1] + [0.0, 1e-6], False),
+             (ends, ends.mean(axis=0), True), (ends, 1.01 * ends[1], False),
+             (np.vstack([body, body[:3]]), body[:3].mean(axis=0), True)]
+    for vertices, point, expected in cases:
+        assert _hull_check(vertices, point) == expected, point
 
 
 def test_wide_degenerate_hull_systems_against_scipy():
