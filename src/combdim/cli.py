@@ -27,6 +27,7 @@ from .experiments import (
 from .family import CoordinateSubset, gen_random_family, load_family, save_family, write_json
 from .gaussian import gaussian_sup_mc
 from .geometry import (
+    CUBE_DIM_BUDGET,
     convex_vc,
     cube_in_projection,
     ell1_lower_constant,
@@ -184,6 +185,8 @@ def cmd_elton(args) -> int:
 
 
 def cmd_rudelson(args) -> int:
+    if not 1 <= args.n <= CUBE_DIM_BUDGET:
+        raise ValueError(f"--n must lie in [1, {CUBE_DIM_BUDGET}], got {args.n}")
     inst = rudelson_example(args.n, args.delta, net_size=args.net_size, seed=args.seed)
     result = elton_subset(inst.norm, inst.vectors, samples=args.samples, seed=args.seed)
     st = result.s * result.t

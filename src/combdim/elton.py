@@ -21,13 +21,12 @@ import numpy as np
 from .constants import DEFAULT_CONSTANTS
 from .family import CoordinateSubset
 from .gaussian import SupEstimate, gaussian_sup_mc, weight_h
-from .geometry import PolyhedralNorm, VPolytope, _l1_points, _unit, ell1_lower_constant
-from .geometry import radius_table, widest_fit
+from .geometry import CUBE_DIM_BUDGET, PolyhedralNorm, VPolytope, _l1_points, _unit
+from .geometry import ell1_lower_constant, radius_table, widest_fit
 from .geometry import convex_vc  # noqa: F401  perfbench/spans.py wraps convex_vc at this name
 
 DEFAULT_T_GRID = tuple(2.0 ** -j for j in range(1, 9))  # the sweep scales, descending
 NORM_SLACK_PROBES = 256
-RUDELSON_MAX_DIM = 12
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,8 @@ class EltonResult:
     favored_grid_t: float | None = None
 
     def recheck_t(self, norm: PolyhedralNorm, vectors) -> float:
-        """Recompute the certified constant: a fresh run of the same orthant LPs."""
+        """Recompute the certified constant: a fresh `ell1_lower_constant` of sigma, which
+        solves V's orthant LP alone when it certifies r = V, else every orthant LP."""
         return ell1_lower_constant(norm, vectors, self.sigma)
 
 
@@ -174,8 +174,8 @@ class RudelsonInstance:
 
 
 def rudelson_example(n: int, delta: float, net_size: int = 64, seed: int = 0) -> RudelsonInstance:
-    if n < 1 or n > RUDELSON_MAX_DIM:
-        raise ValueError(f"n must lie in [1, {RUDELSON_MAX_DIM}]")
+    if n < 1 or n > CUBE_DIM_BUDGET:
+        raise ValueError(f"n must lie in [1, {CUBE_DIM_BUDGET}], got {n}")
     if not (1.0 / math.sqrt(n) - 1e-12 <= delta <= 1.0):
         raise ValueError(f"delta must lie in [1/sqrt(n), 1], got {delta}")
     if net_size < 0:

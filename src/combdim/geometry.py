@@ -13,14 +13,18 @@ supports in a call share their costs, right-hand sides and point count,
 so they run as stacks through the simplex loop, LPs of smaller |sigma|
 padded with inert rows, each LP on a working set of its points that
 pricing with the LP's duals grows until no point of the set improves it
-(column generation).  A symmetric body holds a side-t cube iff r >= t/2
-- HULL_TOL in its `_unit`.  `radius_table` solves the full support first,
-with every other support in the same run when all their LPs fit one
-stack and single vertices do not already settle the coarsest scale; else
-it solves in a second run every support the probe's optima prove the
-walk will reach.  It then walks the coordinate lattice once for all
-scales of a question; `convex_vc` and the elton sweep read it.  A cube in
-any other body is found by cutting planes (Kelley 1960) on gauge LPs.
+(column generation).  Single vertices bound r from below (weak duality),
+and when that bound V is positive, `_inscribed_radius` runs the LP of the
+orthant where it is least first: an optimum of at most V certifies
+r = V, and no other orthant runs.  A symmetric body holds a side-t cube iff r >= t/2
+- HULL_TOL in its `_unit`.  `radius_table` solves the full support
+first: alone when V settles the coarsest scale, and so every scale;
+else with every other support in the same run when all their LPs fit
+one stack, or else it solves in a second run every support the probe's
+optima prove the walk will reach.  It then walks the coordinate lattice
+once for all scales of a question; `convex_vc` and the elton sweep read
+it.  A cube in any other body is found by cutting planes (Kelley 1960) on
+gauge LPs.
 The l1 constant is r of conv{+-(f_j(x_i))} (exact for polyhedral norms).
 Symmetry is read from the vertices, never declared.
 """
@@ -43,8 +47,9 @@ HULL_TOL = 1e-9
 CUBE_DIM_BUDGET = 15
 # Entries of one stacked orthant solve (8 bytes each): its starting restricted
 # tableaux and its pricing products, one reduced cost per point and LP.  A
-# memory bound: the full support of rudelson_example(12, .) has 2,048 orthant
-# LPs over 4,248 points, 8.7 M reduced costs per pricing pass as one stack.
+# memory bound: a full support of 12 coordinates has 2,048 orthant LPs, so
+# over 4,248 points (the size of rudelson_example(12, .)) one stack would
+# hold 8.7 M reduced costs per pricing pass.
 STACK_ENTRY_LIMIT = 150_000
 
 
@@ -186,9 +191,7 @@ def cube_in_projection(
     if not t > 0:
         raise ValueError("cube side must be positive")
     sigma.validate_against(poly.dimension)
-    k = len(sigma)
-    if k > CUBE_DIM_BUDGET:
-        raise BudgetError(f"|sigma| = {k} exceeds the exponent budget {CUBE_DIM_BUDGET}")
+    k = _within_budget(len(sigma))
     if k == 0:
         return CubeWitness(sigma, t, ())
     pts = poly.vertices[:, list(sigma)]
@@ -272,10 +275,11 @@ def radius_table(points: np.ndarray, scales) -> dict[tuple[int, ...], float]:
     only shrinks as a support grows, so one walk at the finest scale the
     probe fails visits every support passing at a coarser one.
 
-    The probe takes every other support along in its run when all
-    (3^n - 1)/2 orthant LPs fit one stack and `_vertex_bound` does not fit
-    the coarsest scale (when it does, the probe settles every scale
-    alone).  Otherwise a second run solves every candidate of the walk
+    When `_vertex_bound` V fits the coarsest scale, r >= V fits every
+    scale, so the table is the full support's `_inscribed_radius` alone:
+    V's one orthant LP when it certifies r = V.  Else the probe takes
+    every other support along in its run when all (3^n - 1)/2 orthant LPs
+    fit one stack.  Otherwise a second run solves every candidate of the walk
     under the probe's lower bound of r (`_probe_bounds`): its one-smaller
     subsets pass the bound, so they pass the walk, which reaches it.  The
     walk then solves what is still missing, level by level.  A radius
@@ -303,11 +307,13 @@ def radius_table(points: np.ndarray, scales) -> dict[tuple[int, ...], float]:
     full = tuple(range(n))
     probe = None
     if n <= CUBE_DIM_BUDGET and not _box_cut(points, min(scales), unit):
-        run = [full]
-        if ((3 ** n - 1) // 2 * _lp_entries(len(points), n) <= STACK_ENTRY_LIMIT
-                and not _fits(_vertex_bound(points), max(scales), unit)):
-            run += [sup for k in range(1, n) for sup in itertools.combinations(range(n), k)]
-        probe = solve(run)[0]
+        if _fits(_vertex_bound(points)[0], max(scales), unit):
+            solved[full] = _inscribed_radius(points, full)
+        else:
+            run = [full]
+            if (3 ** n - 1) // 2 * _lp_entries(len(points), n) <= STACK_ENTRY_LIMIT:
+                run += [sup for k in range(1, n) for sup in itertools.combinations(range(n), k)]
+            probe = solve(run)[0]
         table[full] = solved[full]
     unsettled = [t for t in scales if not (full in table and _fits(table[full], t, unit))]
     if unsettled:
@@ -322,22 +328,25 @@ def radius_table(points: np.ndarray, scales) -> dict[tuple[int, ...], float]:
     return table
 
 
-def _vertex_bound(points: np.ndarray) -> float:
-    """A lower bound of r on the full support of the point set (rows):
-    max(0, min over the sign orthants theta, first sign +, of max_j min_i
-    theta_i p_ji), weak duality with y = e_j.  Only a point of sign vector
-    theta scores above 0 on theta, and it scores min_i |p_ji| there; so
-    each code of n sign bits (coordinate 0 the highest, a zero coordinate
-    counted +, where the point scores 0 anyway) keeps the best score of
-    its points, 0 if it has none, and the bound is the least over the
-    codes of first sign +.  -theta is kept apart from theta, so the bound
-    holds for any point set, symmetric or not."""
+def _vertex_bound(points: np.ndarray) -> tuple[float, np.ndarray]:
+    """A lower bound of r on the full support of the point set (rows),
+    with an orthant attaining it: max(0, min over the sign orthants theta,
+    first sign +, of max_j min_i theta_i p_ji), weak duality with y = e_j.
+    Only a point of sign vector theta scores above 0 on theta, and it
+    scores min_i |p_ji| there; so each code of n sign bits (coordinate 0
+    the highest, a zero coordinate counted +, where the point scores 0
+    anyway) keeps the best score of its points, 0 if it has none, and the
+    bound is the least over the codes of first sign +, the first least
+    code's orthant the row 2^(n-1) - 1 - code of `_orthants(n)`.  -theta
+    is kept apart from theta, so the bound holds for any point set,
+    symmetric or not."""
     n = points.shape[1]
     coords = points.T.copy()  # numpy reduces a short axis of rows slowly
     codes = (1 << np.arange(n - 1, -1, -1)) @ (coords < 0.0)
     best = np.zeros(1 << n)
     np.maximum.at(best, codes, np.abs(coords).min(axis=0))
-    return float(best[: 1 << (n - 1)].min())
+    code = int(best[: 1 << (n - 1)].argmin())
+    return float(best[code]), _orthants(n)[(1 << (n - 1)) - 1 - code]
 
 
 def _probe_bounds(optima: np.ndarray, n: int):
@@ -395,8 +404,7 @@ def _orthant_optima(points: np.ndarray, supports) -> list[np.ndarray]:
     stacks taken in order (`_stacks`).
     """
     ks = [len(sup) for sup in supports]
-    if max(ks, default=0) > CUBE_DIM_BUDGET:
-        raise BudgetError(f"|sigma| = {max(ks)} exceeds the exponent budget {CUBE_DIM_BUDGET}")
+    _within_budget(max(ks, default=0))
     optima: list[np.ndarray] = []
     for stack in _stacks(len(points), ks):
         # The stack's slices zero-padded to its largest |sigma|
@@ -578,6 +586,13 @@ def _least(values: np.ndarray, counts, below: float = np.inf) -> np.ndarray:
     return picks
 
 
+def _within_budget(k: int) -> int:
+    """k, once checked against CUBE_DIM_BUDGET: |sigma| past it raises `BudgetError`."""
+    if k > CUBE_DIM_BUDGET:
+        raise BudgetError(f"|sigma| = {k} exceeds the exponent budget {CUBE_DIM_BUDGET}")
+    return k
+
+
 def _radius(optima: np.ndarray) -> float:
     """r of one point set: the least of its orthant optima."""
     return max(0.0, min(optima.tolist()))
@@ -586,8 +601,19 @@ def _radius(optima: np.ndarray) -> float:
 def _inscribed_radius(points: np.ndarray, sigma) -> float:
     """Half-side r of the largest centred cube in the projection on sigma
     of the hull of a symmetric point set (rows).  By weak duality an
-    optimal y certifies the lower bound."""
-    return _radius(_orthant_optima(points, [tuple(sigma)])[0])
+    optimal y certifies the lower bound.  r >= V = `_vertex_bound` of the
+    slice, and r is at most the optimum of V's orthant LP; so when V > 0
+    and that one LP (in the slice's `_unit`, as `_orthant_optima` solves
+    it) returns at most V, r = V and no other orthant runs."""
+    sigma = tuple(sigma)
+    _within_budget(len(sigma))
+    sliced = points[:, sigma]
+    bound, theta = _vertex_bound(sliced)
+    if bound > 0.0:
+        factor = _unit(np.abs(sliced).max())
+        if _generate_columns((sliced / factor)[None], [theta[None]])[0][0] * factor <= bound:
+            return bound
+    return _radius(_orthant_optima(points, [sigma])[0])
 
 
 def _l1_points(norm: PolyhedralNorm, vectors: np.ndarray) -> np.ndarray:

@@ -437,6 +437,13 @@ def test_integer_list_flags_name_the_flag(tmp_path, family_file, capsys):
                 in capsys.readouterr().err), argv
 
 
+def test_rudelson_names_the_n_flag_and_its_limit(capsys):
+    # both printed "n must lie in [1, 12]", which names no flag
+    for n in ("0", "16"):
+        assert main(["rudelson", "--n", n, "--delta", "0.5"]) == 1, n
+        assert f"error: --n must lie in [1, 15], got {n}" in capsys.readouterr().err, n
+
+
 def test_nan_p_exits_1(family_file, capsys):
     # p = nan passed the old p < 1 guard and gave "exact" counts from NaN distances
     assert main(["entropy", "--family", str(family_file), "--p", "nan", "--scale", "1.0"]) == 1

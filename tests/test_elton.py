@@ -63,6 +63,9 @@ def test_elton_cube_budget_below_n(monkeypatch):
     monkeypatch.setattr(geometry, "CUBE_DIM_BUDGET", 3)
     with pytest.raises(BudgetError):
         elton_subset(l1_norm(4), np.eye(4), samples=100, seed=1)
+    # the budget is checked before V's orthant LP would certify r = 1
+    with pytest.raises(BudgetError):
+        ell1_lower_constant(l1_norm(4), np.eye(4), CoordinateSubset((0, 1, 2, 3)))
     with pytest.raises(BudgetError):
         convex_vc(dual_body(l1_norm(4), np.eye(4)), 0.5)
 
@@ -282,11 +285,15 @@ def _l1_points(norm, vectors):
 def test_ell1_constant_on_tall_rudelson_orthant_lps():
     # Pivot roundoff once left a basic point 1.7e-5 outside a row of one of
     # these 270 x 8 orthant LPs, and the solver's own check rejected it.
+    # ell1_lower_constant solves V's orthant alone here, so every orthant
+    # also runs on its own.
     inst = rudelson_example(7, 0.6, net_size=64, seed=0)
     sigma = CoordinateSubset(tuple(range(7)))
-    mine = ell1_lower_constant(inst.norm, inst.vectors, sigma)
-    highs = _highs_orthant_minimum(_l1_points(inst.norm, inst.vectors))
-    assert mine == pytest.approx(highs, abs=1e-7)
+    points = _l1_points(inst.norm, inst.vectors)
+    highs = _highs_orthant_minimum(points)
+    assert ell1_lower_constant(inst.norm, inst.vectors, sigma) == pytest.approx(highs, abs=1e-7)
+    (optima,) = geometry._orthant_optima(points, [tuple(sigma)])
+    assert geometry._radius(optima) == pytest.approx(highs, abs=1e-7)
 
 
 def test_ell1_constant_is_independent_of_functional_order():
@@ -303,9 +310,11 @@ def test_ell1_constant_is_independent_of_functional_order():
         orders += [np.random.default_rng(seed).permutation(len(f)) for seed in range(6)]
         for order in orders:
             norm = PolyhedralNorm(7, f[order])
-            mine = ell1_lower_constant(norm, inst.vectors, sigma)
-            assert mine == pytest.approx(delta, abs=1e-9)
-            assert mine == pytest.approx(highs, abs=1e-7)
+            # V's orthant LP alone, then every orthant LP
+            (optima,) = geometry._orthant_optima(_l1_points(norm, inst.vectors), [tuple(sigma)])
+            for mine in (ell1_lower_constant(norm, inst.vectors, sigma), geometry._radius(optima)):
+                assert mine == pytest.approx(delta, abs=1e-9)
+                assert mine == pytest.approx(highs, abs=1e-7)
 
 
 def _walk_radius_calls(monkeypatch, bodies):
@@ -330,6 +339,10 @@ def _walk_radius_calls(monkeypatch, bodies):
         hook.setattr(geometry, "_orthant_optima", recording)
         for norm, vectors in cases:
             elton_subset(norm, vectors, samples=200, seed=0)
+    # the walk settles a rudelson body with V's orthant LP alone, so its
+    # full support's orthant LPs are solved here
+    for norm, vectors in cases[len(cases) - len(bodies):]:
+        recording(_l1_points(norm, vectors), [tuple(range(len(vectors)))])
     assert len(calls) > len(cases)
     return calls
 

@@ -562,7 +562,7 @@ def _one_run_fires(points, scales):
     unit = _unit(points)
     return (not geometry._box_cut(points, min(scales), unit)
             and _one_run_entries(points) <= geometry.STACK_ENTRY_LIMIT
-            and not geometry._fits(geometry._vertex_bound(points), max(scales), unit))
+            and not geometry._fits(geometry._vertex_bound(points)[0], max(scales), unit))
 
 
 def test_radius_table_solves_ahead_only_what_the_walk_reaches(monkeypatch):
@@ -650,13 +650,73 @@ def test_vertex_bound_equals_the_broadcast_reference_bit_for_bit():
         pts[rng.random(pts.shape) < 0.1] = 0.0
         if case % 2 == 0:
             pts = np.vstack([pts, -pts])
-        bound = geometry._vertex_bound(pts)
+        bound, theta = geometry._vertex_bound(pts)
         assert bound.hex() == _vertex_bound_reference(pts).hex(), case
+        # the orthant returned attains the minimum
+        assert any(np.array_equal(theta, row) for row in geometry._orthants(n)), case
+        assert max(0.0, float((theta * pts).min(axis=1).max())).hex() == bound.hex(), case
         positive += bound > 0
     assert positive >= 100
     for body in _random_symmetric_bodies(5, 25):
-        full = range(body.dimension)
-        assert geometry._vertex_bound(body.vertices) <= _inscribed_radius(body.vertices, full) + 1e-12
+        (optima,) = geometry._orthant_optima(body.vertices, [tuple(range(body.dimension))])
+        assert geometry._vertex_bound(body.vertices)[0] <= geometry._radius(optima) + 1e-12
+
+
+PERFBENCH_RUDELSON = ((5, 1.0), (5, 0.9), (5, 0.6), (6, 1.0), (6, 0.6), (7, 0.8))
+
+
+def _lp_count(monkeypatch, run):
+    # run()'s result and the orthant LPs it solved, counted per stack
+    real, lps = geometry._generate_columns, []
+
+    def counting(points, thetas):
+        lps.append(sum(map(len, thetas)))
+        return real(points, thetas)
+
+    with monkeypatch.context() as hook:
+        hook.setattr(geometry, "_generate_columns", counting)
+        return run(), sum(lps)
+
+
+def _one_lp_table(monkeypatch, points, scales):
+    # radius_table solves one orthant LP, and its table is {full: V}
+    table, lps = _lp_count(monkeypatch, lambda: radius_table(points, scales))
+    return lps == 1 and table == {tuple(range(points.shape[1])): geometry._vertex_bound(points)[0]}
+
+
+def test_tightness_bodies_past_n_12_take_one_orthant_lp(monkeypatch):
+    from combdim.elton import DEFAULT_T_GRID, rudelson_example
+
+    for n in (13, 14, 15):
+        inst = rudelson_example(n, 0.5)
+        assert _one_lp_table(monkeypatch, geometry._l1_points(inst.norm, inst.vectors),
+                             DEFAULT_T_GRID), n
+
+
+def test_vertex_bound_is_the_radius_of_the_tightness_bodies_bit_for_bit():
+    from combdim.elton import rudelson_example
+
+    for n, delta in PERFBENCH_RUDELSON + ((7, 0.5), (8, 0.5), (9, 0.5), (10, 0.5)):
+        inst = rudelson_example(n, delta)
+        points = geometry._l1_points(inst.norm, inst.vectors)
+        (optima,) = geometry._orthant_optima(points, [tuple(range(n))])
+        assert geometry._vertex_bound(points)[0].hex() == geometry._radius(optima).hex(), (n, delta)
+
+
+def test_a_loose_vertex_bound_falls_back_to_every_orthant(monkeypatch):
+    # V = 1/2 from (1/2, +-1/2), but the hull is the diamond |x| + |y| <= 3/2: r = 3/4
+    half = np.array([[0.5, 0.5], [0.5, -0.5], [1.5, 0.0], [0.0, 1.5]])
+    points = np.vstack([half, -half])
+    assert geometry._vertex_bound(points)[0] == 0.5
+    # V fits side 1: V's orthant LP returns 3/4 > V, then both orthants run
+    table, lps = _lp_count(monkeypatch, lambda: radius_table(points, (1.0,)))
+    assert table == {(0, 1): 0.75} and lps == 1 + 2
+    # V fails side 2: the probe runs, every support in its run (2 + 1 + 1 LPs)
+    table, lps = _lp_count(monkeypatch, lambda: radius_table(points, (2.0,)))
+    assert table == {(0, 1): 0.75, (0,): 1.5, (1,): 1.5} and lps == 4
+    for scales in ((1.0,), (2.0,), (1.6, 0.4)):
+        assert list(radius_table(points, scales).items()) == list(
+            _reference_table(points, scales).items()), scales
 
 
 def test_both_radius_table_paths_give_the_same_answers(monkeypatch):
@@ -677,12 +737,13 @@ def test_both_radius_table_paths_give_the_same_answers(monkeypatch):
                 hook.setattr(geometry, "STACK_ENTRY_LIMIT", _one_run_entries(points) - 1)
                 assert elton_subset(norm, vectors, samples=200) == one
     assert fired > 0
-    # the perfbench rudelson bodies keep the probe path: single vertices
-    # settle the coarsest grid scale (1/2)
-    for n, delta in ((5, 1.0), (5, 0.9), (5, 0.6), (6, 1.0), (6, 0.6), (7, 0.8)):
+    # the perfbench rudelson bodies take the one-LP path: single vertices
+    # settle the coarsest grid scale (1/2), and V's orthant LP certifies r = V
+    for n, delta in PERFBENCH_RUDELSON:
         inst = rudelson_example(n, delta, net_size=64, seed=0)
         points = geometry._l1_points(inst.norm, inst.vectors)
-        assert geometry._fits(geometry._vertex_bound(points), max(DEFAULT_T_GRID), _unit(points))
+        assert geometry._fits(geometry._vertex_bound(points)[0], max(DEFAULT_T_GRID), _unit(points))
+        assert _one_lp_table(monkeypatch, points, DEFAULT_T_GRID)
 
 
 def test_shattered_sets_hold_cubes_in_the_projections_of_the_hull():
