@@ -40,27 +40,57 @@ def lp_distance(f, g, measure: ProbabilityMeasure, p: float = 2.0) -> float:
     return float(np.dot(measure.weights, diff**p) ** (1.0 / p))
 
 
+BLOCK_ENTRIES = 8192  # Gram-form squares made at once: a 64 KB block stays in cache
+
+
+def squares_from_gram(vals: np.ndarray, weights: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Squared L2(weights) distances between the rows of vals, written
+    over their weighted Gram matrix: entry (i, j), i < j, holds pair
+    (i, j)'s square, the diagonal and lower triangle hold 0.  The Gram
+    form g_ii + g_jj - 2 g_ij is off by a few ulps of g_ii + g_jj, so a
+    value above 2e-4 of the largest g_ii keeps about 11 digits; smaller
+    ones off the diagonal (cancellation range) are recomputed from
+    differences, those of both triangles in one row-major matrix-vector
+    product (BLAS may round a row differently in a product of another
+    shape).  The squares are made one row block of about BLOCK_ENTRIES
+    at a time, so no other matrix as large as gram is alive."""
+    m = len(gram)
+    norms = gram.diagonal().copy()
+    limit = 2e-4 * norms.max()
+    step = min(m, max(1, BLOCK_ENTRIES // m))
+    lead = np.tri(step, dtype=bool)  # a block's pairs (first + r, first + c), c <= r
+    close = []
+    for first in range(0, m, step):
+        block = gram[first:first + step]
+        rows = len(block)
+        np.subtract(norms[first:first + rows, None] + norms, 2.0 * block, out=block)
+        near = block <= limit
+        np.fill_diagonal(near[:, first:], False)
+        if near.any():
+            i, j = np.nonzero(near)
+            close.append((i + first, j))
+        block[:, :first] = 0.0
+        block[:, first:first + rows][lead[:rows, :rows]] = 0.0
+    if close:
+        i, j = (np.concatenate(side) for side in zip(*close))
+        upper = i < j
+        gram[i[upper], j[upper]] = ((vals[i] - vals[j]) ** 2 @ weights)[upper]
+    return gram
+
+
 def distances_from_gram(vals: np.ndarray, weights: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """L2(weights) distances between the rows of vals from their weighted
-    Gram matrix, which is consumed: the distances are written over it.
-    g_ii + g_jj - 2 g_ij is off by a few ulps of g_ii + g_jj, so a value
-    above 1e-4 of the largest g_ii + g_jj keeps about 11 digits; smaller
-    ones (cancellation range) are recomputed from differences.  The upper
-    triangle is mirrored, so the matrix is exactly symmetric."""
-    norms = gram.diagonal().copy()
-    sq = np.add.outer(norms, norms)
-    gram *= 2.0
-    sq -= gram
-    close = sq <= 2e-4 * norms.max()
-    np.fill_diagonal(close, False)
-    if close.any():
-        i, j = np.nonzero(close)
-        sq[i, j] = (vals[i] - vals[j]) ** 2 @ weights
-    np.fill_diagonal(sq, 0.0)
-    np.maximum(sq, 0.0, out=sq)
-    np.sqrt(sq, out=sq)
-    np.copyto(gram, sq)
-    np.copyto(gram, sq.T, where=np.tri(len(sq), k=-1, dtype=bool))
+    Gram matrix, which is consumed: the distances are written over it,
+    from `squares_from_gram`.  The upper triangle is mirrored, so the
+    matrix is exactly symmetric."""
+    squares_from_gram(vals, weights, gram)
+    np.maximum(gram, 0.0, out=gram)
+    np.sqrt(gram, out=gram)
+    side = math.isqrt(BLOCK_ENTRIES)  # one row strip at a time, so the transposed read stays in cache
+    for first in range(0, len(gram), side):
+        gram[first:first + side, :first] = gram[:first, first:first + side].T
+        tile = gram[first:first + side, first:first + side]
+        tile += tile.T  # its lower triangle holds 0, and x + 0 is x
     return gram
 
 

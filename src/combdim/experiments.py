@@ -55,6 +55,16 @@ def gen_separated_family(
     generator kinds, "noisy-signs" draws sign patterns with per-entry
     amplitude noise in [0.8, 1]: pairwise distances stay large (good for
     scales near 1) while remaining generic, so no exact distance ties.
+
+    The family is the one the pool's full distance matrix
+    (`entropy.pairwise_distances`) gives: its farthest pair, the first in
+    row-major order, then each row in order that lies farther than t from
+    every row kept.  The draw reads only what that needs off the pool's
+    squared distances (`entropy.squares_from_gram`, written over the
+    pool's weighted Gram matrix with no second pool-sized matrix alive):
+    the largest square and the first pair whose distance rounds to its
+    root, then one distance column per kept row.  Each distance is the
+    matrix's own value, the root of the square its upper triangle holds.
     """
     if kind == "noisy-signs":
         rng = np.random.default_rng(seed)
@@ -62,21 +72,32 @@ def gen_separated_family(
         pool = FunctionFamily(signs * rng.uniform(0.8, 1.0, size=(POOL_ROWS, n)))
     else:
         pool = gen_random_family(POOL_ROWS, n, kind, seed, grid_max=POOL_GRID_MAX)
-    measure = ProbabilityMeasure.uniform(n)
-    dist = entropy.pairwise_distances(pool, measure)
+    vals = pool.values
+    weights = ProbabilityMeasure.uniform(n).weights
+    sq = entropy.squares_from_gram(vals, weights, (vals * weights) @ vals.T)
     # Seed with the farthest pool pair, then fill greedily: anchoring on an
     # arbitrary first row can strand the greedy when that row is central.
-    i0, j0 = np.unravel_index(int(np.argmax(dist)), dist.shape)
-    if dist[i0, j0] <= t:
+    top = float(sq.max())  # >= 0: the diagonal holds 0
+    far = math.sqrt(top)
+    low = top  # the least square whose root is far: the squares >= low tie at distance far
+    while low > 0.0 and math.sqrt(math.nextafter(low, 0.0)) == far:
+        low = math.nextafter(low, 0.0)
+    i0, j0 = divmod(int(np.argmax(sq >= low)), len(sq))
+    if far <= t:
         raise ValueError(f"could not find 2 rows {t}-separated in dimension {n}")
-    rows = [int(min(i0, j0)), int(max(i0, j0))]
-    for i in range(POOL_ROWS):
-        if len(rows) >= m_target:
-            break
-        if i in rows:
-            continue
-        if all(dist[i, j] > t for j in rows):
-            rows.append(i)
+
+    def separated(k: int) -> np.ndarray:
+        # rows farther than t from row k: each pair's square where the upper triangle holds it
+        col = np.concatenate((sq[:k, k], sq[k, k:]))
+        return np.sqrt(np.maximum(col, 0.0)) > t
+
+    rows = [i0, j0]
+    keep = separated(i0) & separated(j0)
+    keep[rows] = False
+    while len(rows) < m_target and keep.any():
+        rows.append(int(keep.argmax()))  # the first row farther than t from every kept row
+        keep &= separated(rows[-1])
+        keep[rows[-1]] = False
     return pool.subfamily(sorted(rows))
 
 

@@ -307,8 +307,9 @@ def radius_table(points: np.ndarray, scales) -> dict[tuple[int, ...], float]:
     full = tuple(range(n))
     probe = None
     if n <= CUBE_DIM_BUDGET and not _box_cut(points, min(scales), unit):
-        if _fits(_vertex_bound(points)[0], max(scales), unit):
-            solved[full] = _inscribed_radius(points, full)
+        vertex = _vertex_bound(points)
+        if _fits(vertex[0], max(scales), unit):
+            solved[full] = _inscribed_radius(points, full, vertex)
         else:
             run = [full]
             if (3 ** n - 1) // 2 * _lp_entries(len(points), n) <= STACK_ENTRY_LIMIT:
@@ -598,17 +599,18 @@ def _radius(optima: np.ndarray) -> float:
     return max(0.0, min(optima.tolist()))
 
 
-def _inscribed_radius(points: np.ndarray, sigma) -> float:
+def _inscribed_radius(points: np.ndarray, sigma, vertex=None) -> float:
     """Half-side r of the largest centred cube in the projection on sigma
     of the hull of a symmetric point set (rows).  By weak duality an
     optimal y certifies the lower bound.  r >= V = `_vertex_bound` of the
-    slice, and r is at most the optimum of V's orthant LP; so when V > 0
-    and that one LP (in the slice's `_unit`, as `_orthant_optima` solves
-    it) returns at most V, r = V and no other orthant runs."""
+    slice (`vertex`, when the caller has it), and r is at most the optimum
+    of V's orthant LP; so when V > 0 and that one LP (in the slice's
+    `_unit`, as `_orthant_optima` solves it) returns at most V, r = V and
+    no other orthant runs."""
     sigma = tuple(sigma)
     _within_budget(len(sigma))
     sliced = points[:, sigma]
-    bound, theta = _vertex_bound(sliced)
+    bound, theta = _vertex_bound(sliced) if vertex is None else vertex
     if bound > 0.0:
         factor = _unit(np.abs(sliced).max())
         if _generate_columns((sliced / factor)[None], [theta[None]])[0][0] * factor <= bound:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,11 +60,11 @@ class Distribution:
         return sum(w for v, w in self.atoms if v < x)
 
 
-def _moment_variance(dist: Distribution) -> float:
-    """Variance E(X - EX)^2 in moment form, linear in the atoms."""
-    n = dist.total
-    mean = sum(w / n * v for v, w in dist.atoms)
-    return sum(w / n * (v - mean) ** 2 for v, w in dist.atoms)
+def _moment_variance(atoms) -> float:
+    """Variance E(X - EX)^2 in moment form, linear in the (value, weight) atoms."""
+    n = sum(w for _, w in atoms)
+    mean = sum(w / n * v for v, w in atoms)
+    return sum(w / n * (v - mean) ** 2 for v, w in atoms)
 
 
 def variance(dist: Distribution) -> tuple[float, float]:
@@ -78,7 +78,7 @@ def variance(dist: Distribution) -> tuple[float, float]:
     pair = sum(
         wi / n * (wj / n) * (vi - vj) ** 2 for vi, wi in dist.atoms for vj, wj in dist.atoms
     )
-    return _moment_variance(dist), pair
+    return _moment_variance(dist.atoms), pair
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,14 @@ class SplitCertificate:
 
     def is_valid_for(self, dist: Distribution) -> bool:
         """Re-count both tails in the distribution's rows and re-check."""
-        sides = {"upper-heavy": (self.upper, self.lower), "lower-heavy": (self.lower, self.upper)}
-        if self.side not in sides or not 0 < self.share <= self.total or not self.gap_halfwidth > 0:
-            return False
         recount = (dist.total, dist.tail_above(self.threshold + self.gap_halfwidth),
                    dist.tail_below(self.threshold - self.gap_halfwidth))
-        if (self.total, self.upper, self.lower) != recount:
+        return (self.total, self.upper, self.lower) == recount and self._holds()
+
+    def _holds(self) -> bool:
+        """The certificate's inequalities on its own tail counts."""
+        sides = {"upper-heavy": (self.upper, self.lower), "lower-heavy": (self.lower, self.upper)}
+        if self.side not in sides or not 0 < self.share <= self.total or not self.gap_halfwidth > 0:
             return False
         heavy, light = sides[self.side]
         return 2 * heavy >= 2 * self.total - self.share and 4 * light >= self.share
@@ -136,30 +138,42 @@ def small_dev_split(dist: Distribution) -> SplitCertificate:
     whose heavy count is below total/2 scores below 0 at every share and
     is not scored.
     """
-    var = _moment_variance(dist)
-    if not var > 0.0:
+    dev = math.sqrt(_moment_variance(dist.atoms)) / 6.0
+    return _split(dist.atoms, dev, dev)
+
+
+def _split(atoms, dev: float, gap: float) -> SplitCertificate:
+    """small_dev_split of the distribution with these (value, row count)
+    atoms, given dev = sigma/6, its certificate stated at `gap` <= dev
+    with both tails counted there: shrinking the gap only grows the
+    tails, so the certificate stays valid."""
+    if not dev > 0.0:
         raise ValueError("small-deviation split needs nonzero variance")
-    gap = math.sqrt(var) / 6.0
-    values = [v for v, _ in dist.atoms]
+    values = [v for v, _ in atoms]
+    below = [0, *itertools.accumulate(w for _, w in atoms)]  # rows in the first k atoms
+    total = below[-1]
+
+    def tails(a: float, g: float) -> tuple[int, int]:
+        # rows above a + g, rows below a - g
+        above = total - below[bisect.bisect_right(values, a + g)]
+        return above, below[bisect.bisect_left(values, a - g)]
+
     candidates = set(values)
     candidates.update((a + b) / 2.0 for a, b in zip(values, values[1:]))
-    breaks = sorted({v - gap for v in values} | {v + gap for v in values})
+    breaks = sorted({v - dev for v in values} | {v + dev for v in values})
     candidates.update(breaks)
     candidates.update((a + b) / 2.0 for a, b in zip(breaks, breaks[1:]))
 
     # shares 2 * total * beta: doubled partial counts and their complements, clipped at beta = 1/2
-    total = dist.total
-    below = [0, *itertools.accumulate(w for _, w in dist.atoms)]  # rows in the first k atoms
     shares = sorted({total} | {min(2 * c, total) for acc in below[1:]
                                for c in (acc, total - acc) if c > 0})
-    best = None  # (key, threshold, upper, lower)
-    tails = None
+    best = None  # (key, threshold)
+    last = None
     for a in sorted(candidates):  # ascending, and ties keep the first: the smaller threshold
-        up = total - below[bisect.bisect_right(values, a + gap)]
-        lo = below[bisect.bisect_left(values, a - gap)]
-        if (up, lo) == tails:
+        up, lo = tails(a, dev)
+        if (up, lo) == last:
             continue
-        tails = up, lo
+        last = up, lo
         for upper_heavy, heavy, light in ((True, up, lo), (False, lo, up)):
             if 2 * heavy < total:
                 continue
@@ -172,19 +186,13 @@ def small_dev_split(dist: Distribution) -> SplitCertificate:
                     continue
                 key = (score, share, upper_heavy)
                 if best is None or key > best[0]:
-                    best = key, a, up, lo
+                    best = key, a
     assert best is not None, "no split certificate found for a nonzero-variance distribution"
-    (_, share, upper_heavy), a, up, lo = best
-    return SplitCertificate(a, share, total, gap, "upper-heavy" if upper_heavy else "lower-heavy",
-                            up, lo)
-
-
-def _reinterpret_gap(cert: SplitCertificate, dist: Distribution, gap: float) -> SplitCertificate:
-    """Shrink the certificate gap (tails only grow, so validity persists)."""
-    out = replace(cert, gap_halfwidth=gap, upper=dist.tail_above(cert.threshold + gap),
-                  lower=dist.tail_below(cert.threshold - gap))
-    assert out.is_valid_for(dist), "certificate lost validity when shrinking the gap"
-    return out
+    (_, share, upper_heavy), a = best
+    cert = SplitCertificate(a, share, total, gap, "upper-heavy" if upper_heavy else "lower-heavy",
+                            *tails(a, gap))
+    assert cert._holds(), "split certificate fails its inequalities at its gap"
+    return cert
 
 
 def _require_separated(family: FunctionFamily, measure: ProbabilityMeasure, t: float) -> None:
@@ -212,7 +220,8 @@ def find_separating_coordinate(
     taken: if it fails, every other one does.  Variances are computed in
     one pass over the value matrix with each column sorted first, so equal
     value multisets get equal variances and ties go to the smaller index;
-    only the chosen column gets a Distribution.
+    the chosen column's value counts are read off the same sort, and no
+    Distribution is built.
     """
     if not t > 0:
         raise ValueError("split scale must be positive")
@@ -224,14 +233,20 @@ def find_separating_coordinate(
 
 def _split_coordinate(values: np.ndarray, t: float) -> tuple[int, SplitCertificate]:
     """find_separating_coordinate on the value rows of a family already
-    known to be t-separated."""
-    i = int(np.argmax(np.sort(values, axis=0).var(axis=0)))
-    dist = Distribution.from_sample(values[:, i])
-    # Exact comparison: sigma/6 >= t/12 makes the gap reinterpretation
-    # below a shrink, under which tail masses can only grow.
-    if not math.sqrt(_moment_variance(dist)) / 6.0 >= t / 12.0:
+    known to be t-separated.  The chosen column's atoms are read off the
+    sorted matrix: each run of equal values is one atom, its first value
+    as `np.unique` keeps it."""
+    ordered = np.sort(values, axis=0)
+    i = int(np.argmax(ordered.var(axis=0)))
+    col = ordered[:, i]
+    starts = np.flatnonzero(np.concatenate(([True], col[1:] != col[:-1])))
+    atoms = tuple(zip(col[starts].tolist(), np.diff(starts, append=len(col)).tolist()))
+    dev = math.sqrt(_moment_variance(atoms)) / 6.0
+    # Exact comparison: sigma/6 >= t/12 makes the certificate's gap t/12 a
+    # shrink of sigma/6, under which tail masses can only grow.
+    if not dev >= t / 12.0:
         raise AssertionError(f"no coordinate with sigma >= {t / 2} found on a {t}-separated family")
-    return i, _reinterpret_gap(small_dev_split(dist), dist, t / 12.0)
+    return i, _split(atoms, dev, t / 12.0)
 
 
 @dataclass(frozen=True)

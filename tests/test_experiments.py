@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from combdim import (
     is_separated,
     packing_number,
 )
+from combdim import experiments
+from combdim.entropy import distances_from_gram
 from combdim.experiments import (
     ExperimentConfig,
     estimate_extraction_constant,
@@ -127,6 +130,155 @@ def test_gen_separated_family_is_separated():
         fam = gen_separated_family(n, t, int(rng.integers(1 << 30)), 10, kind="noisy-signs")
         assert is_separated(fam, ProbabilityMeasure.uniform(n), t)
         assert 2 <= fam.size <= 10
+
+
+def _reference_distances(vals, weights, gram):
+    """The pool's full distance matrix as the draw once built it (the
+    Gram form, its cancellation-range pairs recomputed in one product)."""
+    norms = gram.diagonal().copy()
+    sq = np.add.outer(norms, norms)
+    gram *= 2.0
+    sq -= gram
+    close = sq <= 2e-4 * norms.max()
+    np.fill_diagonal(close, False)
+    if close.any():
+        i, j = np.nonzero(close)
+        sq[i, j] = (vals[i] - vals[j]) ** 2 @ weights
+    np.fill_diagonal(sq, 0.0)
+    np.maximum(sq, 0.0, out=sq)
+    np.sqrt(sq, out=sq)
+    np.copyto(gram, sq)
+    np.copyto(gram, sq.T, where=np.tri(len(sq), k=-1, dtype=bool))
+    return gram
+
+
+def _reference_draw(pool, t, m_target):
+    """The matrix-and-greedy draw: the first row-major maximum of the full
+    distance matrix, then each row farther than t from every row kept."""
+    vals = pool.values
+    n = vals.shape[1]
+    w = ProbabilityMeasure.uniform(n).weights
+    dist = _reference_distances(vals, w, (vals * w) @ vals.T)
+    i0, j0 = np.unravel_index(int(np.argmax(dist)), dist.shape)
+    if dist[i0, j0] <= t:
+        raise ValueError(f"could not find 2 rows {t}-separated in dimension {n}")
+    rows = [int(min(i0, j0)), int(max(i0, j0))]
+    for i in range(len(vals)):
+        if len(rows) >= m_target:
+            break
+        if i in rows:
+            continue
+        if all(dist[i, j] > t for j in rows):
+            rows.append(i)
+    return pool.subfamily(sorted(rows))
+
+
+def _pool(n, seed, kind):
+    if kind == "noisy-signs":
+        rng = np.random.default_rng(seed)
+        signs = rng.integers(0, 2, size=(experiments.POOL_ROWS, n)) * 2.0 - 1.0
+        return FunctionFamily(signs * rng.uniform(0.8, 1.0, size=(experiments.POOL_ROWS, n)))
+    return gen_random_family(experiments.POOL_ROWS, n, kind, seed, grid_max=experiments.POOL_GRID_MAX)
+
+
+def _assert_same_draw(pool, n, t, m_target, seed, kind):
+    """gen_separated_family on this pool equals the reference bit for bit,
+    or raises the same error; True when it raised."""
+    try:
+        want = _reference_draw(pool, t, m_target)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            gen_separated_family(n, t, seed, m_target, kind)
+        assert str(got.value) == str(exc)
+        return True
+    got = gen_separated_family(n, t, seed, m_target, kind)
+    assert got.values.tobytes() == want.values.tobytes(), (n, t, m_target, seed, kind)
+    return False
+
+
+def test_draw_matches_the_full_matrix_greedy():
+    # t from 1e-3 up: the smallest scales lie in the cancellation range,
+    # where distances come from differences, not from the Gram form
+    raised = 0
+    for k, kind in enumerate(("uniform-real", "convex-hull-sections", "sign-vectors",
+                              "integer-grid", "noisy-signs")):
+        for n in range(1, 10):
+            seed = [k, n]
+            pool = _pool(n, seed, kind)
+            for t in (1e-3, 4e-3, 0.013, 0.1, 0.6, 0.95, 1.2):
+                for m_target in (3, 11):
+                    raised += _assert_same_draw(pool, n, t, m_target, seed, kind)
+    assert raised > 0
+
+
+def test_draw_matches_on_duplicate_and_near_duplicate_rows(monkeypatch):
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 5, 9):
+        base = rng.uniform(-0.9, 0.9, size=(50, n))
+        copies = [base + rng.uniform(-1, 1, size=base.shape) * scale
+                  for scale in (0.0, 1e-12, 1e-9, 1e-6, 1e-3)]
+        values = np.vstack([base, *copies])
+        pool = FunctionFamily(values[rng.permutation(len(values))])
+        monkeypatch.setattr(experiments, "gen_random_family", lambda *args, **kwargs: pool)
+        for t in (1e-13, 1e-10, 1e-7, 1e-5, 2e-3, 0.05, 0.5, 1.2):
+            for m_target in (2, 12, 300):
+                _assert_same_draw(pool, n, t, m_target, 0, "uniform-real")
+        # the distances themselves, and draws at scales equal to them: the
+        # near copies of a farthest row are decided by their last bit
+        vals = pool.values
+        w = ProbabilityMeasure.uniform(n).weights
+        dist = _reference_distances(vals, w, (vals * w) @ vals.T)
+        assert distances_from_gram(vals, w, (vals * w) @ vals.T).tobytes() == dist.tobytes()
+        row = dist[np.unravel_index(int(np.argmax(dist)), dist.shape)[0]]
+        for t in row[(row > 0.0) & (row < 0.01)].tolist():
+            _assert_same_draw(pool, n, t, experiments.POOL_ROWS, 0, "uniform-real")
+    # every row the same: no pair is separated at any scale
+    same = FunctionFamily(np.full((experiments.POOL_ROWS, 3), 0.25))
+    monkeypatch.setattr(experiments, "gen_random_family", lambda *args, **kwargs: same)
+    assert _assert_same_draw(same, 3, 1e-3, 5, 0, "uniform-real")
+
+
+def test_draw_breaks_a_root_tie_as_the_matrix_does(monkeypatch):
+    # antipodal rows at one radius: several farthest pairs whose Gram-form
+    # squares differ in the last bit but whose roots round alike
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(8, 2))
+    x *= 0.9 / np.sqrt((x**2).mean(axis=1))[:, None]
+    x = np.clip(x, -1, 1)
+    pool = FunctionFamily(np.vstack([x, -x, rng.uniform(-0.2, 0.2, size=(284, 2))]))
+    vals = pool.values
+    w = ProbabilityMeasure.uniform(2).weights
+    gram = (vals * w) @ vals.T
+    squares = np.triu(np.add.outer(gram.diagonal(), gram.diagonal()) - 2.0 * gram, 1)
+    dist = _reference_distances(vals, w, gram)
+    first = np.unravel_index(int(np.argmax(dist)), dist.shape)
+    largest = np.unravel_index(int(np.argmax(squares)), dist.shape)
+    assert first < largest and squares[first] < squares[largest]
+    assert dist[first] == dist[largest]
+    monkeypatch.setattr(experiments, "gen_random_family", lambda *args, **kwargs: pool)
+    for t in (0.5, 1.79):
+        for m_target in (2, 6):
+            _assert_same_draw(pool, 2, t, m_target, 0, "uniform-real")
+    drawn = gen_separated_family(2, 1.79, 0, 2)
+    assert drawn.values.tobytes() == vals[list(first)].tobytes()
+
+
+def test_draw_keeps_one_pool_sized_matrix():
+    # the pipeline's family rule, seeds 0-39: the traced peak of one draw
+    # stays under 1.5 pool-sized float64 matrices
+    limit = 1.5 * experiments.POOL_ROWS**2 * 8
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 99])
+        n = int(rng.integers(6, 10))
+        m_target = int(rng.integers(6, 12))
+        t = float(rng.uniform(0.95, 1.2))
+        tracemalloc.start()
+        try:
+            gen_separated_family(n, t, [seed, 7], m_target, kind="noisy-signs")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (seed, peak)
 
 
 def test_pipeline_trace_report_shape():

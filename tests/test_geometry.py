@@ -746,6 +746,27 @@ def test_both_radius_table_paths_give_the_same_answers(monkeypatch):
         assert _one_lp_table(monkeypatch, points, DEFAULT_T_GRID)
 
 
+def test_radius_table_takes_one_vertex_bound_per_tight_body(monkeypatch):
+    # the perfbench rudelson list, five rounds of its 58 calls: the table
+    # hands the full support's vertex bound to the one-LP radius
+    from combdim import elton_subset
+    from combdim.elton import rudelson_example
+
+    calls = []
+    real = geometry._vertex_bound
+    monkeypatch.setattr(geometry, "_vertex_bound", lambda points: calls.append(1) or real(points))
+    bodies = [rudelson_example(n, delta, net_size=64, seed=0) for n, delta in PERFBENCH_RUDELSON]
+    per_round = (16, 20, 16, 3, 2, 1)  # calls per body in one round
+    made = 0
+    for _ in range(5):
+        for body, count in zip(bodies, per_round):
+            for _ in range(count):
+                elton_subset(body.norm, body.vectors, samples=100)
+                made += 1
+    assert made == 290
+    assert len(calls) == 290
+
+
 def test_shattered_sets_hold_cubes_in_the_projections_of_the_hull():
     # if F t-shatters sigma, the projection on sigma of conv F holds a
     # side-t cube: the lattice walker bounds the orthant-LP walk, and the

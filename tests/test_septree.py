@@ -30,7 +30,7 @@ from combdim.septree import (
     small_dev_split,
 )
 from combdim.experiments import gen_separated_family
-from combdim.family import gen_random_family
+from combdim.family import discretize, gen_random_family
 
 UNIFORM2 = ProbabilityMeasure.uniform(2)
 SIGN_CUBE = FunctionFamily([[1, 1], [1, -1], [-1, 1], [-1, -1]])
@@ -255,7 +255,7 @@ def _unpruned_split(dist):
     import bisect
     import itertools
 
-    gap = math.sqrt(_moment_variance(dist)) / 6.0
+    gap = math.sqrt(_moment_variance(dist.atoms)) / 6.0
     values = [v for v, _ in dist.atoms]
     candidates = set(values)
     candidates.update((a + b) / 2.0 for a, b in zip(values, values[1:]))
@@ -343,7 +343,7 @@ def test_split_column_has_the_largest_variance():
         m, n = int(rng.integers(2, 13)), int(rng.integers(1, 8))
         values = (rng.integers(0, int(rng.integers(2, 9)), size=(m, n)).astype(float) if trial % 2
                   else rng.uniform(-1, 1, size=(m, n)))
-        variances = [_moment_variance(Distribution.from_sample(col)) for col in values.T]
+        variances = [_moment_variance(Distribution.from_sample(col).atoms) for col in values.T]
         top = max(variances)
         if top == 0.0:
             continue
@@ -351,20 +351,66 @@ def test_split_column_has_the_largest_variance():
         assert variances[i] >= top * (1.0 - 1e-12)
 
 
-def test_tree_builds_one_distribution_per_split(monkeypatch):
-    calls = []
-    real = Distribution.from_sample
+def test_tree_builds_no_distribution(monkeypatch):
+    built = []
+    real = Distribution.__post_init__
 
-    def counting(values):
-        calls.append(len(values))
-        return real(values)
+    def counting(self):
+        built.append(self)
+        real(self)
 
-    monkeypatch.setattr(Distribution, "from_sample", staticmethod(counting))
+    monkeypatch.setattr(Distribution, "__post_init__", counting)
     family = gen_separated_family(7, 1.0, 45, m_target=12, kind="noisy-signs")
     tree = build_separating_tree(family, ProbabilityMeasure.uniform(7), 1.0)
-    splits = [node for node in tree.nodes if not node.is_leaf]
-    assert len(splits) >= 3
-    assert calls == [len(node.indices) for node in splits]
+    assert len([node for node in tree.nodes if not node.is_leaf]) >= 3
+    assert built == []
+
+
+def _shrunk_reference(col, t):
+    """small_dev_split of the column's Distribution, its gap shrunk to
+    t/12 and both tails recounted there."""
+    dist = Distribution.from_sample(col)
+    cert = small_dev_split(dist)
+    gap = t / 12.0
+    return replace(cert, gap_halfwidth=gap, upper=dist.tail_above(cert.threshold + gap),
+                   lower=dist.tail_below(cert.threshold - gap))
+
+
+def test_split_certificates_match_the_distribution_path_on_ties():
+    # tie-heavy value matrices: repeated values, so atoms have counts above 1
+    rng = np.random.default_rng(0)
+    checked = 0
+    for trial in range(2000):
+        m, n = int(rng.integers(2, 13)), int(rng.integers(2, 8))
+        values = (rng.integers(0, int(rng.integers(2, 6)), size=(m, n)).astype(float) if trial % 2
+                  else np.round(rng.uniform(-1, 1, size=(m, n)), 1))
+        i = int(np.argmax(np.sort(values, axis=0).var(axis=0)))
+        sigma = math.sqrt(_moment_variance(Distribution.from_sample(values[:, i]).atoms))
+        if sigma == 0.0:
+            continue
+        for t in (2.0 * sigma, sigma, 0.3 * sigma):
+            coord, cert = _split_coordinate(values, t)
+            assert coord == i
+            assert repr(cert) == repr(_shrunk_reference(values[:, i], t)), (trial, t)
+            checked += 1
+    assert checked > 5000
+
+
+def test_tree_splits_match_the_distribution_path():
+    # integer trees as the pipeline's center-count stage builds them: the
+    # discretized family repeats values, so split atoms have counts above 1
+    splits = 0
+    for seed in range(8):
+        family = discretize(gen_separated_family(6, 1.0, seed, 11, kind="noisy-signs"), 0.5)
+        tree = build_separating_tree(family, ProbabilityMeasure.uniform(6), 6.0)
+        for node in tree.nodes:
+            if node.is_leaf:
+                continue
+            values = family.values[list(node.indices)]
+            i = int(np.argmax(np.sort(values, axis=0).var(axis=0)))
+            assert (node.coordinate, node.threshold) == (i, _shrunk_reference(values[:, i], 6.0).threshold)
+            splits += 1
+    assert splits >= 40
 
 
 def test_build_tree_sign_cube():
