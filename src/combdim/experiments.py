@@ -233,8 +233,10 @@ def run_pipeline_trace(seed: int) -> dict:
         stage("degenerate", True, {"note": "single function, chain is vacuous"})
         return report
 
-    # Variance identity on every coordinate's empirical distribution.
-    dists = [septree.Distribution.from_sample(col) for col in family.values.T]
+    # Variance identity on every coordinate's empirical distribution, its
+    # atoms read off one sort of the value matrix.
+    ordered = np.sort(family.values, axis=0)
+    dists = [septree.Distribution(septree.sorted_atoms(col)) for col in ordered.T.tolist()]
     worst = 0.0
     for dist in dists:
         var, pair = septree.variance(dist)

@@ -129,14 +129,16 @@ def small_dev_split(dist: Distribution) -> SplitCertificate:
     one maximizing min(p_heavy - (1 - beta), p_light - beta/2) wins, ties
     broken toward larger beta, then toward the upper-heavy side, then
     toward the smaller threshold.  Scores are compared exactly, as
-    integers 4 * total times that minimum.  Tails are counted by
-    bisection over prefix row counts, and each (threshold, side) scores
-    only the two shares around its best one.  The tail counts are
-    monotone in the threshold, so equal (upper, lower) pairs come in runs
-    of consecutive candidates, and only the first of a run is scored: the
-    others could only tie, and a tie keeps the smaller threshold.  A side
-    whose heavy count is below total/2 scores below 0 at every share and
-    is not scored.
+    integers 4 * total times that minimum.  Tails are counted by one
+    sweep over the ascending candidates with two pointers into the atoms,
+    each moving only forward, and each (threshold, side) scores only the
+    two shares around its best one.  The tail counts are monotone in the
+    threshold, so equal (upper, lower) pairs come in runs of consecutive
+    candidates, and only the first of a run is scored: the others could
+    only tie, and a tie keeps the smaller threshold.  A side whose heavy
+    count is below total/2 scores below 0 at every share, and one whose
+    score bound at the crossing of the two score terms is below the best
+    score so far can neither beat nor tie it; neither is scored.
     """
     dev = math.sqrt(_moment_variance(dist.atoms)) / 6.0
     return _split(dist.atoms, dev, dev)
@@ -153,11 +155,6 @@ def _split(atoms, dev: float, gap: float) -> SplitCertificate:
     below = [0, *itertools.accumulate(w for _, w in atoms)]  # rows in the first k atoms
     total = below[-1]
 
-    def tails(a: float, g: float) -> tuple[int, int]:
-        # rows above a + g, rows below a - g
-        above = total - below[bisect.bisect_right(values, a + g)]
-        return above, below[bisect.bisect_left(values, a - g)]
-
     candidates = set(values)
     candidates.update((a + b) / 2.0 for a, b in zip(values, values[1:]))
     breaks = sorted({v - dev for v in values} | {v + dev for v in values})
@@ -167,30 +164,43 @@ def _split(atoms, dev: float, gap: float) -> SplitCertificate:
     # shares 2 * total * beta: doubled partial counts and their complements, clipped at beta = 1/2
     shares = sorted({total} | {min(2 * c, total) for acc in below[1:]
                                for c in (acc, total - acc) if c > 0})
-    best = None  # (key, threshold)
+    best, top = None, 0  # ((score, share, upper_heavy), threshold) and its score
+    k = len(values)
+    hi = lo = 0  # atoms at or below a + dev, atoms below a - dev
     last = None
     for a in sorted(candidates):  # ascending, and ties keep the first: the smaller threshold
-        up, lo = tails(a, dev)
-        if (up, lo) == last:
+        # a +- dev ascend with a (rounding is monotone), so both pointers only move forward
+        x = a + dev
+        while hi < k and values[hi] <= x:
+            hi += 1
+        x = a - dev
+        while lo < k and values[lo] < x:
+            lo += 1
+        tails = total - below[hi], below[lo]  # rows above a + dev, rows below a - dev
+        if tails == last:
             continue
-        last = up, lo
-        for upper_heavy, heavy, light in ((True, up, lo), (False, lo, up)):
-            if 2 * heavy < total:
+        last = up, down = tails
+        for upper_heavy, heavy, light in ((True, up, down), (False, down, up)):
+            # 3 * score <= 4 heavy - 4 total + 8 light at every share (where the
+            # two terms cross), so a side below that bound cannot reach `top`
+            if 2 * heavy < total or 4 * (heavy - total + 2 * light) < 3 * top:
                 continue
             # the score rises strictly in the share below s* = 4 (light - heavy + total) / 3
             # and falls strictly above it, so the best share is one of the two around s*
             cut = bisect.bisect_right(shares, 4 * (light - heavy + total) // 3)
             for share in shares[max(cut - 1, 0) : cut + 1]:
                 score = min(4 * heavy - 4 * total + 2 * share, 4 * light - share)
-                if score < 0:
+                if score < top:
                     continue
                 key = (score, share, upper_heavy)
                 if best is None or key > best[0]:
-                    best = key, a
+                    best, top = (key, a), score
     assert best is not None, "no split certificate found for a nonzero-variance distribution"
     (_, share, upper_heavy), a = best
+    up = total - below[bisect.bisect_right(values, a + gap)]
+    down = below[bisect.bisect_left(values, a - gap)]
     cert = SplitCertificate(a, share, total, gap, "upper-heavy" if upper_heavy else "lower-heavy",
-                            *tails(a, gap))
+                            up, down)
     assert cert._holds(), "split certificate fails its inequalities at its gap"
     return cert
 
@@ -233,20 +243,36 @@ def find_separating_coordinate(
 
 def _split_coordinate(values: np.ndarray, t: float) -> tuple[int, SplitCertificate]:
     """find_separating_coordinate on the value rows of a family already
-    known to be t-separated.  The chosen column's atoms are read off the
-    sorted matrix: each run of equal values is one atom, its first value
-    as `np.unique` keeps it."""
+    known to be t-separated.  Each column's variance is np.var's
+    arithmetic written out on the sorted matrix (the mean, the squared
+    deviations, their sum over m: the same sums in the same order, without
+    np.var's Python wrapper), and the chosen column's atoms are read off
+    the same sort by sorted_atoms."""
     ordered = np.sort(values, axis=0)
-    i = int(np.argmax(ordered.var(axis=0)))
-    col = ordered[:, i]
-    starts = np.flatnonzero(np.concatenate(([True], col[1:] != col[:-1])))
-    atoms = tuple(zip(col[starts].tolist(), np.diff(starts, append=len(col)).tolist()))
+    m = len(ordered)
+    squares = ordered - np.add.reduce(ordered, axis=0, keepdims=True) / m
+    np.square(squares, out=squares)
+    i = int((np.add.reduce(squares, axis=0) / m).argmax())
+    atoms = sorted_atoms(ordered[:, i].tolist())
     dev = math.sqrt(_moment_variance(atoms)) / 6.0
     # Exact comparison: sigma/6 >= t/12 makes the certificate's gap t/12 a
     # shrink of sigma/6, under which tail masses can only grow.
     if not dev >= t / 12.0:
         raise AssertionError(f"no coordinate with sigma >= {t / 2} found on a {t}-separated family")
     return i, _split(atoms, dev, t / 12.0)
+
+
+def sorted_atoms(column: list[float]) -> tuple[tuple[float, int], ...]:
+    """(value, row count) atoms of an ascending list of values: each run of
+    equal values is one atom, its first value as `np.unique` keeps it."""
+    values, counts = [], []
+    for v in column:
+        if counts and v == values[-1]:
+            counts[-1] += 1
+        else:
+            values.append(v)
+            counts.append(1)
+    return tuple(zip(values, counts))
 
 
 @dataclass(frozen=True)
@@ -395,8 +421,11 @@ def validate_tree(tree: SeparatingTree, family: FunctionFamily, gap: float) -> T
     tree, then reads the raw values and checks, for every non-leaf, that
     the sons are disjoint nonempty subsets of the parent and that every
     plus-row beats every minus-row by more than `gap` on the stored
-    coordinate.  The failure named is the structural one, else that of
-    the first failing node in list order.
+    coordinate.  The gap check reads that one column as Python floats
+    and compares the least plus value with the largest minus value plus
+    `gap`; on failure it names the first pair, plus rows then minus rows
+    in order, that breaks the gap.  The failure named is the structural
+    one, else that of the first failing node in list order.
     """
     if not gap > 0:
         raise ValueError(f"tree gap must be positive, got {gap!r}")
@@ -422,12 +451,12 @@ def validate_tree(tree: SeparatingTree, family: FunctionFamily, gap: float) -> T
             return f"sons escape their parent at node {node.indices}"
         if not pset or not mset:
             return f"empty son at node {node.indices}"
+        col = values[:, i].tolist()
         # rounding is monotone, so the extremes decide every plus-minus pair
-        if not values[list(plus), i].min() > values[list(minus), i].max() + gap:
-            f, g = next((f, g) for f in plus for g in minus if not values[f, i] > values[g, i] + gap)
-            diff = float(values[f, i] - values[g, i])
+        if not min(col[f] for f in plus) > max(col[g] for g in minus) + gap:
+            f, g = next((f, g) for f in plus for g in minus if not col[f] > col[g] + gap)
             return (f"gap violated at node {node.indices}: rows {f},{g} on "
-                    f"coordinate {i} differ by {diff!r} <= {float(gap)!r}")
+                    f"coordinate {i} differ by {col[f] - col[g]!r} <= {float(gap)!r}")
         return None
 
     reason = _structure_failure(tree.nodes) or next(filter(None, map(failure, tree.nodes)), None)

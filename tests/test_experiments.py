@@ -297,6 +297,24 @@ def test_pipeline_trace_report_shape():
     assert "c_emp" in report
 
 
+def test_pipeline_reads_atoms_without_sampling_distributions(monkeypatch):
+    # the variance stage reads every coordinate's atoms off one sort and the
+    # trees build none, so no Distribution is taken from a sample
+    from combdim import septree
+
+    sampled = []
+    real = septree.Distribution.from_sample.__func__
+
+    def counting(cls, values):
+        sampled.append(values)
+        return real(cls, values)
+
+    monkeypatch.setattr(septree.Distribution, "from_sample", classmethod(counting))
+    for seed in range(40):
+        assert all(stage["ok"] for stage in run_pipeline_trace(seed)["stages"])
+    assert sampled == []
+
+
 def test_pipeline_trace_fault_injection(monkeypatch):
     # corrupt the tree builder: the tree stage must fail with its name
     # and the certificate payload attached

@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import json
 import math
 import sys
@@ -24,10 +26,12 @@ from combdim.septree import (
     SplitCertificate,
     TreeNode,
     _moment_variance,
+    _split,
     _split_coordinate,
     load_tree,
     save_tree,
     small_dev_split,
+    sorted_atoms,
 )
 from combdim.experiments import gen_separated_family
 from combdim.family import discretize, gen_random_family
@@ -304,6 +308,147 @@ def test_small_dev_split_scores_each_tail_regime_once():
     assert checked > 1300
 
 
+def _bisection_split(atoms, dev: float, gap: float) -> SplitCertificate:
+    """The split search as it counted both tails by bisection at every
+    candidate threshold: the reference for _split's pointer sweep."""
+    if not dev > 0.0:
+        raise ValueError("small-deviation split needs nonzero variance")
+    values = [v for v, _ in atoms]
+    below = [0, *itertools.accumulate(w for _, w in atoms)]  # rows in the first k atoms
+    total = below[-1]
+
+    def tails(a: float, g: float) -> tuple[int, int]:
+        # rows above a + g, rows below a - g
+        above = total - below[bisect.bisect_right(values, a + g)]
+        return above, below[bisect.bisect_left(values, a - g)]
+
+    candidates = set(values)
+    candidates.update((a + b) / 2.0 for a, b in zip(values, values[1:]))
+    breaks = sorted({v - dev for v in values} | {v + dev for v in values})
+    candidates.update(breaks)
+    candidates.update((a + b) / 2.0 for a, b in zip(breaks, breaks[1:]))
+
+    # shares 2 * total * beta: doubled partial counts and their complements, clipped at beta = 1/2
+    shares = sorted({total} | {min(2 * c, total) for acc in below[1:]
+                               for c in (acc, total - acc) if c > 0})
+    best = None  # (key, threshold)
+    last = None
+    for a in sorted(candidates):  # ascending, and ties keep the first: the smaller threshold
+        up, lo = tails(a, dev)
+        if (up, lo) == last:
+            continue
+        last = up, lo
+        for upper_heavy, heavy, light in ((True, up, lo), (False, lo, up)):
+            if 2 * heavy < total:
+                continue
+            # the score rises strictly in the share below s* = 4 (light - heavy + total) / 3
+            # and falls strictly above it, so the best share is one of the two around s*
+            cut = bisect.bisect_right(shares, 4 * (light - heavy + total) // 3)
+            for share in shares[max(cut - 1, 0) : cut + 1]:
+                score = min(4 * heavy - 4 * total + 2 * share, 4 * light - share)
+                if score < 0:
+                    continue
+                key = (score, share, upper_heavy)
+                if best is None or key > best[0]:
+                    best = key, a
+    assert best is not None, "no split certificate found for a nonzero-variance distribution"
+    (_, share, upper_heavy), a = best
+    cert = SplitCertificate(a, share, total, gap, "upper-heavy" if upper_heavy else "lower-heavy",
+                            *tails(a, gap))
+    assert cert._holds(), "split certificate fails its inequalities at its gap"
+    return cert
+
+
+def _search_outcome(search, atoms, dev, gap):
+    """The certificate's repr, or the type and message of the error raised
+    (its first line: pytest appends the failing expression to a test
+    module's own assert messages)."""
+    try:
+        return repr(search(atoms, dev, gap))
+    except (AssertionError, ValueError) as exc:
+        return type(exc).__name__, str(exc).splitlines()[0]
+
+
+def _assert_searches_agree(atoms, dev):
+    # gap == dev as small_dev_split states it, and shrunk gaps as trees state them
+    for gap in (dev, dev / 2.0, dev * 0.999, dev / 12.0):
+        expected = _search_outcome(_bisection_split, atoms, dev, gap)
+        assert _search_outcome(_split, atoms, dev, gap) == expected, (atoms, dev, gap)
+
+
+def test_split_search_matches_the_bisection_search_on_grids():
+    # tie-heavy grids: values a step apart (1, 0.1 and 1/3, so grid points
+    # round), 1-12 atoms of 1-4 rows; one atom has no variance and raises
+    rng = np.random.default_rng(29)
+    for trial in range(3000):
+        step = (1.0, 0.1, 1 / 3)[trial % 3]
+        k = int(rng.integers(1, 13))
+        values = rng.choice(np.arange(-9, 10), size=k, replace=False) * step
+        atoms = tuple((v, int(w)) for v, w in zip(sorted(values.tolist()), rng.integers(1, 5, k)))
+        _assert_searches_agree(atoms, math.sqrt(_moment_variance(atoms)) / 6.0)
+
+
+def test_split_search_matches_the_bisection_search_where_thresholds_round():
+    # values a few ulps apart near -1, 1 and 1e-300, where a +- dev rounds
+    # onto the atoms; dev is sigma/6 and also scaled off it, so some
+    # searches find no certificate and both must fail alike
+    rng = np.random.default_rng(31)
+    for trial in range(1000):
+        base = (-1.0, 1.0, 1e-300)[trial % 3]
+        ulp = math.ulp(base)
+        k = int(rng.integers(1, 13))
+        offsets = rng.choice(np.arange(-12, 13), size=k, replace=False).tolist()
+        values = sorted({base + j * ulp for j in offsets})
+        atoms = tuple((v, int(rng.integers(1, 5))) for v in values)
+        sigma = math.sqrt(_moment_variance(atoms))
+        for dev in (sigma / 6.0, sigma, ulp / 2.0, ulp * 1.5):
+            if dev > 0.0:
+                _assert_searches_agree(atoms, dev)
+
+
+def test_column_choice_is_the_argmax_of_np_var():
+    # tie-heavy matrices, 2-40 rows: from 8 rows up numpy's axis-0 sums of
+    # a column-major matrix (as `restrict` makes) are pairwise, not
+    # sequential, and the choice must round as np.var does.  Negated and
+    # shifted copies of a column have its exact variance, so rounding alone
+    # orders them.
+    rng = np.random.default_rng(37)
+    large = 0
+    for trial in range(1500):
+        m, n = int(rng.integers(2, 41)), int(rng.integers(1, 10))
+        values = (rng.integers(0, int(rng.integers(2, 6)), size=(m, n)).astype(float)
+                  if trial % 3 == 0 else
+                  np.round(rng.uniform(-1, 1, size=(m, n)), 1) if trial % 3 == 1 else
+                  rng.integers(-3, 4, size=(m, n)) / 3.0)
+        if trial % 2:
+            col = values[:, 0]
+            copies = [col, -col, col + 0.1, 0.7 - col, col - 1 / 3, col * 3.0]
+            values = np.column_stack([copies[j % len(copies)] for j in range(n)])
+        if trial % 4 >= 2:
+            values = np.asfortranarray(values)
+        ordered = np.sort(values, axis=0)
+        i = int(np.argmax(ordered.var(axis=0)))
+        sigma = math.sqrt(_moment_variance(sorted_atoms(ordered[:, i].tolist())))
+        if sigma == 0.0:
+            continue
+        assert _split_coordinate(values, sigma)[0] == i, trial
+        large += m >= 8
+    assert large > 1000
+
+    flat = np.full((9, 3), 0.25)
+    with pytest.raises(AssertionError, match="no coordinate with sigma"):
+        _split_coordinate(flat, 1.0)
+    with pytest.raises(ValueError, match="needs nonzero variance"):
+        _split_coordinate(flat, 0.0)
+
+
+def test_sorted_atoms_are_the_distribution_atoms():
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        col = np.round(rng.uniform(-1, 1, size=int(rng.integers(1, 30))), 1)
+        assert sorted_atoms(np.sort(col).tolist()) == Distribution.from_sample(col).atoms
+
+
 def test_find_separating_coordinate_examples():
     fam = FunctionFamily([[1, 0], [-1, 0]])
     i, cert = find_separating_coordinate(fam, UNIFORM2, 1.4)
@@ -521,6 +666,28 @@ def test_validate_gap_check_matches_the_pairwise_loop():
         for gap in sorted(set(diffs.ravel())) + [0.05, 1.0, 1.7]:
             expected = _pairwise_gap_failure(tree, fam.values, gap)
             assert validate_tree(tree, fam, gap).failure == expected, (trial, gap)
+
+
+def test_validate_names_the_pairwise_pair_on_swapped_sons():
+    # swapping one split's sons breaks its gap; on real and integer trees
+    # the failure names the first pair of the per-pair loop
+    checked = 0
+    for seed in range(10):
+        family = gen_separated_family(6, 1.0, seed, 11, kind="noisy-signs")
+        for fam, t in ((family, 1.0), (discretize(family, 0.5), 6.0)):
+            tree = build_separating_tree(fam, ProbabilityMeasure.uniform(6), t)
+            for k, node in enumerate(tree.nodes):
+                if node.is_leaf:
+                    continue
+                nodes = list(tree.nodes)
+                nodes[k] = replace(node, plus=node.minus, minus=node.plus)
+                bad = replace(tree, nodes=tuple(nodes))
+                for gap in (t / 6.0, 1e-9, 2.0 * t):
+                    expected = _pairwise_gap_failure(bad, fam.values, gap)
+                    assert expected is not None
+                    assert validate_tree(bad, fam, gap).failure == expected, (seed, k, gap)
+                    checked += 1
+    assert checked > 150
 
 
 def test_load_tree_names_the_file_of_a_node_without_minus(tmp_path):
