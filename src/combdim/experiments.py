@@ -243,8 +243,14 @@ def run_pipeline_trace(seed: int) -> dict:
         worst = max(worst, abs(pair - 2.0 * var))
     stage("variance-identity", worst <= 1e-12, {"max_gap": worst})
 
+    # The tree comes first so that its public builder's check is the one
+    # test of the drawn family at t: the draw decided separation on the
+    # pool's Gram product, which may round differently from the family's.
+    # Every later stage on this family assumes that test.
+    tree = septree.build_separating_tree(family, measure, t)
+
     # A coordinate with sigma >= t/2 admitting a gap t/12 split.
-    coord, cert = septree.find_separating_coordinate(family, measure, t)
+    coord, cert = septree._split_coordinate(family.values, t)
     stage(
         "separating-coordinate",
         cert.is_valid_for(dists[coord]) and cert.gap_halfwidth >= t / 12.0,
@@ -253,7 +259,6 @@ def run_pipeline_trace(seed: int) -> dict:
     )
 
     # Separating tree with leaf_count^2 >= m, valid at gap t/6.
-    tree = septree.build_separating_tree(family, measure, t)
     leaves = tree.leaf_count()
     valid = septree.validate_tree(tree, family, t / 6.0)
     stage(
@@ -266,7 +271,7 @@ def run_pipeline_trace(seed: int) -> dict:
     # subset size log|A|/t^4 exceeds n at desk scale, so cap at n/2 + 1.
     k = max(2, min(n, int(math.ceil(math.log(2.0 * m) / t**4 / 4.0)) + n // 2))
     try:
-        outcome = extraction.extract_coordinates(family, t, k, [seed, 13])
+        outcome = extraction._extract(family, t, k, [seed, 13])
     except ExtractionError as exc:
         p_accept = extraction.extraction_success_probability(family, t, k)
         stage("extraction", False, {"error": str(exc), "k": k, "p_accept": p_accept})
@@ -291,7 +296,8 @@ def run_pipeline_trace(seed: int) -> dict:
     )
 
     # Integer tree at scale 6 has gap 1 between sons; centers >= leaves.
-    itree = septree.build_separating_tree(tilde, sub_measure, 6.0)
+    # The discretization stage has just found tilde 6-separated.
+    itree = septree._build_tree(tilde.values, 6.0)
     ivalid = septree.validate_tree(itree, tilde, 1.0 - 1e-12)
     ileaves = itree.leaf_count()
     counts = shattering.shattered_center_counts(tilde, tilde.domain_size)

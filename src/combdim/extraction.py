@@ -89,11 +89,15 @@ def _min_distance_bound(gram: np.ndarray, size: int) -> float:
     return math.sqrt(sq.min() + 1e-12 * (size + 6) * norms.max(initial=sys.float_info.min))
 
 
-def _check_precondition(family: FunctionFamily, t: float, k: int) -> None:
+def _check_precondition(family: FunctionFamily, t: float, k: int, max_attempts: int = 1) -> None:
+    """Check k, t and max_attempts, then, only if they pass, that the
+    family is t-separated under the uniform measure."""
     if k < 1:
         raise ValueError(f"target size k must be >= 1, got {k}")
     if not t > 0:
         raise ValueError(f"separation scale must be positive, got {t!r}")
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     uniform = ProbabilityMeasure.uniform(family.domain_size)
     bad = first_violating_pair(family, uniform, t)
     if bad is not None:
@@ -127,9 +131,20 @@ def extract_coordinates(
     draws, attempts, distances and messages are therefore those of
     computing every draw exactly.
     """
-    _check_precondition(family, t, k)
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    _check_precondition(family, t, k, max_attempts)
+    return _extract(family, t, k, seed, max_attempts)
+
+
+def _extract(
+    family: FunctionFamily,
+    t: float,
+    k: int,
+    seed,
+    max_attempts: int = DEFAULT_CONSTANTS.extraction_max_attempts,
+) -> ExtractionOutcome:
+    """extract_coordinates without its checks, for a caller that has
+    already found the family t-separated under the uniform measure, with
+    k >= 1, t > 0 and max_attempts >= 1."""
     n = family.domain_size
     best, seen = None, set()
     for attempt in range(max_attempts):

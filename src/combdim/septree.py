@@ -242,8 +242,10 @@ def find_separating_coordinate(
 
 
 def _split_coordinate(values: np.ndarray, t: float) -> tuple[int, SplitCertificate]:
-    """find_separating_coordinate on the value rows of a family already
-    known to be t-separated.  Each column's variance is np.var's
+    """find_separating_coordinate on the value rows (m >= 2) of a family
+    that the caller has already found t-separated under some probability
+    measure.  Nothing here checks that: without a coordinate of sigma >=
+    t/2 it raises AssertionError.  Each column's variance is np.var's
     arithmetic written out on the sorted matrix (the mean, the squared
     deviations, their sum over m: the same sums in the same order, without
     np.var's Python wrapper), and the chosen column's atoms are read off
@@ -363,9 +365,15 @@ def build_separating_tree(
         raise ValueError("tree scale must be positive")
     # Row subsets of a t-separated family are t-separated: one check covers all nodes.
     _require_separated(family, measure, t)
+    return _build_tree(family.values, t)
 
-    values = family.values
-    queue = [tuple(range(family.size))]
+
+def _build_tree(values: np.ndarray, t: float) -> SeparatingTree:
+    """build_separating_tree without its checks, on the value rows of a
+    family that the caller has already found t-separated (under any
+    probability measure: the splits read none).  A node with no coordinate
+    of sigma >= t/2 fails _split_coordinate's assertion."""
+    queue = [tuple(range(len(values)))]
     nodes = []
     for indices in queue:  # breadth first: each split appends its sons to the queue
         if len(indices) == 1:

@@ -315,6 +315,42 @@ def test_pipeline_reads_atoms_without_sampling_distributions(monkeypatch):
     assert sampled == []
 
 
+def test_pipeline_checks_each_separation_once(monkeypatch):
+    # each separation the chain rests on is tested once, in the stage that
+    # reports it: the drawn family at t (by the tree builder, before the
+    # coordinate stage), the extracted subset at t/2 and the discretized
+    # family at 6; the builders that follow a test assume it
+    from combdim import entropy, extraction, septree
+
+    calls, measures = [], []
+    real = entropy.first_violating_pair
+    real_uniform = ProbabilityMeasure.uniform.__func__
+
+    def counting(family, measure, t):
+        calls.append((family, t))
+        return real(family, measure, t)
+
+    def uniform(cls, n):
+        measures.append(n)
+        return real_uniform(cls, n)
+
+    for module in (entropy, septree, extraction):
+        monkeypatch.setattr(module, "first_violating_pair", counting)
+    monkeypatch.setattr(ProbabilityMeasure, "uniform", classmethod(uniform))
+    for seed in range(40):
+        calls.clear()
+        measures.clear()
+        report = run_pipeline_trace(seed)
+        m, n, t = report["m"], report["n"], report["t"]
+        subset = next(s["subset"] for s in report["stages"] if s["stage"] == "extraction")
+        assert [(f.size, f.domain_size, scale) for f, scale in calls] == [
+            (m, n, t), (m, len(subset), t / 2.0), (m, len(subset), 6.0)]
+        drawn, verified, tilde = (f.values for f, _ in calls)
+        assert np.array_equal(tilde, np.round(tilde))  # the discretized family
+        assert np.array_equal(verified, drawn[:, subset])
+        assert len(measures) == 4
+
+
 def test_pipeline_trace_fault_injection(monkeypatch):
     # corrupt the tree builder: the tree stage must fail with its name
     # and the certificate payload attached

@@ -62,8 +62,14 @@ def test_extract_parameter_validation():
     with pytest.raises(ValueError):
         extract_coordinates(CONSTANT_PAIR_20, 1.9, 0, seed=1)
     close = FunctionFamily([[0.1] * 4, [0.2] * 4])
-    with pytest.raises(NotSeparatedError):
+    with pytest.raises(NotSeparatedError) as err:
         extract_coordinates(close, 1.5, 2, seed=1)
+    assert err.value.pair == (0, 1)
+    assert str(err.value) == ("family is not 1.5-separated under the uniform measure: "
+                              "rows 0, 1 at distance 0.1")
+    # the attempt budget is checked before the separation test
+    with pytest.raises(ValueError, match="max_attempts must be >= 1, got 0"):
+        extract_coordinates(close, 1.5, 2, seed=1, max_attempts=0)
 
 
 def test_extract_reports_best_on_failure():
@@ -123,8 +129,11 @@ def test_success_probability_validation(monkeypatch):
     with pytest.raises(ValueError):
         extraction_success_probability(CONSTANT_PAIR_20, 1.9, 0)
     # scale above the diameter: the separation precondition fails upstream
-    with pytest.raises(NotSeparatedError):
+    with pytest.raises(NotSeparatedError) as err:
         extraction_success_probability(CONSTANT_PAIR_20, 2.5, 2)
+    assert err.value.pair == (0, 1)
+    assert str(err.value) == ("family is not 2.5-separated under the uniform measure: "
+                              "rows 0, 1 at distance 2.0")
 
 
 def test_acceptance_table_is_built_once_per_scan(monkeypatch, tmp_path, capsys):

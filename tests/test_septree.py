@@ -464,6 +464,7 @@ def test_find_separating_coordinate_examples():
     with pytest.raises(NotSeparatedError) as err:
         find_separating_coordinate(dup, UNIFORM2, 0.5)
     assert err.value.pair == (0, 1)
+    assert str(err.value) == "family is not 0.5-separated: rows 0 and 1 at distance 0.0"
 
 
 def test_split_picks_the_first_of_columns_with_equal_values():
