@@ -33,8 +33,8 @@ runs locates and sizes every value that moved.  The suites:
   every scale of `DEFAULT_T_GRID`;
 - walk: the `radius_table` items (support, radius), in table order, at
   every scale of `DEFAULT_T_GRID` alone, on the dual bodies of the same 56
-  instances and on the six seeded n = 8 bodies below, whose probe
-  bounds certify only part of the lattice;
+  instances and on the six seeded n = 8 bodies below, which take the
+  probe-then-walk path (the probe alone, then one run per walk level);
 - tightness: the functionals and `norm_slack` of the eight tightness
   bodies below;
 - orders: `ell1_lower_constant` on all coordinates of the eleven

@@ -229,10 +229,6 @@ def run_pipeline_trace(seed: int) -> dict:
         if not ok:
             raise PipelineError(name, json.dumps(detail, default=str), certificate=detail)
 
-    if m == 1:
-        stage("degenerate", True, {"note": "single function, chain is vacuous"})
-        return report
-
     # Variance identity on every coordinate's empirical distribution, its
     # atoms read off one sort of the value matrix.
     ordered = np.sort(family.values, axis=0)
@@ -340,7 +336,7 @@ def run_dudley_experiment(seed: int, samples: int = 20000) -> dict:
 
     dist = entropy.pairwise_distances(family, measure)
     diam_l2mu = float(dist.max())
-    scales = [s for s in _mid_gap_scales(dist, 12) if s > 0]
+    scales = _mid_gap_scales(dist, 12)
     curve = []
     for s in scales:
         count, _ = entropy._packing_from_distances(dist, s)

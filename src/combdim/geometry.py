@@ -20,11 +20,10 @@ r = V, and no other orthant runs.  A symmetric body holds a side-t cube iff r >=
 - HULL_TOL in its `_unit`.  `radius_table` solves the full support
 first: alone when V settles the coarsest scale, and so every scale;
 else with every other support in the same run when all their LPs fit
-one stack, or else it solves in a second run every support the probe's
-optima prove the walk will reach.  It then walks the coordinate lattice
-once for all scales of a question; `convex_vc` and the elton sweep read
-it.  A cube in any other body is found by cutting planes (Kelley 1960) on
-gauge LPs.
+one stack, or else alone.  It then walks the coordinate lattice once for
+all scales of a question, solving each level it reaches; `convex_vc`
+and the elton sweep read it.  A cube in any other body is found by
+cutting planes (Kelley 1960) on gauge LPs.
 The l1 constant is r of conv{+-(f_j(x_i))} (exact for polyhedral norms).
 Symmetry is read from the vertices, never declared.
 """
@@ -279,25 +278,21 @@ def radius_table(points: np.ndarray, scales) -> dict[tuple[int, ...], float]:
     scale, so the table is the full support's `_inscribed_radius` alone:
     V's one orthant LP when it certifies r = V.  Else the probe takes
     every other support along in its run when all (3^n - 1)/2 orthant LPs
-    fit one stack.  Otherwise a second run solves every candidate of the walk
-    under the probe's lower bound of r (`_probe_bounds`): its one-smaller
-    subsets pass the bound, so they pass the walk, which reaches it.  The
-    walk then solves what is still missing, level by level.  A radius
-    enters the table when the walk reaches its support, so the table's
-    keys and their order do not depend on which supports were solved
-    ahead.
+    fit one stack; otherwise it runs alone, and the walk solves each level
+    when it reaches it.  The full support's radius enters the table right
+    after the probe, ahead of the walk's radii; any other radius enters
+    when the walk reaches its support, so the table's keys and their order
+    do not depend on which supports were solved ahead.
     """
     n = points.shape[1]
     unit = _unit(np.abs(points).max())
     table: dict[tuple[int, ...], float] = {}
     solved: dict[tuple[int, ...], float] = {}
 
-    def solve(supports) -> list[np.ndarray]:
-        # the orthant optima of the supports not yet solved, radii into `solved`
+    def solve(supports) -> None:
+        # the radii of the supports not yet solved, into `solved`
         new = [sup for sup in supports if sup not in solved]
-        optima = _orthant_optima(points, new)
-        solved.update(zip(new, map(_radius, optima)))
-        return optima
+        solved.update(zip(new, map(_radius, _orthant_optima(points, new))))
 
     def passes(level: list[tuple[int, ...]], t: float) -> list[bool]:
         solve(level)
@@ -305,27 +300,19 @@ def radius_table(points: np.ndarray, scales) -> dict[tuple[int, ...], float]:
         return [_fits(solved[sup], t, unit) for sup in level]
 
     full = tuple(range(n))
-    probe = None
     if n <= CUBE_DIM_BUDGET and not _box_cut(points, min(scales), unit):
         vertex = _vertex_bound(points)
         if _fits(vertex[0], max(scales), unit):
             solved[full] = _inscribed_radius(points, full, vertex)
+        elif (3 ** n - 1) // 2 * _lp_entries(len(points), n) <= STACK_ENTRY_LIMIT:
+            solve([full] + [sup for k in range(1, n)
+                            for sup in itertools.combinations(range(n), k)])
         else:
-            run = [full]
-            if (3 ** n - 1) // 2 * _lp_entries(len(points), n) <= STACK_ENTRY_LIMIT:
-                run += [sup for k in range(1, n) for sup in itertools.combinations(range(n), k)]
-            probe = solve(run)[0]
+            solve([full])
         table[full] = solved[full]
     unsettled = [t for t in scales if not (full in table and _fits(table[full], t, unit))]
     if unsettled:
-        t = min(unsettled)
-        if probe is not None and len(solved) < (1 << n) - 1:
-            met = []  # every candidate of the bound's walk; solve skips the probed one
-            bound = _probe_bounds(probe, n)
-            passing_supports(n, lambda level: met.extend(level) or [
-                _fits(bound(sup), t, unit) for sup in level])
-            solve(met)
-        passing_supports(n, lambda level: passes(level, t))
+        passing_supports(n, lambda level: passes(level, min(unsettled)))
     return table
 
 
@@ -348,26 +335,6 @@ def _vertex_bound(points: np.ndarray) -> tuple[float, np.ndarray]:
     np.maximum.at(best, codes, np.abs(coords).min(axis=0))
     code = int(best[: 1 << (n - 1)].argmin())
     return float(best[code]), _orthants(n)[(1 << (n - 1)) - 1 - code]
-
-
-def _probe_bounds(optima: np.ndarray, n: int):
-    """The lower bound of r on a support sigma read off the orthant optima
-    of the full support (in its units), as a function of sigma.  A
-    contained cube projects to a contained cube, so r on orthant theta of
-    sigma is at least the largest full-support optimum over the orthants
-    extending +-theta: the bound is the max over the sign axes outside
-    sigma, then the min over sigma's sign vectors.  Some extension fits t
-    iff this max does.  It only shrinks as sigma grows."""
-    # the optima over the signs of coordinates 1..n-1 (`_orthants`' order,
-    # - before +), then the first sign in front: -theta has theta's optimum
-    signed = optima.reshape((2,) * (n - 1))
-    signed = np.stack([np.flip(signed), signed])
-
-    def bound(sigma: tuple[int, ...]) -> float:
-        by_sign = np.moveaxis(signed, sigma, range(len(sigma))).reshape(1 << len(sigma), -1)
-        return float(by_sign.max(axis=1).min())
-
-    return bound
 
 
 def widest_fit(table: dict[tuple[int, ...], float], t: float, unit: float) -> tuple[int, ...]:

@@ -484,45 +484,6 @@ def _random_symmetric_bodies(seed, count):
         yield VPolytope(n, np.vstack([pts, -pts]))
 
 
-def _probe_bound(optima, n, sigma):
-    # least over the sign vectors of sigma of the largest full-support
-    # optimum over the orthants whose theta or -theta restricts to it
-    best = {}
-    for value, tail in zip(optima, itertools.product((-1.0, 1.0), repeat=n - 1)):
-        theta = (1.0,) + tail
-        for signs in (theta, tuple(-v for v in theta)):
-            key = tuple(signs[i] for i in sigma)
-            best[key] = max(best.get(key, -np.inf), value)
-    assert len(best) == 1 << len(sigma)
-    return min(best.values())
-
-
-def test_probe_bound_never_exceeds_the_radius():
-    for body in _random_symmetric_bodies(5, 25):
-        n = body.dimension
-        (optima,) = geometry._orthant_optima(body.vertices, [tuple(range(n))])
-        for size in range(1, n):
-            for sigma in itertools.combinations(range(n), size):
-                bound = _probe_bound(optima, n, sigma)
-                exact = _inscribed_radius(body.vertices, sigma)
-                assert bound <= exact + 1e-12 * (1.0 + exact), (n, sigma)
-
-
-def test_probe_bounds_equal_the_reference_bit_for_bit():
-    # a 1- and a 2-coordinate body cover the 0-d and 1-d optima arrays
-    bodies = list(_random_symmetric_bodies(5, 25)) + [
-        VPolytope(1, [[0.7], [-0.7], [0.2], [-0.2]]),
-        VPolytope(2, [[1.0, 0.3], [-1.0, -0.3], [0.2, -0.9], [-0.2, 0.9]]),
-    ]
-    for body in bodies:
-        n = body.dimension
-        (optima,) = geometry._orthant_optima(body.vertices, [tuple(range(n))])
-        bound = geometry._probe_bounds(optima, n)
-        for size in range(1, n + 1):
-            for sigma in itertools.combinations(range(n), size):
-                assert bound(sigma) == _probe_bound(optima, n, sigma), (n, sigma)
-
-
 def _unit(points):
     # the body's unit, in which the cube rule and the box cut measure HULL_TOL
     return geometry._unit(np.abs(points).max())
@@ -567,12 +528,12 @@ def _one_run_fires(points, scales):
 
 def test_radius_table_solves_ahead_only_what_the_walk_reaches(monkeypatch):
     # When the rule fires, the one solving run holds every support, full
-    # first.  Otherwise the probe runs alone, the next run holds every
-    # candidate of the walk under the probe's bound, and no LP is solved
-    # for a support the walk does not reach; the second pass sets the stack
-    # limit one entry below the one-run stack, so the rule never fires.
-    # Either way no support is solved twice, and the table keeps the
-    # walk's keys, order and radii.
+    # first.  Otherwise the probe runs alone, each later run holds one
+    # level of the walk (supports of one size), and no LP is solved for a
+    # support the walk does not reach; the second pass sets the stack limit
+    # one entry below the one-run stack, so the rule never fires.  Either
+    # way no support is solved twice, and the table keeps the walk's keys,
+    # order and radii.
     real = geometry._orthant_optima
     paths = {}
     bodies = list(_random_symmetric_bodies(6, 25))
@@ -612,24 +573,10 @@ def test_radius_table_solves_ahead_only_what_the_walk_reaches(monkeypatch):
                                               for sigma in itertools.combinations(range(n), size)]]
                     continue
                 assert sorted(solved) == sorted(table)
-                (optima,) = real(body.vertices, [full])
-                if geometry._fits(optima.min(), t, unit) or path == "spared":
-                    continue  # the probe settles t, or is spared: no walk, or no bound
-                assert runs[0] == [full]
-                bound = geometry._probe_bounds(optima, n)
-                fits = {}
-                for size in range(1, n):
-                    level = list(itertools.combinations(range(n), size))
-                    fits.update((sigma, geometry._fits(bound(sigma), t, unit)) for sigma in level)
-                    assert [fits[sigma] for sigma in level] == [
-                        geometry._fits(_probe_bound(optima, n, sigma), t, unit) for sigma in level]
-                sure = [sigma for sigma in fits if len(sigma) == 1
-                        or all(fits[sigma[:i] + sigma[i + 1:]] for i in range(len(sigma)))]
-                for sigma in sure:  # every support the bound makes sure of is a candidate of the walk
-                    subsets = [sigma[:i] + sigma[i + 1:] for i in range(len(sigma))]
-                    assert len(sigma) == 1 or all(
-                        sub in table and geometry._fits(table[sub], t, unit) for sub in subsets)
-                assert set(sure) <= set(runs[1])
+                if path == "probe":  # V's one orthant LP may settle the probe: no run at all
+                    assert runs[:1] in ([], [[full]])
+                    assert [{len(sup) for sup in run} for run in runs[1:]] == [
+                        {size} for size in range(1, len(runs))]
     assert paths == {(False, "one run"): 67, (False, "spared"): 32, (False, "probe"): 1,
                      (True, "spared"): 32, (True, "probe"): 68}
 
@@ -726,21 +673,30 @@ def test_a_loose_vertex_bound_falls_back_to_every_orthant(monkeypatch):
 def test_both_radius_table_paths_give_the_same_answers(monkeypatch):
     # the one-run path and the probe path (the stack limit one entry below
     # the one-run stack) give identical elton results; the walk test's two
-    # passes hold the radius tables of its bodies to one reference
+    # passes hold the radius tables of its bodies to one reference.  The
+    # perfbench elton norms (seeds 1-8) never take the probe path: the one
+    # run fires on 47, and single vertices settle every scale of the 48th
     from combdim import elton_subset
     from combdim.elton import DEFAULT_T_GRID, rudelson_example
     from combdim.experiments import random_norm_instances
 
-    fired = 0
-    for seed in (1, 2, 3):
+    census = {"one run": 0, "vertex": 0}
+    for seed in range(1, 9):
         for norm, vectors, _ in random_norm_instances(seed):
             points = geometry._l1_points(norm, vectors)
-            fired += _one_run_fires(points, DEFAULT_T_GRID)
+            if _one_run_fires(points, DEFAULT_T_GRID):
+                census["one run"] += 1
+            else:
+                assert geometry._fits(geometry._vertex_bound(points)[0], max(DEFAULT_T_GRID),
+                                      _unit(points)), seed
+                census["vertex"] += 1
+            if seed > 3:
+                continue
             one = elton_subset(norm, vectors, samples=200)
             with monkeypatch.context() as hook:
                 hook.setattr(geometry, "STACK_ENTRY_LIMIT", _one_run_entries(points) - 1)
                 assert elton_subset(norm, vectors, samples=200) == one
-    assert fired > 0
+    assert census == {"one run": 47, "vertex": 1}
     # the perfbench rudelson bodies take the one-LP path: single vertices
     # settle the coarsest grid scale (1/2), and V's orthant LP certifies r = V
     for n, delta in PERFBENCH_RUDELSON:
