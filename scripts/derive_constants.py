@@ -14,7 +14,6 @@ import math
 
 from scipy.integrate import quad
 
-from combdim.constants import DEFAULT_CONSTANTS
 from combdim.elton import elton_subset
 from combdim.experiments import (
     ExperimentConfig,
@@ -53,12 +52,10 @@ def main() -> None:
 
     print("== elton random-norm suite ==")
     c_min = tradeoff_min = math.inf
-    exponent = DEFAULT_CONSTANTS.tradeoff_exponent
     for norm, vectors, seed in random_norm_instances():
         res = elton_subset(norm, vectors, samples=1500, seed=seed)
         c_min = min(c_min, res.s / res.delta, res.t / res.delta)
-        tradeoff = res.s * res.t * math.log(2.0 / res.t) ** exponent
-        tradeoff_min = min(tradeoff_min, tradeoff / res.delta)
+        tradeoff_min = min(tradeoff_min, res.tradeoff / res.delta)
     print(f"observed min(s/delta, t/delta) = {c_min:.6f} -> pin {c_min * 0.9:.6f}")
     print(f"observed min tradeoff/delta = {tradeoff_min:.6f} -> pin {tradeoff_min * 0.9:.6f}")
 

@@ -86,8 +86,8 @@ from combdim.errors import ExtractionError, PipelineError
 from combdim.extraction import extract_coordinates, extraction_success_probability
 from combdim.experiments import (
     ExperimentConfig,
-    gen_separated_family,
     mid_gap_scales,
+    pipeline_instance,
     random_norm_instances,
     run_dudley_experiment,
     run_main_theorem_experiment,
@@ -124,11 +124,7 @@ def pipeline(seed: int):
 
 def pipeline_family(seed: int):
     # the family and scale run_pipeline_trace draws for this seed
-    rng = np.random.default_rng([seed, 99])
-    n = int(rng.integers(6, 10))
-    m_target = int(rng.integers(6, 12))
-    t = float(rng.uniform(0.95, 1.2))
-    return gen_separated_family(n, t, [seed, 7], m_target, kind="noisy-signs"), t
+    return pipeline_instance(seed)[:2]
 
 
 def extraction_cases():

@@ -205,17 +205,26 @@ def run_main_theorem_experiment(config: ExperimentConfig) -> dict:
 # discretization -> tree -> center-count chain, with assertions.
 # ---------------------------------------------------------------------------
 
-def run_pipeline_trace(seed: int) -> dict:
-    """Run the whole constructive chain on one seeded instance and assert
-    every stage's conclusion.  Raises PipelineError on the first failure;
-    returns the stage-by-stage certificate report."""
+def pipeline_instance(seed: int) -> tuple[FunctionFamily, float, int]:
+    """(family, scale t, extraction size k) of the pipeline instance that
+    run_pipeline_trace draws for `seed`."""
     rng = np.random.default_rng([seed, 99])
     n = int(rng.integers(6, 10))
     m_target = int(rng.integers(6, 12))
     t = float(rng.uniform(0.95, 1.2))
     family = gen_separated_family(n, t, [seed, 7], m_target, kind="noisy-signs")
+    # The cardinality-driven size log|A|/t^4 exceeds n at desk scale, so cap at n/2 + 1.
+    k = max(2, min(n, int(math.ceil(math.log(2.0 * family.size) / t**4 / 4.0)) + n // 2))
+    return family, t, k
+
+
+def run_pipeline_trace(seed: int) -> dict:
+    """Run the whole constructive chain on one seeded instance and assert
+    every stage's conclusion.  Raises PipelineError on the first failure;
+    returns the stage-by-stage certificate report."""
+    family, t, k = pipeline_instance(seed)
+    n, m = family.domain_size, family.size
     measure = ProbabilityMeasure.uniform(n)
-    m = family.size
     report: dict = {
         "seed": seed,
         "m": m,
@@ -256,16 +265,14 @@ def run_pipeline_trace(seed: int) -> dict:
 
     # Separating tree with leaf_count^2 >= m, valid at gap t/6.
     leaves = tree.leaf_count()
-    valid = septree.validate_tree(tree, family, t / 6.0)
+    valid = septree.validate_tree(tree, family, tree.gap)
     stage(
         "separating-tree",
         bool(valid) and leaves * leaves >= m,
         {"leaves": leaves, "sqrt_m": math.sqrt(m), "validation": valid.failure},
     )
 
-    # Random coordinate extraction at half scale.  The cardinality-driven
-    # subset size log|A|/t^4 exceeds n at desk scale, so cap at n/2 + 1.
-    k = max(2, min(n, int(math.ceil(math.log(2.0 * m) / t**4 / 4.0)) + n // 2))
+    # Random coordinate extraction at half scale, k from pipeline_instance.
     try:
         outcome = extraction._extract(family, t, k, [seed, 13])
     except ExtractionError as exc:

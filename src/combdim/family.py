@@ -318,9 +318,7 @@ def uniformize(
             f"weight at coordinate {bad} is zero; drop zero-mass atoms before uniformizing",
             residual=0.0,
         )
-    common = 1
-    for fr in fracs:
-        common = common * fr.denominator // math.gcd(common, fr.denominator)
+    common = math.lcm(*(fr.denominator for fr in fracs))
     if common > denominator_bound:
         raise RationalizationError(
             f"common denominator {common} exceeds bound {denominator_bound}",

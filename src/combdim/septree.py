@@ -50,8 +50,7 @@ class Distribution:
     @classmethod
     def from_sample(cls, values) -> "Distribution":
         """Empirical distribution of a sample, each value weighted by its count."""
-        uniq, counts = np.unique(np.asarray(values, dtype=np.float64), return_counts=True)
-        return cls(tuple(zip(uniq.tolist(), counts.tolist())))
+        return cls(sorted_atoms(np.sort(values, axis=None).tolist()))
 
     def tail_above(self, x: float) -> int:
         return sum(w for v, w in self.atoms if v > x)

@@ -226,8 +226,6 @@ def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
     named = best_only or record is not None
     if record is not None:
         record.append(((), (), full))
-    if not named:  # levels of the entries before each one, for counting the deepest dimension
-        prefix = [list(accumulate((e[0] for e in entries), initial=0)) for entries in table]
 
     def can_beat(masks: int, k: int) -> bool:
         """Whether a center of dimension k passes the cap test extend()
@@ -241,7 +239,6 @@ def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
     def extend(start: int, k: int, support: tuple, levels: tuple, masks: int, weight: int):
         nonlocal best, checks
         lanes, ones, guards, shift = tables[k], ones_at[k], guards_at[k], width << k
-        leaves = k + 1 == depth and not named
         cap = depth
         if best_only:  # reaching dimension d splits every lane into 2^(d - k) nonempty ones
             fewest = min((masks >> (p * width) & full).bit_count() for p in range(1 << k))
@@ -263,9 +260,6 @@ def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
                                   f"stopped extending support {stuck} of dimension {k}", stuck, k)
             a = bisect_left(entries, True, key=lambda e: ((masks & e[1]) + ones) & guards == guards)
             b = bisect_left(entries, True, a, key=lambda e: ((masks & e[2]) + ones) & guards != guards)
-            if leaves:
-                counts[k + 1] += weight * (prefix[i][b] - prefix[i][a])
-                continue
             for v, below, above in entries[a:b]:
                 child = masks & below | (masks & above) << shift
                 if not named:

@@ -21,6 +21,7 @@ from combdim.experiments import (
     gen_separated_family,
     main_theorem_constant,
     mid_gap_scales,
+    pipeline_instance,
     run_main_theorem_experiment,
     run_pipeline_trace,
 )
@@ -268,13 +269,9 @@ def test_draw_keeps_one_pool_sized_matrix():
     # stays under 1.5 pool-sized float64 matrices
     limit = 1.5 * experiments.POOL_ROWS**2 * 8
     for seed in range(40):
-        rng = np.random.default_rng([seed, 99])
-        n = int(rng.integers(6, 10))
-        m_target = int(rng.integers(6, 12))
-        t = float(rng.uniform(0.95, 1.2))
         tracemalloc.start()
         try:
-            gen_separated_family(n, t, [seed, 7], m_target, kind="noisy-signs")
+            pipeline_instance(seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -15,7 +15,7 @@ from combdim import (
 )
 from combdim import extraction
 from combdim.entropy import distances_from_gram, pairwise_distances
-from combdim.experiments import gen_separated_family
+from combdim.experiments import gen_separated_family, pipeline_instance
 from combdim.extraction import _min_subset_distance, verify_outcome
 from combdim.family import CoordinateSubset, ProbabilityMeasure, gen_random_family
 
@@ -159,19 +159,10 @@ def test_acceptance_table_is_built_once_per_scan(monkeypatch, tmp_path, capsys):
         assert float(rate) == extraction_success_probability(fam, 0.4, int(k))
 
 
-def _pipeline_family(seed):
-    # the family and scale run_pipeline_trace draws for this seed
-    rng = np.random.default_rng([seed, 99])
-    n = int(rng.integers(6, 10))
-    m_target = int(rng.integers(6, 12))
-    t = float(rng.uniform(0.95, 1.2))
-    return gen_separated_family(n, t, [seed, 7], m_target, kind="noisy-signs"), t
-
-
 def test_success_probability_matches_support_enumeration():
     # the exact sum against the draw's own acceptance test on every support
     for seed in range(40):
-        fam, t = _pipeline_family(seed)
+        fam, t, _ = pipeline_instance(seed)
         n = fam.domain_size
         accepted = [
             len(sigma)
@@ -249,10 +240,7 @@ def _extract(family, t, k, seed, max_attempts=100):
 
 def _pipeline_case(seed):
     # the family, scale, k and extraction seed of run_pipeline_trace
-    fam, t = _pipeline_family(seed)
-    n, m = fam.domain_size, fam.size
-    k = max(2, min(n, int(math.ceil(math.log(2.0 * m) / t**4 / 4.0)) + n // 2))
-    return fam, t, k, [seed, 13], 100
+    return *pipeline_instance(seed), [seed, 13], 100
 
 
 def _random_families():
