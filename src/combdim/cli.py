@@ -103,8 +103,8 @@ def cmd_tree(args) -> int:
     print(f"leaves={tree.leaf_count()} sqrt_m={math.sqrt(family.size):.4f}")
     ok = True
     if args.validate:
-        result = septree.validate_tree(tree, family, tree.gap)
-        print(f"validate(gap={tree.gap!r}): {'ok' if result else result.failure}")
+        result = septree.validate_tree(tree, family, args.scale / 6.0)
+        print(f"validate(gap={args.scale / 6.0!r}): {'ok' if result else result.failure}")
         ok = result.ok
     if args.emit:  # after the report, so a failed write still shows it
         septree.save_tree(args.emit, tree)

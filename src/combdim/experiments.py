@@ -265,14 +265,14 @@ def run_pipeline_trace(seed: int) -> dict:
 
     # Separating tree with leaf_count^2 >= m, valid at gap t/6.
     leaves = tree.leaf_count()
-    valid = septree.validate_tree(tree, family, tree.gap)
+    valid = septree.validate_tree(tree, family, t / 6.0)
     stage(
         "separating-tree",
         bool(valid) and leaves * leaves >= m,
         {"leaves": leaves, "sqrt_m": math.sqrt(m), "validation": valid.failure},
     )
 
-    # Random coordinate extraction at half scale, k from pipeline_instance.
+    # Random coordinate extraction at half scale.
     try:
         outcome = extraction._extract(family, t, k, [seed, 13])
     except ExtractionError as exc:

@@ -50,7 +50,8 @@ class Distribution:
     @classmethod
     def from_sample(cls, values) -> "Distribution":
         """Empirical distribution of a sample, each value weighted by its count."""
-        return cls(sorted_atoms(np.sort(values, axis=None).tolist()))
+        uniq, counts = np.unique(np.asarray(values, dtype=np.float64), return_counts=True)
+        return cls(tuple(zip(uniq.tolist(), counts.tolist())))
 
     def tail_above(self, x: float) -> int:
         return sum(w for v, w in self.atoms if v > x)
