@@ -12,8 +12,8 @@ runs locates and sizes every value that moved.  The suites:
 
 - pipeline: `run_pipeline_trace` for seeds 0-299; a failing seed (98
   fails its extraction stage) is digested as its error message;
-- extraction: `extraction_success_probability` at k = 1..n on the family
-  and scale of each pipeline seed 0-299;
+- extraction: `acceptance_curve` at k = 1..n, from one acceptance table,
+  on the family and scale of each pipeline seed 0-299;
 - tree: the separating tree `build_separating_tree` builds on the family
   and at the scale of each pipeline seed 0-299, as its nodes (rows,
   coordinate, threshold, plus rows, minus rows) sorted by rows, so the
@@ -83,7 +83,7 @@ import numpy as np
 from combdim.elton import DEFAULT_T_GRID, dual_body, elton_subset, rudelson_example
 from combdim.entropy import covering_number, packing_number
 from combdim.errors import ExtractionError, PipelineError
-from combdim.extraction import extract_coordinates, extraction_success_probability
+from combdim.extraction import acceptance_curve, extract_coordinates
 from combdim.experiments import (
     ExperimentConfig,
     mid_gap_scales,
@@ -144,9 +144,9 @@ def extraction_outcome(family, t, k, seed, max_attempts):
         return str(exc), exc.best_separation, exc.attempts
 
 
-def acceptance_curve(seed: int):
+def pipeline_acceptance_curve(seed: int):
     family, t = pipeline_family(seed)
-    return [extraction_success_probability(family, t, k) for k in range(1, family.domain_size + 1)]
+    return acceptance_curve(family, t, range(1, family.domain_size + 1))
 
 
 def tree_nodes(family, t: float):
@@ -256,7 +256,7 @@ def main() -> None:
         dump.mkdir(parents=True, exist_ok=True)
     traces = [pipeline(seed) for seed in range(300)]
     report("pipeline", traces, dump)
-    report("extraction", (acceptance_curve(seed) for seed in range(300)), dump)
+    report("extraction", (pipeline_acceptance_curve(seed) for seed in range(300)), dump)
     report("tree", (tree_nodes(*pipeline_family(seed)) for seed in range(300)), dump)
     report("itree", (integer_tree_nodes(seed, trace) for seed, trace in enumerate(traces)), dump)
     report("main-theorem", (

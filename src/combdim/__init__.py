@@ -28,9 +28,9 @@ from .errors import (
 )
 from .extraction import (
     ExtractionOutcome,
+    acceptance_curve,
     bernstein_bound,
     extract_coordinates,
-    extraction_success_probability,
 )
 from .family import (
     CoordinateSubset,

@@ -276,8 +276,12 @@ def run_pipeline_trace(seed: int) -> dict:
     try:
         outcome = extraction._extract(family, t, k, [seed, 13])
     except ExtractionError as exc:
-        p_accept = extraction.extraction_success_probability(family, t, k)
-        stage("extraction", False, {"error": str(exc), "k": k, "p_accept": p_accept})
+        detail = {"error": str(exc), "k": k}
+        try:
+            detail["p_accept"] = extraction.acceptance_curve(family, t, [k])[0]
+        except BudgetError as refused:
+            detail |= {"p_accept": None, "p_accept_refused": str(refused)}
+        stage("extraction", False, detail)
         raise AssertionError("unreachable")  # pragma: no cover
     recheck = extraction.verify_outcome(family, t, outcome)
     stage(
@@ -401,16 +405,11 @@ def random_norm_instances(seed: int = 31415):
 # Extraction-constant estimation: smallest k at success level 1/2.
 # ---------------------------------------------------------------------------
 
-def estimate_extraction_constant(family: FunctionFamily, t: float) -> dict:
-    """Smallest k <= n with exact acceptance probability >= 1/2 and the
-    implied constant ln(2m) / (t^4 k), from one acceptance table."""
-    curve = extraction.acceptance_curve(family, t, range(1, family.domain_size + 1))
-    return extraction_constant_fit(family, t, curve)
-
-
 def extraction_constant_fit(family: FunctionFamily, t: float, curve) -> dict:
-    """estimate_extraction_constant read off curve[k - 1], the acceptance
-    probability at k = 1..n, by a scan that assumes no monotonicity in k."""
+    """Smallest k <= n with exact acceptance probability >= 1/2 and the
+    implied constant ln(2m) / (t^4 k), read off curve[k - 1], the
+    acceptance_curve value at k = 1..n, by a scan that assumes no
+    monotonicity in k."""
     for k, probability in enumerate(curve, start=1):
         if probability >= 0.5:
             return {"k_half": k, "c_emp": math.log(2.0 * family.size) / (t**4 * k)}

@@ -219,11 +219,6 @@ def acceptance_curve(family: FunctionFamily, t: float, ks) -> list[float]:
     return curve
 
 
-def extraction_success_probability(family: FunctionFamily, t: float, k: int) -> float:
-    """Exact acceptance probability of one draw at k (see acceptance_curve)."""
-    return acceptance_curve(family, t, [k])[0]
-
-
 def verify_outcome(family: FunctionFamily, t: float, outcome: ExtractionOutcome) -> bool:
     """Independent re-check of an extraction outcome via is_separated."""
     coords = list(outcome.subset)

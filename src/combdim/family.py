@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +28,6 @@ class ProbabilityMeasure:
     """Atomic probability measure on {0, ..., n-1}."""
 
     weights: np.ndarray
-    is_uniform: bool = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -44,8 +43,6 @@ class ProbabilityMeasure:
             raise FamilyError(f"weights sum to {total!r}, not 1 (tolerance {WEIGHT_SUM_TOL})")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        uniform = bool(np.all(np.abs(w - 1.0 / w.size) <= WEIGHT_SUM_TOL))
-        object.__setattr__(self, "is_uniform", uniform)
 
     @classmethod
     def uniform(cls, n: int) -> "ProbabilityMeasure":

@@ -54,10 +54,6 @@ class Center:
     def dimension(self) -> int:
         return len(self.support)
 
-    @classmethod
-    def trivial(cls) -> "Center":
-        return cls(CoordinateSubset(()), ())
-
 
 @dataclass(frozen=True)
 class ShatterWitness:

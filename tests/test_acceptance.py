@@ -14,12 +14,12 @@ from combdim import (
     FunctionFamily,
     ProbabilityMeasure,
     PolyhedralNorm,
+    acceptance_curve,
     build_separating_tree,
     covering_number,
     discretize,
     enumerate_shattered_centers,
     extract_coordinates,
-    extraction_success_probability,
     gaussian_sup_mc,
     gen_random_family,
     is_separated,
@@ -196,7 +196,7 @@ def test_c07_extraction():
     with _Timer("7 extraction", 60):
         pair = FunctionFamily([[1.0] * 20, [-1.0] * 20])
         n, k = 20, 5
-        prob = extraction_success_probability(pair, 1.9, k)
+        prob = acceptance_curve(pair, 1.9, [k])[0]
         p = k / (2 * n)
         exact = float(binom.cdf(k, n, p) - binom.pmf(0, n, p))
         assert abs(prob - exact) <= 1e-12, (prob, exact)

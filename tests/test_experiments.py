@@ -9,6 +9,7 @@ import pytest
 from combdim import (
     FunctionFamily,
     ProbabilityMeasure,
+    acceptance_curve,
     gen_random_family,
     is_separated,
     packing_number,
@@ -17,7 +18,7 @@ from combdim import experiments
 from combdim.entropy import distances_from_gram
 from combdim.experiments import (
     ExperimentConfig,
-    estimate_extraction_constant,
+    extraction_constant_fit,
     gen_separated_family,
     main_theorem_constant,
     mid_gap_scales,
@@ -377,9 +378,27 @@ def test_pipeline_trace_fault_injection(monkeypatch):
     assert "sons overlap" in err.value.certificate["validation"]
 
 
-def test_estimate_extraction_constant():
+def test_pipeline_extraction_failure_reports_a_refused_acceptance(monkeypatch):
+    # n = 20, m = 217, k = 14 (the k rule's value): all 100 draws fail,
+    # and the exact acceptance table (pairs x 2^20 entries) is over its
+    # limit; the stage fails with its certificate, not with BudgetError
+    from combdim import PipelineError
+
+    family = gen_separated_family(20, 0.8, [5, 7], 300, kind="noisy-signs")
+    assert family.size == 217
+    monkeypatch.setattr(experiments, "pipeline_instance", lambda seed: (family, 0.8, 14))
+    with pytest.raises(PipelineError) as err:
+        run_pipeline_trace(0)
+    assert err.value.stage == "extraction"
+    cert = err.value.certificate
+    assert cert["k"] == 14 and cert["p_accept"] is None
+    assert cert["error"].startswith("no accepted subset in 100 attempts")
+    assert cert["p_accept_refused"].startswith("exact acceptance probability refused")
+
+
+def test_extraction_constant_fit():
     pair = FunctionFamily([[1.0] * 16, [-1.0] * 16])
-    fit = estimate_extraction_constant(pair, 1.9)
+    fit = extraction_constant_fit(pair, 1.9, acceptance_curve(pair, 1.9, range(1, 17)))
     assert fit["k_half"] is not None and 1 <= fit["k_half"] <= 16
     assert fit["c_emp"] > 0
 

@@ -9,9 +9,9 @@ from combdim import (
     ExtractionError,
     FunctionFamily,
     NotSeparatedError,
+    acceptance_curve,
     bernstein_bound,
     extract_coordinates,
-    extraction_success_probability,
 )
 from combdim import extraction
 from combdim.entropy import distances_from_gram, pairwise_distances
@@ -104,7 +104,7 @@ def test_success_probability_single_coordinate_exact():
     fam = FunctionFamily(vals)
     t = 0.85  # full distance 1.8 / 2 = 0.9; restricted distance on {2} is 1.8
     exact = exact_acceptance_probability_single_coord(n, k / (2 * n), 2)
-    assert abs(extraction_success_probability(fam, t, k) - exact) <= 1e-12
+    assert abs(acceptance_curve(fam, t, [k])[0] - exact) <= 1e-12
 
 
 def test_success_probability_binomial_exact():
@@ -113,11 +113,11 @@ def test_success_probability_binomial_exact():
 
     n, k = 20, 5
     exact = float(binom.cdf(k, n, k / (2 * n)) - binom.pmf(0, n, k / (2 * n)))
-    assert abs(extraction_success_probability(CONSTANT_PAIR_20, 1.9, k) - exact) <= 1e-12
+    assert abs(acceptance_curve(CONSTANT_PAIR_20, 1.9, [k])[0] - exact) <= 1e-12
 
 
 def test_success_probability_monotone_in_k():
-    rates = [extraction_success_probability(CONSTANT_PAIR_20, 1.9, k) for k in (1, 3, 6, 10)]
+    rates = [acceptance_curve(CONSTANT_PAIR_20, 1.9, [k])[0] for k in (1, 3, 6, 10)]
     for lo, hi in zip(rates, rates[1:]):
         assert hi >= lo
 
@@ -125,12 +125,12 @@ def test_success_probability_monotone_in_k():
 def test_success_probability_validation(monkeypatch):
     monkeypatch.setattr(extraction, "ACCEPTANCE_TABLE_LIMIT", (1 << 20) - 1)
     with pytest.raises(BudgetError):
-        extraction_success_probability(CONSTANT_PAIR_20, 1.9, 2)
+        acceptance_curve(CONSTANT_PAIR_20, 1.9, [2])
     with pytest.raises(ValueError):
-        extraction_success_probability(CONSTANT_PAIR_20, 1.9, 0)
+        acceptance_curve(CONSTANT_PAIR_20, 1.9, [0])
     # scale above the diameter: the separation precondition fails upstream
     with pytest.raises(NotSeparatedError) as err:
-        extraction_success_probability(CONSTANT_PAIR_20, 2.5, 2)
+        acceptance_curve(CONSTANT_PAIR_20, 2.5, [2])
     assert err.value.pair == (0, 1)
     assert str(err.value) == ("family is not 2.5-separated under the uniform measure: "
                               "rows 0, 1 at distance 2.0")
@@ -138,7 +138,7 @@ def test_success_probability_validation(monkeypatch):
 
 def test_acceptance_table_is_built_once_per_scan(monkeypatch, tmp_path, capsys):
     from combdim.cli import main
-    from combdim.experiments import estimate_extraction_constant
+    from combdim.experiments import extraction_constant_fit
     from combdim.family import save_family
 
     builds = []
@@ -146,7 +146,7 @@ def test_acceptance_table_is_built_once_per_scan(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(extraction, "_accepted_support_counts",
                         lambda fam, t: builds.append(t) or real(fam, t))
     fam = FunctionFamily([[0.0] * 11 + [0.9], [0.0] * 11 + [-0.9]])  # P < 1/2 until k = n
-    assert estimate_extraction_constant(fam, 0.4)["k_half"] == 12
+    assert extraction_constant_fit(fam, 0.4, acceptance_curve(fam, 0.4, range(1, 13)))["k_half"] == 12
     assert len(builds) == 1
     path = tmp_path / "pair.json"
     save_family(path, fam)
@@ -156,7 +156,7 @@ def test_acceptance_table_is_built_once_per_scan(monkeypatch, tmp_path, capsys):
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:-1]]
     assert [int(k) for k, _ in rows] == [1, 5, 12, 30]
     for k, rate in rows:
-        assert float(rate) == extraction_success_probability(fam, 0.4, int(k))
+        assert float(rate) == acceptance_curve(fam, 0.4, [int(k)])[0]
 
 
 def test_success_probability_matches_support_enumeration():
@@ -173,7 +173,7 @@ def test_success_probability_matches_support_enumeration():
         for k in [*range(1, n + 1), 2 * n + 1]:
             p = min(1.0, k / (2 * n))
             brute = sum(p**j * (1 - p) ** (n - j) for j in accepted if j <= k)
-            assert abs(extraction_success_probability(fam, t, k) - brute) <= 1e-12, (seed, k)
+            assert abs(acceptance_curve(fam, t, [k])[0] - brute) <= 1e-12, (seed, k)
 
 
 def test_accepted_subsets_reverify():

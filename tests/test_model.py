@@ -30,7 +30,7 @@ def test_load_family_literal(tmp_path):
     family, measure = load_family(path)
     assert family.size == 1 and family.domain_size == 2
     assert np.array_equal(family.values, [[0.5, -1.0]])
-    assert measure.is_uniform
+    assert np.array_equal(measure.weights, [0.5, 0.5])
 
 
 def test_load_rejects_out_of_range(tmp_path):
@@ -79,7 +79,7 @@ def test_measure_rejects_non_finite_weights():
 
 
 def test_measure_takes_no_is_uniform_argument():
-    # is_uniform is worked out from the weights; a passed value was overwritten
+    # a measure is its weights alone; a second argument is refused
     with pytest.raises(TypeError):
         ProbabilityMeasure(np.array([0.25, 0.75]), True)
 
@@ -98,7 +98,7 @@ def test_uniformize_splits_thirds():
     out_family, out_measure = uniformize(family, measure, 10)
     assert out_family.domain_size == 3
     assert np.array_equal(out_family.values, [[0.25, -0.5, -0.5]])
-    assert out_measure.is_uniform
+    assert np.array_equal(out_measure.weights, np.full(3, 1 / 3))
 
 
 def test_uniformize_identity_on_uniform():

@@ -119,7 +119,7 @@ def oracle_vc_real(family, t):
 
 def test_trivial_center_shattered_by_nonempty():
     fam = FunctionFamily([[0, 0]], "integer", 0)
-    witness = shatters(fam, Center.trivial())
+    witness = shatters(fam, Center(CoordinateSubset(()), ()))
     assert witness is not None and witness.verify(fam)
 
 
