@@ -261,7 +261,7 @@ def main() -> None:
     report("itree", (integer_tree_nodes(seed, trace) for seed, trace in enumerate(traces)), dump)
     report("main-theorem", (
         run_main_theorem_experiment(
-            ExperimentConfig(seed=seed, instances=1, max_rows=23, max_coords=7, jobs=1))
+            ExperimentConfig(seed=seed, instances=1, max_rows=23, max_coords=7))
         for seed in range(40)), dump)
     instances = list(l1_instances())
     report("elton", (elton(norm, vectors) for norm, vectors in instances), dump)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -207,7 +206,7 @@ def cmd_rudelson(args) -> int:
 
 
 def cmd_main_theorem(args) -> int:
-    config = ExperimentConfig(seed=args.seed, instances=args.instances, jobs=args.jobs)
+    config = ExperimentConfig(seed=args.seed, instances=args.instances)
     report = run_main_theorem_experiment(config)
     if args.out:
         write_json(args.out, report)
@@ -360,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("main-theorem", cmd_main_theorem, help="empirical entropy-vs-dimension constant")
     p.add_argument("--instances", type=int, default=200)
     p.add_argument("--seed", type=int, default=2026)
-    p.add_argument("--jobs", type=int, default=max(1, os.cpu_count() or 1))
     p.add_argument("--out")
 
     p = add("pipeline", cmd_pipeline, help="full constructive chain with stage assertions")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
+from .errors import NotSeparatedError
 from .family import FunctionFamily, ProbabilityMeasure, row_masks
 
 PACKING_EXACT_LIMIT = 30
@@ -119,6 +120,13 @@ def first_violating_pair(family: FunctionFamily, measure: ProbabilityMeasure, t:
         return None
     i, j = hits[0]
     return int(i), int(j), float(dist[i, j])
+
+
+def not_separated(t: float, bad, where: str = "") -> NotSeparatedError:
+    """The error for the pair (i, j, distance) that first_violating_pair found."""
+    i, j, d = bad
+    return NotSeparatedError(f"family is not {t}-separated{where}: rows {i} and {j} at distance {d}",
+                             pair=(i, j), distance=d)
 
 
 def is_separated(family: FunctionFamily, measure: ProbabilityMeasure, t: float) -> bool:

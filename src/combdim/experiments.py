@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import InitVar, asdict, dataclass
 
 import numpy as np
 
@@ -23,13 +23,13 @@ class ExperimentConfig:
     instances: int = 200
     max_rows: int = 14
     max_coords: int = 5
-    jobs: int = 1
+    jobs: InitVar[int] = 1  # only perfbench's jobs=1; goes when perfbench stops passing it
 
-    def __post_init__(self):
+    def __post_init__(self, jobs):
         if self.instances < 0:
             raise ValueError(f"instances must be >= 0, got {self.instances}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if jobs != 1:
+            raise ValueError(f"jobs must be 1, got {jobs}")
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +133,7 @@ def main_theorem_constant(packing: int, dim: int, t: float) -> float:
     return math.log(packing) / max(1.0, dim * math.log(2.0 / t))
 
 
-def _main_theorem_instance(args) -> dict:
-    index, config = args
+def _main_theorem_instance(index: int, config: ExperimentConfig) -> dict:
     rng = np.random.default_rng([config.seed, index])
     m = int(rng.integers(4, config.max_rows + 1))
     n = int(rng.integers(2, config.max_coords + 1))
@@ -168,13 +167,7 @@ def run_main_theorem_experiment(config: ExperimentConfig) -> dict:
     """Empirical main-theorem constants over the seeded suite; skipped
     scales (packing not exact, or a budget error) are logged and excluded
     from the fit."""
-    tasks = [(i, config) for i in range(config.instances)]
-    if config.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only --jobs > 1 pays its import
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            per_instance = list(pool.map(_main_theorem_instance, tasks))
-    else:
-        per_instance = [_main_theorem_instance(t) for t in tasks]
+    per_instance = [_main_theorem_instance(i, config) for i in range(config.instances)]
     k_values = [
         row["k_emp"]
         for inst in per_instance

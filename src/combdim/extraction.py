@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS
-from .entropy import distances_from_gram, first_violating_pair, is_separated
-from .errors import BudgetError, ExtractionError, NotSeparatedError
+from .entropy import distances_from_gram, first_violating_pair, is_separated, not_separated
+from .errors import BudgetError, ExtractionError
 from .family import CoordinateSubset, FunctionFamily, ProbabilityMeasure
 
 ACCEPTANCE_TABLE_LIMIT = 1 << 24  # pairs x 2^n subset sums for exact acceptance
@@ -101,13 +101,7 @@ def _check_precondition(family: FunctionFamily, t: float, k: int, max_attempts: 
     uniform = ProbabilityMeasure.uniform(family.domain_size)
     bad = first_violating_pair(family, uniform, t)
     if bad is not None:
-        i, j, d = bad
-        raise NotSeparatedError(
-            f"family is not {t}-separated under the uniform measure: "
-            f"rows {i}, {j} at distance {d}",
-            pair=(i, j),
-            distance=d,
-        )
+        raise not_separated(t, bad, " under the uniform measure")
 
 
 def extract_coordinates(

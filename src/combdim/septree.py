@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import first_violating_pair
+from .entropy import first_violating_pair, not_separated
 from .errors import FamilyError, NotSeparatedError
 from .family import FunctionFamily, ProbabilityMeasure, read_json, read_number, write_json
 
@@ -208,12 +208,7 @@ def _split(atoms, dev: float, gap: float) -> SplitCertificate:
 def _require_separated(family: FunctionFamily, measure: ProbabilityMeasure, t: float) -> None:
     bad = first_violating_pair(family, measure, t)
     if bad is not None:
-        i, j, d = bad
-        raise NotSeparatedError(
-            f"family is not {t}-separated: rows {i} and {j} at distance {d}",
-            pair=(i, j),
-            distance=d,
-        )
+        raise not_separated(t, bad)
 
 
 def find_separating_coordinate(

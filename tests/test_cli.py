@@ -1,13 +1,14 @@
 import json
 import math
 import shlex
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from combdim.cli import build_parser, main
-from combdim.experiments import run_dudley_experiment
+from combdim.experiments import ExperimentConfig, run_dudley_experiment
 from combdim.family import FunctionFamily, save_family, write_json
 
 
@@ -407,10 +408,8 @@ def test_negative_counts_exit_1(tmp_path, family_file, capsys):
         (extract + ["--max-attempts", "-5"], "max_attempts must be >= 1, got -5"),
         (extract + ["--max-attempts", "0"], "max_attempts must be >= 1, got 0"),
         (["centers", "--family", str(ints), "--max-dim", "-1"], "max_dim must be >= 0"),
-        # main-theorem printed instances=-1 and exited 0; jobs < 1 ran sequentially
-        (["main-theorem", "--instances", "-1", "--jobs", "1"], "instances must be >= 0, got -1"),
-        (["main-theorem", "--instances", "1", "--jobs", "-2"], "jobs must be >= 1, got -2"),
-        (["main-theorem", "--instances", "1", "--jobs", "0"], "jobs must be >= 1, got 0"),
+        # main-theorem printed instances=-1 and exited 0
+        (["main-theorem", "--instances", "-1"], "instances must be >= 0, got -1"),
         (["pipeline", "--instances", "-3"], "instances must be >= 0, got -3"),
     ):
         assert main(argv) == 1, argv
@@ -682,6 +681,17 @@ def test_main_theorem_command(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["k_emp_count"] >= 1
     assert doc["config"]["seed"] == 2026
+
+
+def test_main_theorem_runs_in_one_process():
+    # jobs is accepted only as 1 and is not stored, so the report's config
+    # does not depend on the machine; the CLI has no --jobs
+    with pytest.raises(ValueError, match="jobs must be 1, got 2"):
+        ExperimentConfig(jobs=2)
+    assert list(asdict(ExperimentConfig(jobs=1))) == ["seed", "instances", "max_rows", "max_coords"]
+    with pytest.raises(SystemExit) as exit_:
+        main(["main-theorem", "--jobs", "2"])
+    assert exit_.value.code == 2
 
 
 def test_old_symmetric_key_is_ignored(tmp_path, capsys):

@@ -66,7 +66,7 @@ def test_extract_parameter_validation():
         extract_coordinates(close, 1.5, 2, seed=1)
     assert err.value.pair == (0, 1)
     assert str(err.value) == ("family is not 1.5-separated under the uniform measure: "
-                              "rows 0, 1 at distance 0.1")
+                              "rows 0 and 1 at distance 0.1")
     # the attempt budget is checked before the separation test
     with pytest.raises(ValueError, match="max_attempts must be >= 1, got 0"):
         extract_coordinates(close, 1.5, 2, seed=1, max_attempts=0)
@@ -133,7 +133,7 @@ def test_success_probability_validation(monkeypatch):
         acceptance_curve(CONSTANT_PAIR_20, 2.5, [2])
     assert err.value.pair == (0, 1)
     assert str(err.value) == ("family is not 2.5-separated under the uniform measure: "
-                              "rows 0, 1 at distance 2.0")
+                              "rows 0 and 1 at distance 2.0")
 
 
 def test_acceptance_table_is_built_once_per_scan(monkeypatch, tmp_path, capsys):
