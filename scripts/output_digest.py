@@ -195,7 +195,7 @@ def walk_bodies():
 
 
 def walk_items(body):
-    return [list(radius_table(body.vertices, (t,)).items()) for t in DEFAULT_T_GRID]
+    return [list(radius_table(body.vertices, (t,))[0].items()) for t in DEFAULT_T_GRID]
 
 
 def translated_body(index: int) -> VPolytope:

@@ -21,8 +21,8 @@ import numpy as np
 from .constants import DEFAULT_CONSTANTS
 from .family import CoordinateSubset
 from .gaussian import SupEstimate, gaussian_sup_mc, weight_h
-from .geometry import CUBE_DIM_BUDGET, PolyhedralNorm, VPolytope, _l1_points, _unit
-from .geometry import ell1_lower_constant, radius_table, widest_fit
+from .geometry import CUBE_DIM_BUDGET, PolyhedralNorm, VPolytope, _l1_points
+from .geometry import ell1_lower_constant, radius_table
 from .geometry import convex_vc  # noqa: F401  perfbench/spans.py wraps convex_vc at this name
 
 DEFAULT_T_GRID = tuple(2.0 ** -j for j in range(1, 9))  # the sweep scales, descending
@@ -75,7 +75,7 @@ def elton_subset(
     """Extract a coordinate subset l1-equivalent to its span.
 
     One `radius_table` over the grid holds the l1 constants r(support).
-    The sweep entry at t is the size of its `widest_fit`, the pick
+    The sweep entry at t is the size of its widest fitting support, the pick
     maximizes s * t over the grid (ties toward larger t), and the reported
     t is r(sigma) read from the table.  The `favored_grid_t` diagnostic
     reports the grid point the averaging weight would single out.
@@ -91,14 +91,14 @@ def elton_subset(
     estimate = gaussian_sup_mc(points, samples, seed, "rademacher")
     delta = estimate.mean / n
 
-    table, unit = radius_table(points, DEFAULT_T_GRID), _unit(np.abs(points).max())
-    sweep = [(t, len(widest_fit(table, t, unit))) for t in DEFAULT_T_GRID]
+    table, widest = radius_table(points, DEFAULT_T_GRID)
+    sweep = [(t, len(widest[t])) for t in DEFAULT_T_GRID]
     best_t, best_score = None, -1.0
     for t, d in sweep:
         score = math.sqrt(d / n) * t
         if score > best_score + 1e-15:
             best_t, best_score = t, score
-    support = widest_fit(table, best_t, unit)
+    support = widest[best_t]
     if not support:
         raise ValueError("no grid scale produced a nonempty cube projection")
     s = math.sqrt(len(support) / n)

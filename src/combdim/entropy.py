@@ -87,11 +87,7 @@ def distances_from_gram(vals: np.ndarray, weights: np.ndarray, gram: np.ndarray)
     squares_from_gram(vals, weights, gram)
     np.maximum(gram, 0.0, out=gram)
     np.sqrt(gram, out=gram)
-    side = math.isqrt(BLOCK_ENTRIES)  # one row strip at a time, so the transposed read stays in cache
-    for first in range(0, len(gram), side):
-        gram[first:first + side, :first] = gram[:first, first:first + side].T
-        tile = gram[first:first + side, first:first + side]
-        tile += tile.T  # its lower triangle holds 0, and x + 0 is x
+    gram += gram.T  # the lower triangle holds 0, x + 0 is x, and numpy buffers the overlap
     return gram
 
 

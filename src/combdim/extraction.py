@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS
-from .entropy import distances_from_gram, first_violating_pair, is_separated, not_separated
+from .entropy import first_violating_pair, is_separated, not_separated, squares_from_gram
 from .errors import BudgetError, ExtractionError
 from .family import CoordinateSubset, FunctionFamily, ProbabilityMeasure
 
@@ -56,9 +56,9 @@ def _min_subset_distance(sub: np.ndarray, gram: np.ndarray | None = None) -> flo
         return math.inf
     if gram is None:
         gram = sub @ sub.T / size
-    dist = distances_from_gram(sub, np.full(size, 1.0 / size), gram)
+    squares = squares_from_gram(sub, np.full(size, 1.0 / size), gram)
     rows = np.arange(m)
-    return float(dist[rows[:, None] < rows].min())
+    return math.sqrt(max(float(squares[rows[:, None] < rows].min()), 0.0))
 
 
 def _min_distance_bound(gram: np.ndarray, size: int) -> float:

@@ -18,12 +18,12 @@ and when that bound V is positive, `_inscribed_radius` runs the LP of the
 orthant where it is least first: an optimum of at most V certifies
 r = V, and no other orthant runs.  A symmetric body holds a side-t cube iff r >= t/2
 - HULL_TOL in its `_unit`.  `radius_table` solves the full support
-first: alone when V settles the coarsest scale, and so every scale;
-else with every other support in the same run when all their LPs fit
-one stack, or else alone.  It then walks the coordinate lattice once for
-all scales of a question, solving each level it reaches; `convex_vc`
-and the elton sweep read it.  A cube in any other body is found by
-cutting planes (Kelley 1960) on gauge LPs.
+first, with every other support in the same run when V fails the
+coarsest scale and all their LPs fit one stack, else by
+`_inscribed_radius`; it then walks the coordinate lattice once for all
+scales of a question, solving each level it reaches, and gives each
+scale's widest fitting support to `convex_vc` and the elton sweep.  A
+cube in any other body is found by cutting planes (Kelley 1960) on gauge LPs.
 The l1 constant is r of conv{+-(f_j(x_i))} (exact for polyhedral norms).
 Symmetry is read from the vertices, never declared.
 """
@@ -264,25 +264,26 @@ def _fits(radius: float, t: float, unit: float) -> bool:
     return radius >= t / 2.0 - HULL_TOL * unit
 
 
-def radius_table(points: np.ndarray, scales) -> dict[tuple[int, ...], float]:
+def radius_table(points: np.ndarray, scales) -> tuple[dict[tuple[int, ...], float],
+                                                      dict[float, tuple[int, ...]]]:
     """Inscribed radius of the symmetric point set `points` (rows, n
     columns) on each support in range(n) the walk reaches, its set the
-    slice points[:, support], so that `widest_fit` answers at every one of
-    the scales.  A probe of the full support (within CUBE_DIM_BUDGET)
-    settles each scale it passes; it is spared when `_box_cut` rejects the
-    full set at the finest scale, which then rejects it at every scale.  r
-    only shrinks as a support grows, so one walk at the finest scale the
-    probe fails visits every support passing at a coarser one.
+    slice points[:, support], and each scale's widest support holding a
+    side-t cube (the first of equals, () if none).  A probe of the full
+    support (within CUBE_DIM_BUDGET) settles each scale it passes; it is
+    spared when `_box_cut` rejects the full set at the finest scale, which
+    then rejects it at every scale.  r only shrinks as a support grows, so
+    one walk at the finest scale the probe fails visits every support
+    passing at a coarser one, in lexicographic order within a size.
 
-    When `_vertex_bound` V fits the coarsest scale, r >= V fits every
-    scale, so the table is the full support's `_inscribed_radius` alone:
-    V's one orthant LP when it certifies r = V.  Else the probe takes
-    every other support along in its run when all (3^n - 1)/2 orthant LPs
-    fit one stack; otherwise it runs alone, and the walk solves each level
-    when it reaches it.  The full support's radius enters the table right
-    after the probe, ahead of the walk's radii; any other radius enters
-    when the walk reaches its support, so the table's keys and their order
-    do not depend on which supports were solved ahead.
+    When `_vertex_bound` V fails the coarsest scale and all (3^n - 1)/2
+    orthant LPs fit one stack, the probe takes every other support along
+    in its run; else it is the full support's `_inscribed_radius`, V's one
+    orthant LP when that certifies r = V.  The full support's radius
+    enters the table right after the probe, ahead of the walk's radii;
+    any other radius enters when the walk reaches its support, so the
+    table's keys and their order do not depend on which supports were
+    solved ahead.
     """
     n = points.shape[1]
     unit = _unit(np.abs(points).max())
@@ -302,18 +303,19 @@ def radius_table(points: np.ndarray, scales) -> dict[tuple[int, ...], float]:
     full = tuple(range(n))
     if n <= CUBE_DIM_BUDGET and not _box_cut(points, min(scales), unit):
         vertex = _vertex_bound(points)
-        if _fits(vertex[0], max(scales), unit):
-            solved[full] = _inscribed_radius(points, full, vertex)
-        elif (3 ** n - 1) // 2 * _lp_entries(len(points), n) <= STACK_ENTRY_LIMIT:
+        if (not _fits(vertex[0], max(scales), unit)
+                and (3 ** n - 1) // 2 * _lp_entries(len(points), n) <= STACK_ENTRY_LIMIT):
             solve([full] + [sup for k in range(1, n)
                             for sup in itertools.combinations(range(n), k)])
         else:
-            solve([full])
+            solved[full] = _inscribed_radius(points, full, vertex)
         table[full] = solved[full]
     unsettled = [t for t in scales if not (full in table and _fits(table[full], t, unit))]
     if unsettled:
         passing_supports(n, lambda level: passes(level, min(unsettled)))
-    return table
+    widest = {t: max((sup for sup, r in table.items() if _fits(r, t, unit)), key=len, default=())
+              for t in scales}
+    return table, widest
 
 
 def _vertex_bound(points: np.ndarray) -> tuple[float, np.ndarray]:
@@ -337,12 +339,6 @@ def _vertex_bound(points: np.ndarray) -> tuple[float, np.ndarray]:
     return float(best[code]), _orthants(n)[(1 << (n - 1)) - 1 - code]
 
 
-def widest_fit(table: dict[tuple[int, ...], float], t: float, unit: float) -> tuple[int, ...]:
-    """The widest support of a `radius_table` (its body's `_unit` given) holding a side-t
-    cube; max keeps the first of equals, and the walk solves them in lexicographic order."""
-    return max((sup for sup, r in table.items() if _fits(r, t, unit)), key=len, default=())
-
-
 def convex_vc(poly: VPolytope, t: float) -> tuple[int, CoordinateSubset]:
     """Largest |sigma| whose projection contains a side-t cube, and the
     lexicographically smallest such sigma.  A symmetric body reads it off
@@ -354,7 +350,7 @@ def convex_vc(poly: VPolytope, t: float) -> tuple[int, CoordinateSubset]:
         raise ValueError("cube side must be positive")
     n = poly.dimension
     if poly.symmetric:
-        best = widest_fit(radius_table(poly.vertices, (t,)), t, _unit(np.abs(poly.vertices).max()))
+        best = radius_table(poly.vertices, (t,))[1][t]
     else:
         best = max(passing_supports(n, lambda level: [cube_in_projection(
             poly, CoordinateSubset(sup), t) is not None for sup in level]), key=len, default=())

@@ -133,12 +133,12 @@ def test_symmetric_decisions_do_not_depend_on_the_scale_of_the_body():
     for body in bodies:
         n = body.dimension
         for t in (0.2, 0.6, 1.0, 2.0):
-            reference = (convex_vc(body, t), radius_table(body.vertices, (t,)),
+            reference = (convex_vc(body, t), radius_table(body.vertices, (t,))[0],
                          cube_in_projection(body, CoordinateSubset(range(n)), t) is None)
             for e in range(-60, 61, 10):
                 scale = 2.0 ** e
                 scaled = VPolytope(n, scale * body.vertices)
-                table = radius_table(scaled.vertices, (scale * t,))
+                table = radius_table(scaled.vertices, (scale * t,))[0]
                 assert convex_vc(scaled, scale * t) == reference[0], (e, t)
                 assert list(table.items()) == [(sup, scale * r) for sup, r in reference[1].items()]
                 assert (cube_in_projection(scaled, CoordinateSubset(range(n)), scale * t)
@@ -319,7 +319,7 @@ def test_convex_vc_lex_smallest():
         dim, sigma = convex_vc(body, 1.0)
         assert dim == 2 and tuple(sigma) == (0, 2)
         for t in (0.15, 1.0, 1.5):
-            table = radius_table(body.vertices, (t,))
+            table = radius_table(body.vertices, (t,))[0]
             for sup, r in table.items():
                 assert r == _inscribed_radius(body.vertices, sup)
                 projected = np.unique(body.vertices[:, list(sup)], axis=0)
@@ -528,12 +528,12 @@ def _one_run_fires(points, scales):
 
 def test_radius_table_solves_ahead_only_what_the_walk_reaches(monkeypatch):
     # When the rule fires, the one solving run holds every support, full
-    # first.  Otherwise the probe runs alone, each later run holds one
-    # level of the walk (supports of one size), and no LP is solved for a
-    # support the walk does not reach; the second pass sets the stack limit
-    # one entry below the one-run stack, so the rule never fires.  Either
-    # way no support is solved twice, and the table keeps the walk's keys,
-    # order and radii.
+    # first.  Otherwise the probe solves the full support alone, each later
+    # run holds one level of the walk (supports of one size), and no LP is
+    # solved for a support the walk does not reach; the second pass sets the
+    # stack limit one entry below the one-run stack, so the rule never fires.
+    # Either way no support is solved twice, the table keeps the walk's keys,
+    # order and radii, and each scale's widest support is the reference's.
     real = geometry._orthant_optima
     paths = {}
     bodies = list(_random_symmetric_bodies(6, 25))
@@ -558,9 +558,14 @@ def test_radius_table_solves_ahead_only_what_the_walk_reaches(monkeypatch):
                 with monkeypatch.context() as hook:
                     hook.setattr(geometry, "_orthant_optima", recording)
                     hook.setattr(geometry, "STACK_ENTRY_LIMIT", limit)
-                    table = radius_table(body.vertices, scales)
+                    table, widest = radius_table(body.vertices, scales)
                     fires = _one_run_fires(body.vertices, scales)
-                assert list(table.items()) == list(references[b, scales].items())
+                reference = references[b, scales]
+                assert list(table.items()) == list(reference.items())
+                # each scale's widest support: the first longest that fits
+                assert widest == {t: max((sup for sup, r in reference.items()
+                                          if geometry._fits(r, t, unit)), key=len, default=())
+                                  for t in scales}
                 solved = [sup for run in runs for sup in run]
                 assert len(solved) == len(set(solved))
 
@@ -631,7 +636,7 @@ def _lp_count(monkeypatch, run):
 
 def _one_lp_table(monkeypatch, points, scales):
     # radius_table solves one orthant LP, and its table is {full: V}
-    table, lps = _lp_count(monkeypatch, lambda: radius_table(points, scales))
+    table, lps = _lp_count(monkeypatch, lambda: radius_table(points, scales)[0])
     return lps == 1 and table == {tuple(range(points.shape[1])): geometry._vertex_bound(points)[0]}
 
 
@@ -642,6 +647,34 @@ def test_tightness_bodies_past_n_12_take_one_orthant_lp(monkeypatch):
         inst = rudelson_example(n, 0.5)
         assert _one_lp_table(monkeypatch, geometry._l1_points(inst.norm, inst.vectors),
                              DEFAULT_T_GRID), n
+
+
+def test_a_probe_past_one_stack_solves_the_full_support_as_every_radius(monkeypatch):
+    # at side 2 delta + 1/4 the vertex bound V fails, and the orthant LPs of
+    # every support overflow one stack: the probe is the full support's
+    # `_inscribed_radius`, whose one LP in V's orthant certifies r = V, so no
+    # solving run holds the full support's 2^(n-1) orthant LPs
+    from combdim.elton import rudelson_example
+
+    real = geometry._orthant_optima
+    for n, delta in ((7, 0.6), (8, 0.5)):
+        inst = rudelson_example(n, delta)
+        points = geometry._l1_points(inst.norm, inst.vectors)
+        full, t = tuple(range(n)), 2.0 * delta + 0.25
+        bound = geometry._vertex_bound(points)[0]
+        assert not geometry._fits(bound, t, _unit(points)), n
+        assert _one_run_entries(points) > geometry.STACK_ENTRY_LIMIT, n
+        runs = []  # the supports of each solving run
+
+        def recording(points, supports):
+            runs.append(list(supports))
+            return real(points, supports)
+
+        with monkeypatch.context() as hook:
+            hook.setattr(geometry, "_orthant_optima", recording)
+            table = radius_table(points, (t,))[0]
+        assert runs and not any(full in run for run in runs), n
+        assert table[full].hex() == bound.hex() == _inscribed_radius(points, full).hex(), n
 
 
 def test_vertex_bound_is_the_radius_of_the_tightness_bodies_bit_for_bit():
@@ -660,13 +693,13 @@ def test_a_loose_vertex_bound_falls_back_to_every_orthant(monkeypatch):
     points = np.vstack([half, -half])
     assert geometry._vertex_bound(points)[0] == 0.5
     # V fits side 1: V's orthant LP returns 3/4 > V, then both orthants run
-    table, lps = _lp_count(monkeypatch, lambda: radius_table(points, (1.0,)))
+    table, lps = _lp_count(monkeypatch, lambda: radius_table(points, (1.0,))[0])
     assert table == {(0, 1): 0.75} and lps == 1 + 2
     # V fails side 2: the probe runs, every support in its run (2 + 1 + 1 LPs)
-    table, lps = _lp_count(monkeypatch, lambda: radius_table(points, (2.0,)))
+    table, lps = _lp_count(monkeypatch, lambda: radius_table(points, (2.0,))[0])
     assert table == {(0, 1): 0.75, (0,): 1.5, (1,): 1.5} and lps == 4
     for scales in ((1.0,), (2.0,), (1.6, 0.4)):
-        assert list(radius_table(points, scales).items()) == list(
+        assert list(radius_table(points, scales)[0].items()) == list(
             _reference_table(points, scales).items()), scales
 
 

@@ -1,6 +1,7 @@
-"""`import combdim` loads numpy and the standard library only: scipy and
-the process pool are imported where they run, so no command pays their
-start-up cost unless it uses them."""
+"""`import combdim` loads numpy and the standard library only: scipy is
+imported where it runs, so no command pays its start-up cost unless it
+uses it, and no process pool is loaded (every command runs in one
+process)."""
 
 import os
 import subprocess
