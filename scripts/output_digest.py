@@ -43,8 +43,8 @@ runs locates and sizes every value that moved.  The suites:
   permuted by `default_rng(seed)` for seeds 0-4;
 - entropy: `packing_number` and `covering_number` (count and flag) at
   every scale of `mid_gap_scales(family, measure, 12)` on the families
-  the main-theorem experiment draws for seed 2026, instances 0-59, at
-  caps 23/7 (all three generator kinds, m <= 23);
+  `main_theorem_family` draws for seed 2026, instances 0-59, at caps
+  23/7 (all three generator kinds, m <= 23);
 - shatter: `vc_real_witness` (dimension, support, levels) at t/7 for every
   scale t of the entropy line, on the same families;
 - dudley: `run_dudley_experiment(seed, samples=4000)` for seeds 0-7,
@@ -86,6 +86,7 @@ from combdim.errors import ExtractionError, PipelineError
 from combdim.extraction import acceptance_curve, extract_coordinates
 from combdim.experiments import (
     ExperimentConfig,
+    main_theorem_family,
     mid_gap_scales,
     pipeline_instance,
     random_norm_instances,
@@ -122,11 +123,6 @@ def pipeline(seed: int):
         return str(exc)
 
 
-def pipeline_family(seed: int):
-    # the family and scale run_pipeline_trace draws for this seed
-    return pipeline_instance(seed)[:2]
-
-
 def extraction_cases():
     # the cases of the extraction exactness tests, loaded from the test file
     path = Path(__file__).resolve().parents[1] / "tests" / "test_extraction.py"
@@ -145,7 +141,7 @@ def extraction_outcome(family, t, k, seed, max_attempts):
 
 
 def pipeline_acceptance_curve(seed: int):
-    family, t = pipeline_family(seed)
+    family, t = pipeline_instance(seed)[:2]
     return acceptance_curve(family, t, range(1, family.domain_size + 1))
 
 
@@ -160,7 +156,7 @@ def integer_tree_nodes(seed: int, trace):
     # the integer tree of the pipeline's center-count stage, rebuilt from its extraction subset
     if isinstance(trace, str):
         return trace
-    family, t = pipeline_family(seed)
+    family, t = pipeline_instance(seed)[:2]
     subset = next(stage["subset"] for stage in trace["stages"] if stage["stage"] == "extraction")
     return tree_nodes(discretize(family.restrict(subset), t / 2.0), 6.0)
 
@@ -227,12 +223,8 @@ def row_orders(n: int, delta: float):
 
 
 def entropy_family(index: int):
-    # the family run_main_theorem_experiment draws for seed 2026, caps 23/7
-    rng = np.random.default_rng([2026, index])
-    m = int(rng.integers(4, 24))
-    n = int(rng.integers(2, 8))
-    kind = ("uniform-real", "convex-hull-sections", "sign-vectors")[index % 3]
-    return gen_random_family(m, n, kind, [2026, index, 1]), ProbabilityMeasure.uniform(n)
+    family, _ = main_theorem_family(ExperimentConfig(seed=2026, max_rows=23, max_coords=7), index)
+    return family, ProbabilityMeasure.uniform(family.domain_size)
 
 
 def entropy_counts(index: int):
@@ -257,7 +249,7 @@ def main() -> None:
     traces = [pipeline(seed) for seed in range(300)]
     report("pipeline", traces, dump)
     report("extraction", (pipeline_acceptance_curve(seed) for seed in range(300)), dump)
-    report("tree", (tree_nodes(*pipeline_family(seed)) for seed in range(300)), dump)
+    report("tree", (tree_nodes(*pipeline_instance(seed)[:2]) for seed in range(300)), dump)
     report("itree", (integer_tree_nodes(seed, trace) for seed, trace in enumerate(traces)), dump)
     report("main-theorem", (
         run_main_theorem_experiment(

@@ -56,14 +56,14 @@ class EltonResult:
 
 
 def dual_body(norm: PolyhedralNorm, vectors) -> VPolytope:
-    """Symmetric body conv{+-rows of (f_j(x_i))_ij} in R^n.
+    """Symmetric body conv{+-rows of (f_j(x_i))_ij} in R^n: the hull of `_l1_points`.
 
     In the coordinates where the vectors become the standard basis, this
     is the polar of the norm's unit ball; its coordinate projections
     containing cubes certify l1 lower bounds for the vector subset.
     """
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    return VPolytope(vectors.shape[0], np.unique(_l1_points(norm, vectors), axis=0))
+    points = _l1_points(norm, vectors)
+    return VPolytope(points.shape[1], np.unique(points, axis=0))
 
 
 def elton_subset(
@@ -78,14 +78,12 @@ def elton_subset(
     The sweep entry at t is the size of its widest fitting support, the pick
     maximizes s * t over the grid (ties toward larger t), and the reported
     t is r(sigma) read from the table.  The `favored_grid_t` diagnostic
-    reports the grid point the averaging weight would single out.
+    reports the grid point the averaging weight would single out.  The
+    vectors are read by `_l1_points` and must lie in the norm's unit ball.
     """
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    if not np.all(np.isfinite(vectors)):
-        raise ValueError("vectors must have finite entries")
-    n = vectors.shape[0]
     points = _l1_points(norm, vectors)
-    worst = max(norm.norm(x) for x in vectors)
+    n = points.shape[1]
+    worst = float(np.abs(points).max())  # max_i ||x_i||: column i holds +-f_j(x_i)
     if worst > 1.0 + 1e-9:
         raise ValueError(f"vector norm {worst} exceeds the unit ball")
     estimate = gaussian_sup_mc(points, samples, seed, "rademacher")

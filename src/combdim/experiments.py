@@ -133,12 +133,18 @@ def main_theorem_constant(packing: int, dim: int, t: float) -> float:
     return math.log(packing) / max(1.0, dim * math.log(2.0 / t))
 
 
-def _main_theorem_instance(index: int, config: ExperimentConfig) -> dict:
+def main_theorem_family(config: ExperimentConfig, index: int) -> tuple[FunctionFamily, str]:
+    """(family, kind) of the instance run_main_theorem_experiment draws at `index`."""
     rng = np.random.default_rng([config.seed, index])
     m = int(rng.integers(4, config.max_rows + 1))
     n = int(rng.integers(2, config.max_coords + 1))
     kind = ("uniform-real", "convex-hull-sections", "sign-vectors")[index % 3]
-    family = gen_random_family(m, n, kind, [config.seed, index, 1])
+    return gen_random_family(m, n, kind, [config.seed, index, 1]), kind
+
+
+def _main_theorem_instance(index: int, config: ExperimentConfig) -> dict:
+    family, kind = main_theorem_family(config, index)
+    m, n = family.values.shape
     dist = entropy.pairwise_distances(family, ProbabilityMeasure.uniform(n))
     scales = [t for t in _mid_gap_scales(dist, 3) if 0 < t < 1]
     rows = []
@@ -385,12 +391,9 @@ def random_norm_instances(seed: int = 31415):
         funcs = rng.uniform(-1.0, 1.0, (k, n))
         funcs += np.sign(funcs) * 0.05  # keep the norm nondegenerate
         norm = PolyhedralNorm(n, funcs)
-        vectors = []
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            vectors.append(e / max(norm.norm(e), 1e-9))
-        out.append((norm, np.array(vectors), int(rng.integers(1 << 30))))
+        # ||e_i|| is column i's largest |entry|: F @ e_i is exact
+        scale = np.maximum(np.abs(norm.functionals).max(axis=0), 1e-9)
+        out.append((norm, np.eye(n) / scale[:, None], int(rng.integers(1 << 30))))
     return out
 
 

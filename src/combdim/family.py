@@ -37,7 +37,7 @@ class ProbabilityMeasure:
             raise FamilyError(f"non-finite weight at coordinate {int(np.argmin(np.isfinite(w)))}")
         if np.any(w < 0):
             bad = int(np.argmin(w))
-            raise FamilyError(f"negative weight at coordinate {bad}: {w[bad]!r}")
+            raise FamilyError(f"negative weight at coordinate {bad}: {w[bad]}")
         total = float(w.sum())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise FamilyError(f"weights sum to {total!r}, not 1 (tolerance {WEIGHT_SUM_TOL})")
@@ -79,7 +79,7 @@ class FunctionFamily:
             if bad.size:
                 r, c = bad[0]
                 raise FamilyError(
-                    f"value out of [-1, 1] at row {r}, column {c}: {vals[r, c]!r}"
+                    f"value out of [-1, 1] at row {r}, column {c}: {vals[r, c]}"
                 )
         elif self.kind == "integer":
             if self.range_max is None or int(self.range_max) < 0:
@@ -88,13 +88,13 @@ class FunctionFamily:
             bad = np.argwhere(vals != np.rint(vals))
             if bad.size:
                 r, c = bad[0]
-                raise FamilyError(f"non-integer value at row {r}, column {c}: {vals[r, c]!r}")
+                raise FamilyError(f"non-integer value at row {r}, column {c}: {vals[r, c]}")
             bad = np.argwhere((vals < 0) | (vals > self.range_max))
             if bad.size:
                 r, c = bad[0]
                 raise FamilyError(
                     f"value outside {{0,...,{self.range_max}}} at row {r}, column {c}: "
-                    f"{vals[r, c]!r}"
+                    f"{vals[r, c]}"
                 )
         else:
             raise FamilyError(f"unknown family kind {self.kind!r}")

@@ -40,13 +40,6 @@ class SupEstimate:
     process_kind: str
 
 
-def _as_points(family_or_points) -> np.ndarray:
-    if isinstance(family_or_points, FunctionFamily):
-        return family_or_points.values
-    pts = np.atleast_2d(np.asarray(family_or_points, dtype=np.float64))
-    return pts
-
-
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, label) for a boolean matrix: the index of the first of each
     group of equal rows, and each row's group as a position in `first`.
@@ -76,7 +69,9 @@ def gaussian_sup_mc(family_or_points, samples: int, seed, kind: str = "gaussian"
         raise ValueError("need at least 2 samples for a standard error")
     if kind not in ("gaussian", "rademacher"):
         raise ValueError(f"unknown process kind {kind!r}")
-    pts = _as_points(family_or_points)
+    if isinstance(family_or_points, FunctionFamily):
+        family_or_points = family_or_points.values
+    pts = np.atleast_2d(np.asarray(family_or_points, dtype=np.float64))
     m, n = pts.shape
     if m == 0:
         raise ValueError("need at least one point")

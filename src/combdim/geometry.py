@@ -581,10 +581,14 @@ def _inscribed_radius(points: np.ndarray, sigma, vertex=None) -> float:
     return _radius(_orthant_optima(points, [sigma])[0])
 
 
-def _l1_points(norm: PolyhedralNorm, vectors: np.ndarray) -> np.ndarray:
+def _l1_points(norm: PolyhedralNorm, vectors) -> np.ndarray:
     """+-w for w = (f_j(x_i)) (rows j, one column per vector x_i): the
     points whose inscribed radius on a support is the l1 constant of the
-    support."""
+    support.  The one reader of a vector list: it checks that the vectors
+    have finite entries and the norm's dimension."""
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    if not np.all(np.isfinite(vectors)):
+        raise ValueError("vectors must have finite entries")
     if vectors.shape[1] != norm.dimension:
         raise ValueError(f"vectors have {vectors.shape[1]} coordinates, "
                          f"but the norm has dimension {norm.dimension}")
@@ -599,15 +603,14 @@ def ell1_lower_constant(norm: PolyhedralNorm, vectors, sigma: CoordinateSubset) 
     With w = (f_j(x_i)) the functionals on the subset, the value on the
     orthant of signs theta is min over the simplex of max_j |(w theta u)_j|.
     By the minimax theorem it equals max over ||y||_1 <= 1 of
-    min_i theta_i (w^T y)_i, the inscribed radius of conv{+-rows of w}.
+    min_i theta_i (w^T y)_i, the inscribed radius of conv{+-rows of w},
+    the points that `_l1_points` reads off the vectors.
     """
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    if not np.all(np.isfinite(vectors)):
-        raise ValueError("vectors must have finite entries")
+    points = _l1_points(norm, vectors)
     if len(sigma) == 0:
         raise ValueError("sigma must be nonempty")
-    sigma.validate_against(vectors.shape[0])
-    return _inscribed_radius(_l1_points(norm, vectors), sigma)
+    sigma.validate_against(points.shape[1])
+    return _inscribed_radius(points, sigma)
 
 
 # ---------------------------------------------------------------------------

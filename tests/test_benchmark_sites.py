@@ -1,8 +1,9 @@
 """The benchmark harness wraps library functions by module and name
-(`perfbench/spans.py`, SITES) and keeps its own copy of the pipeline
-family rule (`perfbench/workloads.py`, pipeline_family).  A rename or
-deletion in `src/` that drops one of those names, or a change to the
-family rule, would otherwise surface only in the harness's own
+(`perfbench/spans.py`, SITES) and keeps its own copies of two family
+rules (`perfbench/workloads.py`): the pipeline family of pipeline_family
+and the main-theorem family that MainTheorem.check regenerates.  A rename
+or deletion in `src/` that drops one of those names, or a change to
+either family rule, would otherwise surface only in the harness's own
 self-test."""
 
 import importlib
@@ -10,7 +11,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from combdim.experiments import pipeline_instance
+from combdim.experiments import main_theorem_family, pipeline_instance, run_main_theorem_experiment
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,3 +41,24 @@ def test_benchmark_pipeline_family_matches_pipeline_instance(monkeypatch):
         expected, expected_t, _ = pipeline_instance(seed)
         assert family.values.tobytes() == expected.values.tobytes(), seed
         assert (n, t) == (expected.domain_size, expected_t), seed
+
+
+def test_benchmark_main_theorem_family_matches_main_theorem_family(monkeypatch):
+    checks = _load("checks")
+    monkeypatch.setitem(sys.modules, "checks", checks)  # workloads imports it by bare name
+    workloads = _load("workloads")
+    passed = []
+    monkeypatch.setattr(checks, "check_main_theorem",
+                        lambda values, instance, *_: passed.append((values, instance)) or [])
+    bench = workloads.MainTheorem(0, None)
+    seeds = [seed for seed in workloads.MAIN_THEOREM_SEEDS
+             if seed not in workloads.MAIN_THEOREM_SLOW]
+    for seed in seeds:
+        config = bench.config(seed)
+        assert bench.check(seed, seed, run_main_theorem_experiment(config)) == [], seed
+        values, instance = passed.pop()
+        family, kind = main_theorem_family(config, 0)
+        assert values.shape == family.values.shape, seed
+        assert values.tobytes() == family.values.tobytes(), seed
+        assert instance["kind"] == kind, seed
+    assert len(seeds) == 30

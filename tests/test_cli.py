@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from combdim.cli import build_parser, main
-from combdim.experiments import ExperimentConfig, run_dudley_experiment
+from combdim.experiments import ExperimentConfig, run_dudley_experiment, run_pipeline_trace
 from combdim.family import FunctionFamily, save_family, write_json
 
 
@@ -711,3 +711,16 @@ def test_readme_cli_synopsis_parses():
     for line in lines:
         argv = shlex.split(line.replace("[", "").replace("]", ""))[1:]
         parser.parse_args(argv)  # a stale flag exits 2
+
+
+def test_vc_on_a_real_family_without_scale_is_an_error(family_file, capsys):
+    assert main(["vc", "--family", str(family_file)]) == 1
+    assert "error: real families need --scale" in capsys.readouterr().err
+
+
+def test_pipeline_writes_one_report_per_seed(tmp_path, capsys):
+    out = tmp_path / "P"
+    assert main(["pipeline", "--instances", "2", "--seed", "0", "--out", str(out)]) == 0
+    for seed in (0, 1):
+        written = json.loads((tmp_path / f"P.{seed}.json").read_text())
+        assert written == json.loads(json.dumps(run_pipeline_trace(seed)))

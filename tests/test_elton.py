@@ -131,6 +131,8 @@ def test_l1_entry_points_reject_non_finite_vectors():
             elton_subset(norm, vectors, samples=100, seed=1)
         with pytest.raises(ValueError, match="vectors must have finite entries"):
             ell1_lower_constant(norm, vectors, CoordinateSubset((0, 1)))
+        with pytest.raises(ValueError, match="vectors must have finite entries"):
+            dual_body(norm, vectors)
 
 
 def test_l1_entry_points_reject_vectors_of_another_dimension():
@@ -436,3 +438,10 @@ def test_random_norm_suite_pins():
         assert res.s >= c_pin * res.delta
         assert res.t >= c_pin * res.delta
         assert res.s * res.t * math.log(2.0 / res.t) ** 1.6 >= tradeoff_pin * res.delta
+
+
+def test_elton_subset_on_vectors_too_short_for_any_grid_scale():
+    # scaled by 1e-4, every l1 constant lies below half the finest grid scale
+    norm, vectors, _ = random_norm_instances(1)[0]
+    with pytest.raises(ValueError, match="no grid scale produced a nonempty cube projection"):
+        elton_subset(norm, vectors * 1e-4, samples=100, seed=1)

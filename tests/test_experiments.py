@@ -14,7 +14,7 @@ from combdim import (
     is_separated,
     packing_number,
 )
-from combdim import experiments
+from combdim import experiments, shattering
 from combdim.entropy import distances_from_gram
 from combdim.experiments import (
     ExperimentConfig,
@@ -409,3 +409,17 @@ def test_emit_report_json_round_trip_and_determinism(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert json.loads(p1.read_text()) == report
 
+
+def test_main_theorem_experiment_skips_every_scale_past_the_walk_budget(monkeypatch):
+    monkeypatch.setattr(shattering, "DEFAULT_BUDGET", 1)
+    report = run_main_theorem_experiment(ExperimentConfig(seed=0, instances=2))
+    rows = [row for inst in report["instances"] for row in inst["scales"]]
+    assert len(rows) == 5 and all(row == {"t": row["t"], "skipped": True} for row in rows)
+    assert report["skipped_scales"] == 5
+    assert report["k_emp_count"] == 0 and report["k_emp_max"] is None
+
+
+def test_extraction_constant_fit_on_a_curve_below_one_half():
+    pair = FunctionFamily([[1.0] * 3, [-1.0] * 3])
+    assert extraction_constant_fit(pair, 0.5, [0.1, 0.3, 0.49]) == {
+        "k_half": None, "c_emp": None, "note": "never reaches 1/2 on this domain"}

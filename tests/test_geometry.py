@@ -792,3 +792,9 @@ def test_polytope_norm_round_trip(tmp_path):
     save_norm(npath, norm)
     again = load_norm(npath)
     assert np.array_equal(again.functionals, norm.functionals)
+
+
+def test_cube_in_the_empty_projection_is_the_empty_cube():
+    empty = CoordinateSubset(())
+    for body in (SQUARE, TRIANGLE):
+        assert cube_in_projection(body, empty, 0.5) == geometry.CubeWitness(empty, 0.5, ())

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from combdim.errors import IterationCapError
+from combdim.errors import IterationCapError, SolverError
 from combdim.geometry import VPolytope, point_in_hull
-from combdim.simplex import LPProblem, lp_solve
+from combdim.simplex import FEAS_TOL, LPProblem, _verify, lp_solve
 
 
 def test_maximize_single_variable():
@@ -393,3 +393,13 @@ def test_optimal_lps_stay_bit_for_bit_while_their_stack_runs():
             assert alone.tobytes() == stacked[lp : lp + 1].tobytes()
             assert alone_basis.tolist() == stacked_basis[lp : lp + 1].tolist()
 
+
+def test_verify_rejects_a_negative_component_and_a_broken_row():
+    a_ub, b_ub = np.array([[[1.0, 1.0]]]), np.array([[2.0]])
+    _verify(a_ub, b_ub, np.array([[-0.5 * FEAS_TOL, 1.0]]))  # within the tolerances
+    _verify(a_ub, b_ub, np.array([[1.0, 1.0 + FEAS_TOL]]))
+    with pytest.raises(SolverError, match="simplex returned a negative component"):
+        _verify(a_ub, b_ub, np.array([[-2.0 * FEAS_TOL, 1.0]]))
+    # the row allows FEAS_TOL * (1 + |b|) = 3 FEAS_TOL of slack
+    with pytest.raises(SolverError, match="simplex returned an infeasible point"):
+        _verify(a_ub, b_ub, np.array([[1.0, 1.0 + 6.0 * FEAS_TOL]]))

@@ -1,10 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from combdim import (
+    Center,
+    CoordinateSubset,
     FamilyError,
     FunctionFamily,
     ProbabilityMeasure,
@@ -221,3 +224,59 @@ def test_generator_ranges():
 def test_generator_rejects_unknown_kind():
     with pytest.raises(ValueError):
         gen_random_family(2, 2, "nope", seed=0)
+
+
+_REAL = FunctionFamily([[0.5, -0.5], [0.0, 1.0]])
+_HALVES = ProbabilityMeasure([0.5, 0.5, 0.0])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: FunctionFamily([0.5, 0.5]), FamilyError, "values must be a nonempty 2-d matrix"),
+    (lambda: FunctionFamily(np.zeros((0, 2))), FamilyError,
+     "values must be a nonempty 2-d matrix"),
+    (lambda: FunctionFamily([[0.0, np.nan]]), FamilyError, "non-finite value at row 0, column 1"),
+    (lambda: FunctionFamily([[0.0]], "real", 3), FamilyError, "real families carry no range_max"),
+    (lambda: FunctionFamily([[0.0, 1.5]]), FamilyError,
+     "value out of [-1, 1] at row 0, column 1: 1.5"),
+    (lambda: FunctionFamily([[0.0]], "integer"), FamilyError,
+     "integer families need range_max >= 0"),
+    (lambda: FunctionFamily([[0.0]], "integer", -1), FamilyError,
+     "integer families need range_max >= 0"),
+    (lambda: FunctionFamily([[0.0, 0.5]], "integer", 3), FamilyError,
+     "non-integer value at row 0, column 1: 0.5"),
+    (lambda: FunctionFamily([[0, 1], [4, 0]], "integer", 3), FamilyError,
+     "value outside {0,...,3} at row 1, column 0: 4.0"),
+    (lambda: FunctionFamily([[0.0]], "complex"), FamilyError, "unknown family kind 'complex'"),
+    (lambda: ProbabilityMeasure([]), FamilyError,
+     "measure weights must be a nonempty 1-d sequence"),
+    (lambda: ProbabilityMeasure([[0.5, 0.5]]), FamilyError,
+     "measure weights must be a nonempty 1-d sequence"),
+    (lambda: ProbabilityMeasure([1.0, np.inf]), FamilyError, "non-finite weight at coordinate 1"),
+    (lambda: ProbabilityMeasure([1.5, -0.5]), FamilyError,
+     "negative weight at coordinate 1: -0.5"),
+    (lambda: ProbabilityMeasure([0.5, 0.25]), FamilyError,
+     "weights sum to 0.75, not 1 (tolerance 1e-12)"),
+    (lambda: CoordinateSubset((1, 1)), FamilyError,
+     "coordinate subset not strictly increasing: (1, 1)"),
+    (lambda: CoordinateSubset((-1, 2)), FamilyError, "negative coordinate index: -1"),
+    (lambda: CoordinateSubset((0, 3)).validate_against(3), FamilyError,
+     "coordinate 3 out of range for domain size 3"),
+    (lambda: Center(CoordinateSubset((0, 1)), (1,)), FamilyError,
+     "levels length must equal support length"),
+    (lambda: _REAL.subfamily([]), FamilyError, "subfamily needs at least one row"),
+    (lambda: _REAL.restrict([]), FamilyError, "restrict needs at least one coordinate"),
+    (lambda: _REAL.int_values(), FamilyError, "int_values() requires an integer family"),
+    (lambda: discretize(FunctionFamily([[0, 1]], "integer", 1), 0.5), FamilyError,
+     "discretize expects a real-valued family"),
+    (lambda: gen_random_family(0, 2, "uniform-real", seed=0), ValueError,
+     "m and n must be >= 1"),
+    (lambda: gen_random_family(2, 2, "integer-grid", seed=0), ValueError,
+     "integer-grid needs grid_max >= 0"),
+    (lambda: uniformize(FunctionFamily([[0.0, 0.0, 0.0]]), _HALVES, 0), RationalizationError,
+     "denominator bound must be >= 1"),
+    (lambda: uniformize(FunctionFamily([[0.0, 0.0, 0.0]]), _HALVES, 10), RationalizationError,
+     "weight at coordinate 2 is zero; drop zero-mass atoms before uniformizing"),
+])
+def test_malformed_input_gets_its_message(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()

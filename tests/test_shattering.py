@@ -676,3 +676,17 @@ def test_center_count_vs_leaves_and_sqrt_m():
         assert len(centers) >= math.sqrt(fam.size)
         done += 1
     assert done >= 20
+
+
+def test_shatter_witness_verify_rejects_a_bad_witness():
+    # one coordinate with values 0 and 2: pattern (1,) needs a row above the
+    # level, (-1,) a row below it, both strictly
+    fam = FunctionFamily([[0], [2]], "integer", 2)
+
+    def witness(level, assignments):
+        return ShatterWitness(Center(CoordinateSubset((0,)), (level,)), assignments)
+
+    assert witness(1, {(1,): 1, (-1,): 0}).verify(fam)
+    assert not witness(1, {(1,): 1}).verify(fam)  # pattern (-1,) is missing
+    assert not witness(2, {(1,): 1, (-1,): 0}).verify(fam)  # 2 is not above level 2
+    assert not witness(0, {(1,): 1, (-1,): 0}).verify(fam)  # 0 is on level 0, not below it
