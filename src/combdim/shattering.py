@@ -25,7 +25,7 @@ tests a child's pattern masks before entering it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from operator import or_
@@ -120,30 +120,32 @@ def _level_table(vals: np.ndarray, t: float | None = None, levels=None) -> list[
     """For each coordinate, one (level, below_mask, above_mask) entry per
     candidate level, from one stable sort of its column: a below mask is a
     prefix of the sorted rows and an above mask a suffix, cut from one
-    running OR of their bits where searchsorted places the level.
+    running OR of their bits.  One forward sweep per column moves both
+    cuts by bisection from where the previous level left them.
 
     With t None the masks are strict, f < h and f > h; the levels are the
-    given ones (a list per coordinate), by default the integers strictly
-    between the column min and max (no other level can be shattered).
-    With t the masks are f <= h and f >= h + t, and the levels are the
-    attained values v with v + t <= max: a feasible level function can be
-    lowered coordinatewise to attained values, and no row can sit t above
-    a larger one."""
+    given ones (an ascending list per coordinate), by default the integers
+    strictly between the column min and max (no other level can be
+    shattered).  With t the masks are f <= h and f >= h + t, and the levels
+    are the attained values v with v + t <= max: a feasible level function
+    can be lowered coordinatewise to attained values, and no row can sit t
+    above a larger one.  fl(v + t) grows with v, so those values are a
+    prefix of the distinct ones (equal under ==, the first of a run kept)."""
     order = np.argsort(vals, axis=0, kind="stable")
     table = []
-    for j, (col, rows) in enumerate(zip(np.take_along_axis(vals, order, axis=0).T, order.T)):
+    ranked = vals[order, np.arange(vals.shape[1])]
+    for j, (col, rows) in enumerate(zip(ranked.T.tolist(), order.T.tolist())):
+        prefix = list(accumulate((1 << r for r in rows), or_, initial=0))
+        full, entries, end, start = prefix[-1], [], 0, 0
         if t is None:
-            cands = levels[j] if levels is not None else list(range(int(col[0]) + 1, int(col[-1])))
-            ends, starts = col.searchsorted(cands, "left"), col.searchsorted(cands, "right")
+            for h in levels[j] if levels is not None else range(col[0] + 1, col[-1]):
+                end, start = bisect_left(col, h, end), bisect_right(col, h, start)
+                entries.append((h, prefix[end], full ^ prefix[start]))
         else:
-            first = np.ones(len(col), dtype=bool)
-            first[1:] = col[1:] != col[:-1]
-            h = col[first & (col[-1] >= col + t)]
-            cands = h.tolist()
-            ends, starts = col.searchsorted(h, "right"), col.searchsorted(h + t, "left")
-        prefix = list(accumulate((1 << r for r in rows.tolist()), or_, initial=0))
-        table.append(list(zip(cands, [prefix[e] for e in ends.tolist()],
-                              [prefix[-1] ^ prefix[s] for s in starts.tolist()])))
+            while end < len(col) and col[-1] >= (v := col[end]) + t:
+                end, start = bisect_right(col, v, end), bisect_left(col, v + t, start)
+                entries.append((v, prefix[end], full ^ prefix[start]))
+        table.append(entries)
     return table
 
 
@@ -152,26 +154,29 @@ def _integer_table(family: FunctionFamily) -> list[list[tuple]]:
 
 
 def _real_table(family: FunctionFamily, t: float) -> list[list[tuple]]:
-    return _level_table(family.values, t)
+    return _level_table(family.values, float(t))  # a float32 t would round v + t in float32
 
 
 def _undominated(table: list[list[tuple]]) -> list[list[tuple]]:
-    """Drop levels with an empty mask and levels whose (below, above) pair
-    is contained in another level's pair (of equal pairs the first stays).
-    Such a level can be swapped for the one containing it in any shattered
-    center, so the largest dimension is unchanged.  Levels ascend, so below
-    masks grow and above masks shrink along each list; once equal pairs are
-    merged, a pair is contained in another iff a neighbour shares its below
-    mask or its above mask."""
+    """Drop levels whose (below, above) pair is contained in another
+    level's pair (of equal pairs the first stays).  Such a level can be
+    swapped for the one containing it in any shattered center, so the
+    largest dimension is unchanged.  Levels ascend, so below masks grow and
+    above masks shrink along each list: equal pairs are consecutive, and a
+    pair is contained in another iff the previous level shares its below
+    mask or the next distinct pair shares its above mask.  No mask is
+    empty: an integer level lies strictly between the column min and max,
+    and a real level v is attained with v + t <= max."""
     out = []
     for entries in table:
-        first: dict[tuple, tuple] = {}
-        for e in entries:
-            if e[1] and e[2]:
-                first.setdefault(e[1:], e)
-        live = list(first.values())
-        out.append([e for j, e in enumerate(live) if not (j and live[j - 1][1] == e[1])
-                    and not (j + 1 < len(live) and live[j + 1][2] == e[2])])
+        kept = []
+        for j, e in enumerate(entries):
+            if j and entries[j - 1][1] == e[1]:
+                continue  # equal to the previous pair or inside it
+            if kept and kept[-1][2] == e[2]:
+                kept.pop()  # the last kept pair is inside e's
+            kept.append(e)
+        out.append(kept)
     return out
 
 

@@ -469,6 +469,17 @@ def test_sorted_level_tables_match_the_predicate_definition(monkeypatch):
         check_real(real, float(rng.uniform(0.01, 1.0)))
         # quarter steps: repeated values, and t equal to a within-column difference
         check_real(FunctionFamily(np.round(real.values * 4) / 4), 0.25 * int(rng.integers(1, 5)))
+    # 65-300 rows: masks wider than a machine word
+    for trial in range(6):
+        m = int(rng.integers(65, 301))
+        fam = gen_random_family(m, 3, "integer-grid", trial, grid_max=int(rng.integers(1, 10)))
+        vals = fam.int_values()
+        assert _integer_table(fam) == predicate_table(vals, integer_levels(vals))
+        levels = (int(vals[:, 0].max()) + 1, int(vals[0, 2]))  # coordinate 0 above its range
+        shatters(fam, Center(CoordinateSubset((0, 2)), levels))
+        assert walked.pop() == predicate_table(vals[:, [0, 2]], [[h] for h in levels])
+        real = gen_random_family(m, 3, "uniform-real", trial)
+        check_real(FunctionFamily(np.round(real.values * 4) / 4), 0.25 * int(rng.integers(1, 5)))
     ties = FunctionFamily([[0.0, 0.5], [0.25, 0.5], [0.25, 1.0], [0.75, 0.0], [0.0, 1.0]])
     for t in (0.25, 0.5, 0.75, 1.0, 2.0):
         check_real(ties, t)
