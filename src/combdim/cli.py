@@ -218,6 +218,8 @@ def cmd_main_theorem(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     if args.instances < 0:
         raise ValueError(f"instances must be >= 0, got {args.instances}")
     for i in range(args.instances):

@@ -137,12 +137,18 @@ def is_separated(family: FunctionFamily, measure: ProbabilityMeasure, t: float) 
 # is a maximum-clique branch and bound on the "distance > t" graph.
 # ---------------------------------------------------------------------------
 
-def _max_clique_size(sel: np.ndarray) -> int:
-    """Clique number of the graph with boolean adjacency matrix sel."""
+def _max_clique_size(sel: np.ndarray, floor: int = 0) -> int:
+    """Clique number of the graph with boolean adjacency matrix sel (False
+    on the diagonal).  A complete graph is answered without a search.  A
+    floor, the size of a clique known to exist, starts the search's best
+    there and prunes what cannot beat it."""
     n = len(sel)
-    order = np.argsort(-sel.sum(axis=1), kind="stable")  # degree descending, then index
+    degree = sel.sum(axis=1)
+    if n and degree.min() == n - 1:  # complete: all n rows, no search
+        return n
+    order = np.argsort(-degree, kind="stable")  # degree descending, then index
     radj = row_masks(sel[np.ix_(order, order)])
-    best = 1 if n else 0
+    best = max(floor, 1 if n else 0)
 
     def expand(cand: int, size: int):
         nonlocal best
@@ -186,11 +192,13 @@ def packing_number(
     return _packing_from_distances(pairwise_distances(family, measure, p), t)
 
 
-def _packing_from_distances(dist: np.ndarray, t: float) -> tuple[int, str]:
-    """packing_number at scale t > 0 from the family's distance matrix."""
+def _packing_from_distances(dist: np.ndarray, t: float, floor: int = 0) -> tuple[int, str]:
+    """packing_number at scale t > 0 from the family's distance matrix.  A
+    floor, such as the exact count at a coarser scale (a set t'-separated
+    is t-separated for t < t'), seeds the exact search only."""
     if len(dist) > PACKING_EXACT_LIMIT:
         return _greedy_packing(dist, t), "lower-bound"
-    return _max_clique_size(dist > t), "exact"  # dist[i, i] = 0 < t
+    return _max_clique_size(dist > t, floor), "exact"  # dist[i, i] = 0 < t
 
 
 # ---------------------------------------------------------------------------

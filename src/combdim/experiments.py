@@ -26,8 +26,11 @@ class ExperimentConfig:
     jobs: InitVar[int] = 1  # only perfbench's jobs=1; goes when perfbench stops passing it
 
     def __post_init__(self, jobs):
-        if self.instances < 0:
-            raise ValueError(f"instances must be >= 0, got {self.instances}")
+        # main_theorem_family draws 4..max_rows rows and 2..max_coords coordinates
+        for name, least in (("seed", 0), ("instances", 0), ("max_rows", 4), ("max_coords", 2)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if jobs != 1:
             raise ValueError(f"jobs must be 1, got {jobs}")
 
@@ -146,15 +149,17 @@ def _main_theorem_instance(index: int, config: ExperimentConfig) -> dict:
     family, kind = main_theorem_family(config, index)
     m, n = family.values.shape
     dist = entropy.pairwise_distances(family, ProbabilityMeasure.uniform(n))
-    scales = [t for t in _mid_gap_scales(dist, 3) if 0 < t < 1]
+    scales = [t for t in _mid_gap_scales(dist, 3) if 0 < t < 1]  # ascending
+    packs, floor = {}, 0
+    for t in reversed(scales):  # coarsest first: each count is a floor for the finer scales
+        packs[t] = entropy._packing_from_distances(dist, t, floor)
+        floor = packs[t][0]
+    exact = [t for t in scales if packs[t][1] == "exact"]
+    dims = dict(zip(exact, shattering._vc_real_scales(family, [t / 7.0 for t in exact])))
     rows = []
     for t in scales:
-        pack, flag = entropy._packing_from_distances(dist, t)
-        try:
-            dim = shattering.vc_real(family, t / 7.0) if flag == "exact" else None
-        except BudgetError:
-            dim = None
-        if dim is None:
+        pack, dim = packs[t][0], dims.get(t)
+        if not isinstance(dim, int):  # packing not exact, or the walk exceeded its budget
             rows.append({"t": t, "skipped": True})
             continue
         rows.append(

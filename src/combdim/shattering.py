@@ -109,17 +109,29 @@ def shatters(family: FunctionFamily, center: Center) -> ShatterWitness | None:
     vals = _check_integer(family)
     center.support.validate_against(family.domain_size)
     cols = vals[:, list(center.support.indices)]
-    table = _level_table(cols, levels=[[h] for h in center.levels])
+    table = _level_table(_sorted_columns(cols), levels=[[h] for h in center.levels])
     record: list[tuple] = []
     _walk(table, family.size, center.dimension, False, record)
     full = [lanes for support, _, lanes in record if len(support) == center.dimension]
     return _witness(center, full[0], family.size) if full else None
 
 
-def _level_table(vals: np.ndarray, t: float | None = None, levels=None) -> list[list[tuple]]:
+def _sorted_columns(vals: np.ndarray) -> list[tuple[list, list[int]]]:
+    """For each column, its values ascending (one stable sort) and the
+    running OR of their rows' bits, prefix[k] holding the first k rows of
+    the sorted order.  _level_table cuts its masks from these, so one sort
+    serves every scale of a family."""
+    order = np.argsort(vals, axis=0, kind="stable")
+    ranked = vals[order, np.arange(vals.shape[1])]
+    return [(col, list(accumulate((1 << r for r in rows), or_, initial=0)))
+            for col, rows in zip(ranked.T.tolist(), order.T.tolist())]
+
+
+def _level_table(columns: list[tuple[list, list[int]]], t: float | None = None,
+                 levels=None) -> list[list[tuple]]:
     """For each coordinate, one (level, below_mask, above_mask) entry per
-    candidate level, from one stable sort of its column: a below mask is a
-    prefix of the sorted rows and an above mask a suffix, cut from one
+    candidate level, from its _sorted_columns entry: a below mask is a
+    prefix of the sorted rows and an above mask a suffix, cut from the
     running OR of their bits.  One forward sweep per column moves both
     cuts by bisection from where the previous level left them.
 
@@ -130,12 +142,11 @@ def _level_table(vals: np.ndarray, t: float | None = None, levels=None) -> list[
     are the attained values v with v + t <= max: a feasible level function
     can be lowered coordinatewise to attained values, and no row can sit t
     above a larger one.  fl(v + t) grows with v, so those values are a
-    prefix of the distinct ones (equal under ==, the first of a run kept)."""
-    order = np.argsort(vals, axis=0, kind="stable")
+    prefix of the distinct ones (equal under ==, the first of a run kept).
+    t is read as a Python float: a float32 t would round v + t in float32."""
+    t = None if t is None else float(t)
     table = []
-    ranked = vals[order, np.arange(vals.shape[1])]
-    for j, (col, rows) in enumerate(zip(ranked.T.tolist(), order.T.tolist())):
-        prefix = list(accumulate((1 << r for r in rows), or_, initial=0))
+    for j, (col, prefix) in enumerate(columns):
         full, entries, end, start = prefix[-1], [], 0, 0
         if t is None:
             for h in levels[j] if levels is not None else range(col[0] + 1, col[-1]):
@@ -150,11 +161,11 @@ def _level_table(vals: np.ndarray, t: float | None = None, levels=None) -> list[
 
 
 def _integer_table(family: FunctionFamily) -> list[list[tuple]]:
-    return _level_table(_check_integer(family))
+    return _level_table(_sorted_columns(_check_integer(family)))
 
 
 def _real_table(family: FunctionFamily, t: float) -> list[list[tuple]]:
-    return _level_table(family.values, float(t))  # a float32 t would round v + t in float32
+    return _level_table(_sorted_columns(family.values), t)
 
 
 def _undominated(table: list[list[tuple]]) -> list[list[tuple]]:
@@ -187,7 +198,7 @@ def _runs(table: list[list[tuple]]) -> list[list[tuple]]:
             for entries in table]
 
 
-def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
+def _walk(table, m: int, max_dim: int, best_only: bool, record=None, floor: int = 0):
     """Depth-first walk over shattered centers of dimension k <= max_dim
     with 2^k <= m.  Coordinates are added in increasing order, each one's
     entries in table order.  The pattern masks of a center travel as lanes
@@ -211,7 +222,11 @@ def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
     (best_only) returns (dimension, support, levels) of the first largest
     center it meets and skips branches whose deepest completion cannot
     beat the best; it enters a child only if the child's own first test
-    would pass, so skipping changes no scan and no charge.
+    would pass, so skipping changes no scan and no charge.  A floor, a
+    dimension known to be shattered, starts the best there: the walk
+    returns the larger of it and the largest dimension met (as (floor, (),
+    ()) when none beats it) and, pruning at least as much at every step,
+    never charges more checks than the walk from 0.
     """
     if max_dim < 0:
         raise ValueError(f"max_dim must be >= 0, got {max_dim}")
@@ -222,7 +237,7 @@ def _walk(table, m: int, max_dim: int, best_only: bool, record=None):
     ones_at, guards_at = [full * r for r in reps], [(full + 1) * r for r in reps]
     tables = [[None] * n for _ in reps]  # lane copies per depth and coordinate, built on first use
     counts = [1] + [0] * depth
-    best = (0, (), ())
+    best = (floor, (), ())
     checks, budget = 0, DEFAULT_BUDGET
     named = best_only or record is not None
     if record is not None:
@@ -335,10 +350,41 @@ def vc_real(family: FunctionFamily, t: float) -> int:
     return vc_real_witness(family, t)[0]
 
 
+def _vc_real_scales(family: FunctionFamily, scales) -> list[int | BudgetError]:
+    """vc_real at each of the scales, or the BudgetError its walk raised.
+
+    One sort of the family's columns serves every scale.  Each distinct
+    scale is walked once, coarsest first, from the dimension the last
+    coarser walk proved: a set t'-shattered is t-shattered for t < t'
+    (fl(h + t) <= fl(h + t')).  A walk past the budget proves nothing and
+    leaves that floor where it was.  Returns dimensions only: a walk whose
+    floor is the answer meets no witness."""
+    if not all(t > 0 for t in scales):
+        raise ValueError("shattering scale must be positive")
+    columns, dims, floor = _sorted_columns(family.values), {}, 0
+    depth = min(family.domain_size, family.size.bit_length() - 1)  # as deep as _walk goes
+    for t in sorted(set(scales), reverse=True):
+        if floor == depth:  # no walk can beat the floor: build no table
+            dims[t] = floor
+            continue
+        table = _undominated(_level_table(columns, t))
+        try:
+            dims[t] = floor = _walk(table, family.size, family.domain_size, True, floor=floor)[0]
+        except BudgetError as exc:
+            dims[t] = exc
+    return [dims[t] for t in scales]
+
+
 def vc_curve(family: FunctionFamily, t_grid) -> list[tuple[float, int]]:
-    """vc_real sampled over a grid of scales (returned sorted ascending)."""
+    """vc_real sampled over a grid of scales (returned sorted ascending, one
+    entry per grid point).  One sort of the columns serves the whole grid,
+    and the walks go coarse to fine, each from the dimension the coarser
+    walk proved; vc_real_witness, which must meet a witness, walks from 0.
+    Raises the BudgetError of the finest scale past the budget."""
     grid = sorted(float(t) for t in t_grid)
-    curve = [(t, vc_real(family, t)) for t in grid]
-    dims = [d for _, d in curve]
+    dims = _vc_real_scales(family, grid)
+    for d in dims:
+        if isinstance(d, BudgetError):
+            raise d
     assert all(a >= b for a, b in zip(dims, dims[1:])), "vc curve must be non-increasing"
-    return curve
+    return list(zip(grid, dims))

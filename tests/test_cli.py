@@ -411,6 +411,9 @@ def test_negative_counts_exit_1(tmp_path, family_file, capsys):
         # main-theorem printed instances=-1 and exited 0
         (["main-theorem", "--instances", "-1"], "instances must be >= 0, got -1"),
         (["pipeline", "--instances", "-3"], "instances must be >= 0, got -3"),
+        # both printed numpy's "expected non-negative integer", which names no flag
+        (["main-theorem", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["pipeline", "--seed", "-1"], "seed must be >= 0, got -1"),
     ):
         assert main(argv) == 1, argv
         assert message in capsys.readouterr().err, argv

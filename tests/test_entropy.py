@@ -127,6 +127,25 @@ def test_packing_examples():
     assert brute_force_packing(SIGN_CUBE, UNIFORM2, 1.2) == 4
 
 
+def test_clique_search_from_a_floor_keeps_the_clique_number():
+    # a floor up to the clique number only prunes: the count is the same
+    rng = np.random.default_rng(107)
+    for trial in range(40):
+        m = int(rng.integers(0, 24))
+        upper = np.triu(rng.random((m, m)) < rng.uniform(0.2, 0.95), 1)
+        sel = upper | upper.T
+        omega = entropy._max_clique_size(sel)
+        for floor in range(omega + 1):
+            assert entropy._max_clique_size(sel, floor) == omega, (trial, floor)
+    # complete graphs are answered without a search; one missing edge is not complete
+    for m in range(6):
+        complete = ~np.eye(m, dtype=bool)
+        assert entropy._max_clique_size(complete) == m
+        if m >= 2:
+            complete[0, m - 1] = complete[m - 1, 0] = False
+            assert entropy._max_clique_size(complete) == m - 1
+
+
 def test_covering_examples():
     consts = FunctionFamily([[0, 0], [1, 1]])
     assert covering_number(consts, UNIFORM2, 5.0) == (1, "exact")

@@ -14,7 +14,7 @@ from combdim import (
     is_separated,
     packing_number,
 )
-from combdim import experiments, shattering
+from combdim import entropy, experiments, shattering
 from combdim.entropy import distances_from_gram
 from combdim.experiments import (
     ExperimentConfig,
@@ -26,6 +26,7 @@ from combdim.experiments import (
     run_main_theorem_experiment,
     run_pipeline_trace,
 )
+from combdim.errors import BudgetError
 from combdim.family import write_json
 from combdim.shattering import vc_real
 
@@ -65,6 +66,53 @@ def test_main_theorem_skips_scales_without_exact_packing():
     assert instance["m"] == 31  # past PACKING_EXACT_LIMIT
     assert [row["skipped"] for row in instance["scales"]] == [True, True]
     assert report["k_emp_count"] == 0 and report["skipped_scales"] == 2
+
+
+def test_experiment_config_names_a_field_out_of_range():
+    # max_rows and max_coords below the draw's least used to fail inside
+    # numpy with "low >= high", a negative seed with "expected non-negative integer"
+    for field, value, least in (("max_rows", 3, 4), ("max_coords", 1, 2), ("seed", -1, 0),
+                                ("instances", -1, 0)):
+        with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {value}$"):
+            ExperimentConfig(**{field: value})
+    smallest = ExperimentConfig(seed=0, instances=3, max_rows=4, max_coords=2)
+    report = run_main_theorem_experiment(smallest)
+    assert {(inst["m"], inst["n"]) for inst in report["instances"]} == {(4, 2)}
+
+
+def reference_main_theorem_instance(index, config):
+    """The main-theorem instance scale by scale, each scale with its own
+    exact packing search and its own unseeded vc_real walk."""
+    family, kind = experiments.main_theorem_family(config, index)
+    m, n = family.values.shape
+    dist = entropy.pairwise_distances(family, ProbabilityMeasure.uniform(n))
+    rows = []
+    for t in [t for t in experiments._mid_gap_scales(dist, 3) if 0 < t < 1]:
+        pack, flag = entropy._packing_from_distances(dist, t)
+        try:
+            dim = vc_real(family, t / 7.0) if flag == "exact" else None
+        except BudgetError:
+            dim = None
+        if dim is None:
+            rows.append({"t": t, "skipped": True})
+            continue
+        rows.append({"t": t, "packing": pack, "vc_t_over_7": dim,
+                     "k_emp": main_theorem_constant(pack, dim, t), "skipped": False})
+    return {"instance": index, "m": m, "n": n, "kind": kind, "scales": rows}
+
+
+def test_main_theorem_coarse_to_fine_matches_the_per_scale_loop():
+    configs = [ExperimentConfig(seed=s, instances=1, max_rows=23, max_coords=7) for s in range(60)]
+    configs.append(ExperimentConfig(seed=1, instances=12, max_rows=40, max_coords=3))
+    for config in configs:
+        report = run_main_theorem_experiment(config)
+        expected = [reference_main_theorem_instance(i, config) for i in range(config.instances)]
+        assert repr(report["instances"]) == repr(expected), config
+    # the last suite has instances past PACKING_EXACT_LIMIT, whose packing
+    # is a lower bound and whose scales are all skipped with no walk run
+    past = [inst for inst in report["instances"] if inst["m"] > entropy.PACKING_EXACT_LIMIT]
+    assert past and len(past) < len(report["instances"])
+    assert all(row["skipped"] for inst in past for row in inst["scales"])
 
 
 def test_mid_gap_scales_avoid_ties():

@@ -593,6 +593,90 @@ def test_max_mode_pruning_keeps_answers_and_budget(monkeypatch):
     assert min(dims) == 0 and max(dims) >= 3
 
 
+def charged_checks(monkeypatch, run, limit):
+    """The fewest level checks run() needs, found by bisection over
+    budgets up to `limit`, at which it must succeed."""
+    def fits(budget):
+        monkeypatch.setattr(shattering, "DEFAULT_BUDGET", budget)
+        try:
+            run()
+        except BudgetError:
+            return False
+        finally:
+            monkeypatch.undo()
+        return True
+
+    assert fits(limit)
+    low, high = 0, limit
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (low, mid) if fits(mid) else (mid + 1, high)
+    return low
+
+
+def test_floored_walks_fit_the_unseeded_budget(monkeypatch):
+    # A walk from a floor at most its dimension answers the dimension and
+    # charges no more checks than the walk from 0, so with the budget at
+    # the largest unseeded per-scale count every scale gets a dimension.
+    rng = np.random.default_rng(103)
+    saved = 0
+    for trial in range(24):
+        m = int(rng.integers(4, 25))
+        n = int(rng.integers(2, 8))
+        kind = ("uniform-real", "convex-hull-sections", "sign-vectors")[trial % 3]
+        fam = gen_random_family(m, n, kind, int(rng.integers(1 << 30)))
+        scales = sorted(float(t) for t in rng.uniform(0.02, 0.6, size=3))
+        tables = [_undominated(_real_table(fam, t)) for t in scales]
+        walks = [unpruned_max_walk(table, m, n) for table in tables]
+        dims = [dim for (dim, _, _), _ in walks]
+        most = max(checks for _, checks in walks)
+        monkeypatch.setattr(shattering, "DEFAULT_BUDGET", most)
+        assert shattering._vc_real_scales(fam, scales) == dims
+        coarsest = walks[-1][1]  # the first walk, from no floor
+        if coarsest:
+            monkeypatch.setattr(shattering, "DEFAULT_BUDGET", coarsest - 1)
+            assert isinstance(shattering._vc_real_scales(fam, scales)[-1], BudgetError)
+            with pytest.raises(BudgetError):
+                vc_curve(fam, scales)
+        monkeypatch.undo()
+        for table, ((dim, _, _), checks) in zip(tables, walks):
+            for floor in range(dim + 1):
+                def run(table=table, floor=floor, dim=dim):
+                    assert shattering._walk(table, m, n, True, floor=floor)[0] == dim
+                charged = charged_checks(monkeypatch, run, checks)
+                assert charged == checks if floor == 0 else charged <= checks
+                saved += checks - charged
+    assert saved > 0
+
+
+def test_vc_real_scales_match_vc_real_and_the_oracle(monkeypatch):
+    # Duplicate scales, a float32 scale (read as a float64 t, as vc_real
+    # reads it) and a scale above every column's range (dimension 0).
+    # Each distinct scale gets one table, coarsest first, until a dimension
+    # reaches the deepest any walk goes; the finer scales get no table.
+    built, level_table = [], shattering._level_table
+    monkeypatch.setattr(shattering, "_level_table", lambda cols, t: built.append(t) or level_table(cols, t))
+    rng = np.random.default_rng(101)
+    for trial in range(48):
+        small = trial % 2 == 0
+        m = int(rng.integers(2, 9 if small else 25))
+        n = int(rng.integers(1, 4 if small else 8))
+        kind = ("uniform-real", "convex-hull-sections", "sign-vectors")[trial // 2 % 3]
+        fam = gen_random_family(m, n, kind, int(rng.integers(1 << 30)))
+        spread = float((fam.values.max(axis=0) - fam.values.min(axis=0)).max())
+        t = rng.uniform(0.02, 0.8, size=3)
+        scales = [float(t[0]), float(t[1]), np.float32(t[2]), float(t[1]), spread + 0.01]
+        built.clear()
+        dims = shattering._vc_real_scales(fam, scales)
+        walked = sorted(set(scales), reverse=True)
+        deepest = [dict(zip(scales, dims))[s] == min(n, m.bit_length() - 1) for s in walked]
+        assert built == (walked[:deepest.index(True) + 1] if True in deepest else walked)
+        assert dims == [vc_real(fam, s) for s in scales]
+        assert dims[1] == dims[3] and dims[4] == 0
+        if small:
+            assert dims == [oracle_vc_real(fam, float(s)) for s in scales]
+
+
 def test_vc_integer_examples():
     assert vc_integer(FunctionFamily([[0, 0], [0, 2], [2, 0], [2, 2]], "integer", 2)) == 2
     assert vc_integer(FunctionFamily([[1, 1]], "integer", 1)) == 0
@@ -642,6 +726,7 @@ def test_vc_real_basic_bounds():
 
 def test_vc_curve_non_increasing():
     assert vc_curve(SIGN_CUBE, [0.5, 1.0, 2.0]) == [(0.5, 2), (1.0, 2), (2.0, 2)]
+    assert vc_curve(SIGN_CUBE, [2.5, 1.0, 2.5]) == [(1.0, 2), (2.5, 0), (2.5, 0)]
     assert vc_curve(SIGN_CUBE, [2.5]) == [(2.5, 0)]
     rng = np.random.default_rng(91)
     fam = gen_random_family(10, 4, "uniform-real", 419)
